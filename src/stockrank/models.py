@@ -4,6 +4,9 @@ A model maps an (m, n) standardized feature window plus a sector id to a
 probability distribution over five return classes (or a single value for
 the MSE variant). Three independently seeded members are combined into an
 ensemble whose weights follow each member's recent realized returns.
+
+Models compute in float32: parameters, activations, gradients and Adam
+moments are float32, while batch-norm running statistics stay float64.
 """
 
 from __future__ import annotations
@@ -130,43 +133,46 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
     return np.clip(draw, -2.0 * std, 2.0 * std)
 
 
+def _param(values) -> Tensor:
+    return Tensor(np.asarray(values, dtype=np.float32), requires_grad=True)
+
+
 def build_model(arch: ArchConfig, seed: int) -> ModelState:
-    """Initialize a model deterministically from the seed.
+    """Initialize a float32 model deterministically from the seed.
 
     Conv and dense weights use scaled init (variance 2 / fan_in, clipped at
-    two sigmas); the sector embedding is uniform in [-0.05, 0.05].
+    two sigmas); the sector embedding is uniform in [-0.05, 0.05]. Values
+    are drawn in float64 and rounded to float32.
     """
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     params: dict[str, Tensor] = {}
     bn_states: dict[str, BatchNormState] = {}
 
-    params["embedding"] = Tensor(
-        rng.uniform(-0.05, 0.05, size=(N_SECTOR_ROWS, arch.n)), requires_grad=True
-    )
+    params["embedding"] = _param(rng.uniform(-0.05, 0.05, size=(N_SECTOR_ROWS, arch.n)))
     ch_in = arch.n
     for i, (k, ch_out) in enumerate(arch.conv):
         std = np.sqrt(2.0 / (k * ch_in))
-        params[f"conv{i}_w"] = Tensor(_trunc_normal(rng, (k, ch_in, ch_out), std), requires_grad=True)
-        params[f"conv{i}_b"] = Tensor(np.zeros(ch_out), requires_grad=True)
-        params[f"conv{i}_bn_gamma"] = Tensor(np.ones(ch_out), requires_grad=True)
-        params[f"conv{i}_bn_beta"] = Tensor(np.zeros(ch_out), requires_grad=True)
+        params[f"conv{i}_w"] = _param(_trunc_normal(rng, (k, ch_in, ch_out), std))
+        params[f"conv{i}_b"] = _param(np.zeros(ch_out))
+        params[f"conv{i}_bn_gamma"] = _param(np.ones(ch_out))
+        params[f"conv{i}_bn_beta"] = _param(np.zeros(ch_out))
         bn_states[f"conv{i}_bn"] = BatchNormState(ch_out)
         ch_in = ch_out
 
     d_in = ch_in
     for i, width in enumerate(arch.dense):
         std = np.sqrt(2.0 / d_in)
-        params[f"dense{i}_w"] = Tensor(_trunc_normal(rng, (d_in, width), std), requires_grad=True)
-        params[f"dense{i}_b"] = Tensor(np.zeros(width), requires_grad=True)
-        params[f"dense{i}_bn_gamma"] = Tensor(np.ones(width), requires_grad=True)
-        params[f"dense{i}_bn_beta"] = Tensor(np.zeros(width), requires_grad=True)
+        params[f"dense{i}_w"] = _param(_trunc_normal(rng, (d_in, width), std))
+        params[f"dense{i}_b"] = _param(np.zeros(width))
+        params[f"dense{i}_bn_gamma"] = _param(np.ones(width))
+        params[f"dense{i}_bn_beta"] = _param(np.zeros(width))
         bn_states[f"dense{i}_bn"] = BatchNormState(width)
         d_in = width
 
     arity = arch.loss_kind.output_arity
     std = np.sqrt(2.0 / d_in)
-    params["out_w"] = Tensor(_trunc_normal(rng, (d_in, arity), std), requires_grad=True)
-    params["out_b"] = Tensor(np.zeros(arity), requires_grad=True)
+    params["out_w"] = _param(_trunc_normal(rng, (d_in, arity), std))
+    params["out_b"] = _param(np.zeros(arity))
 
     state = ModelState(arch, params, bn_states, rng, seed)
     state.optimizer = AdamOptimizer(
@@ -189,12 +195,14 @@ def forward(
     Stack: embedding add, then conv blocks (conv, batch norm, leaky ReLU,
     dropout), global average pooling over time, dense blocks with the same
     trimmings, and a final dense head (softmax for classification kinds).
+    The windows are cast to the parameters' dtype, which every op keeps.
     """
     arch = state.arch
     p = state.params
     rate = arch.dropout if dropout_rate is None else dropout_rate
     rng = rng if rng is not None else state.rng
 
+    windows = np.asarray(windows, dtype=p["embedding"].data.dtype)
     h = embedding_add(Tensor(windows), p["embedding"], sector_ids)
     for i in range(len(arch.conv)):
         h = conv1d_valid(h, p[f"conv{i}_w"], p[f"conv{i}_b"])
@@ -219,7 +227,7 @@ def predict(state: ModelState, window: np.ndarray, sector_id: int) -> np.ndarray
     """Inference for a single window: probability 5-vector or 1-vector."""
     out = forward(
         state,
-        np.asarray(window, dtype=np.float64)[None, :, :],
+        np.asarray(window)[None, :, :],
         np.array([sector_id]),
         train=False,
     )
@@ -373,17 +381,22 @@ def ensemble_predict_batch(ens: EnsembleState, windows: np.ndarray,
 
 _MODEL_MAGIC = b"SRNN"
 _ENSEMBLE_MAGIC = b"SREN"
-_CKPT_VERSION = 1
+# version 2: parameters and Adam moments are stored in the dtype the header
+# names ("param_dtype"); batch-norm running statistics stay float64
+_CKPT_VERSION = 2
+_CKPT_DTYPES = ("float32", "float64")
 
 
 def _encode_model(state: ModelState) -> bytes:
     names = list(state.params.keys())
     bn_names = sorted(state.bn_states.keys())
     opt = state.optimizer.state_dict()
+    param_dtype = state.params[names[0]].data.dtype
     header = {
         "version": _CKPT_VERSION,
         "arch": asdict(state.arch),
         "seed": state.seed,
+        "param_dtype": param_dtype.name,
         "param_names": names,
         "param_shapes": {k: list(state.params[k].data.shape) for k in names},
         "bn_names": bn_names,
@@ -396,12 +409,13 @@ def _encode_model(state: ModelState) -> bytes:
         "rng_state": state.rng.bit_generator.state,
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    wire = param_dtype.newbyteorder("<")
     buffers = []
     for k in names:
-        buffers.append(state.params[k].data.astype("<f8").tobytes())
+        buffers.append(state.params[k].data.astype(wire).tobytes())
     for arrs in (opt["m"], opt["v"]):
         for a in arrs:
-            buffers.append(np.asarray(a).astype("<f8").tobytes())
+            buffers.append(np.asarray(a).astype(wire).tobytes())
     for k in bn_names:
         buffers.append(state.bn_states[k].running_mean.astype("<f8").tobytes())
         buffers.append(state.bn_states[k].running_var.astype("<f8").tobytes())
@@ -417,20 +431,26 @@ def _decode_model(blob: bytes) -> ModelState:
         raise NumericError(f"unsupported checkpoint version {version}")
     header = json.loads(blob[12 : 12 + head_len].decode())
     offset = 12 + head_len
+    if header["param_dtype"] not in _CKPT_DTYPES:
+        raise NumericError(f"unsupported checkpoint dtype {header['param_dtype']!r}")
+    param_dtype = np.dtype(header["param_dtype"])
 
-    def take(shape) -> np.ndarray:
+    def take(shape, dtype=np.dtype(np.float64)) -> np.ndarray:
         nonlocal offset
         count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape)
-        offset += count * 8
-        return arr.astype(np.float64)
+        wire = dtype.newbyteorder("<")
+        arr = np.frombuffer(blob, dtype=wire, count=count, offset=offset).reshape(shape)
+        offset += count * wire.itemsize
+        return arr.astype(dtype)
+
+    def take_params() -> list[np.ndarray]:
+        return [take(header["param_shapes"][k], param_dtype) for k in header["param_names"]]
 
     arch = ArchConfig(**header["arch"])
-    params = {}
-    for k in header["param_names"]:
-        params[k] = Tensor(take(header["param_shapes"][k]), requires_grad=True)
-    m_list = [take(header["param_shapes"][k]) for k in header["param_names"]]
-    v_list = [take(header["param_shapes"][k]) for k in header["param_names"]]
+    params = {k: Tensor(a, requires_grad=True)
+              for k, a in zip(header["param_names"], take_params())}
+    m_list = take_params()
+    v_list = take_params()
     bn_states = {}
     for k in header["bn_names"]:
         meta = header["bn_meta"][k]

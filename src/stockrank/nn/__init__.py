@@ -3,7 +3,13 @@
 Only the layers, optimizer, and schedules the ranking model needs: valid
 1D convolution over time, batch normalization, leaky ReLU, dropout,
 global average pooling, dense layers, softmax, a sector-embedding add,
-Adam, plateau LR halving, and early stopping. Everything is float64.
+Adam, plateau LR halving, and early stopping.
+
+Computation runs in the dtype of the data: a Tensor keeps float32 arrays
+as float32 and stores anything else as float64, every op returns its
+input's dtype, and gradients and Adam moments follow their parameter's
+dtype. The ranking model trains in float32; the gradient tests build
+float64 tensors and so run in float64.
 """
 
 from .autograd import (

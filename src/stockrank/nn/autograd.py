@@ -1,9 +1,14 @@
-"""Define-by-run reverse-mode differentiation over float64 numpy arrays.
+"""Define-by-run reverse-mode differentiation over float32 or float64 arrays.
 
 Each op returns a new Tensor whose closure knows how to push a gradient
 back into its parents; calling ``backward()`` on a scalar walks the tape
 in reverse topological order. Gradients are exact analytic derivatives
 (verified against central finite differences in the test suite).
+
+Dtype rule: a Tensor keeps float32 data as float32 and stores anything
+else as float64. Every op returns its input's dtype, a plain array or
+scalar operand takes the dtype of the Tensor it meets, and each gradient
+is stored in its tensor's dtype, so a float32 graph never upcasts.
 """
 
 from __future__ import annotations
@@ -14,12 +19,16 @@ from ..errors import NumericError
 
 
 class Tensor:
-    """A float64 array plus the bookkeeping needed for backpropagation."""
+    """A float32 or float64 array plus the bookkeeping for backpropagation.
+
+    float32 data stays float32; any other input is stored as float64.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, parents=(), backward=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._parents = parents
@@ -54,7 +63,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.ones((), dtype=np.float64)
+        self.grad = np.ones((), dtype=self.data.dtype)
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -66,13 +75,20 @@ class Tensor:
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
+
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands as Tensors; a plain array takes the other Tensor's dtype."""
+    if isinstance(a, Tensor) and not isinstance(b, Tensor):
+        return a, Tensor(np.asarray(b, dtype=a.data.dtype))
+    if isinstance(b, Tensor) and not isinstance(a, Tensor):
+        return Tensor(np.asarray(a, dtype=b.data.dtype)), b
+    return _as_tensor(a), _as_tensor(b)
+
+
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if t.requires_grad:
+        g = np.asarray(g, dtype=t.data.dtype)
         t.grad = g if t.grad is None else t.grad + g
-
-
-def _track(*tensors: Tensor) -> bool:
-    return any(t.requires_grad for t in tensors)
 
 
 def _make(data, parents, backward) -> Tensor:
@@ -98,7 +114,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands(a, b)
 
     def backward(g):
         _accum(a, _unbroadcast(g, a.data.shape))
@@ -108,7 +124,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands(a, b)
 
     def backward(g):
         _accum(a, _unbroadcast(g, a.data.shape))
@@ -118,7 +134,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands(a, b)
 
     def backward(g):
         _accum(a, _unbroadcast(g * b.data, a.data.shape))
@@ -184,7 +200,7 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands(a, b)
 
     def backward(g):
         _accum(a, g @ b.data.T)
@@ -215,26 +231,38 @@ def conv1d_valid(x, w, b) -> Tensor:
         raise NumericError(
             f"conv1d shapes do not line up: x {x.data.shape}, w {w.data.shape}"
         )
-    k = w.data.shape[0]
-    t_in = x.data.shape[1]
+    k, c_in, c_out = w.data.shape
+    batch, t_in = x.data.shape[:2]
     if t_in < k:
         raise NumericError(f"conv1d kernel {k} longer than time axis {t_in}")
     t_out = t_in - k + 1
     out = x.data[:, 0:t_out, :] @ w.data[0]
     for tau in range(1, k):
         out += x.data[:, tau : tau + t_out, :] @ w.data[tau]
-    out = out + b.data
+    out += b.data
 
     def backward(g):
+        # g zero-padded to t_in steps and flattened to rows: row r of the pad
+        # lines up with row r + tau of x for every tap tau, and the zero rows
+        # sit where a window would run into the next sample, so each tap is
+        # one GEMM over contiguous rows
+        rows = batch * t_in
+        g_pad = np.zeros((batch, t_in, c_out), dtype=g.dtype)
+        g_pad[:, :t_out] = g
+        g_pad = g_pad.reshape(rows, c_out)
         if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            for tau in range(k):
-                gx[:, tau : tau + t_out, :] += g @ w.data[tau].T
-            _accum(x, gx)
+            # one GEMM against the stacked kernels: gy[r, tau] = g_pad[r] @ w[tau].T
+            gy = g_pad @ w.data.transpose(2, 0, 1).reshape(c_out, k * c_in)
+            gx = gy[:, :c_in].copy()
+            for tau in range(1, k):
+                gx[tau:] += gy[: rows - tau, tau * c_in : (tau + 1) * c_in]
+            _accum(x, gx.reshape(x.data.shape))
         if w.requires_grad:
+            x2 = x.data.reshape(rows, c_in)
+            n = rows - k + 1
             gw = np.empty_like(w.data)
             for tau in range(k):
-                gw[tau] = np.tensordot(x.data[:, tau : tau + t_out, :], g, axes=([0, 1], [0, 1]))
+                gw[tau] = x2[tau : tau + n].T @ g_pad[:n]
             _accum(w, gw)
         _accum(b, g.sum(axis=(0, 1)))
 
@@ -293,46 +321,65 @@ def batch_norm(
     state's momentum. Infer mode is a pure function of the running stats.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    axes = tuple(range(x.data.ndim - 1))
+    dtype = x.data.dtype
+    n_ch = x.data.shape[-1]
+    n = x.data.size // n_ch
+
+    def channel_sums(a, b):
+        """Per-channel sum of a * b without an elementwise temporary."""
+        return np.einsum("nc,nc->c", a.reshape(n, n_ch), b.reshape(n, n_ch))
 
     if not train:
-        inv = 1.0 / np.sqrt(state.running_var + state.eps)
-        xhat = (x.data - state.running_mean) * inv
-        out = gamma.data * xhat + beta.data
+        inv = (1.0 / np.sqrt(state.running_var + state.eps)).astype(dtype)
+        mu = state.running_mean.astype(dtype)
+        scale = gamma.data * inv
+        out = x.data * scale
+        out += beta.data - mu * scale
 
         def backward_infer(g):
-            _accum(x, g * (gamma.data * inv))
-            _accum(gamma, (g * xhat).sum(axis=axes))
-            _accum(beta, g.sum(axis=axes))
+            xhat = (x.data - mu) * inv
+            _accum(x, g * scale)
+            _accum(gamma, channel_sums(g, xhat))
+            _accum(beta, g.reshape(n, n_ch).sum(axis=0))
 
         return _make(out, (x, gamma, beta), backward_infer)
 
-    mu = x.data.mean(axis=axes)
-    var = x.data.var(axis=axes)
+    mu = x.data.reshape(n, n_ch).mean(axis=0)
+    xhat = x.data - mu  # the one centred temporary; normalized in place below
+    var = channel_sums(xhat, xhat) / n
     if update_stats:
         m = state.momentum
         state.running_mean = m * state.running_mean + (1.0 - m) * mu
         state.running_var = m * state.running_var + (1.0 - m) * var
     inv = 1.0 / np.sqrt(var + state.eps)
-    xhat = (x.data - mu) * inv
-    out = gamma.data * xhat + beta.data
-    n = x.data.size // x.data.shape[-1]
+    xhat *= inv
+    out = xhat * gamma.data
+    out += beta.data
 
     def backward_train(g):
+        dbeta = g.reshape(n, n_ch).sum(axis=0)
+        dgamma = channel_sums(g, xhat)
         if x.requires_grad:
-            dxhat = g * gamma.data
-            s1 = dxhat.sum(axis=axes)
-            s2 = (dxhat * xhat).sum(axis=axes)
-            _accum(x, (inv / n) * (n * dxhat - s1 - xhat * s2))
-        _accum(gamma, (g * xhat).sum(axis=axes))
-        _accum(beta, g.sum(axis=axes))
+            # with dxhat = g * gamma, sum(dxhat) = gamma * dbeta and
+            # sum(dxhat * xhat) = gamma * dgamma, so
+            # dx = gamma * inv * (g - (dbeta + xhat * dgamma) / n)
+            dx = xhat * (dgamma / n)
+            dx += dbeta / n
+            np.subtract(g, dx, out=dx)
+            dx *= gamma.data * inv
+            _accum(x, dx)
+        _accum(gamma, dgamma)
+        _accum(beta, dbeta)
 
     return _make(out, (x, gamma, beta), backward_train)
 
 
 def leaky_relu(x, alpha: float = 0.01) -> Tensor:
     x = _as_tensor(x)
-    slope = np.where(x.data >= 0, 1.0, alpha)
+    # slope = 1 where x >= 0 and alpha elsewhere, built from the boolean
+    # mask with one fused cast-and-scale instead of np.where
+    slope = np.multiply(x.data >= 0, 1.0 - alpha, dtype=x.data.dtype)
+    slope += alpha
 
     def backward(g):
         _accum(x, g * slope)
@@ -352,7 +399,12 @@ def dropout(x, rate: float, rng: np.random.Generator | None, train: bool) -> Ten
         return _make(x.data.copy(), (x,), backward_id)
     if rng is None:
         raise NumericError("dropout in train mode needs an rng")
-    scale = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
+    # the mask is drawn in float32 whatever the input dtype, so a float32
+    # model and its float64 copy see the same mask from the same rng
+    scale = rng.random(x.data.shape, dtype=np.float32)
+    np.greater_equal(scale, rate, out=scale)
+    scale = scale.astype(x.data.dtype, copy=False)
+    scale *= 1.0 / (1.0 - rate)
 
     def backward(g):
         _accum(x, g * scale)

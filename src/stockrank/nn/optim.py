@@ -9,7 +9,10 @@ from .autograd import Tensor
 
 
 class AdamOptimizer:
-    """Adam with bias correction; deterministic given the same gradients."""
+    """Adam with bias correction; deterministic given the same gradients.
+
+    The moments take each parameter's dtype, and every update stays in it.
+    """
 
     def __init__(
         self,
@@ -73,8 +76,8 @@ class AdamOptimizer:
         self.step_count = state["step_count"]
         if len(state["m"]) != len(self.params):
             raise NumericError("optimizer state does not match parameter count")
-        self.m = [np.asarray(a, dtype=np.float64).copy() for a in state["m"]]
-        self.v = [np.asarray(a, dtype=np.float64).copy() for a in state["v"]]
+        self.m = [np.array(a, dtype=p.data.dtype) for a, p in zip(state["m"], self.params)]
+        self.v = [np.array(a, dtype=p.data.dtype) for a, p in zip(state["v"], self.params)]
 
 
 class ReduceOnPlateau:

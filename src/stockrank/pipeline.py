@@ -34,6 +34,7 @@ from .errors import ConfigError, DataError
 from .indicators import assemble_panel, make_spec
 from .market_data import Universe, apply_dead_stock_rule, filter_by_dollar_volume, load_ohlcv
 from .models import (
+    SCORE_VECTOR,
     ArchConfig,
     EnsembleState,
     TrainConfig,
@@ -118,8 +119,10 @@ def _arch_from_config(cfg: RunConfig, n_features: int) -> ArchConfig:
 
 
 def _scores_from_outputs(outputs: np.ndarray, classification: bool) -> np.ndarray:
+    """Ranking scores in float64, so scores.csv keeps full-precision text."""
+    outputs = np.asarray(outputs, dtype=np.float64)
     if classification:
-        return outputs @ np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+        return outputs @ SCORE_VECTOR
     return outputs[:, 0]
 
 

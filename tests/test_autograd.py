@@ -7,6 +7,7 @@ from stockrank.errors import NumericError
 from stockrank.nn import (
     BatchNormState,
     Tensor,
+    add,
     batch_norm,
     conv1d_valid,
     dense,
@@ -21,6 +22,7 @@ from stockrank.nn import (
     softmax,
     tsum,
 )
+from stockrank.nn.autograd import neg, pow_const, sub
 
 H = 1e-5
 GRAD_TOL = 1e-4
@@ -317,3 +319,81 @@ class TestBackward:
         loss.backward()
         assert x.grad[0] == 0.0
         assert x.grad[1] == pytest.approx(2.0)
+
+
+def float32_cases(rng) -> dict:
+    """Each op applied to float32 tensors: name -> (output, differentiable inputs).
+
+    The constants mixed in (one-hot rows, float64 arrays, Python scalars) are
+    the ones that would upcast a float32 graph if an op let them.
+    """
+
+    def f32(*shape):
+        return Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+
+    a, row, w, b = f32(3, 4), f32(4), f32(4, 2), f32(2)
+    seq, kernel, conv_b, table = f32(2, 7, 3), f32(3, 3, 4), f32(4), f32(12, 3)
+    gamma, beta = f32(3), f32(3)
+    positive = Tensor(rng.uniform(0.1, 1.0, size=(3, 4)).astype(np.float32),
+                      requires_grad=True)
+    return {
+        "add": (add(a, row), [a, row]),
+        "add_const": (add(a, np.ones(4)), [a]),
+        "sub_const": (sub(np.ones((3, 4)), a), [a]),
+        "mul_one_hot": (mul(np.eye(4)[:3], a), [a]),
+        "neg": (neg(a), [a]),
+        "pow_const": (pow_const(a, 2.0), [a]),
+        "log_clip": (log_clip(positive), [positive]),
+        "tsum": (tsum(a, axis=1), [a]),
+        "mean": (mean(a), [a]),
+        "matmul": (matmul(a, w), [a, w]),
+        "dense": (dense(a, w, b), [a, w, b]),
+        "conv1d_valid": (conv1d_valid(seq, kernel, conv_b), [seq, kernel, conv_b]),
+        "embedding_add": (embedding_add(seq, table, np.array([0, 5])), [seq, table]),
+        "batch_norm_train": (batch_norm(seq, gamma, beta, BatchNormState(3), train=True),
+                             [seq, gamma, beta]),
+        "batch_norm_infer": (batch_norm(seq, gamma, beta, BatchNormState(3), train=False),
+                             [seq, gamma, beta]),
+        "leaky_relu": (leaky_relu(a, 0.01), [a]),
+        "dropout_train": (dropout(a, 0.35, np.random.default_rng(0), train=True), [a]),
+        "dropout_infer": (dropout(a, 0.35, None, train=False), [a]),
+        "global_avg_pool": (global_avg_pool(seq), [seq]),
+        "softmax": (softmax(a), [a]),
+    }
+
+
+FLOAT32_OPS = ("add", "add_const", "sub_const", "mul_one_hot", "neg", "pow_const", "log_clip",
+               "tsum", "mean", "matmul", "dense", "conv1d_valid", "embedding_add",
+               "batch_norm_train", "batch_norm_infer", "leaky_relu", "dropout_train",
+               "dropout_infer", "global_avg_pool", "softmax")
+
+
+class TestFloat32:
+    @pytest.mark.parametrize("name", FLOAT32_OPS)
+    def test_op_keeps_float32_output_and_gradients(self, name, rng):
+        out, inputs = float32_cases(rng)[name]
+        assert out.data.dtype == np.float32
+        # a float64 upstream weight must not upcast the gradients either
+        loss = tsum(mul(out, rng.normal(size=out.shape)))
+        assert loss.data.dtype == np.float32
+        loss.backward()
+        for t in inputs:
+            assert t.grad is not None and t.grad.dtype == np.float32, name
+
+    def test_gradient_takes_its_tensors_dtype(self, rng):
+        a = Tensor(rng.normal(size=3).astype(np.float32), requires_grad=True)
+        b = Tensor(rng.normal(size=3), requires_grad=True)
+        tsum(mul(a, b)).backward()
+        assert a.grad.dtype == np.float32
+        assert b.grad.dtype == np.float64
+
+    def test_float64_stays_float64(self, rng):
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        loss = tsum(leaky_relu(x))
+        loss.backward()
+        assert loss.data.dtype == x.grad.dtype == np.float64
+
+    def test_other_inputs_become_float64(self):
+        assert Tensor(np.arange(3, dtype=np.int32)).data.dtype == np.float64
+        assert Tensor(np.ones(2, dtype=np.float16)).data.dtype == np.float64
+        assert Tensor(1.0).data.dtype == np.float64

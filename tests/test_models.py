@@ -44,6 +44,13 @@ def toy_samples(rng, n, arch, signal=True):
                      rng.integers(0, 12, size=n))
 
 
+def as_float64(state):
+    """Cast a built model's parameters to float64 in place; forward follows them."""
+    for p in state.params.values():
+        p.data = p.data.astype(np.float64)
+    return state
+
+
 class TestArchConfig:
     def test_conv_must_leave_time(self):
         with pytest.raises(ConfigError):
@@ -333,7 +340,8 @@ class TestFullModelGradients:
     @pytest.mark.parametrize("loss", ["return_weighted_ce", "ce", "mse"])
     def test_full_stack_vs_finite_differences(self, loss, rng):
         arch = ArchConfig(m=12, n=5, conv=((3, 6), (3, 6)), dense=(6,), loss=loss)
-        state = build_model(arch, seed=4)
+        # finite differences with h = 1e-5 need float64 resolution
+        state = as_float64(build_model(arch, seed=4))
         kind = LossKind(loss)
         B = 4
         X = rng.normal(size=(B, 12, 5))
@@ -372,6 +380,52 @@ class TestFullModelGradients:
         assert worst < 1e-4, f"{loss}: worst rel err {worst:.2e}"
 
 
+class TestFloat32Model:
+    def test_model_computes_in_float32(self, rng):
+        state = build_model(SMALL_ARCH, seed=3)
+        opt = state.optimizer
+        assert {a.dtype for a in [p.data for p in state.param_list()] + opt.m + opt.v} \
+            == {np.dtype(np.float32)}
+        out = forward(state, rng.normal(size=(4, 10, 6)), np.arange(4), train=True)
+        assert out.data.dtype == np.float32
+
+    def test_float32_model_matches_float64_copy(self, rng):
+        # Tolerances fixed from float32 epsilon before the first run. Each
+        # float32 op rounds with relative error eps / 2; the errors compound
+        # over sums of up to ~50 terms per output and five normalizing layers,
+        # so outputs (probabilities in [0, 1]) may differ by 64 eps and
+        # gradients by 1024 eps of the largest gradient entry in the model.
+        # The scale is model-wide because some gradients are exact zeros
+        # reached by cancellation (a conv bias feeding batch norm), where
+        # float32 leaves noise of the size of the terms that cancel. A wrong
+        # cast or formula shows as errors of order one.
+        eps = float(np.finfo(np.float32).eps)
+        out_tol = 64 * eps
+        grad_tol = 1024 * eps
+        x = rng.normal(size=(32, 10, 6))
+        ids = rng.integers(0, 12, size=32)
+        labels = np.eye(5)[rng.integers(0, 5, size=32)]
+        targets = rng.normal(0, 0.03, size=32)
+        weights = np.minimum(np.abs(targets), 0.5)
+        kind = SMALL_ARCH.loss_kind
+
+        def run(state):
+            out = forward(state, x, ids, train=True, rng=np.random.default_rng(5),
+                          update_bn_stats=False)
+            batch_loss(kind, out, labels, targets, weights).backward()
+            return out.data, {k: p.grad for k, p in state.params.items()}
+
+        out32, grads32 = run(build_model(SMALL_ARCH, seed=8))
+        out64, grads64 = run(as_float64(build_model(SMALL_ARCH, seed=8)))
+        assert out32.dtype == np.float32 and out64.dtype == np.float64
+        np.testing.assert_allclose(out32, out64, rtol=0, atol=out_tol)
+        scale = max(np.abs(g).max() for g in grads64.values())
+        for k, g64 in grads64.items():
+            assert grads32[k].dtype == np.float32, k
+            np.testing.assert_allclose(grads32[k], g64, rtol=0, atol=grad_tol * scale,
+                                       err_msg=k)
+
+
 class TestCheckpoints:
     def test_model_round_trip_bit_identical(self, rng, tmp_path):
         state = build_model(SMALL_ARCH, seed=21)
@@ -408,6 +462,23 @@ class TestCheckpoints:
         for k in a.params:
             np.testing.assert_array_equal(a.params[k].data, b.params[k].data)
 
+    def test_resumed_float32_model_stays_float32(self, rng, tmp_path):
+        train = toy_samples(rng, 64, SMALL_ARCH)
+        val = toy_samples(rng, 32, SMALL_ARCH)
+        hp = TrainConfig.for_loss("return_weighted_ce", batch_size=32, max_epochs=1)
+        state = build_model(SMALL_ARCH, seed=3)
+        train_period(state, train, val, hp)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(state, path)
+        loaded = load_checkpoint(path)
+        train_period(loaded, train, val, hp)
+        opt = loaded.optimizer
+        for a in [p.data for p in loaded.param_list()] + [p.grad for p in loaded.param_list()] \
+                + opt.m + opt.v:
+            assert a.dtype == np.float32
+        for bn in loaded.bn_states.values():
+            assert bn.running_mean.dtype == bn.running_var.dtype == np.float64
+
     def test_ensemble_round_trip(self, tmp_path):
         members = [build_model(SMALL_ARCH, seed=s) for s in (1, 2, 3)]
         ens = EnsembleState(members=members)
@@ -421,3 +492,53 @@ class TestCheckpoints:
         assert loaded.trailing_returns == ens.trailing_returns
         assert loaded.combine_mode == ens.combine_mode
         np.testing.assert_allclose(ensemble_weights(loaded), ensemble_weights(ens))
+
+
+class TestTracedNames:
+    """The benchmark's tracer wraps these names from outside the program.
+
+    A renamed op, an op output not built by ``autograd._make``, or a renamed
+    ``Tensor.backward`` or ``AdamOptimizer.step`` would silently zero its
+    per-layer metrics, so the contract is pinned here.
+    """
+
+    OPS = ("embedding_add", "conv1d_valid", "batch_norm", "leaky_relu", "dropout",
+           "global_avg_pool", "dense", "softmax")
+
+    def test_training_reaches_every_traced_name(self, rng, monkeypatch):
+        from stockrank import models
+        from stockrank.nn import AdamOptimizer, autograd
+
+        calls = dict.fromkeys(self.OPS + ("backward", "step"), 0)
+        made = dict.fromkeys(self.OPS, 0)
+        current: list[str] = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                current.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    current.pop()
+            return wrapper
+
+        make = autograd._make
+
+        def counting_make(data, parents, backward):
+            if current and current[-1] in made:
+                made[current[-1]] += 1
+            return make(data, parents, backward)
+
+        for op in self.OPS:
+            monkeypatch.setattr(models, op, counting(op, getattr(models, op)))
+        monkeypatch.setattr(autograd, "_make", counting_make)
+        monkeypatch.setattr(Tensor, "backward", counting("backward", Tensor.backward))
+        monkeypatch.setattr(AdamOptimizer, "step", counting("step", AdamOptimizer.step))
+
+        state = build_model(SMALL_ARCH, seed=1)
+        hp = TrainConfig.for_loss("return_weighted_ce", batch_size=16, max_epochs=1)
+        train_period(state, toy_samples(rng, 16, SMALL_ARCH), toy_samples(rng, 8, SMALL_ARCH),
+                     hp)
+        assert all(calls.values()), calls
+        assert all(made.values()), made
