@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DataError
 
 STRATEGIES = (
@@ -110,14 +108,10 @@ class BacktestLedger:
         return ledger
 
 
-def rank(scores: dict[str, float]) -> DailyRanking:
+def rank_for_day(date, scores: dict[str, float]) -> DailyRanking:
     """Stable descending sort with lexicographic tie-break on ticker."""
     entries = tuple(sorted(scores.items(), key=lambda kv: (-kv[1], kv[0])))
-    return DailyRanking(date=None, entries=entries)
-
-
-def rank_for_day(date, scores: dict[str, float]) -> DailyRanking:
-    return DailyRanking(date=date, entries=rank(scores).entries)
+    return DailyRanking(date=date, entries=entries)
 
 
 def rebalance_topk(

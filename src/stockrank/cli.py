@@ -1,8 +1,11 @@
 """Command-line entry points.
 
-Subcommands: synth, features, train, backtest, report, run. Exit codes:
-0 success, 2 config error, 3 data error, 4 numeric failure. Errors are
-printed to stderr as one JSON object naming the failing module.
+Subcommands: synth, features, train, backtest, report, run. `run` is the
+whole walk-forward pipeline; `train`, `backtest` and `report` are its
+stages, call the same pipeline functions, and together write the same
+scores, ledgers and report as `run`. Exit codes: 0 success, 2 config
+error, 3 data error, 4 numeric failure. Errors are printed to stderr as
+one JSON object naming the failing module.
 """
 
 from __future__ import annotations
@@ -21,15 +24,13 @@ from .errors import ConfigError, DataError, NumericError, StockrankError
 from .pipeline import (
     build_panel,
     load_universe,
-    plan_periods,
     read_scores_csv,
-    run_lock,
     run_pipeline,
     run_strategies,
-    train_walk_forward,
+    training_run,
+    write_ledgers,
     write_manifest,
     write_report,
-    write_scores_csv,
 )
 from .synth import SignalSpec, generate, write_events_csv, write_ohlcv_csv, write_sector_csv
 
@@ -134,25 +135,9 @@ def _load_config_with_overrides(config_path, seed, loss) -> RunConfig:
 def train(config_path, seed, out, loss):
     """Walk-forward training only: checkpoints and ranking scores."""
     cfg = _load_config_with_overrides(config_path, seed, loss)
-    universe = load_universe(cfg)
-    panel = build_panel(cfg, universe)
-    plans = plan_periods(cfg, panel)
-    with run_lock(out):
-        with open(os.path.join(out, "config.resolved.json"), "w") as fh:
-            fh.write(cfg.to_json())
-            fh.write("\n")
-        result = train_walk_forward(cfg, universe, panel, plans, log=_echo)
-        from .models import save_ensemble
-
-        ckpt_dir = os.path.join(out, "checkpoints")
-        os.makedirs(ckpt_dir, exist_ok=True)
-        for e, ens in enumerate(result["ensembles"]):
-            save_ensemble(ens, os.path.join(ckpt_dir, f"ensemble_{e}.ens"))
-        scores_dir = os.path.join(out, "scores")
-        os.makedirs(scores_dir, exist_ok=True)
-        write_scores_csv(result["scores"], os.path.join(scores_dir, "scores.csv"))
-        write_manifest(cfg, out)
-    _echo(f"trained {len(plans)} periods; scores in {scores_dir}")
+    with training_run(cfg, out, log=_echo):
+        pass  # the stage ends with the scores; backtest and report read them later
+    _echo(f"scores in {os.path.join(out, 'scores')}")
 
 
 @main.command()
@@ -171,22 +156,9 @@ def backtest(config_path, out, strategy):
     if not os.path.exists(scores_path):
         raise DataError(f"no scores at {scores_path}; run train first")
     universe = load_universe(cfg)
-    date_to_idx = {d.isoformat(): i for i, d in enumerate(universe.calendar)}
-    raw = read_scores_csv(scores_path)
-    rankings = {}
-    for e, pairs in raw.items():
-        indexed = []
-        for date_str, ranking in pairs:
-            if date_str not in date_to_idx:
-                raise DataError(f"scores date {date_str} not on the universe calendar")
-            indexed.append((date_to_idx[date_str], ranking))
-        rankings[e] = indexed
-    panel = build_panel(cfg, universe)
-    ledgers = run_strategies(cfg, universe, panel, rankings)
-    ledger_dir = os.path.join(out, "ledgers")
-    os.makedirs(ledger_dir, exist_ok=True)
-    for name, led in sorted(ledgers.items()):
-        led.to_csv(os.path.join(ledger_dir, f"{name}.csv"))
+    rankings = read_scores_csv(scores_path, universe.calendar)
+    ledgers = run_strategies(cfg, universe, rankings)
+    ledger_dir = write_ledgers(ledgers, out)
     write_manifest(cfg, out)
     _echo(f"wrote {len(ledgers)} ledgers to {ledger_dir}")
 

@@ -64,7 +64,6 @@ class RunConfig:
     # run
     seed: int = 0
     max_periods: int | None = None
-    export_samples: bool = False
 
     def validate(self, check_paths: bool = True) -> None:
         if check_paths:

@@ -35,8 +35,17 @@ from .nn.optim import AdamOptimizer, EarlyStopping, ReduceOnPlateau
 
 SCORE_VECTOR = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 N_SECTOR_ROWS = 12
-DEFAULT_ENSEMBLE_SIZE = 3
 MOE_WINDOW = 6
+
+
+def ranking_scores(outputs: np.ndarray, classification: bool) -> np.ndarray:
+    """Ranking score of each output row, in float64 so scores.csv keeps
+    full-precision text: the expected class value under SCORE_VECTOR for
+    classification kinds, the single predicted return for MSE."""
+    outputs = np.asarray(outputs, dtype=np.float64)
+    if classification:
+        return outputs @ SCORE_VECTOR
+    return outputs[:, 0]
 
 
 @dataclass(frozen=True)
@@ -223,16 +232,6 @@ def forward(
     return out
 
 
-def predict(state: ModelState, window: np.ndarray, sector_id: int) -> np.ndarray:
-    """Inference for a single window: probability 5-vector or 1-vector."""
-    out = forward(
-        state,
-        np.asarray(window)[None, :, :],
-        np.array([sector_id]),
-        train=False,
-    )
-    return out.data[0]
-
 def predict_batch(state: ModelState, windows: np.ndarray, sector_ids: np.ndarray,
                   chunk: int = 4096) -> np.ndarray:
     outs = []
@@ -242,14 +241,6 @@ def predict_batch(state: ModelState, windows: np.ndarray, sector_ids: np.ndarray
                     train=False).data
         )
     return np.concatenate(outs, axis=0)
-
-
-def score(p: np.ndarray) -> float:
-    """Ranking score: expected class value under [-2, -1, 0, 1, 2]."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (5,):
-        raise NumericError(f"score expects a probability 5-vector, got shape {p.shape}")
-    return float(p @ SCORE_VECTOR)
 
 
 def _evaluate(state: ModelState, kind: LossKind, sample_set, chunk: int = 4096) -> float:
@@ -360,19 +351,10 @@ def ensemble_weights(ens: EnsembleState) -> np.ndarray:
     return moe_weights(ens.trailing_returns, ens.window)
 
 
-def ensemble_predict(ens: EnsembleState, window: np.ndarray, sector_id: int) -> np.ndarray:
-    """Weighted average of member outputs; stays on the simplex for
+def combine_members(ens: EnsembleState, member_outputs: list[np.ndarray]) -> np.ndarray:
+    """Weighted average of the members' outputs; stays on the simplex for
     classification kinds because the weights do."""
-    w = ensemble_weights(ens)
-    preds = [predict(m, window, sector_id) for m in ens.members]
-    return np.tensordot(w, np.stack(preds), axes=1)
-
-
-def ensemble_predict_batch(ens: EnsembleState, windows: np.ndarray,
-                           sector_ids: np.ndarray) -> np.ndarray:
-    w = ensemble_weights(ens)
-    preds = [predict_batch(m, windows, sector_ids) for m in ens.members]
-    return np.tensordot(w, np.stack(preds), axes=1)
+    return np.tensordot(ensemble_weights(ens), np.stack(member_outputs), axes=1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,20 @@
-"""End-to-end walk-forward driver: data -> features -> train -> backtest -> report.
+"""Walk-forward driver: data -> features -> train -> backtest -> report.
 
-Stages are separable (the CLI exposes each) but share this module's
-artifact layout under one output directory:
+`stockrank run` is run_pipeline. The staged commands `train`, `backtest`
+and `report` call the same functions, so a staged run writes the same
+bytes as a full one. Artifacts under one run directory:
 
-    config.resolved.json      validated config actually used
-    panel.csv                 feature panel (features stage only)
-    checkpoints/period_NNN.ens   ensemble checkpoint after each period
-    scores/scores.csv         per (ensemble, date, ticker) ranking scores
-    ledgers/<name>.csv        one ledger per strategy (+ market)
-    report/nav_<name>.csv     NAV curves
-    report/metrics.json       metric reports per strategy vs market
-    report/grid.csv           headline strategy grid
-    manifest.json             config hash + artifact checksums
+    config.resolved.json          validated config actually used
+    checkpoints/ensemble_{e}.ens  each ensemble after the last period
+    scores/scores.csv             per (ensemble, period, date, ticker) ranking scores
+    ledgers/<name>.csv            one ledger per strategy (+ market)
+    report/nav_<name>.csv         NAV curves
+    report/metrics.json           metric reports per strategy vs market
+    report/grid.csv               headline strategy grid
+    manifest.json                 config hash + artifact checksums
+
+The feature panel is exported only by `stockrank features`, as panel.csv
+in a directory of its own.
 """
 
 from __future__ import annotations
@@ -21,26 +24,27 @@ import datetime as dt
 import hashlib
 import json
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
 from . import __version__
 from .analytics import build_metric_grid, build_report, grid_to_csv, load_risk_free
-from .backtest import BacktestLedger, combine_strategies, rank_for_day, simulate
+from .backtest import BacktestLedger, DailyRanking, combine_strategies, rank_for_day, simulate
 from .config import RunConfig
-from .dataset import LOOKAHEAD, build_split_plans, make_samples, return_matrix
+from .dataset import build_split_plans, make_samples, return_matrix
 from .errors import ConfigError, DataError
 from .indicators import assemble_panel, make_spec
 from .market_data import Universe, apply_dead_stock_rule, filter_by_dollar_volume, load_ohlcv
 from .models import (
-    SCORE_VECTOR,
     ArchConfig,
     EnsembleState,
     TrainConfig,
     build_model,
-    ensemble_weights,
+    combine_members,
+    load_ensemble,
     predict_batch,
+    ranking_scores,
     save_ensemble,
     train_period,
 )
@@ -48,16 +52,40 @@ from .models import (
 SCORES_HEADER = ["ensemble", "period", "date", "ticker", "score"]
 
 
+def _owner_is_gone(lock_path: str) -> bool:
+    """Whether the lock holds the PID of a process that no longer exists."""
+    try:
+        with open(lock_path) as fh:
+            pid = int(fh.read())
+        if pid <= 0:
+            return False
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, ValueError, OverflowError):  # unreadable, not a PID, or alive
+        return False
+    return False
+
+
 @contextmanager
 def run_lock(out_dir: str):
-    """One process owns a run directory at a time."""
+    """One process owns a run directory at a time.
+
+    A lock whose PID names no live process is left by a run that died,
+    and is taken over once.
+    """
     os.makedirs(out_dir, exist_ok=True)
     lock_path = os.path.join(out_dir, ".lock")
-    try:
-        fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise ConfigError(f"run directory {out_dir} is locked by another process "
-                          f"(remove {lock_path} if that process is gone)")
+    for takeover in (False, True):
+        try:
+            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            break
+        except FileExistsError:
+            if takeover or not _owner_is_gone(lock_path):
+                raise ConfigError(f"run directory {out_dir} is locked by another process "
+                                  f"(remove {lock_path} if that process is gone)")
+            with suppress(FileNotFoundError):
+                os.remove(lock_path)
     try:
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
@@ -118,14 +146,6 @@ def _arch_from_config(cfg: RunConfig, n_features: int) -> ArchConfig:
     )
 
 
-def _scores_from_outputs(outputs: np.ndarray, classification: bool) -> np.ndarray:
-    """Ranking scores in float64, so scores.csv keeps full-precision text."""
-    outputs = np.asarray(outputs, dtype=np.float64)
-    if classification:
-        return outputs @ SCORE_VECTOR
-    return outputs[:, 0]
-
-
 def _alive_tickers(universe: Universe, anchor: int) -> list[str]:
     """Stocks not yet dead at the buy open (day anchor + 1)."""
     alive = []
@@ -136,12 +156,20 @@ def _alive_tickers(universe: Universe, anchor: int) -> list[str]:
     return alive
 
 
+def _rank_days(dates, test, test_days: list[int], scores: np.ndarray) -> list[DailyRanking]:
+    """One ranking per test day from the scores of a test SampleSet."""
+    per_day: dict[int, dict[str, float]] = {d: {} for d in test_days}
+    for d, ticker, sc in zip(test.anchor_days.tolist(), test.tickers, scores.tolist()):
+        per_day[d][ticker] = sc
+    return [rank_for_day(dates[d], per_day[d]) for d in test_days]
+
+
 def train_walk_forward(cfg: RunConfig, universe: Universe, panel, plans,
                        log=lambda msg: None) -> dict:
     """Train all ensembles across the walk-forward periods.
 
     Returns {"ensembles": [EnsembleState...], "scores": scores_rows,
-    "rankings": {ensemble_index: [DailyRanking...]}, "histories": [...]}
+    "rankings": {ensemble_index: [(day, DailyRanking)...]}, "histories": [...]}
     where scores_rows feed scores.csv.
     """
     arch = _arch_from_config(cfg, panel.n_features)
@@ -171,6 +199,7 @@ def train_walk_forward(cfg: RunConfig, universe: Universe, panel, plans,
                                val_days=cfg.val_days)
         test = samples["test"]
         test_days = sorted(set(test.anchor_days.tolist()))
+        returns_by_day = _returns_for_days(universe, test_days)
         for e, ens in enumerate(ensembles):
             period_histories = []
             for mi, member in enumerate(ens.members):
@@ -181,41 +210,27 @@ def train_walk_forward(cfg: RunConfig, universe: Universe, panel, plans,
             histories.append({"period": plan.period_index, "ensemble": e,
                               "members": period_histories})
 
-            weights = ensemble_weights(ens)
             member_outputs = [
                 predict_batch(m, test.windows, test.sector_ids) for m in ens.members
             ]
-            ens_outputs = np.tensordot(weights, np.stack(member_outputs), axes=1)
-            ens_scores = _scores_from_outputs(ens_outputs, classification)
-
-            # per-day rankings for the strategy simulations
-            per_day_scores: dict[int, dict[str, float]] = {d: {} for d in test_days}
-            for i in range(len(test)):
-                per_day_scores[int(test.anchor_days[i])][test.tickers[i]] = float(ens_scores[i])
-            period_rankings = []
-            for d in test_days:
-                date = panel.dates[d]
-                ranking = rank_for_day(date, per_day_scores[d])
-                period_rankings.append((d, ranking))
+            ens_scores = ranking_scores(combine_members(ens, member_outputs), classification)
+            ens_rankings = _rank_days(panel.dates, test, test_days, ens_scores)
+            rankings[e].extend(zip(test_days, ens_rankings))
+            for ranking in ens_rankings:
+                date = ranking.date.isoformat()
                 for ticker, sc in ranking.entries:
-                    scores_rows.append((e, plan.period_index, date.isoformat(), ticker, sc))
-            rankings[e].extend(period_rankings)
+                    scores_rows.append((e, plan.period_index, date, ticker, sc))
 
             # each member's own top-k return this period drives next period's weights
-            returns_by_day = _returns_for_days(universe, test_days)
             member_period_returns = []
             for outputs in member_outputs:
-                m_scores = _scores_from_outputs(outputs, classification)
-                m_day_scores: dict[int, dict[str, float]] = {d: {} for d in test_days}
-                for i in range(len(test)):
-                    m_day_scores[int(test.anchor_days[i])][test.tickers[i]] = float(m_scores[i])
-                m_rankings = [rank_for_day(panel.dates[d], m_day_scores[d]) for d in test_days]
-                led = simulate("topk", m_rankings, returns_by_day, k=cfg.k,
-                               rebalance_mode=cfg.rebalance_mode)
+                m_scores = ranking_scores(outputs, classification)
+                led = simulate("topk", _rank_days(panel.dates, test, test_days, m_scores),
+                               returns_by_day, k=cfg.k, rebalance_mode=cfg.rebalance_mode)
                 member_period_returns.append(led.final_value - 1.0)
             ens.record_period_returns(member_period_returns)
     return {"ensembles": ensembles, "scores": scores_rows, "rankings": rankings,
-            "histories": histories, "param_count": ensembles[0].members[0].param_count}
+            "histories": histories}
 
 
 def _returns_for_days(universe: Universe, anchors: list[int]) -> list[dict[str, float]]:
@@ -227,7 +242,7 @@ def _returns_for_days(universe: Universe, anchors: list[int]) -> list[dict[str, 
     ]
 
 
-def run_strategies(cfg: RunConfig, universe: Universe, panel,
+def run_strategies(cfg: RunConfig, universe: Universe,
                    rankings: dict[int, list]) -> dict[str, BacktestLedger]:
     """Simulate the configured strategies over all collected test days.
 
@@ -265,10 +280,10 @@ def write_scores_csv(scores_rows: list[tuple], path: str) -> None:
             writer.writerow([row[0], row[1], row[2], row[3], repr(row[4])])
 
 
-def read_scores_csv(path: str) -> dict[int, list]:
-    """Rebuild per-ensemble daily rankings from a scores.csv."""
-    from .backtest import DailyRanking
-
+def read_scores_csv(path: str, calendar) -> dict[int, list]:
+    """Rebuild per-ensemble daily rankings, as (calendar day index, DailyRanking)
+    pairs in date order, from a scores.csv."""
+    day_index = {d.isoformat(): i for i, d in enumerate(calendar)}
     per_day: dict[tuple[int, str], dict[str, float]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -276,20 +291,39 @@ def read_scores_csv(path: str) -> dict[int, list]:
         if header != SCORES_HEADER:
             raise DataError(f"{path}: not a scores file")
         for row in reader:
-            e, _period, date, ticker, sc = int(row[0]), row[1], row[2], row[3], float(row[4])
-            per_day.setdefault((e, date), {})[ticker] = sc
+            per_day.setdefault((int(row[0]), row[2]), {})[row[3]] = float(row[4])
     rankings: dict[int, list] = {}
     for (e, date) in sorted(per_day):
-        entries = tuple(sorted(per_day[(e, date)].items(), key=lambda kv: (-kv[1], kv[0])))
-        rankings.setdefault(e, []).append(
-            (date, DailyRanking(date=dt.date.fromisoformat(date), entries=entries))
-        )
-    # replace date keys by panel day indices later; callers only need order
+        if date not in day_index:
+            raise DataError(f"scores date {date} not on the universe calendar")
+        d = day_index[date]
+        rankings.setdefault(e, []).append((d, rank_for_day(calendar[d], per_day[(e, date)])))
     return rankings
 
 
-def write_report(cfg: RunConfig, ledgers: dict[str, BacktestLedger], out_dir: str,
-                 extra: dict | None = None) -> dict:
+def write_ledgers(ledgers: dict[str, BacktestLedger], out_dir: str) -> str:
+    ledger_dir = os.path.join(out_dir, "ledgers")
+    os.makedirs(ledger_dir, exist_ok=True)
+    for name, led in sorted(ledgers.items()):
+        led.to_csv(os.path.join(ledger_dir, f"{name}.csv"))
+    return ledger_dir
+
+
+def _training_summary(out_dir: str) -> dict:
+    """Period and parameter counts of the training that wrote out_dir's
+    checkpoints; empty when the scores came without a training run."""
+    ckpt = os.path.join(out_dir, "checkpoints", "ensemble_0.ens")
+    if not os.path.exists(ckpt):
+        return {}
+    with open(os.path.join(out_dir, "scores", "scores.csv"), newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        periods = {row[1] for row in reader}
+    return {"periods": len(periods),
+            "param_count": load_ensemble(ckpt).members[0].param_count}
+
+
+def write_report(cfg: RunConfig, ledgers: dict[str, BacktestLedger], out_dir: str) -> dict:
     report_dir = os.path.join(out_dir, "report")
     os.makedirs(report_dir, exist_ok=True)
     market = ledgers["market_equal_weight"]
@@ -313,9 +347,8 @@ def write_report(cfg: RunConfig, ledgers: dict[str, BacktestLedger], out_dir: st
         "n_test_days": len(market.daily_returns),
         "strategies": reports,
         "grid": grid,
+        **_training_summary(out_dir),
     }
-    if extra:
-        payload.update(extra)
     with open(os.path.join(report_dir, "metrics.json"), "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -344,8 +377,14 @@ def write_manifest(cfg: RunConfig, out_dir: str) -> None:
         fh.write("\n")
 
 
-def run_pipeline(cfg: RunConfig, out_dir: str, log=lambda msg: None) -> dict:
-    """The full walk-forward loop, producing every artifact."""
+@contextmanager
+def training_run(cfg: RunConfig, out_dir: str, log=lambda msg: None):
+    """The train stage: load, plan and train, then write config.resolved.json,
+    the checkpoints and scores.csv under the run lock.
+
+    The caller's block runs under the same lock with (universe, rankings);
+    the manifest is written after it.
+    """
     universe = load_universe(cfg)
     log(f"universe: {universe.n_stocks} stocks x {universe.n_days} days")
     panel = build_panel(cfg, universe)
@@ -367,15 +406,14 @@ def run_pipeline(cfg: RunConfig, out_dir: str, log=lambda msg: None) -> dict:
         os.makedirs(scores_dir, exist_ok=True)
         write_scores_csv(result["scores"], os.path.join(scores_dir, "scores.csv"))
 
-        ledgers = run_strategies(cfg, universe, panel, result["rankings"])
-        ledger_dir = os.path.join(out_dir, "ledgers")
-        os.makedirs(ledger_dir, exist_ok=True)
-        for name, led in sorted(ledgers.items()):
-            led.to_csv(os.path.join(ledger_dir, f"{name}.csv"))
-
-        payload = write_report(cfg, ledgers, out_dir, extra={
-            "periods": len(plans),
-            "param_count": result["param_count"],
-        })
+        yield universe, result["rankings"]
         write_manifest(cfg, out_dir)
+
+
+def run_pipeline(cfg: RunConfig, out_dir: str, log=lambda msg: None) -> dict:
+    """The full walk-forward loop, producing every artifact."""
+    with training_run(cfg, out_dir, log) as (universe, rankings):
+        ledgers = run_strategies(cfg, universe, rankings)
+        write_ledgers(ledgers, out_dir)
+        payload = write_report(cfg, ledgers, out_dir)
     return payload

@@ -7,7 +7,6 @@ from stockrank.backtest import (
     BacktestLedger,
     DailyRanking,
     combine_strategies,
-    rank,
     rank_for_day,
     rebalance_topk,
     simulate,
@@ -21,20 +20,21 @@ def rankings_from(score_rows):
 
 class TestRank:
     def test_orders_by_score(self):
-        r = rank({"A": 0.1, "B": 0.9, "C": -0.3})
+        r = rank_for_day("2020-01-02", {"A": 0.1, "B": 0.9, "C": -0.3})
         assert r.tickers == ["B", "A", "C"]
+        assert r.date == "2020-01-02"
 
     def test_ties_break_lexicographically(self):
-        r = rank({"C": 0.5, "A": 0.5, "B": 0.5})
+        r = rank_for_day(0, {"C": 0.5, "A": 0.5, "B": 0.5})
         assert r.tickers == ["A", "B", "C"]
 
     def test_input_order_irrelevant(self):
-        a = rank(dict([("A", 1.0), ("B", 2.0), ("C", 0.5)]))
-        b = rank(dict([("C", 0.5), ("B", 2.0), ("A", 1.0)]))
+        a = rank_for_day(0, dict([("A", 1.0), ("B", 2.0), ("C", 0.5)]))
+        b = rank_for_day(0, dict([("C", 0.5), ("B", 2.0), ("A", 1.0)]))
         assert a.entries == b.entries
 
     def test_top_bottom_selection(self):
-        r = rank({"A": 3.0, "B": 2.0, "C": 1.0, "D": 0.0})
+        r = rank_for_day(0, {"A": 3.0, "B": 2.0, "C": 1.0, "D": 0.0})
         assert r.top(2) == ["A", "B"]
         assert r.bottom(2) == ["C", "D"]
 

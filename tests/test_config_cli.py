@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import stockrank.cli
 from stockrank.cli import main
 from stockrank.config import RunConfig, load_config, resolve_loss_alias
 from stockrank.errors import ConfigError
@@ -177,7 +180,30 @@ class TestRunCommand:
         cfg_path = write_config(tmp_path, small_config(data))
         out = tmp_path / "locked"
         out.mkdir()
-        (out / ".lock").write_text("12345")
+        (out / ".lock").write_text(str(os.getpid()))  # a live owner
+        result = runner.invoke(main, ["run", "--config", str(cfg_path), "--out", str(out)])
+        assert result.exit_code == 2
+        assert "locked" in result.output
+
+    def test_stale_lock_is_taken_over(self, tmp_path, runner):
+        data = synth_dataset(runner, tmp_path / "d")
+        cfg_path = write_config(tmp_path, small_config(data))
+        out = tmp_path / "stale"
+        out.mkdir()
+        dead = subprocess.Popen([sys.executable, "-c", "pass"])
+        dead.wait()  # reaped, so no process has this PID any more
+        (out / ".lock").write_text(str(dead.pid))
+        result = runner.invoke(main, ["run", "--config", str(cfg_path), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert (out / "report" / "metrics.json").exists()
+        assert not (out / ".lock").exists()
+
+    def test_unparseable_lock_blocks(self, tmp_path, runner):
+        data = synth_dataset(runner, tmp_path / "d")
+        cfg_path = write_config(tmp_path, small_config(data))
+        out = tmp_path / "garbled"
+        out.mkdir()
+        (out / ".lock").write_text("not a pid")
         result = runner.invoke(main, ["run", "--config", str(cfg_path), "--out", str(out)])
         assert result.exit_code == 2
         assert "locked" in result.output
@@ -211,9 +237,27 @@ class TestStageSeparation:
             assert r.exit_code == 0, r.output
         r = runner.invoke(main, ["run", "--config", str(cfg_path), "--out", str(direct)])
         assert r.exit_code == 0, r.output
-        a = json.loads((staged / "report" / "metrics.json").read_text())
-        b = json.loads((direct / "report" / "metrics.json").read_text())
-        assert a["strategies"] == b["strategies"]
+        ledgers = sorted(p.name for p in (direct / "ledgers").iterdir())
+        assert sorted(p.name for p in (staged / "ledgers").iterdir()) == ledgers
+        assert "topk.csv" in ledgers
+        for rel in ["scores/scores.csv", "report/grid.csv", "report/metrics.json"] + [
+                f"ledgers/{name}" for name in ledgers]:
+            assert (staged / rel).read_bytes() == (direct / rel).read_bytes(), rel
+
+    def test_backtest_builds_no_panel(self, tmp_path, runner, monkeypatch):
+        data = synth_dataset(runner, tmp_path / "d")
+        cfg_path = write_config(tmp_path, small_config(data))
+        out = tmp_path / "staged"
+        r = runner.invoke(main, ["train", "--config", str(cfg_path), "--out", str(out)])
+        assert r.exit_code == 0, r.output
+
+        def no_panel(*_args):
+            raise AssertionError("backtest must not build the feature panel")
+
+        monkeypatch.setattr(stockrank.cli, "build_panel", no_panel)
+        r = runner.invoke(main, ["backtest", "--config", str(cfg_path), "--out", str(out)])
+        assert r.exit_code == 0, r.output
+        assert (out / "ledgers" / "topk.csv").exists()
 
     def test_backtest_without_scores_fails_cleanly(self, tmp_path, runner):
         data = synth_dataset(runner, tmp_path / "d", n_days=30)
@@ -267,3 +311,17 @@ class TestExitCodes:
         err = json.loads(result.output.strip().splitlines()[-1])
         assert err["error"] == "DataError"
         assert err["module"] == "market_data"
+
+
+class TestBenchmarkPatchPoints:
+    def test_traced_cli_finds_every_patched_name(self, tmp_path):
+        # perfbench/spans.py replaces functions by name on the modules that
+        # call them; a name the program no longer has fails with AttributeError
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        result = subprocess.run(
+            [sys.executable, os.path.join(root, "perfbench", "spans.py"),
+             str(tmp_path / "spans.jsonl"), "--help"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr

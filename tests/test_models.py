@@ -11,17 +11,16 @@ from stockrank.models import (
     EnsembleState,
     TrainConfig,
     build_model,
-    ensemble_predict,
+    combine_members,
     ensemble_weights,
     forward,
     load_checkpoint,
     load_ensemble,
     moe_weights,
-    predict,
     predict_batch,
+    ranking_scores,
     save_checkpoint,
     save_ensemble,
-    score,
     train_period,
 )
 from stockrank.nn import Tensor, embedding_add
@@ -42,6 +41,21 @@ def toy_samples(rng, n, arch, signal=True):
     tickers = [f"T{i}" for i in range(n)]
     return SampleSet(tickers, np.arange(n), windows, labels, returns, weights,
                      rng.integers(0, 12, size=n))
+
+
+def predict_one(state, window, sector_id):
+    """Output row for a single window, through the batched path."""
+    return predict_batch(state, np.asarray(window)[None], np.array([sector_id]))[0]
+
+
+def ensemble_outputs(ens, windows, sector_ids):
+    """Member outputs combined the way the walk-forward driver combines them."""
+    return combine_members(ens, [predict_batch(m, windows, sector_ids) for m in ens.members])
+
+
+def score(p):
+    """Ranking score of one classification output row."""
+    return float(ranking_scores(np.asarray(p)[None], classification=True)[0])
 
 
 def as_float64(state):
@@ -133,25 +147,28 @@ class TestBuildModel:
 
 class TestPredict:
     def test_distribution_sums_to_one(self, rng):
+        # float32 softmax: the five quotients, the float32 denominator and the
+        # float32 sum each round at most eps/2 per operation, under 8 eps in all
         state = build_model(SMALL_ARCH, seed=5)
-        p = predict(state, rng.normal(size=(10, 6)), sector_id=3)
+        p = predict_one(state, rng.normal(size=(10, 6)), sector_id=3)
         assert p.shape == (5,)
-        assert abs(p.sum() - 1.0) < 1e-12
+        assert p.dtype == np.float32
+        assert abs(p.sum() - 1.0) < 8 * np.finfo(np.float32).eps
         assert (p > 0).all()
 
     def test_repeated_calls_identical(self, rng):
         state = build_model(SMALL_ARCH, seed=5)
         x = rng.normal(size=(10, 6))
-        a = predict(state, x, 3)
-        b = predict(state, x, 3)
+        a = predict_one(state, x, 3)
+        b = predict_one(state, x, 3)
         np.testing.assert_array_equal(a, b)
 
     def test_all_zero_weights_constant_function(self, rng):
         state = build_model(SMALL_ARCH, seed=5)
         for name, p in state.params.items():
             p.data = np.zeros_like(p.data)
-        a = predict(state, rng.normal(size=(10, 6)), 0)
-        b = predict(state, rng.normal(size=(10, 6)), 7)
+        a = predict_one(state, rng.normal(size=(10, 6)), 0)
+        b = predict_one(state, rng.normal(size=(10, 6)), 7)
         np.testing.assert_allclose(a, b, atol=1e-15)
 
     def test_batch_matches_single(self, rng):
@@ -160,7 +177,7 @@ class TestPredict:
         ids = np.array([0, 1, 2, 3])
         batch = predict_batch(state, X, ids)
         for i in range(4):
-            np.testing.assert_allclose(batch[i], predict(state, X[i], ids[i]), atol=1e-12)
+            np.testing.assert_allclose(batch[i], predict_one(state, X[i], ids[i]), atol=1e-12)
 
 
 class TestScore:
@@ -172,6 +189,15 @@ class TestScore:
 
     def test_hand_dot_product(self):
         assert score(np.array([0.2, 0.1, 0.1, 0.1, 0.5])) == pytest.approx(0.6, rel=1e-15)
+
+    def test_float64_rows_and_regression_column(self):
+        out = np.array([[0.1, 0.2, 0.3, 0.2, 0.2], [0.0, 0.0, 0.0, 1.0, 0.0]], np.float32)
+        scores = ranking_scores(out, classification=True)
+        assert scores.dtype == np.float64
+        np.testing.assert_array_equal(scores, out.astype(np.float64) @ [-2, -1, 0, 1, 2])
+        reg = np.array([[0.03], [-0.01]], np.float32)
+        np.testing.assert_array_equal(ranking_scores(reg, classification=False),
+                                      reg[:, 0].astype(np.float64))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
@@ -225,9 +251,10 @@ class TestEnsemble:
 
     def test_identical_members_idempotent(self, rng):
         ens = self._ensemble(seeds=(7, 7, 7))
-        x = rng.normal(size=(10, 6))
-        out = ensemble_predict(ens, x, 2)
-        np.testing.assert_allclose(out, predict(ens.members[0], x, 2), rtol=1e-12)
+        x = rng.normal(size=(1, 10, 6))
+        out = ensemble_outputs(ens, x, np.array([2]))
+        np.testing.assert_allclose(out, predict_batch(ens.members[0], x, np.array([2])),
+                                   rtol=1e-12)
 
     def test_simple_average_midpoint(self):
         ens = self._ensemble(seeds=(1, 2), mode="simple_average")
@@ -237,16 +264,16 @@ class TestEnsemble:
                 p.data = np.zeros_like(p.data)
             m.params["out_b"].data = np.full(5, -40.0)
             m.params["out_b"].data[hot] = 40.0
-        out = ensemble_predict(ens, np.zeros((10, 6)), 0)
-        np.testing.assert_allclose(out, [0.5, 0, 0, 0, 0.5], atol=1e-12)
+        out = ensemble_outputs(ens, np.zeros((1, 10, 6)), np.array([0]))
+        np.testing.assert_allclose(out, [[0.5, 0, 0, 0, 0.5]], atol=1e-12)
 
     def test_score_of_average_equals_average_of_scores(self, rng):
         ens = self._ensemble()
         ens.record_period_returns([0.05, -0.02, 0.01])
         x = rng.normal(size=(10, 6))
         w = ensemble_weights(ens)
-        member_scores = [score(predict(m, x, 1)) for m in ens.members]
-        combined = score(ensemble_predict(ens, x, 1))
+        member_scores = [score(predict_one(m, x, 1)) for m in ens.members]
+        combined = score(ensemble_outputs(ens, x[None], np.array([1]))[0])
         assert combined == pytest.approx(float(np.dot(w, member_scores)), rel=1e-10)
 
     def test_trailing_history_trimmed_to_window(self):
@@ -446,7 +473,7 @@ class TestCheckpoints:
         save_checkpoint(state, path)
         loaded = load_checkpoint(path)
         x = rng.normal(size=(10, 6))
-        np.testing.assert_array_equal(predict(state, x, 4), predict(loaded, x, 4))
+        np.testing.assert_array_equal(predict_one(state, x, 4), predict_one(loaded, x, 4))
 
     def test_loaded_model_resumes_training_identically(self, rng, tmp_path):
         train = toy_samples(rng, 64, SMALL_ARCH)
