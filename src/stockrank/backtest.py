@@ -8,6 +8,7 @@ difference of their two legs' daily returns on unit capital.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import DataError
@@ -94,17 +95,23 @@ class BacktestLedger:
             header = fh.readline().strip()
             if header != "date,value,daily_return,holdings":
                 raise DataError(f"{path}: not a ledger file")
-            for line in fh:
+            for lineno, line in enumerate(fh, start=2):
                 line = line.strip()
                 if not line:
                     continue
-                date, _value, ret, packed = line.split(",", 3)
-                holdings = {}
-                if packed:
-                    for piece in packed.split(";"):
-                        ticker, weight = piece.rsplit(":", 1)
-                        holdings[ticker] = float(weight)
-                ledger.append(date, holdings, {"sell": [], "buy": []}, float(ret))
+                try:
+                    date, _value, ret, packed = line.split(",", 3)
+                    day_return = float(ret)
+                    holdings = {}
+                    if packed:
+                        for piece in packed.split(";"):
+                            ticker, weight = piece.rsplit(":", 1)
+                            holdings[ticker] = float(weight)
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: malformed ledger line {line!r}") from exc
+                if not all(map(math.isfinite, (day_return, *holdings.values()))):
+                    raise DataError(f"{path}:{lineno}: non-finite return or weight")
+                ledger.append(date, holdings, {"sell": [], "buy": []}, day_return)
         return ledger
 
 

@@ -25,6 +25,7 @@ from .pipeline import (
     build_panel,
     load_universe,
     read_scores_csv,
+    run_lock,
     run_pipeline,
     run_strategies,
     training_run,
@@ -155,11 +156,12 @@ def backtest(config_path, out, strategy):
     scores_path = os.path.join(out, "scores", "scores.csv")
     if not os.path.exists(scores_path):
         raise DataError(f"no scores at {scores_path}; run train first")
-    universe = load_universe(cfg)
-    rankings = read_scores_csv(scores_path, universe.calendar)
-    ledgers = run_strategies(cfg, universe, rankings)
-    ledger_dir = write_ledgers(ledgers, out)
-    write_manifest(cfg, out)
+    with run_lock(out):
+        universe = load_universe(cfg)
+        rankings = read_scores_csv(scores_path, universe.calendar)
+        ledgers = run_strategies(cfg, universe, rankings)
+        ledger_dir = write_ledgers(ledgers, out)
+        write_manifest(cfg, out)
     _echo(f"wrote {len(ledgers)} ledgers to {ledger_dir}")
 
 
@@ -176,16 +178,17 @@ def report(out):
     ledger_dir = os.path.join(out, "ledgers")
     if not os.path.isdir(ledger_dir):
         raise DataError(f"missing {ledger_dir}; run backtest first")
-    ledgers = {}
-    for name in sorted(os.listdir(ledger_dir)):
-        if name.endswith(".csv"):
-            ledgers[name[:-4]] = BacktestLedger.from_csv(
-                os.path.join(ledger_dir, name), strategy=name[:-4]
-            )
-    if "market_equal_weight" not in ledgers:
-        raise DataError("no market_equal_weight ledger to benchmark against")
-    payload = write_report(cfg, ledgers, out)
-    write_manifest(cfg, out)
+    with run_lock(out):
+        ledgers = {}
+        for name in sorted(os.listdir(ledger_dir)):
+            if name.endswith(".csv"):
+                ledgers[name[:-4]] = BacktestLedger.from_csv(
+                    os.path.join(ledger_dir, name), strategy=name[:-4]
+                )
+        if "market_equal_weight" not in ledgers:
+            raise DataError("no market_equal_weight ledger to benchmark against")
+        payload = write_report(cfg, ledgers, out)
+        write_manifest(cfg, out)
     _echo(json.dumps(payload["grid"], sort_keys=True))
     _echo(f"report written to {os.path.join(out, 'report')}")
 

@@ -3,6 +3,9 @@
 Day indices below always refer to the feature panel's calendar. For an
 anchor day T, the prediction target is the open-to-open return from day
 T+1 to day T+2, so the last usable anchor needs two future opens.
+
+Samples are built column-wise: one gather of windows from the
+standardized span, and labels and weights computed on the return array.
 """
 
 from __future__ import annotations
@@ -54,21 +57,13 @@ class StandardizationStats:
     std: np.ndarray  # (n_stocks, n_features), >= 0
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One (stock, day) training example."""
-
-    ticker: str
-    anchor_day: int
-    window: np.ndarray  # (m, n) standardized features, chronological rows
-    label: np.ndarray  # one-hot 5-vector
-    r_d: float  # realized next-day open-to-open return
-    weight: float  # |r| capped at RETURN_CAP
-    sector_id: int
-
-
 class SampleSet:
-    """Columnar batch of samples; indexable back into Sample objects."""
+    """Columnar batch of (stock, anchor day) samples, stock-major.
+
+    Row i of every column describes the same sample: its ticker, anchor
+    day, (m, n) standardized window, one-hot label, realized return, loss
+    weight and sector id.
+    """
 
     def __init__(self, tickers, anchor_days, windows, labels, returns, weights, sector_ids):
         self.tickers = list(tickers)
@@ -81,17 +76,6 @@ class SampleSet:
 
     def __len__(self) -> int:
         return len(self.tickers)
-
-    def __getitem__(self, i: int) -> Sample:
-        return Sample(
-            ticker=self.tickers[i],
-            anchor_day=int(self.anchor_days[i]),
-            window=self.windows[i],
-            label=self.labels[i],
-            r_d=float(self.returns[i]),
-            weight=float(self.weights[i]),
-            sector_id=int(self.sector_ids[i]),
-        )
 
 
 def build_split_plans(
@@ -178,50 +162,42 @@ def daily_return(s: StockSeries, T: int) -> float:
 
 def return_matrix(u: Universe) -> np.ndarray:
     """(n_stocks, n_days - 2) matrix of daily_return over all valid anchors."""
-    out = np.empty((u.n_stocks, u.n_days - LOOKAHEAD), dtype=np.float64)
+    opens = u.open_matrix()
+    out = (opens[:, 2:] - opens[:, 1:-1]) / opens[:, 1:-1]
     for si, s in enumerate(u.stocks):
-        opens = s.opens()
-        r = (opens[2:] - opens[1:-1]) / opens[1:-1]
-        if s.death_date is not None:
-            dates = [b.date for b in s.bars]
-            dead_from = dates.index(s.death_date)
+        dead_from = s.death_index(u.calendar)
+        if dead_from is not None:
             # anchor T is zeroed when day T+2 is on/after the death date
-            r[max(0, dead_from - LOOKAHEAD) :] = 0.0
-        out[si] = r
+            out[si, max(0, dead_from - LOOKAHEAD) :] = 0.0
     return out
 
 
-def assign_label(r: float, thresholds: tuple[float, float] = DEFAULT_THRESHOLDS) -> np.ndarray:
-    """Map a return to its one-hot class vector.
+def _finite_returns(r) -> np.ndarray:
+    r = np.asarray(r, dtype=np.float64)
+    bad = ~np.isfinite(r)
+    if bad.any():
+        raise DataError(f"non-finite return {float(r[bad][0])!r}")
+    return r
+
+
+def assign_label(r, thresholds: tuple[float, float] = DEFAULT_THRESHOLDS) -> np.ndarray:
+    """Map a return, or an array of returns, to one-hot class vectors.
 
     Boundaries: r >= hi is strong buy, lo < r < hi buy, -lo < r <= lo hold,
     -hi < r <= -lo sell, r <= -hi strong sell (lo, hi = 1%, 3% by default).
+    The result has shape r.shape + (5,).
     """
-    if not np.isfinite(r):
-        raise DataError(f"non-finite return {r!r}")
+    r = _finite_returns(r)
     lo, hi = thresholds
     if not 0 < lo < hi:
         raise DataError(f"label thresholds must satisfy 0 < lo < hi, got {thresholds}")
-    if r >= hi:
-        idx = 4
-    elif r > lo:
-        idx = 3
-    elif r > -lo:
-        idx = 2
-    elif r > -hi:
-        idx = 1
-    else:
-        idx = 0
-    out = np.zeros(N_CLASSES, dtype=np.float64)
-    out[idx] = 1.0
-    return out
+    idx = np.searchsorted([-hi, -lo, lo], r, side="left") + (r >= hi)
+    return np.eye(N_CLASSES)[idx]
 
 
-def cap_return(r: float, cap: float = RETURN_CAP) -> float:
-    """Loss weight: |r| clipped at the cap (0.5 by default)."""
-    if not np.isfinite(r):
-        raise DataError(f"non-finite return {r!r}")
-    return min(abs(r), cap)
+def cap_return(r, cap: float = RETURN_CAP):
+    """Loss weight: |r| clipped at the cap (0.5 by default), elementwise."""
+    return np.minimum(np.abs(_finite_returns(r)), cap)
 
 
 def make_samples(
@@ -238,7 +214,8 @@ def make_samples(
     The train/val window is split temporally: its trailing ``val_days``
     anchors validate (20 by default, so 180 train / 20 val), everything
     before them trains. Windows may reach back into the std range (those
-    days are standardized with the same stats).
+    days are standardized with the same stats). Samples are ordered by
+    stock, then by anchor day.
     """
     if panel.tickers != universe.tickers:
         raise DataError("panel and universe list different tickers")
@@ -250,27 +227,24 @@ def make_samples(
     e0, e1 = plan.test_range
     if not 0 < val_days < t1 - t0:
         raise DataError(f"val_days must be inside the train/val window, got {val_days}")
-    ranges = {
-        "train": range(t0, t1 - val_days),
-        "val": range(t1 - val_days, t1),
-        "test": range(e0, e1),
-    }
+    if t0 - m + 1 < offset:
+        raise DataError(f"anchor day {t0} reaches before the standardized span")
+    ranges = {"train": (t0, t1 - val_days), "val": (t1 - val_days, t1), "test": (e0, e1)}
+    tickers = universe.tickers
+    sectors = np.array([s.sector_id for s in universe.stocks], dtype=int)
     out: dict[str, SampleSet] = {}
-    for split, anchors in ranges.items():
-        tickers, days, windows, labels, rets, weights, sectors = [], [], [], [], [], [], []
-        for si, stock in enumerate(universe.stocks):
-            for T in anchors:
-                if T - m + 1 < offset:
-                    raise DataError(
-                        f"anchor day {T} reaches before the standardized span"
-                    )
-                r = float(returns[si, T])
-                tickers.append(stock.ticker)
-                days.append(T)
-                windows.append(scaled[si, T - m + 1 - offset : T + 1 - offset, :])
-                labels.append(assign_label(r, thresholds))
-                rets.append(r)
-                weights.append(cap_return(r, cap))
-                sectors.append(stock.sector_id)
-        out[split] = SampleSet(tickers, days, windows, labels, rets, weights, sectors)
+    for split, (a0, a1) in ranges.items():
+        stock = np.repeat(np.arange(universe.n_stocks), a1 - a0)
+        days = np.tile(np.arange(a0, a1), universe.n_stocks)
+        rows = days[:, None] + np.arange(1 - m - offset, 1 - offset)  # (n, m) span positions
+        r = returns[stock, days]
+        out[split] = SampleSet(
+            [tickers[si] for si in stock.tolist()],
+            days,
+            scaled[stock[:, None], rows],
+            assign_label(r, thresholds),
+            r,
+            cap_return(r, cap),
+            sectors[stock],
+        )
     return out

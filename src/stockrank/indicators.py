@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
-from .market_data import StockSeries, Universe
+from .market_data import Universe
 
 Category = str  # one of: momentum, volume, volatility, trend, basic
 
@@ -217,25 +217,6 @@ def _basic_matrix(o: np.ndarray, h: np.ndarray, lo: np.ndarray, v: np.ndarray) -
             full[:, 1:] = col
             cols[key] = full
     return np.stack([cols[name] for name in BASIC_FEATURE_NAMES], axis=-1)
-
-
-def _scrub_warmup(values: np.ndarray, valid_start: np.ndarray) -> np.ndarray:
-    """NaN out anything before each feature's first valid day (some kernels
-    emit biased spin-up values there, e.g. un-warmed EMAs)."""
-    day_idx = np.arange(values.shape[0])[:, None]
-    return np.where(day_idx >= valid_start[None, :], values, np.nan)
-
-
-def compute_basic_features(s: StockSeries) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
-    """Per-day basic feature matrix for one stock.
-
-    Returns (values of shape (n_days, 12), feature names, valid_start).
-    Days before a feature's first valid index are NaN, not an error.
-    """
-    o, h, lo, v = (a[None, :] for a in (s.opens(), s.highs(), s.lows(), s.volumes()))
-    valid = np.array([_BASIC_VALID_START[n] for n in BASIC_FEATURE_NAMES], dtype=int)
-    values = _scrub_warmup(_basic_matrix(o, h, lo, v)[0], valid)
-    return values, BASIC_FEATURE_NAMES, valid
 
 
 # ---------------------------------------------------------------------------
@@ -487,18 +468,6 @@ def _technical_matrix(
         cols.append(kernel(o, h, lo, v, spec.params))
         valid.append(spec.warmup - 1)
     return np.stack(cols, axis=-1), np.array(valid, dtype=int)
-
-
-def compute_technical_features(
-    s: StockSeries, specs: list[FeatureSpec]
-) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
-    """Per-day technical feature matrix for one stock.
-
-    Returns (values of shape (n_days, len(specs)), names, valid_start).
-    """
-    o, h, lo, v = (a[None, :] for a in (s.opens(), s.highs(), s.lows(), s.volumes()))
-    values, valid = _technical_matrix(o, h, lo, v, specs)
-    return _scrub_warmup(values[0], valid), tuple(sp.name for sp in specs), valid
 
 
 def assemble_panel(

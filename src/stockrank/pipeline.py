@@ -23,6 +23,7 @@ import csv
 import datetime as dt
 import hashlib
 import json
+import math
 import os
 from contextlib import contextmanager, suppress
 
@@ -284,20 +285,30 @@ def read_scores_csv(path: str, calendar) -> dict[int, list]:
     """Rebuild per-ensemble daily rankings, as (calendar day index, DailyRanking)
     pairs in date order, from a scores.csv."""
     day_index = {d.isoformat(): i for i, d in enumerate(calendar)}
-    per_day: dict[tuple[int, str], dict[str, float]] = {}
+    per_day: dict[tuple[int, int], dict[str, float]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != SCORES_HEADER:
             raise DataError(f"{path}: not a scores file")
         for row in reader:
-            per_day.setdefault((int(row[0]), row[2]), {})[row[3]] = float(row[4])
+            if not row:
+                continue
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(SCORES_HEADER):
+                raise DataError(f"{where}: expected {len(SCORES_HEADER)} columns, got {len(row)}")
+            try:
+                e, _period, score = int(row[0]), int(row[1]), float(row[4])
+            except ValueError as exc:
+                raise DataError(f"{where}: bad ensemble, period or score in {row}") from exc
+            if not math.isfinite(score):
+                raise DataError(f"{where}: non-finite score {row[4]!r}")
+            if row[2] not in day_index:
+                raise DataError(f"{where}: scores date {row[2]} not on the universe calendar")
+            per_day.setdefault((e, day_index[row[2]]), {})[row[3]] = score
     rankings: dict[int, list] = {}
-    for (e, date) in sorted(per_day):
-        if date not in day_index:
-            raise DataError(f"scores date {date} not on the universe calendar")
-        d = day_index[date]
-        rankings.setdefault(e, []).append((d, rank_for_day(calendar[d], per_day[(e, date)])))
+    for (e, d) in sorted(per_day):
+        rankings.setdefault(e, []).append((d, rank_for_day(calendar[d], per_day[(e, d)])))
     return rankings
 
 

@@ -304,3 +304,19 @@ class TestLedgerCsv:
         np.testing.assert_allclose(loaded.daily_returns, led.daily_returns, rtol=1e-15)
         np.testing.assert_allclose(loaded.values, led.values, rtol=1e-15)
         assert loaded.holdings[0].keys() == led.holdings[0].keys()
+
+    @pytest.mark.parametrize("bad", [
+        "garbage-line",
+        "2020-01-03,1.0,not-a-number,A:0.5;B:0.5",
+        "2020-01-03,1.0,0.01,A:0.5;B",
+        "2020-01-03,1.0,nan,A:1.0",
+    ])
+    def test_malformed_line_names_path_and_line(self, tmp_path, bad):
+        led = BacktestLedger(strategy="topk")
+        led.append("2020-01-02", {"A": 1.0}, {"sell": [], "buy": ["A"]}, 0.01)
+        path = tmp_path / "ledger.csv"
+        led.to_csv(path)
+        with open(path, "a") as fh:
+            fh.write(bad + "\n")
+        with pytest.raises(DataError, match=f"{path}:3"):
+            BacktestLedger.from_csv(path, strategy="topk")

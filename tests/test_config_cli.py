@@ -259,6 +259,63 @@ class TestStageSeparation:
         assert r.exit_code == 0, r.output
         assert (out / "ledgers" / "topk.csv").exists()
 
+    @pytest.mark.parametrize("command", ["backtest", "report"])
+    def test_locked_directory_is_left_unchanged(self, tmp_path, runner, command):
+        data = synth_dataset(runner, tmp_path / "d")
+        cfg_path = write_config(tmp_path, small_config(data))
+        out = tmp_path / "staged"
+        for cmd in ("train", "backtest"):
+            r = runner.invoke(main, [cmd, "--config", str(cfg_path), "--out", str(out)])
+            assert r.exit_code == 0, r.output
+        (out / ".lock").write_text(str(os.getpid()))  # a live owner
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        args = [command] + (["--config", str(cfg_path)] if command == "backtest" else [])
+        result = runner.invoke(main, args + ["--out", str(out)])
+        assert result.exit_code == 2
+        assert "locked" in result.output
+        after = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert after == before
+
+    @pytest.mark.parametrize("row,problem", [
+        ("0,0,2021-01-01", "expected 5 columns, got 3"),
+        ("x,0,2021-01-01,S000,0.5", "bad ensemble, period or score"),
+        ("0,1.5,2021-01-01,S000,0.5", "bad ensemble, period or score"),
+        ("0,0,2021-01-01,S000,abc", "bad ensemble, period or score"),
+        ("0,0,2021-01-01,S000,inf", "non-finite score"),
+    ])
+    def test_malformed_scores_row_is_data_error(self, tmp_path, runner, row, problem):
+        data = synth_dataset(runner, tmp_path / "d")
+        cfg_path = write_config(tmp_path, small_config(data))
+        out = tmp_path / "staged"
+        r = runner.invoke(main, ["train", "--config", str(cfg_path), "--out", str(out)])
+        assert r.exit_code == 0, r.output
+        scores = out / "scores" / "scores.csv"
+        n_lines = len(scores.read_text().splitlines())
+        with open(scores, "a") as fh:
+            fh.write(row + "\n")
+        result = runner.invoke(main, ["backtest", "--config", str(cfg_path), "--out", str(out)])
+        assert result.exit_code == 3
+        err = json.loads(result.output.strip().splitlines()[-1])
+        assert err["error"] == "DataError"
+        assert f"{scores}:{n_lines + 1}: {problem}" in err["message"]
+
+    def test_malformed_ledger_line_is_data_error(self, tmp_path, runner):
+        data = synth_dataset(runner, tmp_path / "d")
+        cfg_path = write_config(tmp_path, small_config(data))
+        out = tmp_path / "staged"
+        for cmd in ("train", "backtest"):
+            r = runner.invoke(main, [cmd, "--config", str(cfg_path), "--out", str(out)])
+            assert r.exit_code == 0, r.output
+        ledger = out / "ledgers" / "topk.csv"
+        n_lines = len(ledger.read_text().splitlines())
+        with open(ledger, "a") as fh:
+            fh.write("garbage-line\n")
+        result = runner.invoke(main, ["report", "--out", str(out)])
+        assert result.exit_code == 3
+        err = json.loads(result.output.strip().splitlines()[-1])
+        assert err["error"] == "DataError"
+        assert f"{ledger}:{n_lines + 1}:" in err["message"]
+
     def test_backtest_without_scores_fails_cleanly(self, tmp_path, runner):
         data = synth_dataset(runner, tmp_path / "d", n_days=30)
         cfg_path = write_config(tmp_path, small_config(data))
@@ -325,3 +382,29 @@ class TestBenchmarkPatchPoints:
             cwd=root, env=env, capture_output=True, text=True, timeout=120,
         )
         assert result.returncode == 0, result.stderr
+
+    def test_traced_run_records_span_attributes(self, tmp_path, runner):
+        # a tiny traced `run`: the benchmark's attribute functions read the
+        # universe and the SampleSets, so they must still find what they read
+        data = synth_dataset(runner, tmp_path / "d", n_stocks=12, n_days=520, event_rate=0.0)
+        cfg = small_config(data, std_days=200, trainval_days=200, test_days=20, val_days=20,
+                           m=20, conv=[[3, 4]], dense=[4], n_members=1, max_epochs=1,
+                           batch_size=1024, dollar_volume_floor=1000.0)
+        cfg_path = write_config(tmp_path, cfg)
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        spans_path = tmp_path / "spans.jsonl"
+        result = subprocess.run(
+            [sys.executable, os.path.join(root, "perfbench", "spans.py"), str(spans_path),
+             "run", "--config", str(cfg_path), "--out", str(tmp_path / "out")],
+            cwd=root, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        spans = [json.loads(line) for line in spans_path.read_text().splitlines()]
+        attrs = {name: a for name, _start, _end, _parent, a in spans
+                 if name in ("market_data.load_ohlcv", "dataset.make_samples")}
+        assert attrs["market_data.load_ohlcv"] == {"rows": 12 * 520}
+        samples = 12 * (180 + 20 + 20)
+        n_features = 12 + 16
+        assert attrs["dataset.make_samples"] == {
+            "samples": samples, "window_bytes": samples * 20 * n_features * 8}

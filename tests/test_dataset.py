@@ -211,6 +211,58 @@ class TestLabels:
         assert abs(strong_b - strong_s) < 4 * np.sqrt(strong_b + strong_s + 1)
 
 
+LABEL_EDGES = [0.0, 0.01, -0.01, 0.03, -0.03, 1e-9, -1e-9]
+
+
+def reference_label_index(r, lo=0.01, hi=0.03):
+    """The documented piecewise class rule, one comparison at a time."""
+    if r >= hi:
+        return 4
+    if r > lo:
+        return 3
+    if r > -lo:
+        return 2
+    if r > -hi:
+        return 1
+    return 0
+
+
+class TestArrayLabelsAndWeights:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
+                              st.sampled_from(LABEL_EDGES)), min_size=1, max_size=40))
+    def test_array_equals_scalar_elementwise(self, values):
+        r = np.array(values)
+        labels = assign_label(r)
+        weights = cap_return(r)
+        assert labels.shape == (len(values), 5)
+        assert weights.shape == (len(values),)
+        for i, x in enumerate(values):
+            np.testing.assert_array_equal(labels[i], assign_label(x))
+            assert int(np.argmax(labels[i])) == reference_label_index(x)
+            assert weights[i] == cap_return(x) == min(abs(x), 0.5)
+
+    def test_edges_exactly(self):
+        labels = assign_label(np.array(LABEL_EDGES))
+        assert [int(np.argmax(row)) for row in labels] == [2, 2, 1, 4, 0, 2, 2]
+        np.testing.assert_array_equal(cap_return(np.array(LABEL_EDGES)), np.abs(LABEL_EDGES))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=0, max_size=20),
+           st.integers(min_value=0, max_value=20),
+           st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+    def test_any_non_finite_element_rejected(self, values, where, bad):
+        values.insert(min(where, len(values)), bad)
+        with pytest.raises(DataError, match="non-finite"):
+            assign_label(np.array(values))
+        with pytest.raises(DataError, match="non-finite"):
+            cap_return(np.array(values))
+
+    def test_bad_thresholds_rejected(self):
+        with pytest.raises(DataError, match="thresholds"):
+            assign_label(np.array([0.0, 0.02]), thresholds=(0.03, 0.01))
+
+
 class TestCapReturn:
     def test_below_cutoff(self):
         assert cap_return(0.03) == 0.03
@@ -250,25 +302,43 @@ class TestMakeSamples:
     def test_first_anchor_window_reaches_into_std_range(self, setup):
         u, panel, plan = setup
         out = make_samples(panel, u, plan, m=20)
-        first = min(range(len(out["train"])), key=lambda i: out["train"].anchor_days[i])
-        sample = out["train"][first]
-        assert sample.anchor_day == plan.trainval_range[0]
+        train = out["train"]
+        first = int(np.argmin(train.anchor_days))
+        anchor = int(train.anchor_days[first])
+        assert anchor == plan.trainval_range[0]
         scaled, _ = standardize(panel, plan)
-        si = u.tickers.index(sample.ticker)
-        lo = sample.anchor_day - 19 - plan.std_range[0]
-        np.testing.assert_array_equal(sample.window, scaled[si, lo : lo + 20, :])
+        si = u.tickers.index(train.tickers[first])
+        lo = anchor - 19 - plan.std_range[0]
+        np.testing.assert_array_equal(train.windows[first], scaled[si, lo : lo + 20, :])
 
-    def test_sample_consistency(self, setup):
-        u, panel, plan = setup
+    def test_sample_consistency(self, rng):
+        opens = {s.ticker: s.opens() for s in random_walk_universe(rng, 6, 500).stocks}
+        opens["T002"][330:] = 0.05  # dies inside the train range
+        u = apply_dead_stock_rule(make_universe(opens), 0.1)
+        panel = flat_panel(u)
+        plan = build_split_plans(500, m=20, offset=panel.first_all_valid_day)[0]
         out = make_samples(panel, u, plan, m=20)
-        s = out["test"][7]
-        si = u.tickers.index(s.ticker)
-        expected_r = daily_return(u.stocks[si], s.anchor_day)
-        assert s.r_d == expected_r
-        assert s.weight == cap_return(expected_r)
-        np.testing.assert_array_equal(s.label, assign_label(expected_r))
-        assert s.sector_id == u.stocks[si].sector_id
-        assert s.window.shape == (20, panel.n_features)
+        scaled, _ = standardize(panel, plan)
+        anchors = {"train": range(plan.trainval_range[0], plan.trainval_range[1] - 20),
+                   "val": range(plan.trainval_range[1] - 20, plan.trainval_range[1]),
+                   "test": range(*plan.test_range)}
+        for split, ss in out.items():
+            # stock-major order: every stock's anchors in turn
+            assert ss.tickers == [t for t in u.tickers for _ in anchors[split]]
+            assert ss.anchor_days.tolist() == list(anchors[split]) * u.n_stocks
+            assert ss.windows.shape == (len(ss), 20, panel.n_features)
+            for i in range(len(ss)):
+                si = u.tickers.index(ss.tickers[i])
+                T = int(ss.anchor_days[i])
+                expected_r = daily_return(u.stocks[si], T)
+                assert ss.returns[i] == expected_r
+                assert ss.weights[i] == cap_return(expected_r)
+                np.testing.assert_array_equal(ss.labels[i], assign_label(expected_r))
+                assert ss.sector_ids[i] == u.stocks[si].sector_id
+                lo = T - 19 - plan.std_range[0]
+                np.testing.assert_array_equal(ss.windows[i], scaled[si, lo : lo + 20, :])
+        dead = np.array(out["train"].tickers) == "T002"
+        assert (out["train"].weights[dead & (out["train"].anchor_days >= 328)] == 0.0).all()
 
     def test_no_lookahead_beyond_label_horizon(self, setup):
         u, panel, plan = setup

@@ -10,13 +10,28 @@ from stockrank.indicators import (
     DEFAULT_TECHNICAL_16,
     FeatureSpec,
     assemble_panel,
-    compute_basic_features,
-    compute_technical_features,
     default_specs,
     make_spec,
 )
+from stockrank.market_data import Universe
 
 from conftest import make_series, make_universe, random_walk_universe
+
+
+def one_stock_panel(s, basic, specs=()):
+    """(values of shape (n_days, n), feature names, valid_start) of the
+    feature panel of a one-stock universe."""
+    u = Universe(calendar=tuple(b.date for b in s.bars), stocks=(s,))
+    panel = assemble_panel(u, basic=basic, specs=list(specs))
+    return panel.values[0], panel.feature_names, panel.valid_start
+
+
+def basic_features(s):
+    return one_stock_panel(s, basic=True)
+
+
+def technical_features(s, specs):
+    return one_stock_panel(s, basic=False, specs=specs)
 
 
 def random_series(rng, n=120, ticker="AAA"):
@@ -33,7 +48,7 @@ def random_series(rng, n=120, ticker="AAA"):
 class TestBasicFeatures:
     def test_constant_series(self):
         s = make_series("AAA", [42.0] * 60)
-        values, names, valid = compute_basic_features(s)
+        values, names, valid = basic_features(s)
         col = {n: i for i, n in enumerate(names)}
         for name in ("mom_2", "mom_3", "mom_5", "mom_10"):
             column = values[valid[col[name]] :, col[name]]
@@ -44,21 +59,21 @@ class TestBasicFeatures:
             np.testing.assert_allclose(values[valid[col[name]] :, col[name]], 0.0, atol=1e-15)
 
     def test_three_day_momentum_direct_ratio(self):
-        opens = [100.0, 101.0, 99.0, 103.0]
+        opens = [100.0, 101.0, 99.0, 103.0] + [100.0] * 56  # 60 days cover every warmup
         s = make_series("AAA", opens)
-        values, names, _ = compute_basic_features(s)
+        values, names, _ = basic_features(s)
         col = names.index("mom_3")
         assert values[3, col] == pytest.approx(103.0 / 100.0 - 1.0, abs=1e-15)
 
     def test_dollar_volume_product(self):
-        s = make_series("AAA", [10.0] * 3, volumes=[2_000_000] * 3)
-        values, names, _ = compute_basic_features(s)
+        s = make_series("AAA", [10.0] * 60, volumes=[2_000_000] * 60)
+        values, names, _ = basic_features(s)
         assert values[0, names.index("dollar_volume")] == 2e7
         assert values[0, names.index("volume")] == 2_000_000
 
     def test_warmup_masked_not_error(self):
         s = make_series("AAA", [10.0] * 60)
-        values, names, valid = compute_basic_features(s)
+        values, names, valid = basic_features(s)
         col = names.index("sma_ratio_50")
         assert valid[col] == 49
         assert np.isnan(values[48, col])
@@ -72,24 +87,24 @@ class TestTechnicalFeatures:
         highs = opens.copy()
         lows = opens * 0.9
         s = make_series("AAA", opens, highs=highs, lows=lows, closes=opens)
-        values, names, valid = compute_technical_features(s, [make_spec("williams_r")])
+        values, names, valid = technical_features(s, [make_spec("williams_r")])
         assert values[-1, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_aroon_up_at_new_high(self):
         opens = np.linspace(10, 12, 40)  # strictly rising: today is always the highest
         s = make_series("AAA", opens)
-        values, _, valid = compute_technical_features(s, [make_spec("aroon_up")])
+        values, _, valid = technical_features(s, [make_spec("aroon_up")])
         assert np.all(values[valid[0] :, 0] == 100.0)
 
     def test_aroon_down_at_new_low(self):
         opens = np.linspace(12, 10, 40)
         s = make_series("AAA", opens)
-        values, _, valid = compute_technical_features(s, [make_spec("aroon_down")])
+        values, _, valid = technical_features(s, [make_spec("aroon_down")])
         assert np.all(values[valid[0] :, 0] == 100.0)
 
     def test_donchian_constant_prices(self):
         s = make_series("AAA", [10.0] * 40, highs=[10.0] * 40, lows=[10.0] * 40)
-        values, _, valid = compute_technical_features(s, [make_spec("donchian_width")])
+        values, _, valid = technical_features(s, [make_spec("donchian_width")])
         np.testing.assert_allclose(values[valid[0] :, 0], 0.0, atol=1e-15)
 
     def test_unknown_spec_name(self):
@@ -105,7 +120,7 @@ class TestTechnicalFeatures:
     def test_all_indicators_finite_after_warmup(self, rng):
         s = random_series(rng, n=150)
         specs = [make_spec(n) for n in ALL_TECHNICAL_NAMES + ("rsi",)]
-        values, names, valid = compute_technical_features(s, specs)
+        values, names, valid = technical_features(s, specs)
         for j, name in enumerate(names):
             col = values[valid[j] :, j]
             assert np.all(np.isfinite(col)), f"{name} produced non-finite values"
@@ -165,17 +180,17 @@ class TestShiftEquivariance:
                                lows=s_full.lows()[:-1], closes=s_full.closes()[:-1],
                                volumes=s_full.volumes()[:-1].astype(int))
         specs = [make_spec(n) for n in ALL_TECHNICAL_NAMES + ("rsi",)]
-        full_t, _, _ = compute_technical_features(s_full, specs)
-        pref_t, _, _ = compute_technical_features(s_prefix, specs)
+        full_t, _, _ = technical_features(s_full, specs)
+        pref_t, _, _ = technical_features(s_prefix, specs)
         np.testing.assert_array_equal(full_t[:-1], pref_t)
-        full_b, _, _ = compute_basic_features(s_full)
-        pref_b, _, _ = compute_basic_features(s_prefix)
+        full_b, _, _ = basic_features(s_full)
+        pref_b, _, _ = basic_features(s_prefix)
         np.testing.assert_array_equal(full_b[:-1], pref_b)
 
     def test_deterministic_pure_function(self, rng):
         s = random_series(rng, n=90)
-        a, _, _ = compute_technical_features(s, default_specs())
-        b, _, _ = compute_technical_features(s, default_specs())
+        a, _, _ = technical_features(s, default_specs())
+        b, _, _ = technical_features(s, default_specs())
         np.testing.assert_array_equal(a, b)
 
 
@@ -275,7 +290,7 @@ class TestCloseSubstitutionOracle:
     )
     def test_matches_close_based_reference(self, series_close_eq_open, name, ref):
         s = series_close_eq_open
-        values, _, valid = compute_technical_features(s, [make_spec(name)])
+        values, _, valid = technical_features(s, [make_spec(name)])
         expected = ref(s)
         lo = valid[0]
         np.testing.assert_allclose(values[lo:, 0], expected[lo:], rtol=1e-10, atol=1e-10)
@@ -290,6 +305,6 @@ def test_shift_equivariance_property(seed):
                            lows=s_full.lows()[:-1], closes=s_full.closes()[:-1],
                            volumes=s_full.volumes()[:-1].astype(int))
     specs = [make_spec("stoch_osc"), make_spec("kama"), make_spec("vpt"), make_spec("ulcer")]
-    full, _, _ = compute_technical_features(s_full, specs)
-    prefix, _, _ = compute_technical_features(s_prefix, specs)
+    full, _, _ = technical_features(s_full, specs)
+    prefix, _, _ = technical_features(s_prefix, specs)
     np.testing.assert_array_equal(full[:-1], prefix)
