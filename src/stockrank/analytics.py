@@ -14,7 +14,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from .backtest import BacktestLedger
 from .errors import DataError, NumericError
@@ -120,7 +119,8 @@ def t_test_vs_market(strategy_returns, market_returns, paired: bool = True) -> t
     """t statistic and two-sided p-value of strategy vs benchmark returns.
 
     Paired (default): one-sample t on the daily differences. Unpaired:
-    Welch's two-sample t. p-values use the Student-t CDF.
+    Welch's two-sample t. The p-value is 2 * scipy.special.stdtr(dof, -|t|),
+    the Student-t tail that scipy.stats.t.sf computes.
     """
     a = np.asarray(strategy_returns, dtype=np.float64)
     b = np.asarray(market_returns, dtype=np.float64)
@@ -145,7 +145,9 @@ def t_test_vs_market(strategy_returns, market_returns, paired: bool = True) -> t
         se2 = va / n + vb / n
         t = (a.mean() - b.mean()) / math.sqrt(se2)
         dof = se2**2 / ((va / n) ** 2 / (n - 1) + (vb / n) ** 2 / (n - 1))
-    p = float(2.0 * sps.t.sf(abs(t), dof))
+    from scipy.special import stdtr  # imported here to keep scipy out of CLI start-up
+
+    p = float(2.0 * stdtr(dof, -abs(t)))
     return float(t), p
 
 

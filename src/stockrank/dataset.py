@@ -204,6 +204,7 @@ def make_samples(
     panel: FeaturePanel,
     universe: Universe,
     plan: SplitPlan,
+    returns: np.ndarray,
     m: int = 20,
     thresholds: tuple[float, float] = DEFAULT_THRESHOLDS,
     cap: float = RETURN_CAP,
@@ -215,13 +216,15 @@ def make_samples(
     anchors validate (20 by default, so 180 train / 20 val), everything
     before them trains. Windows may reach back into the std range (those
     days are standardized with the same stats). Samples are ordered by
-    stock, then by anchor day.
+    stock, then by anchor day. ``returns`` is ``return_matrix(universe)``,
+    built once by the caller for every period.
     """
     if panel.tickers != universe.tickers:
         raise DataError("panel and universe list different tickers")
+    if returns.shape != (universe.n_stocks, universe.n_days - LOOKAHEAD):
+        raise DataError(f"return matrix of shape {returns.shape} does not fit the universe")
     scaled, _ = standardize(panel, plan)
     offset = plan.std_range[0]  # scaled[:, d - offset, :] is panel day d
-    returns = return_matrix(universe)
 
     t0, t1 = plan.trainval_range
     e0, e1 = plan.test_range

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,9 +42,9 @@ _OHLCV_HEADER = ["ticker", "date", "open", "high", "low", "close", "volume"]
 _SECTOR_HEADER = ["ticker", "sector"]
 
 
-@dataclass(frozen=True)
-class Bar:
-    """One trading day for one stock.
+class Bar(NamedTuple):
+    """One trading day for one stock; a named tuple, so the loader's one
+    object per row costs one tuple allocation.
 
     Invariants (enforced at load time for alive days): low <= min(open, close),
     high >= max(open, close), volume >= 0, prices > 0.
@@ -152,7 +154,7 @@ def _parse_float(text: str, colname: str, where: str) -> float:
         value = float(text)
     except ValueError as exc:
         raise DataError(f"{where}: bad {colname} value {text!r}") from exc
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise DataError(f"{where}: non-finite {colname} value {text!r}")
     return value
 
@@ -195,21 +197,24 @@ def load_ohlcv(
     sectors = load_sector_map(sector_path)
 
     per_ticker: dict[str, dict[dt.date, Bar]] = {}
+    date_of: dict[str, dt.date] = {}  # each date text recurs once per ticker: parse it once
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != _OHLCV_HEADER:
             raise DataError(f"{path}: expected header {','.join(_OHLCV_HEADER)}")
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
             where = f"{path}:{lineno}"
-            if len(row) != 7:
-                raise DataError(f"{where}: expected 7 columns, got {len(row)}")
-            ticker = row[0].strip()
-            if not ticker:
+            if len(row) != 7 or not (ticker := row[0].strip()):
+                # only a malformed row can be blank, so only it pays the blank test
+                if all(not c.strip() for c in row):
+                    continue
+                if len(row) != 7:
+                    raise DataError(f"{where}: expected 7 columns, got {len(row)}")
                 raise DataError(f"{where}: empty ticker")
-            date = _parse_date(row[1].strip(), where)
+            date = date_of.get(row[1])
+            if date is None:
+                date = date_of[row[1]] = _parse_date(row[1].strip(), where)
             o = _parse_float(row[2], "open", where)
             h = _parse_float(row[3], "high", where)
             lo = _parse_float(row[4], "low", where)
@@ -220,7 +225,7 @@ def load_ohlcv(
                 raise DataError(f"{where}: bad volume value {row[6]!r}") from exc
             if v < 0:
                 raise DataError(f"{where}: negative volume {v}")
-            if lo > min(o, c) or h < max(o, c):
+            if lo > o or lo > c or h < o or h < c:
                 raise DataError(
                     f"{where}: high/low do not bracket open/close "
                     f"(open={o}, high={h}, low={lo}, close={c})"

@@ -193,14 +193,15 @@ def train_walk_forward(cfg: RunConfig, universe: Universe, panel, plans,
     rankings: dict[int, list] = {e: [] for e in range(cfg.n_ensembles)}
     histories: list[dict] = []
     classification = arch.loss_kind.classification
+    returns = return_matrix(universe)
 
     for plan in plans:
-        samples = make_samples(panel, universe, plan, m=cfg.m,
+        samples = make_samples(panel, universe, plan, returns, m=cfg.m,
                                thresholds=cfg.label_thresholds, cap=cfg.return_cap,
                                val_days=cfg.val_days)
         test = samples["test"]
         test_days = sorted(set(test.anchor_days.tolist()))
-        returns_by_day = _returns_for_days(universe, test_days)
+        returns_by_day = _returns_for_days(returns, universe.tickers, test_days)
         for e, ens in enumerate(ensembles):
             period_histories = []
             for mi, member in enumerate(ens.members):
@@ -234,13 +235,9 @@ def train_walk_forward(cfg: RunConfig, universe: Universe, panel, plans,
             "histories": histories}
 
 
-def _returns_for_days(universe: Universe, anchors: list[int]) -> list[dict[str, float]]:
-    rmat = return_matrix(universe)
-    tickers = universe.tickers
-    return [
-        {tickers[si]: float(rmat[si, d]) for si in range(universe.n_stocks)}
-        for d in anchors
-    ]
+def _returns_for_days(returns: np.ndarray, tickers, anchors: list[int]) -> list[dict[str, float]]:
+    """ticker -> return dicts, one per anchor day, from a return_matrix."""
+    return [dict(zip(tickers, day)) for day in returns[:, anchors].T.tolist()]
 
 
 def run_strategies(cfg: RunConfig, universe: Universe,
@@ -252,7 +249,7 @@ def run_strategies(cfg: RunConfig, universe: Universe,
     """
     ledgers: dict[str, BacktestLedger] = {}
     anchor_days = [d for d, _ in rankings[0]]
-    returns_by_day = _returns_for_days(universe, anchor_days)
+    returns_by_day = _returns_for_days(return_matrix(universe), universe.tickers, anchor_days)
     alive_by_day = [_alive_tickers(universe, d) for d in anchor_days]
     for strategy in cfg.strategies:
         per_ensemble = []
@@ -305,7 +302,11 @@ def read_scores_csv(path: str, calendar) -> dict[int, list]:
                 raise DataError(f"{where}: non-finite score {row[4]!r}")
             if row[2] not in day_index:
                 raise DataError(f"{where}: scores date {row[2]} not on the universe calendar")
-            per_day.setdefault((e, day_index[row[2]]), {})[row[3]] = score
+            day_scores = per_day.setdefault((e, day_index[row[2]]), {})
+            if row[3] in day_scores:
+                raise DataError(f"{where}: duplicate (ensemble, date, ticker) row "
+                                f"({e}, {row[2]}, {row[3]})")
+            day_scores[row[3]] = score
     rankings: dict[int, list] = {}
     for (e, d) in sorted(per_day):
         rankings.setdefault(e, []).append((d, rank_for_day(calendar[d], per_day[(e, d)])))

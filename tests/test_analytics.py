@@ -174,6 +174,22 @@ class TestTTest:
         assert t == pytest.approx(float(t_ref), abs=1e-9)
         assert p == pytest.approx(float(p_ref), abs=1e-9)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=400),
+           st.floats(min_value=-0.02, max_value=0.02), st.booleans())
+    def test_p_value_equals_scipy_t_sf_exactly(self, seed, n, drift, paired):
+        rng = np.random.default_rng(seed)
+        b = rng.normal(0.0, 0.01, size=n)
+        a = b + rng.normal(drift, rng.uniform(0.001, 0.03), size=n)
+        t, p = t_test_vs_market(a, b, paired=paired)
+        if paired:
+            dof = n - 1
+        else:
+            va, vb = a.var(ddof=1), b.var(ddof=1)
+            se2 = va / n + vb / n
+            dof = se2**2 / ((va / n) ** 2 / (n - 1) + (vb / n) ** 2 / (n - 1))
+        assert p == float(2.0 * sps.t.sf(abs(t), dof))
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_invariant_to_common_additive_series(self, seed):

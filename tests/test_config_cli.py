@@ -282,6 +282,8 @@ class TestStageSeparation:
         ("0,1.5,2021-01-01,S000,0.5", "bad ensemble, period or score"),
         ("0,0,2021-01-01,S000,abc", "bad ensemble, period or score"),
         ("0,0,2021-01-01,S000,inf", "non-finite score"),
+        # a copy of the first score row with another score: the last must not win
+        ("{0},{1},{2},{3},99.0", "duplicate (ensemble, date, ticker) row"),
     ])
     def test_malformed_scores_row_is_data_error(self, tmp_path, runner, row, problem):
         data = synth_dataset(runner, tmp_path / "d")
@@ -290,9 +292,10 @@ class TestStageSeparation:
         r = runner.invoke(main, ["train", "--config", str(cfg_path), "--out", str(out)])
         assert r.exit_code == 0, r.output
         scores = out / "scores" / "scores.csv"
-        n_lines = len(scores.read_text().splitlines())
+        lines = scores.read_text().splitlines()
+        n_lines = len(lines)
         with open(scores, "a") as fh:
-            fh.write(row + "\n")
+            fh.write(row.format(*lines[1].split(",")) + "\n")
         result = runner.invoke(main, ["backtest", "--config", str(cfg_path), "--out", str(out)])
         assert result.exit_code == 3
         err = json.loads(result.output.strip().splitlines()[-1])
@@ -368,6 +371,29 @@ class TestExitCodes:
         err = json.loads(result.output.strip().splitlines()[-1])
         assert err["error"] == "DataError"
         assert err["module"] == "market_data"
+
+
+class TestStartup:
+    def test_cli_import_and_help_load_no_scipy(self):
+        # scipy serves one p-value in the report; every command pays for
+        # what `import stockrank.cli` loads, so scipy stays off that path
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        code = (
+            "import json, sys\n"
+            "import stockrank.cli\n"
+            "try:\n"
+            "    stockrank.cli.main(['--help'])\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "                        if m == 'scipy' or m.startswith('scipy.'))))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert "Usage:" in result.stdout
+        assert json.loads(result.stdout.strip().splitlines()[-1]) == []
 
 
 class TestBenchmarkPatchPoints:

@@ -294,14 +294,19 @@ def setup():
 class TestMakeSamples:
     def test_counts(self, setup):
         u, panel, plan = setup
-        out = make_samples(panel, u, plan, m=20)
+        out = make_samples(panel, u, plan, return_matrix(u), m=20)
         assert len(out["train"]) == 1800
         assert len(out["val"]) == 200
         assert len(out["test"]) == 200
 
+    def test_return_matrix_must_fit_the_universe(self, setup):
+        u, panel, plan = setup
+        with pytest.raises(DataError, match="return matrix"):
+            make_samples(panel, u, plan, return_matrix(u)[:, :-1], m=20)
+
     def test_first_anchor_window_reaches_into_std_range(self, setup):
         u, panel, plan = setup
-        out = make_samples(panel, u, plan, m=20)
+        out = make_samples(panel, u, plan, return_matrix(u), m=20)
         train = out["train"]
         first = int(np.argmin(train.anchor_days))
         anchor = int(train.anchor_days[first])
@@ -317,7 +322,7 @@ class TestMakeSamples:
         u = apply_dead_stock_rule(make_universe(opens), 0.1)
         panel = flat_panel(u)
         plan = build_split_plans(500, m=20, offset=panel.first_all_valid_day)[0]
-        out = make_samples(panel, u, plan, m=20)
+        out = make_samples(panel, u, plan, return_matrix(u), m=20)
         scaled, _ = standardize(panel, plan)
         anchors = {"train": range(plan.trainval_range[0], plan.trainval_range[1] - 20),
                    "val": range(plan.trainval_range[1] - 20, plan.trainval_range[1]),
@@ -342,7 +347,7 @@ class TestMakeSamples:
 
     def test_no_lookahead_beyond_label_horizon(self, setup):
         u, panel, plan = setup
-        out = make_samples(panel, u, plan, m=20)
+        out = make_samples(panel, u, plan, return_matrix(u), m=20)
         horizon = plan.test_range[1] + 1  # last day any sample may read
         # perturb all opens strictly after the horizon and rebuild
         opens = {s.ticker: s.opens() for s in u.stocks}
@@ -351,7 +356,7 @@ class TestMakeSamples:
         u2 = make_universe(opens, calendar=u.calendar)
         u2 = apply_dead_stock_rule(u2, 0.1)
         panel2 = flat_panel(u2)
-        out2 = make_samples(panel2, u2, plan, m=20)
+        out2 = make_samples(panel2, u2, plan, return_matrix(u2), m=20)
         for split in ("train", "val", "test"):
             np.testing.assert_array_equal(out[split].windows, out2[split].windows)
             np.testing.assert_array_equal(out[split].returns, out2[split].returns)
@@ -363,7 +368,7 @@ class TestMakeSamples:
         u = apply_dead_stock_rule(make_universe(opens), 0.1)
         panel = flat_panel(u)
         plan = build_split_plans(500, m=20, offset=panel.first_all_valid_day)[0]
-        out = make_samples(panel, u, plan, m=20)
+        out = make_samples(panel, u, plan, return_matrix(u), m=20)
         for split in ("train", "val", "test"):
             ss = out[split]
             for i in range(len(ss)):

@@ -1,4 +1,5 @@
 import datetime as dt
+import re
 
 import numpy as np
 import pytest
@@ -118,6 +119,71 @@ class TestLoadOhlcv:
                        start=dt.date.fromisoformat(d5[0]), end=dt.date.fromisoformat(d5[4]))
         assert u.tickers == ("AAA",)
         assert "BBB" in u.meta["dropped_non_spanning"]
+
+
+_GOOD = ["AAA", "2020-01-02", "10.0", "10.1", "9.9", "10.0", "100"]
+
+
+def _bad_row(col, text):
+    row = list(_GOOD)
+    row[col] = text
+    return ",".join(row)
+
+
+_PRICE_COLUMNS = {"open": 2, "high": 3, "low": 4, "close": 5}
+
+# (line 3 of a three-line file, the message it must give)
+_BAD_ROWS = [
+    (_bad_row(1, "2020-13-01"), "bad date '2020-13-01' (expected YYYY-MM-DD)"),
+    (_bad_row(1, "01/02/2020"), "bad date '01/02/2020' (expected YYYY-MM-DD)"),
+    *[(_bad_row(i, "oops"), f"bad {name} value 'oops'") for name, i in _PRICE_COLUMNS.items()],
+    *[(_bad_row(i, v), f"non-finite {name} value '{v}'")
+      for name, i in _PRICE_COLUMNS.items() for v in ("nan", "inf")],
+    (_bad_row(6, "12x"), "bad volume value '12x'"),
+    (_bad_row(6, "1.5"), "bad volume value '1.5'"),
+    (_bad_row(6, "-5"), "negative volume -5"),
+    (",".join(_GOOD[:6]), "expected 7 columns, got 6"),
+    (",".join(_GOOD + ["1"]), "expected 7 columns, got 8"),
+    (_bad_row(0, ""), "empty ticker"),
+    (_bad_row(0, "   "), "empty ticker"),
+    (_bad_row(4, "10.05"), "high/low do not bracket open/close"),
+    (_bad_row(3, "9.95"), "high/low do not bracket open/close"),
+]
+
+
+class TestIngestEdgeCases:
+    def _write(self, tmp_path, lines):
+        path = tmp_path / "p.csv"
+        path.write_text("ticker,date,open,high,low,close,volume\n" + "\n".join(lines) + "\n")
+        write_sectors(tmp_path / "s.csv", [("AAA", "Energy")])
+        return path
+
+    @pytest.mark.parametrize("bad,message", _BAD_ROWS)
+    def test_bad_row_names_path_line_and_cause(self, tmp_path, bad, message):
+        d = days(3)
+        lines = [f"AAA,{d[0]},10.0,10.1,9.9,10.0,100", bad, f"AAA,{d[2]},10.0,10.1,9.9,10.0,100"]
+        path = self._write(tmp_path, lines)
+        with pytest.raises(DataError, match=re.escape(f"{path}:3: {message}")):
+            load_ohlcv(path, tmp_path / "s.csv")
+
+    @pytest.mark.parametrize("blank", ["", "   ", ",,,,,,", " , ,\t, , , , "])
+    def test_blank_row_is_skipped(self, tmp_path, blank):
+        d = days(2)
+        path = self._write(tmp_path, [f"AAA,{d[0]},10.0,10.1,9.9,10.0,100", blank,
+                                      f"AAA,{d[1]},10.0,10.1,9.9,10.0,100"])
+        u = load_ohlcv(path, tmp_path / "s.csv")
+        assert u.calendar == tuple(dt.date.fromisoformat(x) for x in d)
+
+    def test_first_fault_in_file_order_wins(self, tmp_path):
+        d = days(4)
+        # line 3 fails a late check (close), line 4 the earliest (column count)
+        lines = [f"AAA,{d[0]},10.0,10.1,9.9,10.0,100",
+                 f"AAA,{d[1]},10.0,10.1,9.9,nan,100",
+                 f"AAA,{d[2]},10.0,10.1",
+                 f"AAA,{d[3]},10.0,10.1,9.9,10.0,100"]
+        path = self._write(tmp_path, lines)
+        with pytest.raises(DataError, match=re.escape(f"{path}:3: non-finite close")):
+            load_ohlcv(path, tmp_path / "s.csv")
 
 
 class TestDollarVolumeFilter:
