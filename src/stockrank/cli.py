@@ -14,13 +14,12 @@ import functools
 import json
 import os
 import sys
-import traceback
 
 import click
 
 from .backtest import BacktestLedger, STRATEGIES
 from .config import RunConfig, load_config, resolve_loss_alias
-from .errors import ConfigError, DataError, NumericError, StockrankError
+from .errors import ConfigError, DataError, NumericError, StockrankError, failing_module
 from .pipeline import (
     build_panel,
     load_universe,
@@ -38,14 +37,6 @@ from .synth import SignalSpec, generate, write_events_csv, write_ohlcv_csv, writ
 _EXIT_CODES = {ConfigError: 2, DataError: 3, NumericError: 4}
 
 
-def _failing_module(exc: BaseException) -> str:
-    for frame in reversed(traceback.extract_tb(exc.__traceback__)):
-        norm = frame.filename.replace(os.sep, "/")
-        if "/stockrank/" in norm:
-            return os.path.splitext(os.path.basename(frame.filename))[0]
-    return "stockrank"
-
-
 def _guarded(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -57,7 +48,7 @@ def _guarded(fn):
             )
             report = {
                 "error": type(exc).__name__,
-                "module": _failing_module(exc),
+                "module": failing_module(exc),
                 "message": str(exc),
             }
             click.echo(json.dumps(report, sort_keys=True), err=True)

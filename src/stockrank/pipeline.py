@@ -11,10 +11,20 @@ bytes as a full one. Artifacts under one run directory:
     report/nav_<name>.csv         NAV curves
     report/metrics.json           metric reports per strategy vs market
     report/grid.csv               headline strategy grid
-    manifest.json                 config hash + artifact checksums
+    manifest.json                 config hash, artifact checksums, environment
 
 The feature panel is exported only by `stockrank features`, as panel.csv
 in a directory of its own.
+
+Training, about all of a research run's time, uses every usable CPU: in
+each walk-forward period the (ensemble, member) pairs are independent, so
+this process trains every w-th of them in place while w - 1 children,
+forked once the period's samples exist, train the rest. BLAS is capped at
+one thread in each process meanwhile, since w processes with a BLAS pool
+each would share the same cores. The trained members come back through
+the checkpoint encoding, so outputs are byte-identical for any w;
+`taskset -c 0 stockrank run ...` gives w = 1, the serial in-process loop
+(the form to profile, as spans recorded in a child are lost with it).
 """
 
 from __future__ import annotations
@@ -25,22 +35,26 @@ import hashlib
 import json
 import math
 import os
+import sys
+import traceback
 from contextlib import contextmanager, suppress
 
 import numpy as np
 
-from . import __version__
+from . import __version__, blas
 from .analytics import build_metric_grid, build_report, grid_to_csv, load_risk_free
 from .backtest import BacktestLedger, DailyRanking, combine_strategies, rank_for_day, simulate
 from .config import RunConfig
 from .dataset import build_split_plans, make_samples, return_matrix
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, failing_module
 from .indicators import assemble_panel, make_spec
 from .market_data import Universe, apply_dead_stock_rule, filter_by_dollar_volume, load_ohlcv
 from .models import (
     ArchConfig,
     EnsembleState,
     TrainConfig,
+    _decode_model,
+    _encode_model,
     build_model,
     combine_members,
     load_ensemble,
@@ -165,13 +179,127 @@ def _rank_days(dates, test, test_days: list[int], scores: np.ndarray) -> list[Da
     return [rank_for_day(dates[d], per_day[d]) for d in test_days]
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, so ``taskset -c 0``
+    gives 1."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def training_processes(n_jobs: int) -> int:
+    """Processes that train a period's n_jobs members: one per usable CPU,
+    at most one per member, and only this one where fork is missing or the
+    BLAS thread count cannot be capped."""
+    w = min(n_jobs, usable_cpus())
+    if w > 1 and not (hasattr(os, "fork") and blas.can_limit()):
+        return 1
+    return w
+
+
+def _train_in_turn(members, train_set, val_set, hp) -> tuple[list, Exception | None]:
+    """Train members in order and stop at the first error; return the
+    (member, history) pairs done before it, and the error or None."""
+    done = []
+    for member in members:
+        try:
+            done.append((member, train_period(member, train_set, val_set, hp)))
+        except Exception as exc:  # raised later, in member order
+            return done, exc
+    return done, None
+
+
+def _child_trains(send, members, train_set, val_set, hp) -> None:
+    """Body of a training child: train its members, then send back each one
+    encoded with its history, and the error that stopped it, if any."""
+    done, error = _train_in_turn(members, train_set, val_set, hp)
+    trace = None
+    if error is not None:
+        error.stockrank_module = failing_module(error)  # the traceback does not cross
+        trace = "".join(traceback.format_exception(type(error), error, error.__traceback__))
+    send.send(([(_encode_model(m), hist) for m, hist in done], error, trace))
+
+
+class _ChildTraceback(Exception):
+    """The traceback of an error raised in a training child, shown as its cause."""
+
+
+def _receive_share(child, recv) -> tuple[list, Exception | None]:
+    try:
+        blobs, error, trace = recv.recv()
+    except EOFError:
+        child.join()
+        raise ChildProcessError(f"training process {child.pid} exited with code "
+                                f"{child.exitcode} before sending its members") from None
+    if error is not None:
+        error.__cause__ = _ChildTraceback(trace)
+    return [(_decode_model(blob), hist) for blob, hist in blobs], error
+
+
+def _train_members(members: list, train_set, val_set, hp: TrainConfig,
+                   processes: int) -> list[tuple]:
+    """Train one period's members; return (trained member, history) pairs
+    in member order.
+
+    Member i is trained by process i % processes. Process 0 is this one: it
+    trains its members in place. The others are children forked here after
+    the samples are built; they read them through copy-on-write pages and
+    send back (_encode_model(member), history), which decodes to the state
+    an in-place run would hold. While they run, BLAS is capped at one
+    thread in every process. The first error in member order is raised, as
+    the serial loop would raise it, and no child outlives the call.
+    """
+    if processes == 1:
+        return [(m, train_period(m, train_set, val_set, hp)) for m in members]
+    import multiprocessing  # only a parallel section pays for this import
+
+    ctx = multiprocessing.get_context("fork")
+    children = []
+    trained = []
+    with blas.limit_threads(1):
+        try:
+            for c in range(1, processes):
+                recv, send = ctx.Pipe(duplex=False)
+                child = ctx.Process(target=_child_trains, daemon=True,
+                                    args=(send, members[c::processes], train_set, val_set, hp))
+                child.start()  # leaves through os._exit: no finally of the caller runs twice
+                send.close()
+                children.append((child, recv))
+            shares = {0: _train_in_turn(members[::processes], train_set, val_set, hp)}
+            for i in range(len(members)):
+                c, k = i % processes, i // processes
+                if c not in shares:  # read only once every earlier member trained
+                    shares[c] = _receive_share(*children[c - 1])
+                done, error = shares[c]
+                if k == len(done):
+                    raise error
+                trained.append(done[k])
+        finally:
+            for child, recv in children:
+                child.terminate()  # before close: a child mid-send would report a broken pipe
+                child.join()
+                recv.close()
+    return trained
+
+
 def train_walk_forward(cfg: RunConfig, universe: Universe, panel, plans,
                        log=lambda msg: None) -> dict:
     """Train all ensembles across the walk-forward periods.
 
+    Each period trains every (ensemble, member) pair, in that order, on
+    ``training_processes`` processes (see _train_members): this process
+    trains pairs 0, w, 2w, ... in place and w - 1 forked children train
+    the rest, each with BLAS capped at one thread. Members share nothing
+    while they train, each carries its own seed and RNG, and a child's
+    member comes back through the bit-exact checkpoint encoding, so every
+    output is byte-identical for any w. With one member or one usable CPU
+    (``taskset -c 0``) w is 1: the serial loop runs in process, with no
+    fork and the default BLAS threads.
+
     Returns {"ensembles": [EnsembleState...], "scores": scores_rows,
-    "rankings": {ensemble_index: [(day, DailyRanking)...]}, "histories": [...]}
-    where scores_rows feed scores.csv.
+    "rankings": {ensemble_index: [(day, DailyRanking)...]}, "histories": [...],
+    "training_processes": w} where scores_rows feed scores.csv.
     """
     arch = _arch_from_config(cfg, panel.n_features)
     hp_overrides = {"batch_size": cfg.batch_size, "max_epochs": cfg.max_epochs}
@@ -194,6 +322,7 @@ def train_walk_forward(cfg: RunConfig, universe: Universe, panel, plans,
     histories: list[dict] = []
     classification = arch.loss_kind.classification
     returns = return_matrix(universe)
+    processes = training_processes(cfg.n_ensembles * cfg.n_members)
 
     for plan in plans:
         samples = make_samples(panel, universe, plan, returns, m=cfg.m,
@@ -202,11 +331,13 @@ def train_walk_forward(cfg: RunConfig, universe: Universe, panel, plans,
         test = samples["test"]
         test_days = sorted(set(test.anchor_days.tolist()))
         returns_by_day = _returns_for_days(returns, universe.tickers, test_days)
+        trained = _train_members([m for ens in ensembles for m in ens.members],
+                                 samples["train"], samples["val"], hp, processes)
         for e, ens in enumerate(ensembles):
-            period_histories = []
-            for mi, member in enumerate(ens.members):
-                hist = train_period(member, samples["train"], samples["val"], hp)
-                period_histories.append(hist)
+            pairs = trained[e * cfg.n_members : (e + 1) * cfg.n_members]
+            ens.members = [member for member, _hist in pairs]
+            period_histories = [hist for _member, hist in pairs]
+            for mi, hist in enumerate(period_histories):
                 log(f"period {plan.period_index} ensemble {e} member {mi}: "
                     f"{hist['epochs']} epochs, val loss {hist['val_loss'][-1]:.6g}")
             histories.append({"period": plan.period_index, "ensemble": e,
@@ -232,7 +363,7 @@ def train_walk_forward(cfg: RunConfig, universe: Universe, panel, plans,
                 member_period_returns.append(led.final_value - 1.0)
             ens.record_period_returns(member_period_returns)
     return {"ensembles": ensembles, "scores": scores_rows, "rankings": rankings,
-            "histories": histories}
+            "histories": histories, "training_processes": processes}
 
 
 def _returns_for_days(returns: np.ndarray, tickers, anchors: list[int]) -> list[dict[str, float]]:
@@ -369,7 +500,35 @@ def write_report(cfg: RunConfig, ledgers: dict[str, BacktestLedger], out_dir: st
     return payload
 
 
-def write_manifest(cfg: RunConfig, out_dir: str) -> None:
+def _dist_version(name: str) -> str | None:
+    # from the installed metadata: importing scipy itself would cost ~0.3 s
+    from importlib.metadata import PackageNotFoundError, version
+
+    try:
+        return version(name)
+    except PackageNotFoundError:
+        return None
+
+
+def _environment(processes: int | None) -> dict:
+    """What the numbers of a run depend on besides its config and data.
+
+    processes is the training process count w of train_walk_forward, or
+    None when the process writing the manifest trained nothing (backtest,
+    report).
+    """
+    return {
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "scipy": _dist_version("scipy"),
+        "blas": blas.config(),
+        "blas_threads": blas.threads(),
+        "usable_cpus": usable_cpus(),
+        "training_processes": processes,
+    }
+
+
+def write_manifest(cfg: RunConfig, out_dir: str, processes: int | None = None) -> None:
     entries = {}
     for root, _dirs, files in os.walk(out_dir):
         for name in sorted(files):
@@ -383,6 +542,7 @@ def write_manifest(cfg: RunConfig, out_dir: str) -> None:
         "config_sha256": cfg.sha256(),
         "package_version": __version__,
         "artifacts": entries,
+        "environment": _environment(processes),
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
@@ -419,7 +579,7 @@ def training_run(cfg: RunConfig, out_dir: str, log=lambda msg: None):
         write_scores_csv(result["scores"], os.path.join(scores_dir, "scores.csv"))
 
         yield universe, result["rankings"]
-        write_manifest(cfg, out_dir)
+        write_manifest(cfg, out_dir, result["training_processes"])
 
 
 def run_pipeline(cfg: RunConfig, out_dir: str, log=lambda msg: None) -> dict:

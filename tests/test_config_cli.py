@@ -1,12 +1,16 @@
+import copy
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import stockrank.cli
+from stockrank import pipeline
 from stockrank.cli import main
 from stockrank.config import RunConfig, load_config, resolve_loss_alias
 from stockrank.errors import ConfigError
@@ -373,10 +377,130 @@ class TestExitCodes:
         assert err["module"] == "market_data"
 
 
+def _run_files(out):
+    """Every file of a run directory, by path; the manifest by its artifacts
+    block, since its environment block records the training process count."""
+    files = {}
+    for path in sorted(out.rglob("*")):
+        if path.is_file():
+            rel = str(path.relative_to(out))
+            files[rel] = (json.loads(path.read_text())["artifacts"] if rel == "manifest.json"
+                          else path.read_bytes())
+    return files
+
+
+_train_period = pipeline.train_period
+
+
+def _empty_val(member, train_set, val_set, hp):
+    val_set = copy.copy(val_set)
+    val_set.tickers = []  # train_period raises NumericError on an empty split
+    return _train_period(member, train_set, val_set, hp)
+
+
+class TestParallelTraining:
+    def _config(self, tmp_path, runner, **overrides):
+        data = synth_dataset(runner, tmp_path / "d")
+        cfg = small_config(data, **{"conv": [[3, 4]], "dense": [4], "n_members": 3,
+                                    "max_epochs": 1, "max_periods": 2, **overrides})
+        return write_config(tmp_path, cfg)
+
+    def test_parallel_equals_serial_byte_for_byte(self, tmp_path, runner, monkeypatch):
+        cfg = load_config(self._config(tmp_path, runner))
+        runs = {}
+        for cpus in (1, 3):  # 3 forks children even on a 1-CPU machine
+            monkeypatch.setattr(pipeline, "usable_cpus", lambda cpus=cpus: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            pipeline.run_pipeline(cfg, str(out))
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["environment"]["training_processes"] == (
+                3 if cpus == 3 and pipeline.blas.can_limit() else 1)
+            runs[cpus] = _run_files(out)
+        rows = runs[1]["scores/scores.csv"].decode().splitlines()[1:]
+        assert {row.split(",")[1] for row in rows} == {"0", "1"}  # two periods
+        assert "checkpoints/ensemble_0.ens" in runs[1]
+        assert runs[3] == runs[1]
+        assert multiprocessing.active_children() == []
+
+    def test_child_error_keeps_type_message_and_module(self, tmp_path, runner, monkeypatch):
+        cfg_path = self._config(tmp_path, runner)
+        errors = {}
+        # serial: every member fails in this process
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(pipeline, "train_period", _empty_val)
+        result = runner.invoke(main, ["run", "--config", str(cfg_path),
+                                      "--out", str(tmp_path / "serial")])
+        errors["serial"] = (result.exit_code, result.output.strip().splitlines()[-1])
+        # parallel: only the members trained outside this process fail, or all
+        parent = os.getpid()
+
+        def fails_in_child(member, train_set, val_set, hp):
+            train = _empty_val if os.getpid() != parent else _train_period
+            return train(member, train_set, val_set, hp)
+
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 3)
+        for name, train in (("child", fails_in_child), ("every", _empty_val)):
+            monkeypatch.setattr(pipeline, "train_period", train)
+            out = tmp_path / name
+            result = runner.invoke(main, ["run", "--config", str(cfg_path), "--out", str(out)])
+            errors[name] = (result.exit_code, result.output.strip().splitlines()[-1])
+            assert not (out / ".lock").exists()
+            assert multiprocessing.active_children() == []
+        assert errors["child"] == errors["every"] == errors["serial"]
+        code, line = errors["serial"]
+        assert code == 4
+        assert json.loads(line) == {
+            "error": "NumericError", "module": "models",
+            "message": "train_period needs non-empty train and validation sets"}
+
+    def test_child_that_dies_is_an_error_not_a_hang(self, tmp_path, runner, monkeypatch):
+        cfg_path = self._config(tmp_path, runner)
+        parent = os.getpid()
+
+        def dies_in_child(member, train_set, val_set, hp):
+            if os.getpid() != parent:
+                os._exit(3)
+            return _train_period(member, train_set, val_set, hp)
+
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(pipeline, "train_period", dies_in_child)
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["run", "--config", str(cfg_path), "--out", str(out)])
+        assert isinstance(result.exception, ChildProcessError)
+        assert "exited with code 3" in str(result.exception)
+        assert not (out / ".lock").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_process_count(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 4)
+        if pipeline.blas.can_limit():
+            assert [pipeline.training_processes(n) for n in (1, 3, 6)] == [1, 3, 4]
+        monkeypatch.setattr(pipeline.blas, "can_limit", lambda: False)
+        assert pipeline.training_processes(3) == 1  # BLAS threads would oversubscribe
+
+    def test_manifest_records_environment(self, tmp_path, runner):
+        cfg_path = self._config(tmp_path, runner, n_members=1, max_periods=1)
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["run", "--config", str(cfg_path), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        env = json.loads((out / "manifest.json").read_text())["environment"]
+        assert set(env) == {"python", "numpy", "scipy", "blas", "blas_threads",
+                            "usable_cpus", "training_processes"}
+        assert env["python"].startswith("%d.%d." % sys.version_info[:2])
+        assert env["numpy"] == np.__version__
+        assert env["usable_cpus"] >= 1
+        assert env["training_processes"] == 1  # one member: no fork
+        result = runner.invoke(main, ["report", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        env = json.loads((out / "manifest.json").read_text())["environment"]
+        assert env["training_processes"] is None  # report trains nothing
+
+
 class TestStartup:
     def test_cli_import_and_help_load_no_scipy(self):
-        # scipy serves one p-value in the report; every command pays for
-        # what `import stockrank.cli` loads, so scipy stays off that path
+        # scipy serves one p-value in the report and multiprocessing only a
+        # parallel training section; every command pays for what
+        # `import stockrank.cli` loads, so both stay off that path
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
         code = (
@@ -387,7 +511,7 @@ class TestStartup:
             "except SystemExit as exc:\n"
             "    assert exc.code == 0, exc.code\n"
             "print(json.dumps(sorted(m for m in sys.modules\n"
-            "                        if m == 'scipy' or m.startswith('scipy.'))))\n"
+            "                        if m.split('.')[0] in ('scipy', 'multiprocessing'))))\n"
         )
         result = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
                                 capture_output=True, text=True, timeout=120)
@@ -409,12 +533,12 @@ class TestBenchmarkPatchPoints:
         )
         assert result.returncode == 0, result.stderr
 
-    def test_traced_run_records_span_attributes(self, tmp_path, runner):
-        # a tiny traced `run`: the benchmark's attribute functions read the
-        # universe and the SampleSets, so they must still find what they read
+    @staticmethod
+    def _traced_run(tmp_path, runner, n_members):
+        """Spans of a tiny `run` traced through perfbench/spans.py."""
         data = synth_dataset(runner, tmp_path / "d", n_stocks=12, n_days=520, event_rate=0.0)
         cfg = small_config(data, std_days=200, trainval_days=200, test_days=20, val_days=20,
-                           m=20, conv=[[3, 4]], dense=[4], n_members=1, max_epochs=1,
+                           m=20, conv=[[3, 4]], dense=[4], n_members=n_members, max_epochs=1,
                            batch_size=1024, dollar_volume_floor=1000.0)
         cfg_path = write_config(tmp_path, cfg)
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -426,7 +550,12 @@ class TestBenchmarkPatchPoints:
             cwd=root, env=env, capture_output=True, text=True, timeout=300,
         )
         assert result.returncode == 0, result.stderr
-        spans = [json.loads(line) for line in spans_path.read_text().splitlines()]
+        return [json.loads(line) for line in spans_path.read_text().splitlines()]
+
+    def test_traced_run_records_span_attributes(self, tmp_path, runner):
+        # a tiny traced `run`: the benchmark's attribute functions read the
+        # universe and the SampleSets, so they must still find what they read
+        spans = self._traced_run(tmp_path, runner, n_members=1)
         attrs = {name: a for name, _start, _end, _parent, a in spans
                  if name in ("market_data.load_ohlcv", "dataset.make_samples")}
         assert attrs["market_data.load_ohlcv"] == {"rows": 12 * 520}
@@ -434,3 +563,12 @@ class TestBenchmarkPatchPoints:
         n_features = 12 + 16
         assert attrs["dataset.make_samples"] == {
             "samples": samples, "window_bytes": samples * 20 * n_features * 8}
+
+    @pytest.mark.skipif(pipeline.training_processes(3) < 2, reason="trains in one process")
+    def test_traced_parallel_run_records_training_spans(self, tmp_path, runner):
+        # with members trained in children too, the traced process still
+        # trains its own share in place, so the step spans reach the trace
+        spans = self._traced_run(tmp_path, runner, n_members=3)
+        assert {"models.step", "models.train_period"} <= {name for name, *_rest in spans}
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["environment"]["training_processes"] >= 2
