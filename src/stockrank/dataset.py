@@ -4,8 +4,10 @@ Day indices below always refer to the feature panel's calendar. For an
 anchor day T, the prediction target is the open-to-open return from day
 T+1 to day T+2, so the last usable anchor needs two future opens.
 
-Samples are built column-wise: one gather of windows from the
-standardized span, and labels and weights computed on the return array.
+Samples are built column-wise: each period's standardized span is cast
+once to float32, and each split holds a Windows view of it that stores
+one start row per sample and gathers the (m, n) windows of a mini-batch
+when indexed. Labels and weights are computed on the return array.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .errors import DataError
 from .indicators import FeaturePanel
-from .market_data import StockSeries, Universe
+from .market_data import Universe
 
 STD_DAYS = 200
 TRAINVAL_DAYS = 200
@@ -57,18 +59,58 @@ class StandardizationStats:
     std: np.ndarray  # (n_stocks, n_features), >= 0
 
 
+class Windows:
+    """Read-only (samples, m, n) view of the windows in a standardized span.
+
+    ``span`` is (rows, days, n); sample i is the m consecutive days of row
+    ``stock[i]`` that start at day ``first_row[i]``. Only the flat start
+    row of each sample is stored: indexing with an int, a slice or an
+    index array gathers a new (..., m, n) array in the span's dtype, so a
+    mini-batch costs batch × m × n and the whole set is never
+    materialized. ``shape``, ``size`` and ``dtype`` describe the gathered
+    array; ``np.asarray`` gathers every window.
+    """
+
+    def __init__(self, span: np.ndarray, stock, first_row, m: int):
+        n_rows, n_days, n = span.shape
+        self._rows = span.reshape(n_rows * n_days, n)
+        first_row = np.asarray(first_row, dtype=np.intp)
+        self._start = np.asarray(stock, dtype=np.intp) * n_days + first_row
+        self._offsets = np.arange(m)
+        self.shape = (len(self._start), m, n)
+        self.dtype = span.dtype
+
+    @property
+    def size(self) -> int:
+        return int(np.prod(self.shape))
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, idx) -> np.ndarray:
+        return self._rows[self._start[idx][..., None] + self._offsets]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("Windows gathers a new array; it cannot be viewed without a copy")
+        out = self[:]
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+
 class SampleSet:
     """Columnar batch of (stock, anchor day) samples, stock-major.
 
     Row i of every column describes the same sample: its ticker, anchor
     day, (m, n) standardized window, one-hot label, realized return, loss
-    weight and sector id.
+    weight and sector id. ``windows`` is a Windows view: index it with a
+    batch's rows to get that batch's windows.
     """
 
-    def __init__(self, tickers, anchor_days, windows, labels, returns, weights, sector_ids):
+    def __init__(self, tickers, anchor_days, windows: Windows, labels, returns, weights,
+                 sector_ids):
         self.tickers = list(tickers)
         self.anchor_days = np.asarray(anchor_days, dtype=int)
-        self.windows = np.asarray(windows, dtype=np.float64)
+        self.windows = windows
         self.labels = np.asarray(labels, dtype=np.float64)
         self.returns = np.asarray(returns, dtype=np.float64)
         self.weights = np.asarray(weights, dtype=np.float64)
@@ -145,23 +187,12 @@ def standardize(
     return scaled, stats
 
 
-def daily_return(s: StockSeries, T: int) -> float:
-    """Open-to-open fractional return attributed to anchor day T.
-
-    r = (open[T+2] - open[T+1]) / open[T+1]; forced to 0 once the stock is
-    dead by day T+2 (its quotes are no longer tradeable).
-    """
-    if T < 0 or T + LOOKAHEAD >= len(s.bars):
-        raise DataError(f"anchor day {T} needs opens at days {T + 1} and {T + 2}")
-    if s.death_date is not None and s.bars[T + 2].date >= s.death_date:
-        return 0.0
-    o1 = s.bars[T + 1].open
-    o2 = s.bars[T + 2].open
-    return (o2 - o1) / o1
-
-
 def return_matrix(u: Universe) -> np.ndarray:
-    """(n_stocks, n_days - 2) matrix of daily_return over all valid anchors."""
+    """(n_stocks, n_days - 2) matrix of open-to-open returns, one per anchor.
+
+    Anchor T holds r = (open[T+2] - open[T+1]) / open[T+1], forced to 0
+    once the stock is dead by day T+2 (its quotes are no longer tradeable).
+    """
     opens = u.open_matrix()
     out = (opens[:, 2:] - opens[:, 1:-1]) / opens[:, 1:-1]
     for si, s in enumerate(u.stocks):
@@ -217,14 +248,15 @@ def make_samples(
     before them trains. Windows may reach back into the std range (those
     days are standardized with the same stats). Samples are ordered by
     stock, then by anchor day. ``returns`` is ``return_matrix(universe)``,
-    built once by the caller for every period.
+    built once by the caller for every period. Every split's windows view
+    the same float32 copy of the standardized span.
     """
     if panel.tickers != universe.tickers:
         raise DataError("panel and universe list different tickers")
     if returns.shape != (universe.n_stocks, universe.n_days - LOOKAHEAD):
         raise DataError(f"return matrix of shape {returns.shape} does not fit the universe")
-    scaled, _ = standardize(panel, plan)
-    offset = plan.std_range[0]  # scaled[:, d - offset, :] is panel day d
+    span = standardize(panel, plan)[0].astype(np.float32)
+    offset = plan.std_range[0]  # span[:, d - offset, :] is panel day d
 
     t0, t1 = plan.trainval_range
     e0, e1 = plan.test_range
@@ -239,12 +271,11 @@ def make_samples(
     for split, (a0, a1) in ranges.items():
         stock = np.repeat(np.arange(universe.n_stocks), a1 - a0)
         days = np.tile(np.arange(a0, a1), universe.n_stocks)
-        rows = days[:, None] + np.arange(1 - m - offset, 1 - offset)  # (n, m) span positions
         r = returns[stock, days]
         out[split] = SampleSet(
             [tickers[si] for si in stock.tolist()],
             days,
-            scaled[stock[:, None], rows],
+            Windows(span, stock, days + (1 - m - offset), m),
             assign_label(r, thresholds),
             r,
             cap_return(r, cap),

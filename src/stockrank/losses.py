@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 from .nn.autograd import Tensor, log_clip, mean, mul, neg, pow_const, sub, tsum
 
 LOG_CLIP = 1e-12
@@ -35,35 +35,6 @@ class LossKind:
     @property
     def classification(self) -> bool:
         return self.kind != "mse"
-
-
-def _check_one_hot(p: np.ndarray) -> None:
-    p = np.asarray(p)
-    if p.shape != (5,) or not np.all((p == 0) | (p == 1)) or p.sum() != 1:
-        raise NumericError(f"label must be a one-hot 5-vector, got {p!r}")
-
-
-def cross_entropy(p, q) -> float:
-    """-sum_i p_i ln q_i for a one-hot p; q clipped below at 1e-12."""
-    _check_one_hot(np.asarray(p, dtype=np.float64))
-    q = np.asarray(q, dtype=np.float64)
-    return float(-(np.asarray(p) * np.log(np.clip(q, LOG_CLIP, None))).sum())
-
-
-def return_weighted_loss(y_true, y_pred, weight: float) -> float:
-    """Cross-entropy scaled by the capped absolute next-day return."""
-    if not 0.0 <= weight <= 0.5:
-        raise NumericError(f"loss weight must lie in [0, 0.5], got {weight}")
-    return cross_entropy(y_true, y_pred) * weight
-
-
-def mse(y: float, y_hat: float) -> float:
-    return float((y - y_hat) ** 2)
-
-
-# ---------------------------------------------------------------------------
-# batched autodiff versions used in training (mean reduction over the batch)
-# ---------------------------------------------------------------------------
 
 
 def ce_per_sample(q: Tensor, p: np.ndarray) -> Tensor:

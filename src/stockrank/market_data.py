@@ -305,7 +305,7 @@ def apply_dead_stock_rule(u: Universe, price_floor: float = DEFAULT_PRICE_FLOOR)
     """Mark each stock's death_date: the first day its open is below the floor.
 
     Bars are never altered; downstream return computation forces returns to
-    zero once a stock is dead (see dataset.daily_return).
+    zero once a stock is dead (see dataset.return_matrix).
     """
     if price_floor <= 0:
         raise DataError(f"price floor must be > 0, got {price_floor}")

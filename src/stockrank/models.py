@@ -199,12 +199,13 @@ def forward(
     rng: np.random.Generator | None = None,
     update_bn_stats: bool = True,
 ) -> Tensor:
-    """Run the network on a batch of (m, n) windows.
+    """Run the network on a (batch, m, n) array of windows.
 
     Stack: embedding add, then conv blocks (conv, batch norm, leaky ReLU,
     dropout), global average pooling over time, dense blocks with the same
     trimmings, and a final dense head (softmax for classification kinds).
-    The windows are cast to the parameters' dtype, which every op keeps.
+    The windows are cast to the parameters' dtype, which every op keeps;
+    a batch gathered from a SampleSet's float32 span is already in it.
     """
     arch = state.arch
     p = state.params
@@ -232,8 +233,10 @@ def forward(
     return out
 
 
-def predict_batch(state: ModelState, windows: np.ndarray, sector_ids: np.ndarray,
+def predict_batch(state: ModelState, windows, sector_ids: np.ndarray,
                   chunk: int = 4096) -> np.ndarray:
+    """Infer-mode outputs for every window, ``chunk`` windows at a time;
+    ``windows`` is an array or a SampleSet's Windows view."""
     outs = []
     for lo in range(0, len(windows), chunk):
         outs.append(

@@ -244,7 +244,8 @@ def _train_members(members: list, train_set, val_set, hp: TrainConfig,
 
     Member i is trained by process i % processes. Process 0 is this one: it
     trains its members in place. The others are children forked here after
-    the samples are built; they read them through copy-on-write pages and
+    the samples are built; they read them (the period's float32 span and
+    each sample's start row) through copy-on-write pages and
     send back (_encode_model(member), history), which decodes to the state
     an in-place run would hold. While they run, BLAS is capped at one
     thread in every process. The first error in member order is raised, as
@@ -287,7 +288,9 @@ def train_walk_forward(cfg: RunConfig, universe: Universe, panel, plans,
                        log=lambda msg: None) -> dict:
     """Train all ensembles across the walk-forward periods.
 
-    Each period trains every (ensemble, member) pair, in that order, on
+    Each period builds its samples once (make_samples: one float32
+    standardized span, from which every mini-batch gathers its windows)
+    and trains every (ensemble, member) pair, in that order, on
     ``training_processes`` processes (see _train_members): this process
     trains pairs 0, w, 2w, ... in place and w - 1 forked children train
     the rest, each with BLAS capped at one thread. Members share nothing

@@ -3,6 +3,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
+from stockrank.dataset import Windows
 from stockrank.market_data import Bar, StockSeries, Universe
 
 
@@ -52,6 +53,14 @@ def random_walk_universe(rng, n_stocks, n_days, vol=0.02):
         steps[0] = 0.0
         opens[f"T{i:03d}"] = 50.0 * np.exp(np.cumsum(steps))
     return make_universe(opens)
+
+
+def as_windows(windows):
+    """A Windows view over a (samples, m, n) array: each sample is a span
+    row of its own, and the view keeps the array's dtype."""
+    windows = np.asarray(windows)
+    n_samples, m, _ = windows.shape
+    return Windows(windows, np.arange(n_samples), np.zeros(n_samples, dtype=int), m)
 
 
 @pytest.fixture

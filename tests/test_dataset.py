@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,6 @@ from stockrank.dataset import (
     assign_label,
     build_split_plans,
     cap_return,
-    daily_return,
     make_samples,
     return_matrix,
     standardize,
@@ -19,6 +21,7 @@ from stockrank.indicators import assemble_panel
 from stockrank.market_data import apply_dead_stock_rule
 
 from conftest import make_series, make_universe, random_walk_universe
+from reference import daily_return, gather_windows
 
 
 class TestSplitPlans:
@@ -311,7 +314,7 @@ class TestMakeSamples:
         first = int(np.argmin(train.anchor_days))
         anchor = int(train.anchor_days[first])
         assert anchor == plan.trainval_range[0]
-        scaled, _ = standardize(panel, plan)
+        scaled = standardize(panel, plan)[0].astype(np.float32)
         si = u.tickers.index(train.tickers[first])
         lo = anchor - 19 - plan.std_range[0]
         np.testing.assert_array_equal(train.windows[first], scaled[si, lo : lo + 20, :])
@@ -323,7 +326,7 @@ class TestMakeSamples:
         panel = flat_panel(u)
         plan = build_split_plans(500, m=20, offset=panel.first_all_valid_day)[0]
         out = make_samples(panel, u, plan, return_matrix(u), m=20)
-        scaled, _ = standardize(panel, plan)
+        scaled = standardize(panel, plan)[0].astype(np.float32)
         anchors = {"train": range(plan.trainval_range[0], plan.trainval_range[1] - 20),
                    "val": range(plan.trainval_range[1] - 20, plan.trainval_range[1]),
                    "test": range(*plan.test_range)}
@@ -375,3 +378,68 @@ class TestMakeSamples:
                 if ss.tickers[i] == "AAA" and ss.anchor_days[i] >= 298:
                     assert ss.weights[i] == 0.0
                     assert ss.returns[i] == 0.0
+
+
+class TestWindows:
+    """SampleSet.windows gathers each batch from the period's float32 span."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), n_stocks=st.integers(1, 4), m=st.integers(2, 20),
+           std_days=st.integers(20, 50), trainval_days=st.integers(12, 40),
+           test_days=st.integers(1, 15), plan_pick=st.integers(0, 10_000),
+           data=st.data())
+    def test_every_index_kind_gathers_the_span_windows(self, seed, n_stocks, m, std_days,
+                                                       trainval_days, test_days, plan_pick,
+                                                       data):
+        rng = np.random.default_rng(seed)
+        u = random_walk_universe(rng, n_stocks, 200)
+        panel = flat_panel(u)
+        plans = build_split_plans(u.n_days, m=m, std_days=std_days,
+                                  trainval_days=trainval_days, test_days=test_days,
+                                  offset=panel.first_all_valid_day)
+        plan = plans[plan_pick % len(plans)]
+        val_days = data.draw(st.integers(1, trainval_days - 1), label="val_days")
+        out = make_samples(panel, u, plan, return_matrix(u), m=m, val_days=val_days)
+        scaled = standardize(panel, plan)[0].astype(np.float32)
+        for ss in out.values():
+            w = ss.windows
+            expected = gather_windows(scaled, u, plan, ss, m)
+            assert w.dtype == np.float32
+            assert w.shape == expected.shape == (len(ss), m, panel.n_features)
+            assert w.size == expected.size
+            assert len(w) == len(ss)
+            everything = np.asarray(w)
+            assert everything.dtype == np.float32
+            np.testing.assert_array_equal(everything, expected)
+
+            n = len(ss)
+            picks = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3 * n),
+                              label="batch")
+            lo, hi, step = data.draw(st.tuples(st.integers(-n, n), st.integers(-n, n),
+                                               st.integers(1, 4)), label="slice")
+            scalar = data.draw(st.integers(-n, n - 1), label="scalar")
+            for idx in (rng.permutation(np.array(picks)), slice(lo, hi, step), scalar,
+                        np.array([], dtype=int)):
+                got = w[idx]
+                assert got.dtype == np.float32
+                assert got.shape == expected[idx].shape
+                np.testing.assert_array_equal(got, expected[idx])
+
+    def test_sample_sets_retain_a_fraction_of_their_windows(self):
+        u = random_walk_universe(np.random.default_rng(5), 20, 520)
+        panel = flat_panel(u)
+        plan = build_split_plans(u.n_days, m=20, offset=panel.first_all_valid_day)[0]
+        returns = return_matrix(u)
+        gc.collect()
+        tracemalloc.start()  # numpy reports its data buffers to tracemalloc
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = make_samples(panel, u, plan, returns, m=20)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        n_samples = sum(len(ss) for ss in out.values())
+        float32_windows = n_samples * 20 * panel.n_features * 4
+        assert n_samples == 20 * 220
+        assert retained < float32_windows / 4, (retained, float32_windows)

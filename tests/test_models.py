@@ -3,8 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stockrank.dataset import SampleSet, assign_label, cap_return
+from stockrank.dataset import (
+    SampleSet,
+    assign_label,
+    build_split_plans,
+    cap_return,
+    make_samples,
+    return_matrix,
+    standardize,
+)
 from stockrank.errors import ConfigError, NumericError
+from stockrank.indicators import assemble_panel
 from stockrank.losses import LossKind, batch_loss
 from stockrank.models import (
     ArchConfig,
@@ -25,6 +34,9 @@ from stockrank.models import (
 )
 from stockrank.nn import Tensor, embedding_add
 
+from conftest import as_windows, random_walk_universe
+from reference import gather_windows
+
 SMALL_ARCH = ArchConfig(m=10, n=6, conv=((3, 8), (3, 8)), dense=(8,),
                         loss="return_weighted_ce")
 
@@ -39,7 +51,7 @@ def toy_samples(rng, n, arch, signal=True):
     labels = np.stack([assign_label(r) for r in returns])
     weights = np.array([cap_return(r) for r in returns])
     tickers = [f"T{i}" for i in range(n)]
-    return SampleSet(tickers, np.arange(n), windows, labels, returns, weights,
+    return SampleSet(tickers, np.arange(n), as_windows(windows), labels, returns, weights,
                      rng.integers(0, 12, size=n))
 
 
@@ -347,10 +359,9 @@ class TestTrainPeriod:
 
     def test_empty_sample_set_rejected(self, rng):
         state = build_model(SMALL_ARCH, seed=11)
-        empty = toy_samples(rng, 0, SMALL_ARCH) if False else None
         train = toy_samples(rng, 16, SMALL_ARCH)
         with pytest.raises(NumericError):
-            train_period(state, train, SampleSet([], [], np.zeros((0, 10, 6)),
+            train_period(state, train, SampleSet([], [], as_windows(np.zeros((0, 10, 6))),
                                                  np.zeros((0, 5)), [], [], []),
                          TrainConfig.for_loss("ce"))
 
@@ -451,6 +462,41 @@ class TestFloat32Model:
             assert grads32[k].dtype == np.float32, k
             np.testing.assert_allclose(grads32[k], g64, rtol=0, atol=grad_tol * scale,
                                        err_msg=k)
+
+    def test_span_windows_train_as_the_float64_gather_did(self):
+        # make_samples gathers each batch from a float32 span; a float64
+        # gather of the same windows, cast by forward per batch, must give
+        # the same parameters, Adam moments and outputs bit for bit
+        u = random_walk_universe(np.random.default_rng(12), 5, 300)
+        panel = assemble_panel(u, basic=True, specs=[])
+        plan = build_split_plans(u.n_days, m=10, std_days=60, trainval_days=80, test_days=20,
+                                 offset=panel.first_all_valid_day)[0]
+        samples = make_samples(panel, u, plan, return_matrix(u), m=10)
+        scaled = standardize(panel, plan)[0]
+
+        def float64_gather(ss):
+            windows = as_windows(gather_windows(scaled, u, plan, ss, 10))
+            assert windows.dtype == np.float64
+            return SampleSet(ss.tickers, ss.anchor_days, windows, ss.labels, ss.returns,
+                             ss.weights, ss.sector_ids)
+
+        arch = ArchConfig(m=10, n=panel.n_features, conv=((3, 8),), dense=(8,))
+        hp = TrainConfig.for_loss(arch.loss, batch_size=64, max_epochs=1)
+
+        def run(train, val, test):
+            state = build_model(arch, seed=4)
+            train_period(state, train, val, hp)
+            return state, predict_batch(state, test.windows, test.sector_ids)
+
+        a, out_a = run(samples["train"], samples["val"], samples["test"])
+        b, out_b = run(*(float64_gather(samples[k]) for k in ("train", "val", "test")))
+        assert out_a.dtype == np.float32
+        np.testing.assert_array_equal(out_a, out_b)
+        for k in a.params:
+            np.testing.assert_array_equal(a.params[k].data, b.params[k].data, err_msg=k)
+        for ma, mb in zip(a.optimizer.m + a.optimizer.v, b.optimizer.m + b.optimizer.v):
+            np.testing.assert_array_equal(ma, mb)
+        assert a.optimizer.step_count == b.optimizer.step_count > 0
 
 
 class TestCheckpoints:
