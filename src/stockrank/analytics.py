@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,17 +32,6 @@ class MetricsReport:
     t_value: float | None
     p_value: float | None
     flags: tuple[str, ...] = ()
-
-    def to_json(self) -> str:
-        payload = asdict(self)
-        payload["flags"] = list(self.flags)
-        return json.dumps(payload, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "MetricsReport":
-        payload = json.loads(text)
-        payload["flags"] = tuple(payload["flags"])
-        return MetricsReport(**payload)
 
 
 def sharpe_ratio(portfolio_returns, rf_daily=0.0) -> float:
@@ -255,12 +243,13 @@ def grid_to_csv(grids: dict[str, dict[str, float | None]], path: str) -> None:
 def load_risk_free(path: str | None, calendar: list[dt.date]) -> np.ndarray:
     """Daily risk-free rates aligned to a calendar.
 
-    The CSV holds ``date,annual_rate`` rows; each calendar day takes the
-    most recent known annual rate divided by 252. Missing file means zero.
+    The CSV holds ``date,annual_rate`` rows, one per date, with finite
+    rates; each calendar day takes the most recent known annual rate
+    divided by 252. No file means zero.
     """
     if path is None:
         return np.zeros(len(calendar))
-    known: list[tuple[dt.date, float]] = []
+    known: dict[dt.date, float] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -272,17 +261,18 @@ def load_risk_free(path: str | None, calendar: list[dt.date]) -> np.ndarray:
             if len(row) != 2:
                 raise DataError(f"{path}:{lineno}: expected 2 columns")
             try:
-                known.append((dt.date.fromisoformat(row[0].strip()), float(row[1])))
+                day, rate = dt.date.fromisoformat(row[0].strip()), float(row[1])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
-    known.sort()
+            if not math.isfinite(rate):
+                raise DataError(f"{path}:{lineno}: non-finite rate {row[1].strip()!r}")
+            if day in known:
+                raise DataError(f"{path}:{lineno}: repeated date {day}")
+            known[day] = rate
     if not known:
         return np.zeros(len(calendar))
-    out = np.zeros(len(calendar))
-    rates = [r for _, r in known]
-    dates = [d for d, _ in known]
-    for i, day in enumerate(calendar):
-        pos = np.searchsorted(np.array(dates, dtype="datetime64[D]"),
-                              np.datetime64(day, "D"), side="right") - 1
-        out[i] = rates[pos] / TRADING_DAYS_PER_YEAR if pos >= 0 else 0.0
-    return out
+    days = sorted(known)
+    daily = np.array([known[d] for d in days]) / TRADING_DAYS_PER_YEAR
+    pos = np.searchsorted(np.array(days, dtype="datetime64[D]"),
+                          np.array(calendar, dtype="datetime64[D]"), side="right") - 1
+    return np.where(pos >= 0, daily[pos], 0.0)

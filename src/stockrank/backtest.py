@@ -4,6 +4,10 @@ All strategies trade at the open with perfect fills and no costs, stay
 fully invested, and accrue each day's open-to-open return on the weights
 held after that day's rebalance. Long-short variants earn the arithmetic
 difference of their two legs' daily returns on unit capital.
+
+A strategy's BacktestLedger holds, per day, the date, the weights held
+after the rebalance, the day's return and the compounded value: the
+columns of ledgers/<name>.csv, from which the report is rebuilt.
 """
 
 from __future__ import annotations
@@ -50,23 +54,18 @@ class DailyRanking:
 
 @dataclass
 class BacktestLedger:
-    """Per-day holdings, trades, and compounded portfolio value."""
+    """Per-day holdings and compounded portfolio value."""
 
-    strategy: str
-    param: int | None = None
     dates: list = field(default_factory=list)
     daily_returns: list[float] = field(default_factory=list)
     values: list[float] = field(default_factory=list)
     holdings: list[dict[str, float]] = field(default_factory=list)
-    trades: list[dict[str, list[str]]] = field(default_factory=list)
 
-    def append(self, date, holdings: dict[str, float], trades: dict[str, list[str]],
-               day_return: float) -> None:
+    def append(self, date, holdings: dict[str, float], day_return: float) -> None:
         day_return = float(day_return)
         prev = self.values[-1] if self.values else 1.0
         self.dates.append(date)
         self.holdings.append({t: float(w) for t, w in holdings.items()})
-        self.trades.append(trades)
         self.daily_returns.append(day_return)
         self.values.append(prev * (1.0 + day_return))
 
@@ -89,8 +88,8 @@ class BacktestLedger:
                 fh.write(f"{date},{value!r}\n")
 
     @staticmethod
-    def from_csv(path: str, strategy: str = "", param: int | None = None) -> "BacktestLedger":
-        ledger = BacktestLedger(strategy=strategy, param=param)
+    def from_csv(path: str) -> "BacktestLedger":
+        ledger = BacktestLedger()
         with open(path, newline="") as fh:
             header = fh.readline().strip()
             if header != "date,value,daily_return,holdings":
@@ -111,7 +110,7 @@ class BacktestLedger:
                     raise DataError(f"{path}:{lineno}: malformed ledger line {line!r}") from exc
                 if not all(map(math.isfinite, (day_return, *holdings.values()))):
                     raise DataError(f"{path}:{lineno}: non-finite return or weight")
-                ledger.append(date, holdings, {"sell": [], "buy": []}, day_return)
+                ledger.append(date, holdings, day_return)
         return ledger
 
 
@@ -123,7 +122,7 @@ def rank_for_day(date, scores: dict[str, float]) -> DailyRanking:
 
 def rebalance_topk(
     current: dict[str, float], target: list[str], mode: str = "drift"
-) -> tuple[dict[str, list[str]], dict[str, float]]:
+) -> dict[str, float]:
     """Move a long-only portfolio onto the target name list.
 
     Drift mode: names already held keep their drifted weights, proceeds
@@ -134,15 +133,12 @@ def rebalance_topk(
         raise DataError(f"unknown rebalance mode {mode!r}")
     if not target:
         raise DataError("rebalance target is empty")
-    target_set = set(target)
-    sells = sorted(t for t in current if t not in target_set)
-    buys = sorted(t for t in target if t not in current)
-    trades = {"sell": sells, "buy": buys}
-
     if mode == "equal":
         w = 1.0 / len(target)
-        return trades, {t: w for t in target}
+        return {t: w for t in target}
 
+    target_set = set(target)
+    buys = sorted(t for t in target if t not in current)
     kept = {t: w for t, w in current.items() if t in target_set}
     freed = 1.0 - sum(kept.values())
     new = dict(kept)
@@ -151,7 +147,7 @@ def rebalance_topk(
         for t in buys:
             new[t] = slice_w
     total = sum(new.values())
-    return trades, {t: w / total for t, w in new.items()}
+    return {t: w / total for t, w in new.items()}
 
 
 def _drift(holdings: dict[str, float], returns: dict[str, float],
@@ -161,19 +157,18 @@ def _drift(holdings: dict[str, float], returns: dict[str, float],
 
 
 def _run_long_only(
-    select_fn, rankings: list[DailyRanking], returns_by_day: list[dict[str, float]],
-    mode: str, strategy: str, param: int | None,
+    select_fn, rankings: list[DailyRanking], returns_by_day: list[dict[str, float]], mode: str,
 ) -> BacktestLedger:
-    ledger = BacktestLedger(strategy=strategy, param=param)
+    ledger = BacktestLedger()
     holdings: dict[str, float] = {}
     for ranking, rets in zip(rankings, returns_by_day):
         target = select_fn(ranking)
-        trades, holdings = rebalance_topk(holdings, target, mode=mode)
+        holdings = rebalance_topk(holdings, target, mode=mode)
         missing = [t for t in holdings if t not in rets]
         if missing:
             raise DataError(f"{ranking.date}: no returns for held tickers {missing}")
         day_return = sum(w * rets[t] for t, w in sorted(holdings.items()))
-        ledger.append(ranking.date, dict(holdings), trades, day_return)
+        ledger.append(ranking.date, dict(holdings), day_return)
         holdings = _drift(holdings, rets, day_return)
     return ledger
 
@@ -211,31 +206,28 @@ def simulate(
             raise DataError(f"k={k} exceeds universe size {n_universe}")
 
     if strategy == "topk":
-        return _run_long_only(lambda r: r.top(k), rankings, returns_by_day,
-                              rebalance_mode, strategy, k)
+        return _run_long_only(lambda r: r.top(k), rankings, returns_by_day, rebalance_mode)
     if strategy == "bottomk":
-        return _run_long_only(lambda r: r.bottom(k), rankings, returns_by_day,
-                              rebalance_mode, strategy, k)
+        return _run_long_only(lambda r: r.bottom(k), rankings, returns_by_day, rebalance_mode)
     if strategy == "top_decile":
         return _run_long_only(lambda r: r.top(_decile_size(len(r.entries))),
-                              rankings, returns_by_day, "equal", strategy, None)
+                              rankings, returns_by_day, "equal")
     if strategy == "bottom_decile":
         return _run_long_only(lambda r: r.bottom(_decile_size(len(r.entries))),
-                              rankings, returns_by_day, "equal", strategy, None)
+                              rankings, returns_by_day, "equal")
     if strategy == "market_equal_weight":
         if alive_by_day is None:
             alive_by_day = [r.tickers for r in rankings]
         if len(alive_by_day) != len(rankings):
             raise DataError("alive_by_day does not align with rankings")
-        ledger = BacktestLedger(strategy=strategy)
+        ledger = BacktestLedger()
         for ranking, rets, alive in zip(rankings, returns_by_day, alive_by_day):
             names = sorted(alive)
             if not names:
                 raise DataError(f"{ranking.date}: no alive stocks for the market portfolio")
             w = 1.0 / len(names)
             day_return = sum(w * rets[t] for t in names)
-            ledger.append(ranking.date, {t: w for t in names}, {"sell": [], "buy": []},
-                          day_return)
+            ledger.append(ranking.date, {t: w for t in names}, day_return)
         return ledger
 
     # long-short: arithmetic difference of the two legs' returns
@@ -244,16 +236,13 @@ def simulate(
                             rebalance_mode=rebalance_mode)
         short_leg = simulate("bottomk", rankings, returns_by_day, k=k,
                              rebalance_mode=rebalance_mode)
-        param = k
     else:
         long_leg = simulate("top_decile", rankings, returns_by_day)
         short_leg = simulate("bottom_decile", rankings, returns_by_day)
-        param = None
-    ledger = BacktestLedger(strategy=strategy, param=param)
+    ledger = BacktestLedger()
     for i, ranking in enumerate(rankings):
         day_return = long_leg.daily_returns[i] - short_leg.daily_returns[i]
-        ledger.append(ranking.date, dict(long_leg.holdings[i]),
-                      long_leg.trades[i], day_return)
+        ledger.append(ranking.date, dict(long_leg.holdings[i]), day_return)
     return ledger
 
 
@@ -265,13 +254,12 @@ def combine_strategies(ledgers: list[BacktestLedger]) -> BacktestLedger:
     for other in ledgers[1:]:
         if other.dates != first.dates:
             raise DataError("ledgers cover different dates; cannot combine")
-    out = BacktestLedger(strategy=f"combined[{len(ledgers)}x{first.strategy}]",
-                         param=first.param)
+    out = BacktestLedger()
     for i, date in enumerate(first.dates):
         day_return = sum(led.daily_returns[i] for led in ledgers) / len(ledgers)
         merged: dict[str, float] = {}
         for led in ledgers:
             for t, w in led.holdings[i].items():
                 merged[t] = merged.get(t, 0.0) + w / len(ledgers)
-        out.append(date, merged, {"sell": [], "buy": []}, day_return)
+        out.append(date, merged, day_return)
     return out

@@ -140,7 +140,11 @@ def train(config_path, seed, out, loss):
               help="restrict to these strategies")
 @_guarded
 def backtest(config_path, out, strategy):
-    """Simulate strategies from previously written ranking scores."""
+    """Simulate strategies from previously written ranking scores.
+
+    Writes ledgers/<name>.csv per strategy: each day's date, value, return
+    and the weights held after that day's rebalance.
+    """
     cfg = load_config(config_path)
     if strategy:
         cfg.strategies = list(strategy)
@@ -149,7 +153,7 @@ def backtest(config_path, out, strategy):
         raise DataError(f"no scores at {scores_path}; run train first")
     with run_lock(out):
         universe = load_universe(cfg)
-        rankings = read_scores_csv(scores_path, universe.calendar)
+        rankings = read_scores_csv(scores_path, universe)
         ledgers = run_strategies(cfg, universe, rankings)
         ledger_dir = write_ledgers(ledgers, out)
         write_manifest(cfg, out)
@@ -173,9 +177,7 @@ def report(out):
         ledgers = {}
         for name in sorted(os.listdir(ledger_dir)):
             if name.endswith(".csv"):
-                ledgers[name[:-4]] = BacktestLedger.from_csv(
-                    os.path.join(ledger_dir, name), strategy=name[:-4]
-                )
+                ledgers[name[:-4]] = BacktestLedger.from_csv(os.path.join(ledger_dir, name))
         if "market_equal_weight" not in ledgers:
             raise DataError("no market_equal_weight ledger to benchmark against")
         payload = write_report(cfg, ledgers, out)

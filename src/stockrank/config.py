@@ -11,12 +11,17 @@ import datetime as dt
 import hashlib
 import json
 import os
+import types
+import typing
 from dataclasses import asdict, dataclass, field
 
 from .backtest import REBALANCE_MODES, STRATEGIES
+from .dataset import DEFAULT_THRESHOLDS, RETURN_CAP, STD_DAYS, TEST_DAYS, TRAIN_DAYS, TRAINVAL_DAYS
 from .errors import ConfigError
 from .indicators import DEFAULT_TECHNICAL_16, _REGISTRY
 from .losses import LOSS_KINDS
+from .market_data import DEFAULT_DOLLAR_VOLUME_FLOOR, DEFAULT_PRICE_FLOOR
+from .models import MOE_WINDOW
 
 _CLI_LOSS_ALIASES = {"new": "return_weighted_ce", "ce": "ce", "mse": "mse"}
 
@@ -29,20 +34,20 @@ class RunConfig:
     rf_path: str | None = None
     start: str | None = None  # ISO dates; None = full span
     end: str | None = None
-    dollar_volume_floor: float = 10_000_000.0
-    price_floor: float = 0.1
+    dollar_volume_floor: float = DEFAULT_DOLLAR_VOLUME_FLOOR
+    price_floor: float = DEFAULT_PRICE_FLOOR
     # features
     use_basic: bool = True
     technical: list[str] = field(default_factory=lambda: list(DEFAULT_TECHNICAL_16))
     # windowing
     m: int = 20
-    std_days: int = 200
-    trainval_days: int = 200
-    test_days: int = 20
-    val_days: int = 20
+    std_days: int = STD_DAYS
+    trainval_days: int = TRAINVAL_DAYS
+    test_days: int = TEST_DAYS
+    val_days: int = TRAINVAL_DAYS - TRAIN_DAYS
     # labeling
-    label_thresholds: tuple[float, float] = (0.01, 0.03)
-    return_cap: float = 0.5
+    label_thresholds: tuple[float, float] = DEFAULT_THRESHOLDS
+    return_cap: float = RETURN_CAP
     # model
     loss: str = "return_weighted_ce"
     conv: list[list[int]] = field(default_factory=lambda: [[3, 48], [3, 64], [3, 96]])
@@ -54,7 +59,7 @@ class RunConfig:
     # ensemble
     n_members: int = 3
     combine_mode: str = "moe"
-    moe_window: int = 6
+    moe_window: int = MOE_WINDOW
     n_ensembles: int = 1
     # backtest
     strategies: list[str] = field(default_factory=lambda: list(STRATEGIES))
@@ -103,6 +108,8 @@ class RunConfig:
             raise ConfigError(f"unknown loss {self.loss!r}")
         if self.dropout is not None and not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        if any(len(c) != 2 or min(c) < 1 for c in self.conv):
+            raise ConfigError(f"conv must be a list of [k, channels] pairs >= 1, got {self.conv}")
         if sum(k - 1 for k, _ in self.conv) >= self.m:
             raise ConfigError("conv stack consumes the whole time axis")
         if self.batch_size < 1 or self.max_epochs < 0:
@@ -132,9 +139,26 @@ class RunConfig:
         return hashlib.sha256(self.to_json().encode()).hexdigest()
 
 
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has the type of a RunConfig annotation: a bool is
+    no int, an int is a float, and a tuple takes a list of its length."""
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is list:
+        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+    if origin is tuple:
+        return (isinstance(value, (list, tuple)) and len(value) == len(args)
+                and all(map(_fits, value, args)))
+    if hint is bool or isinstance(value, bool):
+        return hint is bool and isinstance(value, bool)
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     """Read and validate a config JSON; relative data paths resolve against
-    the config file's directory. Unknown keys are errors."""
+    the config file's directory. Unknown keys and values of the wrong type
+    are errors."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -150,6 +174,11 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"config {path} has unknown keys: {unknown}")
     if overrides:
         raw.update(overrides)
+    hints = typing.get_type_hints(RunConfig)
+    for key, value in sorted(raw.items()):
+        if not _fits(value, hints[key]):
+            kind = RunConfig.__dataclass_fields__[key].type
+            raise ConfigError(f"config {path}: {key} must be {kind}, got {value!r}")
     cfg = RunConfig(**raw)
     if isinstance(cfg.label_thresholds, list):
         cfg.label_thresholds = tuple(cfg.label_thresholds)

@@ -27,7 +27,6 @@ TRAIN_DAYS = 180  # leading part of the train/val window; the rest validates
 LOOKAHEAD = 2  # opens at T+1 and T+2 label anchor day T
 SIGMA_EPS = 1e-8
 RETURN_CAP = 0.5
-LABEL_NAMES = ("strong_sell", "sell", "hold", "buy", "strong_buy")
 N_CLASSES = 5
 DEFAULT_THRESHOLDS = (0.01, 0.03)
 
@@ -49,14 +48,6 @@ class SplitPlan:
             raise DataError(f"split plan ranges must be non-empty: {self}")
         if not (s1 == t0 and t1 == e0):
             raise DataError(f"split plan ranges are not contiguous: {self}")
-
-
-@dataclass(frozen=True)
-class StandardizationStats:
-    """Per (stock, feature) mean and standard deviation over the std range."""
-
-    mean: np.ndarray  # (n_stocks, n_features)
-    std: np.ndarray  # (n_stocks, n_features), >= 0
 
 
 class Windows:
@@ -162,15 +153,14 @@ def build_split_plans(
     return plans
 
 
-def standardize(
-    panel: FeaturePanel, plan: SplitPlan
-) -> tuple[np.ndarray, StandardizationStats]:
+def standardize(panel: FeaturePanel, plan: SplitPlan) -> np.ndarray:
     """Standardize the plan's span with stats from its std range.
 
-    Returns the standardized slice covering days [std_start, test_end) and
-    the per-(stock, feature) stats. Stats use the population standard
-    deviation; sigma below SIGMA_EPS is clamped so constant features map
-    to large finite values instead of crashing.
+    Returns the (n_stocks, days, n_features) slice covering days
+    [std_start, test_end), scaled per (stock, feature) by the mean and
+    population standard deviation over the std range; sigma below
+    SIGMA_EPS is clamped so constant features map to large finite values
+    instead of crashing.
     """
     s0, s1 = plan.std_range
     if int(panel.valid_start.max()) > s0:
@@ -181,10 +171,8 @@ def standardize(
     base = panel.values[:, s0:s1, :]
     mean = base.mean(axis=1)
     std = base.std(axis=1)
-    stats = StandardizationStats(mean=mean, std=std)
     span = panel.values[:, s0 : plan.test_range[1], :]
-    scaled = (span - mean[:, None, :]) / np.maximum(std, SIGMA_EPS)[:, None, :]
-    return scaled, stats
+    return (span - mean[:, None, :]) / np.maximum(std, SIGMA_EPS)[:, None, :]
 
 
 def return_matrix(u: Universe) -> np.ndarray:
@@ -255,7 +243,7 @@ def make_samples(
         raise DataError("panel and universe list different tickers")
     if returns.shape != (universe.n_stocks, universe.n_days - LOOKAHEAD):
         raise DataError(f"return matrix of shape {returns.shape} does not fit the universe")
-    span = standardize(panel, plan)[0].astype(np.float32)
+    span = standardize(panel, plan).astype(np.float32)
     offset = plan.std_range[0]  # span[:, d - offset, :] is panel day d
 
     t0, t1 = plan.trainval_range

@@ -22,9 +22,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DataError
 from .market_data import Universe
 
-Category = str  # one of: momentum, volume, volatility, trend, basic
-
-
 @dataclass(frozen=True)
 class FeatureSpec:
     """A named indicator with its parameters and history requirement.
@@ -34,7 +31,6 @@ class FeatureSpec:
     """
 
     name: str
-    category: Category
     params: dict = field(default_factory=dict)
     warmup: int = 1
 
@@ -68,11 +64,6 @@ class FeaturePanel:
     @property
     def first_all_valid_day(self) -> int:
         return int(self.valid_start.max())
-
-    def mask(self) -> np.ndarray:
-        """(n_days, n_features) boolean validity mask."""
-        days = np.arange(len(self.dates))[:, None]
-        return days >= self.valid_start[None, :]
 
     def to_csv(self, path: str) -> None:
         header = ["ticker", "date"] + list(self.feature_names)
@@ -404,35 +395,34 @@ def _ind_ichimoku_a(o, h, lo, v, p):
     return (conv + base) / 2.0
 
 
-# name -> (category, default params, warmup fn, kernel)
+# name -> (default params, warmup fn, kernel)
 _REGISTRY = {
-    "stoch_rsi": ("momentum", {"window": 14, "stoch_window": 14},
+    "stoch_rsi": ({"window": 14, "stoch_window": 14},
                   lambda p: int(p["window"]) + int(p["stoch_window"]), _ind_stoch_rsi),
-    "stoch_osc": ("momentum", {"window": 14}, lambda p: int(p["window"]), _ind_stoch_osc),
-    "awesome_osc": ("momentum", {"fast": 5, "slow": 34}, lambda p: int(p["slow"]), _ind_awesome_osc),
-    "pvo": ("momentum", {"fast": 12, "slow": 26}, lambda p: int(p["slow"]), _ind_pvo),
-    "kama": ("momentum", {"window": 10, "fast": 2, "slow": 30},
-             lambda p: int(p["window"]) + 1, _ind_kama),
-    "williams_r": ("momentum", {"window": 14}, lambda p: int(p["window"]), _ind_williams_r),
-    "adi": ("volume", {}, lambda p: 1, _ind_adi),
-    "eom": ("volume", {"window": 14}, lambda p: int(p["window"]) + 1, _ind_eom),
-    "force_index": ("volume", {"window": 13}, lambda p: int(p["window"]) + 1, _ind_force_index),
-    "cmf": ("volume", {"window": 20}, lambda p: int(p["window"]), _ind_cmf),
-    "vpt": ("volume", {}, lambda p: 2, _ind_vpt),
-    "atr": ("volatility", {"window": 14}, lambda p: int(p["window"]) + 1, _ind_atr),
-    "bollinger_hband": ("volatility", {"window": 20, "n_std": 2.0},
-                        lambda p: int(p["window"]), _ind_bollinger_hband),
-    "donchian_width": ("volatility", {"window": 20}, lambda p: int(p["window"]), _ind_donchian_width),
-    "ulcer": ("volatility", {"window": 14}, lambda p: 2 * int(p["window"]) - 1, _ind_ulcer),
-    "adx": ("trend", {"window": 14}, lambda p: 2 * int(p["window"]), _ind_adx),
-    "aroon_up": ("trend", {"window": 25}, lambda p: int(p["window"]) + 1, _ind_aroon_up),
-    "aroon_down": ("trend", {"window": 25}, lambda p: int(p["window"]) + 1, _ind_aroon_down),
-    "ichimoku_a": ("trend", {"conv": 9, "base": 26}, lambda p: int(p["base"]), _ind_ichimoku_a),
-    "rsi": ("momentum", {"window": 14}, lambda p: int(p["window"]) + 1, _ind_rsi),
+    "stoch_osc": ({"window": 14}, lambda p: int(p["window"]), _ind_stoch_osc),
+    "awesome_osc": ({"fast": 5, "slow": 34}, lambda p: int(p["slow"]), _ind_awesome_osc),
+    "pvo": ({"fast": 12, "slow": 26}, lambda p: int(p["slow"]), _ind_pvo),
+    "kama": ({"window": 10, "fast": 2, "slow": 30}, lambda p: int(p["window"]) + 1, _ind_kama),
+    "williams_r": ({"window": 14}, lambda p: int(p["window"]), _ind_williams_r),
+    "adi": ({}, lambda p: 1, _ind_adi),
+    "eom": ({"window": 14}, lambda p: int(p["window"]) + 1, _ind_eom),
+    "force_index": ({"window": 13}, lambda p: int(p["window"]) + 1, _ind_force_index),
+    "cmf": ({"window": 20}, lambda p: int(p["window"]), _ind_cmf),
+    "vpt": ({}, lambda p: 2, _ind_vpt),
+    "atr": ({"window": 14}, lambda p: int(p["window"]) + 1, _ind_atr),
+    "bollinger_hband": ({"window": 20, "n_std": 2.0}, lambda p: int(p["window"]),
+                        _ind_bollinger_hband),
+    "donchian_width": ({"window": 20}, lambda p: int(p["window"]), _ind_donchian_width),
+    "ulcer": ({"window": 14}, lambda p: 2 * int(p["window"]) - 1, _ind_ulcer),
+    "adx": ({"window": 14}, lambda p: 2 * int(p["window"]), _ind_adx),
+    "aroon_up": ({"window": 25}, lambda p: int(p["window"]) + 1, _ind_aroon_up),
+    "aroon_down": ({"window": 25}, lambda p: int(p["window"]) + 1, _ind_aroon_down),
+    "ichimoku_a": ({"conv": 9, "base": 26}, lambda p: int(p["base"]), _ind_ichimoku_a),
+    "rsi": ({"window": 14}, lambda p: int(p["window"]) + 1, _ind_rsi),
 }
 
-#: The full indicator set (19 names, excluding plain rsi which exists for
-#: the regression baselines).
+#: The full indicator set: 19 names. Plain rsi is a configurable indicator
+#: that no default set includes.
 ALL_TECHNICAL_NAMES = tuple(n for n in _REGISTRY if n != "rsi")
 
 #: Default selection of 16 indicators used alongside the 12 basic features.
@@ -447,13 +437,9 @@ def make_spec(name: str, **overrides) -> FeatureSpec:
     """Build a FeatureSpec for a registered indicator, with param overrides."""
     if name not in _REGISTRY:
         raise DataError(f"unknown technical feature: {name!r}")
-    category, defaults, warmup_fn, _ = _REGISTRY[name]
+    defaults, warmup_fn, _ = _REGISTRY[name]
     params = {**defaults, **overrides}
-    return FeatureSpec(name=name, category=category, params=params, warmup=warmup_fn(params))
-
-
-def default_specs(names=DEFAULT_TECHNICAL_16) -> list[FeatureSpec]:
-    return [make_spec(n) for n in names]
+    return FeatureSpec(name=name, params=params, warmup=warmup_fn(params))
 
 
 def _technical_matrix(
@@ -464,7 +450,7 @@ def _technical_matrix(
     for spec in specs:
         if spec.name not in _REGISTRY:
             raise DataError(f"unknown technical feature: {spec.name!r}")
-        kernel = _REGISTRY[spec.name][3]
+        kernel = _REGISTRY[spec.name][2]
         cols.append(kernel(o, h, lo, v, spec.params))
         valid.append(spec.warmup - 1)
     return np.stack(cols, axis=-1), np.array(valid, dtype=int)

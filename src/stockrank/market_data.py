@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -80,9 +80,6 @@ class StockSeries:
     def lows(self) -> np.ndarray:
         return np.array([b.low for b in self.bars], dtype=np.float64)
 
-    def closes(self) -> np.ndarray:
-        return np.array([b.close for b in self.bars], dtype=np.float64)
-
     def volumes(self) -> np.ndarray:
         return np.array([b.volume for b in self.bars], dtype=np.float64)
 
@@ -99,7 +96,6 @@ class Universe:
 
     calendar: tuple[dt.date, ...]
     stocks: tuple[StockSeries, ...]
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_days(self) -> int:
@@ -126,21 +122,6 @@ class Universe:
     def volume_matrix(self) -> np.ndarray:
         return np.stack([s.volumes() for s in self.stocks])
 
-    def check_rectangular(self) -> None:
-        """Raise DataError on any calendar misalignment."""
-        for s in self.stocks:
-            if len(s.bars) != len(self.calendar):
-                raise DataError(
-                    f"stock {s.ticker} has {len(s.bars)} bars for a "
-                    f"{len(self.calendar)}-day calendar"
-                )
-            for bar, day in zip(s.bars, self.calendar):
-                if bar.date != day:
-                    raise DataError(
-                        f"stock {s.ticker}: bar dated {bar.date} where the "
-                        f"calendar expects {day}"
-                    )
-
 
 def _parse_date(text: str, where: str) -> dt.date:
     try:
@@ -160,7 +141,8 @@ def _parse_float(text: str, colname: str, where: str) -> float:
 
 
 def load_sector_map(sector_path: str) -> dict[str, int]:
-    """Read ``ticker,sector`` CSV into ticker -> sector_id (0..11)."""
+    """Read ``ticker,sector`` CSV into ticker -> sector_id (0..11); each
+    ticker may appear once."""
     name_to_id = {name.lower(): i for i, name in enumerate(SECTOR_NAMES)}
     out: dict[str, int] = {}
     with open(sector_path, newline="") as fh:
@@ -174,6 +156,8 @@ def load_sector_map(sector_path: str) -> dict[str, int]:
             if len(row) != 2:
                 raise DataError(f"{sector_path}:{lineno}: expected 2 columns, got {len(row)}")
             ticker, sector = row[0].strip(), row[1].strip()
+            if ticker in out:
+                raise DataError(f"{sector_path}:{lineno}: repeated ticker {ticker!r}")
             out[ticker] = name_to_id.get(sector.lower(), NO_SECTOR_ID)
     return out
 
@@ -239,7 +223,6 @@ def load_ohlcv(
         raise DataError(f"{path}: no data rows")
 
     # Range handling: keep stocks whose bars span the requested window.
-    dropped: list[str] = []
     kept: dict[str, list[Bar]] = {}
     for ticker, by_date in per_ticker.items():
         dates = sorted(by_date)
@@ -247,7 +230,6 @@ def load_ohlcv(
         want_lo = start if start is not None else lo_d
         want_hi = end if end is not None else hi_d
         if lo_d > want_lo or hi_d < want_hi:
-            dropped.append(ticker)
             continue
         bars = [by_date[d] for d in dates if want_lo <= d <= want_hi]
         kept[ticker] = bars
@@ -279,8 +261,7 @@ def load_ohlcv(
                 dead = True
         stocks.append(StockSeries(ticker, sectors.get(ticker, NO_SECTOR_ID), tuple(bars)))
 
-    meta = {"source": path, "dropped_non_spanning": sorted(dropped)}
-    return Universe(calendar=calendar, stocks=tuple(stocks), meta=meta)
+    return Universe(calendar=calendar, stocks=tuple(stocks))
 
 
 def filter_by_dollar_volume(
@@ -296,9 +277,7 @@ def filter_by_dollar_volume(
             kept.append(s)
     if not kept:
         raise DataError("dollar-volume filter removed every stock")
-    meta = dict(u.meta)
-    meta["dollar_volume_floor"] = threshold
-    return Universe(calendar=u.calendar, stocks=tuple(kept), meta=meta)
+    return Universe(calendar=u.calendar, stocks=tuple(kept))
 
 
 def apply_dead_stock_rule(u: Universe, price_floor: float = DEFAULT_PRICE_FLOOR) -> Universe:
@@ -317,6 +296,4 @@ def apply_dead_stock_rule(u: Universe, price_floor: float = DEFAULT_PRICE_FLOOR)
                 death = bar.date
                 break
         stocks.append(replace(s, death_date=death))
-    meta = dict(u.meta)
-    meta["price_floor"] = price_floor
-    return Universe(calendar=u.calendar, stocks=tuple(stocks), meta=meta)
+    return Universe(calendar=u.calendar, stocks=tuple(stocks))

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .losses import LossKind, batch_loss
+from .market_data import N_SECTORS
 from .nn.autograd import (
     BatchNormState,
     Tensor,
@@ -34,7 +35,6 @@ from .nn.autograd import (
 from .nn.optim import AdamOptimizer, EarlyStopping, ReduceOnPlateau
 
 SCORE_VECTOR = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-N_SECTOR_ROWS = 12
 MOE_WINDOW = 6
 
 
@@ -157,7 +157,7 @@ def build_model(arch: ArchConfig, seed: int) -> ModelState:
     params: dict[str, Tensor] = {}
     bn_states: dict[str, BatchNormState] = {}
 
-    params["embedding"] = _param(rng.uniform(-0.05, 0.05, size=(N_SECTOR_ROWS, arch.n)))
+    params["embedding"] = _param(rng.uniform(-0.05, 0.05, size=(N_SECTORS, arch.n)))
     ch_in = arch.n
     for i, (k, ch_out) in enumerate(arch.conv):
         std = np.sqrt(2.0 / (k * ch_in))
@@ -451,16 +451,6 @@ def _decode_model(blob: bytes) -> ModelState:
     opt.load_state_dict({**header["optimizer"], "m": m_list, "v": v_list})
     state.optimizer = opt
     return state
-
-
-def save_checkpoint(state: ModelState, path: str) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_encode_model(state))
-
-
-def load_checkpoint(path: str) -> ModelState:
-    with open(path, "rb") as fh:
-        return _decode_model(fh.read())
 
 
 def save_ensemble(ens: EnsembleState, path: str) -> None:

@@ -38,6 +38,7 @@ import os
 import sys
 import traceback
 from contextlib import contextmanager, suppress
+from dataclasses import asdict
 
 import numpy as np
 
@@ -393,9 +394,8 @@ def run_strategies(cfg: RunConfig, universe: Universe,
                 simulate(strategy, ranks, returns_by_day, k=cfg.k,
                          alive_by_day=alive_by_day, rebalance_mode=cfg.rebalance_mode)
             )
-        led = per_ensemble[0] if len(per_ensemble) == 1 else combine_strategies(per_ensemble)
-        led.strategy = strategy
-        ledgers[strategy] = led
+        ledgers[strategy] = (per_ensemble[0] if len(per_ensemble) == 1
+                             else combine_strategies(per_ensemble))
     if "market_equal_weight" not in ledgers:
         ranks = [r for _, r in rankings[0]]
         ledgers["market_equal_weight"] = simulate(
@@ -412,9 +412,15 @@ def write_scores_csv(scores_rows: list[tuple], path: str) -> None:
             writer.writerow([row[0], row[1], row[2], row[3], repr(row[4])])
 
 
-def read_scores_csv(path: str, calendar) -> dict[int, list]:
+def read_scores_csv(path: str, universe: Universe) -> dict[int, list]:
     """Rebuild per-ensemble daily rankings, as (calendar day index, DailyRanking)
-    pairs in date order, from a scores.csv."""
+    pairs in date order, from a scores.csv.
+
+    Every row names a universe ticker, and every (ensemble, date) ranks all
+    of them once, as the train stage writes them.
+    """
+    calendar = universe.calendar
+    tickers = set(universe.tickers)
     day_index = {d.isoformat(): i for i, d in enumerate(calendar)}
     per_day: dict[tuple[int, int], dict[str, float]] = {}
     with open(path, newline="") as fh:
@@ -436,6 +442,8 @@ def read_scores_csv(path: str, calendar) -> dict[int, list]:
                 raise DataError(f"{where}: non-finite score {row[4]!r}")
             if row[2] not in day_index:
                 raise DataError(f"{where}: scores date {row[2]} not on the universe calendar")
+            if row[3] not in tickers:
+                raise DataError(f"{where}: ticker {row[3]!r} is not in the universe")
             day_scores = per_day.setdefault((e, day_index[row[2]]), {})
             if row[3] in day_scores:
                 raise DataError(f"{where}: duplicate (ensemble, date, ticker) row "
@@ -443,6 +451,9 @@ def read_scores_csv(path: str, calendar) -> dict[int, list]:
             day_scores[row[3]] = score
     rankings: dict[int, list] = {}
     for (e, d) in sorted(per_day):
+        if len(per_day[(e, d)]) != len(tickers):
+            raise DataError(f"{path}: ensemble {e} on {calendar[d]} ranks "
+                            f"{len(per_day[(e, d)])} of the {len(tickers)} universe tickers")
         rankings.setdefault(e, []).append((d, rank_for_day(calendar[d], per_day[(e, d)])))
     return rankings
 
@@ -470,6 +481,12 @@ def _training_summary(out_dir: str) -> dict:
 
 
 def write_report(cfg: RunConfig, ledgers: dict[str, BacktestLedger], out_dir: str) -> dict:
+    """Write report/nav_<name>.csv per ledger, report/metrics.json and, when
+    a topk ledger exists, report/grid.csv; return the metrics.json payload.
+
+    Each strategy's entry in metrics.json is its MetricsReport as
+    dataclasses.asdict gives it, measured against market_equal_weight.
+    """
     report_dir = os.path.join(out_dir, "report")
     os.makedirs(report_dir, exist_ok=True)
     market = ledgers["market_equal_weight"]
@@ -480,9 +497,7 @@ def write_report(cfg: RunConfig, ledgers: dict[str, BacktestLedger], out_dir: st
     reports = {}
     for name, led in sorted(ledgers.items()):
         bench = market if name != "market_equal_weight" else None
-        reports[name] = json.loads(
-            build_report(led, bench, rf_daily=rf, paired_t=cfg.paired_t_test).to_json()
-        )
+        reports[name] = asdict(build_report(led, bench, rf_daily=rf, paired_t=cfg.paired_t_test))
         led.nav_to_csv(os.path.join(report_dir, f"nav_{name}.csv"))
 
     grid = build_metric_grid(

@@ -46,6 +46,12 @@ def make_universe(opens_by_ticker, calendar=None, sectors=None, volumes=None):
     return Universe(calendar=calendar, stocks=tuple(stocks))
 
 
+def assert_on_calendar(u):
+    """Every stock has exactly one bar per calendar day, in calendar order."""
+    for s in u.stocks:
+        assert tuple(b.date for b in s.bars) == u.calendar, s.ticker
+
+
 def random_walk_universe(rng, n_stocks, n_days, vol=0.02):
     opens = {}
     for i in range(n_stocks):

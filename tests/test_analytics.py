@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -19,13 +21,13 @@ from stockrank.analytics import (
     t_test_vs_market,
 )
 from stockrank.backtest import BacktestLedger
-from stockrank.errors import NumericError
+from stockrank.errors import DataError, NumericError
 
 
-def ledger_from_returns(rets, strategy="topk"):
-    led = BacktestLedger(strategy=strategy)
+def ledger_from_returns(rets):
+    led = BacktestLedger()
     for i, r in enumerate(rets):
-        led.append(f"d{i}", {"A": 1.0}, {"sell": [], "buy": []}, float(r))
+        led.append(f"d{i}", {"A": 1.0}, float(r))
     return led
 
 
@@ -205,7 +207,7 @@ class TestTTest:
 class TestBuildReport:
     def test_flat_ledger_flags_undefined(self):
         led = ledger_from_returns([0.0] * 40)
-        market = ledger_from_returns([0.0] * 40, strategy="market_equal_weight")
+        market = ledger_from_returns([0.0] * 40)
         rep = build_report(led, market)
         assert rep.sharpe is None
         assert "sharpe_undefined" in rep.flags
@@ -218,7 +220,7 @@ class TestBuildReport:
         rets = rng.normal(0.001, 0.01, size=80)
         market_rets = rng.normal(0.0005, 0.01, size=80)
         led = ledger_from_returns(rets)
-        market = ledger_from_returns(market_rets, strategy="market_equal_weight")
+        market = ledger_from_returns(market_rets)
         rep = build_report(led, market)
         assert rep.final_value == pytest.approx(float(np.prod(1 + rets)), rel=1e-12)
         assert rep.sharpe == pytest.approx(sharpe_ratio(rets), rel=1e-12)
@@ -230,14 +232,16 @@ class TestBuildReport:
 
     def test_json_round_trip_lossless(self, rng):
         rets = rng.normal(0.001, 0.01, size=60)
-        market = ledger_from_returns(rng.normal(0, 0.01, size=60), strategy="m")
+        market = ledger_from_returns(rng.normal(0, 0.01, size=60))
         rep = build_report(ledger_from_returns(rets), market)
-        again = MetricsReport.from_json(rep.to_json())
+        # metrics.json holds dataclasses.asdict of each report
+        payload = json.loads(json.dumps(dataclasses.asdict(rep)))
+        again = MetricsReport(**{**payload, "flags": tuple(payload["flags"])})
         assert again == rep
 
     def test_small_sample_flagged(self, rng):
         led = ledger_from_returns(rng.normal(0.001, 0.01, size=10))
-        market = ledger_from_returns(rng.normal(0, 0.01, size=10), strategy="m")
+        market = ledger_from_returns(rng.normal(0, 0.01, size=10))
         rep = build_report(led, market)
         assert "small_sample_t" in rep.flags
 
@@ -257,7 +261,7 @@ class TestGrid:
 
     def test_grid_values(self, rng):
         ledgers = {
-            name: ledger_from_returns(rng.normal(0.001, 0.01, size=50), strategy=name)
+            name: ledger_from_returns(rng.normal(0.001, 0.01, size=50))
             for name in ("topk", "bottomk", "long_short_k", "top_decile",
                          "bottom_decile", "long_short_decile")
         }
@@ -282,3 +286,30 @@ class TestRiskFree:
         cal = [dt.date(2020, 1, 2), dt.date(2020, 5, 1), dt.date(2020, 7, 1)]
         out = load_risk_free(str(path), cal)
         np.testing.assert_allclose(out, [0.0001, 0.0001, 0.0002])
+
+    @pytest.mark.parametrize("rows", [
+        ["2015-01-01,0.05", "2015-01-01,0.01"],
+        ["2015-01-01,0.01", "2015-01-01,0.05"],
+    ])
+    def test_repeated_date_names_path_and_line(self, tmp_path, rows):
+        path = tmp_path / "rf.csv"
+        path.write_text("date,annual_rate\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DataError, match=f"{path}:3: repeated date 2015-01-01"):
+            load_risk_free(str(path), ["2015-01-02"])
+
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-inf"])
+    def test_non_finite_rate_names_path_and_line(self, tmp_path, rate):
+        path = tmp_path / "rf.csv"
+        path.write_text(f"date,annual_rate\n2015-01-01,0.01\n2015-01-02,{rate}\n")
+        with pytest.raises(DataError, match=f"{path}:3: non-finite rate"):
+            load_risk_free(str(path), ["2015-01-05"])
+
+    def test_iso_date_strings_align_like_dates(self, tmp_path):
+        import datetime as dt
+
+        path = tmp_path / "rf.csv"
+        path.write_text("date,annual_rate\n2020-06-01,0.0504\n2020-01-01,0.0252\n")
+        cal = [dt.date(2019, 12, 31), dt.date(2020, 1, 1), dt.date(2020, 6, 2)]
+        out = load_risk_free(str(path), [d.isoformat() for d in cal])
+        np.testing.assert_array_equal(out, load_risk_free(str(path), cal))
+        np.testing.assert_allclose(out, [0.0, 0.0001, 0.0002])

@@ -18,6 +18,12 @@ def rankings_from(score_rows):
     return [rank_for_day(i, dict(day)) for i, day in enumerate(score_rows)]
 
 
+def trades(before, after):
+    """Names sold and bought in moving from one holdings dict to the next."""
+    return {"sell": sorted(before.keys() - after.keys()),
+            "buy": sorted(after.keys() - before.keys())}
+
+
 class TestRank:
     def test_orders_by_score(self):
         r = rank_for_day("2020-01-02", {"A": 0.1, "B": 0.9, "C": -0.3})
@@ -42,31 +48,31 @@ class TestRank:
 class TestRebalance:
     def test_sell_hold_buy(self):
         current = {"A": 0.6, "B": 0.4}
-        trades, new = rebalance_topk(current, ["B", "C"])
-        assert trades == {"sell": ["A"], "buy": ["C"]}
+        new = rebalance_topk(current, ["B", "C"])
+        assert trades(current, new) == {"sell": ["A"], "buy": ["C"]}
         assert new["B"] == pytest.approx(0.4)
         assert new["C"] == pytest.approx(0.6)  # freed capital from A
         assert sum(new.values()) == pytest.approx(1.0, abs=1e-15)
 
     def test_no_trades_at_fixed_point(self):
         current = {"A": 0.5, "B": 0.5}
-        trades, new = rebalance_topk(current, ["A", "B"])
-        assert trades == {"sell": [], "buy": []}
+        new = rebalance_topk(current, ["A", "B"])
+        assert trades(current, new) == {"sell": [], "buy": []}
         assert new == pytest.approx(current)
 
     def test_initial_buy_equal_weights(self):
-        trades, new = rebalance_topk({}, ["A", "B", "C", "D"])
-        assert trades["buy"] == ["A", "B", "C", "D"]
+        new = rebalance_topk({}, ["A", "B", "C", "D"])
+        assert trades({}, new)["buy"] == ["A", "B", "C", "D"]
         assert all(w == pytest.approx(0.25) for w in new.values())
 
     def test_equal_mode_requalizes(self):
         current = {"A": 0.9, "B": 0.1}
-        _, new = rebalance_topk(current, ["A", "B"], mode="equal")
+        new = rebalance_topk(current, ["A", "B"], mode="equal")
         assert new == {"A": 0.5, "B": 0.5}
 
     def test_drifted_holdings_keep_weights(self):
         current = {"A": 0.7, "B": 0.3}
-        _, new = rebalance_topk(current, ["A", "B", "C"])
+        new = rebalance_topk(current, ["A", "B", "C"])
         # nothing freed: C gets 0, weights renormalize over A and B
         assert new["C"] == pytest.approx(0.0, abs=1e-15)
         assert new["A"] == pytest.approx(0.7)
@@ -113,7 +119,7 @@ class TestSimulate:
         assert led.values[0] == pytest.approx(v1, abs=1e-12)
         assert led.values[1] == pytest.approx(v2, abs=1e-12)
         assert led.values[2] == pytest.approx(v3, abs=1e-12)
-        assert led.trades[1] == {"sell": ["B"], "buy": ["C"]}
+        assert trades(led.holdings[0], led.holdings[1]) == {"sell": ["B"], "buy": ["C"]}
 
     def test_accounting_identity(self, rng):
         n_days, n_stocks = 30, 8
@@ -259,9 +265,9 @@ def test_thirty_day_scripted_scenario_vs_brute_force(rng):
 
 class TestCombine:
     def _ledger(self, rets, dates=None):
-        led = BacktestLedger(strategy="topk")
+        led = BacktestLedger()
         for i, r in enumerate(rets):
-            led.append(dates[i] if dates else i, {"A": 1.0}, {"sell": [], "buy": []}, r)
+            led.append(dates[i] if dates else i, {"A": 1.0}, r)
         return led
 
     def test_single_ledger_identity(self):
@@ -300,7 +306,7 @@ class TestLedgerCsv:
         led = simulate("topk", rankings, returns, k=2)
         path = tmp_path / "ledger.csv"
         led.to_csv(path)
-        loaded = BacktestLedger.from_csv(path, strategy="topk")
+        loaded = BacktestLedger.from_csv(path)
         np.testing.assert_allclose(loaded.daily_returns, led.daily_returns, rtol=1e-15)
         np.testing.assert_allclose(loaded.values, led.values, rtol=1e-15)
         assert loaded.holdings[0].keys() == led.holdings[0].keys()
@@ -312,11 +318,11 @@ class TestLedgerCsv:
         "2020-01-03,1.0,nan,A:1.0",
     ])
     def test_malformed_line_names_path_and_line(self, tmp_path, bad):
-        led = BacktestLedger(strategy="topk")
-        led.append("2020-01-02", {"A": 1.0}, {"sell": [], "buy": ["A"]}, 0.01)
+        led = BacktestLedger()
+        led.append("2020-01-02", {"A": 1.0}, 0.01)
         path = tmp_path / "ledger.csv"
         led.to_csv(path)
         with open(path, "a") as fh:
             fh.write(bad + "\n")
         with pytest.raises(DataError, match=f"{path}:3"):
-            BacktestLedger.from_csv(path, strategy="topk")
+            BacktestLedger.from_csv(path)

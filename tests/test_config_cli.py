@@ -106,6 +106,38 @@ class TestRunConfig:
         b = RunConfig(ohlcv_path="x", sector_path="y")
         assert a.sha256() == b.sha256()
 
+    @pytest.mark.parametrize("key,value", [
+        ("label_thresholds", [0.01]),
+        ("conv", [[3]]),
+        ("conv", [[3, 8, 1]]),
+        ("m", "20"),
+        ("m", 20.0),
+        ("max_epochs", "1"),
+        ("seed", "x"),
+        ("k", 2.5),
+        ("k", True),  # a bool is not an int
+        ("use_basic", 1),
+        ("strategies", "topk"),
+        ("return_cap", "0.5"),
+    ])
+    def test_wrong_type_is_config_error_naming_the_key(self, tmp_path, runner, key, value):
+        data = synth_dataset(runner, tmp_path / "d", n_days=30)
+        cfg_path = write_config(tmp_path, small_config(data, **{key: value}))
+        result = runner.invoke(main, ["run", "--config", str(cfg_path),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        err = json.loads(result.output.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert key in err["message"]
+        assert not (tmp_path / "out").exists()  # nothing ran
+
+    def test_int_accepted_for_float_and_null_for_optional(self, tmp_path, runner):
+        data = synth_dataset(runner, tmp_path, n_days=30)
+        cfg = load_config(write_config(tmp_path, small_config(
+            data, return_cap=1, dollar_volume_floor=1000, dropout=None, max_periods=None)))
+        assert cfg.return_cap == 1 and cfg.dollar_volume_floor == 1000
+        assert cfg.dropout is None and cfg.max_periods is None
+
 
 class TestSynthCommand:
     def test_writes_three_files(self, tmp_path, runner):
@@ -282,6 +314,7 @@ class TestStageSeparation:
 
     @pytest.mark.parametrize("row,problem", [
         ("0,0,2021-01-01", "expected 5 columns, got 3"),
+        ("{0},{1},{2},ZZZ,0.5", "ticker 'ZZZ' is not in the universe"),
         ("x,0,2021-01-01,S000,0.5", "bad ensemble, period or score"),
         ("0,1.5,2021-01-01,S000,0.5", "bad ensemble, period or score"),
         ("0,0,2021-01-01,S000,abc", "bad ensemble, period or score"),
@@ -305,6 +338,28 @@ class TestStageSeparation:
         err = json.loads(result.output.strip().splitlines()[-1])
         assert err["error"] == "DataError"
         assert f"{scores}:{n_lines + 1}: {problem}" in err["message"]
+
+    @pytest.mark.parametrize("edit,problem", [
+        (lambda lines: lines[:1] + lines[2:], "ensemble 0 on {2} ranks 7 of the 8"),
+        (lambda lines: lines + ["1,{1},{2},{3},0.5".format(*lines[1].split(","))],
+         "ensemble 1 on {2} ranks 1 of the 8"),
+    ], ids=["row-deleted", "ensemble-with-one-row"])
+    def test_scores_day_not_ranking_every_ticker_is_data_error(self, tmp_path, runner, edit,
+                                                               problem):
+        data = synth_dataset(runner, tmp_path / "d")
+        cfg_path = write_config(tmp_path, small_config(data))
+        out = tmp_path / "staged"
+        r = runner.invoke(main, ["train", "--config", str(cfg_path), "--out", str(out)])
+        assert r.exit_code == 0, r.output
+        scores = out / "scores" / "scores.csv"
+        lines = scores.read_text().splitlines()
+        scores.write_text("\n".join(edit(lines)) + "\n")
+        result = runner.invoke(main, ["backtest", "--config", str(cfg_path), "--out", str(out)])
+        assert result.exit_code == 3
+        err = json.loads(result.output.strip().splitlines()[-1])
+        assert err["error"] == "DataError"
+        problem = problem.format(*lines[1].split(","))
+        assert f"{scores}: {problem} universe tickers" in err["message"]
 
     def test_malformed_ledger_line_is_data_error(self, tmp_path, runner):
         data = synth_dataset(runner, tmp_path / "d")

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stockrank.dataset import (
-    LABEL_NAMES,
     SplitPlan,
     assign_label,
     build_split_plans,
@@ -65,6 +64,13 @@ def flat_panel(universe, with_specs=False):
     return assemble_panel(universe, basic=True, specs=[])
 
 
+def std_range_stats(panel, plan):
+    """Per (stock, feature) mean and population std over the plan's std range."""
+    s0, s1 = plan.std_range
+    base = panel.values[:, s0:s1, :]
+    return base.mean(axis=1), base.std(axis=1)
+
+
 class TestStandardize:
     def _panel_and_plan(self, rng, n_stocks=3, n_days=500):
         u = random_walk_universe(rng, n_stocks, n_days)
@@ -76,18 +82,19 @@ class TestStandardize:
         u = make_universe({"AAA": [5.0] * 500}, volumes={"AAA": [1000] * 500})
         panel = flat_panel(u)
         plan = build_split_plans(500, m=20, offset=panel.first_all_valid_day)[0]
-        scaled, stats = standardize(panel, plan)
+        scaled = standardize(panel, plan)
         col = panel.feature_names.index("dollar_volume")
         # constant 5.0 * 1000 everywhere: sigma 0, value - mean = 0
         np.testing.assert_allclose(scaled[0, :, col], 0.0, atol=1e-15)
 
     def test_hand_arithmetic(self, rng):
         u, panel, plan = self._panel_and_plan(rng)
-        scaled, stats = standardize(panel, plan)
+        scaled = standardize(panel, plan)
+        mean, std = std_range_stats(panel, plan)
         si, fj = 1, 3
         raw = panel.values[si, plan.trainval_range[0], fj]
-        mu = stats.mean[si, fj]
-        sd = stats.std[si, fj]
+        mu = mean[si, fj]
+        sd = std[si, fj]
         expected = (raw - mu) / max(sd, 1e-8)
         got = scaled[si, plan.trainval_range[0] - plan.std_range[0], fj]
         assert got == pytest.approx(expected, rel=1e-12)
@@ -99,9 +106,9 @@ class TestStandardize:
         u = make_universe({"AAA": opens}, volumes={"AAA": [1000] * 500})
         panel = flat_panel(u)
         plan = build_split_plans(500, m=20, offset=panel.first_all_valid_day)[0]
-        scaled, stats = standardize(panel, plan)
+        scaled = standardize(panel, plan)
         col = panel.feature_names.index("dollar_volume")
-        sd = stats.std[0, col]
+        sd = std_range_stats(panel, plan)[1][0, col]
         assert sd == 0.0
         late = scaled[0, -1, col]
         assert np.isfinite(late)
@@ -109,10 +116,10 @@ class TestStandardize:
 
     def test_std_range_self_standardizes(self, rng):
         u, panel, plan = self._panel_and_plan(rng)
-        scaled, stats = standardize(panel, plan)
+        scaled = standardize(panel, plan)
         s0, s1 = plan.std_range
         base = scaled[:, : s1 - s0, :]
-        mask = stats.std > 1e-8
+        mask = std_range_stats(panel, plan)[1] > 1e-8
         mu = base.mean(axis=1)[mask]
         sd = base.std(axis=1)[mask]
         np.testing.assert_allclose(mu, 0.0, atol=1e-9)
@@ -120,13 +127,12 @@ class TestStandardize:
 
     def test_same_stats_for_train_and_test(self, rng):
         u, panel, plan = self._panel_and_plan(rng)
-        scaled, stats = standardize(panel, plan)
+        scaled = standardize(panel, plan)
+        mean, std = std_range_stats(panel, plan)
         d = plan.test_range[0]
         raw = panel.values[0, d, 0]
         got = scaled[0, d - plan.std_range[0], 0]
-        assert got == pytest.approx(
-            (raw - stats.mean[0, 0]) / max(stats.std[0, 0], 1e-8), rel=1e-12
-        )
+        assert got == pytest.approx((raw - mean[0, 0]) / max(std[0, 0], 1e-8), rel=1e-12)
 
 
 class TestDailyReturn:
@@ -169,6 +175,8 @@ class TestDailyReturn:
 
 
 class TestLabels:
+    CLASS_NAMES = ("strong_sell", "sell", "hold", "buy", "strong_buy")  # one-hot column order
+
     @pytest.mark.parametrize(
         "r,expected",
         [
@@ -185,7 +193,7 @@ class TestLabels:
     )
     def test_boundaries(self, r, expected):
         label = assign_label(r)
-        assert LABEL_NAMES[int(np.argmax(label))] == expected
+        assert self.CLASS_NAMES[int(np.argmax(label))] == expected
         assert label.sum() == 1.0
 
     def test_non_finite_rejected(self):
@@ -314,7 +322,7 @@ class TestMakeSamples:
         first = int(np.argmin(train.anchor_days))
         anchor = int(train.anchor_days[first])
         assert anchor == plan.trainval_range[0]
-        scaled = standardize(panel, plan)[0].astype(np.float32)
+        scaled = standardize(panel, plan).astype(np.float32)
         si = u.tickers.index(train.tickers[first])
         lo = anchor - 19 - plan.std_range[0]
         np.testing.assert_array_equal(train.windows[first], scaled[si, lo : lo + 20, :])
@@ -326,7 +334,7 @@ class TestMakeSamples:
         panel = flat_panel(u)
         plan = build_split_plans(500, m=20, offset=panel.first_all_valid_day)[0]
         out = make_samples(panel, u, plan, return_matrix(u), m=20)
-        scaled = standardize(panel, plan)[0].astype(np.float32)
+        scaled = standardize(panel, plan).astype(np.float32)
         anchors = {"train": range(plan.trainval_range[0], plan.trainval_range[1] - 20),
                    "val": range(plan.trainval_range[1] - 20, plan.trainval_range[1]),
                    "test": range(*plan.test_range)}
@@ -400,7 +408,7 @@ class TestWindows:
         plan = plans[plan_pick % len(plans)]
         val_days = data.draw(st.integers(1, trainval_days - 1), label="val_days")
         out = make_samples(panel, u, plan, return_matrix(u), m=m, val_days=val_days)
-        scaled = standardize(panel, plan)[0].astype(np.float32)
+        scaled = standardize(panel, plan).astype(np.float32)
         for ss in out.values():
             w = ss.windows
             expected = gather_windows(scaled, u, plan, ss, m)

@@ -10,7 +10,6 @@ from stockrank.indicators import (
     DEFAULT_TECHNICAL_16,
     FeatureSpec,
     assemble_panel,
-    default_specs,
     make_spec,
 )
 from stockrank.market_data import Universe
@@ -24,6 +23,14 @@ def one_stock_panel(s, basic, specs=()):
     u = Universe(calendar=tuple(b.date for b in s.bars), stocks=(s,))
     panel = assemble_panel(u, basic=basic, specs=list(specs))
     return panel.values[0], panel.feature_names, panel.valid_start
+
+
+def default16_specs():
+    return [make_spec(n) for n in DEFAULT_TECHNICAL_16]
+
+
+def closes(s):
+    return np.array([b.close for b in s.bars])
 
 
 def basic_features(s):
@@ -113,9 +120,9 @@ class TestTechnicalFeatures:
 
     def test_spec_invariants(self):
         with pytest.raises(DataError):
-            FeatureSpec("x", "momentum", {"window": -3}, warmup=5)
+            FeatureSpec("x", {"window": -3}, warmup=5)
         with pytest.raises(DataError):
-            FeatureSpec("x", "momentum", {}, warmup=0)
+            FeatureSpec("x", {}, warmup=0)
 
     def test_all_indicators_finite_after_warmup(self, rng):
         s = random_series(rng, n=150)
@@ -131,7 +138,7 @@ class TestTechnicalFeatures:
 class TestPanel:
     def test_feature_counts(self, rng):
         u = random_walk_universe(rng, 3, 120)
-        panel = assemble_panel(u, basic=True, specs=default_specs())
+        panel = assemble_panel(u, basic=True, specs=default16_specs())
         assert panel.n_features == 28
         panel12 = assemble_panel(u, basic=True, specs=[])
         assert panel12.n_features == 12
@@ -144,23 +151,23 @@ class TestPanel:
 
     def test_feature_order_stable(self, rng):
         u = random_walk_universe(rng, 2, 120)
-        a = assemble_panel(u, basic=True, specs=default_specs())
-        b = assemble_panel(u, basic=True, specs=default_specs())
+        a = assemble_panel(u, basic=True, specs=default16_specs())
+        b = assemble_panel(u, basic=True, specs=default16_specs())
         assert a.feature_names == b.feature_names
         assert a.feature_names[:12] == BASIC_FEATURE_NAMES
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_mask_monotone(self, rng):
         u = random_walk_universe(rng, 2, 120)
-        panel = assemble_panel(u, basic=True, specs=default_specs())
-        mask = panel.mask()
+        panel = assemble_panel(u, basic=True, specs=default16_specs())
+        mask = np.arange(len(panel.dates))[:, None] >= panel.valid_start[None, :]
         diffs = mask[1:].astype(int) - mask[:-1].astype(int)
         assert (diffs >= 0).all()
 
     def test_too_short_universe_rejected(self, rng):
         u = random_walk_universe(rng, 2, 30)
         with pytest.raises(DataError, match="warmup"):
-            assemble_panel(u, basic=True, specs=default_specs())
+            assemble_panel(u, basic=True, specs=default16_specs())
 
     def test_csv_export(self, rng, tmp_path):
         u = random_walk_universe(rng, 2, 60)
@@ -177,7 +184,7 @@ class TestShiftEquivariance:
     def test_all_features_causal(self, rng):
         s_full = random_series(rng, n=130)
         s_prefix = make_series("AAA", s_full.opens()[:-1], highs=s_full.highs()[:-1],
-                               lows=s_full.lows()[:-1], closes=s_full.closes()[:-1],
+                               lows=s_full.lows()[:-1], closes=closes(s_full)[:-1],
                                volumes=s_full.volumes()[:-1].astype(int))
         specs = [make_spec(n) for n in ALL_TECHNICAL_NAMES + ("rsi",)]
         full_t, _, _ = technical_features(s_full, specs)
@@ -189,8 +196,8 @@ class TestShiftEquivariance:
 
     def test_deterministic_pure_function(self, rng):
         s = random_series(rng, n=90)
-        a, _, _ = technical_features(s, default_specs())
-        b, _, _ = technical_features(s, default_specs())
+        a, _, _ = technical_features(s, default16_specs())
+        b, _, _ = technical_features(s, default16_specs())
         np.testing.assert_array_equal(a, b)
 
 
@@ -281,11 +288,11 @@ class TestCloseSubstitutionOracle:
     @pytest.mark.parametrize(
         "name,ref",
         [
-            ("stoch_osc", lambda s: ref_stoch_osc(s.closes(), s.highs(), s.lows(), 14)),
-            ("atr", lambda s: ref_atr(s.closes(), s.highs(), s.lows(), 14)),
-            ("cmf", lambda s: ref_cmf(s.closes(), s.highs(), s.lows(), s.volumes(), 20)),
-            ("bollinger_hband", lambda s: ref_bollinger_high(s.closes(), 20, 2.0)),
-            ("rsi", lambda s: ref_rsi(s.closes(), 14)),
+            ("stoch_osc", lambda s: ref_stoch_osc(closes(s), s.highs(), s.lows(), 14)),
+            ("atr", lambda s: ref_atr(closes(s), s.highs(), s.lows(), 14)),
+            ("cmf", lambda s: ref_cmf(closes(s), s.highs(), s.lows(), s.volumes(), 20)),
+            ("bollinger_hband", lambda s: ref_bollinger_high(closes(s), 20, 2.0)),
+            ("rsi", lambda s: ref_rsi(closes(s), 14)),
         ],
     )
     def test_matches_close_based_reference(self, series_close_eq_open, name, ref):
@@ -302,7 +309,7 @@ def test_shift_equivariance_property(seed):
     rng = np.random.default_rng(seed)
     s_full = random_series(rng, n=75)
     s_prefix = make_series("AAA", s_full.opens()[:-1], highs=s_full.highs()[:-1],
-                           lows=s_full.lows()[:-1], closes=s_full.closes()[:-1],
+                           lows=s_full.lows()[:-1], closes=closes(s_full)[:-1],
                            volumes=s_full.volumes()[:-1].astype(int))
     specs = [make_spec("stoch_osc"), make_spec("kama"), make_spec("vpt"), make_spec("ulcer")]
     full, _, _ = technical_features(s_full, specs)

@@ -12,7 +12,7 @@ from stockrank.market_data import (
     load_ohlcv,
 )
 
-from conftest import make_calendar, make_universe
+from conftest import assert_on_calendar, make_calendar, make_universe
 
 
 def write_ohlcv(path, rows):
@@ -48,7 +48,7 @@ class TestLoadOhlcv:
         assert u.n_days == 5
         assert u.n_stocks == 2
         assert u.tickers == ("AAA", "BBB")
-        u.check_rectangular()
+        assert_on_calendar(u)
 
     def test_missing_calendar_day_is_an_error(self, tmp_path):
         d5 = days(5)
@@ -66,6 +66,13 @@ class TestLoadOhlcv:
         by_ticker = {s.ticker: s for s in u.stocks}
         assert by_ticker["XYZ"].sector_id == NO_SECTOR_ID
         assert by_ticker["AAA"].sector_id == 0
+
+    def test_repeated_sector_ticker_names_path_and_line(self, tmp_path):
+        write_ohlcv(tmp_path / "p.csv", simple_rows("AAA", days(5)))
+        write_sectors(tmp_path / "s.csv", [("AAA", "Energy"), ("BBB", "Energy"),
+                                           ("AAA", "Utilities")])
+        with pytest.raises(DataError, match=re.escape(f"{tmp_path / 's.csv'}:4: repeated ticker")):
+            load_ohlcv(tmp_path / "p.csv", tmp_path / "s.csv")
 
     def test_unrecognized_sector_name_maps_to_reserved_id(self, tmp_path):
         d5 = days(5)
@@ -118,7 +125,7 @@ class TestLoadOhlcv:
         u = load_ohlcv(tmp_path / "p.csv", tmp_path / "s.csv",
                        start=dt.date.fromisoformat(d5[0]), end=dt.date.fromisoformat(d5[4]))
         assert u.tickers == ("AAA",)
-        assert "BBB" in u.meta["dropped_non_spanning"]
+        assert "BBB" not in u.tickers
 
 
 _GOOD = ["AAA", "2020-01-02", "10.0", "10.1", "9.9", "10.0", "100"]
@@ -248,7 +255,7 @@ class TestDeadStockRule:
         u = make_universe({"AAA": opens})
         out = apply_dead_stock_rule(u, 0.1)
         assert out.stocks[0].bars == u.stocks[0].bars
-        out.check_rectangular()
+        assert_on_calendar(out)
 
     def test_stock_stays_in_universe(self):
         u = make_universe({"AAA": [0.01] * 4, "BBB": [5.0] * 4})

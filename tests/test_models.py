@@ -19,16 +19,16 @@ from stockrank.models import (
     ArchConfig,
     EnsembleState,
     TrainConfig,
+    _decode_model,
+    _encode_model,
     build_model,
     combine_members,
     ensemble_weights,
     forward,
-    load_checkpoint,
     load_ensemble,
     moe_weights,
     predict_batch,
     ranking_scores,
-    save_checkpoint,
     save_ensemble,
     train_period,
 )
@@ -472,7 +472,7 @@ class TestFloat32Model:
         plan = build_split_plans(u.n_days, m=10, std_days=60, trainval_days=80, test_days=20,
                                  offset=panel.first_all_valid_day)[0]
         samples = make_samples(panel, u, plan, return_matrix(u), m=10)
-        scaled = standardize(panel, plan)[0]
+        scaled = standardize(panel, plan)
 
         def float64_gather(ss):
             windows = as_windows(gather_windows(scaled, u, plan, ss, 10))
@@ -500,50 +500,40 @@ class TestFloat32Model:
 
 
 class TestCheckpoints:
-    def test_model_round_trip_bit_identical(self, rng, tmp_path):
+    def test_model_round_trip_bit_identical(self, rng):
         state = build_model(SMALL_ARCH, seed=21)
         train = toy_samples(rng, 64, SMALL_ARCH)
         val = toy_samples(rng, 32, SMALL_ARCH)
         train_period(state, train, val,
                      TrainConfig.for_loss("return_weighted_ce", batch_size=32, max_epochs=2))
-        p1 = tmp_path / "a.ckpt"
-        p2 = tmp_path / "b.ckpt"
-        save_checkpoint(state, p1)
-        loaded = load_checkpoint(p1)
-        save_checkpoint(loaded, p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        blob = _encode_model(state)
+        assert _encode_model(_decode_model(blob)) == blob
 
-    def test_loaded_model_predicts_identically(self, rng, tmp_path):
+    def test_loaded_model_predicts_identically(self, rng):
         state = build_model(SMALL_ARCH, seed=21)
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(state, path)
-        loaded = load_checkpoint(path)
+        loaded = _decode_model(_encode_model(state))
         x = rng.normal(size=(10, 6))
         np.testing.assert_array_equal(predict_one(state, x, 4), predict_one(loaded, x, 4))
 
-    def test_loaded_model_resumes_training_identically(self, rng, tmp_path):
+    def test_loaded_model_resumes_training_identically(self, rng):
         train = toy_samples(rng, 64, SMALL_ARCH)
         val = toy_samples(rng, 32, SMALL_ARCH)
         hp = TrainConfig.for_loss("return_weighted_ce", batch_size=32, max_epochs=2)
         a = build_model(SMALL_ARCH, seed=3)
         train_period(a, train, val, hp)
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(a, path)
-        b = load_checkpoint(path)
+        b = _decode_model(_encode_model(a))
         train_period(a, train, val, hp)
         train_period(b, train, val, hp)
         for k in a.params:
             np.testing.assert_array_equal(a.params[k].data, b.params[k].data)
 
-    def test_resumed_float32_model_stays_float32(self, rng, tmp_path):
+    def test_resumed_float32_model_stays_float32(self, rng):
         train = toy_samples(rng, 64, SMALL_ARCH)
         val = toy_samples(rng, 32, SMALL_ARCH)
         hp = TrainConfig.for_loss("return_weighted_ce", batch_size=32, max_epochs=1)
         state = build_model(SMALL_ARCH, seed=3)
         train_period(state, train, val, hp)
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(state, path)
-        loaded = load_checkpoint(path)
+        loaded = _decode_model(_encode_model(state))
         train_period(loaded, train, val, hp)
         opt = loaded.optimizer
         for a in [p.data for p in loaded.param_list()] + [p.grad for p in loaded.param_list()] \

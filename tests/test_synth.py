@@ -14,6 +14,8 @@ from stockrank.synth import (
     write_sector_csv,
 )
 
+from conftest import assert_on_calendar
+
 
 def opens_by_ticker(rows):
     out = {}
@@ -56,7 +58,7 @@ class TestGenerate:
         u = load_ohlcv(write_ohlcv_cssv, tmp_path / "sectors.csv")
         assert u.n_stocks == 4
         assert u.n_days == 50
-        u.check_rectangular()
+        assert_on_calendar(u)
 
     def test_zero_signal_symmetric_labels(self):
         rows, events, _ = generate(21, 20, 400, SignalSpec(event_rate=0.0))
