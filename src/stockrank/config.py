@@ -10,6 +10,7 @@ from __future__ import annotations
 import datetime as dt
 import hashlib
 import json
+import math
 import os
 import types
 import typing
@@ -79,6 +80,10 @@ class RunConfig:
                     raise ConfigError(f"{label} does not exist: {path}")
             if self.rf_path is not None and not os.path.exists(self.rf_path):
                 raise ConfigError(f"rf_path does not exist: {self.rf_path}")
+        for key, value in asdict(self).items():
+            if any(isinstance(v, float) and not math.isfinite(v)
+                   for v in (value if isinstance(value, (list, tuple)) else [value])):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
         for label in ("start", "end"):
             value = getattr(self, label)
             if value is not None:
@@ -155,6 +160,22 @@ def _fits(value, hint) -> bool:
     return isinstance(value, (int, float) if hint is float else hint)
 
 
+def _as_declared(value, hint):
+    """A JSON value that fits a RunConfig annotation, in the declared type:
+    an int given for a float becomes that float and a list given for a
+    tuple a tuple, so equal configs write equal bytes and hashes."""
+    if isinstance(hint, types.UnionType):
+        if value is None:
+            return None
+        hint = next(h for h in typing.get_args(hint) if h is not type(None) and _fits(value, h))
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is list:
+        return [_as_declared(v, args[0]) for v in value]
+    if origin is tuple:
+        return tuple(map(_as_declared, value, args))
+    return float(value) if hint is float else value
+
+
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     """Read and validate a config JSON; relative data paths resolve against
     the config file's directory. Unknown keys and values of the wrong type
@@ -179,9 +200,7 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
         if not _fits(value, hints[key]):
             kind = RunConfig.__dataclass_fields__[key].type
             raise ConfigError(f"config {path}: {key} must be {kind}, got {value!r}")
-    cfg = RunConfig(**raw)
-    if isinstance(cfg.label_thresholds, list):
-        cfg.label_thresholds = tuple(cfg.label_thresholds)
+    cfg = RunConfig(**{key: _as_declared(value, hints[key]) for key, value in raw.items()})
     base = os.path.dirname(os.path.abspath(path))
     for attr in ("ohlcv_path", "sector_path", "rf_path"):
         value = getattr(cfg, attr)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataError
 from .indicators import FeaturePanel
-from .market_data import Universe
+from .market_data import OPEN, Universe
 
 STD_DAYS = 200
 TRAINVAL_DAYS = 200
@@ -181,13 +181,10 @@ def return_matrix(u: Universe) -> np.ndarray:
     Anchor T holds r = (open[T+2] - open[T+1]) / open[T+1], forced to 0
     once the stock is dead by day T+2 (its quotes are no longer tradeable).
     """
-    opens = u.open_matrix()
+    opens = u.bars[:, :, OPEN]
     out = (opens[:, 2:] - opens[:, 1:-1]) / opens[:, 1:-1]
-    for si, s in enumerate(u.stocks):
-        dead_from = s.death_index(u.calendar)
-        if dead_from is not None:
-            # anchor T is zeroed when day T+2 is on/after the death date
-            out[si, max(0, dead_from - LOOKAHEAD) :] = 0.0
+    # anchor T is zeroed when day T+2 is on/after the death day
+    out[np.arange(u.n_days - LOOKAHEAD) >= u.death_day[:, None] - LOOKAHEAD] = 0.0
     return out
 
 
@@ -254,7 +251,6 @@ def make_samples(
         raise DataError(f"anchor day {t0} reaches before the standardized span")
     ranges = {"train": (t0, t1 - val_days), "val": (t1 - val_days, t1), "test": (e0, e1)}
     tickers = universe.tickers
-    sectors = np.array([s.sector_id for s in universe.stocks], dtype=int)
     out: dict[str, SampleSet] = {}
     for split, (a0, a1) in ranges.items():
         stock = np.repeat(np.arange(universe.n_stocks), a1 - a0)
@@ -267,6 +263,6 @@ def make_samples(
             assign_label(r, thresholds),
             r,
             cap_return(r, cap),
-            sectors[stock],
+            universe.sector_ids[stock],
         )
     return out

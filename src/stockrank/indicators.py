@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
-from .market_data import Universe
+from .market_data import HIGH, LOW, OPEN, VOLUME, Universe
 
 @dataclass(frozen=True)
 class FeatureSpec:
@@ -469,10 +469,7 @@ def assemble_panel(
     blocks: list[np.ndarray] = []
     valids: list[np.ndarray] = []
 
-    o = u.open_matrix()
-    h = u.high_matrix()
-    lo = u.low_matrix()
-    v = u.volume_matrix()
+    o, h, lo, v = (u.matrix(column) for column in (OPEN, HIGH, LOW, VOLUME))
 
     if basic:
         blocks.append(_basic_matrix(o, h, lo, v))

@@ -1,18 +1,22 @@
 """Loading, validation, and filtering of per-stock OHLCV panels.
 
 The loader produces a rectangular Universe: a shared trading calendar on
-which every retained stock has exactly one bar per day. Filtering ops
-(dollar-volume threshold, dead-stock marking) return new Universe objects
-and never mutate their input.
+which every retained stock has exactly one bar per day, held as one
+(stocks x days x 5) float64 block. Filtering ops (dollar-volume
+threshold, dead-stock marking) return new Universe objects and never
+mutate their input.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime as dt
+import io
 import math
+import re
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from itertools import compress
 
 import numpy as np
 
@@ -42,60 +46,37 @@ _OHLCV_HEADER = ["ticker", "date", "open", "high", "low", "close", "volume"]
 _SECTOR_HEADER = ["ticker", "sector"]
 
 
-class Bar(NamedTuple):
-    """One trading day for one stock; a named tuple, so the loader's one
-    object per row costs one tuple allocation.
-
-    Invariants (enforced at load time for alive days): low <= min(open, close),
-    high >= max(open, close), volume >= 0, prices > 0.
-    """
-
-    date: dt.date
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: int
+#: Columns of Universe.bars.
+OPEN, HIGH, LOW, CLOSE, VOLUME = range(5)
+_PRICE_NAMES = ("open", "high", "low", "close")
 
 
 @dataclass(frozen=True)
 class StockSeries:
-    """A single ticker's date-ascending bars plus sector identity.
-
-    ``death_date`` is the first day whose open fell below the price floor;
-    it stays set even if the price later recovers.
-    """
+    """One stock of a Universe: its ticker, sector id and (n_days, 5) view
+    of the bar block, one row per calendar day."""
 
     ticker: str
     sector_id: int
-    bars: tuple[Bar, ...]
-    death_date: dt.date | None = None
-
-    def opens(self) -> np.ndarray:
-        return np.array([b.open for b in self.bars], dtype=np.float64)
-
-    def highs(self) -> np.ndarray:
-        return np.array([b.high for b in self.bars], dtype=np.float64)
-
-    def lows(self) -> np.ndarray:
-        return np.array([b.low for b in self.bars], dtype=np.float64)
-
-    def volumes(self) -> np.ndarray:
-        return np.array([b.volume for b in self.bars], dtype=np.float64)
-
-    def death_index(self, calendar: tuple[dt.date, ...]) -> int | None:
-        """Index of death_date on the given calendar, or None if alive."""
-        if self.death_date is None:
-            return None
-        return calendar.index(self.death_date)
+    bars: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Universe:
-    """Rectangular panel: every stock has a bar on every calendar day."""
+    """Rectangular panel: every stock has a bar on every calendar day.
+
+    ``bars[s, d]`` holds the open, high, low, close and volume (columns
+    OPEN .. VOLUME) of stock s on calendar day d. ``death_day[s]`` is the
+    first day whose open fell below the price floor, kept even if the
+    price later recovers; it is n_days for a stock that never fell below
+    it, and for every stock until apply_dead_stock_rule marks them.
+    """
 
     calendar: tuple[dt.date, ...]
-    stocks: tuple[StockSeries, ...]
+    tickers: tuple[str, ...]
+    sector_ids: np.ndarray  # (n_stocks,) int
+    bars: np.ndarray  # (n_stocks, n_days, 5) float64
+    death_day: np.ndarray  # (n_stocks,) int
 
     @property
     def n_days(self) -> int:
@@ -103,41 +84,18 @@ class Universe:
 
     @property
     def n_stocks(self) -> int:
-        return len(self.stocks)
+        return len(self.tickers)
 
     @property
-    def tickers(self) -> tuple[str, ...]:
-        return tuple(s.ticker for s in self.stocks)
+    def stocks(self) -> tuple[StockSeries, ...]:
+        """One view per stock, in ticker order. The program reads the
+        arrays; perfbench counts the rows loaded through these views."""
+        return tuple(StockSeries(t, sid, bars) for t, sid, bars
+                     in zip(self.tickers, self.sector_ids.tolist(), self.bars))
 
-    def open_matrix(self) -> np.ndarray:
-        """(n_stocks, n_days) array of opening prices."""
-        return np.stack([s.opens() for s in self.stocks])
-
-    def high_matrix(self) -> np.ndarray:
-        return np.stack([s.highs() for s in self.stocks])
-
-    def low_matrix(self) -> np.ndarray:
-        return np.stack([s.lows() for s in self.stocks])
-
-    def volume_matrix(self) -> np.ndarray:
-        return np.stack([s.volumes() for s in self.stocks])
-
-
-def _parse_date(text: str, where: str) -> dt.date:
-    try:
-        return dt.date.fromisoformat(text)
-    except ValueError as exc:
-        raise DataError(f"{where}: bad date {text!r} (expected YYYY-MM-DD)") from exc
-
-
-def _parse_float(text: str, colname: str, where: str) -> float:
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise DataError(f"{where}: bad {colname} value {text!r}") from exc
-    if not math.isfinite(value):
-        raise DataError(f"{where}: non-finite {colname} value {text!r}")
-    return value
+    def matrix(self, column: int) -> np.ndarray:
+        """(n_stocks, n_days) C-contiguous copy of one bar column."""
+        return np.ascontiguousarray(self.bars[:, :, column])
 
 
 def load_sector_map(sector_path: str) -> dict[str, int]:
@@ -162,6 +120,159 @@ def load_sector_map(sector_path: str) -> dict[str, int]:
     return out
 
 
+# A parsed row. Ticker and date stay Python strings of any length (a sized
+# str dtype would truncate them); prices and volume are parsed in C.
+_ROW = np.dtype([("ticker", object), ("date", object), ("prices", np.float64, (4,)),
+                 ("volume", np.int64)])
+# A line break and the row after it, when that row holds only empty or
+# whitespace fields, quoted or not: the rows csv.reader reads as blank
+# (at the end of the text, that includes a quote that is never closed).
+_BLANK_FIELD = r'(?:"[^\S\n]*")?[^\S\n]*'
+_BLANK_ROWS = re.compile(
+    rf'\n(?:{_BLANK_FIELD},)*(?:{_BLANK_FIELD}(?=\n|\Z)|"[^\S\n]*\Z)')
+# Where a blank row can start; a fast scan that most files fail.
+_BLANK_ROW_START = re.compile(r'\n[\s,"]')
+
+
+def _parse_rows(path: str) -> np.ndarray:
+    """The data rows of an OHLCV file, blank rows left out, in one pass of
+    numpy's C reader. A bad header is a DataError; any row the reader
+    rejects raises its ValueError."""
+    try:
+        with open(path) as fh:  # universal newlines: \r\n and \r end a row, as in csv
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    header_line = text.partition("\n")[0]
+    header = next(csv.reader([header_line]), [])
+    if [h.strip() for h in header] != _OHLCV_HEADER:
+        raise DataError(f"{path}: expected header {','.join(_OHLCV_HEADER)}")
+    body = text[len(header_line):]  # each row follows a line break
+    if _BLANK_ROW_START.search(body):
+        body = _BLANK_ROWS.sub("", body)
+    n_rows = body.count("\n") - body.endswith("\n")
+    if n_rows == 0:
+        raise DataError(f"{path}: no data rows")
+    rows = np.loadtxt(io.StringIO(body), dtype=_ROW, delimiter=",", comments=None,
+                      quotechar='"', ndmin=1)
+    if len(rows) != n_rows:
+        raise ValueError("a quoted field holds a line break")
+    return rows
+
+
+def _index(texts: np.ndarray, key) -> tuple[list, np.ndarray]:
+    """The sorted distinct keys of a column of strings and each row's
+    position among them; key maps a text to its key, once per distinct text."""
+    texts = texts.tolist()
+    key_of = {text: key(text) for text in dict.fromkeys(texts)}
+    keys = sorted(set(key_of.values()))
+    position = {k: i for i, k in enumerate(keys)}
+    code = {text: position[k] for text, k in key_of.items()}
+    return keys, np.fromiter(map(code.__getitem__, texts), dtype=np.intp, count=len(texts))
+
+
+def _read_block(path: str) -> tuple[list[str], list[dt.date], np.ndarray, np.ndarray]:
+    """Parse and check every row, and scatter the rows into a block over the
+    file's tickers and dates. Returns (tickers, dates, present, block):
+    present[s, d] says whether the file has a bar for (s, d) and block[s, d]
+    is that bar. A row that fails a check raises ValueError."""
+    rows = _parse_rows(path)
+    tickers, stock = _index(rows["ticker"], str.strip)
+    if not tickers[0]:
+        raise ValueError("empty ticker")
+    dates, day = _index(rows["date"], lambda text: dt.date.fromisoformat(text.strip()))
+    prices, volume = rows["prices"], rows["volume"]
+    o, h, lo, c = prices.T
+    if not (np.isfinite(prices).all() and (volume >= 0).all()
+            and (lo <= np.minimum(o, c)).all() and (h >= np.maximum(o, c)).all()):
+        raise ValueError("a row fails a value check")
+    present = np.zeros((len(tickers), len(dates)), dtype=bool)
+    present[stock, day] = True
+    if np.count_nonzero(present) != len(rows):
+        raise ValueError("a (ticker, date) pair repeats")
+    block = np.zeros((len(tickers), len(dates), 5))
+    block[stock, day, :VOLUME] = prices
+    block[stock, day, VOLUME] = volume
+    return tickers, dates, present, block
+
+
+def _c_number(text: str, kind):
+    """text as float or int, as numpy's C reader reads it: what ``kind``
+    reads from the ASCII text left once any Unicode whitespace around it
+    is stripped, with no underscores; None if it reads nothing."""
+    text = text.strip()
+    if "_" in text or not text.isascii():
+        return None
+    try:
+        return kind(text)
+    except ValueError:
+        return None
+
+
+def _row_fault(row: list[str], seen: set) -> str | None:
+    """What is wrong with one csv row, checks in order; None for a good or
+    a blank row. seen holds the (ticker, date) pairs of the rows before."""
+    if any("\n" in field or "\r" in field for field in row):
+        return "a quoted field holds a line break"
+    if len(row) != 7 or not (ticker := row[0].strip()):
+        # only a malformed row can be blank, so only it pays the blank test
+        if all(not field.strip() for field in row):
+            return None
+        if len(row) != 7:
+            return f"expected 7 columns, got {len(row)}"
+        return "empty ticker"
+    try:
+        date = dt.date.fromisoformat(row[1].strip())
+    except ValueError:
+        return f"bad date {row[1].strip()!r} (expected YYYY-MM-DD)"
+    prices = []
+    for name, text in zip(_PRICE_NAMES, row[2:6]):
+        value = _c_number(text, float)
+        if value is None:
+            return f"bad {name} value {text!r}"
+        if not math.isfinite(value):
+            return f"non-finite {name} value {text!r}"
+        prices.append(value)
+    v = _c_number(row[6], int)
+    if v is None or not -(2**63) <= v < 2**63:
+        return f"bad volume value {row[6]!r}"
+    if v < 0:
+        return f"negative volume {v}"
+    o, h, lo, c = prices
+    if lo > o or lo > c or h < o or h < c:
+        return f"high/low do not bracket open/close (open={o}, high={h}, low={lo}, close={c})"
+    if (ticker, date) in seen:
+        return f"duplicate bar for ({ticker}, {date})"
+    seen.add((ticker, date))
+    return None
+
+
+def _first_bad_row(path: str) -> DataError | None:
+    """The first row in file order that fails a row check, as a DataError
+    naming path:line; None if there is none.
+
+    This csv pass runs only after the bulk parse or its checks rejected
+    the file, to say where and why: it reads the same rows (line 1 is the
+    header) and rejects what the C reader rejects.
+    """
+    seen: set = set()
+    lineno = 1
+    with open(path, newline="") as fh:
+        fh.readline()
+        try:
+            for lineno, row in enumerate(csv.reader(fh), start=2):
+                if fault := _row_fault(row, seen):
+                    return DataError(f"{path}:{lineno}: {fault}")
+        except csv.Error as exc:
+            return DataError(f"{path}:{lineno + 1}: {exc}")
+    return None
+
+
+def _first_true(mask: np.ndarray) -> np.ndarray:
+    """Per row of a 2-d mask, the index of its first True, or the row length."""
+    return np.where(mask.any(1), mask.argmax(1), mask.shape[1])
+
+
 def load_ohlcv(
     path: str,
     sector_path: str,
@@ -177,91 +288,80 @@ def load_ohlcv(
     error (rectangularity violation), as is a duplicate (ticker, date) row
     or a non-positive price on a day before the stock first traded below
     ``price_floor``.
+
+    The accepted dialect is the one numpy's C reader (``np.loadtxt``)
+    parses the file in, in one pass:
+
+    - Line 1 is the header ``ticker,date,open,high,low,close,volume``
+      (whitespace around a name is ignored). Rows may come in any order.
+    - One row per line; a line ends in ``\\n``, ``\\r\\n`` or ``\\r``.
+    - Fields are separated by commas and may be quoted with ``"``, a
+      doubled ``""`` inside standing for one quote, as in the csv module's
+      default dialect. A quoted field may not hold a line break (the csv
+      module read one).
+    - There is no comment character: ``#`` is text like any other.
+    - A row whose fields are all empty or whitespace, quoted or not, is
+      skipped; so are empty lines.
+    - Ticker and date are stripped of surrounding whitespace; the date is
+      ISO (``datetime.date.fromisoformat``).
+    - Prices are what ``float()`` reads from ASCII text, with any Unicode
+      whitespace around it; ``nan`` and ``inf`` parse but are rejected as
+      non-finite. The volume is a base-10 integer with an optional sign
+      that fits int64. Underscores (``1_0``) and non-ASCII digits are
+      rejected in every number, and so is a volume beyond int64: ``float()``
+      and ``int()`` read them, and this loader accepted them before it
+      parsed in bulk.
+
+    A row that fails a check is reported as ``path:line`` with its cause,
+    the first such row in file order winning; a file with no bad row never
+    pays for the row-by-row pass that finds it.
     """
     sectors = load_sector_map(sector_path)
-
-    per_ticker: dict[str, dict[dt.date, Bar]] = {}
-    date_of: dict[str, dt.date] = {}  # each date text recurs once per ticker: parse it once
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != _OHLCV_HEADER:
-            raise DataError(f"{path}: expected header {','.join(_OHLCV_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            where = f"{path}:{lineno}"
-            if len(row) != 7 or not (ticker := row[0].strip()):
-                # only a malformed row can be blank, so only it pays the blank test
-                if all(not c.strip() for c in row):
-                    continue
-                if len(row) != 7:
-                    raise DataError(f"{where}: expected 7 columns, got {len(row)}")
-                raise DataError(f"{where}: empty ticker")
-            date = date_of.get(row[1])
-            if date is None:
-                date = date_of[row[1]] = _parse_date(row[1].strip(), where)
-            o = _parse_float(row[2], "open", where)
-            h = _parse_float(row[3], "high", where)
-            lo = _parse_float(row[4], "low", where)
-            c = _parse_float(row[5], "close", where)
-            try:
-                v = int(row[6])
-            except ValueError as exc:
-                raise DataError(f"{where}: bad volume value {row[6]!r}") from exc
-            if v < 0:
-                raise DataError(f"{where}: negative volume {v}")
-            if lo > o or lo > c or h < o or h < c:
-                raise DataError(
-                    f"{where}: high/low do not bracket open/close "
-                    f"(open={o}, high={h}, low={lo}, close={c})"
-                )
-            bars = per_ticker.setdefault(ticker, {})
-            if date in bars:
-                raise DataError(f"{where}: duplicate bar for ({ticker}, {date})")
-            bars[date] = Bar(date, o, h, lo, c, v)
-
-    if not per_ticker:
-        raise DataError(f"{path}: no data rows")
+    try:
+        tickers, dates, present, block = _read_block(path)
+    except ValueError as exc:
+        error = _first_bad_row(path) or DataError(f"{path}: {exc}")
+        raise error from exc
 
     # Range handling: keep stocks whose bars span the requested window.
-    kept: dict[str, list[Bar]] = {}
-    for ticker, by_date in per_ticker.items():
-        dates = sorted(by_date)
-        lo_d, hi_d = dates[0], dates[-1]
-        want_lo = start if start is not None else lo_d
-        want_hi = end if end is not None else hi_d
-        if lo_d > want_lo or hi_d < want_hi:
-            continue
-        bars = [by_date[d] for d in dates if want_lo <= d <= want_hi]
-        kept[ticker] = bars
-
-    if not kept:
+    keep = np.ones(len(tickers), dtype=bool)
+    if start is not None:
+        keep &= present.argmax(1) < bisect.bisect_right(dates, start)
+    if end is not None:
+        keep &= len(dates) - present[:, ::-1].argmax(1) > bisect.bisect_left(dates, end)
+    if not keep.any():
         raise DataError("no stocks span the requested date range")
+    lo = 0 if start is None else bisect.bisect_left(dates, start)
+    hi = len(dates) if end is None else bisect.bisect_right(dates, end)
+    held = present[keep, lo:hi]
+    on_calendar = held.any(0)
+    calendar = tuple(compress(dates[lo:hi], on_calendar.tolist()))
+    held = held[:, on_calendar]
+    bars = block[keep, lo:hi][:, on_calendar]
+    kept = list(compress(tickers, keep.tolist()))
 
-    calendar_set: set[dt.date] = set()
-    for bars in kept.values():
-        calendar_set.update(b.date for b in bars)
-    calendar = tuple(sorted(calendar_set))
-
-    stocks = []
-    for ticker in sorted(kept):
-        bars = kept[ticker]
-        have = {b.date for b in bars}
-        for day in calendar:
-            if day not in have:
-                raise DataError(f"stock {ticker} is missing calendar day {day}")
-        # Positive-price check; garbage is tolerated only after a prior day
-        # already triggered the sub-floor death rule.
-        dead = False
-        for b in bars:
-            if not dead and (b.open <= 0 or b.high <= 0 or b.low <= 0 or b.close <= 0):
-                raise DataError(
-                    f"stock {ticker} {b.date}: non-positive price on a pre-death day"
-                )
-            if b.open < price_floor:
-                dead = True
-        stocks.append(StockSeries(ticker, sectors.get(ticker, NO_SECTOR_ID), tuple(bars)))
-
-    return Universe(calendar=calendar, stocks=tuple(stocks))
+    # A non-positive price is tolerated only after a prior day's open fell
+    # below the floor (the death rule); a stock's first fault wins, missing
+    # days first.
+    missing = ~held
+    non_positive = _first_true((bars[:, :, :VOLUME] <= 0).any(2))
+    pre_death = (non_positive < len(calendar)) & (
+        non_positive <= _first_true(bars[:, :, OPEN] < price_floor))
+    bad = missing.any(1) | pre_death
+    if bad.any():
+        k = int(bad.argmax())
+        if missing[k].any():
+            raise DataError(f"stock {kept[k]} is missing calendar day "
+                            f"{calendar[missing[k].argmax()]}")
+        raise DataError(f"stock {kept[k]} {calendar[non_positive[k]]}: "
+                        "non-positive price on a pre-death day")
+    return Universe(
+        calendar=calendar,
+        tickers=tuple(kept),
+        sector_ids=np.array([sectors.get(t, NO_SECTOR_ID) for t in kept], dtype=int),
+        bars=bars,
+        death_day=np.full(len(kept), len(calendar)),
+    )
 
 
 def filter_by_dollar_volume(
@@ -270,30 +370,19 @@ def filter_by_dollar_volume(
     """Remove stocks whose full-period mean of open*volume is below threshold."""
     if threshold <= 0:
         raise DataError(f"dollar-volume threshold must be > 0, got {threshold}")
-    kept = []
-    for s in u.stocks:
-        mean_dollar = float(np.mean(s.opens() * s.volumes()))
-        if mean_dollar >= threshold:
-            kept.append(s)
-    if not kept:
+    kept = np.mean(u.matrix(OPEN) * u.matrix(VOLUME), axis=1) >= threshold
+    if not kept.any():
         raise DataError("dollar-volume filter removed every stock")
-    return Universe(calendar=u.calendar, stocks=tuple(kept))
+    return replace(u, tickers=tuple(compress(u.tickers, kept.tolist())),
+                   sector_ids=u.sector_ids[kept], bars=u.bars[kept], death_day=u.death_day[kept])
 
 
 def apply_dead_stock_rule(u: Universe, price_floor: float = DEFAULT_PRICE_FLOOR) -> Universe:
-    """Mark each stock's death_date: the first day its open is below the floor.
+    """Mark each stock's death_day: the first day its open is below the floor.
 
     Bars are never altered; downstream return computation forces returns to
     zero once a stock is dead (see dataset.return_matrix).
     """
     if price_floor <= 0:
         raise DataError(f"price floor must be > 0, got {price_floor}")
-    stocks = []
-    for s in u.stocks:
-        death = None
-        for bar in s.bars:
-            if bar.open < price_floor:
-                death = bar.date
-                break
-        stocks.append(replace(s, death_date=death))
-    return Universe(calendar=u.calendar, stocks=tuple(stocks))
+    return replace(u, death_day=_first_true(u.bars[:, :, OPEN] < price_floor))

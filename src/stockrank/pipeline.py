@@ -19,7 +19,11 @@ in a directory of its own.
 Training, about all of a research run's time, uses every usable CPU: in
 each walk-forward period the (ensemble, member) pairs are independent, so
 this process trains every w-th of them in place while w - 1 children,
-forked once the period's samples exist, train the rest. BLAS is capped at
+forked once the period's samples exist, train the rest. With J pairs and
+C usable CPUs, w = min(J, C) when C divides J; otherwise w is the fewest
+processes, at most 2C, that keep every CPU busy to the end, and the OS
+shares the CPUs among them (3 members on 2 CPUs train in 3 processes, not
+in 2 with one CPU idle while the third member trains). BLAS is capped at
 one thread in each process meanwhile, since w processes with a BLAS pool
 each would share the same cores. The trained members come back through
 the checkpoint encoding, so outputs are byte-identical for any w;
@@ -162,14 +166,11 @@ def _arch_from_config(cfg: RunConfig, n_features: int) -> ArchConfig:
     )
 
 
-def _alive_tickers(universe: Universe, anchor: int) -> list[str]:
-    """Stocks not yet dead at the buy open (day anchor + 1)."""
-    alive = []
-    buy_day = universe.calendar[anchor + 1]
-    for s in universe.stocks:
-        if s.death_date is None or s.death_date > buy_day:
-            alive.append(s.ticker)
-    return alive
+def _alive_tickers(universe: Universe, anchors: list[int]) -> list[list[str]]:
+    """Per anchor day, the stocks not yet dead at the buy open (day anchor + 1)."""
+    alive = universe.death_day > np.asarray(anchors)[:, None] + 1
+    tickers = np.array(universe.tickers, dtype=object)
+    return [tickers[row].tolist() for row in alive]
 
 
 def _rank_days(dates, test, test_days: list[int], scores: np.ndarray) -> list[DailyRanking]:
@@ -190,10 +191,19 @@ def usable_cpus() -> int:
 
 
 def training_processes(n_jobs: int) -> int:
-    """Processes that train a period's n_jobs members: one per usable CPU,
-    at most one per member, and only this one where fork is missing or the
-    BLAS thread count cannot be capped."""
-    w = min(n_jobs, usable_cpus())
+    """Processes that train a period's n_jobs members.
+
+    With w processes sharing C usable CPUs evenly, a period takes about
+    max(n_jobs / C, ceil(n_jobs / w)) member-times; w is the fewest
+    processes, at most 2C, that reach the least of it. That is
+    min(n_jobs, C) when C divides n_jobs, and 1 on one CPU; 3 members on 2
+    CPUs train in 3 processes, where 2 would leave a CPU idle while the
+    third member trains. Only this process trains where fork is missing or
+    the BLAS thread count cannot be capped.
+    """
+    cpus = usable_cpus()
+    w = min(range(1, min(n_jobs, 2 * cpus) + 1),
+            key=lambda w: max(n_jobs, cpus * -(-n_jobs // w)))
     if w > 1 and not (hasattr(os, "fork") and blas.can_limit()):
         return 1
     return w
@@ -385,7 +395,7 @@ def run_strategies(cfg: RunConfig, universe: Universe,
     ledgers: dict[str, BacktestLedger] = {}
     anchor_days = [d for d, _ in rankings[0]]
     returns_by_day = _returns_for_days(return_matrix(universe), universe.tickers, anchor_days)
-    alive_by_day = [_alive_tickers(universe, d) for d in anchor_days]
+    alive_by_day = _alive_tickers(universe, anchor_days)
     for strategy in cfg.strategies:
         per_ensemble = []
         for e in sorted(rankings):
@@ -416,8 +426,9 @@ def read_scores_csv(path: str, universe: Universe) -> dict[int, list]:
     """Rebuild per-ensemble daily rankings, as (calendar day index, DailyRanking)
     pairs in date order, from a scores.csv.
 
-    Every row names a universe ticker, and every (ensemble, date) ranks all
-    of them once, as the train stage writes them.
+    Every row names a universe ticker, every (ensemble, date) ranks all of
+    them once, the ensembles are numbered 0..E-1 and all rank the same
+    dates, as the train stage writes them.
     """
     calendar = universe.calendar
     tickers = set(universe.tickers)
@@ -455,6 +466,17 @@ def read_scores_csv(path: str, universe: Universe) -> dict[int, list]:
             raise DataError(f"{path}: ensemble {e} on {calendar[d]} ranks "
                             f"{len(per_day[(e, d)])} of the {len(tickers)} universe tickers")
         rankings.setdefault(e, []).append((d, rank_for_day(calendar[d], per_day[(e, d)])))
+    if not rankings:
+        raise DataError(f"{path}: no score rows")
+    if list(rankings) != list(range(len(rankings))):
+        raise DataError(f"{path}: ensembles {list(rankings)} are not numbered "
+                        f"0..{len(rankings) - 1}")
+    days = [d for d, _ in rankings[0]]
+    for e, ranked in rankings.items():
+        if [d for d, _ in ranked] != days:
+            other = sorted(set(days).symmetric_difference(d for d, _ in ranked))[0]
+            raise DataError(f"{path}: ensembles 0 and {e} rank different dates "
+                            f"(one ranks {calendar[other]}, the other does not)")
     return rankings
 
 

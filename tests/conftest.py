@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stockrank.dataset import Windows
-from stockrank.market_data import Bar, StockSeries, Universe
+from stockrank.market_data import Universe
 
 
 def make_calendar(n_days, start=dt.date(2020, 1, 1)):
@@ -17,39 +17,47 @@ def make_calendar(n_days, start=dt.date(2020, 1, 1)):
     return tuple(days)
 
 
-def make_series(ticker, opens, calendar=None, sector_id=0, highs=None, lows=None,
-                closes=None, volumes=None, death_date=None):
+def stock_bars(opens, highs=None, lows=None, closes=None, volumes=None):
+    """(n_days, 5) bars of one stock from its columns: closes default to the
+    opens, highs and lows to 1% beyond them, volumes to 1,000,000."""
     opens = np.asarray(opens, dtype=float)
-    n = len(opens)
-    calendar = calendar if calendar is not None else make_calendar(n)
     closes = np.asarray(closes, dtype=float) if closes is not None else opens.copy()
     highs = np.asarray(highs, dtype=float) if highs is not None else np.maximum(opens, closes) * 1.01
     lows = np.asarray(lows, dtype=float) if lows is not None else np.minimum(opens, closes) * 0.99
-    volumes = volumes if volumes is not None else [1_000_000] * n
-    bars = tuple(
-        Bar(calendar[i], float(opens[i]), float(highs[i]), float(lows[i]),
-            float(closes[i]), int(volumes[i]))
-        for i in range(n)
-    )
-    return StockSeries(ticker=ticker, sector_id=sector_id, bars=bars, death_date=death_date)
+    volumes = np.asarray(volumes if volumes is not None else [1_000_000] * len(opens), dtype=float)
+    return np.stack([opens, highs, lows, closes, volumes], axis=-1)
+
+
+def universe_from_bars(bars_by_ticker, calendar=None, sectors=None):
+    """A Universe over {ticker: (n_days, 5) bars}, tickers sorted; every
+    stock alive, sector ids from sectors or i % 11."""
+    tickers = sorted(bars_by_ticker)
+    bars = np.stack([bars_by_ticker[t] for t in tickers])
+    calendar = calendar if calendar is not None else make_calendar(bars.shape[1])
+    sector_ids = [sectors[t] if sectors else i % 11 for i, t in enumerate(tickers)]
+    return Universe(calendar=tuple(calendar), tickers=tuple(tickers),
+                    sector_ids=np.array(sector_ids, dtype=int), bars=bars,
+                    death_day=np.full(len(tickers), bars.shape[1]))
+
+
+def make_stock(opens, **columns):
+    """A one-stock universe, ticker AAA in sector 0; columns as stock_bars."""
+    return universe_from_bars({"AAA": stock_bars(opens, **columns)}, sectors={"AAA": 0})
 
 
 def make_universe(opens_by_ticker, calendar=None, sectors=None, volumes=None):
     """opens_by_ticker: {ticker: iterable of opens}; all series share a calendar."""
-    n = len(next(iter(opens_by_ticker.values())))
-    calendar = calendar if calendar is not None else make_calendar(n)
-    stocks = []
-    for i, (ticker, opens) in enumerate(sorted(opens_by_ticker.items())):
-        sector = sectors[ticker] if sectors else i % 11
-        vol = volumes[ticker] if volumes else None
-        stocks.append(make_series(ticker, opens, calendar, sector_id=sector, volumes=vol))
-    return Universe(calendar=calendar, stocks=tuple(stocks))
+    return universe_from_bars(
+        {t: stock_bars(opens, volumes=volumes[t] if volumes else None)
+         for t, opens in opens_by_ticker.items()},
+        calendar, sectors)
 
 
 def assert_on_calendar(u):
     """Every stock has exactly one bar per calendar day, in calendar order."""
-    for s in u.stocks:
-        assert tuple(b.date for b in s.bars) == u.calendar, s.ticker
+    assert u.bars.shape == (u.n_stocks, u.n_days, 5)
+    assert list(u.calendar) == sorted(set(u.calendar))
+    assert [len(s.bars) for s in u.stocks] == [u.n_days] * u.n_stocks
 
 
 def random_walk_universe(rng, n_stocks, n_days, vol=0.02):

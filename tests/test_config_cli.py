@@ -138,6 +138,42 @@ class TestRunConfig:
         assert cfg.return_cap == 1 and cfg.dollar_volume_floor == 1000
         assert cfg.dropout is None and cfg.max_periods is None
 
+    def test_int_for_float_is_stored_as_the_float(self, tmp_path, runner):
+        data = synth_dataset(runner, tmp_path, n_days=30)
+        as_int = dict(return_cap=1, dollar_volume_floor=1000, price_floor=1, leaky_slope=0,
+                      dropout=0)
+        as_float = {key: float(value) for key, value in as_int.items()}
+        cfg_int, cfg_float = (
+            load_config(write_config(tmp_path, small_config(data, **values), name=name))
+            for name, values in (("int.json", as_int), ("float.json", as_float)))
+        for key in as_int:
+            assert type(getattr(cfg_int, key)) is float, key
+        assert cfg_int.to_json() == cfg_float.to_json()
+        assert cfg_int.sha256() == cfg_float.sha256()
+
+    @pytest.mark.parametrize("key,value", [
+        ("return_cap", float("nan")),
+        ("price_floor", float("nan")),
+        ("dollar_volume_floor", float("nan")),
+        ("return_cap", float("inf")),
+        ("leaky_slope", float("nan")),
+        ("label_thresholds", [0.01, float("inf")]),
+    ])
+    def test_non_finite_float_is_config_error_naming_the_key(self, tmp_path, runner, key,
+                                                              value, monkeypatch):
+        data = synth_dataset(runner, tmp_path / "d", n_days=30)
+        cfg_path = write_config(tmp_path, small_config(data, **{key: value}))
+        assert "NaN" in cfg_path.read_text() or "Infinity" in cfg_path.read_text()
+        loads = []
+        monkeypatch.setattr(pipeline, "load_ohlcv", lambda *a, **k: loads.append(a))
+        result = runner.invoke(main, ["run", "--config", str(cfg_path),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        err = json.loads(result.output.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(f"{key} must be finite")
+        assert loads == [] and not (tmp_path / "out").exists()
+
 
 class TestSynthCommand:
     def test_writes_three_files(self, tmp_path, runner):
@@ -361,6 +397,35 @@ class TestStageSeparation:
         problem = problem.format(*lines[1].split(","))
         assert f"{scores}: {problem} universe tickers" in err["message"]
 
+    @pytest.mark.parametrize("edit,problem", [
+        (lambda lines: lines[:1] + ["1" + line[1:] for line in lines[1:]],
+         "ensembles [1] are not numbered 0..0"),
+        (lambda lines: lines + ["2" + line[1:] for line in lines[1:]],
+         "ensembles [0, 2] are not numbered 0..1"),
+        # ensemble 1 ranks every ticker, but on the first date only
+        (lambda lines: lines + ["1" + line[1:] for line in lines[1:]
+                                if line.split(",")[2] == lines[1].split(",")[2]],
+         "ensembles 0 and 1 rank different dates (one ranks {last}, the other does not)"),
+        (lambda lines: lines[:1], "no score rows"),
+    ], ids=["shifted", "gap", "fewer-dates", "empty"])
+    def test_scores_with_misnumbered_or_misaligned_ensembles_is_data_error(
+            self, tmp_path, runner, edit, problem):
+        data = synth_dataset(runner, tmp_path / "d")
+        cfg_path = write_config(tmp_path, small_config(data))
+        out = tmp_path / "staged"
+        r = runner.invoke(main, ["train", "--config", str(cfg_path), "--out", str(out)])
+        assert r.exit_code == 0, r.output
+        scores = out / "scores" / "scores.csv"
+        lines = scores.read_text().splitlines()
+        dates = sorted({line.split(",")[2] for line in lines[1:]})
+        scores.write_text("\n".join(edit(lines)) + "\n")
+        result = runner.invoke(main, ["backtest", "--config", str(cfg_path), "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        err = json.loads(result.output.strip().splitlines()[-1])
+        assert err["error"] == "DataError"
+        assert err["message"] == f"{scores}: " + problem.format(last=dates[1])
+        assert not (out / "ledgers").exists()
+
     def test_malformed_ledger_line_is_data_error(self, tmp_path, runner):
         data = synth_dataset(runner, tmp_path / "d")
         cfg_path = write_config(tmp_path, small_config(data))
@@ -463,18 +528,18 @@ class TestParallelTraining:
     def test_parallel_equals_serial_byte_for_byte(self, tmp_path, runner, monkeypatch):
         cfg = load_config(self._config(tmp_path, runner))
         runs = {}
-        for cpus in (1, 3):  # 3 forks children even on a 1-CPU machine
+        for cpus in (1, 2):  # 2 forks 2 children even on a 1-CPU machine
             monkeypatch.setattr(pipeline, "usable_cpus", lambda cpus=cpus: cpus)
             out = tmp_path / f"cpus{cpus}"
             pipeline.run_pipeline(cfg, str(out))
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["environment"]["training_processes"] == (
-                3 if cpus == 3 and pipeline.blas.can_limit() else 1)
+                3 if cpus == 2 and pipeline.blas.can_limit() else 1)
             runs[cpus] = _run_files(out)
         rows = runs[1]["scores/scores.csv"].decode().splitlines()[1:]
         assert {row.split(",")[1] for row in rows} == {"0", "1"}  # two periods
         assert "checkpoints/ensemble_0.ens" in runs[1]
-        assert runs[3] == runs[1]
+        assert runs[2] == runs[1]
         assert multiprocessing.active_children() == []
 
     def test_child_error_keeps_type_message_and_module(self, tmp_path, runner, monkeypatch):
@@ -526,10 +591,21 @@ class TestParallelTraining:
         assert not (out / ".lock").exists()
         assert multiprocessing.active_children() == []
 
-    def test_process_count(self, monkeypatch):
-        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 4)
+    @pytest.mark.parametrize("cpus,expected", [
+        (1, {1: 1, 2: 1, 3: 1, 7: 1}),  # taskset -c 0: the serial loop
+        (2, {1: 1, 2: 2, 3: 3, 4: 2, 5: 3, 6: 2}),  # 3 on 2 CPUs: no CPU idles for the third
+        (4, {1: 1, 3: 3, 4: 4, 6: 6, 8: 4, 9: 5, 12: 4, 13: 5}),
+    ])
+    def test_process_count(self, monkeypatch, cpus, expected):
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
         if pipeline.blas.can_limit():
-            assert [pipeline.training_processes(n) for n in (1, 3, 6)] == [1, 3, 4]
+            counts = {n: pipeline.training_processes(n) for n in expected}
+            assert counts == expected
+            for n in range(1, 40):
+                w = pipeline.training_processes(n)
+                assert 1 <= w <= min(n, 2 * cpus)
+                if n % cpus == 0:
+                    assert w == min(n, cpus)
         monkeypatch.setattr(pipeline.blas, "can_limit", lambda: False)
         assert pipeline.training_processes(3) == 1  # BLAS threads would oversubscribe
 

@@ -17,9 +17,9 @@ from stockrank.dataset import (
 )
 from stockrank.errors import DataError
 from stockrank.indicators import assemble_panel
-from stockrank.market_data import apply_dead_stock_rule
+from stockrank.market_data import OPEN, apply_dead_stock_rule
 
-from conftest import make_series, make_universe, random_walk_universe
+from conftest import make_stock, make_universe, random_walk_universe
 from reference import daily_return, gather_windows
 
 
@@ -137,41 +137,39 @@ class TestStandardize:
 
 class TestDailyReturn:
     def test_three_percent(self):
-        s = make_series("AAA", [90.0, 100.0, 103.0, 104.0])
-        assert daily_return(s, 0) == pytest.approx(0.03, abs=1e-15)
+        u = make_stock([90.0, 100.0, 103.0, 104.0])
+        assert daily_return(u, 0, 0) == pytest.approx(0.03, abs=1e-15)
 
     def test_no_change(self):
-        s = make_series("AAA", [90.0, 100.0, 100.0])
-        assert daily_return(s, 0) == 0.0
+        u = make_stock([90.0, 100.0, 100.0])
+        assert daily_return(u, 0, 0) == 0.0
 
     def test_dead_stock_returns_zero(self):
         u = make_universe({"AAA": [5.0, 0.05, 8.0, 9.0]})
         u = apply_dead_stock_rule(u, 0.1)
-        s = u.stocks[0]
         # death on day 1; the return depending on day 2 >= death is zeroed
-        assert daily_return(s, 0) == 0.0
+        assert daily_return(u, 0, 0) == 0.0
 
     def test_return_before_death_recorded_as_usual(self):
         opens = [10.0, 11.0, 12.0, 13.0, 0.05, 0.04, 0.03]
         u = apply_dead_stock_rule(make_universe({"AAA": opens}), 0.1)
-        s = u.stocks[0]
-        assert s.death_index(u.calendar) == 4
-        assert daily_return(s, 0) == pytest.approx(12.0 / 11.0 - 1.0)
-        assert daily_return(s, 1) == pytest.approx(13.0 / 12.0 - 1.0)
-        assert daily_return(s, 2) == 0.0  # needs day 4 = death day
-        assert daily_return(s, 4) == 0.0
+        assert u.death_day[0] == 4
+        assert daily_return(u, 0, 0) == pytest.approx(12.0 / 11.0 - 1.0)
+        assert daily_return(u, 0, 1) == pytest.approx(13.0 / 12.0 - 1.0)
+        assert daily_return(u, 0, 2) == 0.0  # needs day 4 = death day
+        assert daily_return(u, 0, 4) == 0.0
 
     def test_out_of_range(self):
-        s = make_series("AAA", [10.0, 10.0, 10.0])
+        u = make_stock([10.0, 10.0, 10.0])
         with pytest.raises(DataError):
-            daily_return(s, 1)
+            daily_return(u, 0, 1)
 
     def test_return_matrix_agrees_with_scalar_op(self, rng):
         u = apply_dead_stock_rule(random_walk_universe(rng, 4, 30), 0.1)
         mat = return_matrix(u)
-        for si, s in enumerate(u.stocks):
+        for si in range(u.n_stocks):
             for T in range(u.n_days - 2):
-                assert mat[si, T] == daily_return(s, T)
+                assert mat[si, T] == daily_return(u, si, T)
 
 
 class TestLabels:
@@ -328,7 +326,8 @@ class TestMakeSamples:
         np.testing.assert_array_equal(train.windows[first], scaled[si, lo : lo + 20, :])
 
     def test_sample_consistency(self, rng):
-        opens = {s.ticker: s.opens() for s in random_walk_universe(rng, 6, 500).stocks}
+        walk = random_walk_universe(rng, 6, 500)
+        opens = dict(zip(walk.tickers, walk.matrix(OPEN)))
         opens["T002"][330:] = 0.05  # dies inside the train range
         u = apply_dead_stock_rule(make_universe(opens), 0.1)
         panel = flat_panel(u)
@@ -346,11 +345,11 @@ class TestMakeSamples:
             for i in range(len(ss)):
                 si = u.tickers.index(ss.tickers[i])
                 T = int(ss.anchor_days[i])
-                expected_r = daily_return(u.stocks[si], T)
+                expected_r = daily_return(u, si, T)
                 assert ss.returns[i] == expected_r
                 assert ss.weights[i] == cap_return(expected_r)
                 np.testing.assert_array_equal(ss.labels[i], assign_label(expected_r))
-                assert ss.sector_ids[i] == u.stocks[si].sector_id
+                assert ss.sector_ids[i] == u.sector_ids[si]
                 lo = T - 19 - plan.std_range[0]
                 np.testing.assert_array_equal(ss.windows[i], scaled[si, lo : lo + 20, :])
         dead = np.array(out["train"].tickers) == "T002"
@@ -361,7 +360,7 @@ class TestMakeSamples:
         out = make_samples(panel, u, plan, return_matrix(u), m=20)
         horizon = plan.test_range[1] + 1  # last day any sample may read
         # perturb all opens strictly after the horizon and rebuild
-        opens = {s.ticker: s.opens() for s in u.stocks}
+        opens = dict(zip(u.tickers, u.matrix(OPEN)))
         for t in opens:
             opens[t][horizon + 1 :] *= 1.5
         u2 = make_universe(opens, calendar=u.calendar)

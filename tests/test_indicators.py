@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,15 +14,14 @@ from stockrank.indicators import (
     assemble_panel,
     make_spec,
 )
-from stockrank.market_data import Universe
+from stockrank.market_data import CLOSE, HIGH, LOW, VOLUME
 
-from conftest import make_series, make_universe, random_walk_universe
+from conftest import make_stock, make_universe, random_walk_universe
 
 
-def one_stock_panel(s, basic, specs=()):
+def one_stock_panel(u, basic, specs=()):
     """(values of shape (n_days, n), feature names, valid_start) of the
     feature panel of a one-stock universe."""
-    u = Universe(calendar=tuple(b.date for b in s.bars), stocks=(s,))
     panel = assemble_panel(u, basic=basic, specs=list(specs))
     return panel.values[0], panel.feature_names, panel.valid_start
 
@@ -29,8 +30,12 @@ def default16_specs():
     return [make_spec(n) for n in DEFAULT_TECHNICAL_16]
 
 
-def closes(s):
-    return np.array([b.close for b in s.bars])
+def column(u, col):
+    return u.bars[0, :, col]
+
+
+def without_last_day(u):
+    return dataclasses.replace(u, calendar=u.calendar[:-1], bars=u.bars[:, :-1])
 
 
 def basic_features(s):
@@ -49,12 +54,12 @@ def random_series(rng, n=120, ticker="AAA"):
     highs = np.maximum(opens, closes) * np.exp(np.abs(rng.normal(0, 0.01, size=n)))
     lows = np.minimum(opens, closes) * np.exp(-np.abs(rng.normal(0, 0.01, size=n)))
     volumes = rng.integers(100_000, 5_000_000, size=n)
-    return make_series(ticker, opens, highs=highs, lows=lows, closes=closes, volumes=volumes)
+    return make_stock(opens, highs=highs, lows=lows, closes=closes, volumes=volumes)
 
 
 class TestBasicFeatures:
     def test_constant_series(self):
-        s = make_series("AAA", [42.0] * 60)
+        s = make_stock([42.0] * 60)
         values, names, valid = basic_features(s)
         col = {n: i for i, n in enumerate(names)}
         for name in ("mom_2", "mom_3", "mom_5", "mom_10"):
@@ -67,19 +72,19 @@ class TestBasicFeatures:
 
     def test_three_day_momentum_direct_ratio(self):
         opens = [100.0, 101.0, 99.0, 103.0] + [100.0] * 56  # 60 days cover every warmup
-        s = make_series("AAA", opens)
+        s = make_stock(opens)
         values, names, _ = basic_features(s)
         col = names.index("mom_3")
         assert values[3, col] == pytest.approx(103.0 / 100.0 - 1.0, abs=1e-15)
 
     def test_dollar_volume_product(self):
-        s = make_series("AAA", [10.0] * 60, volumes=[2_000_000] * 60)
+        s = make_stock([10.0] * 60, volumes=[2_000_000] * 60)
         values, names, _ = basic_features(s)
         assert values[0, names.index("dollar_volume")] == 2e7
         assert values[0, names.index("volume")] == 2_000_000
 
     def test_warmup_masked_not_error(self):
-        s = make_series("AAA", [10.0] * 60)
+        s = make_stock([10.0] * 60)
         values, names, valid = basic_features(s)
         col = names.index("sma_ratio_50")
         assert valid[col] == 49
@@ -93,24 +98,24 @@ class TestTechnicalFeatures:
         opens = np.linspace(10, 12, 30)
         highs = opens.copy()
         lows = opens * 0.9
-        s = make_series("AAA", opens, highs=highs, lows=lows, closes=opens)
+        s = make_stock(opens, highs=highs, lows=lows, closes=opens)
         values, names, valid = technical_features(s, [make_spec("williams_r")])
         assert values[-1, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_aroon_up_at_new_high(self):
         opens = np.linspace(10, 12, 40)  # strictly rising: today is always the highest
-        s = make_series("AAA", opens)
+        s = make_stock(opens)
         values, _, valid = technical_features(s, [make_spec("aroon_up")])
         assert np.all(values[valid[0] :, 0] == 100.0)
 
     def test_aroon_down_at_new_low(self):
         opens = np.linspace(12, 10, 40)
-        s = make_series("AAA", opens)
+        s = make_stock(opens)
         values, _, valid = technical_features(s, [make_spec("aroon_down")])
         assert np.all(values[valid[0] :, 0] == 100.0)
 
     def test_donchian_constant_prices(self):
-        s = make_series("AAA", [10.0] * 40, highs=[10.0] * 40, lows=[10.0] * 40)
+        s = make_stock([10.0] * 40, highs=[10.0] * 40, lows=[10.0] * 40)
         values, _, valid = technical_features(s, [make_spec("donchian_width")])
         np.testing.assert_allclose(values[valid[0] :, 0], 0.0, atol=1e-15)
 
@@ -183,9 +188,7 @@ class TestShiftEquivariance:
 
     def test_all_features_causal(self, rng):
         s_full = random_series(rng, n=130)
-        s_prefix = make_series("AAA", s_full.opens()[:-1], highs=s_full.highs()[:-1],
-                               lows=s_full.lows()[:-1], closes=closes(s_full)[:-1],
-                               volumes=s_full.volumes()[:-1].astype(int))
+        s_prefix = without_last_day(s_full)
         specs = [make_spec(n) for n in ALL_TECHNICAL_NAMES + ("rsi",)]
         full_t, _, _ = technical_features(s_full, specs)
         pref_t, _, _ = technical_features(s_prefix, specs)
@@ -282,17 +285,17 @@ class TestCloseSubstitutionOracle:
         highs = opens * np.exp(np.abs(rng.normal(0, 0.01, size=100)))
         lows = opens * np.exp(-np.abs(rng.normal(0, 0.01, size=100)))
         volumes = rng.integers(200_000, 900_000, size=100)
-        return make_series("AAA", opens, highs=highs, lows=lows, closes=opens,
-                           volumes=volumes)
+        return make_stock(opens, highs=highs, lows=lows, closes=opens, volumes=volumes)
 
     @pytest.mark.parametrize(
         "name,ref",
         [
-            ("stoch_osc", lambda s: ref_stoch_osc(closes(s), s.highs(), s.lows(), 14)),
-            ("atr", lambda s: ref_atr(closes(s), s.highs(), s.lows(), 14)),
-            ("cmf", lambda s: ref_cmf(closes(s), s.highs(), s.lows(), s.volumes(), 20)),
-            ("bollinger_hband", lambda s: ref_bollinger_high(closes(s), 20, 2.0)),
-            ("rsi", lambda s: ref_rsi(closes(s), 14)),
+            ("stoch_osc", lambda s: ref_stoch_osc(*(column(s, c) for c in (CLOSE, HIGH, LOW)),
+                                                  14)),
+            ("atr", lambda s: ref_atr(*(column(s, c) for c in (CLOSE, HIGH, LOW)), 14)),
+            ("cmf", lambda s: ref_cmf(*(column(s, c) for c in (CLOSE, HIGH, LOW, VOLUME)), 20)),
+            ("bollinger_hband", lambda s: ref_bollinger_high(column(s, CLOSE), 20, 2.0)),
+            ("rsi", lambda s: ref_rsi(column(s, CLOSE), 14)),
         ],
     )
     def test_matches_close_based_reference(self, series_close_eq_open, name, ref):
@@ -308,9 +311,7 @@ class TestCloseSubstitutionOracle:
 def test_shift_equivariance_property(seed):
     rng = np.random.default_rng(seed)
     s_full = random_series(rng, n=75)
-    s_prefix = make_series("AAA", s_full.opens()[:-1], highs=s_full.highs()[:-1],
-                           lows=s_full.lows()[:-1], closes=closes(s_full)[:-1],
-                           volumes=s_full.volumes()[:-1].astype(int))
+    s_prefix = without_last_day(s_full)
     specs = [make_spec("stoch_osc"), make_spec("kama"), make_spec("vpt"), make_spec("ulcer")]
     full, _, _ = technical_features(s_full, specs)
     prefix, _, _ = technical_features(s_prefix, specs)

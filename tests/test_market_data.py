@@ -3,7 +3,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import reference
+from stockrank import market_data
 from stockrank.errors import DataError
 from stockrank.market_data import (
     NO_SECTOR_ID,
@@ -63,9 +67,9 @@ class TestLoadOhlcv:
         write_ohlcv(tmp_path / "p.csv", simple_rows("XYZ", d5) + simple_rows("AAA", d5))
         write_sectors(tmp_path / "s.csv", [("AAA", "Energy")])  # XYZ absent
         u = load_ohlcv(tmp_path / "p.csv", tmp_path / "s.csv")
-        by_ticker = {s.ticker: s for s in u.stocks}
-        assert by_ticker["XYZ"].sector_id == NO_SECTOR_ID
-        assert by_ticker["AAA"].sector_id == 0
+        sector_of = dict(zip(u.tickers, u.sector_ids.tolist()))
+        assert sector_of["XYZ"] == NO_SECTOR_ID
+        assert sector_of["AAA"] == 0
 
     def test_repeated_sector_ticker_names_path_and_line(self, tmp_path):
         write_ohlcv(tmp_path / "p.csv", simple_rows("AAA", days(5)))
@@ -79,7 +83,7 @@ class TestLoadOhlcv:
         write_ohlcv(tmp_path / "p.csv", simple_rows("AAA", d5))
         write_sectors(tmp_path / "s.csv", [("AAA", "Cryptozoology")])
         u = load_ohlcv(tmp_path / "p.csv", tmp_path / "s.csv")
-        assert u.stocks[0].sector_id == NO_SECTOR_ID
+        assert u.sector_ids.tolist() == [NO_SECTOR_ID]
 
     def test_duplicate_ticker_date(self, tmp_path):
         d5 = days(5)
@@ -155,6 +159,12 @@ _BAD_ROWS = [
     (_bad_row(0, "   "), "empty ticker"),
     (_bad_row(4, "10.05"), "high/low do not bracket open/close"),
     (_bad_row(3, "9.95"), "high/low do not bracket open/close"),
+    # numbers float() and int() read but numpy's C reader does not
+    (_bad_row(2, "1_0.0"), "bad open value '1_0.0'"),
+    (_bad_row(5, "١٠.0"), "bad close value '١٠.0'"),
+    (_bad_row(6, "1_000"), "bad volume value '1_000'"),
+    (_bad_row(6, str(2**63)), f"bad volume value '{2**63}'"),
+    ('"AA\nA",' + ",".join(_GOOD[1:]), "a quoted field holds a line break"),
 ]
 
 
@@ -180,6 +190,15 @@ class TestIngestEdgeCases:
                                       f"AAA,{d[1]},10.0,10.1,9.9,10.0,100"])
         u = load_ohlcv(path, tmp_path / "s.csv")
         assert u.calendar == tuple(dt.date.fromisoformat(x) for x in d)
+
+    @pytest.mark.parametrize("blank", ["   ", ",,", '"', ' ,"  '])
+    def test_blank_last_line_without_a_line_break_is_skipped(self, tmp_path, blank):
+        # a quote never closed reads, as in csv, to the end of the file
+        d = days(1)
+        path = tmp_path / "p.csv"
+        path.write_text(f"ticker,date,open,high,low,close,volume\nAAA,{d[0]},1,1,1,1,1\n{blank}")
+        write_sectors(tmp_path / "s.csv", [("AAA", "Energy")])
+        assert load_ohlcv(path, tmp_path / "s.csv").n_days == 1
 
     def test_first_fault_in_file_order_wins(self, tmp_path):
         d = days(4)
@@ -235,12 +254,11 @@ class TestDeadStockRule:
     def test_death_on_second_day(self):
         u = make_universe({"AAA": [5.0, 0.05, 0.04]})
         out = apply_dead_stock_rule(u, 0.1)
-        assert out.stocks[0].death_date == u.calendar[1]
-        assert out.stocks[0].death_index(u.calendar) == 1
+        assert out.death_day.tolist() == [1]
 
     def test_no_trigger(self):
         u = make_universe({"AAA": [5.0, 0.2, 0.11]})
-        assert apply_dead_stock_rule(u, 0.1).stocks[0].death_date is None
+        assert apply_dead_stock_rule(u, 0.1).death_day.tolist() == [u.n_days]
 
     def test_death_is_permanent_despite_recovery(self):
         opens = [0.05, 5.0, 5.0]
@@ -248,16 +266,232 @@ class TestDeadStockRule:
         expected = next(i for i, o in enumerate(opens) if o < 0.1)
         u = make_universe({"AAA": opens})
         out = apply_dead_stock_rule(u, 0.1)
-        assert out.stocks[0].death_index(u.calendar) == expected == 0
+        assert out.death_day[0] == expected == 0
 
     def test_bars_unchanged(self, rng):
         opens = list(rng.uniform(0.01, 10.0, size=12))
         u = make_universe({"AAA": opens})
         out = apply_dead_stock_rule(u, 0.1)
-        assert out.stocks[0].bars == u.stocks[0].bars
+        np.testing.assert_array_equal(out.bars, u.bars)
         assert_on_calendar(out)
 
     def test_stock_stays_in_universe(self):
         u = make_universe({"AAA": [0.01] * 4, "BBB": [5.0] * 4})
         out = apply_dead_stock_rule(u, 0.1)
         assert out.n_stocks == 2
+
+
+# ---------------------------------------------------------------------------
+# bulk parse against the row-by-row oracle
+# ---------------------------------------------------------------------------
+
+_NUMBER_FORMATS = (repr, "{:.2f}".format, "{:.6f}".format, "{:.10e}".format,
+                   "{:.10E}".format, lambda x: f" {x!r} ", lambda x: f'"{x!r}"',
+                   lambda x: f"+{x!r}", lambda x: f"\t{x:.2f}")
+_VOLUME_FORMATS = (str, lambda v: f" {v}", lambda v: f'"{v}"', lambda v: f"+{v}",
+                   lambda v: f"{v}\t", lambda v: f"00{v}")
+_TICKERS = ("S0", "#HASH", "A,B", 'Q"T', "LONG_TICKER_NAME_OVER_SIXTEEN", "s0", "Ünï")
+_BLANK_LINES = ("", "   ", ",,,,,,", " , ,\t, , , , ", '"",""', '"  " ,', "\t", '""',
+                "\x0c", ",")
+
+
+def _quote(text):
+    return '"' + text.replace('"', '""') + '"'
+
+
+def _ticker_field(ticker, style):
+    if style == 0 and not any(c in ticker for c in ',"'):
+        return ticker
+    if style == 1 and not any(c in ticker for c in ',"'):
+        return f"  {ticker} "
+    return _quote(ticker) if style != 3 else _quote(f" {ticker}  ")
+
+
+def _date_field(day, style):
+    return (day.isoformat(), f" {day.isoformat()}", _quote(day.isoformat()),
+            day.strftime("%Y%m%d"))[style]
+
+
+@st.composite
+def valid_ohlcv(draw):
+    """(file text, start, end) of a file load_ohlcv must accept."""
+    n_dates = draw(st.integers(3, 12))
+    calendar = make_calendar(n_dates, start=dt.date(2021, 3, 1))
+    a = draw(st.integers(0, n_dates - 1))
+    b = draw(st.integers(a, n_dates - 1))
+    start = calendar[a] if draw(st.booleans()) else None
+    end = calendar[b] if draw(st.booleans()) else None
+    names = draw(st.lists(st.sampled_from(_TICKERS), min_size=1, max_size=4, unique=True))
+    lines = []
+    for i, name in enumerate(names):
+        partial = i > 0 and (start or end) and draw(st.booleans())
+        if partial:  # does not span [start, end]: dropped
+            if start and a + 1 < n_dates and (not end or draw(st.booleans())):
+                lo = draw(st.integers(a + 1, n_dates - 1))  # begins after start
+                hi = draw(st.integers(lo + 1, n_dates))
+            elif end and b >= 1:
+                hi = draw(st.integers(1, b))  # ends before end
+                lo = draw(st.integers(0, hi - 1))
+            else:
+                continue
+        else:
+            lo = draw(st.integers(0, a)) if start else 0
+            hi = draw(st.integers(b + 1, n_dates)) if end else n_dates
+        first_day = a if start else lo  # the window starts here for this stock
+        death = draw(st.integers(first_day, hi)) if not partial else hi
+        for d in range(lo, hi):
+            if d < death or partial:
+                o, c = draw(st.integers(1000, 10**7)), draw(st.integers(1000, 10**7))
+                h = max(o, c) + draw(st.integers(0, 500))
+                low = min(o, c) - draw(st.integers(0, 500))
+                prices = [x / 100 for x in (o, h, low, c)]
+            elif d == death:
+                prices = [0.05, 0.05, 0.05, 0.05]
+            else:  # quotes after death may be anything non-negative
+                prices = [0.0, 0.0, 0.0, 0.0]
+            fmt = draw(st.sampled_from(_NUMBER_FORMATS))
+            volume = draw(st.integers(0, 10**12))
+            lines.append(",".join([
+                _ticker_field(name, draw(st.integers(0, 3))),
+                _date_field(calendar[d], draw(st.integers(0, 3))),
+                *(fmt(p) for p in prices),
+                draw(st.sampled_from(_VOLUME_FORMATS))(volume),
+            ]))
+    if not lines:
+        lines.append(f"S0,{calendar[0]},1.0,1.0,1.0,1.0,1")
+        start = end = None
+    lines = draw(st.permutations(lines))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_BLANK_LINES)))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    header = draw(st.sampled_from(["ticker,date,open,high,low,close,volume",
+                                   ' ticker ,"date",open,high,low,close, volume']))
+    text = newline.join([header, *lines]) + draw(st.sampled_from(["", newline]))
+    return text, start, end
+
+
+def _write_case(tmp_path, text):
+    path = tmp_path / "p.csv"
+    path.write_bytes(text.encode())
+    sectors = tmp_path / "s.csv"
+    if not sectors.exists():
+        write_sectors(sectors, [("S0", "Energy"), ("s0", "Utilities"), ("#HASH", "Materials")])
+    return path, sectors
+
+
+def _load_both(path, sectors, start, end):
+    """(new, oracle): each a (tickers, calendar, bars, sector_ids, death_day)
+    tuple or the DataError message it raised."""
+    results = []
+    for load in (load_ohlcv, reference.load_ohlcv_rows):
+        try:
+            got = load(path, sectors, start=start, end=end)
+        except DataError as exc:
+            results.append(str(exc))
+            continue
+        if load is load_ohlcv:
+            got = (got.tickers, got.calendar, got.bars, got.sector_ids,
+                   apply_dead_stock_rule(got).death_day)
+        results.append(got)
+    return results
+
+
+def _assert_same(new, oracle):
+    assert type(new) is type(oracle), (new, oracle)
+    if isinstance(new, str):
+        assert new == oracle
+        return
+    assert new[:2] == oracle[:2]
+    assert new[2].dtype == np.float64 and new[2].shape == oracle[2].shape
+    assert new[2].tobytes() == oracle[2].tobytes()  # bit for bit, signed zeros included
+    assert new[3].tolist() == oracle[3].tolist()
+    assert new[4].tolist() == oracle[4].tolist()
+
+
+class TestBulkParse:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=valid_ohlcv())
+    def test_valid_files_load_as_the_row_oracle_without_the_csv_pass(
+            self, tmp_path, monkeypatch, case):
+        text, start, end = case
+        path, sectors = _write_case(tmp_path, text)
+
+        def no_csv_pass(path):
+            raise AssertionError("a valid file reached the csv error pass")
+
+        monkeypatch.setattr(market_data, "_first_bad_row", no_csv_pass)
+        new, oracle = _load_both(path, sectors, start, end)
+        assert not isinstance(oracle, str), oracle
+        _assert_same(new, oracle)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=valid_ohlcv(), data=st.data())
+    def test_corrupted_files_give_the_oracle_result_or_its_data_error(
+            self, tmp_path, case, data):
+        text, start, end = case
+        for _ in range(data.draw(st.integers(1, 3))):
+            text = data.draw(_corruption(text))
+        path, sectors = _write_case(tmp_path, text)
+        new, oracle = _load_both(path, sectors, start, end)  # anything else raises here
+        _assert_same(new, oracle)
+
+    def test_csv_pass_runs_only_for_a_bad_file(self, tmp_path, monkeypatch):
+        calls = []
+        real = market_data._first_bad_row
+        monkeypatch.setattr(market_data, "_first_bad_row",
+                            lambda path: calls.append(path) or real(path))
+        d = days(2)
+        write_sectors(tmp_path / "s.csv", [("AAA", "Energy")])
+        write_ohlcv(tmp_path / "p.csv", simple_rows("AAA", d))
+        load_ohlcv(tmp_path / "p.csv", tmp_path / "s.csv")
+        assert calls == []
+        write_ohlcv(tmp_path / "p.csv", simple_rows("AAA", d) + [("AAA", d[1], 1, 1, 1, 1, 1)])
+        with pytest.raises(DataError, match=re.escape(f"{tmp_path / 'p.csv'}:4: duplicate")):
+            load_ohlcv(tmp_path / "p.csv", tmp_path / "s.csv")
+        assert calls == [tmp_path / "p.csv"]
+
+
+_HOSTILE = '",\n\r \t\x0c\xa0_#x1.e-+\x00١'
+
+
+@st.composite
+def _corruption(draw, text):
+    """text with one random edit: a character deleted, inserted or
+    replaced, a line repeated, or the tail cut off."""
+    kind = draw(st.sampled_from(["delete", "insert", "replace", "repeat", "cut"]))
+    if not text:
+        return draw(st.sampled_from(_HOSTILE))
+    i = draw(st.integers(0, len(text) - 1))
+    char = draw(st.sampled_from(_HOSTILE))
+    if kind == "delete":
+        return text[:i] + text[i + 1:]
+    if kind == "insert":
+        return text[:i] + char + text[i:]
+    if kind == "replace":
+        return text[:i] + char + text[i + 1:]
+    if kind == "cut":
+        return text[:i]
+    lines = text.split("\n")
+    j = draw(st.integers(0, len(lines) - 1))
+    return "\n".join(lines[:j + 1] + lines[j:])
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.text(alphabet=" \t\xa0\x0c\x1c+-_.eEinfatyINFATY0123456789١ ", max_size=8))
+def test_number_syntax_matches_the_c_reader(text):
+    """The csv pass reads a number only where numpy's C reader reads it,
+    to the same value."""
+    for kind, dtype in ((float, np.float64), (int, np.int64)):
+        try:
+            parsed = np.loadtxt([f"{text},"], dtype=dtype, delimiter=",", usecols=0,
+                                comments=None, quotechar='"', ndmin=1)[0]
+        except ValueError:
+            parsed = None
+        ours = market_data._c_number(text, kind)
+        if ours is not None and kind is int and not -2**63 <= ours < 2**63:
+            ours = None  # out of int64: the csv pass rejects it as a bad volume
+        assert (ours is None) == (parsed is None), (kind, text, ours, parsed)
+        if ours is not None:
+            assert np.array(ours, dtype=dtype).tobytes() == np.array(parsed).tobytes()
