@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backtest import BacktestLedger
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, csv_rows
 
 TRADING_DAYS_PER_YEAR = 252
 
@@ -250,12 +250,11 @@ def load_risk_free(path: str | None, calendar: list[dt.date]) -> np.ndarray:
     if path is None:
         return np.zeros(len(calendar))
     known: dict[dt.date, float] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    with open(path, newline="") as fh, csv_rows(fh, path) as rows:
+        header = next(rows, (1, None))[1]
         if header is None or [h.strip() for h in header] != ["date", "annual_rate"]:
             raise DataError(f"{path}: expected header date,annual_rate")
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in rows:
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != 2:

@@ -1,9 +1,31 @@
-"""Daily-rebalancing portfolio simulation from per-day scores and returns.
+"""Daily-rebalancing portfolio simulation on (days x stocks) arrays.
 
 All strategies trade at the open with perfect fills and no costs, stay
 fully invested, and accrue each day's open-to-open return on the weights
 held after that day's rebalance. Long-short variants earn the arithmetic
 difference of their two legs' daily returns on unit capital.
+
+simulate reads three aligned (days, stocks) arrays: the ranking scores,
+the return each stock earns from that day's buy open (the anchor day's
+column of dataset.return_matrix) and whether it is alive at the buy open.
+Column j is the stock ``tickers[j]``; a Universe sorts its tickers, so
+column order is ticker order. Each day ranks by descending score with a
+stable sort, so tied scores rank in ticker order.
+
+Summation order is part of the output: every sum below is Python's
+``sum`` over floats, in a fixed order, and reordering one changes the
+last bits of a ledger.
+
+- A drift rebalance sums the kept weights (the weight not freed) and
+  then all the weights (to rescale them) in the order the names entered
+  the portfolio; names that enter on the same day enter in ticker order.
+- A day's return sums weight x return over the held names in ticker order.
+- The market portfolio's return sums over its alive names in ticker order.
+
+Only the market portfolio skips names that are dead at the buy open.
+topk, bottomk and the deciles rank every stock, so they may hold a name
+that is already dead at the buy open; that name earns 0, because
+return_matrix zeroes a stock's returns once it is dead.
 
 A strategy's BacktestLedger holds, per day, the date, the weights held
 after the rebalance, the day's return and the compounded value: the
@@ -14,6 +36,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import DataError
 
@@ -32,24 +56,10 @@ REBALANCE_MODES = ("drift", "equal")
 
 @dataclass(frozen=True)
 class DailyRanking:
-    """Descending-score ordering of the universe for one day.
-
-    Ties are broken by ticker so the ranking is deterministic and
-    independent of input ordering.
-    """
+    """One day's (ticker, score) pairs in rank order, as scores.csv lists them."""
 
     date: object
     entries: tuple[tuple[str, float], ...]
-
-    def top(self, k: int) -> list[str]:
-        return [t for t, _ in self.entries[:k]]
-
-    def bottom(self, k: int) -> list[str]:
-        return [t for t, _ in self.entries[len(self.entries) - k :]]
-
-    @property
-    def tickers(self) -> list[str]:
-        return [t for t, _ in self.entries]
 
 
 @dataclass
@@ -115,135 +125,93 @@ class BacktestLedger:
 
 
 def rank_for_day(date, scores: dict[str, float]) -> DailyRanking:
-    """Stable descending sort with lexicographic tie-break on ticker."""
+    """One day's (ticker, score) pairs in rank order: descending score,
+    ties in ticker order, as simulate ranks a row of its score array."""
     entries = tuple(sorted(scores.items(), key=lambda kv: (-kv[1], kv[0])))
     return DailyRanking(date=date, entries=entries)
 
 
-def rebalance_topk(
-    current: dict[str, float], target: list[str], mode: str = "drift"
-) -> dict[str, float]:
-    """Move a long-only portfolio onto the target name list.
+def _rebalance(held: list[int], weights: list[float], target: list[int],
+               mode: str) -> tuple[list[int], list[float]]:
+    """Move a long-only portfolio, (stocks, weights), onto the target stocks.
 
-    Drift mode: names already held keep their drifted weights, proceeds
-    from the sells are split equally among the newcomers. Equal mode:
-    everything is re-equalized to 1/len(target). Weights always sum to 1.
+    Equal mode holds 1/len(target) of each target. Drift mode keeps the
+    held targets at their drifted weights, in the order they entered,
+    splits the weight the sales free equally among the newcomers, which
+    enter in ticker order, and rescales the weights to sum to 1.
     """
-    if mode not in REBALANCE_MODES:
-        raise DataError(f"unknown rebalance mode {mode!r}")
-    if not target:
-        raise DataError("rebalance target is empty")
     if mode == "equal":
-        w = 1.0 / len(target)
-        return {t: w for t in target}
-
-    target_set = set(target)
-    buys = sorted(t for t in target if t not in current)
-    kept = {t: w for t, w in current.items() if t in target_set}
-    freed = 1.0 - sum(kept.values())
-    new = dict(kept)
+        return target, [1.0 / len(target)] * len(target)
+    wanted = set(target)
+    kept = [(s, w) for s, w in zip(held, weights) if s in wanted]
+    buys = sorted(wanted.difference(held))
+    new = [w for _, w in kept]
+    freed = 1.0 - sum(new)
     if buys:
-        slice_w = freed / len(buys)
-        for t in buys:
-            new[t] = slice_w
-    total = sum(new.values())
-    return {t: w / total for t, w in new.items()}
+        new += [freed / len(buys)] * len(buys)
+    total = sum(new)
+    return [s for s, _ in kept] + buys, [w / total for w in new]
 
 
-def _drift(holdings: dict[str, float], returns: dict[str, float],
-           day_return: float) -> dict[str, float]:
-    growth = 1.0 + day_return
-    return {t: w * (1.0 + returns[t]) / growth for t, w in holdings.items()}
-
-
-def _run_long_only(
-    select_fn, rankings: list[DailyRanking], returns_by_day: list[dict[str, float]], mode: str,
-) -> BacktestLedger:
+def _run(picks: np.ndarray, returns: np.ndarray, dates, tickers, mode: str) -> BacktestLedger:
+    """A long-only ledger that rebalances onto the stocks picks[d] on day d
+    and earns returns[d] until the next day's rebalance."""
     ledger = BacktestLedger()
-    holdings: dict[str, float] = {}
-    for ranking, rets in zip(rankings, returns_by_day):
-        target = select_fn(ranking)
-        holdings = rebalance_topk(holdings, target, mode=mode)
-        missing = [t for t in holdings if t not in rets]
-        if missing:
-            raise DataError(f"{ranking.date}: no returns for held tickers {missing}")
-        day_return = sum(w * rets[t] for t, w in sorted(holdings.items()))
-        ledger.append(ranking.date, dict(holdings), day_return)
-        holdings = _drift(holdings, rets, day_return)
+    held, weights = [], []
+    for date, target, rets in zip(dates, picks.tolist(), returns.tolist()):
+        held, weights = _rebalance(held, weights, target, mode)
+        day_return = sum(w * rets[s] for s, w in sorted(zip(held, weights)))
+        ledger.append(date, {tickers[s]: w for s, w in zip(held, weights)}, day_return)
+        growth = 1.0 + day_return
+        weights = [w * (1.0 + rets[s]) / growth for s, w in zip(held, weights)]
     return ledger
 
 
-def _decile_size(n: int) -> int:
-    return max(1, n // 10)
-
-
-def simulate(
-    strategy: str,
-    rankings: list[DailyRanking],
-    returns_by_day: list[dict[str, float]],
-    k: int = 10,
-    alive_by_day: list[list[str]] | None = None,
-    rebalance_mode: str = "drift",
-) -> BacktestLedger:
-    """Run one strategy over aligned daily rankings and realized returns.
-
-    ``alive_by_day`` limits the equal-weight market to stocks not yet dead;
-    when omitted every ranked ticker is considered alive.
+def simulate(strategy: str, scores: np.ndarray, returns: np.ndarray, alive: np.ndarray,
+             dates, tickers, k: int = 10, rebalance_mode: str = "drift") -> BacktestLedger:
+    """Run one strategy over (days, stocks) scores, returns and alive mask,
+    whose rows are the days ``dates`` and whose columns are the stocks
+    ``tickers`` (see the module docstring).
     """
     if strategy not in STRATEGIES:
         raise DataError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    if len(rankings) != len(returns_by_day):
-        raise DataError(
-            f"{len(rankings)} ranking days vs {len(returns_by_day)} return days"
-        )
-    for ranking, rets in zip(rankings, returns_by_day):
-        missing = [t for t in ranking.tickers if t not in rets]
-        if missing:
-            raise DataError(f"{ranking.date}: rankings and returns disagree on {missing}")
-    if strategy in ("topk", "bottomk", "long_short_k"):
-        n_universe = min(len(r.entries) for r in rankings)
-        if k > n_universe:
-            raise DataError(f"k={k} exceeds universe size {n_universe}")
+    if rebalance_mode not in REBALANCE_MODES:
+        raise DataError(f"unknown rebalance mode {rebalance_mode!r}")
+    shape = (len(dates), len(tickers))
+    if not scores.shape == returns.shape == alive.shape == shape:
+        raise DataError(f"scores {scores.shape}, returns {returns.shape} and alive "
+                        f"{alive.shape} do not all cover {shape[0]} days x {shape[1]} stocks")
+    n_stocks = shape[1]
+    if strategy in ("topk", "bottomk", "long_short_k") and k > n_stocks:
+        raise DataError(f"k={k} exceeds universe size {n_stocks}")
 
-    if strategy == "topk":
-        return _run_long_only(lambda r: r.top(k), rankings, returns_by_day, rebalance_mode)
-    if strategy == "bottomk":
-        return _run_long_only(lambda r: r.bottom(k), rankings, returns_by_day, rebalance_mode)
-    if strategy == "top_decile":
-        return _run_long_only(lambda r: r.top(_decile_size(len(r.entries))),
-                              rankings, returns_by_day, "equal")
-    if strategy == "bottom_decile":
-        return _run_long_only(lambda r: r.bottom(_decile_size(len(r.entries))),
-                              rankings, returns_by_day, "equal")
-    if strategy == "market_equal_weight":
-        if alive_by_day is None:
-            alive_by_day = [r.tickers for r in rankings]
-        if len(alive_by_day) != len(rankings):
-            raise DataError("alive_by_day does not align with rankings")
+    if strategy in ("long_short_k", "long_short_decile"):
+        legs = ("topk", "bottomk") if strategy.endswith("k") else ("top_decile", "bottom_decile")
+        long_leg, short_leg = (simulate(leg, scores, returns, alive, dates, tickers, k,
+                                        rebalance_mode) for leg in legs)
         ledger = BacktestLedger()
-        for ranking, rets, alive in zip(rankings, returns_by_day, alive_by_day):
-            names = sorted(alive)
+        for date, holdings, long_ret, short_ret in zip(
+                dates, long_leg.holdings, long_leg.daily_returns, short_leg.daily_returns):
+            ledger.append(date, holdings, long_ret - short_ret)
+        return ledger
+    if strategy == "market_equal_weight":
+        ledger = BacktestLedger()
+        for date, rets, live in zip(dates, returns.tolist(), alive):
+            names = np.flatnonzero(live).tolist()
             if not names:
-                raise DataError(f"{ranking.date}: no alive stocks for the market portfolio")
+                raise DataError(f"{date}: no alive stocks for the market portfolio")
             w = 1.0 / len(names)
-            day_return = sum(w * rets[t] for t in names)
-            ledger.append(ranking.date, {t: w for t in names}, day_return)
+            ledger.append(date, {tickers[s]: w for s in names},
+                          sum(w * rets[s] for s in names))
         return ledger
 
-    # long-short: arithmetic difference of the two legs' returns
-    if strategy == "long_short_k":
-        long_leg = simulate("topk", rankings, returns_by_day, k=k,
-                            rebalance_mode=rebalance_mode)
-        short_leg = simulate("bottomk", rankings, returns_by_day, k=k,
-                             rebalance_mode=rebalance_mode)
+    if strategy in ("topk", "bottomk"):
+        size, mode = k, rebalance_mode
     else:
-        long_leg = simulate("top_decile", rankings, returns_by_day)
-        short_leg = simulate("bottom_decile", rankings, returns_by_day)
-    ledger = BacktestLedger()
-    for i, ranking in enumerate(rankings):
-        day_return = long_leg.daily_returns[i] - short_leg.daily_returns[i]
-        ledger.append(ranking.date, dict(long_leg.holdings[i]), day_return)
-    return ledger
+        size, mode = max(1, n_stocks // 10), "equal"
+    ranked = np.argsort(-scores, axis=1, kind="stable")
+    picks = ranked[:, :size] if strategy.startswith("top") else ranked[:, n_stocks - size:]
+    return _run(picks, returns, dates, tickers, mode)
 
 
 def combine_strategies(ledgers: list[BacktestLedger]) -> BacktestLedger:

@@ -153,8 +153,8 @@ def backtest(config_path, out, strategy):
         raise DataError(f"no scores at {scores_path}; run train first")
     with run_lock(out):
         universe = load_universe(cfg)
-        rankings = read_scores_csv(scores_path, universe)
-        ledgers = run_strategies(cfg, universe, rankings)
+        scores, days = read_scores_csv(scores_path, universe)
+        ledgers = run_strategies(cfg, universe, scores, days)
         ledger_dir = write_ledgers(ledgers, out)
         write_manifest(cfg, out)
     _echo(f"wrote {len(ledgers)} ledgers to {ledger_dir}")

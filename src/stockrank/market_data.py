@@ -10,7 +10,6 @@ mutate their input.
 from __future__ import annotations
 
 import bisect
-import csv
 import datetime as dt
 import io
 import math
@@ -20,7 +19,7 @@ from itertools import compress
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, csv_rows
 
 #: Canonical sector names mapped to ids 0..10; anything else gets NO_SECTOR_ID.
 SECTOR_NAMES = (
@@ -103,12 +102,11 @@ def load_sector_map(sector_path: str) -> dict[str, int]:
     ticker may appear once."""
     name_to_id = {name.lower(): i for i, name in enumerate(SECTOR_NAMES)}
     out: dict[str, int] = {}
-    with open(sector_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    with open(sector_path, newline="") as fh, csv_rows(fh, sector_path) as rows:
+        header = next(rows, (1, None))[1]
         if header is None or [h.strip() for h in header] != _SECTOR_HEADER:
             raise DataError(f"{sector_path}: expected header {','.join(_SECTOR_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in rows:
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != 2:
@@ -144,7 +142,8 @@ def _parse_rows(path: str) -> np.ndarray:
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: {exc}") from exc
     header_line = text.partition("\n")[0]
-    header = next(csv.reader([header_line]), [])
+    with csv_rows([header_line], path) as rows:
+        header = next(rows, (1, []))[1]
     if [h.strip() for h in header] != _OHLCV_HEADER:
         raise DataError(f"{path}: expected header {','.join(_OHLCV_HEADER)}")
     body = text[len(header_line):]  # each row follows a line break
@@ -155,7 +154,15 @@ def _parse_rows(path: str) -> np.ndarray:
         raise DataError(f"{path}: no data rows")
     rows = np.loadtxt(io.StringIO(body), dtype=_ROW, delimiter=",", comments=None,
                       quotechar='"', ndmin=1)
-    if len(rows) != n_rows:
+    # A quote the last row opens and never closes holds every line break
+    # after it without merging two rows, so the row count cannot show it:
+    # csv reads from the last line that is not blank to the end.
+    end = len(text)
+    while end and (text[end - 1].isspace() or text[end - 1] in ',"'):
+        end -= 1
+    with csv_rows(io.StringIO(text[text.rfind("\n", 0, end) + 1:]), path) as last:
+        open_quote = any("\n" in field for field in next(last)[1])
+    if len(rows) != n_rows or open_quote:
         raise ValueError("a quoted field holds a line break")
     return rows
 
@@ -180,6 +187,8 @@ def _read_block(path: str) -> tuple[list[str], list[dt.date], np.ndarray, np.nda
     tickers, stock = _index(rows["ticker"], str.strip)
     if not tickers[0]:
         raise ValueError("empty ticker")
+    if any(";" in t for t in tickers):
+        raise ValueError("a ticker holds ';'")
     dates, day = _index(rows["date"], lambda text: dt.date.fromisoformat(text.strip()))
     prices, volume = rows["prices"], rows["volume"]
     o, h, lo, c = prices.T
@@ -221,6 +230,8 @@ def _row_fault(row: list[str], seen: set) -> str | None:
         if len(row) != 7:
             return f"expected 7 columns, got {len(row)}"
         return "empty ticker"
+    if ";" in ticker:
+        return f"ticker {ticker!r} holds ';'"
     try:
         date = dt.date.fromisoformat(row[1].strip())
     except ValueError:
@@ -256,15 +267,15 @@ def _first_bad_row(path: str) -> DataError | None:
     header) and rejects what the C reader rejects.
     """
     seen: set = set()
-    lineno = 1
     with open(path, newline="") as fh:
         fh.readline()
         try:
-            for lineno, row in enumerate(csv.reader(fh), start=2):
-                if fault := _row_fault(row, seen):
-                    return DataError(f"{path}:{lineno}: {fault}")
-        except csv.Error as exc:
-            return DataError(f"{path}:{lineno + 1}: {exc}")
+            with csv_rows(fh, path, start=2) as rows:
+                for lineno, row in rows:
+                    if fault := _row_fault(row, seen):
+                        return DataError(f"{path}:{lineno}: {fault}")
+        except DataError as exc:  # a row the csv module cannot read
+            return exc
     return None
 
 
@@ -303,7 +314,9 @@ def load_ohlcv(
     - A row whose fields are all empty or whitespace, quoted or not, is
       skipped; so are empty lines.
     - Ticker and date are stripped of surrounding whitespace; the date is
-      ISO (``datetime.date.fromisoformat``).
+      ISO (``datetime.date.fromisoformat``). A ticker may not hold ``;``,
+      which separates the holdings of a ledger line.
+    - A field may be of any length.
     - Prices are what ``float()`` reads from ASCII text, with any Unicode
       whitespace around it; ``nan`` and ``inf`` parse but are rejected as
       non-finite. The volume is a base-10 integer with an optional sign
@@ -329,12 +342,12 @@ def load_ohlcv(
         keep &= present.argmax(1) < bisect.bisect_right(dates, start)
     if end is not None:
         keep &= len(dates) - present[:, ::-1].argmax(1) > bisect.bisect_left(dates, end)
-    if not keep.any():
-        raise DataError("no stocks span the requested date range")
     lo = 0 if start is None else bisect.bisect_left(dates, start)
     hi = len(dates) if end is None else bisect.bisect_right(dates, end)
     held = present[keep, lo:hi]
     on_calendar = held.any(0)
+    if not on_calendar.any():  # no stock kept, or none has a bar in the range
+        raise DataError("no stocks span the requested date range")
     calendar = tuple(compress(dates[lo:hi], on_calendar.tolist()))
     held = held[:, on_calendar]
     bars = block[keep, lo:hi][:, on_calendar]

@@ -41,6 +41,7 @@ import math
 import os
 import sys
 import traceback
+from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import asdict
 
@@ -48,10 +49,10 @@ import numpy as np
 
 from . import __version__, blas
 from .analytics import build_metric_grid, build_report, grid_to_csv, load_risk_free
-from .backtest import BacktestLedger, DailyRanking, combine_strategies, rank_for_day, simulate
+from .backtest import BacktestLedger, combine_strategies, rank_for_day, simulate
 from .config import RunConfig
 from .dataset import build_split_plans, make_samples, return_matrix
-from .errors import ConfigError, DataError, failing_module
+from .errors import ConfigError, DataError, csv_rows, failing_module
 from .indicators import assemble_panel, make_spec
 from .market_data import Universe, apply_dead_stock_rule, filter_by_dollar_volume, load_ohlcv
 from .models import (
@@ -166,19 +167,12 @@ def _arch_from_config(cfg: RunConfig, n_features: int) -> ArchConfig:
     )
 
 
-def _alive_tickers(universe: Universe, anchors: list[int]) -> list[list[str]]:
-    """Per anchor day, the stocks not yet dead at the buy open (day anchor + 1)."""
-    alive = universe.death_day > np.asarray(anchors)[:, None] + 1
-    tickers = np.array(universe.tickers, dtype=object)
-    return [tickers[row].tolist() for row in alive]
-
-
-def _rank_days(dates, test, test_days: list[int], scores: np.ndarray) -> list[DailyRanking]:
-    """One ranking per test day from the scores of a test SampleSet."""
-    per_day: dict[int, dict[str, float]] = {d: {} for d in test_days}
-    for d, ticker, sc in zip(test.anchor_days.tolist(), test.tickers, scores.tolist()):
-        per_day[d][ticker] = sc
-    return [rank_for_day(dates[d], per_day[d]) for d in test_days]
+def _day_arrays(universe: Universe, returns: np.ndarray, days: np.ndarray) -> tuple:
+    """simulate's returns, alive mask, dates and tickers for the given
+    anchor days; returns is return_matrix(universe). A stock is alive on
+    anchor day d when it is not yet dead at the buy open, day d + 1."""
+    return (returns[:, days].T, universe.death_day > days[:, None] + 1,
+            [universe.calendar[d] for d in days.tolist()], universe.tickers)
 
 
 def usable_cpus() -> int:
@@ -311,9 +305,11 @@ def train_walk_forward(cfg: RunConfig, universe: Universe, panel, plans,
     (``taskset -c 0``) w is 1: the serial loop runs in process, with no
     fork and the default BLAS threads.
 
-    Returns {"ensembles": [EnsembleState...], "scores": scores_rows,
-    "rankings": {ensemble_index: [(day, DailyRanking)...]}, "histories": [...],
-    "training_processes": w} where scores_rows feed scores.csv.
+    Returns {"ensembles": [EnsembleState...], "scores": (ensembles, days,
+    stocks) float64 array, "days": calendar day index of each score row,
+    "score_rows": scores.csv rows, "histories": [...], "training_processes": w}.
+    The score rows are the same scores as (ensemble, period, date, ticker,
+    score) tuples, each day's in rank order.
     """
     arch = _arch_from_config(cfg, panel.n_features)
     hp_overrides = {"batch_size": cfg.batch_size, "max_epochs": cfg.max_epochs}
@@ -331,8 +327,8 @@ def train_walk_forward(cfg: RunConfig, universe: Universe, panel, plans,
                                        window=cfg.moe_window))
     log(f"model parameter count: {ensembles[0].members[0].param_count}")
 
-    scores_rows: list[tuple] = []
-    rankings: dict[int, list] = {e: [] for e in range(cfg.n_ensembles)}
+    score_rows: list[tuple] = []
+    period_scores: list[np.ndarray] = []
     histories: list[dict] = []
     classification = arch.loss_kind.classification
     returns = return_matrix(universe)
@@ -343,10 +339,12 @@ def train_walk_forward(cfg: RunConfig, universe: Universe, panel, plans,
                                thresholds=cfg.label_thresholds, cap=cfg.return_cap,
                                val_days=cfg.val_days)
         test = samples["test"]
-        test_days = sorted(set(test.anchor_days.tolist()))
-        returns_by_day = _returns_for_days(returns, universe.tickers, test_days)
+        test_days = np.arange(*plan.test_range)
+        market = _day_arrays(universe, returns, test_days)
+        stock_major = (universe.n_stocks, len(test_days))  # the test samples' order
         trained = _train_members([m for ens in ensembles for m in ens.members],
                                  samples["train"], samples["val"], hp, processes)
+        ensemble_scores = []
         for e, ens in enumerate(ensembles):
             pairs = trained[e * cfg.n_members : (e + 1) * cfg.n_members]
             ens.members = [member for member, _hist in pairs]
@@ -360,57 +358,48 @@ def train_walk_forward(cfg: RunConfig, universe: Universe, panel, plans,
             member_outputs = [
                 predict_batch(m, test.windows, test.sector_ids) for m in ens.members
             ]
-            ens_scores = ranking_scores(combine_members(ens, member_outputs), classification)
-            ens_rankings = _rank_days(panel.dates, test, test_days, ens_scores)
-            rankings[e].extend(zip(test_days, ens_rankings))
-            for ranking in ens_rankings:
-                date = ranking.date.isoformat()
-                for ticker, sc in ranking.entries:
-                    scores_rows.append((e, plan.period_index, date, ticker, sc))
+            ens_scores = ranking_scores(combine_members(ens, member_outputs),
+                                        classification).reshape(stock_major).T
+            ensemble_scores.append(ens_scores)
+            for d, day_scores in zip(test_days.tolist(), ens_scores.tolist()):
+                ranking = rank_for_day(universe.calendar[d].isoformat(),
+                                       dict(zip(universe.tickers, day_scores)))
+                score_rows.extend((e, plan.period_index, ranking.date, ticker, sc)
+                                  for ticker, sc in ranking.entries)
 
             # each member's own top-k return this period drives next period's weights
             member_period_returns = []
             for outputs in member_outputs:
-                m_scores = ranking_scores(outputs, classification)
-                led = simulate("topk", _rank_days(panel.dates, test, test_days, m_scores),
-                               returns_by_day, k=cfg.k, rebalance_mode=cfg.rebalance_mode)
+                m_scores = ranking_scores(outputs, classification).reshape(stock_major).T
+                led = simulate("topk", m_scores, *market, k=cfg.k,
+                               rebalance_mode=cfg.rebalance_mode)
                 member_period_returns.append(led.final_value - 1.0)
             ens.record_period_returns(member_period_returns)
-    return {"ensembles": ensembles, "scores": scores_rows, "rankings": rankings,
-            "histories": histories, "training_processes": processes}
+        period_scores.append(np.stack(ensemble_scores))
+    return {"ensembles": ensembles, "scores": np.concatenate(period_scores, axis=1),
+            "days": np.concatenate([np.arange(*plan.test_range) for plan in plans]),
+            "score_rows": score_rows, "histories": histories,
+            "training_processes": processes}
 
 
-def _returns_for_days(returns: np.ndarray, tickers, anchors: list[int]) -> list[dict[str, float]]:
-    """ticker -> return dicts, one per anchor day, from a return_matrix."""
-    return [dict(zip(tickers, day)) for day in returns[:, anchors].T.tolist()]
-
-
-def run_strategies(cfg: RunConfig, universe: Universe,
-                   rankings: dict[int, list]) -> dict[str, BacktestLedger]:
+def run_strategies(cfg: RunConfig, universe: Universe, scores: np.ndarray,
+                   days: np.ndarray) -> dict[str, BacktestLedger]:
     """Simulate the configured strategies over all collected test days.
 
-    With several ensembles, each strategy is simulated per ensemble and
-    the ledgers are integrated with equal weights.
+    scores is the (ensembles, days, stocks) score array and days the
+    calendar day index of each of its rows. With several ensembles, each
+    strategy is simulated per ensemble and the ledgers are integrated with
+    equal weights.
     """
+    market = _day_arrays(universe, return_matrix(universe), days)
     ledgers: dict[str, BacktestLedger] = {}
-    anchor_days = [d for d, _ in rankings[0]]
-    returns_by_day = _returns_for_days(return_matrix(universe), universe.tickers, anchor_days)
-    alive_by_day = _alive_tickers(universe, anchor_days)
     for strategy in cfg.strategies:
-        per_ensemble = []
-        for e in sorted(rankings):
-            ranks = [r for _, r in rankings[e]]
-            per_ensemble.append(
-                simulate(strategy, ranks, returns_by_day, k=cfg.k,
-                         alive_by_day=alive_by_day, rebalance_mode=cfg.rebalance_mode)
-            )
+        per_ensemble = [simulate(strategy, ens_scores, *market, k=cfg.k,
+                                 rebalance_mode=cfg.rebalance_mode) for ens_scores in scores]
         ledgers[strategy] = (per_ensemble[0] if len(per_ensemble) == 1
                              else combine_strategies(per_ensemble))
     if "market_equal_weight" not in ledgers:
-        ranks = [r for _, r in rankings[0]]
-        ledgers["market_equal_weight"] = simulate(
-            "market_equal_weight", ranks, returns_by_day, alive_by_day=alive_by_day
-        )
+        ledgers["market_equal_weight"] = simulate("market_equal_weight", scores[0], *market)
     return ledgers
 
 
@@ -422,27 +411,26 @@ def write_scores_csv(scores_rows: list[tuple], path: str) -> None:
             writer.writerow([row[0], row[1], row[2], row[3], repr(row[4])])
 
 
-def read_scores_csv(path: str, universe: Universe) -> dict[int, list]:
-    """Rebuild per-ensemble daily rankings, as (calendar day index, DailyRanking)
-    pairs in date order, from a scores.csv.
+def read_scores_csv(path: str, universe: Universe) -> tuple[np.ndarray, np.ndarray]:
+    """The (ensembles, days, stocks) score array of a scores.csv, columns in
+    universe ticker order, and the calendar day index of each of its rows,
+    in date order: what run_strategies takes.
 
     Every row names a universe ticker, every (ensemble, date) ranks all of
     them once, the ensembles are numbered 0..E-1 and all rank the same
     dates, as the train stage writes them.
     """
     calendar = universe.calendar
-    tickers = set(universe.tickers)
+    column = {t: j for j, t in enumerate(universe.tickers)}
     day_index = {d.isoformat(): i for i, d in enumerate(calendar)}
-    per_day: dict[tuple[int, int], dict[str, float]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SCORES_HEADER:
+    cells: dict[tuple[int, int, int], float] = {}  # (ensemble, day, column) -> score
+    with open(path, newline="") as fh, csv_rows(fh, path) as rows:
+        if next(rows, (1, None))[1] != SCORES_HEADER:
             raise DataError(f"{path}: not a scores file")
-        for row in reader:
+        for lineno, row in rows:
             if not row:
                 continue
-            where = f"{path}:{reader.line_num}"
+            where = f"{path}:{lineno}"
             if len(row) != len(SCORES_HEADER):
                 raise DataError(f"{where}: expected {len(SCORES_HEADER)} columns, got {len(row)}")
             try:
@@ -453,31 +441,35 @@ def read_scores_csv(path: str, universe: Universe) -> dict[int, list]:
                 raise DataError(f"{where}: non-finite score {row[4]!r}")
             if row[2] not in day_index:
                 raise DataError(f"{where}: scores date {row[2]} not on the universe calendar")
-            if row[3] not in tickers:
+            if row[3] not in column:
                 raise DataError(f"{where}: ticker {row[3]!r} is not in the universe")
-            day_scores = per_day.setdefault((e, day_index[row[2]]), {})
-            if row[3] in day_scores:
+            key = (e, day_index[row[2]], column[row[3]])
+            if key in cells:
                 raise DataError(f"{where}: duplicate (ensemble, date, ticker) row "
                                 f"({e}, {row[2]}, {row[3]})")
-            day_scores[row[3]] = score
-    rankings: dict[int, list] = {}
-    for (e, d) in sorted(per_day):
-        if len(per_day[(e, d)]) != len(tickers):
-            raise DataError(f"{path}: ensemble {e} on {calendar[d]} ranks "
-                            f"{len(per_day[(e, d)])} of the {len(tickers)} universe tickers")
-        rankings.setdefault(e, []).append((d, rank_for_day(calendar[d], per_day[(e, d)])))
-    if not rankings:
+            cells[key] = score
+    if not cells:
         raise DataError(f"{path}: no score rows")
-    if list(rankings) != list(range(len(rankings))):
-        raise DataError(f"{path}: ensembles {list(rankings)} are not numbered "
-                        f"0..{len(rankings) - 1}")
-    days = [d for d, _ in rankings[0]]
-    for e, ranked in rankings.items():
-        if [d for d, _ in ranked] != days:
-            other = sorted(set(days).symmetric_difference(d for d, _ in ranked))[0]
+    ranked = Counter((e, d) for e, d, _ in cells)  # (ensemble, day) -> tickers ranked
+    for (e, d), n in sorted(ranked.items()):
+        if n != len(column):
+            raise DataError(f"{path}: ensemble {e} on {calendar[d]} ranks "
+                            f"{n} of the {len(column)} universe tickers")
+    ensembles = sorted({e for e, _ in ranked})
+    if ensembles != list(range(len(ensembles))):
+        raise DataError(f"{path}: ensembles {ensembles} are not numbered "
+                        f"0..{len(ensembles) - 1}")
+    dates_of = [sorted(d for e2, d in ranked if e2 == e) for e in ensembles]
+    for e, dates in enumerate(dates_of):
+        if dates != dates_of[0]:
+            other = sorted(set(dates_of[0]).symmetric_difference(dates))[0]
             raise DataError(f"{path}: ensembles 0 and {e} rank different dates "
                             f"(one ranks {calendar[other]}, the other does not)")
-    return rankings
+    days = np.array(dates_of[0])
+    keys = np.array(list(cells))
+    scores = np.empty((len(ensembles), len(days), len(column)))
+    scores[keys[:, 0], np.searchsorted(days, keys[:, 1]), keys[:, 2]] = list(cells.values())
+    return scores, days
 
 
 def write_ledgers(ledgers: dict[str, BacktestLedger], out_dir: str) -> str:
@@ -494,10 +486,9 @@ def _training_summary(out_dir: str) -> dict:
     ckpt = os.path.join(out_dir, "checkpoints", "ensemble_0.ens")
     if not os.path.exists(ckpt):
         return {}
-    with open(os.path.join(out_dir, "scores", "scores.csv"), newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        periods = {row[1] for row in reader}
+    scores_path = os.path.join(out_dir, "scores", "scores.csv")
+    with open(scores_path, newline="") as fh, csv_rows(fh, scores_path) as rows:
+        periods = {row[1] for lineno, row in rows if lineno > 1 and row}  # as read_scores_csv
     return {"periods": len(periods),
             "param_count": load_ensemble(ckpt).members[0].param_count}
 
@@ -594,13 +585,17 @@ def training_run(cfg: RunConfig, out_dir: str, log=lambda msg: None):
     """The train stage: load, plan and train, then write config.resolved.json,
     the checkpoints and scores.csv under the run lock.
 
-    The caller's block runs under the same lock with (universe, rankings);
-    the manifest is written after it.
+    The caller's block runs under the same lock with (universe, scores,
+    days), the score array and its calendar days that run_strategies
+    takes; the manifest is written after it.
     """
     universe = load_universe(cfg)
     log(f"universe: {universe.n_stocks} stocks x {universe.n_days} days")
     panel = build_panel(cfg, universe)
     plans = plan_periods(cfg, panel)  # fail-fast before training
+    if cfg.k > universe.n_stocks:  # every period's member weights hold the top k
+        raise ConfigError(f"k={cfg.k} exceeds the {universe.n_stocks} stocks left "
+                          "after filtering the universe")
     log(f"walk-forward periods: {len(plans)}")
 
     with run_lock(out_dir):
@@ -616,16 +611,16 @@ def training_run(cfg: RunConfig, out_dir: str, log=lambda msg: None):
 
         scores_dir = os.path.join(out_dir, "scores")
         os.makedirs(scores_dir, exist_ok=True)
-        write_scores_csv(result["scores"], os.path.join(scores_dir, "scores.csv"))
+        write_scores_csv(result["score_rows"], os.path.join(scores_dir, "scores.csv"))
 
-        yield universe, result["rankings"]
+        yield universe, result["scores"], result["days"]
         write_manifest(cfg, out_dir, result["training_processes"])
 
 
 def run_pipeline(cfg: RunConfig, out_dir: str, log=lambda msg: None) -> dict:
     """The full walk-forward loop, producing every artifact."""
-    with training_run(cfg, out_dir, log) as (universe, rankings):
-        ledgers = run_strategies(cfg, universe, rankings)
+    with training_run(cfg, out_dir, log) as (universe, scores, days):
+        ledgers = run_strategies(cfg, universe, scores, days)
         write_ledgers(ledgers, out_dir)
         payload = write_report(cfg, ledgers, out_dir)
     return payload

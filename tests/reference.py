@@ -2,8 +2,8 @@
 
 These are the documented one-sample formulas, written for clarity: the
 program computes the same quantities on arrays (``losses.batch_loss``,
-``dataset.return_matrix``, ``market_data.load_ohlcv``), and the tests
-compare the two.
+``dataset.return_matrix``, ``market_data.load_ohlcv``,
+``backtest.simulate``), and the tests compare the two.
 """
 
 import csv
@@ -13,6 +13,7 @@ import re
 
 import numpy as np
 
+from stockrank.backtest import REBALANCE_MODES, STRATEGIES, BacktestLedger, combine_strategies
 from stockrank.dataset import LOOKAHEAD
 from stockrank.errors import DataError, NumericError
 from stockrank.losses import LOG_CLIP
@@ -101,6 +102,8 @@ def load_ohlcv_rows(path, sector_path, start=None, end=None, price_floor=0.1):
             ticker = row[0].strip()
             if not ticker:
                 raise DataError(f"{where}: empty ticker")
+            if ";" in ticker:
+                raise DataError(f"{where}: ticker {ticker!r} holds ';'")
             try:
                 date = dt.date.fromisoformat(row[1].strip())
             except ValueError:
@@ -134,9 +137,9 @@ def load_ohlcv_rows(path, sector_path, start=None, end=None, price_floor=0.1):
         want_hi = end if end is not None else dates[-1]
         if dates[0] <= want_lo and dates[-1] >= want_hi:
             kept[ticker] = {d: by_date[d] for d in dates if want_lo <= d <= want_hi}
-    if not kept:
-        raise DataError("no stocks span the requested date range")
     calendar = tuple(sorted({d for by_date in kept.values() for d in by_date}))
+    if not calendar:
+        raise DataError("no stocks span the requested date range")
     tickers = tuple(sorted(kept))
     death_day = []
     for ticker in tickers:
@@ -155,3 +158,144 @@ def load_ohlcv_rows(path, sector_path, start=None, end=None, price_floor=0.1):
     bars = bars.reshape(len(tickers), len(calendar), 5)
     sector_ids = np.array([sectors.get(t, NO_SECTOR_ID) for t in tickers])
     return tickers, calendar, bars, sector_ids, np.array(death_day)
+
+
+class DailyRanking:
+    """Descending-score ordering of the universe for one day, ties broken
+    by ticker."""
+
+    def __init__(self, date, scores: dict[str, float]):
+        self.date = date
+        self.entries = tuple(sorted(scores.items(), key=lambda kv: (-kv[1], kv[0])))
+
+    def top(self, k: int) -> list[str]:
+        return [t for t, _ in self.entries[:k]]
+
+    def bottom(self, k: int) -> list[str]:
+        return [t for t, _ in self.entries[len(self.entries) - k :]]
+
+    @property
+    def tickers(self) -> list[str]:
+        return [t for t, _ in self.entries]
+
+
+def rebalance_topk(current: dict[str, float], target: list[str],
+                   mode: str = "drift") -> dict[str, float]:
+    """Move a long-only portfolio onto the target name list.
+
+    Drift mode: names already held keep their drifted weights, proceeds
+    from the sells are split equally among the newcomers. Equal mode:
+    everything is re-equalized to 1/len(target). Weights always sum to 1.
+    """
+    if mode not in REBALANCE_MODES:
+        raise DataError(f"unknown rebalance mode {mode!r}")
+    if not target:
+        raise DataError("rebalance target is empty")
+    if mode == "equal":
+        w = 1.0 / len(target)
+        return {t: w for t in target}
+
+    target_set = set(target)
+    buys = sorted(t for t in target if t not in current)
+    kept = {t: w for t, w in current.items() if t in target_set}
+    freed = 1.0 - sum(kept.values())
+    new = dict(kept)
+    if buys:
+        slice_w = freed / len(buys)
+        for t in buys:
+            new[t] = slice_w
+    total = sum(new.values())
+    return {t: w / total for t, w in new.items()}
+
+
+def _drift(holdings: dict[str, float], returns: dict[str, float],
+           day_return: float) -> dict[str, float]:
+    growth = 1.0 + day_return
+    return {t: w * (1.0 + returns[t]) / growth for t, w in holdings.items()}
+
+
+def _run_long_only(select_fn, rankings: list[DailyRanking],
+                   returns_by_day: list[dict[str, float]], mode: str) -> BacktestLedger:
+    ledger = BacktestLedger()
+    holdings: dict[str, float] = {}
+    for ranking, rets in zip(rankings, returns_by_day):
+        holdings = rebalance_topk(holdings, select_fn(ranking), mode=mode)
+        day_return = sum(w * rets[t] for t, w in sorted(holdings.items()))
+        ledger.append(ranking.date, dict(holdings), day_return)
+        holdings = _drift(holdings, rets, day_return)
+    return ledger
+
+
+def simulate(strategy: str, rankings: list[DailyRanking],
+             returns_by_day: list[dict[str, float]], k: int = 10,
+             alive_by_day: list[list[str]] | None = None,
+             rebalance_mode: str = "drift") -> BacktestLedger:
+    """One strategy over daily rankings and {ticker: return} dicts, one per
+    day; alive_by_day (default: every ranked ticker) limits the market."""
+    if strategy not in STRATEGIES:
+        raise DataError(f"unknown strategy {strategy!r}")
+    if strategy in ("topk", "bottomk", "long_short_k"):
+        n_universe = min(len(r.entries) for r in rankings)
+        if k > n_universe:
+            raise DataError(f"k={k} exceeds universe size {n_universe}")
+
+    def decile(r):
+        return max(1, len(r.entries) // 10)
+
+    if strategy == "topk":
+        return _run_long_only(lambda r: r.top(k), rankings, returns_by_day, rebalance_mode)
+    if strategy == "bottomk":
+        return _run_long_only(lambda r: r.bottom(k), rankings, returns_by_day, rebalance_mode)
+    if strategy == "top_decile":
+        return _run_long_only(lambda r: r.top(decile(r)), rankings, returns_by_day, "equal")
+    if strategy == "bottom_decile":
+        return _run_long_only(lambda r: r.bottom(decile(r)), rankings, returns_by_day, "equal")
+    if strategy == "market_equal_weight":
+        if alive_by_day is None:
+            alive_by_day = [r.tickers for r in rankings]
+        ledger = BacktestLedger()
+        for ranking, rets, alive in zip(rankings, returns_by_day, alive_by_day):
+            names = sorted(alive)
+            if not names:
+                raise DataError(f"{ranking.date}: no alive stocks for the market portfolio")
+            w = 1.0 / len(names)
+            ledger.append(ranking.date, {t: w for t in names}, sum(w * rets[t] for t in names))
+        return ledger
+    if strategy == "long_short_k":
+        long_leg = simulate("topk", rankings, returns_by_day, k=k, rebalance_mode=rebalance_mode)
+        short_leg = simulate("bottomk", rankings, returns_by_day, k=k,
+                             rebalance_mode=rebalance_mode)
+    else:
+        long_leg = simulate("top_decile", rankings, returns_by_day)
+        short_leg = simulate("bottom_decile", rankings, returns_by_day)
+    ledger = BacktestLedger()
+    for i, ranking in enumerate(rankings):
+        ledger.append(ranking.date, dict(long_leg.holdings[i]),
+                      long_leg.daily_returns[i] - short_leg.daily_returns[i])
+    return ledger
+
+
+def run_strategies(strategies, universe, scores: np.ndarray, days, k: int,
+                   rebalance_mode: str) -> dict[str, BacktestLedger]:
+    """pipeline.run_strategies on one dict per day: rankings per ensemble
+    from (ensembles, days, stocks) scores, returns and alive names per
+    anchor day, the ledgers of several ensembles combined."""
+    tickers = universe.tickers
+    dates = [universe.calendar[d] for d in days]
+    returns_by_day, alive_by_day = [], []
+    for d in days:
+        returns_by_day.append({t: float(daily_return(universe, s, d))
+                               for s, t in enumerate(tickers)})
+        alive_by_day.append([t for s, t in enumerate(tickers) if universe.death_day[s] > d + 1])
+    rankings = [[DailyRanking(date, dict(zip(tickers, row))) for date, row in
+                 zip(dates, ens.tolist())] for ens in scores]
+    ledgers = {}
+    for strategy in strategies:
+        per_ensemble = [simulate(strategy, ranks, returns_by_day, k=k, alive_by_day=alive_by_day,
+                                 rebalance_mode=rebalance_mode) for ranks in rankings]
+        ledgers[strategy] = (per_ensemble[0] if len(per_ensemble) == 1
+                             else combine_strategies(per_ensemble))
+    if "market_equal_weight" not in ledgers:
+        ledgers["market_equal_weight"] = simulate("market_equal_weight", rankings[0],
+                                                  returns_by_day, alive_by_day=alive_by_day)
+    return ledgers

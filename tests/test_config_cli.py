@@ -281,6 +281,21 @@ class TestRunCommand:
         assert "locked" in result.output
 
 
+def _sink_mid_test_span(cfg_path, ohlcv):
+    """Set S000's bar on the middle day of the first test span to 0.05, a
+    positive price below the floor, which kills the stock; return the ISO
+    date of the anchor before it, the first whose buy open is that day."""
+    cfg = load_config(cfg_path)
+    u = pipeline.load_universe(cfg)
+    e0, e1 = pipeline.plan_periods(cfg, pipeline.build_panel(cfg, u))[0].test_range
+    day = (e0 + e1) // 2
+    prefix = f"S000,{u.calendar[day].isoformat()},"
+    lines = [prefix + "0.05,0.05,0.05,0.05," + line.rsplit(",", 1)[1]
+             if line.startswith(prefix) else line for line in ohlcv.read_text().splitlines()]
+    ohlcv.write_text("\n".join(lines) + "\n")
+    return u.calendar[day - 1].isoformat()
+
+
 class TestStageSeparation:
     def test_train_then_backtest_then_report(self, tmp_path, runner):
         data = synth_dataset(runner, tmp_path / "d")
@@ -297,9 +312,11 @@ class TestStageSeparation:
         assert r3.exit_code == 0, r3.output
         assert (out / "report" / "metrics.json").exists()
 
-    def test_staged_matches_run(self, tmp_path, runner):
-        data = synth_dataset(runner, tmp_path / "d")
-        cfg_path = write_config(tmp_path, small_config(data))
+    @staticmethod
+    def _assert_staged_matches_run(tmp_path, runner, cfg_path):
+        """Run train, backtest and report, then run, into two directories
+        with the same config; assert they hold the same bytes and return
+        the run directory."""
         staged = tmp_path / "staged"
         direct = tmp_path / "direct"
         for cmd in (["train"], ["backtest"], ["report"]):
@@ -315,6 +332,36 @@ class TestStageSeparation:
         for rel in ["scores/scores.csv", "report/grid.csv", "report/metrics.json"] + [
                 f"ledgers/{name}" for name in ledgers]:
             assert (staged / rel).read_bytes() == (direct / rel).read_bytes(), rel
+        return direct
+
+    def test_staged_matches_run(self, tmp_path, runner):
+        data = synth_dataset(runner, tmp_path / "d")
+        self._assert_staged_matches_run(tmp_path, runner,
+                                        write_config(tmp_path, small_config(data)))
+
+    def test_staged_matches_run_when_a_stock_dies_mid_test_span(self, tmp_path, runner):
+        data = synth_dataset(runner, tmp_path / "d")
+        cfg_path = write_config(tmp_path, small_config(data))
+        first_dead_anchor = _sink_mid_test_span(cfg_path, data / "ohlcv.csv")
+        direct = self._assert_staged_matches_run(tmp_path, runner, cfg_path)
+        # the market holds S000 up to the anchor whose buy open is its death day
+        market = (direct / "ledgers" / "market_equal_weight.csv").read_text()
+        held = {line.split(",")[0]: "S000:" in line for line in market.splitlines()[1:]}
+        assert first_dead_anchor in held
+        assert held == {date: date < first_dead_anchor for date in held}
+
+    def test_blank_scores_line_is_skipped_by_backtest_and_report(self, tmp_path, runner):
+        data = synth_dataset(runner, tmp_path / "d")
+        cfg_path = write_config(tmp_path, small_config(data))
+        out = tmp_path / "staged"
+        r = runner.invoke(main, ["train", "--config", str(cfg_path), "--out", str(out)])
+        assert r.exit_code == 0, r.output
+        with open(out / "scores" / "scores.csv", "a") as fh:
+            fh.write("\n")
+        for args in (["backtest", "--config", str(cfg_path)], ["report"]):
+            r = runner.invoke(main, args + ["--out", str(out)])
+            assert r.exit_code == 0, r.output
+        assert json.loads((out / "report" / "metrics.json").read_text())["periods"] == 1
 
     def test_backtest_builds_no_panel(self, tmp_path, runner, monkeypatch):
         data = synth_dataset(runner, tmp_path / "d")
@@ -480,6 +527,23 @@ class TestExitCodes:
         assert result.exit_code == 2
         # fail-fast: nothing was written
         assert not out.exists()
+
+    def test_k_beyond_the_filtered_universe_is_config_error_before_training(
+            self, tmp_path, runner, monkeypatch):
+        data = synth_dataset(runner, tmp_path / "d")
+        cfg_path = write_config(tmp_path, small_config(data, k=100))
+
+        def no_training(*_args):
+            raise AssertionError("k beyond the universe must fail before training")
+
+        monkeypatch.setattr(pipeline, "train_period", no_training)
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["run", "--config", str(cfg_path), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        err = json.loads(result.output.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert err["message"] == "k=100 exceeds the 8 stocks left after filtering the universe"
+        assert not (out / "config.resolved.json").exists()
 
     def test_data_error_is_3(self, tmp_path, runner):
         data = synth_dataset(runner, tmp_path / "d", n_days=120)

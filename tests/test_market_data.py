@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 import re
 
@@ -8,9 +9,10 @@ from hypothesis import strategies as st
 
 import reference
 from stockrank import market_data
-from stockrank.errors import DataError
+from stockrank.errors import DataError, csv_rows
 from stockrank.market_data import (
     NO_SECTOR_ID,
+    SECTOR_NAMES,
     apply_dead_stock_rule,
     filter_by_dollar_volume,
     load_ohlcv,
@@ -131,6 +133,15 @@ class TestLoadOhlcv:
         assert u.tickers == ("AAA",)
         assert "BBB" not in u.tickers
 
+    def test_start_after_every_bar_is_data_error(self, tmp_path):
+        # the stock starts before `start`, so it is kept, but has no bar in the range
+        d2 = days(2)
+        write_ohlcv(tmp_path / "p.csv", simple_rows("AAA", d2[:1]))
+        write_sectors(tmp_path / "s.csv", [("AAA", "Energy")])
+        with pytest.raises(DataError, match="no stocks span the requested date range"):
+            load_ohlcv(tmp_path / "p.csv", tmp_path / "s.csv",
+                       start=dt.date.fromisoformat(d2[1]))
+
 
 _GOOD = ["AAA", "2020-01-02", "10.0", "10.1", "9.9", "10.0", "100"]
 
@@ -157,6 +168,7 @@ _BAD_ROWS = [
     (",".join(_GOOD + ["1"]), "expected 7 columns, got 8"),
     (_bad_row(0, ""), "empty ticker"),
     (_bad_row(0, "   "), "empty ticker"),
+    (_bad_row(0, "A;A"), "ticker 'A;A' holds ';'"),
     (_bad_row(4, "10.05"), "high/low do not bracket open/close"),
     (_bad_row(3, "9.95"), "high/low do not bracket open/close"),
     # numbers float() and int() read but numpy's C reader does not
@@ -183,6 +195,31 @@ class TestIngestEdgeCases:
         with pytest.raises(DataError, match=re.escape(f"{path}:3: {message}")):
             load_ohlcv(path, tmp_path / "s.csv")
 
+    def test_field_longer_than_the_csv_limit_is_read(self, tmp_path):
+        # 200,000 characters is beyond the csv module's default field limit
+        d = days(2)
+        path = self._write(tmp_path, ["A" * 200_000 + f",{d[0]},10.0,10.1,9.9,10.0,100",
+                                      f"AAA,{d[1]},oops,10.1,9.9,10.0,100"])
+        with pytest.raises(DataError, match=re.escape(f"{path}:3: bad open value 'oops'")):
+            load_ohlcv(path, tmp_path / "s.csv")
+        assert csv.field_size_limit() == 131072  # lifted only while reading
+
+    def test_sector_file_field_longer_than_the_csv_limit_is_read(self, tmp_path):
+        d = days(2)
+        write_ohlcv(tmp_path / "p.csv", simple_rows("AAA", d))
+        write_sectors(tmp_path / "s.csv", [("B" * 200_000, "Energy"), ("AAA", "Utilities")])
+        u = load_ohlcv(tmp_path / "p.csv", tmp_path / "s.csv")
+        assert u.sector_ids.tolist() == [SECTOR_NAMES.index("Utilities")]
+
+    def test_csv_error_is_data_error_naming_the_line(self):
+        # a bare carriage return inside a field of a line list
+        with pytest.raises(DataError, match="^x.csv:2: new-line character"):
+            with csv_rows(["a,b\n", "c\rd,e\n"], "x.csv") as rows:
+                assert next(rows) == (1, ["a", "b"])
+                assert csv.field_size_limit() > 131072
+                next(rows)
+        assert csv.field_size_limit() == 131072
+
     @pytest.mark.parametrize("blank", ["", "   ", ",,,,,,", " , ,\t, , , , "])
     def test_blank_row_is_skipped(self, tmp_path, blank):
         d = days(2)
@@ -190,6 +227,17 @@ class TestIngestEdgeCases:
                                       f"AAA,{d[1]},10.0,10.1,9.9,10.0,100"])
         u = load_ohlcv(path, tmp_path / "s.csv")
         assert u.calendar == tuple(dt.date.fromisoformat(x) for x in d)
+
+    @pytest.mark.parametrize("tail", ['"100\n', '"100\n\n  \n'])
+    def test_quote_left_open_on_the_last_line_holds_a_line_break(self, tmp_path, tail):
+        d = days(2)
+        path = tmp_path / "p.csv"
+        path.write_text(f"ticker,date,open,high,low,close,volume\nAAA,{d[0]},1,1,1,1,1\n"
+                        f"AAA,{d[1]},1,1,1,1," + tail)
+        write_sectors(tmp_path / "s.csv", [("AAA", "Energy")])
+        with pytest.raises(DataError,
+                           match=re.escape(f"{path}:3: a quoted field holds a line break")):
+            load_ohlcv(path, tmp_path / "s.csv")
 
     @pytest.mark.parametrize("blank", ["   ", ",,", '"', ' ,"  '])
     def test_blank_last_line_without_a_line_break_is_skipped(self, tmp_path, blank):
@@ -453,7 +501,7 @@ class TestBulkParse:
         assert calls == [tmp_path / "p.csv"]
 
 
-_HOSTILE = '",\n\r \t\x0c\xa0_#x1.e-+\x00١'
+_HOSTILE = '",;\n\r \t\x0c\xa0_#x1.e-+\x00١'
 
 
 @st.composite
