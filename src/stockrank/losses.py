@@ -3,6 +3,12 @@
 The return-weighted loss multiplies each sample's cross-entropy by the
 magnitude of its capped next-day return, so names about to move hard
 dominate the batch loss while flat names contribute almost nothing.
+
+Each objective is one autograd node (``weighted_cross_entropy``, with unit
+weights for plain CE, or ``mean_squared_error``). Its closed-form backward
+repeats the float operations of the generic op chain it replaced, in the
+same order and with the same operands, so losses and gradients keep their
+bits; the tests hold that chain as the oracle.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .nn.autograd import Tensor, log_clip, mean, mul, neg, pow_const, sub, tsum
+from .nn.autograd import Tensor, mean_squared_error, weighted_cross_entropy
 
 LOG_CLIP = 1e-12
 LOSS_KINDS = ("return_weighted_ce", "ce", "mse")
@@ -37,11 +43,6 @@ class LossKind:
         return self.kind != "mse"
 
 
-def ce_per_sample(q: Tensor, p: np.ndarray) -> Tensor:
-    """(batch,) vector of cross-entropies; p is the constant one-hot matrix."""
-    return neg(tsum(mul(p, log_clip(q, LOG_CLIP)), axis=1))
-
-
 def batch_loss(kind: LossKind, outputs: Tensor, labels: np.ndarray,
                targets: np.ndarray, weights: np.ndarray) -> Tensor:
     """Scalar training loss for one mini-batch.
@@ -51,8 +52,7 @@ def batch_loss(kind: LossKind, outputs: Tensor, labels: np.ndarray,
     next-day returns; weights: capped absolute returns.
     """
     if kind.kind == "return_weighted_ce":
-        return mean(mul(ce_per_sample(outputs, labels), weights))
+        return weighted_cross_entropy(outputs, labels, weights, LOG_CLIP)
     if kind.kind == "ce":
-        return mean(ce_per_sample(outputs, labels))
-    diff = sub(outputs, targets.reshape(-1, 1))
-    return mean(pow_const(diff, 2.0))
+        return weighted_cross_entropy(outputs, labels, np.ones(len(labels)), LOG_CLIP)
+    return mean_squared_error(outputs, targets)

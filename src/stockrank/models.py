@@ -82,7 +82,8 @@ class ArchConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Per-loss training schedule."""
+    """Per-loss training schedule; ``dropout`` is the per-loss default of
+    ArchConfig.dropout, which is the rate training uses."""
 
     initial_lr: float
     min_lr: float
@@ -107,13 +108,13 @@ class ModelState:
 
     def __init__(self, arch: ArchConfig, params: dict[str, Tensor],
                  bn_states: dict[str, BatchNormState], rng: np.random.Generator,
-                 seed: int, optimizer: AdamOptimizer | None = None):
+                 seed: int):
         self.arch = arch
         self.params = params
         self.bn_states = bn_states
         self.rng = rng
         self.seed = seed
-        self.optimizer = optimizer or AdamOptimizer(
+        self.optimizer = AdamOptimizer(
             list(params.values()), lr=TrainConfig.for_loss(arch.loss).initial_lr
         )
 
@@ -183,22 +184,11 @@ def build_model(arch: ArchConfig, seed: int) -> ModelState:
     params["out_w"] = _param(_trunc_normal(rng, (d_in, arity), std))
     params["out_b"] = _param(np.zeros(arity))
 
-    state = ModelState(arch, params, bn_states, rng, seed)
-    state.optimizer = AdamOptimizer(
-        state.param_list(), lr=TrainConfig.for_loss(arch.loss).initial_lr
-    )
-    return state
+    return ModelState(arch, params, bn_states, rng, seed)
 
 
-def forward(
-    state: ModelState,
-    windows: np.ndarray,
-    sector_ids: np.ndarray,
-    train: bool,
-    dropout_rate: float | None = None,
-    rng: np.random.Generator | None = None,
-    update_bn_stats: bool = True,
-) -> Tensor:
+def forward(state: ModelState, windows: np.ndarray, sector_ids: np.ndarray,
+            train: bool) -> Tensor:
     """Run the network on a (batch, m, n) array of windows.
 
     Stack: embedding add, then conv blocks (conv, batch norm, leaky ReLU,
@@ -206,27 +196,30 @@ def forward(
     trimmings, and a final dense head (softmax for classification kinds).
     The windows are cast to the parameters' dtype, which every op keeps;
     a batch gathered from a SampleSet's float32 span is already in it.
+
+    Train mode draws the dropout masks (rate ``arch.dropout``) from
+    ``state.rng`` and folds each batch's statistics into the batch-norm
+    running stats. Infer mode uses the running stats, skips dropout, reads
+    no RNG and builds no backward for those layers.
     """
     arch = state.arch
     p = state.params
-    rate = arch.dropout if dropout_rate is None else dropout_rate
-    rng = rng if rng is not None else state.rng
 
     windows = np.asarray(windows, dtype=p["embedding"].data.dtype)
     h = embedding_add(Tensor(windows), p["embedding"], sector_ids)
     for i in range(len(arch.conv)):
         h = conv1d_valid(h, p[f"conv{i}_w"], p[f"conv{i}_b"])
         h = batch_norm(h, p[f"conv{i}_bn_gamma"], p[f"conv{i}_bn_beta"],
-                       state.bn_states[f"conv{i}_bn"], train, update_bn_stats)
+                       state.bn_states[f"conv{i}_bn"], train)
         h = leaky_relu(h, arch.leaky_slope)
-        h = dropout(h, rate, rng, train)
+        h = dropout(h, arch.dropout, state.rng, train)
     h = global_avg_pool(h)
     for i in range(len(arch.dense)):
         h = dense(h, p[f"dense{i}_w"], p[f"dense{i}_b"])
         h = batch_norm(h, p[f"dense{i}_bn_gamma"], p[f"dense{i}_bn_beta"],
-                       state.bn_states[f"dense{i}_bn"], train, update_bn_stats)
+                       state.bn_states[f"dense{i}_bn"], train)
         h = leaky_relu(h, arch.leaky_slope)
-        h = dropout(h, rate, rng, train)
+        h = dropout(h, arch.dropout, state.rng, train)
     out = dense(h, p["out_w"], p["out_b"])
     if arch.loss_kind.classification:
         out = softmax(out)
@@ -283,7 +276,7 @@ def train_period(state: ModelState, train_set, val_set, hp: TrainConfig) -> dict
         for lo in range(0, n, hp.batch_size):
             idx = order[lo : lo + hp.batch_size]
             out = forward(state, train_set.windows[idx], train_set.sector_ids[idx],
-                          train=True, dropout_rate=hp.dropout)
+                          train=True)
             loss = batch_loss(kind, out, train_set.labels[idx], train_set.returns[idx],
                               train_set.weights[idx])
             if not np.isfinite(loss.item()):
@@ -447,9 +440,7 @@ def _decode_model(blob: bytes) -> ModelState:
     rng = np.random.Generator(np.random.PCG64())
     rng.bit_generator.state = header["rng_state"]
     state = ModelState(arch, params, bn_states, rng, header["seed"])
-    opt = AdamOptimizer(state.param_list(), lr=header["optimizer"]["lr"])
-    opt.load_state_dict({**header["optimizer"], "m": m_list, "v": v_list})
-    state.optimizer = opt
+    state.optimizer.load_state_dict({**header["optimizer"], "m": m_list, "v": v_list})
     return state
 
 

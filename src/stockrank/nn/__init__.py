@@ -1,9 +1,11 @@
 """Minimal deterministic tensor + reverse-mode differentiation core.
 
-Only the layers, optimizer, and schedules the ranking model needs: valid
-1D convolution over time, batch normalization, leaky ReLU, dropout,
-global average pooling, dense layers, softmax, a sector-embedding add,
-Adam, plateau LR halving, and early stopping.
+Only the layers, objectives, optimizer, and schedules the ranking model
+needs: valid 1D convolution over time, batch normalization, leaky ReLU,
+dropout, global average pooling, dense layers (matmul plus a broadcast
+add), softmax, a sector-embedding add, the mean weighted cross-entropy and
+the mean squared error (one node each), Adam, plateau LR halving, and
+early stopping.
 
 Computation runs in the dtype of the data: a Tensor keeps float32 arrays
 as float32 and stores anything else as float64, every op returns its
@@ -23,12 +25,10 @@ from .autograd import (
     embedding_add,
     global_avg_pool,
     leaky_relu,
-    log_clip,
     matmul,
-    mean,
-    mul,
+    mean_squared_error,
     softmax,
-    tsum,
+    weighted_cross_entropy,
 )
 from .optim import AdamOptimizer, EarlyStopping, ReduceOnPlateau
 
@@ -36,7 +36,6 @@ __all__ = [
     "Tensor",
     "BatchNormState",
     "add",
-    "mul",
     "matmul",
     "dense",
     "conv1d_valid",
@@ -46,9 +45,8 @@ __all__ = [
     "dropout",
     "global_avg_pool",
     "softmax",
-    "log_clip",
-    "mean",
-    "tsum",
+    "weighted_cross_entropy",
+    "mean_squared_error",
     "AdamOptimizer",
     "ReduceOnPlateau",
     "EarlyStopping",

@@ -5,6 +5,14 @@ back into its parents; calling ``backward()`` on a scalar walks the tape
 in reverse topological order. Gradients are exact analytic derivatives
 (verified against central finite differences in the test suite).
 
+The ops are the ones training differentiates: ``add`` and ``matmul``
+(which make ``dense``), ``conv1d_valid``, ``embedding_add``,
+``batch_norm``, ``leaky_relu``, ``dropout``, ``global_avg_pool``,
+``softmax``, and the two objectives ``weighted_cross_entropy`` and
+``mean_squared_error``, each one node with a closed-form backward. Infer
+mode builds no backward: ``batch_norm`` returns a leaf and ``dropout``
+returns its input.
+
 Dtype rule: a Tensor keeps float32 data as float32 and stores anything
 else as float64. Every op returns its input's dtype, a plain array or
 scalar operand takes the dtype of the Tensor it meets, and each gradient
@@ -123,82 +131,6 @@ def add(a, b) -> Tensor:
     return _make(a.data + b.data, (a, b), backward)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _operands(a, b)
-
-    def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
-
-    return _make(a.data - b.data, (a, b), backward)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _operands(a, b)
-
-    def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _make(a.data * b.data, (a, b), backward)
-
-
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-
-    def backward(g):
-        _accum(a, -g)
-
-    return _make(-a.data, (a,), backward)
-
-
-def pow_const(a, p: float) -> Tensor:
-    a = _as_tensor(a)
-
-    def backward(g):
-        _accum(a, g * p * a.data ** (p - 1.0))
-
-    return _make(a.data**p, (a,), backward)
-
-
-def log_clip(a, lo: float = 1e-12) -> Tensor:
-    """Natural log of a clipped below at ``lo``; zero gradient below the clip."""
-    a = _as_tensor(a)
-    clipped = np.maximum(a.data, lo)
-
-    def backward(g):
-        _accum(a, g * (a.data >= lo) / clipped)
-
-    return _make(np.log(clipped), (a,), backward)
-
-
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        gg = g
-        if not keepdims and axis is not None:
-            gg = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(gg, a.data.shape).copy())
-
-    return _make(out, (a,), backward)
-
-
-def mean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
-    out = a.data.mean(axis=axis, keepdims=keepdims)
-    n = a.data.size / out.size
-
-    def backward(g):
-        gg = g
-        if not keepdims and axis is not None:
-            gg = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(gg, a.data.shape) / n)
-
-    return _make(out, (a,), backward)
-
-
 def matmul(a, b) -> Tensor:
     a, b = _operands(a, b)
 
@@ -311,17 +243,23 @@ class BatchNormState:
         return out
 
 
-def batch_norm(
-    x, gamma, beta, state: BatchNormState, train: bool, update_stats: bool = True
-) -> Tensor:
+def batch_norm(x, gamma, beta, state: BatchNormState, train: bool) -> Tensor:
     """Normalize per channel (last axis) over all other axes.
 
-    Train mode uses batch statistics (population variance) and, unless
-    ``update_stats`` is off, folds them into the running stats with the
-    state's momentum. Infer mode is a pure function of the running stats.
+    Train mode uses batch statistics (population variance) and folds them
+    into the running stats with the state's momentum. Infer mode is a pure
+    function of the running stats and returns a leaf Tensor: nothing
+    differentiates an infer-mode output, so it builds no backward.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    dtype = x.data.dtype
+    if not train:
+        dtype = x.data.dtype
+        inv = (1.0 / np.sqrt(state.running_var + state.eps)).astype(dtype)
+        scale = gamma.data * inv
+        out = x.data * scale
+        out += beta.data - state.running_mean.astype(dtype) * scale
+        return Tensor(out)
+
     n_ch = x.data.shape[-1]
     n = x.data.size // n_ch
 
@@ -329,28 +267,12 @@ def batch_norm(
         """Per-channel sum of a * b without an elementwise temporary."""
         return np.einsum("nc,nc->c", a.reshape(n, n_ch), b.reshape(n, n_ch))
 
-    if not train:
-        inv = (1.0 / np.sqrt(state.running_var + state.eps)).astype(dtype)
-        mu = state.running_mean.astype(dtype)
-        scale = gamma.data * inv
-        out = x.data * scale
-        out += beta.data - mu * scale
-
-        def backward_infer(g):
-            xhat = (x.data - mu) * inv
-            _accum(x, g * scale)
-            _accum(gamma, channel_sums(g, xhat))
-            _accum(beta, g.reshape(n, n_ch).sum(axis=0))
-
-        return _make(out, (x, gamma, beta), backward_infer)
-
     mu = x.data.reshape(n, n_ch).mean(axis=0)
     xhat = x.data - mu  # the one centred temporary; normalized in place below
     var = channel_sums(xhat, xhat) / n
-    if update_stats:
-        m = state.momentum
-        state.running_mean = m * state.running_mean + (1.0 - m) * mu
-        state.running_var = m * state.running_var + (1.0 - m) * var
+    m = state.momentum
+    state.running_mean = m * state.running_mean + (1.0 - m) * mu
+    state.running_var = m * state.running_var + (1.0 - m) * var
     inv = 1.0 / np.sqrt(var + state.eps)
     xhat *= inv
     out = xhat * gamma.data
@@ -388,15 +310,15 @@ def leaky_relu(x, alpha: float = 0.01) -> Tensor:
 
 
 def dropout(x, rate: float, rng: np.random.Generator | None, train: bool) -> Tensor:
-    """Inverted dropout: zero with probability ``rate``, scale survivors."""
+    """Inverted dropout: zero with probability ``rate``, scale survivors.
+
+    Infer mode, or a zero rate, returns ``x`` itself: no copy and no node.
+    """
     x = _as_tensor(x)
     if not 0.0 <= rate < 1.0:
         raise NumericError(f"dropout rate must be in [0, 1), got {rate}")
     if not train or rate == 0.0:
-        def backward_id(g):
-            _accum(x, g)
-
-        return _make(x.data.copy(), (x,), backward_id)
+        return x
     if rng is None:
         raise NumericError("dropout in train mode needs an rng")
     # the mask is drawn in float32 whatever the input dtype, so a float32
@@ -414,7 +336,13 @@ def dropout(x, rate: float, rng: np.random.Generator | None, train: bool) -> Ten
 
 def global_avg_pool(x) -> Tensor:
     """Mean over the time axis: (batch, time, ch) -> (batch, ch)."""
-    return mean(x, axis=1)
+    x = _as_tensor(x)
+    steps = x.data.shape[1]
+
+    def backward(g):
+        _accum(x, np.broadcast_to(g[:, None, :], x.data.shape) / steps)
+
+    return _make(x.data.mean(axis=1), (x,), backward)
 
 
 def softmax(x) -> Tensor:
@@ -429,3 +357,42 @@ def softmax(x) -> Tensor:
         _accum(x, y * (g - dot))
 
     return _make(y, (x,), backward)
+
+
+# ---------------------------------------------------------------------------
+# objectives: one node each, with the closed-form gradient
+# ---------------------------------------------------------------------------
+
+
+def weighted_cross_entropy(q, p: np.ndarray, w: np.ndarray, lo: float) -> Tensor:
+    """Mean over the batch of w_i * -sum_k p_ik ln max(q_ik, lo).
+
+    q: (batch, k) probabilities, p: (batch, k) one-hot rows, w: (batch,)
+    weights. The gradient is zero where q lies below the clip ``lo``. The
+    backward takes the chain rule through the log, the product with p, the
+    row sum, the weighting and the mean in that order, operand for operand,
+    so its bits are those of the same chain built from one op per step.
+    """
+    q = _as_tensor(q)
+    p = np.asarray(p, dtype=q.data.dtype)
+    w = np.asarray(w, dtype=q.data.dtype)
+    clipped = np.maximum(q.data, lo)
+    ce = -(p * np.log(clipped)).sum(axis=1)
+    n = ce.size
+
+    def backward(g):
+        _accum(q, -(g / n * w)[:, None] * p * (q.data >= lo) / clipped)
+
+    return _make((ce * w).mean(), (q,), backward)
+
+
+def mean_squared_error(y, t: np.ndarray) -> Tensor:
+    """Mean over the batch of (y_i - t_i)^2; y: (batch, 1), t: (batch,)."""
+    y = _as_tensor(y)
+    diff = y.data - np.asarray(t, dtype=y.data.dtype).reshape(-1, 1)
+    n = diff.size
+
+    def backward(g):
+        _accum(y, g / n * 2.0 * diff)
+
+    return _make((diff**2.0).mean(), (y,), backward)

@@ -312,10 +312,7 @@ def train_walk_forward(cfg: RunConfig, universe: Universe, panel, plans,
     score) tuples, each day's in rank order.
     """
     arch = _arch_from_config(cfg, panel.n_features)
-    hp_overrides = {"batch_size": cfg.batch_size, "max_epochs": cfg.max_epochs}
-    if cfg.dropout is not None:
-        hp_overrides["dropout"] = cfg.dropout
-    hp = TrainConfig.for_loss(cfg.loss, **hp_overrides)
+    hp = TrainConfig.for_loss(cfg.loss, batch_size=cfg.batch_size, max_epochs=cfg.max_epochs)
     seeds = _member_seeds(cfg)
     ensembles = []
     for e in range(cfg.n_ensembles):

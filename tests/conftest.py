@@ -1,10 +1,29 @@
+"""Shared fixtures and universes for the tier-1 suite.
+
+The suite runs its hypothesis properties under the ``tier1`` profile:
+derandomized (the examples follow from each test alone) and with no example
+database, so every run of a checkout draws the same examples and writes no
+``.hypothesis/examples/``. Each property keeps its own ``max_examples``.
+
+For an exploratory run with fresh randomness and the example database,
+select Hypothesis's built-in profile on the command line:
+
+    PYTHONPATH=src python -m pytest -q --hypothesis-profile=default
+
+The option is applied after this module loads, so it replaces ``tier1``.
+"""
+
 import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from stockrank.dataset import Windows
 from stockrank.market_data import Universe
+
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 def make_calendar(n_days, start=dt.date(2020, 1, 1)):

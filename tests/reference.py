@@ -4,6 +4,11 @@ These are the documented one-sample formulas, written for clarity: the
 program computes the same quantities on arrays (``losses.batch_loss``,
 ``dataset.return_matrix``, ``market_data.load_ohlcv``,
 ``backtest.simulate``), and the tests compare the two.
+
+The generic autograd ops below (``sub`` ... ``mean``) and ``chain_batch_loss``
+are the bit-exact oracle of the loss nodes: each objective built as a chain
+of one op per step, the way ``losses.batch_loss`` built it before the
+closed-form nodes. The gradient tests also compose their probes from them.
 """
 
 import csv
@@ -18,6 +23,7 @@ from stockrank.dataset import LOOKAHEAD
 from stockrank.errors import DataError, NumericError
 from stockrank.losses import LOG_CLIP
 from stockrank.market_data import NO_SECTOR_ID, OPEN, load_sector_map
+from stockrank.nn.autograd import Tensor, _accum, _as_tensor, _make, _operands, _unbroadcast
 
 OHLCV_HEADER = ["ticker", "date", "open", "high", "low", "close", "volume"]
 
@@ -44,6 +50,101 @@ def return_weighted_loss(y_true, y_pred, weight: float) -> float:
 
 def mse(y: float, y_hat: float) -> float:
     return float((y - y_hat) ** 2)
+
+
+# ---------------------------------------------------------------------------
+# generic autograd ops and the loss chain built from them
+# ---------------------------------------------------------------------------
+
+
+def sub(a, b) -> Tensor:
+    a, b = _operands(a, b)
+
+    def backward(g):
+        _accum(a, _unbroadcast(g, a.data.shape))
+        _accum(b, _unbroadcast(-g, b.data.shape))
+
+    return _make(a.data - b.data, (a, b), backward)
+
+
+def mul(a, b) -> Tensor:
+    a, b = _operands(a, b)
+
+    def backward(g):
+        _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+
+    return _make(a.data * b.data, (a, b), backward)
+
+
+def neg(a) -> Tensor:
+    a = _as_tensor(a)
+
+    def backward(g):
+        _accum(a, -g)
+
+    return _make(-a.data, (a,), backward)
+
+
+def pow_const(a, p: float) -> Tensor:
+    a = _as_tensor(a)
+
+    def backward(g):
+        _accum(a, g * p * a.data ** (p - 1.0))
+
+    return _make(a.data**p, (a,), backward)
+
+
+def log_clip(a, lo: float = LOG_CLIP) -> Tensor:
+    """Natural log of a clipped below at ``lo``; zero gradient below the clip."""
+    a = _as_tensor(a)
+    clipped = np.maximum(a.data, lo)
+
+    def backward(g):
+        _accum(a, g * (a.data >= lo) / clipped)
+
+    return _make(np.log(clipped), (a,), backward)
+
+
+def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+    a = _as_tensor(a)
+    out = a.data.sum(axis=axis, keepdims=keepdims)
+
+    def backward(g):
+        gg = g
+        if not keepdims and axis is not None:
+            gg = np.expand_dims(g, axis)
+        _accum(a, np.broadcast_to(gg, a.data.shape).copy())
+
+    return _make(out, (a,), backward)
+
+
+def mean(a, axis=None, keepdims: bool = False) -> Tensor:
+    a = _as_tensor(a)
+    out = a.data.mean(axis=axis, keepdims=keepdims)
+    n = a.data.size / out.size
+
+    def backward(g):
+        gg = g
+        if not keepdims and axis is not None:
+            gg = np.expand_dims(g, axis)
+        _accum(a, np.broadcast_to(gg, a.data.shape) / n)
+
+    return _make(out, (a,), backward)
+
+
+def ce_per_sample(q, p: np.ndarray) -> Tensor:
+    """(batch,) vector of cross-entropies; p is the constant one-hot matrix."""
+    return neg(tsum(mul(p, log_clip(q, LOG_CLIP)), axis=1))
+
+
+def chain_batch_loss(kind: str, outputs, labels, targets, weights) -> Tensor:
+    """``losses.batch_loss`` as a chain of generic ops, one node per step."""
+    if kind == "return_weighted_ce":
+        return mean(mul(ce_per_sample(outputs, labels), weights))
+    if kind == "ce":
+        return mean(ce_per_sample(outputs, labels))
+    return mean(pow_const(sub(outputs, targets.reshape(-1, 1)), 2.0))
 
 
 def daily_return(u, si: int, T: int) -> float:

@@ -15,14 +15,13 @@ from stockrank.nn import (
     embedding_add,
     global_avg_pool,
     leaky_relu,
-    log_clip,
     matmul,
-    mean,
-    mul,
+    mean_squared_error,
     softmax,
-    tsum,
+    weighted_cross_entropy,
 )
-from stockrank.nn.autograd import neg, pow_const, sub
+
+from reference import log_clip, mean, mul, neg, pow_const, sub, tsum
 
 H = 1e-5
 GRAD_TOL = 1e-4
@@ -134,7 +133,7 @@ class TestBatchNorm:
         b = Tensor(rng.normal(size=4), requires_grad=True)
         state = BatchNormState(4)
         finite_diff_check(
-            lambda: tsum(mul(batch_norm(x, g, b, state, train=True, update_stats=False),
+            lambda: tsum(mul(batch_norm(x, g, b, state, train=True),
                              np.arange(24.0).reshape(6, 4))),
             [x, g, b],
         )
@@ -145,20 +144,20 @@ class TestBatchNorm:
         b = Tensor(rng.normal(size=4), requires_grad=True)
         state = BatchNormState(4)
         finite_diff_check(
-            lambda: mean(mul(batch_norm(x, g, b, state, train=True, update_stats=False),
-                             batch_norm(x, g, b, state, train=True, update_stats=False))),
+            lambda: mean(mul(batch_norm(x, g, b, state, train=True),
+                             batch_norm(x, g, b, state, train=True))),
             [x, g, b],
         )
 
-    def test_infer_gradients(self, rng):
+    def test_infer_builds_no_backward(self, rng):
         x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
         g = Tensor(rng.uniform(0.5, 1.5, size=4), requires_grad=True)
         b = Tensor(rng.normal(size=4), requires_grad=True)
         state = BatchNormState(4)
         state.running_mean = rng.normal(size=4)
         state.running_var = rng.uniform(0.5, 2.0, size=4)
-        finite_diff_check(lambda: tsum(mul(batch_norm(x, g, b, state, train=False),
-                                           np.arange(24.0).reshape(6, 4))), [x, g, b])
+        out = batch_norm(x, g, b, state, train=False)
+        assert out._parents == () and out._backward is None and not out.requires_grad
 
 
 class TestLeakyRelu:
@@ -174,14 +173,14 @@ class TestLeakyRelu:
 
 class TestDropout:
     def test_rate_zero_identity(self, rng):
-        x = rng.normal(size=(4, 3))
-        out = dropout(Tensor(x), 0.0, np.random.default_rng(0), train=True)
-        np.testing.assert_array_equal(out.data, x)
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        out = dropout(x, 0.0, np.random.default_rng(0), train=True)
+        assert out is x
 
     def test_infer_identity(self, rng):
-        x = rng.normal(size=(4, 3))
-        out = dropout(Tensor(x), 0.9, None, train=False)
-        np.testing.assert_array_equal(out.data, x)
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        out = dropout(x, 0.9, None, train=False)
+        assert out is x
 
     def test_expected_value_preserved(self):
         x = np.ones((100_000,))
@@ -314,18 +313,21 @@ class TestBackward:
         assert float(x.grad) == 4.0
 
     def test_log_clip_zero_gradient_below_clip(self):
-        x = Tensor(np.array([1e-15, 0.5]), requires_grad=True)
-        loss = tsum(log_clip(x, 1e-12))
+        # both entries labelled, unit weight: loss = -(ln 1e-12 + ln 0.5)
+        x = Tensor(np.array([[1e-15, 0.5]]), requires_grad=True)
+        loss = weighted_cross_entropy(x, np.ones((1, 2)), np.ones(1), 1e-12)
         loss.backward()
-        assert x.grad[0] == 0.0
-        assert x.grad[1] == pytest.approx(2.0)
+        assert x.grad[0, 0] == 0.0
+        assert x.grad[0, 1] == pytest.approx(-2.0)
 
 
 def float32_cases(rng) -> dict:
     """Each op applied to float32 tensors: name -> (output, differentiable inputs).
 
     The constants mixed in (one-hot rows, float64 arrays, Python scalars) are
-    the ones that would upcast a float32 graph if an op let them.
+    the ones that would upcast a float32 graph if an op let them. The generic
+    ops of the loss oracle are here too: its bits are only comparable with
+    the loss nodes' while it keeps float32 as well.
     """
 
     def f32(*shape):
@@ -333,7 +335,7 @@ def float32_cases(rng) -> dict:
 
     a, row, w, b = f32(3, 4), f32(4), f32(4, 2), f32(2)
     seq, kernel, conv_b, table = f32(2, 7, 3), f32(3, 3, 4), f32(4), f32(12, 3)
-    gamma, beta = f32(3), f32(3)
+    gamma, beta, column = f32(3), f32(3), f32(3, 1)
     positive = Tensor(rng.uniform(0.1, 1.0, size=(3, 4)).astype(np.float32),
                       requires_grad=True)
     return {
@@ -359,13 +361,20 @@ def float32_cases(rng) -> dict:
         "dropout_infer": (dropout(a, 0.35, None, train=False), [a]),
         "global_avg_pool": (global_avg_pool(seq), [seq]),
         "softmax": (softmax(a), [a]),
+        "weighted_cross_entropy": (
+            weighted_cross_entropy(positive, np.eye(4)[[0, 2, 3]], np.array([0.1, 0.02, 0.5]),
+                                   1e-12),
+            [positive]),
+        "mean_squared_error": (mean_squared_error(column, np.array([0.01, -0.02, 0.03])),
+                               [column]),
     }
 
 
 FLOAT32_OPS = ("add", "add_const", "sub_const", "mul_one_hot", "neg", "pow_const", "log_clip",
                "tsum", "mean", "matmul", "dense", "conv1d_valid", "embedding_add",
-               "batch_norm_train", "batch_norm_infer", "leaky_relu", "dropout_train",
-               "dropout_infer", "global_avg_pool", "softmax")
+               "batch_norm_train", "leaky_relu", "dropout_train", "global_avg_pool",
+               "softmax", "weighted_cross_entropy", "mean_squared_error")
+INFER_OPS = ("batch_norm_infer", "dropout_infer")
 
 
 class TestFloat32:
@@ -379,6 +388,12 @@ class TestFloat32:
         loss.backward()
         for t in inputs:
             assert t.grad is not None and t.grad.dtype == np.float32, name
+
+    @pytest.mark.parametrize("name", INFER_OPS)
+    def test_infer_mode_keeps_float32_and_builds_no_backward(self, name, rng):
+        out, _ = float32_cases(rng)[name]
+        assert out.data.dtype == np.float32
+        assert out._parents == () and out._backward is None
 
     def test_gradient_takes_its_tensors_dtype(self, rng):
         a = Tensor(rng.normal(size=3).astype(np.float32), requires_grad=True)

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from stockrank.dataset import assign_label, cap_return
 from stockrank.errors import ConfigError, NumericError
-from stockrank.losses import LossKind, batch_loss
-from stockrank.nn import Tensor
+from stockrank.losses import LOG_CLIP, LOSS_KINDS, LossKind, batch_loss
+from stockrank.nn import Tensor, softmax
 
-from reference import cross_entropy, mse, return_weighted_loss
+from reference import chain_batch_loss, cross_entropy, mse, return_weighted_loss
 
 STRONG_SELL = np.array([1.0, 0, 0, 0, 0])
 HOLD = np.array([0, 0, 1.0, 0, 0])
@@ -169,3 +169,47 @@ class TestBatchLossGradients:
             return_weighted_loss(labels[i], outputs[i], weights[i]) for i in range(B)
         ]
         assert total == pytest.approx(np.mean(per_sample), rel=1e-12)
+
+
+class TestLossNodesMatchTheOpChain:
+    """Each loss node gives the bits of the generic op chain it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(LOSS_KINDS),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        batch=st.one_of(st.just(1), st.integers(min_value=1, max_value=299)),
+        scale=st.floats(min_value=0.0, max_value=200.0),
+        tiny=st.sampled_from([0.0, 1e-30, 1e-13, LOG_CLIP, 1e-11]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_loss_and_gradient_bytes_equal_the_chain(self, kind, dtype, batch, scale, tiny,
+                                                     seed):
+        rng = np.random.default_rng(seed)
+        arity = LossKind(kind).output_arity
+        # logits scaled up to 200 put some probabilities below the clip; the
+        # first row's labelled probability is set to `tiny`, at or near it
+        logits = (rng.normal(size=(batch, arity)) * scale).astype(dtype)
+        labels = np.eye(5)[rng.integers(0, 5, size=batch)]
+        targets = rng.normal(0, 0.05, size=batch)
+        weights = np.minimum(np.abs(targets), 0.5)
+
+        def run(loss_fn):
+            x = Tensor(logits.copy(), requires_grad=True)
+            if kind == "mse":
+                loss = loss_fn(x)
+                loss.backward()
+                return loss, [x.grad]
+            q = softmax(x)
+            q.data[0, np.argmax(labels[0])] = tiny
+            loss = loss_fn(q)
+            loss.backward()
+            return loss, [q.grad, x.grad]
+
+        loss, grads = run(lambda out: batch_loss(LossKind(kind), out, labels, targets, weights))
+        ref, ref_grads = run(lambda out: chain_batch_loss(kind, out, labels, targets, weights))
+        assert loss.data.dtype == ref.data.dtype == dtype
+        assert loss.data.tobytes() == ref.data.tobytes()
+        for g, ref_g in zip(grads, ref_grads):
+            assert g.dtype == ref_g.dtype == dtype
+            assert g.tobytes() == ref_g.tobytes()
