@@ -200,10 +200,11 @@ def forward(state: ModelState, windows: np.ndarray, sector_ids: np.ndarray,
     Train mode draws the dropout masks (rate ``arch.dropout``) from
     ``state.rng`` and folds each batch's statistics into the batch-norm
     running stats. Infer mode uses the running stats, skips dropout, reads
-    no RNG and builds no backward for those layers.
+    no RNG and builds no backward: it runs on grad-free leaves that share
+    the parameters' arrays, so no op keeps its inputs for a gradient.
     """
     arch = state.arch
-    p = state.params
+    p = state.params if train else {k: Tensor(v.data) for k, v in state.params.items()}
 
     windows = np.asarray(windows, dtype=p["embedding"].data.dtype)
     h = embedding_add(Tensor(windows), p["embedding"], sector_ids)

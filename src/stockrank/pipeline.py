@@ -528,16 +528,6 @@ def write_report(cfg: RunConfig, ledgers: dict[str, BacktestLedger], out_dir: st
     return payload
 
 
-def _dist_version(name: str) -> str | None:
-    # from the installed metadata: importing scipy itself would cost ~0.3 s
-    from importlib.metadata import PackageNotFoundError, version
-
-    try:
-        return version(name)
-    except PackageNotFoundError:
-        return None
-
-
 def _environment(processes: int | None) -> dict:
     """What the numbers of a run depend on besides its config and data.
 
@@ -548,7 +538,6 @@ def _environment(processes: int | None) -> dict:
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
-        "scipy": _dist_version("scipy"),
         "blas": blas.config(),
         "blas_threads": blas.threads(),
         "usable_cpus": usable_cpus(),

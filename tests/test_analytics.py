@@ -18,6 +18,7 @@ from stockrank.analytics import (
     max_drawdown,
     mdd_duration,
     sharpe_ratio,
+    student_t_two_sided,
     t_test_vs_market,
 )
 from stockrank.backtest import BacktestLedger
@@ -179,7 +180,9 @@ class TestTTest:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=400),
            st.floats(min_value=-0.02, max_value=0.02), st.booleans())
-    def test_p_value_equals_scipy_t_sf_exactly(self, seed, n, drift, paired):
+    def test_p_value_matches_scipy_t_sf(self, seed, n, drift, paired):
+        # scipy is an oracle, not the bits: its own tail is off by up to
+        # ~1e-13 relative here (and by 3e-9 at dof 1, t 1e-8)
         rng = np.random.default_rng(seed)
         b = rng.normal(0.0, 0.01, size=n)
         a = b + rng.normal(drift, rng.uniform(0.001, 0.03), size=n)
@@ -190,7 +193,7 @@ class TestTTest:
             va, vb = a.var(ddof=1), b.var(ddof=1)
             se2 = va / n + vb / n
             dof = se2**2 / ((va / n) ** 2 / (n - 1) + (vb / n) ** 2 / (n - 1))
-        assert p == float(2.0 * sps.t.sf(abs(t), dof))
+        assert p == pytest.approx(float(2.0 * sps.t.sf(abs(t), dof)), rel=1e-11)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
@@ -202,6 +205,51 @@ class TestTTest:
         t1, _ = t_test_vs_market(a, b)
         t2, _ = t_test_vs_market(a + common, b + common)
         assert t1 == pytest.approx(t2, rel=1e-9, abs=1e-12)
+
+
+WELCH_DOF = 37.3  # a Welch-Satterthwaite dof is rarely an integer
+
+
+def closed_form_tail(t, dof):
+    """The two-sided tail for dof 1 and 2 in closed form; for dof 2,
+    1 - |t| / sqrt(2 + t²) rewritten as 2 / (s (s + |t|)), s = sqrt(2 + t²),
+    which does not cancel at large |t|."""
+    t = abs(t)
+    if dof == 1:
+        return 2.0 / math.pi * math.atan2(1.0, t)
+    s = math.sqrt(2.0 + t * t)
+    return 2.0 / (s * (s + t))
+
+
+class TestStudentTTail:
+    @pytest.mark.parametrize("dof", [1, 2, 7, WELCH_DOF, 399])
+    def test_zero_t_is_exactly_one(self, dof):
+        assert student_t_two_sided(0.0, dof) == 1.0
+        assert student_t_two_sided(-0.0, dof) == 1.0
+
+    @pytest.mark.parametrize("dof", [1, 2])
+    def test_closed_forms(self, dof):
+        for t in np.geomspace(1e-8, 1e8, 161):
+            assert student_t_two_sided(t, dof) == pytest.approx(closed_form_tail(t, dof),
+                                                                rel=1e-12)
+
+    @pytest.mark.parametrize("dof", [1, 2, 5, WELCH_DOF, 399, 2999.5])
+    def test_does_not_increase_with_abs_t(self, dof):
+        # steps of 10% in |t|: far above the last-bit noise of the tail
+        p = [student_t_two_sided(t, dof) for t in np.geomspace(1e-8, 1e4, 300)]
+        assert all(a >= b for a, b in zip(p, p[1:]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(allow_nan=False), st.floats(min_value=1.0, max_value=1e4))
+    def test_symmetric_and_within_unit_interval(self, t, dof):
+        p = student_t_two_sided(t, dof)
+        assert p == student_t_two_sided(-t, dof)
+        assert 0.0 <= p <= 1.0
+
+    @pytest.mark.parametrize("t", [1.4e154, 1e200, 1.7e308, math.inf, -math.inf])
+    @pytest.mark.parametrize("dof", [1, WELCH_DOF])
+    def test_overflowing_t_is_zero(self, t, dof):
+        assert student_t_two_sided(t, dof) == 0.0
 
 
 class TestBuildReport:

@@ -679,7 +679,7 @@ class TestParallelTraining:
         result = runner.invoke(main, ["run", "--config", str(cfg_path), "--out", str(out)])
         assert result.exit_code == 0, result.output
         env = json.loads((out / "manifest.json").read_text())["environment"]
-        assert set(env) == {"python", "numpy", "scipy", "blas", "blas_threads",
+        assert set(env) == {"python", "numpy", "blas", "blas_threads",
                             "usable_cpus", "training_processes"}
         assert env["python"].startswith("%d.%d." % sys.version_info[:2])
         assert env["numpy"] == np.__version__
@@ -692,27 +692,49 @@ class TestParallelTraining:
 
 
 class TestStartup:
-    def test_cli_import_and_help_load_no_scipy(self):
-        # scipy serves one p-value in the report and multiprocessing only a
-        # parallel training section; every command pays for what
-        # `import stockrank.cli` loads, so both stay off that path
+    @staticmethod
+    def _modules_after(commands, prefixes):
+        """Names under the given top-level prefixes in sys.modules of a fresh
+        interpreter, and its stdout, after it runs each CLI command in turn."""
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
         code = (
             "import json, sys\n"
             "import stockrank.cli\n"
-            "try:\n"
-            "    stockrank.cli.main(['--help'])\n"
-            "except SystemExit as exc:\n"
-            "    assert exc.code == 0, exc.code\n"
+            f"for args in {commands!r}:\n"
+            "    try:\n"
+            "        stockrank.cli.main(args)\n"
+            "    except SystemExit as exc:\n"
+            "        assert exc.code == 0, exc.code\n"
             "print(json.dumps(sorted(m for m in sys.modules\n"
-            "                        if m.split('.')[0] in ('scipy', 'multiprocessing'))))\n"
+            f"                        if m.split('.')[0].startswith({prefixes!r}))))\n"
         )
         result = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
-                                capture_output=True, text=True, timeout=120)
+                                capture_output=True, text=True, timeout=300)
         assert result.returncode == 0, result.stderr
-        assert "Usage:" in result.stdout
-        assert json.loads(result.stdout.strip().splitlines()[-1]) == []
+        return json.loads(result.stdout.strip().splitlines()[-1]), result.stdout
+
+    def test_cli_import_and_help_load_no_scipy(self):
+        # multiprocessing serves only a parallel training section; every
+        # command pays for what `import stockrank.cli` loads, so neither it
+        # nor scipy is on that path
+        modules, stdout = self._modules_after([["--help"]], ("scipy", "multiprocessing"))
+        assert "Usage:" in stdout
+        assert modules == []
+
+    def test_run_and_report_load_no_scipy(self, tmp_path, runner):
+        # the report's p-value is computed in-house: importing scipy for it
+        # cost each reporting process about 0.3 s
+        data = synth_dataset(runner, tmp_path / "d")
+        cfg_path = write_config(tmp_path, small_config(data, conv=[[3, 4]], dense=[4],
+                                                       n_members=1, max_epochs=1))
+        out = str(tmp_path / "o")
+        modules, _ = self._modules_after(
+            [["run", "--config", str(cfg_path), "--out", out], ["report", "--out", out]],
+            ("scipy",))
+        assert modules == []
+        metrics = json.loads((tmp_path / "o" / "report" / "metrics.json").read_text())
+        assert metrics["strategies"]["topk"]["p_value"] is not None
 
 
 class TestBenchmarkPatchPoints:

@@ -192,6 +192,34 @@ class TestPredict:
             np.testing.assert_allclose(batch[i], predict_one(state, X[i], ids[i]), atol=1e-12)
 
 
+def graph_nodes(t):
+    """The nodes with a backward reachable from t through ``_parents``."""
+    nodes, stack, seen = [], [t], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._backward is not None:
+            nodes.append(node)
+        stack.extend(node._parents)
+    return nodes
+
+
+class TestInferMode:
+    @pytest.mark.parametrize("arch", [ArchConfig(), ArchConfig(conv=((3, 8),), dense=(8,))],
+                             ids=["default", "thin"])
+    def test_infer_forward_and_loss_build_no_node(self, arch, rng):
+        state = build_model(arch, seed=2)
+        samples = toy_samples(rng, 6, arch)
+        out = forward(state, samples.windows[:], samples.sector_ids, train=False)
+        loss = batch_loss(arch.loss_kind, out, samples.labels, samples.returns, samples.weights)
+        assert graph_nodes(out) == [] and graph_nodes(loss) == []
+        assert all(p.requires_grad for p in state.params.values())  # training still can
+        train_out = forward(state, samples.windows[:], samples.sector_ids, train=True)
+        assert graph_nodes(train_out)
+
+
 class TestScore:
     def test_pure_strong_buy(self):
         assert score(np.array([0, 0, 0, 0, 1.0])) == 2.0
