@@ -113,8 +113,10 @@ class RunConfig:
             raise ConfigError(f"unknown loss {self.loss!r}")
         if self.dropout is not None and not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if any(len(c) != 2 or min(c) < 1 for c in self.conv):
-            raise ConfigError(f"conv must be a list of [k, channels] pairs >= 1, got {self.conv}")
+        # non-empty: the sector embedding enters the network through the first conv
+        if not self.conv or any(len(c) != 2 or min(c) < 1 for c in self.conv):
+            raise ConfigError(f"conv must be a non-empty list of [k, channels] pairs >= 1, "
+                              f"got {self.conv}")
         if sum(k - 1 for k, _ in self.conv) >= self.m:
             raise ConfigError("conv stack consumes the whole time axis")
         if self.batch_size < 1 or self.max_epochs < 0:

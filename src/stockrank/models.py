@@ -29,7 +29,9 @@ from .nn.autograd import (
     dropout,
     embedding_add,
     global_avg_pool,
+    kernel_sum,
     leaky_relu,
+    matmul,
     softmax,
 )
 from .nn.optim import AdamOptimizer, EarlyStopping, ReduceOnPlateau
@@ -63,6 +65,9 @@ class ArchConfig:
     def __post_init__(self):
         object.__setattr__(self, "conv", tuple(tuple(c) for c in self.conv))
         object.__setattr__(self, "dense", tuple(self.dense))
+        if not self.conv:
+            raise ConfigError("conv stack is empty: the sector embedding enters through "
+                              "the first conv")
         if any(k < 1 for k, _ in self.conv):
             raise ConfigError(f"conv kernel sizes must be >= 1: {self.conv}")
         if sum(k - 1 for k, _ in self.conv) >= self.m:
@@ -187,13 +192,30 @@ def build_model(arch: ArchConfig, seed: int) -> ModelState:
     return ModelState(arch, params, bn_states, rng, seed)
 
 
+def _sector_conv(windows: np.ndarray, embedding: Tensor, sector_ids: np.ndarray,
+                 w: Tensor, b: Tensor) -> Tensor:
+    """The first convolution of the windows with each sample's sector row
+    added at every time step, computed with the add moved past the conv.
+
+    The row e is constant in time and the conv is linear, so
+    conv(x + e) = conv(x) + e @ sum_tau w[tau]: the conv runs on the raw
+    windows, a grad-free leaf, so its backward builds no input gradient,
+    and the sector rows are added to its (batch, t_out, ch_out) output.
+    """
+    h = conv1d_valid(Tensor(windows), w, b)
+    return embedding_add(h, matmul(embedding, kernel_sum(w)), sector_ids)
+
+
 def forward(state: ModelState, windows: np.ndarray, sector_ids: np.ndarray,
             train: bool) -> Tensor:
     """Run the network on a (batch, m, n) array of windows.
 
-    Stack: embedding add, then conv blocks (conv, batch norm, leaky ReLU,
-    dropout), global average pooling over time, dense blocks with the same
-    trimmings, and a final dense head (softmax for classification kinds).
+    Stack: sector embedding add, then conv blocks (conv, batch norm, leaky
+    ReLU, dropout), global average pooling over time, dense blocks with the
+    same trimmings, and a final dense head (softmax for classification
+    kinds). The embedding add and the first conv run as ``_sector_conv``,
+    which adds each sector row after the conv, passed through its kernel:
+    the same function up to float rounding, with a cheaper backward.
     The windows are cast to the parameters' dtype, which every op keeps;
     a batch gathered from a SampleSet's float32 span is already in it.
 
@@ -207,9 +229,10 @@ def forward(state: ModelState, windows: np.ndarray, sector_ids: np.ndarray,
     p = state.params if train else {k: Tensor(v.data) for k, v in state.params.items()}
 
     windows = np.asarray(windows, dtype=p["embedding"].data.dtype)
-    h = embedding_add(Tensor(windows), p["embedding"], sector_ids)
+    h = _sector_conv(windows, p["embedding"], sector_ids, p["conv0_w"], p["conv0_b"])
     for i in range(len(arch.conv)):
-        h = conv1d_valid(h, p[f"conv{i}_w"], p[f"conv{i}_b"])
+        if i:
+            h = conv1d_valid(h, p[f"conv{i}_w"], p[f"conv{i}_b"])
         h = batch_norm(h, p[f"conv{i}_bn_gamma"], p[f"conv{i}_bn_beta"],
                        state.bn_states[f"conv{i}_bn"], train)
         h = leaky_relu(h, arch.leaky_slope)

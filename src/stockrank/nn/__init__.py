@@ -1,11 +1,11 @@
 """Minimal deterministic tensor + reverse-mode differentiation core.
 
 Only the layers, objectives, optimizer, and schedules the ranking model
-needs: valid 1D convolution over time, batch normalization, leaky ReLU,
-dropout, global average pooling, dense layers (matmul plus a broadcast
-add), softmax, a sector-embedding add, the mean weighted cross-entropy and
-the mean squared error (one node each), Adam, plateau LR halving, and
-early stopping.
+needs: valid 1D convolution over time, the sum of a conv kernel over its
+taps, batch normalization, leaky ReLU, dropout, global average pooling,
+dense layers (matmul plus a broadcast add), softmax, a sector-embedding
+add, the mean weighted cross-entropy and the mean squared error (one node
+each), Adam, plateau LR halving, and early stopping.
 
 Computation runs in the dtype of the data: a Tensor keeps float32 arrays
 as float32 and stores anything else as float64, every op returns its
@@ -24,6 +24,7 @@ from .autograd import (
     dropout,
     embedding_add,
     global_avg_pool,
+    kernel_sum,
     leaky_relu,
     matmul,
     mean_squared_error,
@@ -39,6 +40,7 @@ __all__ = [
     "matmul",
     "dense",
     "conv1d_valid",
+    "kernel_sum",
     "embedding_add",
     "batch_norm",
     "leaky_relu",

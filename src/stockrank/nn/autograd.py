@@ -6,12 +6,12 @@ in reverse topological order. Gradients are exact analytic derivatives
 (verified against central finite differences in the test suite).
 
 The ops are the ones training differentiates: ``add`` and ``matmul``
-(which make ``dense``), ``conv1d_valid``, ``embedding_add``,
-``batch_norm``, ``leaky_relu``, ``dropout``, ``global_avg_pool``,
-``softmax``, and the two objectives ``weighted_cross_entropy`` and
-``mean_squared_error``, each one node with a closed-form backward. Infer
-mode builds no backward: ``batch_norm`` returns a leaf and ``dropout``
-returns its input.
+(which make ``dense``), ``conv1d_valid``, ``kernel_sum``,
+``embedding_add``, ``batch_norm``, ``leaky_relu``, ``dropout``,
+``global_avg_pool``, ``softmax``, and the two objectives
+``weighted_cross_entropy`` and ``mean_squared_error``, each one node with
+a closed-form backward. Infer mode builds no backward: ``batch_norm``
+returns a leaf and ``dropout`` returns its input.
 
 Dtype rule: a Tensor keeps float32 data as float32 and stores anything
 else as float64. Every op returns its input's dtype, a plain array or
@@ -20,6 +20,8 @@ is stored in its tensor's dtype, so a float32 graph never upcasts.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -201,6 +203,20 @@ def conv1d_valid(x, w, b) -> Tensor:
     return _make(out, (x, w, b), backward)
 
 
+def kernel_sum(w) -> Tensor:
+    """Sum of a (k, ch_in, ch_out) conv kernel over its k taps.
+
+    It maps a time-constant input row through a convolution: for a row e
+    added at every time step, conv(x + e) = conv(x) + e @ kernel_sum(w).
+    """
+    w = _as_tensor(w)
+
+    def backward(g):
+        _accum(w, np.broadcast_to(g, w.data.shape))
+
+    return _make(w.data.sum(axis=0), (w,), backward)
+
+
 def embedding_add(x, table, ids: np.ndarray) -> Tensor:
     """Add one embedding row per sample across every time step.
 
@@ -309,6 +325,42 @@ def leaky_relu(x, alpha: float = 0.01) -> Tensor:
     return _make(x.data * slope, (x,), backward)
 
 
+def _keep_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: float) -> np.ndarray:
+    """``rng.random(shape, dtype=np.float32) >= rate`` for a Python float
+    rate, bit for bit, leaving the generator in the same state, at about
+    half the cost.
+
+    That draw takes one 32-bit word u per element, the low half of each
+    64-bit PCG64 output first and its high half next, buffered in the state
+    (``has_uint32``, ``uinteger``) between calls; the element is
+    (u >> 8) * 2**-24 in float32. So the element is kept exactly when
+    u >= 256 * ceil(float32(rate) * 2**24), and the words come straight
+    from ``random_raw`` with no float conversion.
+    """
+    bit_gen = rng.bit_generator
+    if not isinstance(bit_gen, np.random.PCG64):
+        raise NumericError(f"dropout needs a PCG64 generator, got {type(bit_gen).__name__}")
+    n = math.prod(shape)
+    cut = math.ceil(float(np.float32(rate)) * 2**24) << 8
+    keep = np.empty(shape, dtype=bool)
+    flat = keep.reshape(-1)
+    state = bit_gen.state
+    head = min(n, state["has_uint32"])  # the buffered high half comes first
+    if head:
+        flat[0] = state["uinteger"] >= cut
+    rest = n - head
+    halves = bit_gen.random_raw((rest + 1) // 2).astype("<u8", copy=False).view("<u4")
+    np.greater_equal(halves[:rest], cut, out=flat[head:])
+    if n:
+        state = bit_gen.state
+        state["has_uint32"] = rest % 2
+        if rest:
+            # the last word's high half: buffered if unused, else left stale
+            state["uinteger"] = int(halves[-1])
+        bit_gen.state = state
+    return keep
+
+
 def dropout(x, rate: float, rng: np.random.Generator | None, train: bool) -> Tensor:
     """Inverted dropout: zero with probability ``rate``, scale survivors.
 
@@ -321,12 +373,10 @@ def dropout(x, rate: float, rng: np.random.Generator | None, train: bool) -> Ten
         return x
     if rng is None:
         raise NumericError("dropout in train mode needs an rng")
-    # the mask is drawn in float32 whatever the input dtype, so a float32
-    # model and its float64 copy see the same mask from the same rng
-    scale = rng.random(x.data.shape, dtype=np.float32)
-    np.greater_equal(scale, rate, out=scale)
-    scale = scale.astype(x.data.dtype, copy=False)
-    scale *= 1.0 / (1.0 - rate)
+    # the mask does not depend on the input dtype, so a float32 model and
+    # its float64 copy see the same mask from the same rng
+    scale = np.multiply(_keep_mask(rng, x.data.shape, rate), 1.0 / (1.0 - rate),
+                        dtype=x.data.dtype)
 
     def backward(g):
         _accum(x, g * scale)

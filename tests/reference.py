@@ -9,6 +9,10 @@ The generic autograd ops below (``sub`` ... ``mean``) and ``chain_batch_loss``
 are the bit-exact oracle of the loss nodes: each objective built as a chain
 of one op per step, the way ``losses.batch_loss`` built it before the
 closed-form nodes. The gradient tests also compose their probes from them.
+
+``unfolded_sector_conv`` is the numeric oracle of the model's first layer:
+the sector embedding added to the windows before the conv, which the model
+computes with the add moved after it.
 """
 
 import csv
@@ -23,7 +27,16 @@ from stockrank.dataset import LOOKAHEAD
 from stockrank.errors import DataError, NumericError
 from stockrank.losses import LOG_CLIP
 from stockrank.market_data import NO_SECTOR_ID, OPEN, load_sector_map
-from stockrank.nn.autograd import Tensor, _accum, _as_tensor, _make, _operands, _unbroadcast
+from stockrank.nn.autograd import (
+    Tensor,
+    _accum,
+    _as_tensor,
+    _make,
+    _operands,
+    _unbroadcast,
+    conv1d_valid,
+    embedding_add,
+)
 
 OHLCV_HEADER = ["ticker", "date", "open", "high", "low", "close", "volume"]
 
@@ -145,6 +158,12 @@ def chain_batch_loss(kind: str, outputs, labels, targets, weights) -> Tensor:
     if kind == "ce":
         return mean(ce_per_sample(outputs, labels))
     return mean(pow_const(sub(outputs, targets.reshape(-1, 1)), 2.0))
+
+
+def unfolded_sector_conv(windows, embedding, sector_ids, w, b) -> Tensor:
+    """``models._sector_conv`` as the paper states it: the sector row added
+    to every time step of the window, then the first conv."""
+    return conv1d_valid(embedding_add(Tensor(windows), embedding, sector_ids), w, b)
 
 
 def daily_return(u, si: int, T: int) -> float:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stockrank.errors import NumericError
@@ -14,6 +14,7 @@ from stockrank.nn import (
     dropout,
     embedding_add,
     global_avg_pool,
+    kernel_sum,
     leaky_relu,
     matmul,
     mean_squared_error,
@@ -89,6 +90,25 @@ class TestConv1d:
         b = Tensor(rng.normal(size=4), requires_grad=True)
         finite_diff_check(lambda: tsum(mul(conv1d_valid(x, w, b),
                                            conv1d_valid(x, w, b))), [x, w, b])
+
+
+class TestKernelSum:
+    def test_sums_the_taps(self, rng):
+        w = rng.normal(size=(3, 2, 4))
+        np.testing.assert_array_equal(kernel_sum(Tensor(w)).data, w[0] + w[1] + w[2])
+
+    def test_maps_a_time_constant_row_through_the_conv(self, rng):
+        x, e = rng.normal(size=(2, 7, 3)), rng.normal(size=3)
+        w, b = Tensor(rng.normal(size=(3, 3, 4))), Tensor(rng.normal(size=4))
+        added = conv1d_valid(Tensor(x + e), w, b).data
+        folded = conv1d_valid(Tensor(x), w, b).data + e @ kernel_sum(w).data
+        np.testing.assert_allclose(added, folded, rtol=1e-12, atol=1e-12)
+
+    def test_gradients(self, rng):
+        w = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
+        e = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
+        finite_diff_check(lambda: tsum(mul(matmul(e, kernel_sum(w)), matmul(e, kernel_sum(w)))),
+                          [w, e])
 
 
 class TestBatchNorm:
@@ -171,6 +191,18 @@ class TestLeakyRelu:
         finite_diff_check(lambda: tsum(mul(leaky_relu(x, 0.01), leaky_relu(x, 0.01))), [x])
 
 
+# a float32 uniform u to a Python float rate at it or one float64 or
+# float32 ulp off it; the model's rate is a Python float, which numpy
+# compares with a float32 array in float32
+NUDGES = (
+    float,
+    lambda u: float(np.nextafter(float(u), 0.0)),
+    lambda u: float(np.nextafter(float(u), 1.0)),
+    lambda u: float(np.nextafter(u, np.float32(0))),
+    lambda u: float(np.nextafter(u, np.float32(1))),
+)
+
+
 class TestDropout:
     def test_rate_zero_identity(self, rng):
         x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
@@ -197,6 +229,45 @@ class TestDropout:
     def test_bad_rate(self):
         with pytest.raises(NumericError):
             dropout(Tensor(np.zeros(2)), 1.0, np.random.default_rng(0), train=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           before=st.integers(0, 5),
+           shape=st.lists(st.integers(0, 9), min_size=0, max_size=3).map(tuple),
+           rate=st.one_of(st.floats(1e-9, 1.0, exclude_max=True),
+                          st.sampled_from([0.35, 0.4, 0.5, 1 - 2**-24, 1 - 2**-26])),
+           at_a_draw=st.one_of(st.none(), st.tuples(st.integers(0, 10**6),
+                                                    st.sampled_from(NUDGES))))
+    def test_mask_and_generator_state_match_a_float32_uniform_draw(self, seed, before, shape,
+                                                                   rate, at_a_draw):
+        # the mask is rng.random(shape, float32) >= rate drawn another way;
+        # an odd ``before`` leaves half of a 64-bit word buffered on entry,
+        # a rate just below 1 rounds to 1.0 in float32, and ``at_a_draw``
+        # puts the rate on one of the uniforms, or one ulp off it, so the
+        # comparison's edge is met
+        def generator():
+            rng = np.random.default_rng(seed)
+            rng.random(before, dtype=np.float32)
+            return rng
+
+        expected, rng = generator(), generator()
+        uniforms = generator().random(shape, dtype=np.float32)
+        if at_a_draw is not None and uniforms.size:
+            pick, nudge = at_a_draw
+            rate = nudge(uniforms.flat[pick % uniforms.size])
+            assume(0.0 < rate < 1.0)
+        keep = expected.random(shape, dtype=np.float32) >= rate
+        out = dropout(Tensor(np.ones(shape, dtype=np.float32)), rate, rng, train=True)
+        np.testing.assert_array_equal(out.data != 0, keep)
+        assert rng.bit_generator.state == expected.bit_generator.state
+        # and the generator goes on to draw what it would have drawn
+        np.testing.assert_array_equal(rng.random(3, dtype=np.float32),
+                                      expected.random(3, dtype=np.float32))
+
+    def test_needs_a_pcg64_generator(self):
+        rng = np.random.Generator(np.random.MT19937(0))
+        with pytest.raises(NumericError, match="PCG64"):
+            dropout(Tensor(np.ones(4)), 0.5, rng, train=True)
 
 
 class TestGlobalAvgPool:
@@ -351,6 +422,7 @@ def float32_cases(rng) -> dict:
         "matmul": (matmul(a, w), [a, w]),
         "dense": (dense(a, w, b), [a, w, b]),
         "conv1d_valid": (conv1d_valid(seq, kernel, conv_b), [seq, kernel, conv_b]),
+        "kernel_sum": (kernel_sum(kernel), [kernel]),
         "embedding_add": (embedding_add(seq, table, np.array([0, 5])), [seq, table]),
         "batch_norm_train": (batch_norm(seq, gamma, beta, BatchNormState(3), train=True),
                              [seq, gamma, beta]),
@@ -371,7 +443,7 @@ def float32_cases(rng) -> dict:
 
 
 FLOAT32_OPS = ("add", "add_const", "sub_const", "mul_one_hot", "neg", "pow_const", "log_clip",
-               "tsum", "mean", "matmul", "dense", "conv1d_valid", "embedding_add",
+               "tsum", "mean", "matmul", "dense", "conv1d_valid", "kernel_sum", "embedding_add",
                "batch_norm_train", "leaky_relu", "dropout_train", "global_avg_pool",
                "softmax", "weighted_cross_entropy", "mean_squared_error")
 INFER_OPS = ("batch_norm_infer", "dropout_infer")

@@ -86,6 +86,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="thresholds"):
             cfg.validate(check_paths=False)
 
+    def test_empty_conv_stack_rejected(self):
+        # the sector embedding enters the network through the first conv
+        cfg = RunConfig(ohlcv_path="x", sector_path="y", conv=[])
+        with pytest.raises(ConfigError, match="conv"):
+            cfg.validate(check_paths=False)
+
     def test_relative_paths_resolve_against_config(self, tmp_path, runner):
         data = synth_dataset(runner, tmp_path, n_days=30)
         path = write_config(tmp_path, {"ohlcv_path": "ohlcv.csv",

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stockrank import models
 from stockrank.dataset import (
     SampleSet,
     assign_label,
@@ -35,7 +38,7 @@ from stockrank.models import (
 from stockrank.nn import Tensor, embedding_add
 
 from conftest import as_windows, random_walk_universe
-from reference import gather_windows
+from reference import gather_windows, mul, tsum, unfolded_sector_conv
 
 SMALL_ARCH = ArchConfig(m=10, n=6, conv=((3, 8), (3, 8)), dense=(8,),
                         loss="return_weighted_ce")
@@ -85,6 +88,10 @@ class TestArchConfig:
     def test_kernel_at_least_one(self):
         with pytest.raises(ConfigError):
             ArchConfig(m=10, n=4, conv=((0, 8),), dense=(4,))
+
+    def test_conv_stack_not_empty(self):
+        with pytest.raises(ConfigError, match="empty"):
+            ArchConfig(m=10, n=4, conv=(), dense=(4,))
 
     def test_default_arch_is_valid(self):
         arch = ArchConfig()
@@ -526,6 +533,50 @@ class TestFloat32Model:
         for ma, mb in zip(a.optimizer.m + a.optimizer.v, b.optimizer.m + b.optimizer.v):
             np.testing.assert_array_equal(ma, mb)
         assert a.optimizer.step_count == b.optimizer.step_count > 0
+
+
+class TestSectorFold:
+    """``forward`` adds the sector rows after the first conv, passed through
+    its kernel; the paper adds them to the windows before it. In exact
+    arithmetic the two are one function, so they may differ by rounding only.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), batch=st.integers(2, 12), k=st.integers(1, 4),
+           loss=st.sampled_from(["return_weighted_ce", "mse"]), float64=st.booleans())
+    def test_folded_matches_unfolded(self, seed, batch, k, loss, float64):
+        # the same error budget as the float32-against-float64 comparison,
+        # in units of the eps of the dtype the model computes in
+        arch = ArchConfig(m=8, n=5, conv=((k, 6), (2, 4)), dense=(5,), loss=loss)
+        data = np.random.default_rng(seed)
+        x = data.normal(size=(batch, arch.m, arch.n))
+        ids = data.integers(0, 12, size=batch)
+        upstream = data.normal(size=(batch, arch.loss_kind.output_arity))
+        table = data.normal(size=(12, arch.n))  # on the windows' scale, so the add matters
+
+        def run(sector_conv):
+            state = build_model(arch, seed=seed)
+            if float64:
+                as_float64(state)
+            state.params["embedding"].data = table.astype(state.params["embedding"].data.dtype)
+            with mock.patch.object(models, "_sector_conv", sector_conv):
+                out = forward(state, x, ids, train=True)
+                tsum(mul(out, upstream)).backward()
+                infer = forward(state, x, ids, train=False)  # after one batch-norm update
+            return out.data, infer.data, {name: p.grad for name, p in state.params.items()}
+
+        folded, unfolded = run(models._sector_conv), run(unfolded_sector_conv)
+        eps = float(np.finfo(folded[0].dtype).eps)
+        for name, a, b in (("train", folded[0], unfolded[0]), ("infer", folded[1], unfolded[1])):
+            assert a.dtype == b.dtype
+            np.testing.assert_allclose(a, b, rtol=0, atol=64 * eps * max(1.0, np.abs(b).max()),
+                                       err_msg=name)
+        # model-wide scale, as gradients reached through batch norm are
+        # differences of terms far larger than they are
+        scale = max(np.abs(g).max() for g in unfolded[2].values())
+        for name, g in unfolded[2].items():
+            np.testing.assert_allclose(folded[2][name], g, rtol=0, atol=1024 * eps * scale,
+                                       err_msg=name)
 
 
 class TestCheckpoints:
