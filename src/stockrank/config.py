@@ -113,6 +113,8 @@ class RunConfig:
             raise ConfigError(f"unknown loss {self.loss!r}")
         if self.dropout is not None and not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        if not 0.0 < self.leaky_slope < 1.0:
+            raise ConfigError(f"leaky_slope must be in (0, 1), got {self.leaky_slope}")
         # non-empty: the sector embedding enters the network through the first conv
         if not self.conv or any(len(c) != 2 or min(c) < 1 for c in self.conv):
             raise ConfigError(f"conv must be a non-empty list of [k, channels] pairs >= 1, "

@@ -54,20 +54,30 @@ class Windows:
     """Read-only (samples, m, n) view of the windows in a standardized span.
 
     ``span`` is (rows, days, n); sample i is the m consecutive days of row
-    ``stock[i]`` that start at day ``first_row[i]``. Only the flat start
-    row of each sample is stored: indexing with an int, a slice or an
-    index array gathers a new (..., m, n) array in the span's dtype, so a
+    ``stock[i]`` that start at day ``first_row[i]``. The span is read as
+    one flat block of rows * days rows of n features, and one read-only
+    ``as_strided`` view of that block holds the m-row window that starts
+    at each flat row: shape (flat rows - m + 1, m, n), strides (row, row,
+    element), so no window is copied. Only the flat start row of each
+    sample is stored, and a batch is ``view[start[idx]]``: an index array
+    or a slice gathers a new (..., m, n) array in the span's dtype, so a
     mini-batch costs batch × m × n and the whole set is never
-    materialized. ``shape``, ``size`` and ``dtype`` describe the gathered
-    array; ``np.asarray`` gathers every window.
+    materialized; an int gives that sample's (m, n) window as a read-only
+    view. A span of fewer than m flat rows (an empty split has none) holds
+    no window, so its view is empty and only an empty selection indexes
+    it. ``shape``, ``size`` and ``dtype`` describe the gathered array;
+    ``np.asarray`` gathers every window.
     """
 
     def __init__(self, span: np.ndarray, stock, first_row, m: int):
         n_rows, n_days, n = span.shape
-        self._rows = span.reshape(n_rows * n_days, n)
+        rows = span.reshape(n_rows * n_days, n)
+        row_step, item_step = rows.strides
+        self._view = np.lib.stride_tricks.as_strided(
+            rows, shape=(max(len(rows) - m + 1, 0), m, n),
+            strides=(row_step, row_step, item_step), writeable=False)
         first_row = np.asarray(first_row, dtype=np.intp)
         self._start = np.asarray(stock, dtype=np.intp) * n_days + first_row
-        self._offsets = np.arange(m)
         self.shape = (len(self._start), m, n)
         self.dtype = span.dtype
 
@@ -79,7 +89,7 @@ class Windows:
         return self.shape[0]
 
     def __getitem__(self, idx) -> np.ndarray:
-        return self._rows[self._start[idx][..., None] + self._offsets]
+        return self._view[self._start[idx]]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         if copy is False:
@@ -91,15 +101,16 @@ class Windows:
 class SampleSet:
     """Columnar batch of (stock, anchor day) samples, stock-major.
 
-    Row i of every column describes the same sample: its ticker, anchor
-    day, (m, n) standardized window, one-hot label, realized return, loss
-    weight and sector id. ``windows`` is a Windows view: index it with a
-    batch's rows to get that batch's windows.
+    Row i of every column describes the same sample: its stock (an index
+    into ``Universe.tickers``), anchor day, (m, n) standardized window,
+    one-hot label, realized return, loss weight and sector id. ``windows``
+    is a Windows view: index it with a batch's rows to get that batch's
+    windows.
     """
 
-    def __init__(self, tickers, anchor_days, windows: Windows, labels, returns, weights,
+    def __init__(self, stock, anchor_days, windows: Windows, labels, returns, weights,
                  sector_ids):
-        self.tickers = list(tickers)
+        self.stock = np.asarray(stock, dtype=int)
         self.anchor_days = np.asarray(anchor_days, dtype=int)
         self.windows = windows
         self.labels = np.asarray(labels, dtype=np.float64)
@@ -108,7 +119,7 @@ class SampleSet:
         self.sector_ids = np.asarray(sector_ids, dtype=int)
 
     def __len__(self) -> int:
-        return len(self.tickers)
+        return len(self.stock)
 
 
 def build_split_plans(
@@ -250,14 +261,13 @@ def make_samples(
     if t0 - m + 1 < offset:
         raise DataError(f"anchor day {t0} reaches before the standardized span")
     ranges = {"train": (t0, t1 - val_days), "val": (t1 - val_days, t1), "test": (e0, e1)}
-    tickers = universe.tickers
     out: dict[str, SampleSet] = {}
     for split, (a0, a1) in ranges.items():
         stock = np.repeat(np.arange(universe.n_stocks), a1 - a0)
         days = np.tile(np.arange(a0, a1), universe.n_stocks)
         r = returns[stock, days]
         out[split] = SampleSet(
-            [tickers[si] for si in stock.tolist()],
+            stock,
             days,
             Windows(span, stock, days + (1 - m - offset), m),
             assign_label(r, thresholds),

@@ -17,6 +17,25 @@ Dtype rule: a Tensor keeps float32 data as float32 and stores anything
 else as float64. Every op returns its input's dtype, a plain array or
 scalar operand takes the dtype of the Tensor it meets, and each gradient
 is stored in its tensor's dtype, so a float32 graph never upcasts.
+
+Channel rule: activations are (batch, c) or (batch, time, c) with the
+channels last, and every op does its per-channel work in one of two fast
+passes, whatever the width c:
+
+- a sum over every axis but the last (a channel's batch statistic, a bias
+  or scale gradient) is a GEMV against ones, ``ones(n) @ a.reshape(n, c)``,
+  a sum over the time axis is ``ones(time) @ a``, and a sum of samples by
+  id (the embedding table's gradient) is a GEMM against their one-hot;
+- a per-channel vector (or per-sample row) is applied to the
+  (batch, time * c) view of the activations, tiled ``time`` times, so
+  numpy's inner loop runs time * c elements long instead of c.
+
+numpy's own ``sum(axis=...)``, ``mean(axis=...)`` and last-axis
+broadcasts take their slow paths on a short last axis (c = 4 on a thin
+network), and the rule is at least as fast at every width measured.
+``softmax`` and the two objectives keep numpy's last-axis sums: those are
+sums along the contiguous axis, not channel sums, and the loss nodes
+repeat the bits of the op chain in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -107,11 +126,46 @@ def _make(data, parents, backward) -> Tensor:
     return Tensor(data)
 
 
+# ---------------------------------------------------------------------------
+# the channel rule (module docstring)
+# ---------------------------------------------------------------------------
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """The (batch, time * c) view of a (batch, ..., c) array."""
+    return a.reshape(a.shape[0], math.prod(a.shape[1:]))
+
+
+def _tile(v: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """A (c,) vector, or (batch, c) rows, tiled to the rows of ``_rows(a)``."""
+    return np.tile(v, math.prod(a.shape[1:-1]))
+
+
+def _channel_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over every axis but the last, as one GEMV against ones."""
+    c = a.shape[-1]
+    n = math.prod(a.shape[:-1])
+    return np.ones(n, dtype=a.dtype) @ a.reshape(n, c)
+
+
+def _channel_dot(a: np.ndarray, b: np.ndarray, c: int) -> np.ndarray:
+    """Per-channel sum of a * b for two (batch, time * c) views, without an
+    elementwise temporary: their column dots, then the time fold of those."""
+    return _channel_sum(np.einsum("bj,bj->j", a, b).reshape(-1, c))
+
+
+def _time_sum(a: np.ndarray) -> np.ndarray:
+    """Sum of a (batch, time, c) array over time: ``ones(time) @ a``."""
+    return np.ones(a.shape[1], dtype=a.dtype) @ a
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a gradient back down to the shape it was broadcast from."""
     extra = g.ndim - len(shape)
     if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
+        lead = math.prod(g.shape[:extra])
+        rest = g.shape[extra:]
+        g = (np.ones(lead, dtype=g.dtype) @ g.reshape(lead, math.prod(rest))).reshape(rest)
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
     if axes:
         g = g.sum(axis=axes, keepdims=True)
@@ -173,7 +227,8 @@ def conv1d_valid(x, w, b) -> Tensor:
     out = x.data[:, 0:t_out, :] @ w.data[0]
     for tau in range(1, k):
         out += x.data[:, tau : tau + t_out, :] @ w.data[tau]
-    out += b.data
+    out_rows = _rows(out)
+    out_rows += _tile(b.data, out)
 
     def backward(g):
         # g zero-padded to t_in steps and flattened to rows: row r of the pad
@@ -198,7 +253,7 @@ def conv1d_valid(x, w, b) -> Tensor:
             for tau in range(k):
                 gw[tau] = x2[tau : tau + n].T @ g_pad[:n]
             _accum(w, gw)
-        _accum(b, g.sum(axis=(0, 1)))
+        _accum(b, _channel_sum(g))
 
     return _make(out, (x, w, b), backward)
 
@@ -230,15 +285,15 @@ def embedding_add(x, table, ids: np.ndarray) -> Tensor:
         raise NumericError(
             f"embedding ids out of range [0, {table.data.shape[0]}): {ids.min()}..{ids.max()}"
         )
-    rows = table.data[ids]  # (batch, n)
-    out = x.data + rows[:, None, :]
+    out = (_rows(x.data) + _tile(table.data[ids], x.data)).reshape(x.data.shape)
 
     def backward(g):
         _accum(x, g)
         if table.requires_grad:
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, ids, g.sum(axis=1))
-            _accum(table, gt)
+            # each table row's gradient is the time-summed gradient of its
+            # samples: one GEMM against the (rows, batch) one-hot of ids
+            onehot = np.equal.outer(np.arange(table.data.shape[0]), ids).astype(g.dtype)
+            _accum(table, onehot @ _time_sum(g))
 
     return _make(out, (x, table), backward)
 
@@ -265,51 +320,50 @@ def batch_norm(x, gamma, beta, state: BatchNormState, train: bool) -> Tensor:
     Train mode uses batch statistics (population variance) and folds them
     into the running stats with the state's momentum. Infer mode is a pure
     function of the running stats and returns a leaf Tensor: nothing
-    differentiates an infer-mode output, so it builds no backward.
+    differentiates an infer-mode output, so it builds no backward. Every
+    pass runs on the (batch, time * c) view of the activations, with the
+    per-channel vectors tiled to it (the channel rule).
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
+    x_rows = _rows(x.data)
     if not train:
         dtype = x.data.dtype
         inv = (1.0 / np.sqrt(state.running_var + state.eps)).astype(dtype)
         scale = gamma.data * inv
-        out = x.data * scale
-        out += beta.data - state.running_mean.astype(dtype) * scale
-        return Tensor(out)
+        out = x_rows * _tile(scale, x.data)
+        out += _tile(beta.data - state.running_mean.astype(dtype) * scale, x.data)
+        return Tensor(out.reshape(x.data.shape))
 
-    n_ch = x.data.shape[-1]
-    n = x.data.size // n_ch
-
-    def channel_sums(a, b):
-        """Per-channel sum of a * b without an elementwise temporary."""
-        return np.einsum("nc,nc->c", a.reshape(n, n_ch), b.reshape(n, n_ch))
-
-    mu = x.data.reshape(n, n_ch).mean(axis=0)
-    xhat = x.data - mu  # the one centred temporary; normalized in place below
-    var = channel_sums(xhat, xhat) / n
+    c = x.data.shape[-1]
+    n = x.data.size // c
+    mu = _channel_sum(x.data) / n
+    xhat = x_rows - _tile(mu, x.data)  # the one centred temporary; normalized in place below
+    var = _channel_dot(xhat, xhat, c) / n
     m = state.momentum
     state.running_mean = m * state.running_mean + (1.0 - m) * mu
     state.running_var = m * state.running_var + (1.0 - m) * var
     inv = 1.0 / np.sqrt(var + state.eps)
-    xhat *= inv
-    out = xhat * gamma.data
-    out += beta.data
+    xhat *= _tile(inv, x.data)
+    out = xhat * _tile(gamma.data, x.data)
+    out += _tile(beta.data, x.data)
 
     def backward_train(g):
-        dbeta = g.reshape(n, n_ch).sum(axis=0)
-        dgamma = channel_sums(g, xhat)
+        g_rows = _rows(g)
+        dbeta = _channel_sum(g)
+        dgamma = _channel_dot(g_rows, xhat, c)
         if x.requires_grad:
             # with dxhat = g * gamma, sum(dxhat) = gamma * dbeta and
             # sum(dxhat * xhat) = gamma * dgamma, so
             # dx = gamma * inv * (g - (dbeta + xhat * dgamma) / n)
-            dx = xhat * (dgamma / n)
-            dx += dbeta / n
-            np.subtract(g, dx, out=dx)
-            dx *= gamma.data * inv
-            _accum(x, dx)
+            dx = xhat * _tile(dgamma / n, g)
+            dx += _tile(dbeta / n, g)
+            np.subtract(g_rows, dx, out=dx)
+            dx *= _tile(gamma.data * inv, g)
+            _accum(x, dx.reshape(g.shape))
         _accum(gamma, dgamma)
         _accum(beta, dbeta)
 
-    return _make(out, (x, gamma, beta), backward_train)
+    return _make(out.reshape(x.data.shape), (x, gamma, beta), backward_train)
 
 
 def leaky_relu(x, alpha: float = 0.01) -> Tensor:
@@ -385,14 +439,15 @@ def dropout(x, rate: float, rng: np.random.Generator | None, train: bool) -> Ten
 
 
 def global_avg_pool(x) -> Tensor:
-    """Mean over the time axis: (batch, time, ch) -> (batch, ch)."""
+    """Mean over the time axis: (batch, time, ch) -> (batch, ch), as a
+    time sum against ones; the backward tiles g / time over the time axis."""
     x = _as_tensor(x)
     steps = x.data.shape[1]
 
     def backward(g):
-        _accum(x, np.broadcast_to(g[:, None, :], x.data.shape) / steps)
+        _accum(x, _tile(g / steps, x.data).reshape(x.data.shape))
 
-    return _make(x.data.mean(axis=1), (x,), backward)
+    return _make(_time_sum(x.data) / steps, (x,), backward)
 
 
 def softmax(x) -> Tensor:

@@ -13,6 +13,13 @@ closed-form nodes. The gradient tests also compose their probes from them.
 ``unfolded_sector_conv`` is the numeric oracle of the model's first layer:
 the sector embedding added to the windows before the conv, which the model
 computes with the add moved after it.
+
+The per-channel functions (``batch_norm_train`` to ``dense_bias_grad``)
+are the float64 oracle of the autograd channel rule: each computes an op's
+outputs and gradients with numpy's axis reductions (``mean(axis=0)``,
+``sum(axis=(0, 1))``, ``mean(axis=1)``, ``np.add.at`` on ``sum(axis=1)``)
+and last-axis broadcasts, the way the ops computed them before the rule.
+``window_gather`` is the fancy-index gather ``dataset.Windows`` replaced.
 """
 
 import csv
@@ -166,6 +173,82 @@ def unfolded_sector_conv(windows, embedding, sector_ids, w, b) -> Tensor:
     return conv1d_valid(embedding_add(Tensor(windows), embedding, sector_ids), w, b)
 
 
+# ---------------------------------------------------------------------------
+# per-channel ops with axis reductions and last-axis broadcasts, in float64
+# ---------------------------------------------------------------------------
+
+
+def _f64(*arrays):
+    return tuple(np.asarray(a, dtype=np.float64) for a in arrays)
+
+
+def batch_norm_train(x, gamma, beta, running_mean, running_var, momentum, eps, g):
+    """Train-mode batch norm over every axis but the last, and its backward
+    for the upstream gradient g: (out, running_mean, running_var, dx,
+    dgamma, dbeta)."""
+    x, gamma, beta, g = _f64(x, gamma, beta, g)
+    c = x.shape[-1]
+    n = x.size // c
+    mu = x.reshape(n, c).mean(axis=0)
+    xc = x - mu
+    var = (xc * xc).reshape(n, c).mean(axis=0)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    dbeta = g.reshape(n, c).sum(axis=0)
+    dgamma = (g * xhat).reshape(n, c).sum(axis=0)
+    dx = gamma * inv * (g - (dbeta + xhat * dgamma) / n)
+    return (xhat * gamma + beta,
+            momentum * running_mean + (1.0 - momentum) * mu,
+            momentum * running_var + (1.0 - momentum) * var,
+            dx, dgamma, dbeta)
+
+
+def batch_norm_infer(x, gamma, beta, running_mean, running_var, eps):
+    """Infer-mode batch norm from the running statistics."""
+    x, gamma, beta = _f64(x, gamma, beta)
+    scale = gamma / np.sqrt(running_var + eps)
+    return x * scale + (beta - running_mean * scale)
+
+
+def conv_with_bias(x, w, b, g):
+    """Valid conv output with its bias broadcast over the last axis, and
+    the bias gradient ``g.sum(axis=(0, 1))``."""
+    x, w, b, g = _f64(x, w, b, g)
+    k = w.shape[0]
+    t_out = x.shape[1] - k + 1
+    out = sum(x[:, tau : tau + t_out, :] @ w[tau] for tau in range(k)) + b
+    return out, g.sum(axis=(0, 1))
+
+
+def time_mean_pool(x, g):
+    """``x.mean(axis=1)`` and the backward g / time broadcast over time."""
+    x, g = _f64(x, g)
+    return x.mean(axis=1), np.broadcast_to(g[:, None, :], x.shape) / x.shape[1]
+
+
+def sector_rows_add(x, table, ids, g):
+    """The table row of each sample added at every time step, and the table
+    gradient scattered with ``np.add.at`` from ``g.sum(axis=1)``."""
+    x, table, g = _f64(x, table, g)
+    gt = np.zeros_like(table)
+    np.add.at(gt, ids, g.sum(axis=1))
+    return x + table[ids][:, None, :], gt
+
+
+def dense_bias_grad(g):
+    """The bias gradient of a dense layer: ``g.sum(axis=0)``."""
+    return _f64(g)[0].sum(axis=0)
+
+
+def window_gather(span, stock, first_row, m, idx):
+    """Windows of a (rows, days, n) span by one (..., m) fancy index into
+    its flat rows: sample i's m rows from flat row stock[i] * days +
+    first_row[i]."""
+    n_rows, n_days, n = span.shape
+    start = np.asarray(stock, dtype=np.intp) * n_days + np.asarray(first_row, dtype=np.intp)
+    return span.reshape(n_rows * n_days, n)[start[idx][..., None] + np.arange(m)]
+
+
 def daily_return(u, si: int, T: int) -> float:
     """Open-to-open fractional return attributed to anchor day T of stock si
     of a Universe.
@@ -182,13 +265,12 @@ def daily_return(u, si: int, T: int) -> float:
     return (o2 - o1) / o1
 
 
-def gather_windows(scaled: np.ndarray, universe, plan, ss, m: int) -> np.ndarray:
+def gather_windows(scaled: np.ndarray, plan, ss, m: int) -> np.ndarray:
     """A SampleSet's (samples, m, n) windows in one fancy-index gather from
     a standardized span: sample i is the m days of its stock's row that
     end at its anchor day."""
-    stock = np.array([universe.tickers.index(t) for t in ss.tickers], dtype=int)
     rows = ss.anchor_days[:, None] - plan.std_range[0] + np.arange(1 - m, 1)
-    return scaled[stock[:, None], rows]
+    return scaled[ss.stock[:, None], rows]
 
 
 # The number syntax numpy's C reader accepts: ASCII digits, optional sign,

@@ -146,8 +146,7 @@ class TestRunConfig:
 
     def test_int_for_float_is_stored_as_the_float(self, tmp_path, runner):
         data = synth_dataset(runner, tmp_path, n_days=30)
-        as_int = dict(return_cap=1, dollar_volume_floor=1000, price_floor=1, leaky_slope=0,
-                      dropout=0)
+        as_int = dict(return_cap=1, dollar_volume_floor=1000, price_floor=1, dropout=0)
         as_float = {key: float(value) for key, value in as_int.items()}
         cfg_int, cfg_float = (
             load_config(write_config(tmp_path, small_config(data, **values), name=name))
@@ -179,6 +178,21 @@ class TestRunConfig:
         assert err["error"] == "ConfigError"
         assert err["message"].startswith(f"{key} must be finite")
         assert loads == [] and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("slope", [1.5, 1.0, 1, 0.0, 0, -0.01])
+    def test_leaky_slope_outside_0_1_fails_before_any_file_is_written(
+            self, tmp_path, runner, slope, monkeypatch):
+        data = synth_dataset(runner, tmp_path / "d", n_days=30)
+        cfg_path = write_config(tmp_path, small_config(data, leaky_slope=slope))
+        loads = []
+        monkeypatch.setattr(pipeline, "load_ohlcv", lambda *a, **k: loads.append(a))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["run", "--config", str(cfg_path), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        err = json.loads(result.output.strip().splitlines()[-1])
+        assert err == {"error": "ConfigError", "module": "config",
+                       "message": f"leaky_slope must be in (0, 1), got {float(slope)}"}
+        assert loads == [] and not out.exists()
 
 
 class TestSynthCommand:
@@ -584,7 +598,7 @@ _train_period = pipeline.train_period
 
 def _empty_val(member, train_set, val_set, hp):
     val_set = copy.copy(val_set)
-    val_set.tickers = []  # train_period raises NumericError on an empty split
+    val_set.stock = val_set.stock[:0]  # train_period raises NumericError on an empty split
     return _train_period(member, train_set, val_set, hp)
 
 

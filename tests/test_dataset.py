@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from stockrank.dataset import (
     SplitPlan,
+    Windows,
     assign_label,
     build_split_plans,
     cap_return,
@@ -20,7 +21,7 @@ from stockrank.indicators import assemble_panel
 from stockrank.market_data import OPEN, apply_dead_stock_rule
 
 from conftest import make_stock, make_universe, random_walk_universe
-from reference import daily_return, gather_windows
+from reference import daily_return, gather_windows, window_gather
 
 
 class TestSplitPlans:
@@ -321,7 +322,7 @@ class TestMakeSamples:
         anchor = int(train.anchor_days[first])
         assert anchor == plan.trainval_range[0]
         scaled = standardize(panel, plan).astype(np.float32)
-        si = u.tickers.index(train.tickers[first])
+        si = int(train.stock[first])
         lo = anchor - 19 - plan.std_range[0]
         np.testing.assert_array_equal(train.windows[first], scaled[si, lo : lo + 20, :])
 
@@ -339,11 +340,12 @@ class TestMakeSamples:
                    "test": range(*plan.test_range)}
         for split, ss in out.items():
             # stock-major order: every stock's anchors in turn
-            assert ss.tickers == [t for t in u.tickers for _ in anchors[split]]
+            tickers = [u.tickers[s] for s in ss.stock]
+            assert tickers == [t for t in u.tickers for _ in anchors[split]]
             assert ss.anchor_days.tolist() == list(anchors[split]) * u.n_stocks
             assert ss.windows.shape == (len(ss), 20, panel.n_features)
             for i in range(len(ss)):
-                si = u.tickers.index(ss.tickers[i])
+                si = u.tickers.index(tickers[i])
                 T = int(ss.anchor_days[i])
                 expected_r = daily_return(u, si, T)
                 assert ss.returns[i] == expected_r
@@ -352,7 +354,7 @@ class TestMakeSamples:
                 assert ss.sector_ids[i] == u.sector_ids[si]
                 lo = T - 19 - plan.std_range[0]
                 np.testing.assert_array_equal(ss.windows[i], scaled[si, lo : lo + 20, :])
-        dead = np.array(out["train"].tickers) == "T002"
+        dead = np.array(u.tickers)[out["train"].stock] == "T002"
         assert (out["train"].weights[dead & (out["train"].anchor_days >= 328)] == 0.0).all()
 
     def test_no_lookahead_beyond_label_horizon(self, setup):
@@ -382,7 +384,7 @@ class TestMakeSamples:
         for split in ("train", "val", "test"):
             ss = out[split]
             for i in range(len(ss)):
-                if ss.tickers[i] == "AAA" and ss.anchor_days[i] >= 298:
+                if u.tickers[ss.stock[i]] == "AAA" and ss.anchor_days[i] >= 298:
                     assert ss.weights[i] == 0.0
                     assert ss.returns[i] == 0.0
 
@@ -410,7 +412,7 @@ class TestWindows:
         scaled = standardize(panel, plan).astype(np.float32)
         for ss in out.values():
             w = ss.windows
-            expected = gather_windows(scaled, u, plan, ss, m)
+            expected = gather_windows(scaled, plan, ss, m)
             assert w.dtype == np.float32
             assert w.shape == expected.shape == (len(ss), m, panel.n_features)
             assert w.size == expected.size
@@ -431,6 +433,50 @@ class TestWindows:
                 assert got.dtype == np.float32
                 assert got.shape == expected[idx].shape
                 np.testing.assert_array_equal(got, expected[idx])
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**16), n_rows=st.integers(0, 4), n_days=st.integers(1, 30),
+           n=st.integers(1, 4), m=st.integers(1, 25), data=st.data())
+    def test_strided_view_matches_the_fancy_index_gather(self, seed, n_rows, n_days, n, m,
+                                                         data):
+        rng = np.random.default_rng(seed)
+        span = rng.normal(size=(n_rows, n_days, n)).astype(np.float32)
+        # every window that fits in a row, in a drawn order, the span's last one first
+        fits = [(r, f) for r in range(n_rows) for f in range(n_days - m + 1)]
+        order = data.draw(st.permutations(range(len(fits))), label="order")
+        picked = [fits[i] for i in order[: data.draw(st.integers(0, len(fits)), label="k")]]
+        if fits:
+            picked.insert(0, fits[-1])
+        stock = np.array([r for r, _ in picked], dtype=int)
+        first_row = np.array([f for _, f in picked], dtype=int)
+        w = Windows(span, stock, first_row, m)
+        k = len(picked)
+        assert len(w) == k and w.shape == (k, m, n) and w.dtype == np.float32
+        idxs = [slice(None), np.array([], dtype=int),
+                data.draw(st.slices(max(k, 1)), label="slice")]
+        if k:
+            idxs += [0, k - 1, -1, rng.integers(0, k, size=int(rng.integers(1, 3 * k + 1)))]
+        for idx in idxs:
+            got, want = w[idx], window_gather(span, stock, first_row, m, idx)
+            assert got.dtype == np.float32 and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.asarray(w), window_gather(span, stock, first_row, m,
+                                                                   slice(None)))
+        if fits:  # the window that ends on the span's last day
+            np.testing.assert_array_equal(w[0], span[-1, -m:])
+        if k:
+            with pytest.raises(ValueError):
+                w[0][...] = 0.0  # an int gives a read-only view of the span
+
+    def test_span_shorter_than_m_has_only_empty_selections(self):
+        for span in (np.zeros((0, 10, 6), dtype=np.float32),
+                     np.ones((1, 3, 2), dtype=np.float32)):
+            w = Windows(span, np.array([], dtype=int), np.array([], dtype=int), 5)
+            assert len(w) == 0 and w.size == 0
+            for idx in (slice(None), np.array([], dtype=int)):
+                assert w[idx].shape == (0, 5, span.shape[2])
+                assert w[idx].dtype == np.float32
+            assert np.asarray(w).shape == (0, 5, span.shape[2])
 
     def test_sample_sets_retain_a_fraction_of_their_windows(self):
         u = random_walk_universe(np.random.default_rng(5), 20, 520)

@@ -53,8 +53,7 @@ def toy_samples(rng, n, arch, signal=True):
         windows[hot, -1, :] += 3.0
     labels = np.stack([assign_label(r) for r in returns])
     weights = np.array([cap_return(r) for r in returns])
-    tickers = [f"T{i}" for i in range(n)]
-    return SampleSet(tickers, np.arange(n), as_windows(windows), labels, returns, weights,
+    return SampleSet(np.arange(n), np.arange(n), as_windows(windows), labels, returns, weights,
                      rng.integers(0, 12, size=n))
 
 
@@ -511,9 +510,9 @@ class TestFloat32Model:
         scaled = standardize(panel, plan)
 
         def float64_gather(ss):
-            windows = as_windows(gather_windows(scaled, u, plan, ss, 10))
+            windows = as_windows(gather_windows(scaled, plan, ss, 10))
             assert windows.dtype == np.float64
-            return SampleSet(ss.tickers, ss.anchor_days, windows, ss.labels, ss.returns,
+            return SampleSet(ss.stock, ss.anchor_days, windows, ss.labels, ss.returns,
                              ss.weights, ss.sector_ids)
 
         arch = ArchConfig(m=10, n=panel.n_features, conv=((3, 8),), dense=(8,))
