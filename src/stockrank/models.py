@@ -5,6 +5,9 @@ probability distribution over five return classes (or a single value for
 the MSE variant). Three independently seeded members are combined into an
 ensemble whose weights follow each member's recent realized returns.
 
+Every conv and hidden dense block feeds a batch norm, whose batch mean
+cancels any bias in front of it, so only the output head has a bias.
+
 Models compute in float32: parameters, activations, gradients and Adam
 moments are float32, while batch-norm running statistics stay float64.
 """
@@ -12,6 +15,7 @@ moments are float32, while batch-norm running statistics stay float64.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field, replace
 
@@ -38,6 +42,7 @@ from .nn.optim import AdamOptimizer, EarlyStopping, ReduceOnPlateau
 
 SCORE_VECTOR = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 MOE_WINDOW = 6
+INFER_CHUNK = 4096  # windows per infer-mode forward
 
 
 def ranking_scores(outputs: np.ndarray, classification: bool) -> np.ndarray:
@@ -127,9 +132,6 @@ class ModelState:
     def param_count(self) -> int:
         return int(sum(p.data.size for p in self.params.values()))
 
-    def param_list(self) -> list[Tensor]:
-        return list(self.params.values())
-
     def snapshot(self) -> dict:
         return {
             "params": {k: p.data.copy() for k, p in self.params.items()},
@@ -168,7 +170,6 @@ def build_model(arch: ArchConfig, seed: int) -> ModelState:
     for i, (k, ch_out) in enumerate(arch.conv):
         std = np.sqrt(2.0 / (k * ch_in))
         params[f"conv{i}_w"] = _param(_trunc_normal(rng, (k, ch_in, ch_out), std))
-        params[f"conv{i}_b"] = _param(np.zeros(ch_out))
         params[f"conv{i}_bn_gamma"] = _param(np.ones(ch_out))
         params[f"conv{i}_bn_beta"] = _param(np.zeros(ch_out))
         bn_states[f"conv{i}_bn"] = BatchNormState(ch_out)
@@ -178,7 +179,6 @@ def build_model(arch: ArchConfig, seed: int) -> ModelState:
     for i, width in enumerate(arch.dense):
         std = np.sqrt(2.0 / d_in)
         params[f"dense{i}_w"] = _param(_trunc_normal(rng, (d_in, width), std))
-        params[f"dense{i}_b"] = _param(np.zeros(width))
         params[f"dense{i}_bn_gamma"] = _param(np.ones(width))
         params[f"dense{i}_bn_beta"] = _param(np.zeros(width))
         bn_states[f"dense{i}_bn"] = BatchNormState(width)
@@ -193,7 +193,7 @@ def build_model(arch: ArchConfig, seed: int) -> ModelState:
 
 
 def _sector_conv(windows: np.ndarray, embedding: Tensor, sector_ids: np.ndarray,
-                 w: Tensor, b: Tensor) -> Tensor:
+                 w: Tensor) -> Tensor:
     """The first convolution of the windows with each sample's sector row
     added at every time step, computed with the add moved past the conv.
 
@@ -202,7 +202,7 @@ def _sector_conv(windows: np.ndarray, embedding: Tensor, sector_ids: np.ndarray,
     windows, a grad-free leaf, so its backward builds no input gradient,
     and the sector rows are added to its (batch, t_out, ch_out) output.
     """
-    h = conv1d_valid(Tensor(windows), w, b)
+    h = conv1d_valid(Tensor(windows), w)
     return embedding_add(h, matmul(embedding, kernel_sum(w)), sector_ids)
 
 
@@ -211,13 +211,14 @@ def forward(state: ModelState, windows: np.ndarray, sector_ids: np.ndarray,
     """Run the network on a (batch, m, n) array of windows.
 
     Stack: sector embedding add, then conv blocks (conv, batch norm, leaky
-    ReLU, dropout), global average pooling over time, dense blocks with the
-    same trimmings, and a final dense head (softmax for classification
-    kinds). The embedding add and the first conv run as ``_sector_conv``,
-    which adds each sector row after the conv, passed through its kernel:
-    the same function up to float rounding, with a cheaper backward.
-    The windows are cast to the parameters' dtype, which every op keeps;
-    a batch gathered from a SampleSet's float32 span is already in it.
+    ReLU, dropout), global average pooling over time, dense blocks (matmul
+    and the same trimmings), and a final dense head with a bias (softmax for
+    classification kinds). The embedding add and the first conv run as
+    ``_sector_conv``, which adds each sector row after the conv, passed
+    through its kernel: the same function up to float rounding, with a
+    cheaper backward. The windows are cast to the parameters' dtype, which
+    every op keeps; a batch gathered from a SampleSet's float32 span is
+    already in it.
 
     Train mode draws the dropout masks (rate ``arch.dropout``) from
     ``state.rng`` and folds each batch's statistics into the batch-norm
@@ -229,17 +230,17 @@ def forward(state: ModelState, windows: np.ndarray, sector_ids: np.ndarray,
     p = state.params if train else {k: Tensor(v.data) for k, v in state.params.items()}
 
     windows = np.asarray(windows, dtype=p["embedding"].data.dtype)
-    h = _sector_conv(windows, p["embedding"], sector_ids, p["conv0_w"], p["conv0_b"])
+    h = _sector_conv(windows, p["embedding"], sector_ids, p["conv0_w"])
     for i in range(len(arch.conv)):
         if i:
-            h = conv1d_valid(h, p[f"conv{i}_w"], p[f"conv{i}_b"])
+            h = conv1d_valid(h, p[f"conv{i}_w"])
         h = batch_norm(h, p[f"conv{i}_bn_gamma"], p[f"conv{i}_bn_beta"],
                        state.bn_states[f"conv{i}_bn"], train)
         h = leaky_relu(h, arch.leaky_slope)
         h = dropout(h, arch.dropout, state.rng, train)
     h = global_avg_pool(h)
     for i in range(len(arch.dense)):
-        h = dense(h, p[f"dense{i}_w"], p[f"dense{i}_b"])
+        h = matmul(h, p[f"dense{i}_w"])
         h = batch_norm(h, p[f"dense{i}_bn_gamma"], p[f"dense{i}_bn_beta"],
                        state.bn_states[f"dense{i}_bn"], train)
         h = leaky_relu(h, arch.leaky_slope)
@@ -250,25 +251,22 @@ def forward(state: ModelState, windows: np.ndarray, sector_ids: np.ndarray,
     return out
 
 
-def predict_batch(state: ModelState, windows, sector_ids: np.ndarray,
-                  chunk: int = 4096) -> np.ndarray:
-    """Infer-mode outputs for every window, ``chunk`` windows at a time;
-    ``windows`` is an array or a SampleSet's Windows view."""
+def predict_batch(state: ModelState, windows, sector_ids: np.ndarray) -> np.ndarray:
+    """Infer-mode outputs for every window, ``INFER_CHUNK`` windows at a
+    time; ``windows`` is an array or a SampleSet's Windows view."""
     outs = []
-    for lo in range(0, len(windows), chunk):
-        outs.append(
-            forward(state, windows[lo : lo + chunk], sector_ids[lo : lo + chunk],
-                    train=False).data
-        )
+    for lo in range(0, len(windows), INFER_CHUNK):
+        hi = lo + INFER_CHUNK
+        outs.append(forward(state, windows[lo:hi], sector_ids[lo:hi], train=False).data)
     return np.concatenate(outs, axis=0)
 
 
-def _evaluate(state: ModelState, kind: LossKind, sample_set, chunk: int = 4096) -> float:
+def _evaluate(state: ModelState, kind: LossKind, sample_set) -> float:
     """Mean loss over a SampleSet in infer mode."""
     total = 0.0
     n = len(sample_set)
-    for lo in range(0, n, chunk):
-        sl = slice(lo, min(lo + chunk, n))
+    for lo in range(0, n, INFER_CHUNK):
+        sl = slice(lo, min(lo + INFER_CHUNK, n))
         out = forward(state, sample_set.windows[sl], sample_set.sector_ids[sl], train=False)
         loss = batch_loss(kind, out, sample_set.labels[sl], sample_set.returns[sl],
                           sample_set.weights[sl])
@@ -287,8 +285,7 @@ def train_period(state: ModelState, train_set, val_set, hp: TrainConfig) -> dict
         raise NumericError("train_period needs non-empty train and validation sets")
     kind = state.arch.loss_kind
     opt = state.optimizer
-    opt.initial_lr = hp.initial_lr
-    opt.reset_lr()
+    opt.lr = hp.initial_lr
     plateau = ReduceOnPlateau(opt, min_lr=hp.min_lr, patience=hp.plateau_patience)
     stopper = EarlyStopping(patience=hp.early_stop_patience)
 
@@ -383,41 +380,33 @@ def combine_members(ens: EnsembleState, member_outputs: list[np.ndarray]) -> np.
 
 _MODEL_MAGIC = b"SRNN"
 _ENSEMBLE_MAGIC = b"SREN"
-# version 2: parameters and Adam moments are stored in the dtype the header
-# names ("param_dtype"); batch-norm running statistics stay float64
-_CKPT_VERSION = 2
-_CKPT_DTYPES = ("float32", "float64")
+# version 3: the header holds only what varies between models: parameters
+# and Adam moments are float32 and batch-norm running statistics float64,
+# a batch norm's channel count is its gamma's length, and Adam's betas and
+# eps are the optimizer's constants
+_CKPT_VERSION = 3
 
 
 def _encode_model(state: ModelState) -> bytes:
     names = list(state.params.keys())
+    if any(state.params[k].data.dtype != np.float32 for k in names):
+        raise NumericError("only a float32 model can be saved")
     bn_names = sorted(state.bn_states.keys())
     opt = state.optimizer.state_dict()
-    param_dtype = state.params[names[0]].data.dtype
     header = {
         "version": _CKPT_VERSION,
         "arch": asdict(state.arch),
         "seed": state.seed,
-        "param_dtype": param_dtype.name,
         "param_names": names,
         "param_shapes": {k: list(state.params[k].data.shape) for k in names},
         "bn_names": bn_names,
-        "bn_meta": {k: {"momentum": state.bn_states[k].momentum,
-                        "eps": state.bn_states[k].eps,
-                        "channels": len(state.bn_states[k].running_mean)}
-                    for k in bn_names},
-        "optimizer": {k: opt[k] for k in ("lr", "initial_lr", "beta1", "beta2", "eps",
-                                          "step_count")},
+        "optimizer": {k: opt[k] for k in ("lr", "step_count")},
         "rng_state": state.rng.bit_generator.state,
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    wire = param_dtype.newbyteorder("<")
     buffers = []
-    for k in names:
-        buffers.append(state.params[k].data.astype(wire).tobytes())
-    for arrs in (opt["m"], opt["v"]):
-        for a in arrs:
-            buffers.append(np.asarray(a).astype(wire).tobytes())
+    for a in [state.params[k].data for k in names] + opt["m"] + opt["v"]:
+        buffers.append(a.astype("<f4").tobytes())
     for k in bn_names:
         buffers.append(state.bn_states[k].running_mean.astype("<f8").tobytes())
         buffers.append(state.bn_states[k].running_var.astype("<f8").tobytes())
@@ -425,28 +414,29 @@ def _encode_model(state: ModelState) -> bytes:
     return _MODEL_MAGIC + struct.pack("<II", _CKPT_VERSION, len(head)) + head + body
 
 
-def _decode_model(blob: bytes) -> ModelState:
-    if blob[:4] != _MODEL_MAGIC:
-        raise NumericError("not a model checkpoint")
+def _decode_header(blob: bytes, magic: bytes, what: str) -> tuple[dict, int]:
+    """The JSON header of a checkpoint blob and the offset of its body."""
+    if blob[:4] != magic:
+        raise NumericError(f"not {what} checkpoint")
     version, head_len = struct.unpack("<II", blob[4:12])
     if version != _CKPT_VERSION:
         raise NumericError(f"unsupported checkpoint version {version}")
-    header = json.loads(blob[12 : 12 + head_len].decode())
-    offset = 12 + head_len
-    if header["param_dtype"] not in _CKPT_DTYPES:
-        raise NumericError(f"unsupported checkpoint dtype {header['param_dtype']!r}")
-    param_dtype = np.dtype(header["param_dtype"])
+    return json.loads(blob[12 : 12 + head_len].decode()), 12 + head_len
 
-    def take(shape, dtype=np.dtype(np.float64)) -> np.ndarray:
+
+def _decode_model(blob: bytes) -> ModelState:
+    header, offset = _decode_header(blob, _MODEL_MAGIC, "a model")
+
+    def take(shape, dtype) -> np.ndarray:
         nonlocal offset
-        count = int(np.prod(shape)) if shape else 1
-        wire = dtype.newbyteorder("<")
+        count = math.prod(shape)
+        wire = np.dtype(dtype).newbyteorder("<")
         arr = np.frombuffer(blob, dtype=wire, count=count, offset=offset).reshape(shape)
         offset += count * wire.itemsize
         return arr.astype(dtype)
 
     def take_params() -> list[np.ndarray]:
-        return [take(header["param_shapes"][k], param_dtype) for k in header["param_names"]]
+        return [take(header["param_shapes"][k], np.float32) for k in header["param_names"]]
 
     arch = ArchConfig(**header["arch"])
     params = {k: Tensor(a, requires_grad=True)
@@ -455,11 +445,12 @@ def _decode_model(blob: bytes) -> ModelState:
     v_list = take_params()
     bn_states = {}
     for k in header["bn_names"]:
-        meta = header["bn_meta"][k]
-        st = BatchNormState(meta["channels"], meta["momentum"], meta["eps"])
-        st.running_mean = take([meta["channels"]])
-        st.running_var = take([meta["channels"]])
+        st = BatchNormState(len(params[f"{k}_gamma"].data))
+        st.running_mean = take(st.running_mean.shape, np.float64)
+        st.running_var = take(st.running_var.shape, np.float64)
         bn_states[k] = st
+    if offset != len(blob):
+        raise NumericError(f"model checkpoint has {len(blob) - offset} bytes past its end")
 
     rng = np.random.Generator(np.random.PCG64())
     rng.bit_generator.state = header["rng_state"]
@@ -486,19 +477,28 @@ def save_ensemble(ens: EnsembleState, path: str) -> None:
 
 
 def load_ensemble(path: str) -> EnsembleState:
+    """Read an ensemble checkpoint; a file of another version, or one cut
+    short or garbled, is a NumericError naming the path."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:4] != _ENSEMBLE_MAGIC:
-        raise NumericError("not an ensemble checkpoint")
-    _version, head_len = struct.unpack("<II", blob[4:12])
-    header = json.loads(blob[12 : 12 + head_len].decode())
-    offset = 12 + head_len
+    try:
+        return _decode_ensemble(blob)
+    except NumericError as exc:
+        raise NumericError(f"{path}: {exc}") from exc
+    except (ConfigError, struct.error, ValueError, KeyError, TypeError) as exc:
+        raise NumericError(f"{path}: damaged ensemble checkpoint ({exc})") from exc
+
+
+def _decode_ensemble(blob: bytes) -> EnsembleState:
+    header, offset = _decode_header(blob, _ENSEMBLE_MAGIC, "an ensemble")
     members = []
     for _ in range(header["n_members"]):
         (size,) = struct.unpack("<Q", blob[offset : offset + 8])
         offset += 8
         members.append(_decode_model(blob[offset : offset + size]))
         offset += size
+    if offset != len(blob):
+        raise NumericError(f"ensemble checkpoint has {len(blob) - offset} bytes past its end")
     return EnsembleState(
         members=members,
         trailing_returns=[list(h) for h in header["trailing_returns"]],

@@ -1,9 +1,10 @@
 """Minimal deterministic tensor + reverse-mode differentiation core.
 
 Only the layers, objectives, optimizer, and schedules the ranking model
-needs: valid 1D convolution over time, the sum of a conv kernel over its
-taps, batch normalization, leaky ReLU, dropout, global average pooling,
-dense layers (matmul plus a broadcast add), softmax, a sector-embedding
+needs: valid 1D convolution over time with no bias (a batch norm follows
+every conv), the sum of a conv kernel over its taps, matmul, batch
+normalization, leaky ReLU, dropout, global average pooling, the dense
+output head (matmul plus a broadcast add), softmax, a sector-embedding
 add, the mean weighted cross-entropy and the mean squared error (one node
 each), Adam, plateau LR halving, and early stopping.
 

@@ -13,6 +13,10 @@ The ops are the ones training differentiates: ``add`` and ``matmul``
 a closed-form backward. Infer mode builds no backward: ``batch_norm``
 returns a leaf and ``dropout`` returns its input.
 
+Every conv and every hidden matmul of the model feeds a batch norm, whose
+batch mean would cancel a bias in front of it, so ``conv1d_valid`` takes
+none; only ``dense``, the output head, adds one.
+
 Dtype rule: a Tensor keeps float32 data as float32 and stores anything
 else as float64. Every op returns its input's dtype, a plain array or
 scalar operand takes the dtype of the Tensor it meets, and each gradient
@@ -22,8 +26,8 @@ Channel rule: activations are (batch, c) or (batch, time, c) with the
 channels last, and every op does its per-channel work in one of two fast
 passes, whatever the width c:
 
-- a sum over every axis but the last (a channel's batch statistic, a bias
-  or scale gradient) is a GEMV against ones, ``ones(n) @ a.reshape(n, c)``,
+- a sum over every axis but the last (a channel's batch statistic, a
+  shift or scale gradient) is a GEMV against ones, ``ones(n) @ a.reshape(n, c)``,
   a sum over the time axis is ``ones(time) @ a``, and a sum of samples by
   id (the embedding table's gradient) is a GEMM against their one-hot;
 - a per-channel vector (or per-sample row) is applied to the
@@ -207,14 +211,14 @@ def dense(x, w, b) -> Tensor:
     return add(matmul(x, w), b)
 
 
-def conv1d_valid(x, w, b) -> Tensor:
-    """Valid (no padding) 1D convolution over the time axis.
+def conv1d_valid(x, w) -> Tensor:
+    """Valid (no padding) 1D convolution over the time axis, with no bias.
 
-    x: (batch, time, ch_in), w: (k, ch_in, ch_out), b: (ch_out,).
-    out[s, t, o] = sum_{tau, i} x[s, t + tau, i] * w[tau, i, o] + b[o];
+    x: (batch, time, ch_in), w: (k, ch_in, ch_out).
+    out[s, t, o] = sum_{tau, i} x[s, t + tau, i] * w[tau, i, o];
     the feature axis is never convolved.
     """
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    x, w = _as_tensor(x), _as_tensor(w)
     if x.data.ndim != 3 or w.data.ndim != 3 or x.data.shape[2] != w.data.shape[1]:
         raise NumericError(
             f"conv1d shapes do not line up: x {x.data.shape}, w {w.data.shape}"
@@ -227,8 +231,6 @@ def conv1d_valid(x, w, b) -> Tensor:
     out = x.data[:, 0:t_out, :] @ w.data[0]
     for tau in range(1, k):
         out += x.data[:, tau : tau + t_out, :] @ w.data[tau]
-    out_rows = _rows(out)
-    out_rows += _tile(b.data, out)
 
     def backward(g):
         # g zero-padded to t_in steps and flattened to rows: row r of the pad
@@ -253,9 +255,8 @@ def conv1d_valid(x, w, b) -> Tensor:
             for tau in range(k):
                 gw[tau] = x2[tau : tau + n].T @ g_pad[:n]
             _accum(w, gw)
-        _accum(b, _channel_sum(g))
 
-    return _make(out, (x, w, b), backward)
+    return _make(out, (x, w), backward)
 
 
 def kernel_sum(w) -> Tensor:
@@ -298,17 +299,19 @@ def embedding_add(x, table, ids: np.ndarray) -> Tensor:
     return _make(out, (x, table), backward)
 
 
-class BatchNormState:
-    """Running statistics and hyperparameters for one batch-norm layer."""
+BN_MOMENTUM = 0.99  # weight of the old running statistic in each update
+BN_EPS = 1e-5
 
-    def __init__(self, n_channels: int, momentum: float = 0.99, eps: float = 1e-5):
+
+class BatchNormState:
+    """Running statistics of one batch-norm layer."""
+
+    def __init__(self, n_channels: int):
         self.running_mean = np.zeros(n_channels, dtype=np.float64)
         self.running_var = np.ones(n_channels, dtype=np.float64)
-        self.momentum = momentum
-        self.eps = eps
 
     def copy(self) -> "BatchNormState":
-        out = BatchNormState(len(self.running_mean), self.momentum, self.eps)
+        out = BatchNormState(len(self.running_mean))
         out.running_mean = self.running_mean.copy()
         out.running_var = self.running_var.copy()
         return out
@@ -318,7 +321,7 @@ def batch_norm(x, gamma, beta, state: BatchNormState, train: bool) -> Tensor:
     """Normalize per channel (last axis) over all other axes.
 
     Train mode uses batch statistics (population variance) and folds them
-    into the running stats with the state's momentum. Infer mode is a pure
+    into the running stats with momentum ``BN_MOMENTUM``. Infer mode is a pure
     function of the running stats and returns a leaf Tensor: nothing
     differentiates an infer-mode output, so it builds no backward. Every
     pass runs on the (batch, time * c) view of the activations, with the
@@ -328,7 +331,7 @@ def batch_norm(x, gamma, beta, state: BatchNormState, train: bool) -> Tensor:
     x_rows = _rows(x.data)
     if not train:
         dtype = x.data.dtype
-        inv = (1.0 / np.sqrt(state.running_var + state.eps)).astype(dtype)
+        inv = (1.0 / np.sqrt(state.running_var + BN_EPS)).astype(dtype)
         scale = gamma.data * inv
         out = x_rows * _tile(scale, x.data)
         out += _tile(beta.data - state.running_mean.astype(dtype) * scale, x.data)
@@ -339,10 +342,10 @@ def batch_norm(x, gamma, beta, state: BatchNormState, train: bool) -> Tensor:
     mu = _channel_sum(x.data) / n
     xhat = x_rows - _tile(mu, x.data)  # the one centred temporary; normalized in place below
     var = _channel_dot(xhat, xhat, c) / n
-    m = state.momentum
+    m = BN_MOMENTUM
     state.running_mean = m * state.running_mean + (1.0 - m) * mu
     state.running_var = m * state.running_var + (1.0 - m) * var
-    inv = 1.0 / np.sqrt(var + state.eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= _tile(inv, x.data)
     out = xhat * _tile(gamma.data, x.data)
     out += _tile(beta.data, x.data)

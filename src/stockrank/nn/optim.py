@@ -7,6 +7,11 @@ import numpy as np
 from ..errors import NumericError
 from .autograd import Tensor
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+PLATEAU_FACTOR = 0.5
+
 
 class AdamOptimizer:
     """Adam with bias correction; deterministic given the same gradients.
@@ -14,27 +19,16 @@ class AdamOptimizer:
     The moments take each parameter's dtype, and every update stays in it.
     """
 
-    def __init__(
-        self,
-        params: list[Tensor],
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: list[Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.initial_lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
 
     def step(self) -> None:
         self.step_count += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         bc1 = 1.0 - b1**self.step_count
         bc2 = 1.0 - b2**self.step_count
         for i, p in enumerate(self.params):
@@ -45,23 +39,15 @@ class AdamOptimizer:
             self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
             mhat = self.m[i] / bc1
             vhat = self.v[i] / bc2
-            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
 
-    def reset_lr(self) -> None:
-        """Back to the initial rate (used when retraining on a new period)."""
-        self.lr = self.initial_lr
-
     def state_dict(self) -> dict:
         return {
             "lr": self.lr,
-            "initial_lr": self.initial_lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
             "step_count": self.step_count,
             "m": [a.copy() for a in self.m],
             "v": [a.copy() for a in self.v],
@@ -69,10 +55,6 @@ class AdamOptimizer:
 
     def load_state_dict(self, state: dict) -> None:
         self.lr = state["lr"]
-        self.initial_lr = state["initial_lr"]
-        self.beta1 = state["beta1"]
-        self.beta2 = state["beta2"]
-        self.eps = state["eps"]
         self.step_count = state["step_count"]
         if len(state["m"]) != len(self.params):
             raise NumericError("optimizer state does not match parameter count")
@@ -88,12 +70,10 @@ class ReduceOnPlateau:
     improvement also restarts it.
     """
 
-    def __init__(self, optimizer: AdamOptimizer, min_lr: float, patience: int = 5,
-                 factor: float = 0.5):
+    def __init__(self, optimizer: AdamOptimizer, min_lr: float, patience: int = 5):
         self.optimizer = optimizer
         self.min_lr = min_lr
         self.patience = patience
-        self.factor = factor
         self.best = np.inf
         self.wait = 0
 
@@ -105,7 +85,7 @@ class ReduceOnPlateau:
         else:
             self.wait += 1
             if self.wait >= self.patience:
-                self.optimizer.lr = max(self.optimizer.lr * self.factor, self.min_lr)
+                self.optimizer.lr = max(self.optimizer.lr * PLATEAU_FACTOR, self.min_lr)
                 self.wait = 0
         return self.optimizer.lr
 

@@ -17,8 +17,10 @@ computes with the add moved after it.
 The per-channel functions (``batch_norm_train`` to ``dense_bias_grad``)
 are the float64 oracle of the autograd channel rule: each computes an op's
 outputs and gradients with numpy's axis reductions (``mean(axis=0)``,
-``sum(axis=(0, 1))``, ``mean(axis=1)``, ``np.add.at`` on ``sum(axis=1)``)
+``sum(axis=0)``, ``mean(axis=1)``, ``np.add.at`` on ``sum(axis=1)``)
 and last-axis broadcasts, the way the ops computed them before the rule.
+Among them, ``valid_conv`` computes the conv and its kernel gradient tap by
+tap, against which the one-GEMM-per-tap backward is checked.
 ``window_gather`` is the fancy-index gather ``dataset.Windows`` replaced.
 """
 
@@ -167,10 +169,10 @@ def chain_batch_loss(kind: str, outputs, labels, targets, weights) -> Tensor:
     return mean(pow_const(sub(outputs, targets.reshape(-1, 1)), 2.0))
 
 
-def unfolded_sector_conv(windows, embedding, sector_ids, w, b) -> Tensor:
+def unfolded_sector_conv(windows, embedding, sector_ids, w) -> Tensor:
     """``models._sector_conv`` as the paper states it: the sector row added
     to every time step of the window, then the first conv."""
-    return conv1d_valid(embedding_add(Tensor(windows), embedding, sector_ids), w, b)
+    return conv1d_valid(embedding_add(Tensor(windows), embedding, sector_ids), w)
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +212,17 @@ def batch_norm_infer(x, gamma, beta, running_mean, running_var, eps):
     return x * scale + (beta - running_mean * scale)
 
 
-def conv_with_bias(x, w, b, g):
-    """Valid conv output with its bias broadcast over the last axis, and
-    the bias gradient ``g.sum(axis=(0, 1))``."""
-    x, w, b, g = _f64(x, w, b, g)
+def valid_conv(x, w, g):
+    """Valid conv output, one matmul per tap, and the kernel gradient for
+    the upstream gradient g: ``gw[tau] = sum over samples and steps of
+    x[:, tau + t].T @ g[:, t]``."""
+    x, w, g = _f64(x, w, g)
     k = w.shape[0]
     t_out = x.shape[1] - k + 1
-    out = sum(x[:, tau : tau + t_out, :] @ w[tau] for tau in range(k)) + b
-    return out, g.sum(axis=(0, 1))
+    out = sum(x[:, tau : tau + t_out, :] @ w[tau] for tau in range(k))
+    gw = np.stack([np.einsum("bti,bto->io", x[:, tau : tau + t_out, :], g)
+                   for tau in range(k)])
+    return out, gw
 
 
 def time_mean_pool(x, g):

@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stockrank.errors import NumericError
+from stockrank.nn.autograd import BN_EPS, BN_MOMENTUM
 from stockrank.nn import (
     BatchNormState,
     Tensor,
@@ -63,34 +64,31 @@ class TestConv1d:
         for k in range(1, 21):
             x = Tensor(np.random.default_rng(0).normal(size=(2, 20, 3)))
             w = Tensor(np.zeros((k, 3, 4)))
-            out = conv1d_valid(x, w, Tensor(np.zeros(4)))
+            out = conv1d_valid(x, w)
             assert out.shape == (2, 20 - k + 1, 4)
 
     def test_identity_kernel(self, rng):
         x = rng.normal(size=(3, 8, 2))
         w = np.zeros((1, 2, 2))
         w[0] = np.eye(2)
-        out = conv1d_valid(Tensor(x), Tensor(w), Tensor(np.zeros(2)))
+        out = conv1d_valid(Tensor(x), Tensor(w))
         np.testing.assert_allclose(out.data, x)
 
     def test_hand_dot_product(self):
         x = np.array([[[1.0], [2.0], [3.0]]])  # batch 1, time 3, 1 channel
         w = np.ones((3, 1, 1))
-        out = conv1d_valid(Tensor(x), Tensor(w), Tensor(np.zeros(1)))
+        out = conv1d_valid(Tensor(x), Tensor(w))
         assert out.data.shape == (1, 1, 1)
         assert out.data[0, 0, 0] == 6.0
 
     def test_kernel_longer_than_time(self):
         with pytest.raises(NumericError):
-            conv1d_valid(Tensor(np.zeros((1, 2, 1))), Tensor(np.zeros((3, 1, 1))),
-                         Tensor(np.zeros(1)))
+            conv1d_valid(Tensor(np.zeros((1, 2, 1))), Tensor(np.zeros((3, 1, 1))))
 
     def test_gradients(self, rng):
         x = Tensor(rng.normal(size=(2, 9, 3)), requires_grad=True)
         w = Tensor(rng.normal(size=(3, 3, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=4), requires_grad=True)
-        finite_diff_check(lambda: tsum(mul(conv1d_valid(x, w, b),
-                                           conv1d_valid(x, w, b))), [x, w, b])
+        finite_diff_check(lambda: tsum(mul(conv1d_valid(x, w), conv1d_valid(x, w))), [x, w])
 
 
 class TestKernelSum:
@@ -100,9 +98,9 @@ class TestKernelSum:
 
     def test_maps_a_time_constant_row_through_the_conv(self, rng):
         x, e = rng.normal(size=(2, 7, 3)), rng.normal(size=3)
-        w, b = Tensor(rng.normal(size=(3, 3, 4))), Tensor(rng.normal(size=4))
-        added = conv1d_valid(Tensor(x + e), w, b).data
-        folded = conv1d_valid(Tensor(x), w, b).data + e @ kernel_sum(w).data
+        w = Tensor(rng.normal(size=(3, 3, 4)))
+        added = conv1d_valid(Tensor(x + e), w).data
+        folded = conv1d_valid(Tensor(x), w).data + e @ kernel_sum(w).data
         np.testing.assert_allclose(added, folded, rtol=1e-12, atol=1e-12)
 
     def test_gradients(self, rng):
@@ -141,11 +139,12 @@ class TestBatchNorm:
 
     def test_running_stats_momentum(self, rng):
         x = rng.normal(size=(32, 2))
-        state = BatchNormState(2, momentum=0.99)
+        state = BatchNormState(2)
         batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), state, train=True)
-        np.testing.assert_allclose(state.running_mean, 0.01 * x.mean(axis=0), rtol=1e-12)
+        m = BN_MOMENTUM
+        np.testing.assert_allclose(state.running_mean, (1 - m) * x.mean(axis=0), rtol=1e-12)
         np.testing.assert_allclose(
-            state.running_var, 0.99 * 1.0 + 0.01 * x.var(axis=0), rtol=1e-12
+            state.running_var, m * 1.0 + (1 - m) * x.var(axis=0), rtol=1e-12
         )
 
     def test_train_gradients(self, rng):
@@ -392,7 +391,7 @@ class TestChannelRule:
         if steps is None:
             self.check_dense_bias(rng, x, g, dtype)
         else:
-            self.check_conv_bias(rng, x, g, dtype)
+            self.check_conv(rng, x, g, dtype)
             self.check_global_avg_pool(rng, x, dtype)
             self.check_embedding_add(rng, x, g, dtype)
 
@@ -418,12 +417,12 @@ class TestChannelRule:
         out = batch_norm(*tensors, state, train=True)
         self.backward(out, g)
         want = reference.batch_norm_train(x, gamma, beta, before.running_mean,
-                                          before.running_var, state.momentum, state.eps, g)
+                                          before.running_var, BN_MOMENTUM, BN_EPS, g)
         # magnitudes: every term on absolute values; |x - mu| <= |x| + mean|x|
-        m = state.momentum
+        m = BN_MOMENTUM
         x64, g64 = x.astype(np.float64).reshape(n, c), np.abs(g.astype(np.float64)).reshape(n, c)
         spread = np.abs(x64) + np.abs(x64).mean(axis=0)
-        inv = 1.0 / np.sqrt(x64.var(axis=0) + state.eps)
+        inv = 1.0 / np.sqrt(x64.var(axis=0) + BN_EPS)
         sum_g = g64.sum(axis=0)
         sum_gx = (g64 * spread * inv).sum(axis=0)
         magnitudes = (
@@ -442,9 +441,9 @@ class TestChannelRule:
             assert_within_eps(a, b, mag, self.N_EPS, dtype)
 
         infer = batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), before, train=False)
-        scale = np.abs(gamma) / np.sqrt(before.running_var + before.eps)
+        scale = np.abs(gamma) / np.sqrt(before.running_var + BN_EPS)
         self.check(infer.data, reference.batch_norm_infer(
-            x, gamma, beta, before.running_mean, before.running_var, before.eps),
+            x, gamma, beta, before.running_mean, before.running_var, BN_EPS),
             np.abs(x) * scale + np.abs(beta) + np.abs(before.running_mean) * scale, dtype)
 
     def check_dense_bias(self, rng, x, g, dtype):
@@ -455,17 +454,16 @@ class TestChannelRule:
         self.check(b.grad, reference.dense_bias_grad(g), reference.dense_bias_grad(np.abs(g)),
                    dtype)
 
-    def check_conv_bias(self, rng, out, g, dtype):
+    def check_conv(self, rng, out, g, dtype):
         batch, steps, c = out.shape
         k, c_in = int(rng.integers(1, 4)), int(rng.integers(1, 6))
         x = Tensor(rng.normal(size=(batch, steps + k - 1, c_in)).astype(dtype))
-        w, b = (Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
-                for shape in ((k, c_in, c), (c,)))
-        y = conv1d_valid(x, w, b)
+        w = Tensor(rng.normal(size=(k, c_in, c)).astype(dtype), requires_grad=True)
+        y = conv1d_valid(x, w)
         self.backward(y, g)
-        want = reference.conv_with_bias(x.data, w.data, b.data, g)
-        magnitude = reference.conv_with_bias(*map(np.abs, (x.data, w.data, b.data, g)))
-        for got, a, mag in zip((y.data, b.grad), want, magnitude):
+        want = reference.valid_conv(x.data, w.data, g)
+        magnitude = reference.valid_conv(*map(np.abs, (x.data, w.data, g)))
+        for got, a, mag in zip((y.data, w.grad), want, magnitude):
             self.check(got, a, mag, dtype)
 
     def check_global_avg_pool(self, rng, x, dtype):
@@ -544,7 +542,7 @@ def float32_cases(rng) -> dict:
         return Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
 
     a, row, w, b = f32(3, 4), f32(4), f32(4, 2), f32(2)
-    seq, kernel, conv_b, table = f32(2, 7, 3), f32(3, 3, 4), f32(4), f32(12, 3)
+    seq, kernel, table = f32(2, 7, 3), f32(3, 3, 4), f32(12, 3)
     gamma, beta, column = f32(3), f32(3), f32(3, 1)
     positive = Tensor(rng.uniform(0.1, 1.0, size=(3, 4)).astype(np.float32),
                       requires_grad=True)
@@ -560,7 +558,7 @@ def float32_cases(rng) -> dict:
         "mean": (mean(a), [a]),
         "matmul": (matmul(a, w), [a, w]),
         "dense": (dense(a, w, b), [a, w, b]),
-        "conv1d_valid": (conv1d_valid(seq, kernel, conv_b), [seq, kernel, conv_b]),
+        "conv1d_valid": (conv1d_valid(seq, kernel), [seq, kernel]),
         "kernel_sum": (kernel_sum(kernel), [kernel]),
         "embedding_add": (embedding_add(seq, table, np.array([0, 5])), [seq, table]),
         "batch_norm_train": (batch_norm(seq, gamma, beta, BatchNormState(3), train=True),

@@ -580,6 +580,22 @@ class TestExitCodes:
         assert err["error"] == "DataError"
         assert err["module"] == "market_data"
 
+    def test_report_on_a_cut_checkpoint_is_4(self, tmp_path, runner):
+        data = synth_dataset(runner, tmp_path / "d")
+        cfg_path = write_config(tmp_path, small_config(data, conv=[[3, 4]], dense=[4],
+                                                       n_members=1, max_epochs=1))
+        out = tmp_path / "o"
+        r = runner.invoke(main, ["run", "--config", str(cfg_path), "--out", str(out)])
+        assert r.exit_code == 0, r.output
+        ckpt = out / "checkpoints" / "ensemble_0.ens"
+        ckpt.write_bytes(ckpt.read_bytes()[:10])
+        result = runner.invoke(main, ["report", "--out", str(out)])
+        assert result.exit_code == 4
+        assert json.loads(result.output.strip().splitlines()[-1]) == {
+            "error": "NumericError", "module": "models",
+            "message": f"{ckpt}: damaged ensemble checkpoint "
+                       "(unpack requires a buffer of 8 bytes)"}
+
 
 def _run_files(out):
     """Every file of a run directory, by path; the manifest by its artifacts
@@ -769,6 +785,41 @@ class TestBenchmarkPatchPoints:
             cwd=root, env=env, capture_output=True, text=True, timeout=120,
         )
         assert result.returncode == 0, result.stderr
+
+    def test_install_traces_every_autograd_op_of_a_training_step(self):
+        # spans.install wraps each op of spans.AUTOGRAD_OPS where models looks
+        # it up; an op the model stops calling, or that stops building its
+        # backward through autograd._make, reads 0 in the per-layer metrics
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(root, "src"), os.path.join(root, "perfbench")]))
+        code = (
+            "import json\n"
+            "import numpy as np\n"
+            "import spans\n"
+            "tracer = spans.Tracer()\n"
+            "spans.install(tracer)\n"
+            "from stockrank import models\n"
+            "from stockrank.losses import batch_loss\n"
+            "arch = models.ArchConfig(m=10, n=6, conv=((3, 4),), dense=(4,))\n"
+            "state = models.build_model(arch, seed=1)\n"
+            "rng = np.random.default_rng(0)\n"
+            "out = models.forward(state, rng.normal(size=(8, 10, 6)),\n"
+            "                     rng.integers(0, 12, size=8), train=True)\n"
+            "loss = batch_loss(arch.loss_kind, out, np.eye(5)[rng.integers(0, 5, size=8)],\n"
+            "                  np.full(8, 0.02), np.full(8, 0.02))\n"
+            "loss.backward()\n"
+            "state.optimizer.step()\n"
+            "print(json.dumps(spans.layer_metrics(tracer.spans)))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        metrics = json.loads(result.stdout.strip().splitlines()[-1])
+        assert metrics["models.steps"] == 1
+        traced = {name: value for name, value in metrics.items()
+                  if name.startswith("autograd.") and name.endswith(("fwd_ms", "bwd_ms"))}
+        assert traced and all(value > 0 for value in traced.values()), traced
 
     @staticmethod
     def _traced_run(tmp_path, runner, n_members):

@@ -1,3 +1,5 @@
+import json
+import struct
 from unittest import mock
 
 import numpy as np
@@ -142,10 +144,15 @@ class TestBuildModel:
         for k in a.params:
             np.testing.assert_array_equal(a.params[k].data, b.params[k].data)
 
-    def test_default_arch_param_count(self):
+    def test_default_arch_parameters(self):
+        # no bias in front of a batch norm: only the output head has one
         state = build_model(ArchConfig(), seed=0)
-        # 336 embedding + conv/dense stacks; lands in the tens of thousands
-        assert 10_000 < state.param_count < 100_000
+        blocks = [f"{name}_{part}" for name in ("conv0", "conv1", "conv2", "dense0")
+                  for part in ("w", "bn_gamma", "bn_beta")]
+        assert list(state.params) == ["embedding", *blocks, "out_w", "out_b"]
+        # 336 embedding; convs 4,032 + 9,216 + 18,432 and dense 6,144
+        # weights; 544 gamma and beta; the head 320 + 5
+        assert state.param_count == 39_029
 
     def test_two_seeds_differ_same_shapes(self):
         a = build_model(SMALL_ARCH, seed=1)
@@ -457,7 +464,7 @@ class TestFloat32Model:
     def test_model_computes_in_float32(self, rng):
         state = build_model(SMALL_ARCH, seed=3)
         opt = state.optimizer
-        assert {a.dtype for a in [p.data for p in state.param_list()] + opt.m + opt.v} \
+        assert {a.dtype for a in [p.data for p in state.params.values()] + opt.m + opt.v} \
             == {np.dtype(np.float32)}
         out = forward(state, rng.normal(size=(4, 10, 6)), np.arange(4), train=True)
         assert out.data.dtype == np.float32
@@ -468,10 +475,10 @@ class TestFloat32Model:
         # over sums of up to ~50 terms per output and five normalizing layers,
         # so outputs (probabilities in [0, 1]) may differ by 64 eps and
         # gradients by 1024 eps of the largest gradient entry in the model.
-        # The scale is model-wide because some gradients are exact zeros
-        # reached by cancellation (a conv bias feeding batch norm), where
-        # float32 leaves noise of the size of the terms that cancel. A wrong
-        # cast or formula shows as errors of order one.
+        # The scale is model-wide because gradients reached through batch
+        # norm are differences of far larger terms, where float32 leaves
+        # noise of the size of the terms that cancel. A wrong cast or
+        # formula shows as errors of order one.
         eps = float(np.finfo(np.float32).eps)
         out_tol = 64 * eps
         grad_tol = 1024 * eps
@@ -615,8 +622,8 @@ class TestCheckpoints:
         loaded = _decode_model(_encode_model(state))
         train_period(loaded, train, val, hp)
         opt = loaded.optimizer
-        for a in [p.data for p in loaded.param_list()] + [p.grad for p in loaded.param_list()] \
-                + opt.m + opt.v:
+        params = loaded.params.values()
+        for a in [p.data for p in params] + [p.grad for p in params] + opt.m + opt.v:
             assert a.dtype == np.float32
         for bn in loaded.bn_states.values():
             assert bn.running_mean.dtype == bn.running_var.dtype == np.float64
@@ -634,6 +641,43 @@ class TestCheckpoints:
         assert loaded.trailing_returns == ens.trailing_returns
         assert loaded.combine_mode == ens.combine_mode
         np.testing.assert_allclose(ensemble_weights(loaded), ensemble_weights(ens))
+
+    def test_header_holds_only_what_varies(self):
+        blob = _encode_model(build_model(SMALL_ARCH, seed=1))
+        (head_len,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12 : 12 + head_len])
+        assert set(header) == {"version", "arch", "seed", "param_names", "param_shapes",
+                               "bn_names", "optimizer", "rng_state"}
+        assert set(header["optimizer"]) == {"lr", "step_count"}
+
+    def test_version_2_model_blob_is_rejected(self):
+        blob = _encode_model(build_model(SMALL_ARCH, seed=1))
+        with pytest.raises(NumericError, match="unsupported checkpoint version 2"):
+            _decode_model(blob[:4] + struct.pack("<I", 2) + blob[8:])
+
+    def test_float64_model_is_not_saved(self):
+        with pytest.raises(NumericError, match="float32"):
+            _encode_model(as_float64(build_model(SMALL_ARCH, seed=1)))
+
+    @pytest.mark.parametrize("damage", [
+        lambda blob: blob[:10],  # cut inside the version field
+        lambda blob: blob[:-100],  # cut inside the last member
+        lambda blob: blob + b"\0",
+        lambda blob: blob[:4] + struct.pack("<I", 2) + blob[8:],
+        # the first member's version field reads 2
+        lambda blob: blob.replace(b"SRNN", b"SRNN" + struct.pack("<I", 2), 1)[:len(blob)],
+        lambda blob: blob[:12] + b"\xff" + blob[13:],  # the header is no longer UTF-8
+        lambda blob: blob.replace(b'"n_members":3', b'"n_members":4'),
+    ], ids=["cut_header", "cut_member", "trailing_byte", "version_2", "member_version_2",
+            "garbled_header", "missing_member"])
+    def test_damaged_ensemble_file_is_numeric_error(self, tmp_path, damage):
+        path = tmp_path / "e.ens"
+        save_ensemble(EnsembleState(members=[build_model(SMALL_ARCH, seed=s) for s in (1, 2, 3)]),
+                      path)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(NumericError) as error:
+            load_ensemble(path)
+        assert str(error.value).startswith(f"{path}: ")
 
 
 class TestTracedNames:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stockrank.nn import AdamOptimizer, EarlyStopping, ReduceOnPlateau, Tensor
+from stockrank.nn.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, PLATEAU_FACTOR
 
 
 def make_param(values):
@@ -23,7 +24,7 @@ class TestAdam:
         opt = AdamOptimizer([p], lr=0.01)
         p.grad = g.copy()
         opt.step()
-        expected = -0.01 * g / (np.abs(g) + 1e-8)
+        expected = -0.01 * g / (np.abs(g) + ADAM_EPS)
         np.testing.assert_allclose(p.data, expected, rtol=1e-12)
         # magnitude is nearly lr in each coordinate (sign-scaled step)
         np.testing.assert_allclose(np.abs(p.data), 0.01, rtol=1e-6)
@@ -38,11 +39,11 @@ class TestAdam:
         for t in range(1, 3):
             p.grad = g.copy()
             opt.step()
-            m = 0.9 * m + 0.1 * g[0]
-            v = 0.999 * v + 0.001 * g[0] ** 2
-            mhat = m / (1 - 0.9**t)
-            vhat = v / (1 - 0.999**t)
-            x = x - 0.1 * mhat / (np.sqrt(vhat) + 1e-8)
+            m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g[0]
+            v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g[0] ** 2
+            mhat = m / (1 - ADAM_BETA1**t)
+            vhat = v / (1 - ADAM_BETA2**t)
+            x = x - 0.1 * mhat / (np.sqrt(vhat) + ADAM_EPS)
             assert p.data[0] == pytest.approx(x, rel=1e-14)
 
     def test_determinism(self):
@@ -89,7 +90,7 @@ class TestReduceOnPlateau:
         sched.step(1.0)  # establishes the best
         for _ in range(4):
             assert sched.step(1.0) == 0.01
-        assert sched.step(1.0) == 0.005  # 5th non-improving epoch
+        assert sched.step(1.0) == 0.01 * PLATEAU_FACTOR  # 5th non-improving epoch
 
     def test_floor_at_min_lr(self):
         opt = self._opt(lr=0.002)
