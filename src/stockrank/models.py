@@ -225,6 +225,11 @@ def forward(state: ModelState, windows: np.ndarray, sector_ids: np.ndarray,
     running stats. Infer mode uses the running stats, skips dropout, reads
     no RNG and builds no backward: it runs on grad-free leaves that share
     the parameters' arrays, so no op keeps its inputs for a gradient.
+
+    Each rebinding of ``h`` drops the previous op output; in train mode the
+    graph keeps only the arrays the backward closures read, so the conv,
+    batch-norm and leaky-ReLU outputs are freed here (autograd's memory
+    rule).
     """
     arch = state.arch
     p = state.params if train else {k: Tensor(v.data) for k, v in state.params.items()}

@@ -13,6 +13,13 @@ as float32 and stores anything else as float64, every op returns its
 input's dtype, and gradients and Adam moments follow their parameter's
 dtype. The ranking model trains in float32; the gradient tests build
 float64 tensors and so run in float64.
+
+Memory follows the graph, not the Tensors: a Tensor is an array plus a
+graph node, and an op's backward closure keeps its parents' nodes and only
+the arrays its formula reads, so an op output that no backward reads is
+freed once the caller drops it. ``backward()`` frees each op's saved
+arrays and gradient as it passes; only leaves (parameters) keep a
+``grad``.
 """
 
 from .autograd import (

@@ -1,9 +1,11 @@
 """Define-by-run reverse-mode differentiation over float32 or float64 arrays.
 
-Each op returns a new Tensor whose closure knows how to push a gradient
-back into its parents; calling ``backward()`` on a scalar walks the tape
-in reverse topological order. Gradients are exact analytic derivatives
-(verified against central finite differences in the test suite).
+A Tensor is an array plus a small graph ``Node``. Each op returns a new
+Tensor whose node holds its parents' nodes and a closure that pushes a
+gradient back into them; calling ``backward()`` on a scalar walks the
+nodes in reverse topological order. Gradients are exact analytic
+derivatives (verified against central finite differences in the test
+suite).
 
 The ops are the ones training differentiates: ``add`` and ``matmul``
 (which make ``dense``), ``conv1d_valid``, ``kernel_sum``,
@@ -16,6 +18,19 @@ returns a leaf and ``dropout`` returns its input.
 Every conv and every hidden matmul of the model feeds a batch norm, whose
 batch mean would cancel a bias in front of it, so ``conv1d_valid`` takes
 none; only ``dense``, the output head, adds one.
+
+Memory rule (the define-by-run rule of Paszke et al., 2019, "PyTorch: An
+Imperative Style, High-Performance Deep Learning Library"): the graph holds
+only what a backward reads. A backward closure holds its parents' nodes,
+never a Tensor, plus the arrays its formula reads: conv its input and
+kernel, matmul both operands, batch norm ``xhat`` and gamma, leaky ReLU
+``slope``, dropout ``scale``, softmax its output ``y``, cross-entropy its
+probabilities, MSE ``diff``; the other ops keep shapes only. So an op output
+that no backward reads (a conv's, a batch norm's, a leaky ReLU's) is freed
+as soon as its caller drops the Tensor. ``backward()`` spends the graph:
+once a node has pushed its gradient to its parents, its ``grad``, closure
+and parents are dropped, so a non-leaf keeps no gradient and each saved
+array is freed as the gradient passes it. Leaves (parameters) keep theirs.
 
 Dtype rule: a Tensor keeps float32 data as float32 and stores anything
 else as float64. Every op returns its input's dtype, a plain array or
@@ -51,39 +66,88 @@ import numpy as np
 from ..errors import NumericError
 
 
-class Tensor:
-    """A float32 or float64 array plus the bookkeeping for backpropagation.
+class Node:
+    """The graph half of a Tensor: its gradient, whether it wants one, and
+    for an op output the parents' nodes and the backward closure.
 
-    float32 data stays float32; any other input is stored as float64.
+    A node holds no array of its Tensor, only the dtype its gradient is
+    stored in, so the graph keeps an op output alive only where a backward
+    closure saved it.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("grad", "requires_grad", "dtype", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, parents=(), backward=None):
-        data = np.asarray(data)
-        self.data = data if data.dtype == np.float32 else np.asarray(data, dtype=np.float64)
-        self.requires_grad = requires_grad
+    def __init__(self, dtype: np.dtype, requires_grad: bool):
         self.grad: np.ndarray | None = None
-        self._parents = parents
-        self._backward = backward
+        self.requires_grad = requires_grad
+        self.dtype = dtype
+        self._parents: tuple[Node, ...] = ()
+        self._backward = None
+
+
+class Tensor:
+    """A float32 or float64 array plus its graph ``node``.
+
+    float32 data stays float32; any other input is stored as float64.
+    ``grad`` and ``requires_grad`` live on the node. The array is not in
+    the graph: an op output nothing saved is freed once its caller drops
+    the Tensor, whatever the graph built on it (the memory rule, module
+    docstring).
+    """
+
+    __slots__ = ("_data", "node")
+
+    def __init__(self, data, requires_grad: bool = False):
+        data = np.asarray(data)
+        self._data = data if data.dtype == np.float32 else np.asarray(data, dtype=np.float64)
+        self.node = Node(self._data.dtype, requires_grad)
+
+    @property
+    def data(self) -> np.ndarray:
+        return self._data
+
+    @data.setter
+    def data(self, value: np.ndarray) -> None:
+        # a gradient is stored in the dtype the data has now
+        self._data = value
+        self.node.dtype = value.dtype
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self.node.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self.node.grad = value
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node.requires_grad
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self.data.shape
+        return self._data.shape
 
     def item(self) -> float:
-        return float(self.data)
+        return float(self._data)
 
     def zero_grad(self) -> None:
-        self.grad = None
+        self.node.grad = None
 
     def backward(self) -> None:
-        """Accumulate gradients of this scalar into every reachable parent."""
-        if self.data.shape != ():
-            raise NumericError(f"backward() needs a scalar, got shape {self.data.shape}")
-        order: list[Tensor] = []
+        """Accumulate gradients of this scalar into every reachable leaf.
+
+        The graph is spent as the gradient passes: once a node has pushed
+        its gradient to its parents, its ``grad``, closure and parents are
+        dropped, so the arrays its closure saved are freed before the
+        earlier layers run. Leaves (parameters) keep their ``grad``; a
+        second call on the same scalar reaches none of them.
+        """
+        if self._data.shape != ():
+            raise NumericError(f"backward() needs a scalar, got shape {self._data.shape}")
+        order: list[Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[Node, bool]] = [(self.node, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -96,13 +160,16 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.ones((), dtype=self.data.dtype)
+        self.node.grad = np.ones((), dtype=self._data.dtype)
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if node._parents:
+                if node.grad is not None:
+                    node._backward(node.grad)
+                node.grad = node._backward = None
+                node._parents = ()
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self._data.shape}, requires_grad={self.requires_grad})"
 
 
 def _as_tensor(x) -> Tensor:
@@ -118,16 +185,24 @@ def _operands(a, b) -> tuple[Tensor, Tensor]:
     return _as_tensor(a), _as_tensor(b)
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if t.requires_grad:
-        g = np.asarray(g, dtype=t.data.dtype)
-        t.grad = g if t.grad is None else t.grad + g
+def _accum(node: Node, g: np.ndarray) -> None:
+    if node.requires_grad:
+        g = np.asarray(g, dtype=node.dtype)
+        node.grad = g if node.grad is None else node.grad + g
 
 
 def _make(data, parents, backward) -> Tensor:
-    if any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, parents=parents, backward=backward)
-    return Tensor(data)
+    """The op output Tensor; it joins the graph when a parent wants a gradient.
+
+    ``parents`` are the op's input Tensors; the node keeps only their nodes.
+    """
+    out = Tensor(data)
+    if any(p.node.requires_grad for p in parents):
+        node = out.node
+        node.requires_grad = True
+        node._parents = tuple(p.node for p in parents)
+        node._backward = backward
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -183,20 +258,22 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _operands(a, b)
+    na, nb, a_shape, b_shape = a.node, b.node, a.data.shape, b.data.shape
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        _accum(na, _unbroadcast(g, a_shape))
+        _accum(nb, _unbroadcast(g, b_shape))
 
     return _make(a.data + b.data, (a, b), backward)
 
 
 def matmul(a, b) -> Tensor:
     a, b = _operands(a, b)
+    na, nb, a_data, b_data = a.node, b.node, a.data, b.data
 
     def backward(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        _accum(na, g @ b_data.T)
+        _accum(nb, a_data.T @ g)
 
     return _make(a.data @ b.data, (a, b), backward)
 
@@ -228,9 +305,10 @@ def conv1d_valid(x, w) -> Tensor:
     if t_in < k:
         raise NumericError(f"conv1d kernel {k} longer than time axis {t_in}")
     t_out = t_in - k + 1
-    out = x.data[:, 0:t_out, :] @ w.data[0]
+    nx, nw, x_data, w_data = x.node, w.node, x.data, w.data  # the input and the kernel
+    out = x_data[:, 0:t_out, :] @ w_data[0]
     for tau in range(1, k):
-        out += x.data[:, tau : tau + t_out, :] @ w.data[tau]
+        out += x_data[:, tau : tau + t_out, :] @ w_data[tau]
 
     def backward(g):
         # g zero-padded to t_in steps and flattened to rows: row r of the pad
@@ -241,20 +319,20 @@ def conv1d_valid(x, w) -> Tensor:
         g_pad = np.zeros((batch, t_in, c_out), dtype=g.dtype)
         g_pad[:, :t_out] = g
         g_pad = g_pad.reshape(rows, c_out)
-        if x.requires_grad:
+        if nx.requires_grad:
             # one GEMM against the stacked kernels: gy[r, tau] = g_pad[r] @ w[tau].T
-            gy = g_pad @ w.data.transpose(2, 0, 1).reshape(c_out, k * c_in)
+            gy = g_pad @ w_data.transpose(2, 0, 1).reshape(c_out, k * c_in)
             gx = gy[:, :c_in].copy()
             for tau in range(1, k):
                 gx[tau:] += gy[: rows - tau, tau * c_in : (tau + 1) * c_in]
-            _accum(x, gx.reshape(x.data.shape))
-        if w.requires_grad:
-            x2 = x.data.reshape(rows, c_in)
+            _accum(nx, gx.reshape(x_data.shape))
+        if nw.requires_grad:
+            x2 = x_data.reshape(rows, c_in)
             n = rows - k + 1
-            gw = np.empty_like(w.data)
+            gw = np.empty_like(w_data)
             for tau in range(k):
                 gw[tau] = x2[tau : tau + n].T @ g_pad[:n]
-            _accum(w, gw)
+            _accum(nw, gw)
 
     return _make(out, (x, w), backward)
 
@@ -266,9 +344,10 @@ def kernel_sum(w) -> Tensor:
     added at every time step, conv(x + e) = conv(x) + e @ kernel_sum(w).
     """
     w = _as_tensor(w)
+    nw, w_shape = w.node, w.data.shape
 
     def backward(g):
-        _accum(w, np.broadcast_to(g, w.data.shape))
+        _accum(nw, np.broadcast_to(g, w_shape))
 
     return _make(w.data.sum(axis=0), (w,), backward)
 
@@ -287,14 +366,15 @@ def embedding_add(x, table, ids: np.ndarray) -> Tensor:
             f"embedding ids out of range [0, {table.data.shape[0]}): {ids.min()}..{ids.max()}"
         )
     out = (_rows(x.data) + _tile(table.data[ids], x.data)).reshape(x.data.shape)
+    nx, nt, n_rows = x.node, table.node, table.data.shape[0]
 
     def backward(g):
-        _accum(x, g)
-        if table.requires_grad:
+        _accum(nx, g)
+        if nt.requires_grad:
             # each table row's gradient is the time-summed gradient of its
             # samples: one GEMM against the (rows, batch) one-hot of ids
-            onehot = np.equal.outer(np.arange(table.data.shape[0]), ids).astype(g.dtype)
-            _accum(table, onehot @ _time_sum(g))
+            onehot = np.equal.outer(np.arange(n_rows), ids).astype(g.dtype)
+            _accum(nt, onehot @ _time_sum(g))
 
     return _make(out, (x, table), backward)
 
@@ -349,22 +429,23 @@ def batch_norm(x, gamma, beta, state: BatchNormState, train: bool) -> Tensor:
     xhat *= _tile(inv, x.data)
     out = xhat * _tile(gamma.data, x.data)
     out += _tile(beta.data, x.data)
+    nx, ngamma, nbeta, gamma_data = x.node, gamma.node, beta.node, gamma.data
 
     def backward_train(g):
         g_rows = _rows(g)
         dbeta = _channel_sum(g)
         dgamma = _channel_dot(g_rows, xhat, c)
-        if x.requires_grad:
+        if nx.requires_grad:
             # with dxhat = g * gamma, sum(dxhat) = gamma * dbeta and
             # sum(dxhat * xhat) = gamma * dgamma, so
             # dx = gamma * inv * (g - (dbeta + xhat * dgamma) / n)
             dx = xhat * _tile(dgamma / n, g)
             dx += _tile(dbeta / n, g)
             np.subtract(g_rows, dx, out=dx)
-            dx *= _tile(gamma.data * inv, g)
-            _accum(x, dx.reshape(g.shape))
-        _accum(gamma, dgamma)
-        _accum(beta, dbeta)
+            dx *= _tile(gamma_data * inv, g)
+            _accum(nx, dx.reshape(g.shape))
+        _accum(ngamma, dgamma)
+        _accum(nbeta, dbeta)
 
     return _make(out.reshape(x.data.shape), (x, gamma, beta), backward_train)
 
@@ -375,9 +456,10 @@ def leaky_relu(x, alpha: float = 0.01) -> Tensor:
     # mask with one fused cast-and-scale instead of np.where
     slope = np.multiply(x.data >= 0, 1.0 - alpha, dtype=x.data.dtype)
     slope += alpha
+    nx = x.node
 
     def backward(g):
-        _accum(x, g * slope)
+        _accum(nx, g * slope)
 
     return _make(x.data * slope, (x,), backward)
 
@@ -434,9 +516,10 @@ def dropout(x, rate: float, rng: np.random.Generator | None, train: bool) -> Ten
     # its float64 copy see the same mask from the same rng
     scale = np.multiply(_keep_mask(rng, x.data.shape, rate), 1.0 / (1.0 - rate),
                         dtype=x.data.dtype)
+    nx = x.node
 
     def backward(g):
-        _accum(x, g * scale)
+        _accum(nx, g * scale)
 
     return _make(x.data * scale, (x,), backward)
 
@@ -445,10 +528,12 @@ def global_avg_pool(x) -> Tensor:
     """Mean over the time axis: (batch, time, ch) -> (batch, ch), as a
     time sum against ones; the backward tiles g / time over the time axis."""
     x = _as_tensor(x)
-    steps = x.data.shape[1]
+    nx, x_shape = x.node, x.data.shape
+    steps = x_shape[1]
 
     def backward(g):
-        _accum(x, _tile(g / steps, x.data).reshape(x.data.shape))
+        # _tile(g / steps, x) from x's shape: the closure keeps no array of x
+        _accum(nx, np.tile(g / steps, steps).reshape(x_shape))
 
     return _make(_time_sum(x.data) / steps, (x,), backward)
 
@@ -459,10 +544,11 @@ def softmax(x) -> Tensor:
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=-1, keepdims=True)
+    nx = x.node
 
     def backward(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
-        _accum(x, y * (g - dot))
+        _accum(nx, y * (g - dot))
 
     return _make(y, (x,), backward)
 
@@ -487,9 +573,10 @@ def weighted_cross_entropy(q, p: np.ndarray, w: np.ndarray, lo: float) -> Tensor
     clipped = np.maximum(q.data, lo)
     ce = -(p * np.log(clipped)).sum(axis=1)
     n = ce.size
+    nq, q_data = q.node, q.data
 
     def backward(g):
-        _accum(q, -(g / n * w)[:, None] * p * (q.data >= lo) / clipped)
+        _accum(nq, -(g / n * w)[:, None] * p * (q_data >= lo) / clipped)
 
     return _make((ce * w).mean(), (q,), backward)
 
@@ -499,8 +586,9 @@ def mean_squared_error(y, t: np.ndarray) -> Tensor:
     y = _as_tensor(y)
     diff = y.data - np.asarray(t, dtype=y.data.dtype).reshape(-1, 1)
     n = diff.size
+    ny = y.node
 
     def backward(g):
-        _accum(y, g / n * 2.0 * diff)
+        _accum(ny, g / n * 2.0 * diff)
 
     return _make((diff**2.0).mean(), (y,), backward)

@@ -9,6 +9,8 @@ The generic autograd ops below (``sub`` ... ``mean``) and ``chain_batch_loss``
 are the bit-exact oracle of the loss nodes: each objective built as a chain
 of one op per step, the way ``losses.batch_loss`` built it before the
 closed-form nodes. The gradient tests also compose their probes from them.
+They keep the program's memory rule: a backward closure holds its inputs'
+nodes and only the arrays its formula reads.
 
 ``unfolded_sector_conv`` is the numeric oracle of the model's first layer:
 the sector embedding added to the windows before the conv, which the model
@@ -81,38 +83,42 @@ def mse(y: float, y_hat: float) -> float:
 
 def sub(a, b) -> Tensor:
     a, b = _operands(a, b)
+    na, nb, a_shape, b_shape = a.node, b.node, a.data.shape, b.data.shape
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
+        _accum(na, _unbroadcast(g, a_shape))
+        _accum(nb, _unbroadcast(-g, b_shape))
 
     return _make(a.data - b.data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
     a, b = _operands(a, b)
+    na, nb, a_data, b_data = a.node, b.node, a.data, b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        _accum(na, _unbroadcast(g * b_data, a_data.shape))
+        _accum(nb, _unbroadcast(g * a_data, b_data.shape))
 
     return _make(a.data * b.data, (a, b), backward)
 
 
 def neg(a) -> Tensor:
     a = _as_tensor(a)
+    na = a.node
 
     def backward(g):
-        _accum(a, -g)
+        _accum(na, -g)
 
     return _make(-a.data, (a,), backward)
 
 
 def pow_const(a, p: float) -> Tensor:
     a = _as_tensor(a)
+    na, a_data = a.node, a.data
 
     def backward(g):
-        _accum(a, g * p * a.data ** (p - 1.0))
+        _accum(na, g * p * a_data ** (p - 1.0))
 
     return _make(a.data**p, (a,), backward)
 
@@ -121,9 +127,10 @@ def log_clip(a, lo: float = LOG_CLIP) -> Tensor:
     """Natural log of a clipped below at ``lo``; zero gradient below the clip."""
     a = _as_tensor(a)
     clipped = np.maximum(a.data, lo)
+    na, a_data = a.node, a.data
 
     def backward(g):
-        _accum(a, g * (a.data >= lo) / clipped)
+        _accum(na, g * (a_data >= lo) / clipped)
 
     return _make(np.log(clipped), (a,), backward)
 
@@ -131,12 +138,13 @@ def log_clip(a, lo: float = LOG_CLIP) -> Tensor:
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
+    na, a_shape = a.node, a.data.shape
 
     def backward(g):
         gg = g
         if not keepdims and axis is not None:
             gg = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(gg, a.data.shape).copy())
+        _accum(na, np.broadcast_to(gg, a_shape).copy())
 
     return _make(out, (a,), backward)
 
@@ -145,12 +153,13 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     out = a.data.mean(axis=axis, keepdims=keepdims)
     n = a.data.size / out.size
+    na, a_shape = a.node, a.data.shape
 
     def backward(g):
         gg = g
         if not keepdims and axis is not None:
             gg = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(gg, a.data.shape) / n)
+        _accum(na, np.broadcast_to(gg, a_shape) / n)
 
     return _make(out, (a,), backward)
 

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -177,7 +179,7 @@ class TestBatchNorm:
         state.running_mean = rng.normal(size=4)
         state.running_var = rng.uniform(0.5, 2.0, size=4)
         out = batch_norm(x, g, b, state, train=False)
-        assert out._parents == () and out._backward is None and not out.requires_grad
+        assert out.node._parents == () and out.node._backward is None and not out.requires_grad
 
 
 class TestLeakyRelu:
@@ -602,7 +604,7 @@ class TestFloat32:
     def test_infer_mode_keeps_float32_and_builds_no_backward(self, name, rng):
         out, _ = float32_cases(rng)[name]
         assert out.data.dtype == np.float32
-        assert out._parents == () and out._backward is None
+        assert out.node._parents == () and out.node._backward is None
 
     def test_gradient_takes_its_tensors_dtype(self, rng):
         a = Tensor(rng.normal(size=3).astype(np.float32), requires_grad=True)
@@ -621,3 +623,76 @@ class TestFloat32:
         assert Tensor(np.arange(3, dtype=np.int32)).data.dtype == np.float64
         assert Tensor(np.ones(2, dtype=np.float16)).data.dtype == np.float64
         assert Tensor(1.0).data.dtype == np.float64
+
+
+def memory_rule_cases(rng) -> dict:
+    """Each op on fresh leaves: name -> (output, inputs, indices of the inputs
+    whose arrays its backward reads, whether it reads its own output)."""
+
+    def leaf(*shape):
+        return Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+
+    def case(op, inputs, reads=(), reads_output=False, args=()):
+        return op(*inputs, *args), inputs, set(reads), reads_output
+
+    seq = (4, 7, 3)
+    positive = Tensor(rng.uniform(0.1, 1.0, size=(4, 5)).astype(np.float32), requires_grad=True)
+    return {
+        "add": case(add, [leaf(4, 3), leaf(3)]),
+        "matmul": case(matmul, [leaf(4, 3), leaf(3, 2)], reads=(0, 1)),
+        "conv1d_valid": case(conv1d_valid, [leaf(*seq), leaf(3, 3, 2)], reads=(0, 1)),
+        "kernel_sum": case(kernel_sum, [leaf(3, 3, 2)]),
+        "embedding_add": case(embedding_add, [leaf(*seq), leaf(12, 3)],
+                              args=(np.array([0, 5, 5, 11]),)),
+        # gamma's array (a parameter's) is read; the input, its output and beta are not
+        "batch_norm": case(batch_norm, [leaf(*seq), leaf(3), leaf(3)], reads=(1,),
+                           args=(BatchNormState(3), True)),
+        "leaky_relu": case(leaky_relu, [leaf(*seq)], args=(0.01,)),
+        "dropout": case(dropout, [leaf(*seq)], args=(0.35, np.random.default_rng(0), True)),
+        "global_avg_pool": case(global_avg_pool, [leaf(*seq)]),
+        "softmax": case(softmax, [leaf(4, 5)], reads_output=True),
+        "weighted_cross_entropy": case(
+            weighted_cross_entropy, [positive], reads=(0,),
+            args=(np.eye(5)[[0, 2, 3, 4]], np.array([0.1, 0.02, 0.5, 0.3]), 1e-12)),
+        "mean_squared_error": case(mean_squared_error, [leaf(4, 1)],
+                                   args=(np.array([0.01, -0.02, 0.03, 0.0]),)),
+    }
+
+
+MEMORY_RULE_OPS = ("add", "matmul", "conv1d_valid", "kernel_sum", "embedding_add", "batch_norm",
+                   "leaky_relu", "dropout", "global_avg_pool", "softmax",
+                   "weighted_cross_entropy", "mean_squared_error")
+
+
+def saved_by(t: Tensor) -> list:
+    """What the backward closure of t's node holds."""
+    return [cell.cell_contents for cell in t.node._backward.__closure__]
+
+
+class TestMemoryRule:
+    """A backward closure holds its parents' nodes and only the arrays its
+    formula reads; an array nothing saved dies with its Tensor, and backward()
+    frees what the graph saved."""
+
+    @pytest.mark.parametrize("name", MEMORY_RULE_OPS)
+    def test_closure_keeps_only_what_backward_reads_until_backward(self, name, rng):
+        out, inputs, reads, reads_output = memory_rule_cases(rng)[name]
+        saved = saved_by(out)
+        assert not any(isinstance(v, Tensor) for v in saved), name
+        input_refs = [weakref.ref(t.data) for t in inputs]
+        out_ref = weakref.ref(out.data)
+        saved_refs = [weakref.ref(v) for v in saved if isinstance(v, np.ndarray)]
+        loss = tsum(out)  # a sum reads only its input's shape
+        del out, inputs, saved
+        for i, ref in enumerate(input_refs):
+            assert (ref() is not None) == (i in reads), (name, i)
+        assert (out_ref() is not None) == reads_output, name
+        assert all(ref() is not None for ref in saved_refs), name
+        loss.backward()
+        assert all(ref() is None for ref in input_refs + saved_refs + [out_ref]), name
+
+    def test_gradient_takes_the_dtype_its_data_has_at_backward(self, rng):
+        w = Tensor(rng.normal(size=(3, 2)).astype(np.float32), requires_grad=True)
+        w.data = w.data.astype(np.float64)
+        tsum(matmul(rng.normal(size=(4, 3)), w)).backward()
+        assert w.grad.dtype == np.float64
