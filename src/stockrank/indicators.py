@@ -14,6 +14,7 @@ ingest warmup garbage.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,33 +182,21 @@ def _momentum(o: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _basic_matrix(o: np.ndarray, h: np.ndarray, lo: np.ndarray, v: np.ndarray) -> np.ndarray:
-    n_days = o.shape[1]
-    ret1 = np.full_like(o, np.nan)
-    ret1[:, 1:] = o[:, 1:] / o[:, :-1] - 1.0
-
-    cols = {
-        "mom_2": _momentum(o, 2),
-        "mom_3": _momentum(o, 3),
-        "mom_5": _momentum(o, 5),
-        "mom_10": _momentum(o, 10),
-        "sma_ratio_5": _roll_mean(o, 5) / o,
-        "sma_ratio_20": _roll_mean(o, 20) / o,
-        "sma_ratio_50": _roll_mean(o, 50) / o,
-        "ret_std_5": _roll_std(ret1[:, 1:], 5, ddof=1) if n_days > 1 else np.full_like(o, np.nan),
-        "ret_std_20": _roll_std(ret1[:, 1:], 20, ddof=1) if n_days > 1 else np.full_like(o, np.nan),
-        "range_rel": (h - lo) / o,
-        "volume": v.copy(),
-        "dollar_volume": o * v,
-    }
-    # re-align the return-based stds (they were computed on a 1-shorter axis)
-    for key in ("ret_std_5", "ret_std_20"):
-        col = cols[key]
-        if col.shape[1] == n_days - 1:
-            full = np.full_like(o, np.nan)
-            full[:, 1:] = col
-            cols[key] = full
-    return np.stack([cols[name] for name in BASIC_FEATURE_NAMES], axis=-1)
+def _basic_columns(o: np.ndarray, h: np.ndarray, lo: np.ndarray, v: np.ndarray):
+    """The basic features' (stocks, days) columns in ``BASIC_FEATURE_NAMES``
+    order, one at a time, so only the column being written is alive."""
+    for k in (2, 3, 5, 10):
+        yield _momentum(o, k)
+    for window in (5, 20, 50):
+        yield _roll_mean(o, window) / o
+    ret1 = o[:, 1:] / o[:, :-1] - 1.0  # daily returns, from day 1 on
+    for window in (5, 20):
+        std = np.full_like(o, np.nan)
+        std[:, 1:] = _roll_std(ret1, window, ddof=1)
+        yield std
+    yield (h - lo) / o
+    yield v
+    yield o * v
 
 
 # ---------------------------------------------------------------------------
@@ -442,63 +431,45 @@ def make_spec(name: str, **overrides) -> FeatureSpec:
     return FeatureSpec(name=name, params=params, warmup=warmup_fn(params))
 
 
-def _technical_matrix(
-    o: np.ndarray, h: np.ndarray, lo: np.ndarray, v: np.ndarray, specs: list[FeatureSpec]
-) -> tuple[np.ndarray, np.ndarray]:
-    cols = []
-    valid = []
-    for spec in specs:
-        if spec.name not in _REGISTRY:
-            raise DataError(f"unknown technical feature: {spec.name!r}")
-        kernel = _REGISTRY[spec.name][2]
-        cols.append(kernel(o, h, lo, v, spec.params))
-        valid.append(spec.warmup - 1)
-    return np.stack(cols, axis=-1), np.array(valid, dtype=int)
-
-
 def assemble_panel(
     u: Universe, basic: bool = True, specs: list[FeatureSpec] | None = None
 ) -> FeaturePanel:
     """Compute the full feature panel for a universe.
 
     Feature order is the 12 basic features (when enabled) followed by the
-    given specs in order; n = 12*[basic] + len(specs).
+    given specs in order; n = 12*[basic] + len(specs). Every check runs
+    before any kernel does. Each feature is written into one preallocated
+    (stocks, days, features) array, and its warmup is NaN-filled in place.
     """
     specs = list(specs) if specs is not None else []
-    names: list[str] = []
-    blocks: list[np.ndarray] = []
-    valids: list[np.ndarray] = []
-
-    o, h, lo, v = (u.matrix(column) for column in (OPEN, HIGH, LOW, VOLUME))
-
-    if basic:
-        blocks.append(_basic_matrix(o, h, lo, v))
-        names.extend(BASIC_FEATURE_NAMES)
-        valids.append(np.array([_BASIC_VALID_START[n] for n in BASIC_FEATURE_NAMES], dtype=int))
-    if specs:
-        seen = set(names)
-        for sp in specs:
-            if sp.name in seen:
-                raise DataError(f"duplicate feature name in panel: {sp.name!r}")
-            seen.add(sp.name)
-        tvalues, tvalid = _technical_matrix(o, h, lo, v, specs)
-        blocks.append(tvalues)
-        names.extend(sp.name for sp in specs)
-        valids.append(tvalid)
-
-    if not blocks:
+    names = list(BASIC_FEATURE_NAMES) if basic else []
+    valid = [_BASIC_VALID_START[n] for n in names]
+    for sp in specs:
+        if sp.name in names:
+            raise DataError(f"duplicate feature name in panel: {sp.name!r}")
+        if sp.name not in _REGISTRY:
+            raise DataError(f"unknown technical feature: {sp.name!r}")
+        names.append(sp.name)
+        valid.append(sp.warmup - 1)
+    if not names:
         raise DataError("panel would contain no features (basic off, no specs)")
-
-    values = np.concatenate(blocks, axis=-1)
-    valid_start = np.concatenate(valids)
+    valid_start = np.array(valid, dtype=int)
     if int(valid_start.max()) >= u.n_days:
         raise DataError(
             f"universe has {u.n_days} days but the longest feature warmup "
             f"needs {int(valid_start.max()) + 1}"
         )
-    # scrub warmup region so nothing downstream can consume it by accident
-    day_idx = np.arange(u.n_days)[None, :, None]
-    values = np.where(day_idx >= valid_start[None, None, :], values, np.nan)
+
+    o, h, lo, v = (u.matrix(column) for column in (OPEN, HIGH, LOW, VOLUME))
+    columns = itertools.chain(
+        _basic_columns(o, h, lo, v) if basic else (),
+        (_REGISTRY[sp.name][2](o, h, lo, v, sp.params) for sp in specs),
+    )
+    values = np.empty((u.n_stocks, u.n_days, len(names)))
+    for j, col in enumerate(columns):
+        values[:, :, j] = col
+        # scrub the warmup so nothing downstream can consume it by accident
+        values[:, : valid_start[j], j] = np.nan
     return FeaturePanel(
         tickers=u.tickers,
         dates=u.calendar,

@@ -152,8 +152,9 @@ def _parse_rows(path: str) -> np.ndarray:
     n_rows = body.count("\n") - body.endswith("\n")
     if n_rows == 0:
         raise DataError(f"{path}: no data rows")
-    rows = np.loadtxt(io.StringIO(body), dtype=_ROW, delimiter=",", comments=None,
-                      quotechar='"', ndmin=1)
+    # one UTF-8 byte per ASCII character; a StringIO would hold four
+    rows = np.loadtxt(io.BytesIO(body.encode()), dtype=_ROW, delimiter=",", comments=None,
+                      quotechar='"', ndmin=1, encoding="utf-8")
     # A quote the last row opens and never closes holds every line break
     # after it without merging two rows, so the row count cannot show it:
     # csv reads from the last line that is not blank to the end.

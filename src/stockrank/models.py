@@ -228,8 +228,9 @@ def forward(state: ModelState, windows: np.ndarray, sector_ids: np.ndarray,
 
     Each rebinding of ``h`` drops the previous op output; in train mode the
     graph keeps only the arrays the backward closures read, so the conv,
-    batch-norm and leaky-ReLU outputs are freed here (autograd's memory
-    rule).
+    batch-norm and leaky-ReLU outputs are freed here, and a leaky ReLU or a
+    dropout keeps a 1-byte mask rather than a float multiplier (autograd's
+    memory rule).
     """
     arch = state.arch
     p = state.params if train else {k: Tensor(v.data) for k, v in state.params.items()}

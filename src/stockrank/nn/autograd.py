@@ -22,12 +22,15 @@ none; only ``dense``, the output head, adds one.
 Memory rule (the define-by-run rule of Paszke et al., 2019, "PyTorch: An
 Imperative Style, High-Performance Deep Learning Library"): the graph holds
 only what a backward reads. A backward closure holds its parents' nodes,
-never a Tensor, plus the arrays its formula reads: conv its input and
-kernel, matmul both operands, batch norm ``xhat`` and gamma, leaky ReLU
-``slope``, dropout ``scale``, softmax its output ``y``, cross-entropy its
-probabilities, MSE ``diff``; the other ops keep shapes only. So an op output
-that no backward reads (a conv's, a batch norm's, a leaky ReLU's) is freed
-as soon as its caller drops the Tensor. ``backward()`` spends the graph:
+never a Tensor, plus the smallest arrays its formula reads: conv its input
+and kernel, matmul both operands, batch norm ``xhat`` and gamma, leaky ReLU
+the bool mask ``x >= 0`` and dropout its bool keep mask (each rebuilds its
+float multiplier from the mask, bit for bit), softmax its output ``y``,
+cross-entropy its probabilities, MSE ``diff``; the other ops keep shapes
+only. So an op output that no backward reads (a conv's, a batch norm's, a
+leaky ReLU's) is freed as soon as its caller drops the Tensor, and conv
+backward builds its input gradient one tap at a time, with no stacked
+product of every tap. ``backward()`` spends the graph:
 once a node has pushed its gradient to its parents, its ``grad``, closure
 and parents are dropped, so a non-leaf keeps no gradient and each saved
 array is freed as the gradient passes it. Leaves (parameters) keep theirs.
@@ -320,11 +323,11 @@ def conv1d_valid(x, w) -> Tensor:
         g_pad[:, :t_out] = g
         g_pad = g_pad.reshape(rows, c_out)
         if nx.requires_grad:
-            # one GEMM against the stacked kernels: gy[r, tau] = g_pad[r] @ w[tau].T
-            gy = g_pad @ w_data.transpose(2, 0, 1).reshape(c_out, k * c_in)
-            gx = gy[:, :c_in].copy()
+            # one GEMM per tap, added where it lines up: gx[r] gets
+            # g_pad[r - tau] @ w[tau].T, so no (rows, k * c_in) product is kept
+            gx = g_pad @ w_data[0].T
             for tau in range(1, k):
-                gx[tau:] += gy[: rows - tau, tau * c_in : (tau + 1) * c_in]
+                gx[tau:] += g_pad[: rows - tau] @ w_data[tau].T
             _accum(nx, gx.reshape(x_data.shape))
         if nw.requires_grad:
             x2 = x_data.reshape(rows, c_in)
@@ -450,18 +453,31 @@ def batch_norm(x, gamma, beta, state: BatchNormState, train: bool) -> Tensor:
     return _make(out.reshape(x.data.shape), (x, gamma, beta), backward_train)
 
 
-def leaky_relu(x, alpha: float = 0.01) -> Tensor:
-    x = _as_tensor(x)
-    # slope = 1 where x >= 0 and alpha elsewhere, built from the boolean
-    # mask with one fused cast-and-scale instead of np.where
-    slope = np.multiply(x.data >= 0, 1.0 - alpha, dtype=x.data.dtype)
+def _leaky_slope(mask, alpha: float, dtype: np.dtype) -> np.ndarray:
+    """1 where ``mask`` and ``alpha`` elsewhere, built from the boolean mask
+    with one fused cast-and-scale instead of np.where."""
+    slope = np.multiply(mask, 1.0 - alpha, dtype=dtype)
     slope += alpha
-    nx = x.node
+    return slope
+
+
+def leaky_relu(x, alpha: float = 0.01) -> Tensor:
+    """x * slope: slope is 1 where x >= 0 and ``alpha`` elsewhere, NaN included.
+
+    The backward keeps the 1-byte mask ``x >= 0`` and rebuilds the slope
+    from it, so it multiplies by the forward's slope, bit for bit.
+    """
+    x = _as_tensor(x)
+    mask, dtype, nx = x.data >= 0, x.data.dtype, x.node
+    out = _leaky_slope(mask, alpha, dtype)
+    out *= x.data  # the product into the slope: no second activation-sized array
 
     def backward(g):
-        _accum(nx, g * slope)
+        gx = _leaky_slope(mask, alpha, dtype)
+        gx *= g
+        _accum(nx, gx)
 
-    return _make(x.data * slope, (x,), backward)
+    return _make(out, (x,), backward)
 
 
 def _keep_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: float) -> np.ndarray:
@@ -513,15 +529,19 @@ def dropout(x, rate: float, rng: np.random.Generator | None, train: bool) -> Ten
     if rng is None:
         raise NumericError("dropout in train mode needs an rng")
     # the mask does not depend on the input dtype, so a float32 model and
-    # its float64 copy see the same mask from the same rng
-    scale = np.multiply(_keep_mask(rng, x.data.shape, rate), 1.0 / (1.0 - rate),
-                        dtype=x.data.dtype)
-    nx = x.node
+    # its float64 copy see the same mask from the same rng; the backward
+    # keeps the 1-byte mask and rebuilds the forward's scale from it
+    keep = _keep_mask(rng, x.data.shape, rate)
+    scale, dtype, nx = 1.0 / (1.0 - rate), x.data.dtype, x.node
+    out = np.multiply(keep, scale, dtype=dtype)
+    out *= x.data
 
     def backward(g):
-        _accum(nx, g * scale)
+        gx = np.multiply(keep, scale, dtype=dtype)
+        gx *= g
+        _accum(nx, gx)
 
-    return _make(x.data * scale, (x,), backward)
+    return _make(out, (x,), backward)
 
 
 def global_avg_pool(x) -> Tensor:

@@ -12,6 +12,10 @@ closed-form nodes. The gradient tests also compose their probes from them.
 They keep the program's memory rule: a backward closure holds its inputs'
 nodes and only the arrays its formula reads.
 
+``leaky_slope`` and ``dropout_scale`` are the float multipliers the two
+mask ops saved before they kept a 1-byte mask: the forward is ``x * m``
+and the backward ``g * m``, bit for bit.
+
 ``unfolded_sector_conv`` is the numeric oracle of the model's first layer:
 the sector embedding added to the windows before the conv, which the model
 computes with the add moved after it.
@@ -24,6 +28,10 @@ and last-axis broadcasts, the way the ops computed them before the rule.
 Among them, ``valid_conv`` computes the conv and its kernel gradient tap by
 tap, against which the one-GEMM-per-tap backward is checked.
 ``window_gather`` is the fancy-index gather ``dataset.Windows`` replaced.
+
+``stacked_panel`` is the bit-exact oracle of ``indicators.assemble_panel``:
+the same kernels, with the feature stacks, the concatenation and the
+``np.where`` warmup scrub that the one-buffer panel replaced.
 """
 
 import csv
@@ -37,7 +45,15 @@ from stockrank.backtest import REBALANCE_MODES, STRATEGIES, BacktestLedger, comb
 from stockrank.dataset import LOOKAHEAD
 from stockrank.errors import DataError, NumericError
 from stockrank.losses import LOG_CLIP
-from stockrank.market_data import NO_SECTOR_ID, OPEN, load_sector_map
+from stockrank.indicators import (
+    _BASIC_VALID_START,
+    _REGISTRY,
+    BASIC_FEATURE_NAMES,
+    _momentum,
+    _roll_mean,
+    _roll_std,
+)
+from stockrank.market_data import HIGH, LOW, NO_SECTOR_ID, OPEN, VOLUME, load_sector_map
 from stockrank.nn.autograd import (
     Tensor,
     _accum,
@@ -178,6 +194,20 @@ def chain_batch_loss(kind: str, outputs, labels, targets, weights) -> Tensor:
     return mean(pow_const(sub(outputs, targets.reshape(-1, 1)), 2.0))
 
 
+def leaky_slope(x: np.ndarray, alpha: float) -> np.ndarray:
+    """The float multiplier leaky ReLU saved before it kept a mask: 1 where
+    x >= 0 and alpha elsewhere, in x's dtype."""
+    slope = np.multiply(x >= 0, 1.0 - alpha, dtype=x.dtype)
+    slope += alpha
+    return slope
+
+
+def dropout_scale(keep: np.ndarray, rate: float, dtype) -> np.ndarray:
+    """The float multiplier dropout saved before it kept a mask: 1 / (1 - rate)
+    where kept and 0 elsewhere."""
+    return np.multiply(keep, 1.0 / (1.0 - rate), dtype=dtype)
+
+
 def unfolded_sector_conv(windows, embedding, sector_ids, w) -> Tensor:
     """``models._sector_conv`` as the paper states it: the sector row added
     to every time step of the window, then the first conv."""
@@ -261,6 +291,59 @@ def window_gather(span, stock, first_row, m, idx):
     n_rows, n_days, n = span.shape
     start = np.asarray(stock, dtype=np.intp) * n_days + np.asarray(first_row, dtype=np.intp)
     return span.reshape(n_rows * n_days, n)[start[idx][..., None] + np.arange(m)]
+
+
+# ---------------------------------------------------------------------------
+# the feature panel built from stacks
+# ---------------------------------------------------------------------------
+
+
+def _basic_matrix(o, h, lo, v):
+    n_days = o.shape[1]
+    ret1 = np.full_like(o, np.nan)
+    ret1[:, 1:] = o[:, 1:] / o[:, :-1] - 1.0
+    cols = {
+        "mom_2": _momentum(o, 2),
+        "mom_3": _momentum(o, 3),
+        "mom_5": _momentum(o, 5),
+        "mom_10": _momentum(o, 10),
+        "sma_ratio_5": _roll_mean(o, 5) / o,
+        "sma_ratio_20": _roll_mean(o, 20) / o,
+        "sma_ratio_50": _roll_mean(o, 50) / o,
+        "ret_std_5": _roll_std(ret1[:, 1:], 5, ddof=1) if n_days > 1 else np.full_like(o, np.nan),
+        "ret_std_20": _roll_std(ret1[:, 1:], 20, ddof=1) if n_days > 1 else np.full_like(o, np.nan),
+        "range_rel": (h - lo) / o,
+        "volume": v.copy(),
+        "dollar_volume": o * v,
+    }
+    # re-align the return-based stds (they were computed on a 1-shorter axis)
+    for key in ("ret_std_5", "ret_std_20"):
+        col = cols[key]
+        if col.shape[1] == n_days - 1:
+            full = np.full_like(o, np.nan)
+            full[:, 1:] = col
+            cols[key] = full
+    return np.stack([cols[name] for name in BASIC_FEATURE_NAMES], axis=-1)
+
+
+def stacked_panel(u, basic, specs):
+    """``indicators.assemble_panel``'s (values, valid_start) the way it was
+    built before it wrote into one array: the basic features stacked, the
+    technical ones stacked, both concatenated, and the warmup scrubbed by
+    an ``np.where`` copy."""
+    o, h, lo, v = (u.matrix(column) for column in (OPEN, HIGH, LOW, VOLUME))
+    blocks, valids = [], []
+    if basic:
+        blocks.append(_basic_matrix(o, h, lo, v))
+        valids += [_BASIC_VALID_START[n] for n in BASIC_FEATURE_NAMES]
+    if specs:
+        blocks.append(np.stack([_REGISTRY[sp.name][2](o, h, lo, v, sp.params) for sp in specs],
+                               axis=-1))
+        valids += [sp.warmup - 1 for sp in specs]
+    values = np.concatenate(blocks, axis=-1)
+    valid_start = np.array(valids, dtype=int)
+    day_idx = np.arange(u.n_days)[None, :, None]
+    return np.where(day_idx >= valid_start[None, None, :], values, np.nan), valid_start
 
 
 def daily_return(u, si: int, T: int) -> float:

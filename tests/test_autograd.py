@@ -272,6 +272,60 @@ class TestDropout:
             dropout(Tensor(np.ones(4)), 0.5, rng, train=True)
 
 
+# where a mask op's bits can slip: NaN, signed zeros, infinities, numbers
+# either side of zero (subnormal in float32) and a large one
+EDGE_VALUES = (np.nan, 0.0, -0.0, np.inf, -np.inf, 1e-45, -1e-45, 2.5, -2.5, 1e30)
+
+
+def edge_cases(rng, dtype):
+    """(x, g) pairs of dtype: each edge value as a 0-d input with another
+    as its gradient, then 1-d and 3-d inputs and gradients drawn from the
+    edge values. 0 * inf makes NaN here, as it does in the op."""
+    def draw(shape):
+        return rng.choice(np.array(EDGE_VALUES), size=shape).astype(dtype)
+
+    zero_d = [(np.asarray(v, dtype=dtype), np.asarray(EDGE_VALUES[i - 3], dtype=dtype))
+              for i, v in enumerate(EDGE_VALUES)]
+    return zero_d + [(draw(shape), draw(shape)) for shape in ((10,), (4, 5, 3))]
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), (a, b)
+
+
+class TestMaskOpsMatchTheFloatMultiplier:
+    """leaky_relu and dropout keep a bool mask, and still compute x * m
+    forward and g * m backward for the float multiplier m they once saved
+    (``reference.leaky_slope``, ``reference.dropout_scale``), bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("alpha", [0.01, 0.3])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
+    def test_leaky_relu(self, dtype, alpha, rng):
+        for x, g in edge_cases(rng, dtype):
+            t = Tensor(x, requires_grad=True)
+            out = leaky_relu(t, alpha)
+            slope = reference.leaky_slope(x, alpha)
+            assert_same_bits(out.data, x * slope)
+            out.node._backward(g)
+            assert_same_bits(t.grad, g * slope)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rate", [0.35, 0.5])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
+    def test_dropout(self, dtype, rate, rng):
+        for seed in range(3):  # a 0-d input is kept for some seeds and dropped for others
+            for x, g in edge_cases(rng, dtype):
+                t = Tensor(x, requires_grad=True)
+                out = dropout(t, rate, np.random.default_rng(seed), train=True)
+                keep = np.random.default_rng(seed).random(x.shape, dtype=np.float32) >= rate
+                scale = reference.dropout_scale(keep, rate, dtype)
+                assert_same_bits(out.data, x * scale)
+                out.node._backward(g)
+                assert_same_bits(t.grad, g * scale)
+
+
 class TestGlobalAvgPool:
     def test_constant_time_axis(self):
         x = np.tile(np.array([[1.0, 2.0]]), (3, 4, 1))
@@ -690,6 +744,13 @@ class TestMemoryRule:
         assert all(ref() is not None for ref in saved_refs), name
         loss.backward()
         assert all(ref() is None for ref in input_refs + saved_refs + [out_ref]), name
+
+    @pytest.mark.parametrize("name", ["leaky_relu", "dropout"])
+    def test_mask_ops_save_one_bool_array(self, name, rng):
+        # the 1-byte mask, not an activation-sized float multiplier
+        out = memory_rule_cases(rng)[name][0]
+        arrays = [v for v in saved_by(out) if isinstance(v, np.ndarray)]
+        assert [(a.dtype, a.shape) for a in arrays] == [(np.dtype(bool), out.shape)]
 
     def test_gradient_takes_the_dtype_its_data_has_at_backward(self, rng):
         w = Tensor(rng.normal(size=(3, 2)).astype(np.float32), requires_grad=True)

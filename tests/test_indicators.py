@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stockrank import indicators
 from stockrank.errors import DataError
 from stockrank.indicators import (
     ALL_TECHNICAL_NAMES,
@@ -14,8 +15,10 @@ from stockrank.indicators import (
     assemble_panel,
     make_spec,
 )
-from stockrank.market_data import CLOSE, HIGH, LOW, VOLUME
+from stockrank.market_data import CLOSE, HIGH, LOW, VOLUME, load_ohlcv
+from stockrank.synth import SignalSpec, generate, write_ohlcv_csv, write_sector_csv
 
+import reference
 from conftest import make_stock, make_universe, random_walk_universe
 
 
@@ -174,6 +177,19 @@ class TestPanel:
         with pytest.raises(DataError, match="warmup"):
             assemble_panel(u, basic=True, specs=default16_specs())
 
+    def test_short_calendar_fails_before_any_kernel_runs(self, rng, monkeypatch):
+        def spy(*args, **kwargs):
+            raise AssertionError("a kernel ran")
+
+        for name in ALL_TECHNICAL_NAMES:
+            defaults, warmup, _ = indicators._REGISTRY[name]
+            monkeypatch.setitem(indicators._REGISTRY, name, (defaults, warmup, spy))
+        monkeypatch.setattr(indicators, "_basic_columns", spy)
+        u = random_walk_universe(rng, 2, 20)  # awesome_osc needs 34 days, sma_ratio_50 50
+        for basic in (True, False):
+            with pytest.raises(DataError, match="warmup"):
+                assemble_panel(u, basic=basic, specs=[make_spec(n) for n in ALL_TECHNICAL_NAMES])
+
     def test_csv_export(self, rng, tmp_path):
         u = random_walk_universe(rng, 2, 60)
         panel = assemble_panel(u, basic=True, specs=[])
@@ -181,6 +197,50 @@ class TestPanel:
         panel.to_csv(path)
         header = path.read_text().splitlines()[0]
         assert header == "ticker,date," + ",".join(BASIC_FEATURE_NAMES)
+
+
+@pytest.fixture(scope="module")
+def synth_universe(tmp_path_factory):
+    """A 20-stock, 300-day universe of synth data, loaded from its CSV files."""
+    path = tmp_path_factory.mktemp("synth")
+    rows, _events, _calendar = generate(4, 20, 300, SignalSpec(event_rate=0.02))
+    write_ohlcv_csv(rows, str(path / "ohlcv.csv"))
+    write_sector_csv([r["ticker"] for r in rows], str(path / "sectors.csv"))
+    return load_ohlcv(path / "ohlcv.csv", path / "sectors.csv")
+
+
+class TestOneBufferPanel:
+    """assemble_panel writes each feature into one array: the values of the
+    stacked, concatenated and scrubbed assembly, without its copies."""
+
+    @pytest.mark.parametrize("basic,names", [
+        (True, DEFAULT_TECHNICAL_16),
+        (True, ALL_TECHNICAL_NAMES + ("rsi",)),
+        (False, ALL_TECHNICAL_NAMES),
+        (True, ()),
+    ], ids=["default", "all", "technical_only", "basic_only"])
+    def test_matches_the_stacked_assembly_bit_for_bit(self, synth_universe, basic, names):
+        specs = [make_spec(n) for n in names]
+        panel = assemble_panel(synth_universe, basic=basic, specs=specs)
+        values, valid_start = reference.stacked_panel(synth_universe, basic, specs)
+        assert panel.values.dtype == values.dtype and panel.values.shape == values.shape
+        assert panel.values.tobytes() == values.tobytes()
+        np.testing.assert_array_equal(panel.valid_start, valid_start)
+
+    def test_peak_memory_is_close_to_the_panel(self, synth_universe):
+        import tracemalloc
+
+        specs = default16_specs()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            panel = assemble_panel(synth_universe, basic=True, specs=specs)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the panel and a few (stocks, days) kernel temporaries: 2.1 times
+        # the panel; with the stacks, concatenation and np.where copy, 3.2
+        assert peak <= 2.5 * panel.values.nbytes, peak / panel.values.nbytes
 
 
 class TestShiftEquivariance:

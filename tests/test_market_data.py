@@ -485,6 +485,24 @@ class TestBulkParse:
         new, oracle = _load_both(path, sectors, start, end)  # anything else raises here
         _assert_same(new, oracle)
 
+    def test_non_ascii_tickers_load_as_the_row_oracle(self, tmp_path):
+        # the C reader gets the body as UTF-8 bytes, and a two- or
+        # three-byte character still reads as itself
+        d = days(3)
+        text = "ticker,date,open,high,low,close,volume\n" + "".join(
+            f"{t},{day},{p},{p * 1.01},{p * 0.99},{p},100\n"
+            for t, p in (("ÉNERGIE", 10.0), ("日本株", 20.0), (" Ωmega ", 30.0)) for day in d)
+        path = tmp_path / "p.csv"
+        path.write_bytes(text.encode())
+        write_sectors(tmp_path / "s.csv", [("日本株", "Utilities"), ("ÉNERGIE", "Energy")])
+        new, oracle = _load_both(path, tmp_path / "s.csv", None, None)
+        _assert_same(new, oracle)
+        tickers, _calendar, bars, sector_ids, _death = new
+        assert tickers == ("ÉNERGIE", "Ωmega", "日本株")
+        assert bars[:, 0, 0].tolist() == [10.0, 30.0, 20.0]
+        assert sector_ids.tolist() == [SECTOR_NAMES.index("Energy"), NO_SECTOR_ID,
+                                       SECTOR_NAMES.index("Utilities")]
+
     def test_csv_pass_runs_only_for_a_bad_file(self, tmp_path, monkeypatch):
         calls = []
         real = market_data._first_bad_row
