@@ -164,14 +164,16 @@ def build_split_plans(
     return plans
 
 
-def standardize(panel: FeaturePanel, plan: SplitPlan) -> np.ndarray:
+def standardize(panel: FeaturePanel, plan: SplitPlan, dtype=np.float64) -> np.ndarray:
     """Standardize the plan's span with stats from its std range.
 
     Returns the (n_stocks, days, n_features) slice covering days
     [std_start, test_end), scaled per (stock, feature) by the mean and
     population standard deviation over the std range; sigma below
     SIGMA_EPS is clamped so constant features map to large finite values
-    instead of crashing.
+    instead of crashing. The quotient is computed in float64 and written
+    straight into an array of ``dtype``, so a float32 span costs no float64
+    quotient beside it and has the bits of the float64 quotient cast down.
     """
     s0, s1 = plan.std_range
     if int(panel.valid_start.max()) > s0:
@@ -182,8 +184,9 @@ def standardize(panel: FeaturePanel, plan: SplitPlan) -> np.ndarray:
     base = panel.values[:, s0:s1, :]
     mean = base.mean(axis=1)
     std = base.std(axis=1)
-    span = panel.values[:, s0 : plan.test_range[1], :]
-    return (span - mean[:, None, :]) / np.maximum(std, SIGMA_EPS)[:, None, :]
+    z = panel.values[:, s0 : plan.test_range[1], :] - mean[:, None, :]
+    out = np.empty(z.shape, dtype=dtype)
+    return np.divide(z, np.maximum(std, SIGMA_EPS)[:, None, :], out=out, casting="same_kind")
 
 
 def return_matrix(u: Universe) -> np.ndarray:
@@ -251,7 +254,7 @@ def make_samples(
         raise DataError("panel and universe list different tickers")
     if returns.shape != (universe.n_stocks, universe.n_days - LOOKAHEAD):
         raise DataError(f"return matrix of shape {returns.shape} does not fit the universe")
-    span = standardize(panel, plan).astype(np.float32)
+    span = standardize(panel, plan, np.float32)
     offset = plan.std_range[0]  # span[:, d - offset, :] is panel day d
 
     t0, t1 = plan.trainval_range

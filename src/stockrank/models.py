@@ -25,6 +25,7 @@ from .errors import ConfigError, NumericError
 from .losses import LossKind, batch_loss
 from .market_data import N_SECTORS
 from .nn.autograd import (
+    BLOCK_ELEMS,
     BatchNormState,
     Tensor,
     batch_norm,
@@ -42,7 +43,7 @@ from .nn.optim import AdamOptimizer, EarlyStopping, ReduceOnPlateau
 
 SCORE_VECTOR = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 MOE_WINDOW = 6
-INFER_CHUNK = 4096  # windows per infer-mode forward
+INFER_CHUNK = 4096  # rows per infer-mode pass through the dense head
 
 
 def ranking_scores(outputs: np.ndarray, classification: bool) -> np.ndarray:
@@ -206,36 +207,20 @@ def _sector_conv(windows: np.ndarray, embedding: Tensor, sector_ids: np.ndarray,
     return embedding_add(h, matmul(embedding, kernel_sum(w)), sector_ids)
 
 
-def forward(state: ModelState, windows: np.ndarray, sector_ids: np.ndarray,
-            train: bool) -> Tensor:
-    """Run the network on a (batch, m, n) array of windows.
+def _infer_block(arch: ArchConfig) -> int:
+    """Samples per infer-mode block of the conv stack: ``BLOCK_ELEMS`` over
+    the widest conv output's t_out * c_out, at least one."""
+    t, widest = arch.m, 0
+    for k, c in arch.conv:
+        t -= k - 1
+        widest = max(widest, t * c)
+    return max(1, BLOCK_ELEMS // widest)
 
-    Stack: sector embedding add, then conv blocks (conv, batch norm, leaky
-    ReLU, dropout), global average pooling over time, dense blocks (matmul
-    and the same trimmings), and a final dense head with a bias (softmax for
-    classification kinds). The embedding add and the first conv run as
-    ``_sector_conv``, which adds each sector row after the conv, passed
-    through its kernel: the same function up to float rounding, with a
-    cheaper backward. The windows are cast to the parameters' dtype, which
-    every op keeps; a batch gathered from a SampleSet's float32 span is
-    already in it.
 
-    Train mode draws the dropout masks (rate ``arch.dropout``) from
-    ``state.rng`` and folds each batch's statistics into the batch-norm
-    running stats. Infer mode uses the running stats, skips dropout, reads
-    no RNG and builds no backward: it runs on grad-free leaves that share
-    the parameters' arrays, so no op keeps its inputs for a gradient.
-
-    Each rebinding of ``h`` drops the previous op output; in train mode the
-    graph keeps only the arrays the backward closures read, so the conv,
-    batch-norm and leaky-ReLU outputs are freed here, and a leaky ReLU or a
-    dropout keeps a 1-byte mask rather than a float multiplier (autograd's
-    memory rule).
-    """
+def _conv_features(state: ModelState, p: dict[str, Tensor], windows: np.ndarray,
+                   sector_ids: np.ndarray, train: bool) -> Tensor:
+    """The sector conv, the conv blocks and the time pooling: (batch, c)."""
     arch = state.arch
-    p = state.params if train else {k: Tensor(v.data) for k, v in state.params.items()}
-
-    windows = np.asarray(windows, dtype=p["embedding"].data.dtype)
     h = _sector_conv(windows, p["embedding"], sector_ids, p["conv0_w"])
     for i in range(len(arch.conv)):
         if i:
@@ -244,7 +229,12 @@ def forward(state: ModelState, windows: np.ndarray, sector_ids: np.ndarray,
                        state.bn_states[f"conv{i}_bn"], train)
         h = leaky_relu(h, arch.leaky_slope)
         h = dropout(h, arch.dropout, state.rng, train)
-    h = global_avg_pool(h)
+    return global_avg_pool(h)
+
+
+def _head(state: ModelState, p: dict[str, Tensor], h: Tensor, train: bool) -> Tensor:
+    """The dense blocks and the output head on pooled (batch, c) features."""
+    arch = state.arch
     for i in range(len(arch.dense)):
         h = matmul(h, p[f"dense{i}_w"])
         h = batch_norm(h, p[f"dense{i}_bn_gamma"], p[f"dense{i}_bn_beta"],
@@ -257,24 +247,84 @@ def forward(state: ModelState, windows: np.ndarray, sector_ids: np.ndarray,
     return out
 
 
+def _pooled_rows(state: ModelState, p: dict[str, Tensor], windows, sector_ids: np.ndarray,
+                 lo: int, hi: int) -> Tensor:
+    """Infer-mode pooled features of windows [lo, hi), the conv stack run
+    over blocks of ``_infer_block`` samples, each gathered on its own."""
+    dtype = p["embedding"].data.dtype
+    block = _infer_block(state.arch)
+    pooled = np.empty((hi - lo, state.arch.conv[-1][1]), dtype=dtype)
+    for a in range(lo, hi, block):
+        b = min(a + block, hi)
+        x = np.asarray(windows[a:b], dtype=dtype)
+        pooled[a - lo : b - lo] = _conv_features(state, p, x, sector_ids[a:b], False).data
+    return Tensor(pooled)
+
+
+def forward(state: ModelState, windows, sector_ids: np.ndarray, train: bool) -> Tensor:
+    """Run the network on (batch, m, n) windows: an array, or in infer mode
+    also a SampleSet's Windows view.
+
+    Stack: sector embedding add, then conv blocks (conv, batch norm, leaky
+    ReLU, dropout), global average pooling over time, dense blocks (matmul
+    and the same trimmings), and a final dense head with a bias (softmax for
+    classification kinds). The embedding add and the first conv run as
+    ``_sector_conv``, which adds each sector row after the conv, passed
+    through its kernel: the same function up to float rounding, with a
+    cheaper backward. The windows are cast to the parameters' dtype, which
+    every op keeps; a batch gathered from a SampleSet's float32 span is
+    already in it.
+
+    Train mode runs the whole batch at once, draws the dropout masks (rate
+    ``arch.dropout``) from ``state.rng`` and folds each batch's statistics
+    into the batch-norm running stats. Each rebinding of ``h`` drops the
+    previous op output, so the graph keeps only the arrays the backward
+    closures read, a leaky ReLU or a dropout its mask packed to bits
+    (autograd's memory rule).
+
+    Infer mode uses the running stats, skips dropout, reads no RNG and
+    builds no backward: it runs on grad-free leaves that share the
+    parameters' arrays and returns a leaf. It streams the conv stack over
+    blocks of ``_infer_block`` samples, each gathered from ``windows`` on
+    its own, and writes their pooled rows into one (rows, c) array per
+    ``INFER_CHUNK`` rows, which the dense head then takes whole. Every
+    conv-stack op computes each sample on its own (a stacked matmul per
+    sample, elementwise batch norm and leaky ReLU, a per-sample time sum),
+    so a sample's bits do not depend on its block; the head's GEMMs are the
+    part whose bits depend on the row count, and ``INFER_CHUNK`` fixes it.
+    """
+    p = state.params if train else {k: Tensor(v.data) for k, v in state.params.items()}
+    dtype = p["embedding"].data.dtype
+    if train:
+        h = _conv_features(state, p, np.asarray(windows, dtype=dtype), sector_ids, True)
+        return _head(state, p, h, True)
+
+    n, sector_ids = len(windows), np.asarray(sector_ids)
+    out = np.empty((n, state.arch.loss_kind.output_arity), dtype=dtype)
+    for lo in range(0, n, INFER_CHUNK):
+        hi = min(lo + INFER_CHUNK, n)
+        # the head owns the pooled rows, so its first op frees them
+        out[lo:hi] = _head(state, p, _pooled_rows(state, p, windows, sector_ids, lo, hi),
+                           False).data
+    return Tensor(out)
+
+
 def predict_batch(state: ModelState, windows, sector_ids: np.ndarray) -> np.ndarray:
-    """Infer-mode outputs for every window, ``INFER_CHUNK`` windows at a
-    time; ``windows`` is an array or a SampleSet's Windows view."""
-    outs = []
-    for lo in range(0, len(windows), INFER_CHUNK):
-        hi = lo + INFER_CHUNK
-        outs.append(forward(state, windows[lo:hi], sector_ids[lo:hi], train=False).data)
-    return np.concatenate(outs, axis=0)
+    """Infer-mode outputs for every window, ``windows`` an array or a
+    SampleSet's Windows view: one infer-mode ``forward``, which gathers the
+    windows block by block. Zero windows give a (0, arity) array."""
+    return forward(state, windows, sector_ids, train=False).data
 
 
 def _evaluate(state: ModelState, kind: LossKind, sample_set) -> float:
-    """Mean loss over a SampleSet in infer mode."""
+    """Mean loss over a SampleSet in infer mode, its batch loss taken over
+    each ``INFER_CHUNK`` rows and weighted by their count."""
+    out = predict_batch(state, sample_set.windows, sample_set.sector_ids)
     total = 0.0
     n = len(sample_set)
     for lo in range(0, n, INFER_CHUNK):
         sl = slice(lo, min(lo + INFER_CHUNK, n))
-        out = forward(state, sample_set.windows[sl], sample_set.sector_ids[sl], train=False)
-        loss = batch_loss(kind, out, sample_set.labels[sl], sample_set.returns[sl],
+        loss = batch_loss(kind, Tensor(out[sl]), sample_set.labels[sl], sample_set.returns[sl],
                           sample_set.weights[sl])
         total += loss.item() * (sl.stop - sl.start)
     return total / n

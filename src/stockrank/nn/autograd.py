@@ -24,16 +24,24 @@ Imperative Style, High-Performance Deep Learning Library"): the graph holds
 only what a backward reads. A backward closure holds its parents' nodes,
 never a Tensor, plus the smallest arrays its formula reads: conv its input
 and kernel, matmul both operands, batch norm ``xhat`` and gamma, leaky ReLU
-the bool mask ``x >= 0`` and dropout its bool keep mask (each rebuilds its
-float multiplier from the mask, bit for bit), softmax its output ``y``,
+the mask ``x >= 0`` and dropout its keep mask, each packed to one bit per
+element (``np.packbits``, after Jain et al., 2018, "Gist: Efficient Data
+Encoding for Deep Neural Network Training"), softmax its output ``y``,
 cross-entropy its probabilities, MSE ``diff``; the other ops keep shapes
 only. So an op output that no backward reads (a conv's, a batch norm's, a
-leaky ReLU's) is freed as soon as its caller drops the Tensor, and conv
-backward builds its input gradient one tap at a time, with no stacked
-product of every tap. ``backward()`` spends the graph:
-once a node has pushed its gradient to its parents, its ``grad``, closure
-and parents are dropped, so a non-leaf keeps no gradient and each saved
-array is freed as the gradient passes it. Leaves (parameters) keep theirs.
+leaky ReLU's) is freed as soon as its caller drops the Tensor.
+``backward()`` spends the graph: once a node has pushed its gradient to its
+parents, its ``grad``, closure and parents are dropped, so a non-leaf keeps
+no gradient and each saved array is freed as the gradient passes it. Leaves
+(parameters) keep theirs.
+
+Block rule: the mask ops and conv backward's input gradient work in
+blocks of about ``BLOCK_ELEMS`` elements, so they leave no
+activation-sized temporary beside the arrays they return. Leaky ReLU and
+dropout build the mask, the dropout draw and the float multiplier block
+by block, and rebuild the multiplier the same way in the backward, bit
+for bit; conv backward builds its input gradient in row blocks, one GEMM
+per tap written or added in place.
 
 Dtype rule: a Tensor keeps float32 data as float32 and stores anything
 else as float64. Every op returns its input's dtype, a plain array or
@@ -67,6 +75,10 @@ import math
 import numpy as np
 
 from ..errors import NumericError
+
+# elements per block of a blocked pass (the block rule, module docstring);
+# a multiple of 8, so each mask block packs into whole bytes
+BLOCK_ELEMS = 2**17
 
 
 class Node:
@@ -254,6 +266,17 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
+def _blocks(n: int, size: int = BLOCK_ELEMS) -> list[tuple[int, int]]:
+    """The [a, b) ranges that cover range(n) in steps of ``size``."""
+    return [(a, min(a + size, n)) for a in range(0, n, size)]
+
+
+def _unpack(bits: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Elements [a, b) of a mask packed with ``np.packbits``, as bools;
+    ``a`` is a multiple of 8."""
+    return np.unpackbits(bits[a // 8 : (b + 7) // 8], count=b - a).view(bool)
+
+
 # ---------------------------------------------------------------------------
 # arithmetic
 # ---------------------------------------------------------------------------
@@ -323,11 +346,19 @@ def conv1d_valid(x, w) -> Tensor:
         g_pad[:, :t_out] = g
         g_pad = g_pad.reshape(rows, c_out)
         if nx.requires_grad:
-            # one GEMM per tap, added where it lines up: gx[r] gets
-            # g_pad[r - tau] @ w[tau].T, so no (rows, k * c_in) product is kept
-            gx = g_pad @ w_data[0].T
-            for tau in range(1, k):
-                gx[tau:] += g_pad[: rows - tau] @ w_data[tau].T
+            # gx[r] is the sum over taps of g_pad[r - tau] @ w[tau].T, built
+            # in row blocks: tap 0's GEMM written into the block, then each
+            # later tap's added where it lines up. The blocks are of equal
+            # size, as a one-row block would run as a GEMV, which rounds
+            # its sums differently.
+            gx = np.empty((rows, c_in), dtype=np.result_type(g_pad, w_data))
+            n_blocks = max(1, -(-rows * c_in // BLOCK_ELEMS))
+            bounds = [rows * i // n_blocks for i in range(n_blocks + 1)]
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                np.matmul(g_pad[a:b], w_data[0].T, out=gx[a:b])
+                for tau in range(1, min(k, b)):
+                    lo = max(a, tau)
+                    gx[lo:b] += g_pad[lo - tau : b - tau] @ w_data[tau].T
             _accum(nx, gx.reshape(x_data.shape))
         if nw.requires_grad:
             x2 = x_data.reshape(rows, c_in)
@@ -453,67 +484,95 @@ def batch_norm(x, gamma, beta, state: BatchNormState, train: bool) -> Tensor:
     return _make(out.reshape(x.data.shape), (x, gamma, beta), backward_train)
 
 
-def _leaky_slope(mask, alpha: float, dtype: np.dtype) -> np.ndarray:
+def _leaky_slope(mask, alpha: float, dtype: np.dtype, out=None) -> np.ndarray:
     """1 where ``mask`` and ``alpha`` elsewhere, built from the boolean mask
-    with one fused cast-and-scale instead of np.where."""
-    slope = np.multiply(mask, 1.0 - alpha, dtype=dtype)
+    with one fused cast-and-scale instead of np.where, into ``out`` if given."""
+    slope = np.multiply(mask, 1.0 - alpha, dtype=dtype, out=out)
     slope += alpha
     return slope
+
+
+def _packed(n: int) -> np.ndarray:
+    """An empty packed mask of n elements: ceil(n / 8) bytes."""
+    return np.empty((n + 7) // 8, dtype=np.uint8)
 
 
 def leaky_relu(x, alpha: float = 0.01) -> Tensor:
     """x * slope: slope is 1 where x >= 0 and ``alpha`` elsewhere, NaN included.
 
-    The backward keeps the 1-byte mask ``x >= 0`` and rebuilds the slope
-    from it, so it multiplies by the forward's slope, bit for bit.
+    The mask ``x >= 0``, the slope and the product are built block by
+    block; the backward keeps the mask packed to bits and rebuilds each
+    block's slope from it, so it multiplies by the forward's slope, bit for
+    bit.
     """
     x = _as_tensor(x)
-    mask, dtype, nx = x.data >= 0, x.data.dtype, x.node
-    out = _leaky_slope(mask, alpha, dtype)
-    out *= x.data  # the product into the slope: no second activation-sized array
+    dtype, nx, shape, size = x.data.dtype, x.node, x.data.shape, x.data.size
+    x_flat = np.ravel(x.data)
+    out = np.empty(shape, dtype=dtype)
+    out_flat = out.reshape(-1)
+    bits = _packed(size)
+    for a, b in _blocks(size):
+        mask = x_flat[a:b] >= 0
+        _leaky_slope(mask, alpha, dtype, out=out_flat[a:b])
+        out_flat[a:b] *= x_flat[a:b]
+        bits[a // 8 : (b + 7) // 8] = np.packbits(mask)
 
     def backward(g):
-        gx = _leaky_slope(mask, alpha, dtype)
-        gx *= g
+        g_flat = np.ravel(g)
+        gx = np.empty(shape, dtype=dtype)
+        gx_flat = gx.reshape(-1)
+        for a, b in _blocks(size):
+            _leaky_slope(_unpack(bits, a, b), alpha, dtype, out=gx_flat[a:b])
+            gx_flat[a:b] *= g_flat[a:b]
         _accum(nx, gx)
 
     return _make(out, (x,), backward)
 
 
-def _keep_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: float) -> np.ndarray:
-    """``rng.random(shape, dtype=np.float32) >= rate`` for a Python float
-    rate, bit for bit, leaving the generator in the same state, at about
-    half the cost.
+def _keep_blocks(rng: np.random.Generator, n: int, rate: float):
+    """The keep mask ``rng.random(n, dtype=np.float32) >= rate`` of a Python
+    float rate, bit for bit, at about half the cost: yields (a, b, keep)
+    for each block [a, b) of ``_blocks(n)``, with ``keep`` valid until the
+    next block. Once the last block is out, the generator is in the state
+    that draw leaves it in.
 
     That draw takes one 32-bit word u per element, the low half of each
     64-bit PCG64 output first and its high half next, buffered in the state
     (``has_uint32``, ``uinteger``) between calls; the element is
     (u >> 8) * 2**-24 in float32. So the element is kept exactly when
     u >= 256 * ceil(float32(rate) * 2**24), and the words come straight
-    from ``random_raw`` with no float conversion.
+    from ``random_raw`` with no float conversion. Each block draws only the
+    words it needs; a high half it leaves unused starts the next block, as
+    the buffered half starts the first.
     """
     bit_gen = rng.bit_generator
     if not isinstance(bit_gen, np.random.PCG64):
         raise NumericError(f"dropout needs a PCG64 generator, got {type(bit_gen).__name__}")
-    n = math.prod(shape)
     cut = math.ceil(float(np.float32(rate)) * 2**24) << 8
-    keep = np.empty(shape, dtype=bool)
-    flat = keep.reshape(-1)
     state = bit_gen.state
-    head = min(n, state["has_uint32"])  # the buffered high half comes first
-    if head:
-        flat[0] = state["uinteger"] >= cut
-    rest = n - head
-    halves = bit_gen.random_raw((rest + 1) // 2).astype("<u8", copy=False).view("<u4")
-    np.greater_equal(halves[:rest], cut, out=flat[head:])
+    carry = state["uinteger"] if state["has_uint32"] else None  # a half not yet used
+    last = None  # the high half of the last word drawn
+    keep = np.empty(min(n, BLOCK_ELEMS), dtype=bool)
+    for a, b in _blocks(n):
+        block = keep[: b - a]
+        head = int(carry is not None)
+        if head:
+            block[0] = carry >= cut
+        need = b - a - head
+        halves = bit_gen.random_raw((need + 1) // 2).astype("<u8", copy=False).view("<u4")
+        np.greater_equal(halves[:need], cut, out=block[head:])
+        if need:
+            last = int(halves[-1])
+        carry = last if need % 2 else None
+        del halves  # before the next block draws its words
+        yield a, b, block
     if n:
         state = bit_gen.state
-        state["has_uint32"] = rest % 2
-        if rest:
+        state["has_uint32"] = int(carry is not None)
+        if last is not None:
             # the last word's high half: buffered if unused, else left stale
-            state["uinteger"] = int(halves[-1])
+            state["uinteger"] = last
         bit_gen.state = state
-    return keep
 
 
 def dropout(x, rate: float, rng: np.random.Generator | None, train: bool) -> Tensor:
@@ -529,16 +588,27 @@ def dropout(x, rate: float, rng: np.random.Generator | None, train: bool) -> Ten
     if rng is None:
         raise NumericError("dropout in train mode needs an rng")
     # the mask does not depend on the input dtype, so a float32 model and
-    # its float64 copy see the same mask from the same rng; the backward
-    # keeps the 1-byte mask and rebuilds the forward's scale from it
-    keep = _keep_mask(rng, x.data.shape, rate)
+    # its float64 copy see the same mask from the same rng; the mask, the
+    # scale and the product are built block by block, and the backward
+    # keeps the mask packed to bits and rebuilds each block's scale from it
     scale, dtype, nx = 1.0 / (1.0 - rate), x.data.dtype, x.node
-    out = np.multiply(keep, scale, dtype=dtype)
-    out *= x.data
+    shape, size = x.data.shape, x.data.size
+    x_flat = np.ravel(x.data)
+    out = np.empty(shape, dtype=dtype)
+    out_flat = out.reshape(-1)
+    bits = _packed(size)
+    for a, b, keep in _keep_blocks(rng, size, rate):
+        np.multiply(keep, scale, dtype=dtype, out=out_flat[a:b])
+        out_flat[a:b] *= x_flat[a:b]
+        bits[a // 8 : (b + 7) // 8] = np.packbits(keep)
 
     def backward(g):
-        gx = np.multiply(keep, scale, dtype=dtype)
-        gx *= g
+        g_flat = np.ravel(g)
+        gx = np.empty(shape, dtype=dtype)
+        gx_flat = gx.reshape(-1)
+        for a, b in _blocks(size):
+            np.multiply(_unpack(bits, a, b), scale, dtype=dtype, out=gx_flat[a:b])
+            gx_flat[a:b] *= g_flat[a:b]
         _accum(nx, gx)
 
     return _make(out, (x,), backward)

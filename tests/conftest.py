@@ -13,7 +13,10 @@ select Hypothesis's built-in profile on the command line:
 The option is applied after this module loads, so it replaces ``tier1``.
 """
 
+import contextlib
 import datetime as dt
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,6 +97,35 @@ def as_windows(windows):
     windows = np.asarray(windows)
     n_samples, m, _ = windows.shape
     return Windows(windows, np.arange(n_samples), np.zeros(n_samples, dtype=int), m)
+
+
+class TracedMemory:
+    """Bytes allocated inside a ``traced_peak`` block, above what was traced
+    at its start: ``held_now()`` while it runs; ``held`` (after a garbage
+    collection) and ``peak`` once it has ended."""
+
+    def __init__(self):
+        self.base = tracemalloc.get_traced_memory()[0]
+        self.held = self.peak = None
+
+    def held_now(self) -> int:
+        return tracemalloc.get_traced_memory()[0] - self.base
+
+
+@contextlib.contextmanager
+def traced_peak():
+    """Trace the allocations of a with-block; numpy reports its data buffers
+    to tracemalloc, so the figures count arrays."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        mem = TracedMemory()
+        yield mem
+        gc.collect()
+        current, peak = tracemalloc.get_traced_memory()
+        mem.held, mem.peak = current - mem.base, peak - mem.base
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

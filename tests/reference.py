@@ -13,12 +13,19 @@ They keep the program's memory rule: a backward closure holds its inputs'
 nodes and only the arrays its formula reads.
 
 ``leaky_slope`` and ``dropout_scale`` are the float multipliers the two
-mask ops saved before they kept a 1-byte mask: the forward is ``x * m``
-and the backward ``g * m``, bit for bit.
+mask ops saved before they kept a mask: the forward is ``x * m`` and the
+backward ``g * m``, bit for bit.
 
 ``unfolded_sector_conv`` is the numeric oracle of the model's first layer:
 the sector embedding added to the windows before the conv, which the model
 computes with the add moved after it.
+
+``chunk_infer_outputs`` and ``chunk_mean_loss`` are the bit-exact oracle of
+the streamed infer mode: every op over each whole ``INFER_CHUNK`` chunk of
+windows at once, the way ``models.forward`` ran before it streamed the
+conv stack in blocks of samples. ``conv_input_grad`` is conv backward's
+input gradient as one GEMM per tap over every row, which the row-blocked
+backward replaced.
 
 The per-channel functions (``batch_norm_train`` to ``dense_bias_grad``)
 are the float64 oracle of the autograd channel rule: each computes an op's
@@ -44,7 +51,7 @@ import numpy as np
 from stockrank.backtest import REBALANCE_MODES, STRATEGIES, BacktestLedger, combine_strategies
 from stockrank.dataset import LOOKAHEAD
 from stockrank.errors import DataError, NumericError
-from stockrank.losses import LOG_CLIP
+from stockrank.losses import LOG_CLIP, batch_loss
 from stockrank.indicators import (
     _BASIC_VALID_START,
     _REGISTRY,
@@ -54,6 +61,7 @@ from stockrank.indicators import (
     _roll_std,
 )
 from stockrank.market_data import HIGH, LOW, NO_SECTOR_ID, OPEN, VOLUME, load_sector_map
+from stockrank.models import INFER_CHUNK
 from stockrank.nn.autograd import (
     Tensor,
     _accum,
@@ -61,8 +69,15 @@ from stockrank.nn.autograd import (
     _make,
     _operands,
     _unbroadcast,
+    batch_norm,
     conv1d_valid,
+    dense,
     embedding_add,
+    global_avg_pool,
+    kernel_sum,
+    leaky_relu,
+    matmul,
+    softmax,
 )
 
 OHLCV_HEADER = ["ticker", "date", "open", "high", "low", "close", "volume"]
@@ -212,6 +227,66 @@ def unfolded_sector_conv(windows, embedding, sector_ids, w) -> Tensor:
     """``models._sector_conv`` as the paper states it: the sector row added
     to every time step of the window, then the first conv."""
     return conv1d_valid(embedding_add(Tensor(windows), embedding, sector_ids), w)
+
+
+def chunk_infer_outputs(state, windows, sector_ids) -> np.ndarray:
+    """Infer-mode outputs of a model, each ``INFER_CHUNK`` chunk gathered
+    whole and run through every op at once (dropout is the identity)."""
+    arch = state.arch
+    p = {k: Tensor(v.data) for k, v in state.params.items()}
+    dtype = p["embedding"].data.dtype
+    outs = [np.empty((0, arch.loss_kind.output_arity), dtype=dtype)]
+    for lo in range(0, len(windows), INFER_CHUNK):
+        x = np.asarray(windows[lo : lo + INFER_CHUNK], dtype=dtype)
+        h = conv1d_valid(Tensor(x), p["conv0_w"])
+        h = embedding_add(h, matmul(p["embedding"], kernel_sum(p["conv0_w"])),
+                          sector_ids[lo : lo + INFER_CHUNK])
+        for i in range(len(arch.conv)):
+            if i:
+                h = conv1d_valid(h, p[f"conv{i}_w"])
+            h = batch_norm(h, p[f"conv{i}_bn_gamma"], p[f"conv{i}_bn_beta"],
+                           state.bn_states[f"conv{i}_bn"], False)
+            h = leaky_relu(h, arch.leaky_slope)
+        h = global_avg_pool(h)
+        for i in range(len(arch.dense)):
+            h = matmul(h, p[f"dense{i}_w"])
+            h = batch_norm(h, p[f"dense{i}_bn_gamma"], p[f"dense{i}_bn_beta"],
+                           state.bn_states[f"dense{i}_bn"], False)
+            h = leaky_relu(h, arch.leaky_slope)
+        out = dense(h, p["out_w"], p["out_b"])
+        if arch.loss_kind.classification:
+            out = softmax(out)
+        outs.append(out.data)
+    return np.concatenate(outs)
+
+
+def chunk_mean_loss(kind, outputs, sample_set) -> float:
+    """Mean infer-mode loss over a SampleSet from its ``chunk_infer_outputs``:
+    each chunk's batch loss, weighted by its rows."""
+    total = 0.0
+    n = len(sample_set)
+    for lo in range(0, n, INFER_CHUNK):
+        sl = slice(lo, min(lo + INFER_CHUNK, n))
+        loss = batch_loss(kind, Tensor(outputs[sl]), sample_set.labels[sl],
+                          sample_set.returns[sl], sample_set.weights[sl])
+        total += loss.item() * (sl.stop - sl.start)
+    return total / n
+
+
+def conv_input_grad(w, g, t_in) -> np.ndarray:
+    """The input gradient of a valid conv with kernel w for the upstream
+    gradient g: g zero-padded to t_in steps and flattened to rows, then
+    ``gx = g_pad @ w[0].T`` and ``gx[tau:] += g_pad[:rows - tau] @ w[tau].T``
+    for each later tap, every GEMM over all rows."""
+    batch, t_out, c_out = g.shape
+    rows = batch * t_in
+    g_pad = np.zeros((batch, t_in, c_out), dtype=g.dtype)
+    g_pad[:, :t_out] = g
+    g_pad = g_pad.reshape(rows, c_out)
+    gx = g_pad @ w[0].T
+    for tau in range(1, w.shape[0]):
+        gx[tau:] += g_pad[: rows - tau] @ w[tau].T
+    return gx.reshape(batch, t_in, w.shape[1])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stockrank.errors import NumericError
-from stockrank.nn.autograd import BN_EPS, BN_MOMENTUM
+from stockrank.nn.autograd import BLOCK_ELEMS, BN_EPS, BN_MOMENTUM
 from stockrank.nn import (
     BatchNormState,
     Tensor,
@@ -91,6 +91,29 @@ class TestConv1d:
         x = Tensor(rng.normal(size=(2, 9, 3)), requires_grad=True)
         w = Tensor(rng.normal(size=(3, 3, 4)), requires_grad=True)
         finite_diff_check(lambda: tsum(mul(conv1d_valid(x, w), conv1d_valid(x, w))), [x, w])
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch,t_in,c_in,c_out,k", [
+        (4, 7, 3, 2, 3),  # one block
+        (256, 18, 48, 64, 3),  # the default arch's conv1 at batch 256: two blocks
+        (256, 16, 64, 96, 3),  # and its conv2
+        (700, 9, 50, 7, 4),  # three blocks
+        (1000, 20, 28, 16, 3),  # five
+    ])
+    def test_input_gradient_matches_one_gemm_per_tap(self, batch, t_in, c_in, c_out, k, dtype,
+                                                     rng):
+        # the row-blocked input gradient has the bits of the whole-row GEMMs.
+        # Float32 kept them at every shape tried, narrow kernels against
+        # hundreds of input channels included; float64 at (300, 20, 300, 5)
+        # differed in the last bit, as OpenBLAS runs a block's small dgemm
+        # on another kernel than the whole one
+        x = Tensor(rng.normal(size=(batch, t_in, c_in)).astype(dtype), requires_grad=True)
+        w = Tensor(rng.normal(size=(k, c_in, c_out)).astype(dtype))
+        out = conv1d_valid(x, w)
+        g = rng.normal(size=out.shape).astype(dtype)
+        out.node._backward(g)
+        assert_same_bits(x.grad, reference.conv_input_grad(w.data, g, t_in))
 
 
 class TestKernelSum:
@@ -266,6 +289,23 @@ class TestDropout:
         np.testing.assert_array_equal(rng.random(3, dtype=np.float32),
                                       expected.random(3, dtype=np.float32))
 
+    @pytest.mark.parametrize("before", [0, 1])
+    @pytest.mark.parametrize("n", [BLOCK_ELEMS - 1, BLOCK_ELEMS, BLOCK_ELEMS + 1,
+                                   2 * BLOCK_ELEMS + 2])
+    def test_mask_and_generator_state_over_several_blocks(self, before, n):
+        # each block draws its own words; an odd block leaves a half over
+        # for the next, as an odd ``before`` does for the first
+        def generator():
+            rng = np.random.default_rng(9)
+            rng.random(before, dtype=np.float32)
+            return rng
+
+        expected, rng = generator(), generator()
+        keep = expected.random(n, dtype=np.float32) >= 0.35
+        out = dropout(Tensor(np.ones(n, dtype=np.float32)), 0.35, rng, train=True)
+        np.testing.assert_array_equal(out.data != 0, keep)
+        assert rng.bit_generator.state == expected.bit_generator.state
+
     def test_needs_a_pcg64_generator(self):
         rng = np.random.Generator(np.random.MT19937(0))
         with pytest.raises(NumericError, match="PCG64"):
@@ -280,13 +320,15 @@ EDGE_VALUES = (np.nan, 0.0, -0.0, np.inf, -np.inf, 1e-45, -1e-45, 2.5, -2.5, 1e3
 def edge_cases(rng, dtype):
     """(x, g) pairs of dtype: each edge value as a 0-d input with another
     as its gradient, then 1-d and 3-d inputs and gradients drawn from the
-    edge values. 0 * inf makes NaN here, as it does in the op."""
+    edge values, around a byte of the packed mask and over three of its
+    blocks. 0 * inf makes NaN here, as it does in the op."""
     def draw(shape):
         return rng.choice(np.array(EDGE_VALUES), size=shape).astype(dtype)
 
     zero_d = [(np.asarray(v, dtype=dtype), np.asarray(EDGE_VALUES[i - 3], dtype=dtype))
               for i, v in enumerate(EDGE_VALUES)]
-    return zero_d + [(draw(shape), draw(shape)) for shape in ((10,), (4, 5, 3))]
+    shapes = ((1,), (7,), (8,), (9,), (10,), (4, 5, 3), (2 * BLOCK_ELEMS + 9,))
+    return zero_d + [(draw(shape), draw(shape)) for shape in shapes]
 
 
 def assert_same_bits(a, b):
@@ -294,8 +336,27 @@ def assert_same_bits(a, b):
     assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), (a, b)
 
 
+class TestPackedMasks:
+    """The bits a mask op saves unpack to its mask: ``x >= 0`` for leaky
+    ReLU (NaN and -0.0 included), the keep mask for dropout."""
+
+    @pytest.mark.parametrize("shape", [(), (1,), (7,), (8,), (9,)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_round_trip(self, shape, dtype, rng):
+        x = rng.choice(np.array([np.nan, 0.0, -0.0, 1.5, -1.5]), size=shape).astype(dtype)
+        leaky = leaky_relu(Tensor(x, requires_grad=True), 0.01)
+        drop = dropout(Tensor(x, requires_grad=True), 0.35, np.random.default_rng(1), train=True)
+        keep = np.random.default_rng(1).random(shape, dtype=np.float32) >= 0.35
+        for out, mask in ((leaky, x >= 0), (drop, keep)):
+            (bits,) = [v for v in saved_by(out) if isinstance(v, np.ndarray)]
+            assert bits.dtype == np.uint8 and bits.shape == ((x.size + 7) // 8,)
+            np.testing.assert_array_equal(np.unpackbits(bits)[: x.size].view(bool),
+                                          np.ravel(mask))
+            assert not np.unpackbits(bits)[x.size :].any()  # the last byte's padding
+
+
 class TestMaskOpsMatchTheFloatMultiplier:
-    """leaky_relu and dropout keep a bool mask, and still compute x * m
+    """leaky_relu and dropout keep a packed mask, and still compute x * m
     forward and g * m backward for the float multiplier m they once saved
     (``reference.leaky_slope``, ``reference.dropout_scale``), bit for bit."""
 
@@ -746,11 +807,13 @@ class TestMemoryRule:
         assert all(ref() is None for ref in input_refs + saved_refs + [out_ref]), name
 
     @pytest.mark.parametrize("name", ["leaky_relu", "dropout"])
-    def test_mask_ops_save_one_bool_array(self, name, rng):
-        # the 1-byte mask, not an activation-sized float multiplier
+    def test_mask_ops_save_one_packed_bit_array(self, name, rng):
+        # the mask packed to one bit per element: ceil(84 / 8) = 11 bytes,
+        # not a 1-byte bool mask or an activation-sized float multiplier
         out = memory_rule_cases(rng)[name][0]
         arrays = [v for v in saved_by(out) if isinstance(v, np.ndarray)]
-        assert [(a.dtype, a.shape) for a in arrays] == [(np.dtype(bool), out.shape)]
+        assert [(a.dtype, a.shape) for a in arrays] == [(np.dtype(np.uint8),
+                                                          (-(-out.data.size // 8),))]
 
     def test_gradient_takes_the_dtype_its_data_has_at_backward(self, rng):
         w = Tensor(rng.normal(size=(3, 2)).astype(np.float32), requires_grad=True)

@@ -1,5 +1,4 @@
-import gc
-import tracemalloc
+import dataclasses
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from stockrank.errors import DataError
 from stockrank.indicators import assemble_panel
 from stockrank.market_data import OPEN, apply_dead_stock_rule
 
-from conftest import make_stock, make_universe, random_walk_universe
+from conftest import make_stock, make_universe, random_walk_universe, traced_peak
 from reference import daily_return, gather_windows, window_gather
 
 
@@ -125,6 +124,23 @@ class TestStandardize:
         sd = base.std(axis=1)[mask]
         np.testing.assert_allclose(mu, 0.0, atol=1e-9)
         np.testing.assert_allclose(sd, 1.0, atol=1e-9)
+
+    def test_float32_span_is_the_float64_quotient_cast_down(self, rng):
+        # standardize writes the float32 span straight from the float64
+        # quotient: its bits are those of the quotient's astype, NaN, inf
+        # and signed zeros included
+        u, panel, plan = self._panel_and_plan(rng)
+        values = panel.values.copy()
+        cells = rng.integers(0, values.size, size=60)
+        values.flat[cells] = rng.choice(np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e300]),
+                                        size=60)
+        panel = dataclasses.replace(panel, values=values)
+        with np.errstate(invalid="ignore", over="ignore"):
+            span = standardize(panel, plan, np.float32)
+            float64 = standardize(panel, plan)
+            assert span.tobytes() == float64.astype(np.float32).tobytes()
+        assert span.dtype == np.float32 and float64.dtype == np.float64
+        assert np.isnan(span).any() and np.isinf(span).any()
 
     def test_same_stats_for_train_and_test(self, rng):
         u, panel, plan = self._panel_and_plan(rng)
@@ -483,16 +499,9 @@ class TestWindows:
         panel = flat_panel(u)
         plan = build_split_plans(u.n_days, m=20, offset=panel.first_all_valid_day)[0]
         returns = return_matrix(u)
-        gc.collect()
-        tracemalloc.start()  # numpy reports its data buffers to tracemalloc
-        try:
-            before = tracemalloc.get_traced_memory()[0]
+        with traced_peak() as mem:
             out = make_samples(panel, u, plan, returns, m=20)
-            gc.collect()
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
         n_samples = sum(len(ss) for ss in out.values())
         float32_windows = n_samples * 20 * panel.n_features * 4
         assert n_samples == 20 * 220
-        assert retained < float32_windows / 4, (retained, float32_windows)
+        assert mem.held < float32_windows / 4, (mem.held, float32_windows)

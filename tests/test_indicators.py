@@ -19,7 +19,7 @@ from stockrank.market_data import CLOSE, HIGH, LOW, VOLUME, load_ohlcv
 from stockrank.synth import SignalSpec, generate, write_ohlcv_csv, write_sector_csv
 
 import reference
-from conftest import make_stock, make_universe, random_walk_universe
+from conftest import make_stock, make_universe, random_walk_universe, traced_peak
 
 
 def one_stock_panel(u, basic, specs=()):
@@ -228,19 +228,12 @@ class TestOneBufferPanel:
         np.testing.assert_array_equal(panel.valid_start, valid_start)
 
     def test_peak_memory_is_close_to_the_panel(self, synth_universe):
-        import tracemalloc
-
         specs = default16_specs()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
+        with traced_peak() as mem:
             panel = assemble_panel(synth_universe, basic=True, specs=specs)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
         # the panel and a few (stocks, days) kernel temporaries: 2.1 times
         # the panel; with the stacks, concatenation and np.where copy, 3.2
-        assert peak <= 2.5 * panel.values.nbytes, peak / panel.values.nbytes
+        assert mem.peak <= 2.5 * panel.values.nbytes, mem.peak / panel.values.nbytes
 
 
 class TestShiftEquivariance:
