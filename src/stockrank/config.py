@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 from .backtest import REBALANCE_MODES, STRATEGIES
 from .dataset import DEFAULT_THRESHOLDS, RETURN_CAP, STD_DAYS, TEST_DAYS, TRAIN_DAYS, TRAINVAL_DAYS
 from .errors import ConfigError
-from .indicators import DEFAULT_TECHNICAL_16, _REGISTRY
+from .indicators import DEFAULT_TECHNICAL_16, TECHNICAL_NAMES
 from .losses import LOSS_KINDS
 from .market_data import DEFAULT_DOLLAR_VOLUME_FLOOR, DEFAULT_PRICE_FLOOR
 from .models import MOE_WINDOW
@@ -95,9 +95,11 @@ class RunConfig:
             raise ConfigError("dollar_volume_floor must be > 0")
         if self.price_floor <= 0:
             raise ConfigError("price_floor must be > 0")
-        for name in self.technical:
-            if name not in _REGISTRY:
+        for i, name in enumerate(self.technical):
+            if name not in TECHNICAL_NAMES:
                 raise ConfigError(f"unknown technical feature {name!r}")
+            if name in self.technical[:i]:
+                raise ConfigError(f"technical lists {name!r} twice")
         if not self.use_basic and not self.technical:
             raise ConfigError("no features selected")
         if min(self.m, self.std_days, self.trainval_days, self.test_days, self.val_days) < 1:

@@ -6,6 +6,11 @@ all simulated trades happen at the market open, indicators that normally
 consume closing prices are computed on *opening* prices; high, low, and
 volume enter wherever an indicator's standard formula calls for them.
 
+The table rule: a feature is a row of ``FEATURES``, its name, its first
+valid day and its kernel ``(o, h, lo, v) -> (stocks, days)`` column, and
+that row is the only place its warmup or its formula is stated. A panel
+holds the features it is given by name, in the order of the names.
+
 Warmup days (not enough history for the first valid value) are masked
 invalid rather than zero-filled so that standardization statistics never
 ingest warmup garbage.
@@ -14,33 +19,13 @@ ingest warmup garbage.
 from __future__ import annotations
 
 import csv
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 from .market_data import HIGH, LOW, OPEN, VOLUME, Universe
-
-@dataclass(frozen=True)
-class FeatureSpec:
-    """A named indicator with its parameters and history requirement.
-
-    ``warmup`` is the number of days of history required before the first
-    valid value; the first valid day index is ``warmup - 1``.
-    """
-
-    name: str
-    params: dict = field(default_factory=dict)
-    warmup: int = 1
-
-    def __post_init__(self):
-        if self.warmup < 1:
-            raise DataError(f"{self.name}: warmup must be >= 1, got {self.warmup}")
-        for key, val in self.params.items():
-            if val <= 0:
-                raise DataError(f"{self.name}: parameter {key} must be positive, got {val}")
 
 
 @dataclass(frozen=True)
@@ -140,40 +125,17 @@ def _safe_div(num: np.ndarray, den: np.ndarray, fallback: float) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# basic features
-# ---------------------------------------------------------------------------
+def _shifted(x: np.ndarray) -> np.ndarray:
+    """A column computed on day-over-day differences (one day shorter),
+    placed back on the calendar: day 0 is NaN."""
+    out = np.full((x.shape[0], x.shape[1] + 1), np.nan)
+    out[:, 1:] = x
+    return out
 
-BASIC_FEATURE_NAMES = (
-    "mom_2",
-    "mom_3",
-    "mom_5",
-    "mom_10",
-    "sma_ratio_5",
-    "sma_ratio_20",
-    "sma_ratio_50",
-    "ret_std_5",
-    "ret_std_20",
-    "range_rel",
-    "volume",
-    "dollar_volume",
-)
 
-# first valid day index per basic feature
-_BASIC_VALID_START = {
-    "mom_2": 2,
-    "mom_3": 3,
-    "mom_5": 5,
-    "mom_10": 10,
-    "sma_ratio_5": 4,
-    "sma_ratio_20": 19,
-    "sma_ratio_50": 49,
-    "ret_std_5": 5,
-    "ret_std_20": 20,
-    "range_rel": 0,
-    "volume": 0,
-    "dollar_volume": 0,
-}
+# ---------------------------------------------------------------------------
+# kernels and their parts (parameters are given in the table)
+# ---------------------------------------------------------------------------
 
 
 def _momentum(o: np.ndarray, k: int) -> np.ndarray:
@@ -182,93 +144,61 @@ def _momentum(o: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _basic_columns(o: np.ndarray, h: np.ndarray, lo: np.ndarray, v: np.ndarray):
-    """The basic features' (stocks, days) columns in ``BASIC_FEATURE_NAMES``
-    order, one at a time, so only the column being written is alive."""
-    for k in (2, 3, 5, 10):
-        yield _momentum(o, k)
-    for window in (5, 20, 50):
-        yield _roll_mean(o, window) / o
-    ret1 = o[:, 1:] / o[:, :-1] - 1.0  # daily returns, from day 1 on
-    for window in (5, 20):
-        std = np.full_like(o, np.nan)
-        std[:, 1:] = _roll_std(ret1, window, ddof=1)
-        yield std
-    yield (h - lo) / o
-    yield v
-    yield o * v
+def _ret_std(o: np.ndarray, window: int) -> np.ndarray:
+    """Sample std of the daily open-to-open returns (which start on day 1)."""
+    return _shifted(_roll_std(o[:, 1:] / o[:, :-1] - 1.0, window, ddof=1))
 
 
-# ---------------------------------------------------------------------------
-# technical indicators
-# ---------------------------------------------------------------------------
-
-
-def _rsi_matrix(o: np.ndarray, window: int) -> np.ndarray:
+def _rsi(o: np.ndarray, window: int) -> np.ndarray:
     delta = np.diff(o, axis=1)
-    gain = np.maximum(delta, 0.0)
-    loss = np.maximum(-delta, 0.0)
-    avg_gain = _wilder_rma(gain, window)
-    avg_loss = _wilder_rma(loss, window)
-    rsi_core = np.where(
+    avg_gain = _wilder_rma(np.maximum(delta, 0.0), window)
+    avg_loss = _wilder_rma(np.maximum(-delta, 0.0), window)
+    return _shifted(np.where(
         (avg_gain == 0) & (avg_loss == 0),
         50.0,
         100.0 - _safe_div(100.0, 1.0 + _safe_div(avg_gain, avg_loss, np.inf), 0.0),
-    )
-    out = np.full_like(o, np.nan)
-    out[:, 1:] = rsi_core
-    return out
+    ))
 
 
-def _ind_rsi(o, h, lo, v, p):
-    return _rsi_matrix(o, int(p["window"]))
-
-
-def _ind_stoch_rsi(o, h, lo, v, p):
-    rsi = _rsi_matrix(o, int(p["window"]))
-    lo_r = _roll_min(rsi, int(p["stoch_window"]))
-    hi_r = _roll_max(rsi, int(p["stoch_window"]))
+def _stoch_rsi(o, window, stoch_window):
+    rsi = _rsi(o, window)
+    lo_r, hi_r = _roll_min(rsi, stoch_window), _roll_max(rsi, stoch_window)
     return np.where(np.isnan(rsi), np.nan, _safe_div(rsi - lo_r, hi_r - lo_r, 0.5))
 
 
-def _ind_stoch_osc(o, h, lo, v, p):
-    w = int(p["window"])
-    ll, hh = _roll_min(lo, w), _roll_max(h, w)
+def _stoch_osc(o, h, lo, window):
+    ll, hh = _roll_min(lo, window), _roll_max(h, window)
     return _safe_div(100.0 * (o - ll), hh - ll, 50.0)
 
 
-def _ind_awesome_osc(o, h, lo, v, p):
+def _williams_r(o, h, lo, window):
+    ll, hh = _roll_min(lo, window), _roll_max(h, window)
+    return _safe_div(-100.0 * (hh - o), hh - ll, -50.0)
+
+
+def _awesome_osc(h, lo, fast, slow):
     mp = (h + lo) / 2.0
-    return _roll_mean(mp, int(p["fast"])) - _roll_mean(mp, int(p["slow"]))
+    return _roll_mean(mp, fast) - _roll_mean(mp, slow)
 
 
-def _ind_pvo(o, h, lo, v, p):
-    fast = _ema(v, int(p["fast"]))
-    slow = _ema(v, int(p["slow"]))
-    return _safe_div(100.0 * (fast - slow), slow, 0.0)
+def _pvo(v, fast, slow):
+    slow_ema = _ema(v, slow)
+    return _safe_div(100.0 * (_ema(v, fast) - slow_ema), slow_ema, 0.0)
 
 
-def _ind_kama(o, h, lo, v, p):
-    w, fast, slow = int(p["window"]), int(p["fast"]), int(p["slow"])
+def _kama(o, window, fast, slow):
     sc_fast, sc_slow = 2.0 / (fast + 1.0), 2.0 / (slow + 1.0)
-    abs_diff = np.abs(np.diff(o, axis=1))
     out = np.full_like(o, np.nan)
-    if o.shape[1] <= w:
+    if o.shape[1] <= window:
         return out
-    out[:, w] = o[:, w]
-    vol = _roll_sum(abs_diff, w)  # indexed on the diff axis (day t-1)
-    for t in range(w + 1, o.shape[1]):
-        change = np.abs(o[:, t] - o[:, t - w])
+    out[:, window] = o[:, window]
+    vol = _roll_sum(np.abs(np.diff(o, axis=1)), window)  # indexed on the diff axis (day t-1)
+    for t in range(window + 1, o.shape[1]):
+        change = np.abs(o[:, t] - o[:, t - window])
         er = _safe_div(change, vol[:, t - 1], 0.0)
         sc = (er * (sc_fast - sc_slow) + sc_slow) ** 2
         out[:, t] = out[:, t - 1] + sc * (o[:, t] - out[:, t - 1])
     return out
-
-
-def _ind_williams_r(o, h, lo, v, p):
-    w = int(p["window"])
-    ll, hh = _roll_min(lo, w), _roll_max(h, w)
-    return _safe_div(-100.0 * (hh - o), hh - ll, -50.0)
 
 
 def _clv(o, h, lo):
@@ -276,38 +206,19 @@ def _clv(o, h, lo):
     return _safe_div((o - lo) - (h - o), h - lo, 0.0)
 
 
-def _ind_adi(o, h, lo, v, p):
-    return np.cumsum(_clv(o, h, lo) * v, axis=1)
-
-
-def _ind_eom(o, h, lo, v, p):
-    mid = (h + lo) / 2.0
-    dist = np.diff(mid, axis=1)
+def _eom(h, lo, v, window):
+    dist = np.diff((h + lo) / 2.0, axis=1)
     box = _safe_div(v[:, 1:] / 1e8, (h - lo)[:, 1:], 0.0)
-    emv = _safe_div(dist, box, 0.0)
-    sma = _roll_mean(emv, int(p["window"]))
-    out = np.full_like(o, np.nan)
-    out[:, 1:] = sma
-    return out
+    return _shifted(_roll_mean(_safe_div(dist, box, 0.0), window))
 
 
-def _ind_force_index(o, h, lo, v, p):
-    raw = np.diff(o, axis=1) * v[:, 1:]
-    out = np.full_like(o, np.nan)
-    out[:, 1:] = _ema(raw, int(p["window"]))
-    return out
+def _cmf(o, h, lo, v, window):
+    return _safe_div(_roll_sum(_clv(o, h, lo) * v, window), _roll_sum(v, window), 0.0)
 
 
-def _ind_cmf(o, h, lo, v, p):
-    w = int(p["window"])
-    mfv = _clv(o, h, lo) * v
-    return _safe_div(_roll_sum(mfv, w), _roll_sum(v, w), 0.0)
-
-
-def _ind_vpt(o, h, lo, v, p):
-    ret = np.diff(o, axis=1) / o[:, :-1]
+def _vpt(o, v):
     out = np.zeros_like(o)
-    out[:, 1:] = np.cumsum(v[:, 1:] * ret, axis=1)
+    out[:, 1:] = np.cumsum(v[:, 1:] * (np.diff(o, axis=1) / o[:, :-1]), axis=1)
     return out
 
 
@@ -317,102 +228,87 @@ def _true_range(o, h, lo):
     return np.maximum(tr, np.abs(lo[:, 1:] - prev))
 
 
-def _ind_atr(o, h, lo, v, p):
-    out = np.full_like(o, np.nan)
-    out[:, 1:] = _wilder_rma(_true_range(o, h, lo), int(p["window"]))
-    return out
-
-
-def _ind_bollinger_hband(o, h, lo, v, p):
-    w = int(p["window"])
-    return _roll_mean(o, w) + p["n_std"] * _roll_std(o, w, ddof=0)
-
-
-def _ind_donchian_width(o, h, lo, v, p):
-    w = int(p["window"])
-    return _roll_max(h, w) - _roll_min(lo, w)
-
-
-def _ind_ulcer(o, h, lo, v, p):
-    w = int(p["window"])
-    drawdown_pct = 100.0 * (o / _roll_max(o, w) - 1.0)
+def _ulcer(o, window):
+    drawdown_pct = 100.0 * (o / _roll_max(o, window) - 1.0)
     sq = np.where(np.isnan(drawdown_pct), np.nan, drawdown_pct**2)
-    return np.sqrt(_roll_mean(sq, w))
+    return np.sqrt(_roll_mean(sq, window))
 
 
-def _ind_adx(o, h, lo, v, p):
-    w = int(p["window"])
+def _adx(o, h, lo, window):
     up = np.diff(h, axis=1)
     down = -np.diff(lo, axis=1)
     plus_dm = np.where((up > down) & (up > 0), up, 0.0)
     minus_dm = np.where((down > up) & (down > 0), down, 0.0)
-    atr = _wilder_rma(_true_range(o, h, lo), w)
-    plus_di = _safe_div(100.0 * _wilder_rma(plus_dm, w), atr, 0.0)
-    minus_di = _safe_div(100.0 * _wilder_rma(minus_dm, w), atr, 0.0)
+    atr = _wilder_rma(_true_range(o, h, lo), window)
+    plus_di = _safe_div(100.0 * _wilder_rma(plus_dm, window), atr, 0.0)
+    minus_di = _safe_div(100.0 * _wilder_rma(minus_dm, window), atr, 0.0)
     dx = _safe_div(100.0 * np.abs(plus_di - minus_di), plus_di + minus_di, 0.0)
-    adx = _wilder_rma(dx, w, start=w - 1)
-    out = np.full_like(o, np.nan)
-    out[:, 1:] = adx
-    return out
+    return _shifted(_wilder_rma(dx, window, start=window - 1))
 
 
 def _aroon(x: np.ndarray, window: int, take_max: bool) -> np.ndarray:
-    def days_since_extreme(wins):
-        flipped = wins[..., ::-1]
-        return np.argmax(flipped, axis=-1) if take_max else np.argmin(flipped, axis=-1)
-
     out = np.full_like(x, np.nan)
     span = window + 1  # current day plus the lookback window
     if x.shape[1] >= span:
-        since = days_since_extreme(sliding_window_view(x, span, axis=1))
+        flipped = sliding_window_view(x, span, axis=1)[..., ::-1]
+        since = np.argmax(flipped, axis=-1) if take_max else np.argmin(flipped, axis=-1)
         out[:, span - 1 :] = 100.0 * (window - since) / window
     return out
 
 
-def _ind_aroon_up(o, h, lo, v, p):
-    return _aroon(h, int(p["window"]), take_max=True)
+def _midpoint(h, lo, window):
+    return (_roll_max(h, window) + _roll_min(lo, window)) / 2.0
 
 
-def _ind_aroon_down(o, h, lo, v, p):
-    return _aroon(lo, int(p["window"]), take_max=False)
+# ---------------------------------------------------------------------------
+# the feature table: name -> (first valid day, kernel(o, h, lo, v))
+# ---------------------------------------------------------------------------
 
-
-def _ind_ichimoku_a(o, h, lo, v, p):
-    conv_w, base_w = int(p["conv"]), int(p["base"])
-    conv = (_roll_max(h, conv_w) + _roll_min(lo, conv_w)) / 2.0
-    base = (_roll_max(h, base_w) + _roll_min(lo, base_w)) / 2.0
-    return (conv + base) / 2.0
-
-
-# name -> (default params, warmup fn, kernel)
-_REGISTRY = {
-    "stoch_rsi": ({"window": 14, "stoch_window": 14},
-                  lambda p: int(p["window"]) + int(p["stoch_window"]), _ind_stoch_rsi),
-    "stoch_osc": ({"window": 14}, lambda p: int(p["window"]), _ind_stoch_osc),
-    "awesome_osc": ({"fast": 5, "slow": 34}, lambda p: int(p["slow"]), _ind_awesome_osc),
-    "pvo": ({"fast": 12, "slow": 26}, lambda p: int(p["slow"]), _ind_pvo),
-    "kama": ({"window": 10, "fast": 2, "slow": 30}, lambda p: int(p["window"]) + 1, _ind_kama),
-    "williams_r": ({"window": 14}, lambda p: int(p["window"]), _ind_williams_r),
-    "adi": ({}, lambda p: 1, _ind_adi),
-    "eom": ({"window": 14}, lambda p: int(p["window"]) + 1, _ind_eom),
-    "force_index": ({"window": 13}, lambda p: int(p["window"]) + 1, _ind_force_index),
-    "cmf": ({"window": 20}, lambda p: int(p["window"]), _ind_cmf),
-    "vpt": ({}, lambda p: 2, _ind_vpt),
-    "atr": ({"window": 14}, lambda p: int(p["window"]) + 1, _ind_atr),
-    "bollinger_hband": ({"window": 20, "n_std": 2.0}, lambda p: int(p["window"]),
-                        _ind_bollinger_hband),
-    "donchian_width": ({"window": 20}, lambda p: int(p["window"]), _ind_donchian_width),
-    "ulcer": ({"window": 14}, lambda p: 2 * int(p["window"]) - 1, _ind_ulcer),
-    "adx": ({"window": 14}, lambda p: 2 * int(p["window"]), _ind_adx),
-    "aroon_up": ({"window": 25}, lambda p: int(p["window"]) + 1, _ind_aroon_up),
-    "aroon_down": ({"window": 25}, lambda p: int(p["window"]) + 1, _ind_aroon_down),
-    "ichimoku_a": ({"conv": 9, "base": 26}, lambda p: int(p["base"]), _ind_ichimoku_a),
-    "rsi": ({"window": 14}, lambda p: int(p["window"]) + 1, _ind_rsi),
+FEATURES = {
+    # the 12 basic features
+    "mom_2": (2, lambda o, h, lo, v: _momentum(o, 2)),
+    "mom_3": (3, lambda o, h, lo, v: _momentum(o, 3)),
+    "mom_5": (5, lambda o, h, lo, v: _momentum(o, 5)),
+    "mom_10": (10, lambda o, h, lo, v: _momentum(o, 10)),
+    "sma_ratio_5": (4, lambda o, h, lo, v: _roll_mean(o, 5) / o),
+    "sma_ratio_20": (19, lambda o, h, lo, v: _roll_mean(o, 20) / o),
+    "sma_ratio_50": (49, lambda o, h, lo, v: _roll_mean(o, 50) / o),
+    "ret_std_5": (5, lambda o, h, lo, v: _ret_std(o, 5)),
+    "ret_std_20": (20, lambda o, h, lo, v: _ret_std(o, 20)),
+    "range_rel": (0, lambda o, h, lo, v: (h - lo) / o),
+    "volume": (0, lambda o, h, lo, v: v),
+    "dollar_volume": (0, lambda o, h, lo, v: o * v),
+    # the 20 technical indicators
+    "stoch_rsi": (27, lambda o, h, lo, v: _stoch_rsi(o, 14, 14)),
+    "stoch_osc": (13, lambda o, h, lo, v: _stoch_osc(o, h, lo, 14)),
+    "awesome_osc": (33, lambda o, h, lo, v: _awesome_osc(h, lo, 5, 34)),
+    "pvo": (25, lambda o, h, lo, v: _pvo(v, 12, 26)),
+    "kama": (10, lambda o, h, lo, v: _kama(o, 10, 2, 30)),
+    "williams_r": (13, lambda o, h, lo, v: _williams_r(o, h, lo, 14)),
+    "adi": (0, lambda o, h, lo, v: np.cumsum(_clv(o, h, lo) * v, axis=1)),
+    "eom": (14, lambda o, h, lo, v: _eom(h, lo, v, 14)),
+    "force_index": (13, lambda o, h, lo, v: _shifted(_ema(np.diff(o, axis=1) * v[:, 1:], 13))),
+    "cmf": (19, lambda o, h, lo, v: _cmf(o, h, lo, v, 20)),
+    "vpt": (1, lambda o, h, lo, v: _vpt(o, v)),
+    "atr": (14, lambda o, h, lo, v: _shifted(_wilder_rma(_true_range(o, h, lo), 14))),
+    "bollinger_hband": (19, lambda o, h, lo, v: _roll_mean(o, 20) + 2.0 * _roll_std(o, 20, 0)),
+    "donchian_width": (19, lambda o, h, lo, v: _roll_max(h, 20) - _roll_min(lo, 20)),
+    "ulcer": (26, lambda o, h, lo, v: _ulcer(o, 14)),
+    "adx": (27, lambda o, h, lo, v: _adx(o, h, lo, 14)),
+    "aroon_up": (25, lambda o, h, lo, v: _aroon(h, 25, take_max=True)),
+    "aroon_down": (25, lambda o, h, lo, v: _aroon(lo, 25, take_max=False)),
+    "ichimoku_a": (25, lambda o, h, lo, v: (_midpoint(h, lo, 9) + _midpoint(h, lo, 26)) / 2.0),
+    "rsi": (14, lambda o, h, lo, v: _rsi(o, 14)),
 }
+
+BASIC_FEATURE_NAMES = tuple(FEATURES)[:12]
+
+#: The names a config may list under ``technical``.
+TECHNICAL_NAMES = tuple(FEATURES)[12:]
 
 #: The full indicator set: 19 names. Plain rsi is a configurable indicator
 #: that no default set includes.
-ALL_TECHNICAL_NAMES = tuple(n for n in _REGISTRY if n != "rsi")
+ALL_TECHNICAL_NAMES = tuple(n for n in TECHNICAL_NAMES if n != "rsi")
 
 #: Default selection of 16 indicators used alongside the 12 basic features.
 #: The three level-like indicators most redundant with the basic moving
@@ -422,38 +318,22 @@ DEFAULT_TECHNICAL_16 = tuple(
 )
 
 
-def make_spec(name: str, **overrides) -> FeatureSpec:
-    """Build a FeatureSpec for a registered indicator, with param overrides."""
-    if name not in _REGISTRY:
-        raise DataError(f"unknown technical feature: {name!r}")
-    defaults, warmup_fn, _ = _REGISTRY[name]
-    params = {**defaults, **overrides}
-    return FeatureSpec(name=name, params=params, warmup=warmup_fn(params))
+def assemble_panel(u: Universe, names) -> FeaturePanel:
+    """The feature panel of a universe: the named features, in that order.
 
-
-def assemble_panel(
-    u: Universe, basic: bool = True, specs: list[FeatureSpec] | None = None
-) -> FeaturePanel:
-    """Compute the full feature panel for a universe.
-
-    Feature order is the 12 basic features (when enabled) followed by the
-    given specs in order; n = 12*[basic] + len(specs). Every check runs
-    before any kernel does. Each feature is written into one preallocated
-    (stocks, days, features) array, and its warmup is NaN-filled in place.
+    Every check runs before any kernel does. Each feature is written into
+    one preallocated (stocks, days, features) array, and its warmup is
+    NaN-filled in place.
     """
-    specs = list(specs) if specs is not None else []
-    names = list(BASIC_FEATURE_NAMES) if basic else []
-    valid = [_BASIC_VALID_START[n] for n in names]
-    for sp in specs:
-        if sp.name in names:
-            raise DataError(f"duplicate feature name in panel: {sp.name!r}")
-        if sp.name not in _REGISTRY:
-            raise DataError(f"unknown technical feature: {sp.name!r}")
-        names.append(sp.name)
-        valid.append(sp.warmup - 1)
+    names = tuple(names)
     if not names:
-        raise DataError("panel would contain no features (basic off, no specs)")
-    valid_start = np.array(valid, dtype=int)
+        raise DataError("panel would contain no features")
+    for i, name in enumerate(names):
+        if name not in FEATURES:
+            raise DataError(f"unknown feature: {name!r}")
+        if name in names[:i]:
+            raise DataError(f"duplicate feature name in panel: {name!r}")
+    valid_start = np.array([FEATURES[name][0] for name in names], dtype=int)
     if int(valid_start.max()) >= u.n_days:
         raise DataError(
             f"universe has {u.n_days} days but the longest feature warmup "
@@ -461,19 +341,15 @@ def assemble_panel(
         )
 
     o, h, lo, v = (u.matrix(column) for column in (OPEN, HIGH, LOW, VOLUME))
-    columns = itertools.chain(
-        _basic_columns(o, h, lo, v) if basic else (),
-        (_REGISTRY[sp.name][2](o, h, lo, v, sp.params) for sp in specs),
-    )
     values = np.empty((u.n_stocks, u.n_days, len(names)))
-    for j, col in enumerate(columns):
-        values[:, :, j] = col
+    for j, name in enumerate(names):
+        values[:, :, j] = FEATURES[name][1](o, h, lo, v)
         # scrub the warmup so nothing downstream can consume it by accident
         values[:, : valid_start[j], j] = np.nan
     return FeaturePanel(
         tickers=u.tickers,
         dates=u.calendar,
-        feature_names=tuple(names),
+        feature_names=names,
         values=values,
         valid_start=valid_start,
     )

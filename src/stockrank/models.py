@@ -101,8 +101,6 @@ class TrainConfig:
     dropout: float
     batch_size: int = 256
     max_epochs: int = 200
-    plateau_patience: int = 5
-    early_stop_patience: int = 20
 
     @staticmethod
     def for_loss(kind: str, **overrides) -> "TrainConfig":
@@ -342,8 +340,8 @@ def train_period(state: ModelState, train_set, val_set, hp: TrainConfig) -> dict
     kind = state.arch.loss_kind
     opt = state.optimizer
     opt.lr = hp.initial_lr
-    plateau = ReduceOnPlateau(opt, min_lr=hp.min_lr, patience=hp.plateau_patience)
-    stopper = EarlyStopping(patience=hp.early_stop_patience)
+    plateau = ReduceOnPlateau(opt, min_lr=hp.min_lr)
+    stopper = EarlyStopping()
 
     history = {"train_loss": [], "val_loss": [], "lr": []}
     n = len(train_set)

@@ -11,6 +11,8 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 PLATEAU_FACTOR = 0.5
+PLATEAU_PATIENCE = 5
+EARLY_STOP_PATIENCE = 20
 
 
 class AdamOptimizer:
@@ -65,15 +67,14 @@ class AdamOptimizer:
 class ReduceOnPlateau:
     """Halve the learning rate when the validation metric stalls.
 
-    After ``patience`` epochs without improvement the optimizer's rate is
-    halved (never below ``min_lr``) and the wait counter restarts; any
-    improvement also restarts it.
+    After ``PLATEAU_PATIENCE`` epochs without improvement the optimizer's
+    rate is halved (never below ``min_lr``) and the wait counter restarts;
+    any improvement also restarts it.
     """
 
-    def __init__(self, optimizer: AdamOptimizer, min_lr: float, patience: int = 5):
+    def __init__(self, optimizer: AdamOptimizer, min_lr: float):
         self.optimizer = optimizer
         self.min_lr = min_lr
-        self.patience = patience
         self.best = np.inf
         self.wait = 0
 
@@ -84,21 +85,21 @@ class ReduceOnPlateau:
             self.wait = 0
         else:
             self.wait += 1
-            if self.wait >= self.patience:
+            if self.wait >= PLATEAU_PATIENCE:
                 self.optimizer.lr = max(self.optimizer.lr * PLATEAU_FACTOR, self.min_lr)
                 self.wait = 0
         return self.optimizer.lr
 
 
 class EarlyStopping:
-    """Stop after ``patience`` epochs without improvement; keep best weights.
+    """Stop after ``EARLY_STOP_PATIENCE`` epochs without improvement; keep
+    the best weights.
 
     The caller supplies a snapshot at every improvement; ``best_snapshot``
     holds the one to restore when training stops.
     """
 
-    def __init__(self, patience: int = 20):
-        self.patience = patience
+    def __init__(self):
         self.best = np.inf
         self.wait = 0
         self.best_snapshot = None
@@ -111,4 +112,4 @@ class EarlyStopping:
             self.best_snapshot = snapshot
             return False
         self.wait += 1
-        return self.wait >= self.patience
+        return self.wait >= EARLY_STOP_PATIENCE

@@ -53,7 +53,7 @@ from .backtest import BacktestLedger, combine_strategies, rank_for_day, simulate
 from .config import RunConfig
 from .dataset import build_split_plans, make_samples, return_matrix
 from .errors import ConfigError, DataError, csv_rows, failing_module
-from .indicators import assemble_panel, make_spec
+from .indicators import BASIC_FEATURE_NAMES, assemble_panel
 from .market_data import Universe, apply_dead_stock_rule, filter_by_dollar_volume, load_ohlcv
 from .models import (
     ArchConfig,
@@ -126,8 +126,7 @@ def load_universe(cfg: RunConfig) -> Universe:
 
 
 def build_panel(cfg: RunConfig, universe: Universe):
-    specs = [make_spec(name) for name in cfg.technical]
-    return assemble_panel(universe, basic=cfg.use_basic, specs=specs)
+    return assemble_panel(universe, list(BASIC_FEATURE_NAMES) * cfg.use_basic + cfg.technical)
 
 
 def plan_periods(cfg: RunConfig, panel) -> list:
@@ -500,9 +499,7 @@ def write_report(cfg: RunConfig, ledgers: dict[str, BacktestLedger], out_dir: st
     report_dir = os.path.join(out_dir, "report")
     os.makedirs(report_dir, exist_ok=True)
     market = ledgers["market_equal_weight"]
-    rf = np.zeros(len(market.daily_returns))
-    if cfg.rf_path:
-        rf = load_risk_free(cfg.rf_path, list(market.dates))
+    rf = load_risk_free(cfg.rf_path, list(market.dates))
 
     reports = {}
     for name, led in sorted(ledgers.items()):

@@ -53,9 +53,8 @@ from stockrank.dataset import LOOKAHEAD
 from stockrank.errors import DataError, NumericError
 from stockrank.losses import LOG_CLIP, batch_loss
 from stockrank.indicators import (
-    _BASIC_VALID_START,
-    _REGISTRY,
     BASIC_FEATURE_NAMES,
+    FEATURES,
     _momentum,
     _roll_mean,
     _roll_std,
@@ -401,20 +400,19 @@ def _basic_matrix(o, h, lo, v):
     return np.stack([cols[name] for name in BASIC_FEATURE_NAMES], axis=-1)
 
 
-def stacked_panel(u, basic, specs):
+def stacked_panel(u, basic, names):
     """``indicators.assemble_panel``'s (values, valid_start) the way it was
     built before it wrote into one array: the basic features stacked, the
-    technical ones stacked, both concatenated, and the warmup scrubbed by
-    an ``np.where`` copy."""
+    technical ones (``names``) stacked, both concatenated, and the warmup
+    scrubbed by an ``np.where`` copy."""
     o, h, lo, v = (u.matrix(column) for column in (OPEN, HIGH, LOW, VOLUME))
     blocks, valids = [], []
     if basic:
         blocks.append(_basic_matrix(o, h, lo, v))
-        valids += [_BASIC_VALID_START[n] for n in BASIC_FEATURE_NAMES]
-    if specs:
-        blocks.append(np.stack([_REGISTRY[sp.name][2](o, h, lo, v, sp.params) for sp in specs],
-                               axis=-1))
-        valids += [sp.warmup - 1 for sp in specs]
+        valids += [FEATURES[n][0] for n in BASIC_FEATURE_NAMES]
+    if names:
+        blocks.append(np.stack([FEATURES[n][1](o, h, lo, v) for n in names], axis=-1))
+        valids += [FEATURES[n][0] for n in names]
     values = np.concatenate(blocks, axis=-1)
     valid_start = np.array(valids, dtype=int)
     day_idx = np.arange(u.n_days)[None, :, None]

@@ -194,6 +194,23 @@ class TestRunConfig:
                        "message": f"leaky_slope must be in (0, 1), got {float(slope)}"}
         assert loads == [] and not out.exists()
 
+    @pytest.mark.parametrize("technical,message", [
+        (["rsi", "atr", "rsi"], "technical lists 'rsi' twice"),
+        (["rsi", "mom_2"], "unknown technical feature 'mom_2'"),
+    ], ids=["repeated", "basic_name"])
+    def test_bad_technical_list_fails_before_any_file_is_written(
+            self, tmp_path, runner, technical, message, monkeypatch):
+        data = synth_dataset(runner, tmp_path / "d", n_days=30)
+        cfg_path = write_config(tmp_path, small_config(data, technical=technical))
+        loads = []
+        monkeypatch.setattr(pipeline, "load_ohlcv", lambda *a, **k: loads.append(a))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["run", "--config", str(cfg_path), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        err = json.loads(result.output.strip().splitlines()[-1])
+        assert err == {"error": "ConfigError", "module": "config", "message": message}
+        assert loads == [] and not out.exists()
+
 
 class TestSynthCommand:
     def test_writes_three_files(self, tmp_path, runner):

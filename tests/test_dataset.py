@@ -16,7 +16,7 @@ from stockrank.dataset import (
     standardize,
 )
 from stockrank.errors import DataError
-from stockrank.indicators import assemble_panel
+from stockrank.indicators import BASIC_FEATURE_NAMES, assemble_panel
 from stockrank.market_data import OPEN, apply_dead_stock_rule
 
 from conftest import make_stock, make_universe, random_walk_universe, traced_peak
@@ -60,8 +60,8 @@ class TestSplitPlans:
             SplitPlan(0, (0, 200), (201, 401), (401, 421))
 
 
-def flat_panel(universe, with_specs=False):
-    return assemble_panel(universe, basic=True, specs=[])
+def flat_panel(universe):
+    return assemble_panel(universe, BASIC_FEATURE_NAMES)
 
 
 def std_range_stats(panel, plan):

@@ -11,26 +11,26 @@ from stockrank.indicators import (
     ALL_TECHNICAL_NAMES,
     BASIC_FEATURE_NAMES,
     DEFAULT_TECHNICAL_16,
-    FeatureSpec,
+    FEATURES,
+    TECHNICAL_NAMES,
     assemble_panel,
-    make_spec,
 )
-from stockrank.market_data import CLOSE, HIGH, LOW, VOLUME, load_ohlcv
+from stockrank.market_data import CLOSE, HIGH, LOW, OPEN, VOLUME, load_ohlcv
 from stockrank.synth import SignalSpec, generate, write_ohlcv_csv, write_sector_csv
 
 import reference
 from conftest import make_stock, make_universe, random_walk_universe, traced_peak
 
 
-def one_stock_panel(u, basic, specs=()):
+#: the names of the default panel: the 12 basic features, then the default 16
+DEFAULT_28 = BASIC_FEATURE_NAMES + DEFAULT_TECHNICAL_16
+
+
+def one_stock_panel(u, names):
     """(values of shape (n_days, n), feature names, valid_start) of the
     feature panel of a one-stock universe."""
-    panel = assemble_panel(u, basic=basic, specs=list(specs))
+    panel = assemble_panel(u, names)
     return panel.values[0], panel.feature_names, panel.valid_start
-
-
-def default16_specs():
-    return [make_spec(n) for n in DEFAULT_TECHNICAL_16]
 
 
 def column(u, col):
@@ -42,11 +42,7 @@ def without_last_day(u):
 
 
 def basic_features(s):
-    return one_stock_panel(s, basic=True)
-
-
-def technical_features(s, specs):
-    return one_stock_panel(s, basic=False, specs=specs)
+    return one_stock_panel(s, BASIC_FEATURE_NAMES)
 
 
 def random_series(rng, n=120, ticker="AAA"):
@@ -102,40 +98,40 @@ class TestTechnicalFeatures:
         highs = opens.copy()
         lows = opens * 0.9
         s = make_stock(opens, highs=highs, lows=lows, closes=opens)
-        values, names, valid = technical_features(s, [make_spec("williams_r")])
+        values, names, valid = one_stock_panel(s, ["williams_r"])
         assert values[-1, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_aroon_up_at_new_high(self):
         opens = np.linspace(10, 12, 40)  # strictly rising: today is always the highest
         s = make_stock(opens)
-        values, _, valid = technical_features(s, [make_spec("aroon_up")])
+        values, _, valid = one_stock_panel(s, ["aroon_up"])
         assert np.all(values[valid[0] :, 0] == 100.0)
 
     def test_aroon_down_at_new_low(self):
         opens = np.linspace(12, 10, 40)
         s = make_stock(opens)
-        values, _, valid = technical_features(s, [make_spec("aroon_down")])
+        values, _, valid = one_stock_panel(s, ["aroon_down"])
         assert np.all(values[valid[0] :, 0] == 100.0)
 
     def test_donchian_constant_prices(self):
         s = make_stock([10.0] * 40, highs=[10.0] * 40, lows=[10.0] * 40)
-        values, _, valid = technical_features(s, [make_spec("donchian_width")])
+        values, _, valid = one_stock_panel(s, ["donchian_width"])
         np.testing.assert_allclose(values[valid[0] :, 0], 0.0, atol=1e-15)
 
-    def test_unknown_spec_name(self):
-        with pytest.raises(DataError, match="unknown technical feature"):
-            make_spec("macdx")
+    def test_unknown_name(self):
+        with pytest.raises(DataError, match="unknown feature: 'macdx'"):
+            assemble_panel(make_stock([10.0] * 40), ["rsi", "macdx"])
 
-    def test_spec_invariants(self):
-        with pytest.raises(DataError):
-            FeatureSpec("x", {"window": -3}, warmup=5)
-        with pytest.raises(DataError):
-            FeatureSpec("x", {}, warmup=0)
+    def test_repeated_or_no_names_rejected(self):
+        s = make_stock([10.0] * 40)
+        with pytest.raises(DataError, match="duplicate feature name in panel: 'rsi'"):
+            assemble_panel(s, ["rsi", "atr", "rsi"])
+        with pytest.raises(DataError, match="no features"):
+            assemble_panel(s, [])
 
     def test_all_indicators_finite_after_warmup(self, rng):
         s = random_series(rng, n=150)
-        specs = [make_spec(n) for n in ALL_TECHNICAL_NAMES + ("rsi",)]
-        values, names, valid = technical_features(s, specs)
+        values, names, valid = one_stock_panel(s, TECHNICAL_NAMES)
         for j, name in enumerate(names):
             col = values[valid[j] :, j]
             assert np.all(np.isfinite(col)), f"{name} produced non-finite values"
@@ -143,31 +139,55 @@ class TestTechnicalFeatures:
             assert np.all(np.isnan(before)), f"{name} leaked values into warmup"
 
 
+#: Kernels that are finite before their first valid day: the day they turn
+#: finite. Their first valid day is a burn-in, so that the EMA (pvo,
+#: force_index) or the cumulative sum's zero start (vpt) has been forgotten.
+BURN_IN = {"pvo": 0, "force_index": 1, "vpt": 0}
+
+
+@pytest.mark.parametrize("name", list(FEATURES))
+def test_first_valid_day_is_where_the_raw_kernel_turns_finite(name):
+    s = random_series(np.random.default_rng(11), n=400)
+    o, h, lo, v = (s.matrix(col) for col in (OPEN, HIGH, LOW, VOLUME))
+    first_valid_day, kernel = FEATURES[name]
+    finite = np.isfinite(kernel(o, h, lo, v)[0])
+    first_finite = int(np.argmax(finite))
+    assert first_finite == BURN_IN.get(name, first_valid_day)
+    assert finite[first_finite:].all(), f"{name} turns non-finite after day {first_finite}"
+    if name in BURN_IN:
+        assert first_finite < first_valid_day
+
+
 class TestPanel:
     def test_feature_counts(self, rng):
         u = random_walk_universe(rng, 3, 120)
-        panel = assemble_panel(u, basic=True, specs=default16_specs())
-        assert panel.n_features == 28
-        panel12 = assemble_panel(u, basic=True, specs=[])
-        assert panel12.n_features == 12
-        panel19 = assemble_panel(u, basic=False, specs=[make_spec(n) for n in ALL_TECHNICAL_NAMES])
-        assert panel19.n_features == 19
+        assert assemble_panel(u, DEFAULT_28).n_features == 28
+        assert assemble_panel(u, BASIC_FEATURE_NAMES).n_features == 12
+        assert assemble_panel(u, ALL_TECHNICAL_NAMES).n_features == 19
 
     def test_default_selection_has_16(self):
         assert len(DEFAULT_TECHNICAL_16) == 16
         assert len(ALL_TECHNICAL_NAMES) == 19
+        assert len(TECHNICAL_NAMES) == 20 and len(FEATURES) == 32
 
     def test_feature_order_stable(self, rng):
         u = random_walk_universe(rng, 2, 120)
-        a = assemble_panel(u, basic=True, specs=default16_specs())
-        b = assemble_panel(u, basic=True, specs=default16_specs())
-        assert a.feature_names == b.feature_names
-        assert a.feature_names[:12] == BASIC_FEATURE_NAMES
+        a = assemble_panel(u, DEFAULT_28)
+        b = assemble_panel(u, DEFAULT_28)
+        assert a.feature_names == b.feature_names == DEFAULT_28
         np.testing.assert_array_equal(a.values, b.values)
+
+    def test_feature_order_is_the_order_of_the_names(self, rng):
+        u = random_walk_universe(rng, 2, 120)
+        a = assemble_panel(u, DEFAULT_28)
+        b = assemble_panel(u, DEFAULT_28[::-1])
+        assert b.feature_names == DEFAULT_28[::-1]
+        np.testing.assert_array_equal(a.values, b.values[:, :, ::-1])
+        np.testing.assert_array_equal(a.valid_start, b.valid_start[::-1])
 
     def test_mask_monotone(self, rng):
         u = random_walk_universe(rng, 2, 120)
-        panel = assemble_panel(u, basic=True, specs=default16_specs())
+        panel = assemble_panel(u, DEFAULT_28)
         mask = np.arange(len(panel.dates))[:, None] >= panel.valid_start[None, :]
         diffs = mask[1:].astype(int) - mask[:-1].astype(int)
         assert (diffs >= 0).all()
@@ -175,24 +195,22 @@ class TestPanel:
     def test_too_short_universe_rejected(self, rng):
         u = random_walk_universe(rng, 2, 30)
         with pytest.raises(DataError, match="warmup"):
-            assemble_panel(u, basic=True, specs=default16_specs())
+            assemble_panel(u, DEFAULT_28)
 
     def test_short_calendar_fails_before_any_kernel_runs(self, rng, monkeypatch):
         def spy(*args, **kwargs):
             raise AssertionError("a kernel ran")
 
-        for name in ALL_TECHNICAL_NAMES:
-            defaults, warmup, _ = indicators._REGISTRY[name]
-            monkeypatch.setitem(indicators._REGISTRY, name, (defaults, warmup, spy))
-        monkeypatch.setattr(indicators, "_basic_columns", spy)
+        for name, (first_valid_day, _) in list(indicators.FEATURES.items()):
+            monkeypatch.setitem(indicators.FEATURES, name, (first_valid_day, spy))
         u = random_walk_universe(rng, 2, 20)  # awesome_osc needs 34 days, sma_ratio_50 50
-        for basic in (True, False):
+        for names in (BASIC_FEATURE_NAMES + ALL_TECHNICAL_NAMES, ALL_TECHNICAL_NAMES):
             with pytest.raises(DataError, match="warmup"):
-                assemble_panel(u, basic=basic, specs=[make_spec(n) for n in ALL_TECHNICAL_NAMES])
+                assemble_panel(u, names)
 
     def test_csv_export(self, rng, tmp_path):
         u = random_walk_universe(rng, 2, 60)
-        panel = assemble_panel(u, basic=True, specs=[])
+        panel = assemble_panel(u, BASIC_FEATURE_NAMES)
         path = tmp_path / "panel.csv"
         panel.to_csv(path)
         header = path.read_text().splitlines()[0]
@@ -215,22 +233,20 @@ class TestOneBufferPanel:
 
     @pytest.mark.parametrize("basic,names", [
         (True, DEFAULT_TECHNICAL_16),
-        (True, ALL_TECHNICAL_NAMES + ("rsi",)),
+        (True, TECHNICAL_NAMES),
         (False, ALL_TECHNICAL_NAMES),
         (True, ()),
     ], ids=["default", "all", "technical_only", "basic_only"])
     def test_matches_the_stacked_assembly_bit_for_bit(self, synth_universe, basic, names):
-        specs = [make_spec(n) for n in names]
-        panel = assemble_panel(synth_universe, basic=basic, specs=specs)
-        values, valid_start = reference.stacked_panel(synth_universe, basic, specs)
+        panel = assemble_panel(synth_universe, BASIC_FEATURE_NAMES * basic + names)
+        values, valid_start = reference.stacked_panel(synth_universe, basic, names)
         assert panel.values.dtype == values.dtype and panel.values.shape == values.shape
         assert panel.values.tobytes() == values.tobytes()
         np.testing.assert_array_equal(panel.valid_start, valid_start)
 
     def test_peak_memory_is_close_to_the_panel(self, synth_universe):
-        specs = default16_specs()
         with traced_peak() as mem:
-            panel = assemble_panel(synth_universe, basic=True, specs=specs)
+            panel = assemble_panel(synth_universe, DEFAULT_28)
         # the panel and a few (stocks, days) kernel temporaries: 2.1 times
         # the panel; with the stacks, concatenation and np.where copy, 3.2
         assert mem.peak <= 2.5 * panel.values.nbytes, mem.peak / panel.values.nbytes
@@ -242,9 +258,8 @@ class TestShiftEquivariance:
     def test_all_features_causal(self, rng):
         s_full = random_series(rng, n=130)
         s_prefix = without_last_day(s_full)
-        specs = [make_spec(n) for n in ALL_TECHNICAL_NAMES + ("rsi",)]
-        full_t, _, _ = technical_features(s_full, specs)
-        pref_t, _, _ = technical_features(s_prefix, specs)
+        full_t, _, _ = one_stock_panel(s_full, TECHNICAL_NAMES)
+        pref_t, _, _ = one_stock_panel(s_prefix, TECHNICAL_NAMES)
         np.testing.assert_array_equal(full_t[:-1], pref_t)
         full_b, _, _ = basic_features(s_full)
         pref_b, _, _ = basic_features(s_prefix)
@@ -252,8 +267,8 @@ class TestShiftEquivariance:
 
     def test_deterministic_pure_function(self, rng):
         s = random_series(rng, n=90)
-        a, _, _ = technical_features(s, default16_specs())
-        b, _, _ = technical_features(s, default16_specs())
+        a, _, _ = one_stock_panel(s, DEFAULT_TECHNICAL_16)
+        b, _, _ = one_stock_panel(s, DEFAULT_TECHNICAL_16)
         np.testing.assert_array_equal(a, b)
 
 
@@ -353,7 +368,7 @@ class TestCloseSubstitutionOracle:
     )
     def test_matches_close_based_reference(self, series_close_eq_open, name, ref):
         s = series_close_eq_open
-        values, _, valid = technical_features(s, [make_spec(name)])
+        values, _, valid = one_stock_panel(s, [name])
         expected = ref(s)
         lo = valid[0]
         np.testing.assert_allclose(values[lo:, 0], expected[lo:], rtol=1e-10, atol=1e-10)
@@ -365,7 +380,7 @@ def test_shift_equivariance_property(seed):
     rng = np.random.default_rng(seed)
     s_full = random_series(rng, n=75)
     s_prefix = without_last_day(s_full)
-    specs = [make_spec("stoch_osc"), make_spec("kama"), make_spec("vpt"), make_spec("ulcer")]
-    full, _, _ = technical_features(s_full, specs)
-    prefix, _, _ = technical_features(s_prefix, specs)
+    names = ["stoch_osc", "kama", "vpt", "ulcer"]
+    full, _, _ = one_stock_panel(s_full, names)
+    prefix, _, _ = one_stock_panel(s_prefix, names)
     np.testing.assert_array_equal(full[:-1], prefix)

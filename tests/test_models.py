@@ -19,7 +19,7 @@ from stockrank.dataset import (
     standardize,
 )
 from stockrank.errors import ConfigError, NumericError
-from stockrank.indicators import assemble_panel
+from stockrank.indicators import BASIC_FEATURE_NAMES, assemble_panel
 from stockrank.losses import LOSS_KINDS, LossKind, batch_loss
 from stockrank.models import (
     ArchConfig,
@@ -691,7 +691,7 @@ class TestFloat32Model:
         # gather of the same windows, cast by forward per batch, must give
         # the same parameters, Adam moments and outputs bit for bit
         u = random_walk_universe(np.random.default_rng(12), 5, 300)
-        panel = assemble_panel(u, basic=True, specs=[])
+        panel = assemble_panel(u, BASIC_FEATURE_NAMES)
         plan = build_split_plans(u.n_days, m=10, std_days=60, trainval_days=80, test_days=20,
                                  offset=panel.first_all_valid_day)[0]
         samples = make_samples(panel, u, plan, return_matrix(u), m=10)
