@@ -65,9 +65,13 @@ def limit_threads(n: int):
     """Run the block with n BLAS threads, then restore the previous count.
 
     The count is process state, so processes forked inside the block start
-    with n threads too.
+    with n threads too. Without a loaded OpenBLAS the block runs unchanged.
     """
-    get, set_, _config = _openblas()
+    fns = _openblas()
+    if fns is None:
+        yield
+        return
+    get, set_, _config = fns
     previous = int(get())
     set_(n)
     try:

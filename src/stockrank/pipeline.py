@@ -25,10 +25,18 @@ processes, at most 2C, that keep every CPU busy to the end, and the OS
 shares the CPUs among them (3 members on 2 CPUs train in 3 processes, not
 in 2 with one CPU idle while the third member trains). BLAS is capped at
 one thread in each process meanwhile, since w processes with a BLAS pool
-each would share the same cores. The trained members come back through
-the checkpoint encoding, so outputs are byte-identical for any w;
-`taskset -c 0 stockrank run ...` gives w = 1, the serial in-process loop
-(the form to profile, as spans recorded in a child are lost with it).
+each would share the same cores. Both paths, the serial loop and the
+forked children, also train under fixed glibc malloc thresholds (see the
+malloc module: 32 MiB for mmap, 64 MiB for trim; children inherit them
+through fork), and the heap is trimmed once a period's members are
+trained. Under glibc's dynamic thresholds every default-architecture step
+handed its ~9 MB of freed temporaries back to the OS and the next step
+faulted in fresh zeroed pages, about 2,400 faults a step. mallopt ends
+glibc's dynamic threshold for the rest of the process, so the stages after
+training run under the fixed thresholds too. The trained members come
+back through the checkpoint encoding, so outputs are byte-identical for
+any w; `taskset -c 0 stockrank run ...` gives w = 1, the serial in-process
+loop (the form to profile, as spans recorded in a child are lost with it).
 """
 
 from __future__ import annotations
@@ -42,12 +50,12 @@ import os
 import sys
 import traceback
 from collections import Counter
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import asdict
 
 import numpy as np
 
-from . import __version__, blas
+from . import __version__, blas, malloc
 from .analytics import build_metric_grid, build_report, grid_to_csv, load_risk_free
 from .backtest import BacktestLedger, combine_strategies, rank_for_day, simulate
 from .config import RunConfig
@@ -241,6 +249,19 @@ def _receive_share(child, recv) -> tuple[list, Exception | None]:
     return [(_decode_model(blob), hist) for blob, hist in blobs], error
 
 
+@contextmanager
+def _training_section(processes: int):
+    """One period's training on ``processes`` processes: BLAS capped at one
+    thread when there are several, glibc's malloc thresholds held, and the
+    heap trimmed at the end. Each half is a no-op where the platform lacks it."""
+    with blas.limit_threads(1) if processes > 1 else nullcontext():
+        malloc.hold_pages()
+        try:
+            yield
+        finally:
+            malloc.trim()
+
+
 def _train_members(members: list, train_set, val_set, hp: TrainConfig,
                    processes: int) -> list[tuple]:
     """Train one period's members; return (trained member, history) pairs
@@ -254,15 +275,22 @@ def _train_members(members: list, train_set, val_set, hp: TrainConfig,
     an in-place run would hold. While they run, BLAS is capped at one
     thread in every process. The first error in member order is raised, as
     the serial loop would raise it, and no child outlives the call.
-    """
-    if processes == 1:
-        return [(m, train_period(m, train_set, val_set, hp)) for m in members]
-    import multiprocessing  # only a parallel section pays for this import
 
-    ctx = multiprocessing.get_context("fork")
-    children = []
-    trained = []
-    with blas.limit_threads(1):
+    Both paths run in ``_training_section``, under fixed glibc malloc
+    thresholds that children inherit through fork: under glibc's dynamic
+    trim threshold (about 2.8 MB here) every step handed its ~9 MB of freed
+    temporaries back to the OS and faulted in fresh zeroed pages. The heap
+    is trimmed once the members are trained, before the caller predicts.
+    mallopt ends the dynamic threshold for the rest of the process.
+    """
+    with _training_section(processes):
+        if processes == 1:
+            return [(m, train_period(m, train_set, val_set, hp)) for m in members]
+        import multiprocessing  # only a parallel section pays for this import
+
+        ctx = multiprocessing.get_context("fork")
+        children = []
+        trained = []
         try:
             for c in range(1, processes):
                 recv, send = ctx.Pipe(duplex=False)
@@ -306,7 +334,9 @@ def train_walk_forward(cfg: RunConfig, universe: Universe, panel, plans,
 
     Returns {"ensembles": [EnsembleState...], "scores": (ensembles, days,
     stocks) float64 array, "days": calendar day index of each score row,
-    "score_rows": scores.csv rows, "histories": [...], "training_processes": w}.
+    "score_rows": scores.csv rows, "histories": [...], "training_processes": w,
+    "malloc_thresholds": malloc.thresholds()}, the thresholds training ran
+    under or None.
     The score rows are the same scores as (ensemble, period, date, ticker,
     score) tuples, each day's in rank order.
     """
@@ -375,7 +405,7 @@ def train_walk_forward(cfg: RunConfig, universe: Universe, panel, plans,
     return {"ensembles": ensembles, "scores": np.concatenate(period_scores, axis=1),
             "days": np.concatenate([np.arange(*plan.test_range) for plan in plans]),
             "score_rows": score_rows, "histories": histories,
-            "training_processes": processes}
+            "training_processes": processes, "malloc_thresholds": malloc.thresholds()}
 
 
 def run_strategies(cfg: RunConfig, universe: Universe, scores: np.ndarray,
@@ -525,12 +555,13 @@ def write_report(cfg: RunConfig, ledgers: dict[str, BacktestLedger], out_dir: st
     return payload
 
 
-def _environment(processes: int | None) -> dict:
+def _environment(processes: int | None, malloc_thresholds: dict | None) -> dict:
     """What the numbers of a run depend on besides its config and data.
 
-    processes is the training process count w of train_walk_forward, or
+    processes is the training process count w of train_walk_forward and
+    malloc_thresholds the glibc thresholds its training ran under; each is
     None when the process writing the manifest trained nothing (backtest,
-    report).
+    report), and the thresholds where the libc is not glibc.
     """
     return {
         "python": sys.version.split()[0],
@@ -539,10 +570,12 @@ def _environment(processes: int | None) -> dict:
         "blas_threads": blas.threads(),
         "usable_cpus": usable_cpus(),
         "training_processes": processes,
+        "malloc_thresholds": malloc_thresholds,
     }
 
 
-def write_manifest(cfg: RunConfig, out_dir: str, processes: int | None = None) -> None:
+def write_manifest(cfg: RunConfig, out_dir: str, processes: int | None = None,
+                   malloc_thresholds: dict | None = None) -> None:
     entries = {}
     for root, _dirs, files in os.walk(out_dir):
         for name in sorted(files):
@@ -556,7 +589,7 @@ def write_manifest(cfg: RunConfig, out_dir: str, processes: int | None = None) -
         "config_sha256": cfg.sha256(),
         "package_version": __version__,
         "artifacts": entries,
-        "environment": _environment(processes),
+        "environment": _environment(processes, malloc_thresholds),
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
@@ -597,7 +630,7 @@ def training_run(cfg: RunConfig, out_dir: str, log=lambda msg: None):
         write_scores_csv(result["score_rows"], os.path.join(scores_dir, "scores.csv"))
 
         yield universe, result["scores"], result["days"]
-        write_manifest(cfg, out_dir, result["training_processes"])
+        write_manifest(cfg, out_dir, result["training_processes"], result["malloc_thresholds"])
 
 
 def run_pipeline(cfg: RunConfig, out_dir: str, log=lambda msg: None) -> dict:

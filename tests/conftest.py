@@ -16,6 +16,7 @@ The option is applied after this module loads, so it replaces ``tier1``.
 import contextlib
 import datetime as dt
 import gc
+import resource
 import tracemalloc
 
 import numpy as np
@@ -126,6 +127,12 @@ def traced_peak():
         mem.held, mem.peak = current - mem.base, peak - mem.base
     finally:
         tracemalloc.stop()
+
+
+def minor_faults() -> int:
+    """Minor page faults this process has taken so far: each one maps a
+    page, zero-filled by the kernel when it is fresh."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import stockrank.cli
-from stockrank import pipeline
+from stockrank import blas, malloc, pipeline
 from stockrank.cli import main
 from stockrank.config import RunConfig, load_config, resolve_loss_alias
 from stockrank.errors import ConfigError
@@ -708,6 +708,45 @@ class TestParallelTraining:
         assert not (out / ".lock").exists()
         assert multiprocessing.active_children() == []
 
+    def test_malloc_policy_leaves_every_file_byte_for_byte(self, tmp_path, runner):
+        # each side runs in a fresh interpreter: mallopt cannot be undone, so
+        # this process may already train under the policy
+        cfg_path = self._config(tmp_path, runner)
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        runs = {}
+        for policy, patch in (("on", ""), ("off", "malloc._glibc = lambda: None\n")):
+            out = tmp_path / policy
+            code = ("import stockrank.cli\n"
+                    "from stockrank import malloc, pipeline\n"
+                    "pipeline.usable_cpus = lambda: 2\n"  # 3 members: 3 processes
+                    f"{patch}stockrank.cli.main(['run', '--config', {str(cfg_path)!r}, "
+                    f"'--out', {str(out)!r}])\n")
+            result = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                                    capture_output=True, text=True, timeout=300)
+            assert result.returncode == 0, result.stderr
+            runs[policy] = _run_files(out)
+            manifest_env = json.loads((out / "manifest.json").read_text())["environment"]
+            assert manifest_env["training_processes"] == (3 if blas.can_limit() else 1)
+            assert manifest_env["malloc_thresholds"] == (
+                malloc.thresholds() if policy == "on" else None)
+        assert {row.split(",")[1] for row in
+                runs["on"]["scores/scores.csv"].decode().splitlines()[1:]} == {"0", "1"}
+        assert runs["on"] == runs["off"]
+
+    def test_run_without_openblas_or_glibc_writes_the_same_bytes(self, tmp_path, runner,
+                                                                monkeypatch):
+        cfg = load_config(self._config(tmp_path, runner, n_members=1))
+        pipeline.run_pipeline(cfg, str(tmp_path / "native"))
+        monkeypatch.setattr(blas, "_openblas", lambda: None)
+        monkeypatch.setattr(malloc, "_glibc", lambda: None)
+        with blas.limit_threads(1):  # the block runs unchanged
+            assert blas.threads() is None
+        pipeline.run_pipeline(cfg, str(tmp_path / "bare"))
+        env = json.loads((tmp_path / "bare" / "manifest.json").read_text())["environment"]
+        assert (env["blas"], env["blas_threads"], env["malloc_thresholds"]) == (None, None, None)
+        assert _run_files(tmp_path / "bare") == _run_files(tmp_path / "native")
+
     @pytest.mark.parametrize("cpus,expected", [
         (1, {1: 1, 2: 1, 3: 1, 7: 1}),  # taskset -c 0: the serial loop
         (2, {1: 1, 2: 2, 3: 3, 4: 2, 5: 3, 6: 2}),  # 3 on 2 CPUs: no CPU idles for the third
@@ -733,15 +772,17 @@ class TestParallelTraining:
         assert result.exit_code == 0, result.output
         env = json.loads((out / "manifest.json").read_text())["environment"]
         assert set(env) == {"python", "numpy", "blas", "blas_threads",
-                            "usable_cpus", "training_processes"}
+                            "usable_cpus", "training_processes", "malloc_thresholds"}
         assert env["python"].startswith("%d.%d." % sys.version_info[:2])
         assert env["numpy"] == np.__version__
         assert env["usable_cpus"] >= 1
         assert env["training_processes"] == 1  # one member: no fork
+        assert env["malloc_thresholds"] == malloc.thresholds()
         result = runner.invoke(main, ["report", "--out", str(out)])
         assert result.exit_code == 0, result.output
         env = json.loads((out / "manifest.json").read_text())["environment"]
         assert env["training_processes"] is None  # report trains nothing
+        assert env["malloc_thresholds"] is None
 
 
 class TestStartup:

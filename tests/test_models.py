@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stockrank import models
+from stockrank import malloc, models, pipeline
 from stockrank.dataset import (
     SampleSet,
     assign_label,
@@ -40,7 +40,7 @@ from stockrank.models import (
 )
 from stockrank.nn import Tensor, embedding_add
 
-from conftest import as_windows, random_walk_universe, traced_peak
+from conftest import as_windows, minor_faults, random_walk_universe, traced_peak
 from reference import (
     chunk_infer_outputs,
     chunk_mean_loss,
@@ -287,6 +287,30 @@ class TestTrainStepMemory:
         assert mem.peak <= 9.4 * mb, mem.peak / mb
         # what is left is the parameters' gradients (0.17 MB)
         assert mem.held <= 0.3 * mb, mem.held / mb
+
+    @pytest.mark.skipif(malloc.thresholds() is None, reason="the libc is not glibc")
+    def test_steps_in_the_training_section_fault_in_no_fresh_pages(self):
+        # under glibc's dynamic trim threshold each step handed its ~9 MB of
+        # freed temporaries back to the OS and faulted them in again: 2,463
+        # minor faults a step, measured; the section's thresholds keep them
+        arch, windows, ids, labels, returns, weights = default_step_inputs(self.BATCH)
+        state = build_model(arch, seed=3)
+
+        def step():
+            out = forward(state, windows, ids, train=True)
+            loss = batch_loss(arch.loss_kind, out, labels, returns, weights)
+            state.optimizer.zero_grad()
+            loss.backward()
+            state.optimizer.step()
+
+        with pipeline._training_section(1):
+            for _ in range(2):
+                step()
+            before = minor_faults()
+            for _ in range(5):
+                step()
+            per_step = (minor_faults() - before) / 5
+        assert per_step <= 50, per_step
 
     def test_backward_frees_op_gradients_and_leaves_match_a_walk_that_keeps_them(self):
         state, loss = self._train_step(seed=3)
