@@ -278,25 +278,20 @@ _GRID_SOURCES = {
 }
 
 
-def build_metric_grid(ledgers: dict[str, BacktestLedger], rf_daily=0.0) -> dict[str, float | None]:
-    """Headline grid: final value and annual return of the top-k portfolio
-    plus Sharpe ratios of every strategy variant present."""
-    if "topk" not in ledgers:
-        raise DataError("metric grid needs at least the topk ledger")
-    top = ledgers["topk"]
+def build_metric_grid(reports: dict[str, dict]) -> dict[str, float | None]:
+    """Headline grid read off the strategies' metric reports (each a
+    ``MetricsReport`` as ``dataclasses.asdict`` gives it): final value and
+    annual return of the top-k portfolio plus the Sharpe ratio of every
+    strategy variant present."""
+    if "topk" not in reports:
+        raise DataError("metric grid needs at least the topk report")
+    top = reports["topk"]
     grid: dict[str, float | None] = {
-        "Final Value": top.final_value,
-        "Annual Return": annualize_return(top.final_value, len(top.daily_returns)),
+        "Final Value": top["final_value"],
+        "Annual Return": top["annual_return"],
     }
     for row, strategy in _GRID_SOURCES.items():
-        led = ledgers.get(strategy)
-        if led is None:
-            grid[row] = None
-            continue
-        try:
-            grid[row] = sharpe_ratio(np.asarray(led.daily_returns), rf_daily)
-        except NumericError:
-            grid[row] = None
+        grid[row] = reports[strategy]["sharpe"] if strategy in reports else None
     return grid
 
 

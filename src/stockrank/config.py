@@ -71,15 +71,14 @@ class RunConfig:
     seed: int = 0
     max_periods: int | None = None
 
-    def validate(self, check_paths: bool = True) -> None:
-        if check_paths:
-            for label, path in (("ohlcv_path", self.ohlcv_path), ("sector_path", self.sector_path)):
-                if not path:
-                    raise ConfigError(f"{label} is required")
-                if not os.path.exists(path):
-                    raise ConfigError(f"{label} does not exist: {path}")
-            if self.rf_path is not None and not os.path.exists(self.rf_path):
-                raise ConfigError(f"rf_path does not exist: {self.rf_path}")
+    def validate(self) -> None:
+        for label, path in (("ohlcv_path", self.ohlcv_path), ("sector_path", self.sector_path)):
+            if not path:
+                raise ConfigError(f"{label} is required")
+            if not os.path.exists(path):
+                raise ConfigError(f"{label} does not exist: {path}")
+        if self.rf_path is not None and not os.path.exists(self.rf_path):
+            raise ConfigError(f"rf_path does not exist: {self.rf_path}")
         for key, value in asdict(self).items():
             if any(isinstance(v, float) and not math.isfinite(v)
                    for v in (value if isinstance(value, (list, tuple)) else [value])):

@@ -96,12 +96,12 @@ def _roll_std(x, window, ddof):
     return _roll_apply(x, window, lambda w: w.std(axis=-1, ddof=ddof))
 
 
-def _ema(x: np.ndarray, span: int, start: int = 0) -> np.ndarray:
-    """Exponential moving average seeded at column ``start`` with x itself."""
+def _ema(x: np.ndarray, span: int) -> np.ndarray:
+    """Exponential moving average seeded at column 0 with x itself."""
     alpha = 2.0 / (span + 1.0)
     out = np.full_like(x, np.nan)
-    out[:, start] = x[:, start]
-    for t in range(start + 1, x.shape[1]):
+    out[:, 0] = x[:, 0]
+    for t in range(1, x.shape[1]):
         out[:, t] = alpha * x[:, t] + (1.0 - alpha) * out[:, t - 1]
     return out
 

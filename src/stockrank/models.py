@@ -39,7 +39,7 @@ from .nn.autograd import (
     matmul,
     softmax,
 )
-from .nn.optim import AdamOptimizer, EarlyStopping, ReduceOnPlateau
+from .nn.optim import EARLY_STOP_PATIENCE, PLATEAU_FACTOR, PLATEAU_PATIENCE, AdamOptimizer
 
 SCORE_VECTOR = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 MOE_WINDOW = 6
@@ -332,20 +332,23 @@ def train_period(state: ModelState, train_set, val_set, hp: TrainConfig) -> dict
     """Fit one walk-forward period, warm-starting from the current weights.
 
     The learning rate is reset to its initial value at the start (the
-    retraining rule), then follows plateau halving down to min_lr. Early
-    stopping restores the best-validation snapshot.
+    retraining rule). One tracker follows the validation loss: the best
+    loss so far, the epochs since it and a snapshot of the model taken at
+    it. Every ``PLATEAU_PATIENCE``-th epoch without improvement halves the
+    rate (never below min_lr); the ``EARLY_STOP_PATIENCE``-th stops
+    training. A NaN loss never improves. The best epoch's snapshot is
+    restored at the end, and ``history["best_epoch"]`` names it.
     """
     if len(train_set) == 0 or len(val_set) == 0:
         raise NumericError("train_period needs non-empty train and validation sets")
     kind = state.arch.loss_kind
     opt = state.optimizer
     opt.lr = hp.initial_lr
-    plateau = ReduceOnPlateau(opt, min_lr=hp.min_lr)
-    stopper = EarlyStopping()
+    best, wait, best_snapshot = np.inf, 0, None
 
     history = {"train_loss": [], "val_loss": [], "lr": []}
     n = len(train_set)
-    for _epoch in range(hp.max_epochs):
+    for epoch in range(hp.max_epochs):
         order = state.rng.permutation(n)
         epoch_loss = 0.0
         for lo in range(0, n, hp.batch_size):
@@ -364,13 +367,19 @@ def train_period(state: ModelState, train_set, val_set, hp: TrainConfig) -> dict
         history["train_loss"].append(epoch_loss / n)
         history["val_loss"].append(val_loss)
         history["lr"].append(opt.lr)
-        if stopper.check(val_loss, state.snapshot()):
-            break
-        plateau.step(val_loss)
+        if val_loss < best:
+            best, wait, best_snapshot = val_loss, 0, state.snapshot()
+            history["best_epoch"] = epoch
+        else:
+            wait += 1
+            if wait == EARLY_STOP_PATIENCE:
+                break
+            if wait % PLATEAU_PATIENCE == 0:
+                opt.lr = max(opt.lr * PLATEAU_FACTOR, hp.min_lr)
 
-    if stopper.best_snapshot is not None:
-        state.restore(stopper.best_snapshot)
-        history["best_val_loss"] = stopper.best
+    if best_snapshot is not None:
+        state.restore(best_snapshot)
+        history["best_val_loss"] = best
     history["epochs"] = len(history["train_loss"])
     return history
 

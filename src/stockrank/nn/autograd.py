@@ -38,10 +38,12 @@ no gradient and each saved array is freed as the gradient passes it. Leaves
 Block rule: the mask ops and conv backward's input gradient work in
 blocks of about ``BLOCK_ELEMS`` elements, so they leave no
 activation-sized temporary beside the arrays they return. Leaky ReLU and
-dropout build the mask, the dropout draw and the float multiplier block
-by block, and rebuild the multiplier the same way in the backward, bit
-for bit; conv backward builds its input gradient in row blocks, one GEMM
-per tap written or added in place.
+dropout are one masked multiply, ``_masked_multiply``, which takes their
+mask block by block (the sign test, or the dropout draw) and builds the
+float multiplier and the product from it block by block, then rebuilds
+the multiplier the same way in the backward, bit for bit; conv backward
+builds its input gradient in row blocks, one GEMM per tap written or
+added in place.
 
 Dtype rule: a Tensor keeps float32 data as float32 and stores anything
 else as float64. Every op returns its input's dtype, a plain array or
@@ -145,9 +147,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self._data)
-
-    def zero_grad(self) -> None:
-        self.node.grad = None
 
     def backward(self) -> None:
         """Accumulate gradients of this scalar into every reachable leaf.
@@ -266,9 +265,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _blocks(n: int, size: int = BLOCK_ELEMS) -> list[tuple[int, int]]:
-    """The [a, b) ranges that cover range(n) in steps of ``size``."""
-    return [(a, min(a + size, n)) for a in range(0, n, size)]
+def _blocks(n: int) -> list[tuple[int, int]]:
+    """The [a, b) ranges that cover range(n) in steps of ``BLOCK_ELEMS``."""
+    return [(a, min(a + BLOCK_ELEMS, n)) for a in range(0, n, BLOCK_ELEMS)]
 
 
 def _unpack(bits: np.ndarray, a: int, b: int) -> np.ndarray:
@@ -484,36 +483,30 @@ def batch_norm(x, gamma, beta, state: BatchNormState, train: bool) -> Tensor:
     return _make(out.reshape(x.data.shape), (x, gamma, beta), backward_train)
 
 
-def _leaky_slope(mask, alpha: float, dtype: np.dtype, out=None) -> np.ndarray:
-    """1 where ``mask`` and ``alpha`` elsewhere, built from the boolean mask
-    with one fused cast-and-scale instead of np.where, into ``out`` if given."""
-    slope = np.multiply(mask, 1.0 - alpha, dtype=dtype, out=out)
-    slope += alpha
-    return slope
+def _masked_multiply(x: Tensor, masks, on: float, off: float) -> Tensor:
+    """x times a multiplier that is ``on`` where the mask is set and ``off``
+    elsewhere: the one masked multiply of ``leaky_relu`` and ``dropout``.
 
-
-def _packed(n: int) -> np.ndarray:
-    """An empty packed mask of n elements: ceil(n / 8) bytes."""
-    return np.empty((n + 7) // 8, dtype=np.uint8)
-
-
-def leaky_relu(x, alpha: float = 0.01) -> Tensor:
-    """x * slope: slope is 1 where x >= 0 and ``alpha`` elsewhere, NaN included.
-
-    The mask ``x >= 0``, the slope and the product are built block by
-    block; the backward keeps the mask packed to bits and rebuilds each
-    block's slope from it, so it multiplies by the forward's slope, bit for
-    bit.
+    ``masks`` yields (a, b, mask) for each block [a, b) of ``_blocks(x.size)``.
+    Each block's multiplier is the boolean mask cast and scaled by
+    ``on - off`` in one pass, plus ``off`` when it is not zero, and the
+    product is built in place of it. The backward keeps the masks packed to
+    bits and rebuilds each block's multiplier from them, so it multiplies
+    by the forward's multiplier, bit for bit.
     """
-    x = _as_tensor(x)
     dtype, nx, shape, size = x.data.dtype, x.node, x.data.shape, x.data.size
+
+    def multiplier(mask, out: np.ndarray) -> None:
+        np.multiply(mask, on - off, dtype=dtype, out=out)
+        if off:
+            out += off
+
     x_flat = np.ravel(x.data)
     out = np.empty(shape, dtype=dtype)
     out_flat = out.reshape(-1)
-    bits = _packed(size)
-    for a, b in _blocks(size):
-        mask = x_flat[a:b] >= 0
-        _leaky_slope(mask, alpha, dtype, out=out_flat[a:b])
+    bits = np.empty((size + 7) // 8, dtype=np.uint8)
+    for a, b, mask in masks:
+        multiplier(mask, out_flat[a:b])
         out_flat[a:b] *= x_flat[a:b]
         bits[a // 8 : (b + 7) // 8] = np.packbits(mask)
 
@@ -522,11 +515,20 @@ def leaky_relu(x, alpha: float = 0.01) -> Tensor:
         gx = np.empty(shape, dtype=dtype)
         gx_flat = gx.reshape(-1)
         for a, b in _blocks(size):
-            _leaky_slope(_unpack(bits, a, b), alpha, dtype, out=gx_flat[a:b])
+            multiplier(_unpack(bits, a, b), gx_flat[a:b])
             gx_flat[a:b] *= g_flat[a:b]
         _accum(nx, gx)
 
     return _make(out, (x,), backward)
+
+
+def leaky_relu(x, alpha: float = 0.01) -> Tensor:
+    """x * slope: slope is 1 where x >= 0 and ``alpha`` elsewhere, NaN included;
+    the mask ``x >= 0`` is built block by block (``_masked_multiply``)."""
+    x = _as_tensor(x)
+    x_flat = np.ravel(x.data)
+    masks = ((a, b, x_flat[a:b] >= 0) for a, b in _blocks(x.data.size))
+    return _masked_multiply(x, masks, 1.0, alpha)
 
 
 def _keep_blocks(rng: np.random.Generator, n: int, rate: float):
@@ -588,30 +590,8 @@ def dropout(x, rate: float, rng: np.random.Generator | None, train: bool) -> Ten
     if rng is None:
         raise NumericError("dropout in train mode needs an rng")
     # the mask does not depend on the input dtype, so a float32 model and
-    # its float64 copy see the same mask from the same rng; the mask, the
-    # scale and the product are built block by block, and the backward
-    # keeps the mask packed to bits and rebuilds each block's scale from it
-    scale, dtype, nx = 1.0 / (1.0 - rate), x.data.dtype, x.node
-    shape, size = x.data.shape, x.data.size
-    x_flat = np.ravel(x.data)
-    out = np.empty(shape, dtype=dtype)
-    out_flat = out.reshape(-1)
-    bits = _packed(size)
-    for a, b, keep in _keep_blocks(rng, size, rate):
-        np.multiply(keep, scale, dtype=dtype, out=out_flat[a:b])
-        out_flat[a:b] *= x_flat[a:b]
-        bits[a // 8 : (b + 7) // 8] = np.packbits(keep)
-
-    def backward(g):
-        g_flat = np.ravel(g)
-        gx = np.empty(shape, dtype=dtype)
-        gx_flat = gx.reshape(-1)
-        for a, b in _blocks(size):
-            np.multiply(_unpack(bits, a, b), scale, dtype=dtype, out=gx_flat[a:b])
-            gx_flat[a:b] *= g_flat[a:b]
-        _accum(nx, gx)
-
-    return _make(out, (x,), backward)
+    # its float64 copy see the same mask from the same rng
+    return _masked_multiply(x, _keep_blocks(rng, x.data.size, rate), 1.0 / (1.0 - rate), 0.0)
 
 
 def global_avg_pool(x) -> Tensor:

@@ -1,4 +1,5 @@
-"""Adam, plateau learning-rate halving, and early stopping."""
+"""Adam, and the constants of plateau learning-rate halving and early
+stopping, which ``models.train_period`` runs on the validation loss."""
 
 from __future__ import annotations
 
@@ -63,53 +64,3 @@ class AdamOptimizer:
         self.m = [np.array(a, dtype=p.data.dtype) for a, p in zip(state["m"], self.params)]
         self.v = [np.array(a, dtype=p.data.dtype) for a, p in zip(state["v"], self.params)]
 
-
-class ReduceOnPlateau:
-    """Halve the learning rate when the validation metric stalls.
-
-    After ``PLATEAU_PATIENCE`` epochs without improvement the optimizer's
-    rate is halved (never below ``min_lr``) and the wait counter restarts;
-    any improvement also restarts it.
-    """
-
-    def __init__(self, optimizer: AdamOptimizer, min_lr: float):
-        self.optimizer = optimizer
-        self.min_lr = min_lr
-        self.best = np.inf
-        self.wait = 0
-
-    def step(self, val_metric: float) -> float:
-        """Record one epoch's metric; returns the (possibly reduced) rate."""
-        if val_metric < self.best:
-            self.best = val_metric
-            self.wait = 0
-        else:
-            self.wait += 1
-            if self.wait >= PLATEAU_PATIENCE:
-                self.optimizer.lr = max(self.optimizer.lr * PLATEAU_FACTOR, self.min_lr)
-                self.wait = 0
-        return self.optimizer.lr
-
-
-class EarlyStopping:
-    """Stop after ``EARLY_STOP_PATIENCE`` epochs without improvement; keep
-    the best weights.
-
-    The caller supplies a snapshot at every improvement; ``best_snapshot``
-    holds the one to restore when training stops.
-    """
-
-    def __init__(self):
-        self.best = np.inf
-        self.wait = 0
-        self.best_snapshot = None
-
-    def check(self, val_metric: float, snapshot) -> bool:
-        """Returns True when training should stop."""
-        if val_metric < self.best:
-            self.best = val_metric
-            self.wait = 0
-            self.best_snapshot = snapshot
-            return False
-        self.wait += 1
-        return self.wait >= EARLY_STOP_PATIENCE

@@ -16,27 +16,12 @@ bytes as a full one. Artifacts under one run directory:
 The feature panel is exported only by `stockrank features`, as panel.csv
 in a directory of its own.
 
-Training, about all of a research run's time, uses every usable CPU: in
-each walk-forward period the (ensemble, member) pairs are independent, so
-this process trains every w-th of them in place while w - 1 children,
-forked once the period's samples exist, train the rest. With J pairs and
-C usable CPUs, w = min(J, C) when C divides J; otherwise w is the fewest
-processes, at most 2C, that keep every CPU busy to the end, and the OS
-shares the CPUs among them (3 members on 2 CPUs train in 3 processes, not
-in 2 with one CPU idle while the third member trains). BLAS is capped at
-one thread in each process meanwhile, since w processes with a BLAS pool
-each would share the same cores. Both paths, the serial loop and the
-forked children, also train under fixed glibc malloc thresholds (see the
-malloc module: 32 MiB for mmap, 64 MiB for trim; children inherit them
-through fork), and the heap is trimmed once a period's members are
-trained. Under glibc's dynamic thresholds every default-architecture step
-handed its ~9 MB of freed temporaries back to the OS and the next step
-faulted in fresh zeroed pages, about 2,400 faults a step. mallopt ends
-glibc's dynamic threshold for the rest of the process, so the stages after
-training run under the fixed thresholds too. The trained members come
-back through the checkpoint encoding, so outputs are byte-identical for
-any w; `taskset -c 0 stockrank run ...` gives w = 1, the serial in-process
-loop (the form to profile, as spans recorded in a child are lost with it).
+Training, about all of a research run's time, uses every usable CPU:
+each period's (ensemble, member) pairs train on ``training_processes``
+processes, this one and forked children, with BLAS capped at one thread
+when there are several and glibc's malloc thresholds held fixed.
+``_train_members`` tells how, and why the outputs are byte-identical for
+any process count.
 """
 
 from __future__ import annotations
@@ -251,9 +236,9 @@ def _receive_share(child, recv) -> tuple[list, Exception | None]:
 
 @contextmanager
 def _training_section(processes: int):
-    """One period's training on ``processes`` processes: BLAS capped at one
-    thread when there are several, glibc's malloc thresholds held, and the
-    heap trimmed at the end. Each half is a no-op where the platform lacks it."""
+    """The setting of one period's training on ``processes`` processes, as
+    ``_train_members`` describes it. Each part is a no-op where the
+    platform lacks it."""
     with blas.limit_threads(1) if processes > 1 else nullcontext():
         malloc.hold_pages()
         try:
@@ -267,21 +252,31 @@ def _train_members(members: list, train_set, val_set, hp: TrainConfig,
     """Train one period's members; return (trained member, history) pairs
     in member order.
 
-    Member i is trained by process i % processes. Process 0 is this one: it
-    trains its members in place. The others are children forked here after
-    the samples are built; they read them (the period's float32 span and
-    each sample's start row) through copy-on-write pages and
-    send back (_encode_model(member), history), which decodes to the state
-    an in-place run would hold. While they run, BLAS is capped at one
-    thread in every process. The first error in member order is raised, as
-    the serial loop would raise it, and no child outlives the call.
+    Member i is trained by process i % processes (``training_processes``
+    picks the count). Process 0 is this one: it trains its members in
+    place. The others are children forked here after the samples are
+    built; they read them (the period's float32 span and each sample's
+    start row) through copy-on-write pages and send back
+    (_encode_model(member), history), which decodes bit for bit to the
+    state an in-place run would hold, so every output is byte-identical
+    for any process count. Members share nothing while they train, and
+    each carries its own seed and RNG. The first error in member order is
+    raised, as the serial loop would raise it, and no child outlives the
+    call. With one process, as on one usable CPU (``taskset -c 0``), the
+    serial loop runs in place with no fork and the default BLAS threads:
+    the form to profile, as spans recorded in a child are lost with it.
 
-    Both paths run in ``_training_section``, under fixed glibc malloc
-    thresholds that children inherit through fork: under glibc's dynamic
-    trim threshold (about 2.8 MB here) every step handed its ~9 MB of freed
-    temporaries back to the OS and faulted in fresh zeroed pages. The heap
-    is trimmed once the members are trained, before the caller predicts.
-    mallopt ends the dynamic threshold for the rest of the process.
+    Both paths run in ``_training_section``. While children run, BLAS is
+    capped at one thread in every process, since a BLAS pool in each of
+    them would share the same cores. glibc's malloc thresholds are held
+    fixed (the malloc module: 32 MiB for mmap, 64 MiB for trim), and
+    children inherit them through fork: under glibc's dynamic trim
+    threshold (about 2.8 MB here) every default-architecture step handed
+    its ~9 MB of freed temporaries back to the OS and the next step faulted
+    in fresh zeroed pages, about 2,400 faults a step. The heap is trimmed
+    once the members are trained, before the caller predicts. mallopt ends
+    the dynamic threshold for the rest of the process, so the stages after
+    training run under the fixed thresholds too.
     """
     with _training_section(processes):
         if processes == 1:
@@ -322,15 +317,8 @@ def train_walk_forward(cfg: RunConfig, universe: Universe, panel, plans,
 
     Each period builds its samples once (make_samples: one float32
     standardized span, from which every mini-batch gathers its windows)
-    and trains every (ensemble, member) pair, in that order, on
-    ``training_processes`` processes (see _train_members): this process
-    trains pairs 0, w, 2w, ... in place and w - 1 forked children train
-    the rest, each with BLAS capped at one thread. Members share nothing
-    while they train, each carries its own seed and RNG, and a child's
-    member comes back through the bit-exact checkpoint encoding, so every
-    output is byte-identical for any w. With one member or one usable CPU
-    (``taskset -c 0``) w is 1: the serial loop runs in process, with no
-    fork and the default BLAS threads.
+    and trains every (ensemble, member) pair, in that order, with
+    ``_train_members`` on w = ``training_processes`` processes.
 
     Returns {"ensembles": [EnsembleState...], "scores": (ensembles, days,
     stocks) float64 array, "days": calendar day index of each score row,
@@ -376,8 +364,10 @@ def train_walk_forward(cfg: RunConfig, universe: Universe, panel, plans,
             ens.members = [member for member, _hist in pairs]
             period_histories = [hist for _member, hist in pairs]
             for mi, hist in enumerate(period_histories):
+                # the kept epoch's loss; the last epoch's when none was kept
+                val_loss = hist["val_loss"][hist.get("best_epoch", -1)]
                 log(f"period {plan.period_index} ensemble {e} member {mi}: "
-                    f"{hist['epochs']} epochs, val loss {hist['val_loss'][-1]:.6g}")
+                    f"{hist['epochs']} epochs, val loss {val_loss:.6g}")
             histories.append({"period": plan.period_index, "ensemble": e,
                               "members": period_histories})
 
@@ -537,9 +527,7 @@ def write_report(cfg: RunConfig, ledgers: dict[str, BacktestLedger], out_dir: st
         reports[name] = asdict(build_report(led, bench, rf_daily=rf, paired_t=cfg.paired_t_test))
         led.nav_to_csv(os.path.join(report_dir, f"nav_{name}.csv"))
 
-    grid = build_metric_grid(
-        {k: v for k, v in ledgers.items() if k != "market_equal_weight"}, rf_daily=rf
-    ) if "topk" in ledgers else {}
+    grid = build_metric_grid(reports) if "topk" in reports else {}
     payload = {
         "model": cfg.loss,
         "n_test_days": len(market.daily_returns),

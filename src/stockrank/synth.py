@@ -50,10 +50,10 @@ class PlantedEvent:
     realized: bool
 
 
-def trading_calendar(n_days: int, start: dt.date = dt.date(2015, 1, 1)) -> list[dt.date]:
-    """Weekday-only calendar; no exchange holidays."""
+def trading_calendar(n_days: int) -> list[dt.date]:
+    """Weekday-only calendar from 2015-01-01; no exchange holidays."""
     days = []
-    day = start
+    day = dt.date(2015, 1, 1)
     while len(days) < n_days:
         if day.weekday() < 5:
             days.append(day)

@@ -308,17 +308,26 @@ class TestGrid:
         )
 
     def test_grid_values(self, rng):
-        ledgers = {
-            name: ledger_from_returns(rng.normal(0.001, 0.01, size=50))
-            for name in ("topk", "bottomk", "long_short_k", "top_decile",
-                         "bottom_decile", "long_short_decile")
-        }
-        grid = build_metric_grid(ledgers)
-        assert grid["Final Value"] == pytest.approx(ledgers["topk"].final_value)
-        assert grid["Top 10 SR"] == pytest.approx(
-            sharpe_ratio(np.array(ledgers["topk"].daily_returns))
-        )
-        assert set(GRID_ROWS) == set(grid.keys())
+        # the grid reads each strategy's metric report, as metrics.json holds it
+        names = ("topk", "bottomk", "long_short_k", "top_decile", "bottom_decile",
+                 "market_equal_weight")
+        reports = {name: dataclasses.asdict(build_report(
+                       ledger_from_returns(rng.normal(0.001, 0.01, size=50))))
+                   for name in names}
+        grid = build_metric_grid(reports)
+        assert list(grid) == list(GRID_ROWS)
+        assert grid["Final Value"] == reports["topk"]["final_value"]
+        assert grid["Annual Return"] == reports["topk"]["annual_return"]
+        for row, strategy in (("Top 10 SR", "topk"), ("Bottom 10 SR", "bottomk"),
+                              ("Long-Short 10 SR", "long_short_k"),
+                              ("Top Decile SR", "top_decile"),
+                              ("Bottom Decile SR", "bottom_decile")):
+            assert grid[row] == reports[strategy]["sharpe"]
+        assert grid["Long-Short Decile SR"] is None  # no such report
+
+    def test_grid_needs_the_topk_report(self):
+        with pytest.raises(DataError, match="topk"):
+            build_metric_grid({})
 
 
 class TestRiskFree:

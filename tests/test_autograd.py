@@ -6,8 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stockrank.errors import NumericError
-from stockrank.nn.autograd import BLOCK_ELEMS, BN_EPS, BN_MOMENTUM
-from stockrank.nn import (
+from stockrank.nn.autograd import (
+    BLOCK_ELEMS,
+    BN_EPS,
+    BN_MOMENTUM,
     BatchNormState,
     Tensor,
     add,

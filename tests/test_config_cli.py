@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import stockrank.cli
-from stockrank import blas, malloc, pipeline
+from stockrank import blas, malloc, models, pipeline
 from stockrank.cli import main
 from stockrank.config import RunConfig, load_config, resolve_loss_alias
 from stockrank.errors import ConfigError
@@ -59,10 +59,21 @@ def write_config(tmp_path, cfg, name="config.json"):
     return path
 
 
+def data_paths(tmp_path) -> dict[str, str]:
+    """ohlcv_path and sector_path of two empty files: validate() checks
+    that they exist, and reads neither."""
+    paths = {}
+    for key in ("ohlcv_path", "sector_path"):
+        path = tmp_path / f"{key}.csv"
+        path.touch()
+        paths[key] = str(path)
+    return paths
+
+
 class TestRunConfig:
-    def test_defaults_are_valid_profile(self):
-        cfg = RunConfig(ohlcv_path="x", sector_path="y")
-        cfg.validate(check_paths=False)
+    def test_defaults_are_valid_profile(self, tmp_path):
+        cfg = RunConfig(**data_paths(tmp_path))
+        cfg.validate()
         assert cfg.std_days == cfg.trainval_days == 200
         assert cfg.test_days == cfg.m == 20
         assert cfg.label_thresholds == (0.01, 0.03)
@@ -81,16 +92,16 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="does not exist"):
             load_config(path)
 
-    def test_threshold_order_enforced(self):
-        cfg = RunConfig(ohlcv_path="x", sector_path="y", label_thresholds=(0.03, 0.01))
+    def test_threshold_order_enforced(self, tmp_path):
+        cfg = RunConfig(**data_paths(tmp_path), label_thresholds=(0.03, 0.01))
         with pytest.raises(ConfigError, match="thresholds"):
-            cfg.validate(check_paths=False)
+            cfg.validate()
 
-    def test_empty_conv_stack_rejected(self):
+    def test_empty_conv_stack_rejected(self, tmp_path):
         # the sector embedding enters the network through the first conv
-        cfg = RunConfig(ohlcv_path="x", sector_path="y", conv=[])
+        cfg = RunConfig(**data_paths(tmp_path), conv=[])
         with pytest.raises(ConfigError, match="conv"):
-            cfg.validate(check_paths=False)
+            cfg.validate()
 
     def test_relative_paths_resolve_against_config(self, tmp_path, runner):
         data = synth_dataset(runner, tmp_path, n_days=30)
@@ -283,6 +294,19 @@ class TestRunCommand:
         assert result.exit_code == 0, result.output
         metrics = json.loads((out / "report" / "metrics.json").read_text())
         assert metrics["model"] == "mse"
+
+    def test_member_line_prints_the_kept_epochs_val_loss(self, tmp_path, runner,
+                                                          monkeypatch):
+        # epoch 1 is kept, so the line gives its loss, not the last epoch's
+        script = iter([0.5, 0.3, 0.4])
+        monkeypatch.setattr(models, "_evaluate", lambda *args: next(script))
+        data = synth_dataset(runner, tmp_path / "d")
+        cfg_path = write_config(tmp_path, small_config(data, n_members=1, max_epochs=3))
+        result = runner.invoke(main, ["run", "--config", str(cfg_path),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        lines = [ln for ln in result.output.splitlines() if " member " in ln]
+        assert lines == ["period 0 ensemble 0 member 0: 3 epochs, val loss 0.3"]
 
     def test_lockfile_blocks_concurrent_owner(self, tmp_path, runner):
         data = synth_dataset(runner, tmp_path / "d")

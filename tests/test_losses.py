@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from stockrank.dataset import assign_label, cap_return
 from stockrank.errors import ConfigError, NumericError
 from stockrank.losses import LOG_CLIP, LOSS_KINDS, LossKind, batch_loss
-from stockrank.nn import Tensor, softmax
+from stockrank.nn.autograd import Tensor, softmax
 
 from reference import chain_batch_loss, cross_entropy, mse, return_weighted_loss
 

@@ -38,7 +38,8 @@ from stockrank.models import (
     save_ensemble,
     train_period,
 )
-from stockrank.nn import Tensor, embedding_add
+from stockrank.nn.autograd import Tensor, embedding_add
+from stockrank.nn.optim import EARLY_STOP_PATIENCE, PLATEAU_FACTOR, PLATEAU_PATIENCE
 
 from conftest import as_windows, minor_faults, random_walk_universe, traced_peak
 from reference import (
@@ -620,6 +621,94 @@ class TestTrainPeriod:
         assert (c.initial_lr, c.min_lr, c.dropout) == (0.005, 0.0005, 0.40)
 
 
+class TestImprovementTracker:
+    """train_period's plateau halving and early stopping, on val losses
+    scripted through a patched ``models._evaluate``."""
+
+    HP = TrainConfig.for_loss("return_weighted_ce", batch_size=8, max_epochs=100)
+
+    def _train(self, monkeypatch, rng, losses, hp=HP, seen=None):
+        """train_period on 8 toy samples, epoch e's val loss ``losses[e]``;
+        ``seen`` collects each epoch's snapshot as it is evaluated."""
+        script = iter(losses)
+
+        def scripted(state, kind, sample_set):
+            if seen is not None:
+                seen.append(state.snapshot())
+            return next(script)
+
+        monkeypatch.setattr(models, "_evaluate", scripted)
+        state = build_model(SMALL_ARCH, seed=5)
+        hist = train_period(state, toy_samples(rng, 8, SMALL_ARCH),
+                            toy_samples(rng, 8, SMALL_ARCH), hp)
+        return state, hist
+
+    def test_improving_losses_keep_the_rate(self, monkeypatch, rng):
+        state, hist = self._train(monkeypatch, rng, [1.0 / (e + 1) for e in range(30)],
+                                  replace(self.HP, max_epochs=30))
+        assert hist["epochs"] == 30
+        assert hist["lr"] == [self.HP.initial_lr] * 30
+        assert state.optimizer.lr == self.HP.initial_lr
+        assert hist["best_epoch"] == 29
+
+    def test_flat_losses_halve_three_times_then_stop(self, monkeypatch, rng):
+        state, hist = self._train(monkeypatch, rng, [1.0] * 100)
+        lr = self.HP.initial_lr
+        # epoch 0 sets the best; the 5th, 10th and 15th epochs after it halve
+        # the rate for the next epoch, and the 20th stops training
+        expected = [lr] * 6 + [lr * PLATEAU_FACTOR] * 5 + [lr * PLATEAU_FACTOR**2] * 5 \
+            + [lr * PLATEAU_FACTOR**3] * 5
+        assert hist["epochs"] == EARLY_STOP_PATIENCE + 1 == 21
+        assert hist["lr"] == expected
+        assert state.optimizer.lr == lr * PLATEAU_FACTOR**3
+        assert hist["best_epoch"] == 0 and hist["best_val_loss"] == 1.0
+
+    def test_an_improvement_resets_the_count(self, monkeypatch, rng):
+        # the improvement comes one epoch before the first cut
+        losses = [1.0] * PLATEAU_PATIENCE + [0.5] * 100
+        _state, hist = self._train(monkeypatch, rng, losses)
+        lr = self.HP.initial_lr
+        assert hist["best_epoch"] == PLATEAU_PATIENCE
+        assert hist["epochs"] == PLATEAU_PATIENCE + EARLY_STOP_PATIENCE + 1
+        assert hist["lr"][: 2 * PLATEAU_PATIENCE + 1] == [lr] * (2 * PLATEAU_PATIENCE + 1)
+        assert hist["lr"][2 * PLATEAU_PATIENCE + 1] == lr * PLATEAU_FACTOR
+
+    def test_the_rate_stops_at_min_lr(self, monkeypatch, rng):
+        hp = replace(self.HP, initial_lr=0.003, min_lr=0.001)
+        state, hist = self._train(monkeypatch, rng, [1.0] * 100, hp)
+        assert hist["lr"] == [0.003] * 6 + [0.0015] * 5 + [0.001] * 10
+        assert state.optimizer.lr == 0.001
+
+    def test_a_nan_never_improves(self, monkeypatch, rng):
+        _state, hist = self._train(monkeypatch, rng, [0.5] + [float("nan")] * 100)
+        assert hist["epochs"] == EARLY_STOP_PATIENCE + 1
+        assert hist["best_epoch"] == 0 and hist["best_val_loss"] == 0.5
+
+    def test_only_nan_keeps_no_epoch(self, monkeypatch, rng):
+        seen = []
+        state, hist = self._train(monkeypatch, rng, [float("nan")] * 100, seen=seen)
+        assert hist["epochs"] == EARLY_STOP_PATIENCE
+        assert "best_epoch" not in hist and "best_val_loss" not in hist
+        for k, p in state.params.items():  # the last epoch's model, not restored
+            np.testing.assert_array_equal(p.data, seen[-1]["params"][k])
+
+    def test_the_best_epochs_parameters_and_statistics_are_restored(self, monkeypatch, rng):
+        losses = [0.9, 0.7, 0.5, 0.6, 0.8] + [0.9] * 100
+        seen = []
+        state, hist = self._train(monkeypatch, rng, losses, seen=seen)
+        assert hist["best_epoch"] == 2 and hist["best_val_loss"] == 0.5
+        assert hist["epochs"] == 3 + EARLY_STOP_PATIENCE
+        best, last = seen[2], seen[-1]
+        for k, p in state.params.items():
+            np.testing.assert_array_equal(p.data, best["params"][k])
+        assert any(not np.array_equal(best["params"][k], last["params"][k])
+                   for k in state.params)
+        for k, bn in state.bn_states.items():
+            np.testing.assert_array_equal(bn.running_mean, best["bn"][k].running_mean)
+            np.testing.assert_array_equal(bn.running_var, best["bn"][k].running_var)
+            assert not np.array_equal(bn.running_mean, last["bn"][k].running_mean)
+
+
 class TestFullModelGradients:
     @pytest.mark.parametrize("loss", ["return_weighted_ce", "ce", "mse"])
     def test_full_stack_vs_finite_differences(self, loss, rng):
@@ -898,7 +987,8 @@ class TestTracedNames:
 
     def test_training_reaches_every_traced_name(self, rng, monkeypatch):
         from stockrank import models
-        from stockrank.nn import AdamOptimizer, autograd
+        from stockrank.nn import autograd
+        from stockrank.nn.optim import AdamOptimizer
 
         calls = dict.fromkeys(self.OPS + ("backward", "step"), 0)
         made = dict.fromkeys(self.OPS, 0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stockrank.nn import AdamOptimizer, EarlyStopping, ReduceOnPlateau, Tensor
+from stockrank.nn.autograd import Tensor
 from stockrank.nn.optim import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -9,6 +9,7 @@ from stockrank.nn.optim import (
     EARLY_STOP_PATIENCE,
     PLATEAU_FACTOR,
     PLATEAU_PATIENCE,
+    AdamOptimizer,
 )
 
 
@@ -80,73 +81,15 @@ class TestAdam:
         np.testing.assert_array_equal(opt2.m[0], opt.m[0])
 
 
-class TestReduceOnPlateau:
-    def _opt(self, lr=0.01):
-        return AdamOptimizer([make_param([0.0])], lr=lr)
+class TestScheduleConstants:
+    """The values models.train_period schedules with; its tests cover the
+    schedule itself."""
 
     def test_patience_is_five_epochs(self):
         assert PLATEAU_PATIENCE == 5
 
-    def test_improving_metric_keeps_lr(self):
-        opt = self._opt()
-        sched = ReduceOnPlateau(opt, min_lr=0.001)
-        for epoch in range(4 * PLATEAU_PATIENCE):
-            sched.step(1.0 / (epoch + 1))
-        assert opt.lr == 0.01
-
-    def test_flat_metric_halves_after_patience(self):
-        opt = self._opt()
-        sched = ReduceOnPlateau(opt, min_lr=0.001)
-        sched.step(1.0)  # establishes the best
-        for _ in range(PLATEAU_PATIENCE - 1):
-            assert sched.step(1.0) == 0.01
-        assert sched.step(1.0) == 0.01 * PLATEAU_FACTOR  # the patience-th flat epoch
-
-    def test_floor_at_min_lr(self):
-        opt = self._opt(lr=0.002)
-        sched = ReduceOnPlateau(opt, min_lr=0.001)
-        sched.step(1.0)
-        for _ in range(6 * PLATEAU_PATIENCE):
-            sched.step(1.0)
-        assert opt.lr == 0.001
-
-    def test_improvement_resets_counter(self):
-        opt = self._opt()
-        sched = ReduceOnPlateau(opt, min_lr=0.001)
-        sched.step(1.0)
-        for _ in range(PLATEAU_PATIENCE - 1):
-            sched.step(1.0)
-        sched.step(0.5)  # improvement just before the cut
-        for _ in range(PLATEAU_PATIENCE - 1):
-            sched.step(0.5)
-        assert opt.lr == 0.01
-
-
-class TestEarlyStopping:
     def test_patience_is_twenty_epochs(self):
         assert EARLY_STOP_PATIENCE == 20
 
-    def test_improvement_at_epoch_19_continues(self):
-        stopper = EarlyStopping()
-        stopper.check(1.0, "w0")
-        for _ in range(EARLY_STOP_PATIENCE - 2):
-            assert not stopper.check(1.0, None)
-        assert not stopper.check(0.5, "w19")  # improvement resets
-        assert stopper.wait == 0
-
-    def test_twenty_flat_epochs_stop(self):
-        stopper = EarlyStopping()
-        stopper.check(1.0, "best")
-        stops = [stopper.check(1.0, None) for _ in range(EARLY_STOP_PATIENCE)]
-        assert stops == [False] * (EARLY_STOP_PATIENCE - 1) + [True]
-
-    def test_restores_best_not_last(self):
-        # scripted metric sequence: best at epoch 2, then worse until stop
-        metrics = [0.9, 0.7, 0.5, 0.6, 0.8] + [0.9] * EARLY_STOP_PATIENCE
-        stopper = EarlyStopping()
-        best_by_replay = min(range(len(metrics)), key=lambda i: metrics[i])
-        for epoch, m in enumerate(metrics):
-            if stopper.check(m, f"weights@{epoch}"):
-                break
-        assert stopper.best_snapshot == f"weights@{best_by_replay}"
-        assert stopper.best == 0.5
+    def test_plateau_halves_the_rate(self):
+        assert PLATEAU_FACTOR == 0.5
