@@ -66,52 +66,27 @@ def annualize_return(final_value: float, n_days: int) -> float:
     return float(final_value ** (TRADING_DAYS_PER_YEAR / n_days) - 1.0)
 
 
-def max_drawdown(values) -> tuple[float, int, int]:
-    """Worst peak-to-trough NAV decline.
-
-    Returns (drawdown <= 0, peak index, trough index); indices are 0-based
-    positions in the series, with the first of any tied troughs reported.
-    """
+def max_drawdown(values) -> float:
+    """Worst peak-to-trough NAV decline, <= 0: each value against the
+    running peak before it."""
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise NumericError("max_drawdown of an empty series")
-    peak_idx = 0
-    best_dd = 0.0
-    best_peak = 0
-    best_trough = 0
-    for i in range(v.size):
-        if v[i] > v[peak_idx]:
-            peak_idx = i
-        dd = v[i] / v[peak_idx] - 1.0
-        if dd < best_dd:
-            best_dd = dd
-            best_peak = peak_idx
-            best_trough = i
-    return float(best_dd), best_peak, best_trough
+    return float(min(0.0, (v / np.maximum.accumulate(v) - 1.0).min()))
 
 
 def mdd_duration(values) -> int:
     """Longest stretch (days) from a NAV peak back to that level.
 
-    A final episode that never recovers is censored at the last day.
+    A day at or above the running peak starts a new one. A final episode
+    that never recovers is censored at the last day.
     """
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise NumericError("mdd_duration of an empty series")
-    peak_idx = 0
-    in_drawdown = False
-    longest = 0
-    for i in range(1, v.size):
-        if v[i] >= v[peak_idx]:
-            if in_drawdown:
-                longest = max(longest, i - peak_idx)
-                in_drawdown = False
-            peak_idx = i
-        else:
-            in_drawdown = True
-    if in_drawdown:
-        longest = max(longest, (v.size - 1) - peak_idx)
-    return int(longest)
+    peaks = np.flatnonzero(v == np.maximum.accumulate(v))
+    gaps = np.diff(peaks)
+    return int(max(gaps[gaps > 1].max(initial=0), v.size - 1 - peaks[-1]))
 
 
 def _lgamma_half_step(a: float) -> float:
@@ -230,7 +205,6 @@ def build_report(
         sharpe = None
         flags.append("sharpe_undefined")
 
-    dd, _peak, _trough = max_drawdown(values)
     t_value = p_value = None
     if market_ledger is not None:
         if market_ledger.dates != ledger.dates:
@@ -248,7 +222,7 @@ def build_report(
         final_value=float(values[-1]),
         annual_return=annualize_return(float(values[-1]), returns.size),
         sharpe=sharpe,
-        max_drawdown=dd,
+        max_drawdown=max_drawdown(values),
         mdd_duration_days=mdd_duration(values),
         t_value=t_value,
         p_value=p_value,

@@ -18,8 +18,9 @@ import sys
 import click
 
 from .backtest import BacktestLedger, STRATEGIES
-from .config import RunConfig, load_config, resolve_loss_alias
+from .config import RunConfig, load_config
 from .errors import ConfigError, DataError, NumericError, StockrankError, failing_module
+from .losses import LOSSES
 from .pipeline import (
     build_panel,
     load_universe,
@@ -35,6 +36,7 @@ from .pipeline import (
 from .synth import SignalSpec, generate, write_events_csv, write_ohlcv_csv, write_sector_csv
 
 _EXIT_CODES = {ConfigError: 2, DataError: 3, NumericError: 4}
+_LOSS_OF_ALIAS = {row.alias: kind for kind, row in LOSSES.items()}
 
 
 def _guarded(fn):
@@ -108,20 +110,19 @@ def features(config_path, out):
           f"x {universe.n_days} days to {path}")
 
 
-def _load_config_with_overrides(config_path, seed, loss) -> RunConfig:
-    overrides = {}
-    if seed is not None:
-        overrides["seed"] = seed
-    if loss is not None:
-        overrides["loss"] = resolve_loss_alias(loss)
-    return load_config(config_path, overrides)
+def _load_config_with_overrides(config_path, seed=None, loss=None, strategy=()) -> RunConfig:
+    """The config with the options given on the command line as overrides:
+    ``--seed``, ``--loss`` (a loss table alias) and ``--strategy``."""
+    overrides = {"seed": seed, "loss": _LOSS_OF_ALIAS.get(loss),
+                 "strategies": list(strategy) or None}
+    return load_config(config_path, {k: v for k, v in overrides.items() if v is not None})
 
 
 @main.command()
 @click.option("--config", "config_path", type=click.Path(exists=True), required=True)
 @click.option("--seed", type=int, default=None, help="override config seed")
 @click.option("--out", type=click.Path(), required=True)
-@click.option("--loss", type=click.Choice(["new", "ce", "mse"]), default=None,
+@click.option("--loss", type=click.Choice(list(_LOSS_OF_ALIAS)), default=None,
               help="override config loss")
 @_guarded
 def train(config_path, seed, out, loss):
@@ -145,9 +146,7 @@ def backtest(config_path, out, strategy):
     Writes ledgers/<name>.csv per strategy: each day's date, value, return
     and the weights held after that day's rebalance.
     """
-    cfg = load_config(config_path)
-    if strategy:
-        cfg.strategies = list(strategy)
+    cfg = _load_config_with_overrides(config_path, strategy=strategy)
     scores_path = os.path.join(out, "scores", "scores.csv")
     if not os.path.exists(scores_path):
         raise DataError(f"no scores at {scores_path}; run train first")
@@ -190,14 +189,12 @@ def report(out):
 @click.option("--config", "config_path", type=click.Path(exists=True), required=True)
 @click.option("--seed", type=int, default=None, help="override config seed")
 @click.option("--out", type=click.Path(), required=True)
-@click.option("--loss", type=click.Choice(["new", "ce", "mse"]), default=None)
+@click.option("--loss", type=click.Choice(list(_LOSS_OF_ALIAS)), default=None)
 @click.option("--strategy", type=click.Choice(STRATEGIES), multiple=True)
 @_guarded
 def run(config_path, seed, out, loss, strategy):
     """Full pipeline: ingest, features, walk-forward train, backtest, report."""
-    cfg = _load_config_with_overrides(config_path, seed, loss)
-    if strategy:
-        cfg.strategies = list(strategy)
+    cfg = _load_config_with_overrides(config_path, seed, loss, strategy)
     payload = run_pipeline(cfg, out, log=_echo)
     _echo(f"final top-k value: {payload['strategies']['topk']['final_value']:.4f}"
           if "topk" in payload["strategies"] else "run complete")

@@ -3,6 +3,14 @@
 Defaults reproduce the documented reference setup, so an empty JSON
 object (plus data paths) is the canonical profile. Validation is
 fail-fast: a bad config never produces partial artifacts.
+
+Each setting and each rule is stated once. RunConfig holds the one default
+of every run setting, and builds what the stages take from it:
+``feature_names`` is the panel's features and ``arch()`` the network.
+ArchConfig holds every network rule, so ``RunConfig.validate`` builds the
+network instead of restating them. A loss's own settings (its CLI alias,
+output arity, learning rates and default dropout) are its row of
+``losses.LOSSES``, which every reader looks up.
 """
 
 from __future__ import annotations
@@ -19,12 +27,52 @@ from dataclasses import asdict, dataclass, field
 from .backtest import REBALANCE_MODES, STRATEGIES
 from .dataset import DEFAULT_THRESHOLDS, RETURN_CAP, STD_DAYS, TEST_DAYS, TRAIN_DAYS, TRAINVAL_DAYS
 from .errors import ConfigError
-from .indicators import DEFAULT_TECHNICAL_16, TECHNICAL_NAMES
-from .losses import LOSS_KINDS
+from .indicators import BASIC_FEATURE_NAMES, DEFAULT_TECHNICAL_16, TECHNICAL_NAMES
+from .losses import LOSSES, LossKind
 from .market_data import DEFAULT_DOLLAR_VOLUME_FLOOR, DEFAULT_PRICE_FLOOR
-from .models import MOE_WINDOW
 
-_CLI_LOSS_ALIASES = {"new": "return_weighted_ce", "ce": "ce", "mse": "mse"}
+MOE_WINDOW = 6
+
+
+@dataclass(frozen=True)
+class ArchConfig:
+    """Shape of the network, and every rule it must meet.
+
+    ``dropout`` None is the loss's rate (``losses.LOSSES``), so a built
+    ArchConfig always holds the rate training uses. The conv stack is a
+    non-empty list of (kernel, channels) pairs, each at least 1, since the
+    sector embedding enters the network through the first conv, and the
+    time axis must survive it.
+    """
+
+    m: int
+    n: int
+    conv: tuple[tuple[int, int], ...]
+    dense: tuple[int, ...]
+    dropout: float | None
+    leaky_slope: float
+    loss: str
+
+    def __post_init__(self):
+        if self.loss not in LOSSES:
+            raise ConfigError(f"unknown loss {self.loss!r}")
+        if self.dropout is None:
+            object.__setattr__(self, "dropout", LOSSES[self.loss].dropout)
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        if not 0.0 < self.leaky_slope < 1.0:
+            raise ConfigError(f"leaky_slope must be in (0, 1), got {self.leaky_slope}")
+        if not self.conv or any(len(c) != 2 or min(c) < 1 for c in self.conv):
+            raise ConfigError(f"conv must be a non-empty list of [k, channels] pairs >= 1, "
+                              f"got {self.conv}")
+        if sum(k - 1 for k, _ in self.conv) >= self.m:
+            raise ConfigError("conv stack consumes the whole time axis")
+        object.__setattr__(self, "conv", tuple(tuple(c) for c in self.conv))
+        object.__setattr__(self, "dense", tuple(self.dense))
+
+    @property
+    def loss_kind(self) -> LossKind:
+        return LOSSES[self.loss]
 
 
 @dataclass
@@ -110,18 +158,7 @@ class RunConfig:
             raise ConfigError(f"label thresholds must satisfy 0 < lo < hi, got {lo}, {hi}")
         if self.return_cap <= 0:
             raise ConfigError("return_cap must be > 0")
-        if self.loss not in LOSS_KINDS:
-            raise ConfigError(f"unknown loss {self.loss!r}")
-        if self.dropout is not None and not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if not 0.0 < self.leaky_slope < 1.0:
-            raise ConfigError(f"leaky_slope must be in (0, 1), got {self.leaky_slope}")
-        # non-empty: the sector embedding enters the network through the first conv
-        if not self.conv or any(len(c) != 2 or min(c) < 1 for c in self.conv):
-            raise ConfigError(f"conv must be a non-empty list of [k, channels] pairs >= 1, "
-                              f"got {self.conv}")
-        if sum(k - 1 for k, _ in self.conv) >= self.m:
-            raise ConfigError("conv stack consumes the whole time axis")
+        self.arch()  # the network's rules
         if self.batch_size < 1 or self.max_epochs < 0:
             raise ConfigError("batch_size must be >= 1 and max_epochs >= 0")
         if self.n_members < 1 or self.n_ensembles < 1:
@@ -139,6 +176,17 @@ class RunConfig:
             raise ConfigError(f"unknown rebalance_mode {self.rebalance_mode!r}")
         if self.max_periods is not None and self.max_periods < 1:
             raise ConfigError("max_periods must be >= 1 when given")
+
+    @property
+    def feature_names(self) -> list[str]:
+        """The panel's features, in column order."""
+        return list(BASIC_FEATURE_NAMES) * self.use_basic + self.technical
+
+    def arch(self) -> ArchConfig:
+        """The network of this run."""
+        return ArchConfig(m=self.m, n=len(self.feature_names), conv=self.conv,
+                          dense=self.dense, dropout=self.dropout,
+                          leaky_slope=self.leaky_slope, loss=self.loss)
 
     def to_json(self) -> str:
         payload = asdict(self)
@@ -213,11 +261,3 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
             setattr(cfg, attr, os.path.join(base, value))
     cfg.validate()
     return cfg
-
-
-def resolve_loss_alias(alias: str) -> str:
-    if alias in _CLI_LOSS_ALIASES:
-        return _CLI_LOSS_ALIASES[alias]
-    if alias in LOSS_KINDS:
-        return alias
-    raise ConfigError(f"unknown loss {alias!r}; use one of new, ce, mse")

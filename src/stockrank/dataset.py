@@ -136,8 +136,13 @@ def build_split_plans(
     on [200, 400), and tests on [400, 420); each later plan shifts
     everything 20 days. A plan is kept only while its last test anchor
     still has the two future opens its label needs. ``offset`` shifts all
-    ranges forward (used when leading days are feature warmup).
+    ranges forward (used when leading days are feature warmup). The first
+    train anchor's window must start inside the std range, whose stats
+    standardize it: m - 1 <= std_days.
     """
+    if m - 1 > std_days:
+        raise DataError(f"a window of m={m} days reaches before the std range of "
+                        f"{std_days} days: m - 1 must be <= std_days")
     minimum = offset + std_days + trainval_days + test_days + (m - 1) + LOOKAHEAD
     if calendar_len < minimum:
         raise DataError(
@@ -245,10 +250,11 @@ def make_samples(
     The train/val window is split temporally: its trailing ``val_days``
     anchors validate (20 by default, so 180 train / 20 val), everything
     before them trains. Windows may reach back into the std range (those
-    days are standardized with the same stats). Samples are ordered by
-    stock, then by anchor day. ``returns`` is ``return_matrix(universe)``,
-    built once by the caller for every period. Every split's windows view
-    the same float32 copy of the standardized span.
+    days are standardized with the same stats), and ``build_split_plans``
+    keeps them inside it. Samples are ordered by stock, then by anchor day.
+    ``returns`` is ``return_matrix(universe)``, built once by the caller for
+    every period. Every split's windows view the same float32 copy of the
+    standardized span.
     """
     if panel.tickers != universe.tickers:
         raise DataError("panel and universe list different tickers")
@@ -261,8 +267,6 @@ def make_samples(
     e0, e1 = plan.test_range
     if not 0 < val_days < t1 - t0:
         raise DataError(f"val_days must be inside the train/val window, got {val_days}")
-    if t0 - m + 1 < offset:
-        raise DataError(f"anchor day {t0} reaches before the standardized span")
     ranges = {"train": (t0, t1 - val_days), "val": (t1 - val_days, t1), "test": (e0, e1)}
     out: dict[str, SampleSet] = {}
     for split, (a0, a1) in ranges.items():

@@ -9,6 +9,13 @@ weights for plain CE, or ``mean_squared_error``). Its closed-form backward
 repeats the float operations of the generic op chain it replaced, in the
 same order and with the same operands, so losses and gradients keep their
 bits; the tests hold that chain as the oracle.
+
+``LOSSES`` is the loss table, and the only place a loss's settings are
+stated: each row names the loss as the config does (``kind``) and as the
+CLI's ``--loss`` does (``alias``), and gives the model's output arity, the
+initial and floor learning rates, and the dropout rate a config that names
+none trains with. Config validation, the network, the training schedule
+and the CLI choices all read it.
 """
 
 from __future__ import annotations
@@ -17,30 +24,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
 from .nn.autograd import Tensor, mean_squared_error, weighted_cross_entropy
 
 LOG_CLIP = 1e-12
-LOSS_KINDS = ("return_weighted_ce", "ce", "mse")
 
 
 @dataclass(frozen=True)
 class LossKind:
-    """A named objective plus the output arity it implies for the model."""
+    """One row of the loss table: a named objective and the settings it implies."""
 
     kind: str
-
-    def __post_init__(self):
-        if self.kind not in LOSS_KINDS:
-            raise ConfigError(f"unknown loss kind {self.kind!r}; expected one of {LOSS_KINDS}")
-
-    @property
-    def output_arity(self) -> int:
-        return 1 if self.kind == "mse" else 5
+    alias: str
+    output_arity: int
+    initial_lr: float
+    min_lr: float
+    dropout: float
 
     @property
     def classification(self) -> bool:
         return self.kind != "mse"
+
+
+LOSSES = {row.kind: row for row in (
+    LossKind("return_weighted_ce", "new", 5, 0.01, 0.001, 0.35),
+    LossKind("ce", "ce", 5, 0.005, 0.0005, 0.40),
+    LossKind("mse", "mse", 1, 0.01, 0.001, 0.40),
+)}
 
 
 def batch_loss(kind: LossKind, outputs: Tensor, labels: np.ndarray,

@@ -17,12 +17,13 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .config import MOE_WINDOW, ArchConfig
 from .errors import ConfigError, NumericError
-from .losses import LossKind, batch_loss
+from .losses import LOSSES, LossKind, batch_loss
 from .market_data import N_SECTORS
 from .nn.autograd import (
     BLOCK_ELEMS,
@@ -42,7 +43,6 @@ from .nn.autograd import (
 from .nn.optim import EARLY_STOP_PATIENCE, PLATEAU_FACTOR, PLATEAU_PATIENCE, AdamOptimizer
 
 SCORE_VECTOR = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-MOE_WINDOW = 6
 INFER_CHUNK = 4096  # rows per infer-mode pass through the dense head
 
 
@@ -57,59 +57,19 @@ def ranking_scores(outputs: np.ndarray, classification: bool) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ArchConfig:
-    """Shape of the network; the time axis must survive the conv stack."""
-
-    m: int = 20
-    n: int = 28
-    conv: tuple[tuple[int, int], ...] = ((3, 48), (3, 64), (3, 96))
-    dense: tuple[int, ...] = (64,)
-    dropout: float = 0.35
-    leaky_slope: float = 0.01
-    loss: str = "return_weighted_ce"
-
-    def __post_init__(self):
-        object.__setattr__(self, "conv", tuple(tuple(c) for c in self.conv))
-        object.__setattr__(self, "dense", tuple(self.dense))
-        if not self.conv:
-            raise ConfigError("conv stack is empty: the sector embedding enters through "
-                              "the first conv")
-        if any(k < 1 for k, _ in self.conv):
-            raise ConfigError(f"conv kernel sizes must be >= 1: {self.conv}")
-        if sum(k - 1 for k, _ in self.conv) >= self.m:
-            raise ConfigError(
-                f"conv stack consumes the whole time axis: m={self.m}, conv={self.conv}"
-            )
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1): {self.dropout}")
-        if not 0.0 < self.leaky_slope < 1.0:
-            raise ConfigError(f"leaky slope must be in (0, 1): {self.leaky_slope}")
-        LossKind(self.loss)  # validates
-
-    @property
-    def loss_kind(self) -> LossKind:
-        return LossKind(self.loss)
-
-
-@dataclass(frozen=True)
 class TrainConfig:
-    """Per-loss training schedule; ``dropout`` is the per-loss default of
-    ArchConfig.dropout, which is the rate training uses."""
+    """One period's training schedule: the loss's learning rates
+    (``losses.LOSSES``) and the run's batch size and epoch cap."""
 
     initial_lr: float
     min_lr: float
-    dropout: float
-    batch_size: int = 256
-    max_epochs: int = 200
+    batch_size: int
+    max_epochs: int
 
     @staticmethod
-    def for_loss(kind: str, **overrides) -> "TrainConfig":
-        base = {
-            "return_weighted_ce": TrainConfig(0.01, 0.001, 0.35),
-            "mse": TrainConfig(0.01, 0.001, 0.40),
-            "ce": TrainConfig(0.005, 0.0005, 0.40),
-        }[LossKind(kind).kind]
-        return replace(base, **overrides) if overrides else base
+    def for_loss(kind: str, batch_size: int, max_epochs: int) -> "TrainConfig":
+        row = LOSSES[kind]
+        return TrainConfig(row.initial_lr, row.min_lr, batch_size, max_epochs)
 
 
 class ModelState:
@@ -123,9 +83,7 @@ class ModelState:
         self.bn_states = bn_states
         self.rng = rng
         self.seed = seed
-        self.optimizer = AdamOptimizer(
-            list(params.values()), lr=TrainConfig.for_loss(arch.loss).initial_lr
-        )
+        self.optimizer = AdamOptimizer(list(params.values()), lr=arch.loss_kind.initial_lr)
 
     @property
     def param_count(self) -> int:

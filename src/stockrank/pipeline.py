@@ -46,10 +46,9 @@ from .backtest import BacktestLedger, combine_strategies, rank_for_day, simulate
 from .config import RunConfig
 from .dataset import build_split_plans, make_samples, return_matrix
 from .errors import ConfigError, DataError, csv_rows, failing_module
-from .indicators import BASIC_FEATURE_NAMES, assemble_panel
+from .indicators import assemble_panel
 from .market_data import Universe, apply_dead_stock_rule, filter_by_dollar_volume, load_ohlcv
 from .models import (
-    ArchConfig,
     EnsembleState,
     TrainConfig,
     _decode_model,
@@ -119,7 +118,7 @@ def load_universe(cfg: RunConfig) -> Universe:
 
 
 def build_panel(cfg: RunConfig, universe: Universe):
-    return assemble_panel(universe, list(BASIC_FEATURE_NAMES) * cfg.use_basic + cfg.technical)
+    return assemble_panel(universe, cfg.feature_names)
 
 
 def plan_periods(cfg: RunConfig, panel) -> list:
@@ -144,19 +143,6 @@ def plan_periods(cfg: RunConfig, panel) -> list:
 def _member_seeds(cfg: RunConfig) -> np.ndarray:
     ss = np.random.SeedSequence(cfg.seed)
     return ss.generate_state(cfg.n_ensembles * cfg.n_members, dtype=np.uint64)
-
-
-def _arch_from_config(cfg: RunConfig, n_features: int) -> ArchConfig:
-    hp = TrainConfig.for_loss(cfg.loss)
-    return ArchConfig(
-        m=cfg.m,
-        n=n_features,
-        conv=tuple(tuple(c) for c in cfg.conv),
-        dense=tuple(cfg.dense),
-        dropout=hp.dropout if cfg.dropout is None else cfg.dropout,
-        leaky_slope=cfg.leaky_slope,
-        loss=cfg.loss,
-    )
 
 
 def _day_arrays(universe: Universe, returns: np.ndarray, days: np.ndarray) -> tuple:
@@ -322,14 +308,12 @@ def train_walk_forward(cfg: RunConfig, universe: Universe, panel, plans,
 
     Returns {"ensembles": [EnsembleState...], "scores": (ensembles, days,
     stocks) float64 array, "days": calendar day index of each score row,
-    "score_rows": scores.csv rows, "histories": [...], "training_processes": w,
-    "malloc_thresholds": malloc.thresholds()}, the thresholds training ran
-    under or None.
+    "score_rows": scores.csv rows, "histories": [...], "training_processes": w}.
     The score rows are the same scores as (ensemble, period, date, ticker,
     score) tuples, each day's in rank order.
     """
-    arch = _arch_from_config(cfg, panel.n_features)
-    hp = TrainConfig.for_loss(cfg.loss, batch_size=cfg.batch_size, max_epochs=cfg.max_epochs)
+    arch = cfg.arch()
+    hp = TrainConfig.for_loss(cfg.loss, cfg.batch_size, cfg.max_epochs)
     seeds = _member_seeds(cfg)
     ensembles = []
     for e in range(cfg.n_ensembles):
@@ -395,7 +379,7 @@ def train_walk_forward(cfg: RunConfig, universe: Universe, panel, plans,
     return {"ensembles": ensembles, "scores": np.concatenate(period_scores, axis=1),
             "days": np.concatenate([np.arange(*plan.test_range) for plan in plans]),
             "score_rows": score_rows, "histories": histories,
-            "training_processes": processes, "malloc_thresholds": malloc.thresholds()}
+            "training_processes": processes}
 
 
 def run_strategies(cfg: RunConfig, universe: Universe, scores: np.ndarray,
@@ -496,16 +480,14 @@ def write_ledgers(ledgers: dict[str, BacktestLedger], out_dir: str) -> str:
     return ledger_dir
 
 
-def _training_summary(out_dir: str) -> dict:
+def _training_summary(cfg: RunConfig, out_dir: str, n_test_days: int) -> dict:
     """Period and parameter counts of the training that wrote out_dir's
-    checkpoints; empty when the scores came without a training run."""
+    checkpoints; empty when the scores came without a training run. Every
+    period tests ``cfg.test_days`` days, so the test days count the periods."""
     ckpt = os.path.join(out_dir, "checkpoints", "ensemble_0.ens")
     if not os.path.exists(ckpt):
         return {}
-    scores_path = os.path.join(out_dir, "scores", "scores.csv")
-    with open(scores_path, newline="") as fh, csv_rows(fh, scores_path) as rows:
-        periods = {row[1] for lineno, row in rows if lineno > 1 and row}  # as read_scores_csv
-    return {"periods": len(periods),
+    return {"periods": n_test_days // cfg.test_days,
             "param_count": load_ensemble(ckpt).members[0].param_count}
 
 
@@ -528,12 +510,13 @@ def write_report(cfg: RunConfig, ledgers: dict[str, BacktestLedger], out_dir: st
         led.nav_to_csv(os.path.join(report_dir, f"nav_{name}.csv"))
 
     grid = build_metric_grid(reports) if "topk" in reports else {}
+    n_test_days = len(market.daily_returns)
     payload = {
         "model": cfg.loss,
-        "n_test_days": len(market.daily_returns),
+        "n_test_days": n_test_days,
         "strategies": reports,
         "grid": grid,
-        **_training_summary(out_dir),
+        **_training_summary(cfg, out_dir, n_test_days),
     }
     with open(os.path.join(report_dir, "metrics.json"), "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
@@ -543,13 +526,13 @@ def write_report(cfg: RunConfig, ledgers: dict[str, BacktestLedger], out_dir: st
     return payload
 
 
-def _environment(processes: int | None, malloc_thresholds: dict | None) -> dict:
+def _environment(processes: int | None) -> dict:
     """What the numbers of a run depend on besides its config and data.
 
-    processes is the training process count w of train_walk_forward and
-    malloc_thresholds the glibc thresholds its training ran under; each is
-    None when the process writing the manifest trained nothing (backtest,
-    report), and the thresholds where the libc is not glibc.
+    processes is the training process count w of train_walk_forward, None
+    when the process writing the manifest trained nothing (backtest,
+    report). The glibc malloc thresholds that training ran under follow from
+    it: None where nothing trained, or where the libc is not glibc.
     """
     return {
         "python": sys.version.split()[0],
@@ -558,12 +541,11 @@ def _environment(processes: int | None, malloc_thresholds: dict | None) -> dict:
         "blas_threads": blas.threads(),
         "usable_cpus": usable_cpus(),
         "training_processes": processes,
-        "malloc_thresholds": malloc_thresholds,
+        "malloc_thresholds": None if processes is None else malloc.thresholds(),
     }
 
 
-def write_manifest(cfg: RunConfig, out_dir: str, processes: int | None = None,
-                   malloc_thresholds: dict | None = None) -> None:
+def write_manifest(cfg: RunConfig, out_dir: str, processes: int | None = None) -> None:
     entries = {}
     for root, _dirs, files in os.walk(out_dir):
         for name in sorted(files):
@@ -577,7 +559,7 @@ def write_manifest(cfg: RunConfig, out_dir: str, processes: int | None = None,
         "config_sha256": cfg.sha256(),
         "package_version": __version__,
         "artifacts": entries,
-        "environment": _environment(processes, malloc_thresholds),
+        "environment": _environment(processes),
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
@@ -618,7 +600,7 @@ def training_run(cfg: RunConfig, out_dir: str, log=lambda msg: None):
         write_scores_csv(result["score_rows"], os.path.join(scores_dir, "scores.csv"))
 
         yield universe, result["scores"], result["days"]
-        write_manifest(cfg, out_dir, result["training_processes"], result["malloc_thresholds"])
+        write_manifest(cfg, out_dir, result["training_processes"])
 
 
 def run_pipeline(cfg: RunConfig, out_dir: str, log=lambda msg: None) -> dict:

@@ -39,6 +39,10 @@ tap, against which the one-GEMM-per-tap backward is checked.
 ``stacked_panel`` is the bit-exact oracle of ``indicators.assemble_panel``:
 the same kernels, with the feature stacks, the concatenation and the
 ``np.where`` warmup scrub that the one-buffer panel replaced.
+
+``scan_max_drawdown`` and ``scan_mdd_duration`` are the day-by-day peak
+scans that ``analytics.max_drawdown`` and ``analytics.mdd_duration``
+replaced with the running peak, ``np.maximum.accumulate``.
 """
 
 import csv
@@ -671,3 +675,37 @@ def run_strategies(strategies, universe, scores: np.ndarray, days, k: int,
         ledgers["market_equal_weight"] = simulate("market_equal_weight", rankings[0],
                                                   returns_by_day, alive_by_day=alive_by_day)
     return ledgers
+
+
+def scan_max_drawdown(values) -> float:
+    """Worst drawdown, <= 0, by one scan that carries the peak."""
+    v = np.asarray(values, dtype=np.float64)
+    peak_idx = 0
+    best_dd = 0.0
+    for i in range(v.size):
+        if v[i] > v[peak_idx]:
+            peak_idx = i
+        dd = v[i] / v[peak_idx] - 1.0
+        if dd < best_dd:
+            best_dd = dd
+    return float(best_dd)
+
+
+def scan_mdd_duration(values) -> int:
+    """Longest stretch from a peak back to its level, by one scan; a final
+    episode that never recovers is censored at the last day."""
+    v = np.asarray(values, dtype=np.float64)
+    peak_idx = 0
+    in_drawdown = False
+    longest = 0
+    for i in range(1, v.size):
+        if v[i] >= v[peak_idx]:
+            if in_drawdown:
+                longest = max(longest, i - peak_idx)
+                in_drawdown = False
+            peak_idx = i
+        else:
+            in_drawdown = True
+    if in_drawdown:
+        longest = max(longest, (v.size - 1) - peak_idx)
+    return int(longest)

@@ -24,6 +24,8 @@ from stockrank.analytics import (
 from stockrank.backtest import BacktestLedger
 from stockrank.errors import DataError, NumericError
 
+from reference import scan_max_drawdown, scan_mdd_duration
+
 
 def ledger_from_returns(rets):
     led = BacktestLedger()
@@ -92,20 +94,25 @@ class TestAnnualize:
             annualize_return(1.5, 0)
 
 
+# NAV-like series: random walks, and short ones drawn from a few levels so
+# that ties with the running peak are common
+nav_series = st.one_of(
+    st.lists(st.floats(min_value=-0.5, max_value=0.5), min_size=1, max_size=60).map(
+        lambda r: np.cumprod(1.0 + np.array(r))),
+    st.lists(st.sampled_from([0.5, 0.8, 1.0, 1.25, 2.0]), min_size=1, max_size=20).map(
+        np.array),
+)
+
+
 class TestMaxDrawdown:
-    def test_hand_scan_with_peak_and_trough(self):
-        dd, peak, trough = max_drawdown([1.0, 1.2, 0.6, 0.9])
-        assert dd == pytest.approx(-0.5, abs=1e-15)
-        assert (peak, trough) == (1, 2)
+    def test_hand_scan(self):
+        assert max_drawdown([1.0, 1.2, 0.6, 0.9]) == pytest.approx(-0.5, abs=1e-15)
 
     def test_monotone_increasing_no_drawdown(self):
-        dd, _, _ = max_drawdown([1.0, 1.1, 1.2, 1.3])
-        assert dd == 0.0
+        assert max_drawdown([1.0, 1.1, 1.2, 1.3]) == 0.0
 
     def test_recovered_drawdown_still_counted(self):
-        dd, peak, trough = max_drawdown([1.0, 0.5, 1.1])
-        assert dd == pytest.approx(-0.5, abs=1e-15)
-        assert (peak, trough) == (0, 1)
+        assert max_drawdown([1.0, 0.5, 1.1]) == pytest.approx(-0.5, abs=1e-15)
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(min_value=0.1, max_value=100.0),
@@ -113,15 +120,16 @@ class TestMaxDrawdown:
     def test_scale_invariance(self, c, seed):
         rng = np.random.default_rng(seed)
         v = np.cumprod(1 + rng.normal(0, 0.02, size=50))
-        dd1, p1, t1 = max_drawdown(v)
-        dd2, p2, t2 = max_drawdown(c * v)
-        assert dd1 == pytest.approx(dd2, rel=1e-9, abs=1e-12)
-        assert (p1, t1) == (p2, t2)
+        assert max_drawdown(v) == pytest.approx(max_drawdown(c * v), rel=1e-9, abs=1e-12)
 
     def test_bounded_in_minus_one_zero(self, rng):
         v = np.cumprod(1 + rng.normal(0, 0.05, size=200))
-        dd, _, _ = max_drawdown(v)
-        assert -1.0 <= dd <= 0.0
+        assert -1.0 <= max_drawdown(v) <= 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(nav_series)
+    def test_running_peak_equals_the_scan(self, v):
+        assert max_drawdown(v) == scan_max_drawdown(v)
 
 
 class TestMddDuration:
@@ -144,6 +152,11 @@ class TestMddDuration:
 
     def test_flat_series(self):
         assert mdd_duration([1.0, 1.0, 1.0]) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(nav_series)
+    def test_running_peak_equals_the_scan(self, v):
+        assert mdd_duration(v) == scan_mdd_duration(v)
 
 
 class TestTTest:
@@ -272,7 +285,7 @@ class TestBuildReport:
         rep = build_report(led, market)
         assert rep.final_value == pytest.approx(float(np.prod(1 + rets)), rel=1e-12)
         assert rep.sharpe == pytest.approx(sharpe_ratio(rets), rel=1e-12)
-        assert rep.max_drawdown == pytest.approx(max_drawdown(led.values)[0], rel=1e-12)
+        assert rep.max_drawdown == pytest.approx(max_drawdown(led.values), rel=1e-12)
         assert rep.mdd_duration_days == mdd_duration(led.values)
         t, p = t_test_vs_market(rets, market_rets)
         assert rep.t_value == pytest.approx(t, rel=1e-12)

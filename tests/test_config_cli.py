@@ -12,8 +12,9 @@ from click.testing import CliRunner
 import stockrank.cli
 from stockrank import blas, malloc, models, pipeline
 from stockrank.cli import main
-from stockrank.config import RunConfig, load_config, resolve_loss_alias
+from stockrank.config import RunConfig, load_config
 from stockrank.errors import ConfigError
+from stockrank.losses import LOSSES
 
 
 @pytest.fixture
@@ -111,12 +112,15 @@ class TestRunConfig:
         assert os.path.isabs(cfg.ohlcv_path)
         assert cfg.ohlcv_path == str(tmp_path / "ohlcv.csv")
 
-    def test_loss_aliases(self):
-        assert resolve_loss_alias("new") == "return_weighted_ce"
-        assert resolve_loss_alias("ce") == "ce"
-        assert resolve_loss_alias("mse") == "mse"
-        with pytest.raises(ConfigError):
-            resolve_loss_alias("huber")
+    @pytest.mark.parametrize("command", ["train", "run"])
+    def test_loss_choices_are_the_table_aliases(self, runner, command):
+        (option,) = [p for p in main.commands[command].params if p.name == "loss"]
+        assert list(option.type.choices) == [row.alias for row in LOSSES.values()]
+        assert stockrank.cli._LOSS_OF_ALIAS == {"new": "return_weighted_ce", "ce": "ce",
+                                                "mse": "mse"}
+        result = runner.invoke(main, [command, "--config", __file__, "--out", "x",
+                                      "--loss", "huber"])
+        assert result.exit_code == 2 and "'huber' is not one of" in result.output
 
     def test_sha256_stable(self):
         a = RunConfig(ohlcv_path="x", sector_path="y")
@@ -221,6 +225,79 @@ class TestRunConfig:
         err = json.loads(result.output.strip().splitlines()[-1])
         assert err == {"error": "ConfigError", "module": "config", "message": message}
         assert loads == [] and not out.exists()
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("loss", "huber", "unknown loss 'huber'"),
+        ("dropout", 1.0, "dropout must be in [0, 1), got 1.0"),
+        ("conv", [[3, 0]], "conv must be a non-empty list of [k, channels] pairs >= 1, "
+                           "got [[3, 0]]"),
+        ("conv", [[6, 4], [6, 4]], "conv stack consumes the whole time axis"),
+    ], ids=["loss", "dropout", "channels", "time_axis"])
+    def test_network_rule_fails_before_any_file_is_written(
+            self, tmp_path, runner, key, value, message, monkeypatch):
+        # validate builds the run's network, whose rules config states once
+        data = synth_dataset(runner, tmp_path / "d", n_days=30)
+        cfg_path = write_config(tmp_path, small_config(data, **{key: value}))
+        loads = []
+        monkeypatch.setattr(pipeline, "load_ohlcv", lambda *a, **k: loads.append(a))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["run", "--config", str(cfg_path), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        err = json.loads(result.output.strip().splitlines()[-1])
+        assert err == {"error": "ConfigError", "module": "config", "message": message}
+        assert loads == [] and not out.exists()
+
+    def test_window_longer_than_the_std_range_fails_before_the_run_directory(
+            self, tmp_path, runner):
+        # m - 1 <= std_days: the first train anchor's window starts inside
+        # the std range; m = 62 on std_days = 60 fails on any calendar
+        data = synth_dataset(runner, tmp_path / "d", n_days=400)
+        cfg_path = write_config(tmp_path, small_config(data, m=62))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["run", "--config", str(cfg_path), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        err = json.loads(result.output.strip().splitlines()[-1])
+        assert err == {"error": "ConfigError", "module": "pipeline",
+                       "message": "a window of m=62 days reaches before the std range of "
+                                  "60 days: m - 1 must be <= std_days"}
+        assert "walk-forward periods" not in result.output and not out.exists()
+
+    @pytest.mark.parametrize("args,overrides", [
+        (["run", "--seed", "4", "--loss", "mse", "--strategy", "topk",
+          "--strategy", "bottomk"],
+         {"seed": 4, "loss": "mse", "strategies": ["topk", "bottomk"]}),
+        (["run", "--loss", "new"], {"loss": "return_weighted_ce"}),
+        (["train", "--seed", "0", "--loss", "ce"], {"seed": 0, "loss": "ce"}),
+        (["backtest", "--strategy", "long_short_k"], {"strategies": ["long_short_k"]}),
+        (["backtest"], {}),
+    ], ids=["run", "run_loss", "train", "backtest", "backtest_none"])
+    def test_options_reach_load_config_as_overrides(self, tmp_path, runner, monkeypatch,
+                                                    args, overrides):
+        seen = []
+
+        def recording(path, given=None):
+            seen.append(given)
+            raise ConfigError("stop")
+
+        monkeypatch.setattr(stockrank.cli, "load_config", recording)
+        result = runner.invoke(main, [args[0], "--config", __file__, "--out", str(tmp_path),
+                                      *args[1:]])
+        assert result.exit_code == 2, result.output
+        assert seen == [overrides]
+
+    def test_strategy_override_is_the_resolved_config(self, tmp_path, runner):
+        data = synth_dataset(runner, tmp_path / "d")
+        cfg_path = write_config(tmp_path, small_config(data, n_members=1))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["run", "--config", str(cfg_path), "--out", str(out),
+                                      "--strategy", "topk", "--strategy", "bottomk"])
+        assert result.exit_code == 0, result.output
+        resolved = load_config(out / "config.resolved.json")
+        assert resolved.strategies == ["topk", "bottomk"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config_sha256"] == resolved.sha256()
+        assert sorted(os.listdir(out / "ledgers")) == ["bottomk.csv", "market_equal_weight.csv",
+                                                      "topk.csv"]
 
 
 class TestSynthCommand:
@@ -883,7 +960,9 @@ class TestBenchmarkPatchPoints:
             "spans.install(tracer)\n"
             "from stockrank import models\n"
             "from stockrank.losses import batch_loss\n"
-            "arch = models.ArchConfig(m=10, n=6, conv=((3, 4),), dense=(4,))\n"
+            "from dataclasses import replace\n"
+            "from stockrank.config import RunConfig\n"
+            "arch = replace(RunConfig().arch(), m=10, n=6, conv=((3, 4),), dense=(4,))\n"
             "state = models.build_model(arch, seed=1)\n"
             "rng = np.random.default_rng(0)\n"
             "out = models.forward(state, rng.normal(size=(8, 10, 6)),\n"

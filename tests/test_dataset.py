@@ -55,6 +55,13 @@ class TestSplitPlans:
         assert plans[0].std_range == (50, 250)
         assert plans[0].test_range == (450, 470)
 
+    def test_window_must_start_inside_the_std_range(self):
+        # the first train anchor's window reaches m - 1 days back
+        plans = build_split_plans(600, m=21, std_days=20, trainval_days=40)
+        assert plans[0].std_range == (0, 20)
+        with pytest.raises(DataError, match="m - 1 must be <= std_days"):
+            build_split_plans(600, m=22, std_days=20, trainval_days=40)
+
     def test_contiguity_enforced(self):
         with pytest.raises(DataError, match="contiguous"):
             SplitPlan(0, (0, 200), (201, 401), (401, 421))

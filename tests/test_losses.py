@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from stockrank.dataset import assign_label, cap_return
 from stockrank.errors import ConfigError, NumericError
-from stockrank.losses import LOG_CLIP, LOSS_KINDS, LossKind, batch_loss
+from stockrank.config import RunConfig
+from stockrank.losses import LOG_CLIP, LOSSES, batch_loss
 from stockrank.nn.autograd import Tensor, softmax
 
 from reference import chain_batch_loss, cross_entropy, mse, return_weighted_loss
@@ -104,15 +105,20 @@ class TestMse:
         assert mse(0.1, 0.3) == pytest.approx(0.04, rel=1e-12)
 
 
-class TestLossKind:
-    def test_arities(self):
-        assert LossKind("return_weighted_ce").output_arity == 5
-        assert LossKind("ce").output_arity == 5
-        assert LossKind("mse").output_arity == 1
+class TestLossTable:
+    def test_rows(self):
+        rows = [(row.kind, row.alias, row.output_arity, row.initial_lr, row.min_lr, row.dropout)
+                for row in LOSSES.values()]
+        assert rows == [("return_weighted_ce", "new", 5, 0.01, 0.001, 0.35),
+                        ("ce", "ce", 5, 0.005, 0.0005, 0.40),
+                        ("mse", "mse", 1, 0.01, 0.001, 0.40)]
+        assert all(kind == row.kind for kind, row in LOSSES.items())
+        assert [row.classification for row in LOSSES.values()] == [True, True, False]
 
     def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            LossKind("huber")
+        # not a table row, so the run's network rejects it
+        with pytest.raises(ConfigError, match="unknown loss 'huber'"):
+            RunConfig(loss="huber").arch()
 
 
 class TestBatchLossGradients:
@@ -121,16 +127,16 @@ class TestBatchLossGradients:
     def _check(self, kind, outputs, labels, targets, weights, tol=1e-6):
         h = 1e-6
         q = Tensor(outputs.copy(), requires_grad=True)
-        loss = batch_loss(LossKind(kind), q, labels, targets, weights)
+        loss = batch_loss(LOSSES[kind], q, labels, targets, weights)
         loss.backward()
         rng = np.random.default_rng(1)
         flat = q.data.ravel()
         for i in rng.choice(flat.size, size=min(12, flat.size), replace=False):
             orig = flat[i]
             flat[i] = orig + h
-            up = batch_loss(LossKind(kind), Tensor(q.data), labels, targets, weights).item()
+            up = batch_loss(LOSSES[kind], Tensor(q.data), labels, targets, weights).item()
             flat[i] = orig - h
-            down = batch_loss(LossKind(kind), Tensor(q.data), labels, targets, weights).item()
+            down = batch_loss(LOSSES[kind], Tensor(q.data), labels, targets, weights).item()
             flat[i] = orig
             fd = (up - down) / (2 * h)
             an = q.grad.ravel()[i]
@@ -163,7 +169,7 @@ class TestBatchLossGradients:
         labels = np.eye(5)[rng.integers(0, 5, size=B)]
         targets = rng.normal(0, 0.03, size=B)
         weights = np.minimum(np.abs(targets), 0.5)
-        total = batch_loss(LossKind("return_weighted_ce"), Tensor(outputs), labels,
+        total = batch_loss(LOSSES["return_weighted_ce"], Tensor(outputs), labels,
                            targets, weights).item()
         per_sample = [
             return_weighted_loss(labels[i], outputs[i], weights[i]) for i in range(B)
@@ -176,7 +182,7 @@ class TestLossNodesMatchTheOpChain:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        kind=st.sampled_from(LOSS_KINDS),
+        kind=st.sampled_from(list(LOSSES)),
         dtype=st.sampled_from([np.float32, np.float64]),
         batch=st.one_of(st.just(1), st.integers(min_value=1, max_value=299)),
         scale=st.floats(min_value=0.0, max_value=200.0),
@@ -186,7 +192,7 @@ class TestLossNodesMatchTheOpChain:
     def test_loss_and_gradient_bytes_equal_the_chain(self, kind, dtype, batch, scale, tiny,
                                                      seed):
         rng = np.random.default_rng(seed)
-        arity = LossKind(kind).output_arity
+        arity = LOSSES[kind].output_arity
         # logits scaled up to 200 put some probabilities below the clip; the
         # first row's labelled probability is set to `tiny`, at or near it
         logits = (rng.normal(size=(batch, arity)) * scale).astype(dtype)
@@ -210,7 +216,7 @@ class TestLossNodesMatchTheOpChain:
             loss.backward()
             return loss, [q_leaf.grad, x.grad]
 
-        loss, grads = run(lambda out: batch_loss(LossKind(kind), out, labels, targets, weights))
+        loss, grads = run(lambda out: batch_loss(LOSSES[kind], out, labels, targets, weights))
         ref, ref_grads = run(lambda out: chain_batch_loss(kind, out, labels, targets, weights))
         assert loss.data.dtype == ref.data.dtype == dtype
         assert loss.data.tobytes() == ref.data.tobytes()
