@@ -151,11 +151,11 @@ def student_t_two_sided(t: float, dof: float) -> float:
     return 1.0 - 2.0 * front * _beta_continued_fraction(0.5, a, y)
 
 
-def t_test_vs_market(strategy_returns, market_returns, paired: bool = True) -> tuple[float, float]:
+def t_test_vs_market(strategy_returns, market_returns, paired: bool) -> tuple[float, float]:
     """t statistic and two-sided p-value of strategy vs benchmark returns.
 
-    Paired (default): one-sample t on the daily differences. Unpaired:
-    Welch's two-sample t. The p-value is ``student_t_two_sided(t, dof)``,
+    Paired: one-sample t on the daily differences. Unpaired: Welch's
+    two-sample t. The p-value is ``student_t_two_sided(t, dof)``,
     the tail that 2 * scipy.stats.t.sf(|t|, dof) gives, to within a
     relative 1e-11 on the tests' examples.
     """
@@ -186,12 +186,8 @@ def t_test_vs_market(strategy_returns, market_returns, paired: bool = True) -> t
     return t, student_t_two_sided(t, float(dof))
 
 
-def build_report(
-    ledger: BacktestLedger,
-    market_ledger: BacktestLedger | None = None,
-    rf_daily=0.0,
-    paired_t: bool = True,
-) -> MetricsReport:
+def build_report(ledger: BacktestLedger, market_ledger: BacktestLedger | None, rf_daily,
+                 paired_t: bool) -> MetricsReport:
     """Assemble the full metric row for one ledger."""
     returns = np.asarray(ledger.daily_returns, dtype=np.float64)
     values = np.asarray(ledger.values, dtype=np.float64)

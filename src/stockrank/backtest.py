@@ -168,10 +168,11 @@ def _run(picks: np.ndarray, returns: np.ndarray, dates, tickers, mode: str) -> B
 
 
 def simulate(strategy: str, scores: np.ndarray, returns: np.ndarray, alive: np.ndarray,
-             dates, tickers, k: int = 10, rebalance_mode: str = "drift") -> BacktestLedger:
+             dates, tickers, k: int, rebalance_mode: str) -> BacktestLedger:
     """Run one strategy over (days, stocks) scores, returns and alive mask,
     whose rows are the days ``dates`` and whose columns are the stocks
-    ``tickers`` (see the module docstring).
+    ``tickers`` (see the module docstring). ``k`` and ``rebalance_mode`` are
+    the run config's; strategies that do not use them ignore them.
     """
     if strategy not in STRATEGIES:
         raise DataError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")

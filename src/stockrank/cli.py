@@ -23,6 +23,7 @@ from .errors import ConfigError, DataError, NumericError, StockrankError, failin
 from .losses import LOSSES
 from .pipeline import (
     build_panel,
+    clear_outputs,
     load_universe,
     read_scores_csv,
     run_lock,
@@ -73,19 +74,16 @@ def main():
 @click.option("--n-stocks", type=int, default=30, show_default=True)
 @click.option("--n-days", type=int, default=900, show_default=True)
 @click.option("--out", type=click.Path(), required=True, help="output directory")
-@click.option("--event-rate", type=float, default=0.0, show_default=True,
+@click.option("--event-rate", type=float, default=SignalSpec.event_rate, show_default=True,
               help="per (stock, day) probability of planting a motif")
-@click.option("--jump-prob", type=float, default=0.8, show_default=True)
-@click.option("--jump-size", type=float, default=0.05, show_default=True)
-@click.option("--volume-factor", type=float, default=6.0, show_default=True)
-@click.option("--daily-vol", type=float, default=0.02, show_default=True)
+@click.option("--jump-prob", type=float, default=SignalSpec.jump_prob, show_default=True)
+@click.option("--jump-size", type=float, default=SignalSpec.jump_size, show_default=True)
+@click.option("--volume-factor", type=float, default=SignalSpec.volume_factor, show_default=True)
+@click.option("--daily-vol", type=float, default=SignalSpec.daily_vol, show_default=True)
 @_guarded
-def synth(seed, n_stocks, n_days, out, event_rate, jump_prob, jump_size,
-          volume_factor, daily_vol):
+def synth(seed, n_stocks, n_days, out, **spec):
     """Generate a seeded synthetic OHLCV + sector dataset."""
-    spec = SignalSpec(event_rate=event_rate, jump_prob=jump_prob,
-                      jump_size=jump_size, volume_factor=volume_factor)
-    rows, events, _cal = generate(seed, n_stocks, n_days, spec, daily_vol=daily_vol)
+    rows, events, _cal = generate(seed, n_stocks, n_days, SignalSpec(**spec))
     os.makedirs(out, exist_ok=True)
     write_ohlcv_csv(rows, os.path.join(out, "ohlcv.csv"))
     write_sector_csv([r["ticker"] for r in rows], os.path.join(out, "sectors.csv"))
@@ -154,6 +152,7 @@ def backtest(config_path, out, strategy):
         universe = load_universe(cfg)
         scores, days = read_scores_csv(scores_path, universe)
         ledgers = run_strategies(cfg, universe, scores, days)
+        clear_outputs(out, "ledgers")
         ledger_dir = write_ledgers(ledgers, out)
         write_manifest(cfg, out)
     _echo(f"wrote {len(ledgers)} ledgers to {ledger_dir}")
@@ -179,6 +178,7 @@ def report(out):
                 ledgers[name[:-4]] = BacktestLedger.from_csv(os.path.join(ledger_dir, name))
         if "market_equal_weight" not in ledgers:
             raise DataError("no market_equal_weight ledger to benchmark against")
+        clear_outputs(out, "report")
         payload = write_report(cfg, ledgers, out)
         write_manifest(cfg, out)
     _echo(json.dumps(payload["grid"], sort_keys=True))

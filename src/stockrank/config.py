@@ -5,12 +5,14 @@ object (plus data paths) is the canonical profile. Validation is
 fail-fast: a bad config never produces partial artifacts.
 
 Each setting and each rule is stated once. RunConfig holds the one default
-of every run setting, and builds what the stages take from it:
-``feature_names`` is the panel's features and ``arch()`` the network.
-ArchConfig holds every network rule, so ``RunConfig.validate`` builds the
-network instead of restating them. A loss's own settings (its CLI alias,
-output arity, learning rates and default dropout) are its row of
-``losses.LOSSES``, which every reader looks up.
+of every run setting and ``validate`` checks every config rule; no stage
+function restates a default or a rule, so each takes its settings from its
+caller. RunConfig builds what the stages take from it: ``feature_names``
+is the panel's features and ``arch()`` the network. ArchConfig holds every
+network rule, so ``RunConfig.validate`` builds the network instead of
+restating them. A loss's own settings (its CLI alias, output arity,
+learning rates and default dropout) are its row of ``losses.LOSSES``,
+which every reader looks up.
 """
 
 from __future__ import annotations
@@ -25,13 +27,12 @@ import typing
 from dataclasses import asdict, dataclass, field
 
 from .backtest import REBALANCE_MODES, STRATEGIES
-from .dataset import DEFAULT_THRESHOLDS, RETURN_CAP, STD_DAYS, TEST_DAYS, TRAIN_DAYS, TRAINVAL_DAYS
 from .errors import ConfigError
 from .indicators import BASIC_FEATURE_NAMES, DEFAULT_TECHNICAL_16, TECHNICAL_NAMES
 from .losses import LOSSES, LossKind
-from .market_data import DEFAULT_DOLLAR_VOLUME_FLOOR, DEFAULT_PRICE_FLOOR
 
-MOE_WINDOW = 6
+#: How an ensemble weights its members: by their recent returns, or equally.
+COMBINE_MODES = ("moe", "simple_average")
 
 
 @dataclass(frozen=True)
@@ -83,20 +84,20 @@ class RunConfig:
     rf_path: str | None = None
     start: str | None = None  # ISO dates; None = full span
     end: str | None = None
-    dollar_volume_floor: float = DEFAULT_DOLLAR_VOLUME_FLOOR
-    price_floor: float = DEFAULT_PRICE_FLOOR
+    dollar_volume_floor: float = 10_000_000.0
+    price_floor: float = 0.1
     # features
     use_basic: bool = True
     technical: list[str] = field(default_factory=lambda: list(DEFAULT_TECHNICAL_16))
     # windowing
     m: int = 20
-    std_days: int = STD_DAYS
-    trainval_days: int = TRAINVAL_DAYS
-    test_days: int = TEST_DAYS
-    val_days: int = TRAINVAL_DAYS - TRAIN_DAYS
+    std_days: int = 200
+    trainval_days: int = 200
+    test_days: int = 20
+    val_days: int = 20
     # labeling
-    label_thresholds: tuple[float, float] = DEFAULT_THRESHOLDS
-    return_cap: float = RETURN_CAP
+    label_thresholds: tuple[float, float] = (0.01, 0.03)
+    return_cap: float = 0.5
     # model
     loss: str = "return_weighted_ce"
     conv: list[list[int]] = field(default_factory=lambda: [[3, 48], [3, 64], [3, 96]])
@@ -108,7 +109,7 @@ class RunConfig:
     # ensemble
     n_members: int = 3
     combine_mode: str = "moe"
-    moe_window: int = MOE_WINDOW
+    moe_window: int = 6
     n_ensembles: int = 1
     # backtest
     strategies: list[str] = field(default_factory=lambda: list(STRATEGIES))
@@ -163,7 +164,7 @@ class RunConfig:
             raise ConfigError("batch_size must be >= 1 and max_epochs >= 0")
         if self.n_members < 1 or self.n_ensembles < 1:
             raise ConfigError("n_members and n_ensembles must be >= 1")
-        if self.combine_mode not in ("moe", "simple_average"):
+        if self.combine_mode not in COMBINE_MODES:
             raise ConfigError(f"unknown combine_mode {self.combine_mode!r}")
         if self.moe_window < 1:
             raise ConfigError("moe_window must be >= 1")

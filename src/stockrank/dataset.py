@@ -20,15 +20,9 @@ from .errors import DataError
 from .indicators import FeaturePanel
 from .market_data import OPEN, Universe
 
-STD_DAYS = 200
-TRAINVAL_DAYS = 200
-TEST_DAYS = 20
-TRAIN_DAYS = 180  # leading part of the train/val window; the rest validates
 LOOKAHEAD = 2  # opens at T+1 and T+2 label anchor day T
 SIGMA_EPS = 1e-8
-RETURN_CAP = 0.5
 N_CLASSES = 5
-DEFAULT_THRESHOLDS = (0.01, 0.03)
 
 
 @dataclass(frozen=True)
@@ -67,6 +61,9 @@ class Windows:
     no window, so its view is empty and only an empty selection indexes
     it. ``shape``, ``size`` and ``dtype`` describe the gathered array;
     ``np.asarray`` gathers every window.
+
+    A sample whose m days leave its stock's row would read another row of
+    the flat block, so it is a DataError.
     """
 
     def __init__(self, span: np.ndarray, stock, first_row, m: int):
@@ -77,6 +74,8 @@ class Windows:
             rows, shape=(max(len(rows) - m + 1, 0), m, n),
             strides=(row_step, row_step, item_step), writeable=False)
         first_row = np.asarray(first_row, dtype=np.intp)
+        if ((first_row < 0) | (first_row > n_days - m)).any():
+            raise DataError(f"a window of m={m} days leaves its stock's row of {n_days} days")
         self._start = np.asarray(stock, dtype=np.intp) * n_days + first_row
         self.shape = (len(self._start), m, n)
         self.dtype = span.dtype
@@ -122,23 +121,18 @@ class SampleSet:
         return len(self.stock)
 
 
-def build_split_plans(
-    calendar_len: int,
-    m: int = 20,
-    std_days: int = STD_DAYS,
-    trainval_days: int = TRAINVAL_DAYS,
-    test_days: int = TEST_DAYS,
-    offset: int = 0,
-) -> list[SplitPlan]:
+def build_split_plans(calendar_len: int, m: int, std_days: int, trainval_days: int,
+                      test_days: int, offset: int = 0) -> list[SplitPlan]:
     """All walk-forward plans that fit on a calendar of the given length.
 
-    With defaults, plan 0 standardizes on days [0, 200), trains/validates
-    on [200, 400), and tests on [400, 420); each later plan shifts
-    everything 20 days. A plan is kept only while its last test anchor
-    still has the two future opens its label needs. ``offset`` shifts all
-    ranges forward (used when leading days are feature warmup). The first
-    train anchor's window must start inside the std range, whose stats
-    standardize it: m - 1 <= std_days.
+    The lengths are the run config's. Plan 0 standardizes on days
+    [0, std_days), trains/validates on the next trainval_days and tests on
+    the test_days after them; each later plan shifts everything test_days
+    days. A plan is kept only while its last test anchor still has the two
+    future opens its label needs. ``offset`` shifts all ranges forward
+    (used when leading days are feature warmup). The first train anchor's
+    window must start inside the std range, whose stats standardize it:
+    m - 1 <= std_days.
     """
     if m - 1 > std_days:
         raise DataError(f"a window of m={m} days reaches before the std range of "
@@ -215,43 +209,37 @@ def _finite_returns(r) -> np.ndarray:
     return r
 
 
-def assign_label(r, thresholds: tuple[float, float] = DEFAULT_THRESHOLDS) -> np.ndarray:
+def assign_label(r, thresholds: tuple[float, float]) -> np.ndarray:
     """Map a return, or an array of returns, to one-hot class vectors.
 
     Boundaries: r >= hi is strong buy, lo < r < hi buy, -lo < r <= lo hold,
-    -hi < r <= -lo sell, r <= -hi strong sell (lo, hi = 1%, 3% by default).
-    The result has shape r.shape + (5,).
+    -hi < r <= -lo sell, r <= -hi strong sell, where (lo, hi) are the run
+    config's ``label_thresholds`` (0 < lo < hi, as it checks). The result
+    has shape r.shape + (5,).
     """
     r = _finite_returns(r)
     lo, hi = thresholds
-    if not 0 < lo < hi:
-        raise DataError(f"label thresholds must satisfy 0 < lo < hi, got {thresholds}")
     idx = np.searchsorted([-hi, -lo, lo], r, side="left") + (r >= hi)
     return np.eye(N_CLASSES)[idx]
 
 
-def cap_return(r, cap: float = RETURN_CAP):
-    """Loss weight: |r| clipped at the cap (0.5 by default), elementwise."""
+def cap_return(r, cap: float):
+    """Loss weight: |r| clipped at the run config's ``return_cap``, elementwise."""
     return np.minimum(np.abs(_finite_returns(r)), cap)
 
 
-def make_samples(
-    panel: FeaturePanel,
-    universe: Universe,
-    plan: SplitPlan,
-    returns: np.ndarray,
-    m: int = 20,
-    thresholds: tuple[float, float] = DEFAULT_THRESHOLDS,
-    cap: float = RETURN_CAP,
-    val_days: int = TRAINVAL_DAYS - TRAIN_DAYS,
-) -> dict[str, SampleSet]:
+def make_samples(panel: FeaturePanel, universe: Universe, plan: SplitPlan, returns: np.ndarray,
+                 m: int, thresholds: tuple[float, float], cap: float,
+                 val_days: int) -> dict[str, SampleSet]:
     """Build train/val/test SampleSets for one walk-forward period.
 
     The train/val window is split temporally: its trailing ``val_days``
-    anchors validate (20 by default, so 180 train / 20 val), everything
-    before them trains. Windows may reach back into the std range (those
-    days are standardized with the same stats), and ``build_split_plans``
-    keeps them inside it. Samples are ordered by stock, then by anchor day.
+    anchors validate, everything before them trains. Windows may reach
+    back into the std range (those days are standardized with the same
+    stats): ``build_split_plans`` keeps them inside it, and ``Windows``
+    rejects a hand-built plan that does not. The settings are the run
+    config's, which checks them. Samples are ordered by stock, then by
+    anchor day.
     ``returns`` is ``return_matrix(universe)``, built once by the caller for
     every period. Every split's windows view the same float32 copy of the
     standardized span.
@@ -265,8 +253,6 @@ def make_samples(
 
     t0, t1 = plan.trainval_range
     e0, e1 = plan.test_range
-    if not 0 < val_days < t1 - t0:
-        raise DataError(f"val_days must be inside the train/val window, got {val_days}")
     ranges = {"train": (t0, t1 - val_days), "val": (t1 - val_days, t1), "test": (e0, e1)}
     out: dict[str, SampleSet] = {}
     for split, (a0, a1) in ranges.items():

@@ -4,7 +4,7 @@ The loader produces a rectangular Universe: a shared trading calendar on
 which every retained stock has exactly one bar per day, held as one
 (stocks x days x 5) float64 block. Filtering ops (dollar-volume
 threshold, dead-stock marking) return new Universe objects and never
-mutate their input.
+mutate their input. Their threshold and price floor are the run config's.
 """
 
 from __future__ import annotations
@@ -37,9 +37,6 @@ SECTOR_NAMES = (
 )
 NO_SECTOR_ID = 11
 N_SECTORS = 12
-
-DEFAULT_DOLLAR_VOLUME_FLOOR = 10_000_000.0
-DEFAULT_PRICE_FLOOR = 0.1
 
 _OHLCV_HEADER = ["ticker", "date", "open", "high", "low", "close", "volume"]
 _SECTOR_HEADER = ["ticker", "sector"]
@@ -285,21 +282,22 @@ def _first_true(mask: np.ndarray) -> np.ndarray:
     return np.where(mask.any(1), mask.argmax(1), mask.shape[1])
 
 
-def load_ohlcv(
-    path: str,
-    sector_path: str,
-    start: dt.date | None = None,
-    end: dt.date | None = None,
-    price_floor: float = DEFAULT_PRICE_FLOOR,
-) -> Universe:
+def _death_days(bars: np.ndarray, price_floor: float) -> np.ndarray:
+    """Per stock of a (stocks, days, 5) bar block, the death rule's day: the
+    first day whose open is below the floor, or the number of days."""
+    return _first_true(bars[:, :, OPEN] < price_floor)
+
+
+def load_ohlcv(path: str, sector_path: str, start: dt.date | None, end: dt.date | None,
+               price_floor: float) -> Universe:
     """Load an OHLCV CSV plus a sector CSV into a rectangular Universe.
 
-    Stocks that do not span the requested [start, end] range are dropped
-    before alignment. The calendar is the set of dates carried by the
-    retained stocks; a retained stock missing any calendar day is a data
-    error (rectangularity violation), as is a duplicate (ticker, date) row
-    or a non-positive price on a day before the stock first traded below
-    ``price_floor``.
+    Stocks that do not span the requested [start, end] range (None leaves
+    that side open) are dropped before alignment. The calendar is the set
+    of dates carried by the retained stocks; a retained stock missing any
+    calendar day is a data error (rectangularity violation), as is a
+    duplicate (ticker, date) row or a non-positive price on a day before
+    the stock first traded below ``price_floor``.
 
     The accepted dialect is the one numpy's C reader (``np.loadtxt``)
     parses the file in, in one pass:
@@ -360,7 +358,7 @@ def load_ohlcv(
     missing = ~held
     non_positive = _first_true((bars[:, :, :VOLUME] <= 0).any(2))
     pre_death = (non_positive < len(calendar)) & (
-        non_positive <= _first_true(bars[:, :, OPEN] < price_floor))
+        non_positive <= _death_days(bars, price_floor))
     bad = missing.any(1) | pre_death
     if bad.any():
         k = int(bad.argmax())
@@ -378,12 +376,8 @@ def load_ohlcv(
     )
 
 
-def filter_by_dollar_volume(
-    u: Universe, threshold: float = DEFAULT_DOLLAR_VOLUME_FLOOR
-) -> Universe:
+def filter_by_dollar_volume(u: Universe, threshold: float) -> Universe:
     """Remove stocks whose full-period mean of open*volume is below threshold."""
-    if threshold <= 0:
-        raise DataError(f"dollar-volume threshold must be > 0, got {threshold}")
     kept = np.mean(u.matrix(OPEN) * u.matrix(VOLUME), axis=1) >= threshold
     if not kept.any():
         raise DataError("dollar-volume filter removed every stock")
@@ -391,12 +385,10 @@ def filter_by_dollar_volume(
                    sector_ids=u.sector_ids[kept], bars=u.bars[kept], death_day=u.death_day[kept])
 
 
-def apply_dead_stock_rule(u: Universe, price_floor: float = DEFAULT_PRICE_FLOOR) -> Universe:
+def apply_dead_stock_rule(u: Universe, price_floor: float) -> Universe:
     """Mark each stock's death_day: the first day its open is below the floor.
 
     Bars are never altered; downstream return computation forces returns to
     zero once a stock is dead (see dataset.return_matrix).
     """
-    if price_floor <= 0:
-        raise DataError(f"price floor must be > 0, got {price_floor}")
-    return replace(u, death_day=_first_true(u.bars[:, :, OPEN] < price_floor))
+    return replace(u, death_day=_death_days(u.bars, price_floor))

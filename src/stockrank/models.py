@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .config import MOE_WINDOW, ArchConfig
+from .config import COMBINE_MODES, ArchConfig
 from .errors import ConfigError, NumericError
 from .losses import LOSSES, LossKind, batch_loss
 from .market_data import N_SECTORS
@@ -349,15 +349,17 @@ def train_period(state: ModelState, train_set, val_set, hp: TrainConfig) -> dict
 
 @dataclass
 class EnsembleState:
-    """Member models plus the trailing per-period returns that weight them."""
+    """Member models plus the trailing per-period returns that weight them:
+    each member's returns of the last ``window`` periods at most. The combine
+    mode is checked again here, since a checkpoint's header holds it too."""
 
     members: list[ModelState]
+    combine_mode: str
+    window: int
     trailing_returns: list[list[float]] = field(default_factory=list)
-    combine_mode: str = "moe"
-    window: int = MOE_WINDOW
 
     def __post_init__(self):
-        if self.combine_mode not in ("moe", "simple_average"):
+        if self.combine_mode not in COMBINE_MODES:
             raise ConfigError(f"unknown combine mode {self.combine_mode!r}")
         if not self.trailing_returns:
             self.trailing_returns = [[] for _ in self.members]
@@ -370,15 +372,16 @@ class EnsembleState:
             del hist[: max(0, len(hist) - self.window)]
 
 
-def moe_weights(trailing_returns: list[list[float]], window: int = MOE_WINDOW) -> np.ndarray:
-    """Softmax of each member's compounded return over its trailing window.
+def moe_weights(trailing_returns: list[list[float]]) -> np.ndarray:
+    """Softmax of each member's compounded return over its trailing history,
+    which ``EnsembleState.record_period_returns`` keeps to the window.
 
     Before any period has been recorded the members are weighted equally.
     """
     k = len(trailing_returns)
     if any(len(h) == 0 for h in trailing_returns):
         return np.full(k, 1.0 / k)
-    r = np.array([np.prod(1.0 + np.asarray(h[-window:])) - 1.0 for h in trailing_returns])
+    r = np.array([np.prod(1.0 + np.asarray(h)) - 1.0 for h in trailing_returns])
     e = np.exp(r - r.max())
     return e / e.sum()
 
@@ -386,7 +389,7 @@ def moe_weights(trailing_returns: list[list[float]], window: int = MOE_WINDOW) -
 def ensemble_weights(ens: EnsembleState) -> np.ndarray:
     if ens.combine_mode == "simple_average":
         return np.full(len(ens.members), 1.0 / len(ens.members))
-    return moe_weights(ens.trailing_returns, ens.window)
+    return moe_weights(ens.trailing_returns)
 
 
 def combine_members(ens: EnsembleState, member_outputs: list[np.ndarray]) -> np.ndarray:

@@ -522,7 +522,7 @@ def _masked_multiply(x: Tensor, masks, on: float, off: float) -> Tensor:
     return _make(out, (x,), backward)
 
 
-def leaky_relu(x, alpha: float = 0.01) -> Tensor:
+def leaky_relu(x, alpha: float) -> Tensor:
     """x * slope: slope is 1 where x >= 0 and ``alpha`` elsewhere, NaN included;
     the mask ``x >= 0`` is built block by block (``_masked_multiply``)."""
     x = _as_tensor(x)

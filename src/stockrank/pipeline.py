@@ -14,7 +14,9 @@ bytes as a full one. Artifacts under one run directory:
     manifest.json                 config hash, artifact checksums, environment
 
 The feature panel is exported only by `stockrank features`, as panel.csv
-in a directory of its own.
+in a directory of its own. Under the run lock, and before it writes, each
+stage removes the directories it owns and every one downstream of them
+(``clear_outputs``), so a reused run directory holds one run's files.
 
 Training, about all of a research run's time, uses every usable CPU:
 each period's (ensemble, member) pairs train on ``training_processes``
@@ -32,6 +34,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import sys
 import traceback
 from collections import Counter
@@ -63,6 +66,8 @@ from .models import (
 )
 
 SCORES_HEADER = ["ensemble", "period", "date", "ticker", "score"]
+#: The run directory's stage outputs, each stage's after those it reads.
+STAGE_DIRS = ("checkpoints", "scores", "ledgers", "report")
 
 
 def _owner_is_gone(lock_path: str) -> bool:
@@ -106,6 +111,14 @@ def run_lock(out_dir: str):
     finally:
         if os.path.exists(lock_path):
             os.remove(lock_path)
+
+
+def clear_outputs(out_dir: str, first: str) -> None:
+    """Remove out_dir's stage directory ``first`` and every one after it in
+    STAGE_DIRS: what a stage that writes ``first`` makes stale."""
+    for name in STAGE_DIRS[STAGE_DIRS.index(first):]:
+        with suppress(FileNotFoundError):
+            shutil.rmtree(os.path.join(out_dir, name))
 
 
 def load_universe(cfg: RunConfig) -> Universe:
@@ -247,12 +260,13 @@ def _train_members(members: list, train_set, val_set, hp: TrainConfig,
     state an in-place run would hold, so every output is byte-identical
     for any process count. Members share nothing while they train, and
     each carries its own seed and RNG. The first error in member order is
-    raised, as the serial loop would raise it, and no child outlives the
-    call. With one process, as on one usable CPU (``taskset -c 0``), the
-    serial loop runs in place with no fork and the default BLAS threads:
+    raised, as a serial loop would raise it, and no child outlives the
+    call. With one process, as on one usable CPU (``taskset -c 0``), no
+    child is started: every member trains in place, in order, with the
+    default BLAS threads and without importing multiprocessing. That is
     the form to profile, as spans recorded in a child are lost with it.
 
-    Both paths run in ``_training_section``. While children run, BLAS is
+    Training runs in ``_training_section``. While children run, BLAS is
     capped at one thread in every process, since a BLAS pool in each of
     them would share the same cores. glibc's malloc thresholds are held
     fixed (the malloc module: 32 MiB for mmap, 64 MiB for trim), and
@@ -265,15 +279,13 @@ def _train_members(members: list, train_set, val_set, hp: TrainConfig,
     training run under the fixed thresholds too.
     """
     with _training_section(processes):
-        if processes == 1:
-            return [(m, train_period(m, train_set, val_set, hp)) for m in members]
-        import multiprocessing  # only a parallel section pays for this import
-
-        ctx = multiprocessing.get_context("fork")
         children = []
         trained = []
         try:
             for c in range(1, processes):
+                import multiprocessing  # only a parallel section pays for this import
+
+                ctx = multiprocessing.get_context("fork")
                 recv, send = ctx.Pipe(duplex=False)
                 child = ctx.Process(target=_child_trains, daemon=True,
                                     args=(send, members[c::processes], train_set, val_set, hp))
@@ -399,7 +411,8 @@ def run_strategies(cfg: RunConfig, universe: Universe, scores: np.ndarray,
         ledgers[strategy] = (per_ensemble[0] if len(per_ensemble) == 1
                              else combine_strategies(per_ensemble))
     if "market_equal_weight" not in ledgers:
-        ledgers["market_equal_weight"] = simulate("market_equal_weight", scores[0], *market)
+        ledgers["market_equal_weight"] = simulate("market_equal_weight", scores[0], *market,
+                                                  k=cfg.k, rebalance_mode=cfg.rebalance_mode)
     return ledgers
 
 
@@ -585,6 +598,7 @@ def training_run(cfg: RunConfig, out_dir: str, log=lambda msg: None):
     log(f"walk-forward periods: {len(plans)}")
 
     with run_lock(out_dir):
+        clear_outputs(out_dir, "checkpoints")
         with open(os.path.join(out_dir, "config.resolved.json"), "w") as fh:
             fh.write(cfg.to_json())
             fh.write("\n")

@@ -22,12 +22,15 @@ from .market_data import SECTOR_NAMES
 
 @dataclass(frozen=True)
 class SignalSpec:
-    """Planted-motif parameters; event_rate 0 disables the signal."""
+    """The walk's daily volatility and the planted-motif parameters;
+    event_rate 0 disables the signal. These are the ``synth`` command's
+    defaults."""
 
     event_rate: float = 0.0
     jump_prob: float = 0.8
     jump_size: float = 0.05
     volume_factor: float = 6.0
+    daily_vol: float = 0.02
 
     def __post_init__(self):
         if not 0.0 <= self.event_rate <= 1.0:
@@ -66,12 +69,12 @@ def generate(
     n_stocks: int,
     n_days: int,
     signal: SignalSpec | None = None,
-    daily_vol: float = 0.02,
 ) -> tuple[list[dict], list[PlantedEvent], list[dt.date]]:
     """Build per-stock OHLCV rows plus the planted-event log.
 
     Returns (rows, events, calendar) where each row dict carries ticker,
     date, open, high, low, close, volume. Deterministic for a fixed seed.
+    No signal is ``SignalSpec()``.
     """
     if n_stocks < 1 or n_days < 5:
         raise ConfigError(f"need n_stocks >= 1 and n_days >= 5, got {n_stocks}, {n_days}")
@@ -87,7 +90,7 @@ def generate(
         base_price = float(rng.uniform(15.0, 80.0))
         base_volume = float(rng.uniform(1.5e6, 4e6))
 
-        log_ret = rng.normal(0.0, daily_vol, size=n_days)  # log_ret[t] moves t-1 -> t
+        log_ret = rng.normal(0.0, signal.daily_vol, size=n_days)  # log_ret[t] moves t-1 -> t
         log_ret[0] = 0.0
         vol_mult = np.ones(n_days)
         armed = np.zeros(n_days, dtype=bool)
@@ -103,9 +106,9 @@ def generate(
                 events.append(PlantedEvent(ticker, int(t), calendar[t], bool(realized)))
 
         opens = base_price * np.exp(np.cumsum(log_ret))
-        closes = opens * np.exp(rng.normal(0.0, daily_vol / 2.0, size=n_days))
-        hi_pad = np.abs(rng.normal(0.0, daily_vol / 2.0, size=n_days))
-        lo_pad = np.abs(rng.normal(0.0, daily_vol / 2.0, size=n_days))
+        closes = opens * np.exp(rng.normal(0.0, signal.daily_vol / 2.0, size=n_days))
+        hi_pad = np.abs(rng.normal(0.0, signal.daily_vol / 2.0, size=n_days))
+        lo_pad = np.abs(rng.normal(0.0, signal.daily_vol / 2.0, size=n_days))
         highs = np.maximum(opens, closes) * np.exp(hi_pad)
         lows = np.minimum(opens, closes) * np.exp(-lo_pad)
         volumes = np.maximum(

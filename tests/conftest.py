@@ -23,8 +23,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from stockrank.dataset import Windows
-from stockrank.market_data import Universe
+from stockrank.config import RunConfig
+from stockrank.dataset import Windows, build_split_plans, make_samples
+from stockrank.market_data import Universe, load_ohlcv
 
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.load_profile("tier1")
@@ -74,6 +75,28 @@ def make_universe(opens_by_ticker, calendar=None, sectors=None, volumes=None):
         {t: stock_bars(opens, volumes=volumes[t] if volumes else None)
          for t, opens in opens_by_ticker.items()},
         calendar, sectors)
+
+
+def load_files(path, sector_path, start=None, end=None):
+    """load_ohlcv over the files' whole span, or [start, end], at the
+    config's price floor."""
+    return load_ohlcv(path, sector_path, start, end, RunConfig().price_floor)
+
+
+def config_plans(calendar_len, offset=0, **lengths):
+    """build_split_plans with the config's window lengths, except those given."""
+    cfg = RunConfig()
+    defaults = dict(m=cfg.m, std_days=cfg.std_days, trainval_days=cfg.trainval_days,
+                    test_days=cfg.test_days)
+    return build_split_plans(calendar_len, offset=offset, **{**defaults, **lengths})
+
+
+def config_samples(panel, universe, plan, returns, **settings):
+    """make_samples with the config's settings, except those given."""
+    cfg = RunConfig()
+    defaults = dict(m=cfg.m, thresholds=cfg.label_thresholds, cap=cfg.return_cap,
+                    val_days=cfg.val_days)
+    return make_samples(panel, universe, plan, returns, **{**defaults, **settings})
 
 
 def assert_on_calendar(u):

@@ -456,7 +456,7 @@ _INT_SYNTAX = re.compile(r"\s*[+-]?[0-9]+\s*")
 _PRICES = ("open", "high", "low", "close")
 
 
-def load_ohlcv_rows(path, sector_path, start=None, end=None, price_floor=0.1):
+def load_ohlcv_rows(path, sector_path, start, end, price_floor):
     """Row-by-row oracle of market_data.load_ohlcv: one csv row at a time
     into per-ticker dicts, then per-stock loops, with the same checks and
     messages. Returns (tickers, calendar, bars, sector_ids, death_day), the
@@ -603,9 +603,8 @@ def _run_long_only(select_fn, rankings: list[DailyRanking],
 
 
 def simulate(strategy: str, rankings: list[DailyRanking],
-             returns_by_day: list[dict[str, float]], k: int = 10,
-             alive_by_day: list[list[str]] | None = None,
-             rebalance_mode: str = "drift") -> BacktestLedger:
+             returns_by_day: list[dict[str, float]], k: int, rebalance_mode: str,
+             alive_by_day: list[list[str]] | None = None) -> BacktestLedger:
     """One strategy over daily rankings and {ticker: return} dicts, one per
     day; alive_by_day (default: every ranked ticker) limits the market."""
     if strategy not in STRATEGIES:
@@ -638,12 +637,11 @@ def simulate(strategy: str, rankings: list[DailyRanking],
             ledger.append(ranking.date, {t: w for t in names}, sum(w * rets[t] for t in names))
         return ledger
     if strategy == "long_short_k":
-        long_leg = simulate("topk", rankings, returns_by_day, k=k, rebalance_mode=rebalance_mode)
-        short_leg = simulate("bottomk", rankings, returns_by_day, k=k,
-                             rebalance_mode=rebalance_mode)
+        legs = ("topk", "bottomk")
     else:
-        long_leg = simulate("top_decile", rankings, returns_by_day)
-        short_leg = simulate("bottom_decile", rankings, returns_by_day)
+        legs = ("top_decile", "bottom_decile")
+    long_leg, short_leg = (simulate(leg, rankings, returns_by_day, k, rebalance_mode)
+                           for leg in legs)
     ledger = BacktestLedger()
     for i, ranking in enumerate(rankings):
         ledger.append(ranking.date, dict(long_leg.holdings[i]),
@@ -667,13 +665,14 @@ def run_strategies(strategies, universe, scores: np.ndarray, days, k: int,
                  zip(dates, ens.tolist())] for ens in scores]
     ledgers = {}
     for strategy in strategies:
-        per_ensemble = [simulate(strategy, ranks, returns_by_day, k=k, alive_by_day=alive_by_day,
-                                 rebalance_mode=rebalance_mode) for ranks in rankings]
+        per_ensemble = [simulate(strategy, ranks, returns_by_day, k, rebalance_mode,
+                                 alive_by_day=alive_by_day) for ranks in rankings]
         ledgers[strategy] = (per_ensemble[0] if len(per_ensemble) == 1
                              else combine_strategies(per_ensemble))
     if "market_equal_weight" not in ledgers:
         ledgers["market_equal_weight"] = simulate("market_equal_weight", rankings[0],
-                                                  returns_by_day, alive_by_day=alive_by_day)
+                                                  returns_by_day, k, rebalance_mode,
+                                                  alive_by_day=alive_by_day)
     return ledgers
 
 

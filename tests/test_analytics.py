@@ -22,6 +22,7 @@ from stockrank.analytics import (
     t_test_vs_market,
 )
 from stockrank.backtest import BacktestLedger
+from stockrank.config import RunConfig
 from stockrank.errors import DataError, NumericError
 
 from reference import scan_max_drawdown, scan_mdd_duration
@@ -162,21 +163,21 @@ class TestMddDuration:
 class TestTTest:
     def test_identical_series_null_case(self):
         r = [0.01, 0.02, 0.03, 0.01]
-        t, p = t_test_vs_market(r, r)
+        t, p = t_test_vs_market(r, r, paired=True)
         assert t == 0.0
         assert p == 1.0
 
     def test_constant_positive_difference_is_degenerate(self):
         a = np.array([0.25, 0.5, 0.125])  # dyadic so the +0.25 shift is exact
         with pytest.raises(NumericError, match="zero variance"):
-            t_test_vs_market(a + 0.25, a)
+            t_test_vs_market(a + 0.25, a, paired=True)
 
     def test_matches_scipy_oracle(self):
         rng = np.random.default_rng(55)
         d = rng.normal(0.001, 0.01, size=1000)
         market = rng.normal(0.0005, 0.012, size=1000)
         strat = market + d
-        t, p = t_test_vs_market(strat, market)
+        t, p = t_test_vs_market(strat, market, paired=True)
         t_ref, p_ref = sps.ttest_rel(strat, market)
         assert t == pytest.approx(float(t_ref), abs=1e-9)
         assert p == pytest.approx(float(p_ref), abs=1e-9)
@@ -215,8 +216,8 @@ class TestTTest:
         a = rng.normal(0, 0.01, size=60)
         b = rng.normal(0, 0.01, size=60)
         common = rng.normal(0, 0.05, size=60)
-        t1, _ = t_test_vs_market(a, b)
-        t2, _ = t_test_vs_market(a + common, b + common)
+        t1, _ = t_test_vs_market(a, b, paired=True)
+        t2, _ = t_test_vs_market(a + common, b + common, paired=True)
         assert t1 == pytest.approx(t2, rel=1e-9, abs=1e-12)
 
 
@@ -265,11 +266,19 @@ class TestStudentTTail:
         assert student_t_two_sided(t, dof) == 0.0
 
 
+PAIRED = RunConfig().paired_t_test
+
+
+def report(led, market=None):
+    """build_report with no risk-free rate and the config's t-test."""
+    return build_report(led, market, 0.0, PAIRED)
+
+
 class TestBuildReport:
     def test_flat_ledger_flags_undefined(self):
         led = ledger_from_returns([0.0] * 40)
         market = ledger_from_returns([0.0] * 40)
-        rep = build_report(led, market)
+        rep = report(led, market)
         assert rep.sharpe is None
         assert "sharpe_undefined" in rep.flags
         assert rep.final_value == 1.0
@@ -282,19 +291,19 @@ class TestBuildReport:
         market_rets = rng.normal(0.0005, 0.01, size=80)
         led = ledger_from_returns(rets)
         market = ledger_from_returns(market_rets)
-        rep = build_report(led, market)
+        rep = report(led, market)
         assert rep.final_value == pytest.approx(float(np.prod(1 + rets)), rel=1e-12)
         assert rep.sharpe == pytest.approx(sharpe_ratio(rets), rel=1e-12)
         assert rep.max_drawdown == pytest.approx(max_drawdown(led.values), rel=1e-12)
         assert rep.mdd_duration_days == mdd_duration(led.values)
-        t, p = t_test_vs_market(rets, market_rets)
+        t, p = t_test_vs_market(rets, market_rets, PAIRED)
         assert rep.t_value == pytest.approx(t, rel=1e-12)
         assert rep.p_value == pytest.approx(p, rel=1e-12)
 
     def test_json_round_trip_lossless(self, rng):
         rets = rng.normal(0.001, 0.01, size=60)
         market = ledger_from_returns(rng.normal(0, 0.01, size=60))
-        rep = build_report(ledger_from_returns(rets), market)
+        rep = report(ledger_from_returns(rets), market)
         # metrics.json holds dataclasses.asdict of each report
         payload = json.loads(json.dumps(dataclasses.asdict(rep)))
         again = MetricsReport(**{**payload, "flags": tuple(payload["flags"])})
@@ -303,7 +312,7 @@ class TestBuildReport:
     def test_small_sample_flagged(self, rng):
         led = ledger_from_returns(rng.normal(0.001, 0.01, size=10))
         market = ledger_from_returns(rng.normal(0, 0.01, size=10))
-        rep = build_report(led, market)
+        rep = report(led, market)
         assert "small_sample_t" in rep.flags
 
 
@@ -324,7 +333,7 @@ class TestGrid:
         # the grid reads each strategy's metric report, as metrics.json holds it
         names = ("topk", "bottomk", "long_short_k", "top_decile", "bottom_decile",
                  "market_equal_weight")
-        reports = {name: dataclasses.asdict(build_report(
+        reports = {name: dataclasses.asdict(report(
                        ledger_from_returns(rng.normal(0.001, 0.01, size=50))))
                    for name in names}
         grid = build_metric_grid(reports)

@@ -732,7 +732,7 @@ class TestFloat32:
 
     def test_float64_stays_float64(self, rng):
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        loss = tsum(leaky_relu(x))
+        loss = tsum(leaky_relu(x, 0.01))
         loss.backward()
         assert loss.data.dtype == x.grad.dtype == np.float64
 

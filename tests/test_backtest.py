@@ -22,12 +22,13 @@ from stockrank.pipeline import run_strategies
 from conftest import make_calendar
 
 NAMES = ["A", "B", "C", "D"]
+CFG = RunConfig()
 
 
-def run(strategy, score_rows, returns, k=10, rebalance_mode="drift", alive=None):
+def run(strategy, score_rows, returns, k=CFG.k, rebalance_mode=CFG.rebalance_mode, alive=None):
     """simulate over days given as {ticker: score} and {ticker: return}
-    dicts; columns are the sorted tickers of the first day, rows are
-    dated 0, 1, ..."""
+    dicts, with the config's k and rebalance mode unless given; columns are
+    the sorted tickers of the first day, rows are dated 0, 1, ..."""
     tickers = sorted(score_rows[0])
     scores = np.array([[day[t] for t in tickers] for day in score_rows])
     rets = np.array([[day[t] for t in tickers] for day in returns])
@@ -218,7 +219,8 @@ class TestSimulate:
     def test_missing_return_rejected(self):
         with pytest.raises(DataError):  # a return column short
             simulate("topk", np.array([[1.0, 0.5]]), np.array([[0.0]]),
-                     np.ones((1, 2), dtype=bool), [0], ["A", "B"], k=1)
+                     np.ones((1, 2), dtype=bool), [0], ["A", "B"], k=1,
+                     rebalance_mode=CFG.rebalance_mode)
 
     def test_k_larger_than_universe_rejected(self):
         with pytest.raises(DataError):
@@ -232,8 +234,8 @@ class TestSimulate:
         scores, returns, alive = rng.normal(size=(5, 6)), rng.normal(0, 0.02, (5, 6)), \
             rng.random((5, 6)) < 0.8
         before = [scores.copy(), returns.copy(), alive.copy()]
-        a, b = (simulate("topk", scores, returns, alive, list(range(5)), list("ABCDEF"), k=2)
-                for _ in range(2))
+        a, b = (simulate("topk", scores, returns, alive, list(range(5)), list("ABCDEF"), k=2,
+                         rebalance_mode=CFG.rebalance_mode) for _ in range(2))
         assert a.values == b.values
         assert a.holdings == b.holdings
         for x, y in zip(before, (scores, returns, alive)):

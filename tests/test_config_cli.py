@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -15,6 +16,7 @@ from stockrank.cli import main
 from stockrank.config import RunConfig, load_config
 from stockrank.errors import ConfigError
 from stockrank.losses import LOSSES
+from stockrank.synth import SignalSpec
 
 
 @pytest.fixture
@@ -247,6 +249,31 @@ class TestRunConfig:
         assert err == {"error": "ConfigError", "module": "config", "message": message}
         assert loads == [] and not out.exists()
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("dollar_volume_floor", 0, "dollar_volume_floor must be > 0"),
+        ("price_floor", 0, "price_floor must be > 0"),
+        ("label_thresholds", [0.03, 0.01],
+         "label thresholds must satisfy 0 < lo < hi, got 0.03, 0.01"),
+        ("val_days", 200, "val_days must be smaller than trainval_days"),
+        ("combine_mode", "x", "unknown combine_mode 'x'"),
+        ("moe_window", 0, "moe_window must be >= 1"),
+    ], ids=["dollar_volume_floor", "price_floor", "thresholds", "val_days", "combine_mode",
+            "moe_window"])
+    def test_stage_setting_rule_fails_before_any_file_is_written(
+            self, tmp_path, runner, key, value, message, monkeypatch):
+        # the stages that read these settings check none of them: each
+        # rule is stated once, in RunConfig.validate
+        data = synth_dataset(runner, tmp_path / "d", n_days=30)
+        cfg_path = write_config(tmp_path, small_config(data, **{key: value}))
+        loads = []
+        monkeypatch.setattr(pipeline, "load_ohlcv", lambda *a, **k: loads.append(a))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["run", "--config", str(cfg_path), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        err = json.loads(result.output.strip().splitlines()[-1])
+        assert err == {"error": "ConfigError", "module": "config", "message": message}
+        assert loads == [] and not out.exists()
+
     def test_window_longer_than_the_std_range_fails_before_the_run_directory(
             self, tmp_path, runner):
         # m - 1 <= std_days: the first train anchor's window starts inside
@@ -311,6 +338,12 @@ class TestSynthCommand:
         synth_dataset(runner, tmp_path / "b", n_days=40)
         assert (tmp_path / "a" / "ohlcv.csv").read_bytes() == \
             (tmp_path / "b" / "ohlcv.csv").read_bytes()
+
+    def test_signal_options_are_the_spec_fields_and_defaults(self):
+        defaults = {p.name: p.default for p in main.commands["synth"].params}
+        spec = dataclasses.asdict(SignalSpec())
+        assert {name: defaults[name] for name in spec} == spec
+        assert set(defaults) - set(spec) == {"seed", "n_stocks", "n_days", "out"}
 
 
 class TestFeaturesCommand:
@@ -515,6 +548,39 @@ class TestStageSeparation:
         r = runner.invoke(main, ["backtest", "--config", str(cfg_path), "--out", str(out)])
         assert r.exit_code == 0, r.output
         assert (out / "ledgers" / "topk.csv").exists()
+
+    def test_reused_run_directory_holds_only_the_last_run(self, tmp_path, runner):
+        data = synth_dataset(runner, tmp_path / "d", n_stocks=14, n_days=520, seed=1)
+        first = write_config(tmp_path, small_config(data, n_ensembles=2), name="first.json")
+        second = write_config(tmp_path, small_config(data), name="second.json")
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+
+        def run_and_report(cfg_path, out, *options):
+            for args in (["run", "--config", str(cfg_path), *options], ["report"]):
+                r = runner.invoke(main, args + ["--out", str(out)])
+                assert r.exit_code == 0, r.output
+
+        run_and_report(first, reused)
+        run_and_report(second, reused, "--strategy", "topk")
+        run_and_report(second, fresh, "--strategy", "topk")
+        assert _run_files(reused) == _run_files(fresh)  # the manifest's artifacts included
+        assert sorted(os.listdir(reused / "ledgers")) == ["market_equal_weight.csv", "topk.csv"]
+        # backtest replaces the ledgers and drops the report built on them
+        r = runner.invoke(main, ["backtest", "--config", str(first), "--out", str(reused),
+                                 "--strategy", "bottomk"])
+        assert r.exit_code == 0, r.output
+        assert sorted(os.listdir(reused / "ledgers")) == ["bottomk.csv",
+                                                          "market_equal_weight.csv"]
+        assert not (reused / "report").exists()
+        assert (reused / "checkpoints" / "ensemble_0.ens").exists()
+        # report rebuilds report/ from the ledgers alone, each time
+        for ledgers in (["bottomk.csv", "market_equal_weight.csv"], ["market_equal_weight.csv"]):
+            for name in set(os.listdir(reused / "ledgers")) - set(ledgers):
+                os.remove(reused / "ledgers" / name)
+            r = runner.invoke(main, ["report", "--out", str(reused)])
+            assert r.exit_code == 0, r.output
+            assert sorted(os.listdir(reused / "report")) == ["metrics.json"] + [
+                f"nav_{name}" for name in ledgers]
 
     @pytest.mark.parametrize("command", ["backtest", "report"])
     def test_locked_directory_is_left_unchanged(self, tmp_path, runner, command):
@@ -919,14 +985,15 @@ class TestStartup:
 
     def test_run_and_report_load_no_scipy(self, tmp_path, runner):
         # the report's p-value is computed in-house: importing scipy for it
-        # cost each reporting process about 0.3 s
+        # cost each reporting process about 0.3 s; one member trains in
+        # this process, which starts no child and so imports no multiprocessing
         data = synth_dataset(runner, tmp_path / "d")
         cfg_path = write_config(tmp_path, small_config(data, conv=[[3, 4]], dense=[4],
                                                        n_members=1, max_epochs=1))
         out = str(tmp_path / "o")
         modules, _ = self._modules_after(
             [["run", "--config", str(cfg_path), "--out", out], ["report", "--out", out]],
-            ("scipy",))
+            ("scipy", "multiprocessing"))
         assert modules == []
         metrics = json.loads((tmp_path / "o" / "report" / "metrics.json").read_text())
         assert metrics["strategies"]["topk"]["p_value"] is not None

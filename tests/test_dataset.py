@@ -9,29 +9,38 @@ from stockrank.dataset import (
     SplitPlan,
     Windows,
     assign_label,
-    build_split_plans,
     cap_return,
-    make_samples,
     return_matrix,
     standardize,
 )
+from stockrank.config import RunConfig
 from stockrank.errors import DataError
 from stockrank.indicators import BASIC_FEATURE_NAMES, assemble_panel
 from stockrank.market_data import OPEN, apply_dead_stock_rule
 
-from conftest import make_stock, make_universe, random_walk_universe, traced_peak
+from conftest import (
+    config_plans,
+    config_samples,
+    make_stock,
+    make_universe,
+    random_walk_universe,
+    traced_peak,
+)
 from reference import daily_return, gather_windows, window_gather
+
+CFG = RunConfig()
+THRESHOLDS, CAP = CFG.label_thresholds, CFG.return_cap
 
 
 class TestSplitPlans:
     def test_first_plan_layout(self):
-        plans = build_split_plans(1782, m=20)
+        plans = config_plans(1782)
         assert plans[0].std_range == (0, 200)
         assert plans[0].trainval_range == (200, 400)
         assert plans[0].test_range == (400, 420)
 
     def test_plans_shift_by_twenty(self):
-        plans = build_split_plans(1782, m=20)
+        plans = config_plans(1782)
         for prev, cur in zip(plans, plans[1:]):
             assert cur.std_range[0] - prev.std_range[0] == 20
             assert cur.trainval_range[0] - prev.trainval_range[0] == 20
@@ -39,28 +48,28 @@ class TestSplitPlans:
 
     def test_five_year_panel_produces_67_periods(self):
         # 400 lead-in days + 67 periods * 20 test days + 2 label days
-        assert len(build_split_plans(1742, m=20)) == 67
+        assert len(config_plans(1742)) == 67
 
     def test_too_short_calendar(self):
         with pytest.raises(DataError, match="at least"):
-            build_split_plans(421, m=20)
+            config_plans(421)
 
     def test_last_plan_leaves_room_for_labels(self):
-        plans = build_split_plans(1782, m=20)
+        plans = config_plans(1782)
         last = plans[-1]
         assert last.test_range[1] - 1 + 2 < 1782
 
     def test_offset_shifts_everything(self):
-        plans = build_split_plans(500, m=20, offset=50)
+        plans = config_plans(500, offset=50)
         assert plans[0].std_range == (50, 250)
         assert plans[0].test_range == (450, 470)
 
     def test_window_must_start_inside_the_std_range(self):
         # the first train anchor's window reaches m - 1 days back
-        plans = build_split_plans(600, m=21, std_days=20, trainval_days=40)
+        plans = config_plans(600, m=21, std_days=20, trainval_days=40)
         assert plans[0].std_range == (0, 20)
         with pytest.raises(DataError, match="m - 1 must be <= std_days"):
-            build_split_plans(600, m=22, std_days=20, trainval_days=40)
+            config_plans(600, m=22, std_days=20, trainval_days=40)
 
     def test_contiguity_enforced(self):
         with pytest.raises(DataError, match="contiguous"):
@@ -82,13 +91,13 @@ class TestStandardize:
     def _panel_and_plan(self, rng, n_stocks=3, n_days=500):
         u = random_walk_universe(rng, n_stocks, n_days)
         panel = flat_panel(u)
-        plans = build_split_plans(n_days, m=20, offset=panel.first_all_valid_day)
+        plans = config_plans(n_days, offset=panel.first_all_valid_day)
         return u, panel, plans[0]
 
     def test_constant_feature_maps_to_zero(self):
         u = make_universe({"AAA": [5.0] * 500}, volumes={"AAA": [1000] * 500})
         panel = flat_panel(u)
-        plan = build_split_plans(500, m=20, offset=panel.first_all_valid_day)[0]
+        plan = config_plans(500, offset=panel.first_all_valid_day)[0]
         scaled = standardize(panel, plan)
         col = panel.feature_names.index("dollar_volume")
         # constant 5.0 * 1000 everywhere: sigma 0, value - mean = 0
@@ -112,7 +121,7 @@ class TestStandardize:
         opens = [5.0] * 260 + [6.0] * 240
         u = make_universe({"AAA": opens}, volumes={"AAA": [1000] * 500})
         panel = flat_panel(u)
-        plan = build_split_plans(500, m=20, offset=panel.first_all_valid_day)[0]
+        plan = config_plans(500, offset=panel.first_all_valid_day)[0]
         scaled = standardize(panel, plan)
         col = panel.feature_names.index("dollar_volume")
         sd = std_range_stats(panel, plan)[1][0, col]
@@ -214,13 +223,13 @@ class TestLabels:
         ],
     )
     def test_boundaries(self, r, expected):
-        label = assign_label(r)
+        label = assign_label(r, THRESHOLDS)
         assert self.CLASS_NAMES[int(np.argmax(label))] == expected
         assert label.sum() == 1.0
 
     def test_non_finite_rejected(self):
         with pytest.raises(DataError):
-            assign_label(float("nan"))
+            assign_label(float("nan"), THRESHOLDS)
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(
@@ -228,14 +237,14 @@ class TestLabels:
         st.sampled_from([0.01, -0.01, 0.03, -0.03, 1e-9, -1e-9]),
     ))
     def test_partition_of_reals(self, r):
-        label = assign_label(r)
+        label = assign_label(r, THRESHOLDS)
         assert label.shape == (5,)
         assert np.count_nonzero(label) == 1
 
     def test_symmetric_returns_symmetric_labels(self, rng):
         r = rng.normal(0, 0.02, size=200_000)
         r = np.concatenate([r, -r])  # exactly symmetric
-        idx = np.array([int(np.argmax(assign_label(x))) for x in r[:5000]])
+        idx = np.array([int(np.argmax(assign_label(x, THRESHOLDS))) for x in r[:5000]])
         buys = np.sum(idx == 3)
         sells = np.sum(idx == 1)
         strong_b = np.sum(idx == 4)
@@ -244,11 +253,13 @@ class TestLabels:
         assert abs(strong_b - strong_s) < 4 * np.sqrt(strong_b + strong_s + 1)
 
 
-LABEL_EDGES = [0.0, 0.01, -0.01, 0.03, -0.03, 1e-9, -1e-9]
+LABEL_EDGES = [0.0, THRESHOLDS[0], -THRESHOLDS[0], THRESHOLDS[1], -THRESHOLDS[1], 1e-9, -1e-9]
 
 
-def reference_label_index(r, lo=0.01, hi=0.03):
-    """The documented piecewise class rule, one comparison at a time."""
+def reference_label_index(r):
+    """The documented piecewise class rule, one comparison at a time, at
+    the config's thresholds."""
+    lo, hi = THRESHOLDS
     if r >= hi:
         return 4
     if r > lo:
@@ -266,19 +277,19 @@ class TestArrayLabelsAndWeights:
                               st.sampled_from(LABEL_EDGES)), min_size=1, max_size=40))
     def test_array_equals_scalar_elementwise(self, values):
         r = np.array(values)
-        labels = assign_label(r)
-        weights = cap_return(r)
+        labels = assign_label(r, THRESHOLDS)
+        weights = cap_return(r, CAP)
         assert labels.shape == (len(values), 5)
         assert weights.shape == (len(values),)
         for i, x in enumerate(values):
-            np.testing.assert_array_equal(labels[i], assign_label(x))
+            np.testing.assert_array_equal(labels[i], assign_label(x, THRESHOLDS))
             assert int(np.argmax(labels[i])) == reference_label_index(x)
-            assert weights[i] == cap_return(x) == min(abs(x), 0.5)
+            assert weights[i] == cap_return(x, CAP) == min(abs(x), 0.5)
 
     def test_edges_exactly(self):
-        labels = assign_label(np.array(LABEL_EDGES))
+        labels = assign_label(np.array(LABEL_EDGES), THRESHOLDS)
         assert [int(np.argmax(row)) for row in labels] == [2, 2, 1, 4, 0, 2, 2]
-        np.testing.assert_array_equal(cap_return(np.array(LABEL_EDGES)), np.abs(LABEL_EDGES))
+        np.testing.assert_array_equal(cap_return(np.array(LABEL_EDGES), CAP), np.abs(LABEL_EDGES))
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=0, max_size=20),
@@ -287,30 +298,26 @@ class TestArrayLabelsAndWeights:
     def test_any_non_finite_element_rejected(self, values, where, bad):
         values.insert(min(where, len(values)), bad)
         with pytest.raises(DataError, match="non-finite"):
-            assign_label(np.array(values))
+            assign_label(np.array(values), THRESHOLDS)
         with pytest.raises(DataError, match="non-finite"):
-            cap_return(np.array(values))
-
-    def test_bad_thresholds_rejected(self):
-        with pytest.raises(DataError, match="thresholds"):
-            assign_label(np.array([0.0, 0.02]), thresholds=(0.03, 0.01))
+            cap_return(np.array(values), CAP)
 
 
 class TestCapReturn:
     def test_below_cutoff(self):
-        assert cap_return(0.03) == 0.03
+        assert cap_return(0.03, CAP) == 0.03
 
     def test_positive_cap(self):
-        assert cap_return(0.7) == 0.5
+        assert cap_return(0.7, CAP) == 0.5
 
     def test_negative_cap(self):
         # |r_cap| of the piecewise capped return: min(|r|, 0.5)
-        assert cap_return(-0.8) == 0.5
+        assert cap_return(-0.8, CAP) == 0.5
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(min_value=-5, max_value=5, allow_nan=False))
     def test_zero_weight_iff_zero_return(self, r):
-        w = cap_return(r)
+        w = cap_return(r, CAP)
         assert 0.0 <= w <= 0.5
         assert (w == 0.0) == (r == 0.0)
 
@@ -320,14 +327,14 @@ def setup():
     rng = np.random.default_rng(77)
     u = apply_dead_stock_rule(random_walk_universe(rng, 10, 500), 0.1)
     panel = flat_panel(u)
-    plan = build_split_plans(500, m=20, offset=panel.first_all_valid_day)[0]
+    plan = config_plans(500, offset=panel.first_all_valid_day)[0]
     return u, panel, plan
 
 
 class TestMakeSamples:
     def test_counts(self, setup):
         u, panel, plan = setup
-        out = make_samples(panel, u, plan, return_matrix(u), m=20)
+        out = config_samples(panel, u, plan, return_matrix(u))
         assert len(out["train"]) == 1800
         assert len(out["val"]) == 200
         assert len(out["test"]) == 200
@@ -335,11 +342,11 @@ class TestMakeSamples:
     def test_return_matrix_must_fit_the_universe(self, setup):
         u, panel, plan = setup
         with pytest.raises(DataError, match="return matrix"):
-            make_samples(panel, u, plan, return_matrix(u)[:, :-1], m=20)
+            config_samples(panel, u, plan, return_matrix(u)[:, :-1])
 
     def test_first_anchor_window_reaches_into_std_range(self, setup):
         u, panel, plan = setup
-        out = make_samples(panel, u, plan, return_matrix(u), m=20)
+        out = config_samples(panel, u, plan, return_matrix(u))
         train = out["train"]
         first = int(np.argmin(train.anchor_days))
         anchor = int(train.anchor_days[first])
@@ -355,8 +362,8 @@ class TestMakeSamples:
         opens["T002"][330:] = 0.05  # dies inside the train range
         u = apply_dead_stock_rule(make_universe(opens), 0.1)
         panel = flat_panel(u)
-        plan = build_split_plans(500, m=20, offset=panel.first_all_valid_day)[0]
-        out = make_samples(panel, u, plan, return_matrix(u), m=20)
+        plan = config_plans(500, offset=panel.first_all_valid_day)[0]
+        out = config_samples(panel, u, plan, return_matrix(u))
         scaled = standardize(panel, plan).astype(np.float32)
         anchors = {"train": range(plan.trainval_range[0], plan.trainval_range[1] - 20),
                    "val": range(plan.trainval_range[1] - 20, plan.trainval_range[1]),
@@ -372,8 +379,8 @@ class TestMakeSamples:
                 T = int(ss.anchor_days[i])
                 expected_r = daily_return(u, si, T)
                 assert ss.returns[i] == expected_r
-                assert ss.weights[i] == cap_return(expected_r)
-                np.testing.assert_array_equal(ss.labels[i], assign_label(expected_r))
+                assert ss.weights[i] == cap_return(expected_r, CAP)
+                np.testing.assert_array_equal(ss.labels[i], assign_label(expected_r, THRESHOLDS))
                 assert ss.sector_ids[i] == u.sector_ids[si]
                 lo = T - 19 - plan.std_range[0]
                 np.testing.assert_array_equal(ss.windows[i], scaled[si, lo : lo + 20, :])
@@ -382,7 +389,7 @@ class TestMakeSamples:
 
     def test_no_lookahead_beyond_label_horizon(self, setup):
         u, panel, plan = setup
-        out = make_samples(panel, u, plan, return_matrix(u), m=20)
+        out = config_samples(panel, u, plan, return_matrix(u))
         horizon = plan.test_range[1] + 1  # last day any sample may read
         # perturb all opens strictly after the horizon and rebuild
         opens = dict(zip(u.tickers, u.matrix(OPEN)))
@@ -391,7 +398,7 @@ class TestMakeSamples:
         u2 = make_universe(opens, calendar=u.calendar)
         u2 = apply_dead_stock_rule(u2, 0.1)
         panel2 = flat_panel(u2)
-        out2 = make_samples(panel2, u2, plan, return_matrix(u2), m=20)
+        out2 = config_samples(panel2, u2, plan, return_matrix(u2))
         for split in ("train", "val", "test"):
             np.testing.assert_array_equal(out[split].windows, out2[split].windows)
             np.testing.assert_array_equal(out[split].returns, out2[split].returns)
@@ -402,8 +409,8 @@ class TestMakeSamples:
         opens["AAA"][300:] = 0.05  # dies inside the trainval range
         u = apply_dead_stock_rule(make_universe(opens), 0.1)
         panel = flat_panel(u)
-        plan = build_split_plans(500, m=20, offset=panel.first_all_valid_day)[0]
-        out = make_samples(panel, u, plan, return_matrix(u), m=20)
+        plan = config_plans(500, offset=panel.first_all_valid_day)[0]
+        out = config_samples(panel, u, plan, return_matrix(u))
         for split in ("train", "val", "test"):
             ss = out[split]
             for i in range(len(ss)):
@@ -426,12 +433,12 @@ class TestWindows:
         rng = np.random.default_rng(seed)
         u = random_walk_universe(rng, n_stocks, 200)
         panel = flat_panel(u)
-        plans = build_split_plans(u.n_days, m=m, std_days=std_days,
+        plans = config_plans(u.n_days, m=m, std_days=std_days,
                                   trainval_days=trainval_days, test_days=test_days,
                                   offset=panel.first_all_valid_day)
         plan = plans[plan_pick % len(plans)]
         val_days = data.draw(st.integers(1, trainval_days - 1), label="val_days")
-        out = make_samples(panel, u, plan, return_matrix(u), m=m, val_days=val_days)
+        out = config_samples(panel, u, plan, return_matrix(u), m=m, val_days=val_days)
         scaled = standardize(panel, plan).astype(np.float32)
         for ss in out.values():
             w = ss.windows
@@ -491,6 +498,21 @@ class TestWindows:
             with pytest.raises(ValueError):
                 w[0][...] = 0.0  # an int gives a read-only view of the span
 
+    def test_window_leaving_its_stocks_row_is_a_data_error(self, rng):
+        span = np.zeros((3, 40, 2), dtype=np.float32)
+        for first_row in (-1, 31):  # one day before the row, one day past it
+            with pytest.raises(DataError, match="leaves its stock's row of 40 days"):
+                Windows(span, [1], [first_row], 10)
+        assert len(Windows(span, [0, 2], [0, 30], 10)) == 2
+        # a hand-built plan whose 5-day std range cannot hold an m=10 window:
+        # each stock's first train window starts 4 days before its row
+        u = random_walk_universe(rng, 3, 120)
+        panel = flat_panel(u)
+        o = panel.first_all_valid_day
+        plan = SplitPlan(0, (o, o + 5), (o + 5, o + 35), (o + 35, o + 40))
+        with pytest.raises(DataError, match="m=10 days leaves its stock's row of 40 days"):
+            config_samples(panel, u, plan, return_matrix(u), m=10)
+
     def test_span_shorter_than_m_has_only_empty_selections(self):
         for span in (np.zeros((0, 10, 6), dtype=np.float32),
                      np.ones((1, 3, 2), dtype=np.float32)):
@@ -504,10 +526,10 @@ class TestWindows:
     def test_sample_sets_retain_a_fraction_of_their_windows(self):
         u = random_walk_universe(np.random.default_rng(5), 20, 520)
         panel = flat_panel(u)
-        plan = build_split_plans(u.n_days, m=20, offset=panel.first_all_valid_day)[0]
+        plan = config_plans(u.n_days, offset=panel.first_all_valid_day)[0]
         returns = return_matrix(u)
         with traced_peak() as mem:
-            out = make_samples(panel, u, plan, returns, m=20)
+            out = config_samples(panel, u, plan, returns)
         n_samples = sum(len(ss) for ss in out.values())
         float32_windows = n_samples * 20 * panel.n_features * 4
         assert n_samples == 20 * 220

@@ -15,11 +15,11 @@ from stockrank.indicators import (
     TECHNICAL_NAMES,
     assemble_panel,
 )
-from stockrank.market_data import CLOSE, HIGH, LOW, OPEN, VOLUME, load_ohlcv
+from stockrank.market_data import CLOSE, HIGH, LOW, OPEN, VOLUME
 from stockrank.synth import SignalSpec, generate, write_ohlcv_csv, write_sector_csv
 
 import reference
-from conftest import make_stock, make_universe, random_walk_universe, traced_peak
+from conftest import load_files, make_stock, make_universe, random_walk_universe, traced_peak
 
 
 #: the names of the default panel: the 12 basic features, then the default 16
@@ -224,7 +224,7 @@ def synth_universe(tmp_path_factory):
     rows, _events, _calendar = generate(4, 20, 300, SignalSpec(event_rate=0.02))
     write_ohlcv_csv(rows, str(path / "ohlcv.csv"))
     write_sector_csv([r["ticker"] for r in rows], str(path / "sectors.csv"))
-    return load_ohlcv(path / "ohlcv.csv", path / "sectors.csv")
+    return load_files(path / "ohlcv.csv", path / "sectors.csv")
 
 
 class TestOneBufferPanel:

@@ -11,6 +11,7 @@ from stockrank.nn.autograd import Tensor, softmax
 
 from reference import chain_batch_loss, cross_entropy, mse, return_weighted_loss
 
+CFG = RunConfig()
 STRONG_SELL = np.array([1.0, 0, 0, 0, 0])
 HOLD = np.array([0, 0, 1.0, 0, 0])
 Q_EXAMPLE = np.array([0.2, 0.1, 0.1, 0.1, 0.5])
@@ -45,14 +46,14 @@ class TestCrossEntropy:
 class TestReturnWeightedLoss:
     def test_strong_sell_example(self):
         # r = -5%: weight 0.05, prediction mass 0.2 on the true class
-        loss = return_weighted_loss(STRONG_SELL, Q_EXAMPLE, cap_return(-0.05))
+        loss = return_weighted_loss(STRONG_SELL, Q_EXAMPLE, cap_return(-0.05, CFG.return_cap))
         assert loss == pytest.approx(0.05 * -np.log(0.2), rel=1e-13)
         assert loss == pytest.approx(0.0804719, abs=1e-7)
 
     def test_hold_example_exactly_ten_times_smaller(self):
         q2 = np.array([0.1, 0.1, 0.2, 0.5, 0.1])
-        big = return_weighted_loss(STRONG_SELL, Q_EXAMPLE, cap_return(-0.05))
-        small = return_weighted_loss(HOLD, q2, cap_return(0.005))
+        big = return_weighted_loss(STRONG_SELL, Q_EXAMPLE, cap_return(-0.05, CFG.return_cap))
+        small = return_weighted_loss(HOLD, q2, cap_return(0.005, CFG.return_cap))
         assert small == pytest.approx(0.00804719, abs=1e-7)
         assert big / small == pytest.approx(10.0, abs=1e-12)
 
@@ -83,8 +84,8 @@ class TestReturnWeightedLoss:
     @settings(max_examples=200, deadline=None)
     @given(st.floats(min_value=-0.49, max_value=0.49, allow_nan=False))
     def test_strong_labels_always_outweigh_holds(self, r):
-        label_idx = int(np.argmax(assign_label(r)))
-        w = cap_return(r)
+        label_idx = int(np.argmax(assign_label(r, CFG.label_thresholds)))
+        w = cap_return(r, CFG.return_cap)
         if label_idx in (0, 4):  # strong sell / strong buy
             assert w >= 0.03 > 0.01
             if abs(r) > 0.03:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import reference
 from stockrank import market_data
+from stockrank.config import RunConfig
 from stockrank.errors import DataError, csv_rows
 from stockrank.market_data import (
     NO_SECTOR_ID,
@@ -18,7 +19,9 @@ from stockrank.market_data import (
     load_ohlcv,
 )
 
-from conftest import assert_on_calendar, make_calendar, make_universe
+from conftest import assert_on_calendar, load_files, make_calendar, make_universe
+
+FLOOR = RunConfig().price_floor
 
 
 def write_ohlcv(path, rows):
@@ -50,7 +53,7 @@ class TestLoadOhlcv:
         d5 = days(5)
         write_ohlcv(tmp_path / "p.csv", simple_rows("AAA", d5) + simple_rows("BBB", d5))
         write_sectors(tmp_path / "s.csv", [("AAA", "Energy"), ("BBB", "Utilities")])
-        u = load_ohlcv(tmp_path / "p.csv", tmp_path / "s.csv")
+        u = load_files(tmp_path / "p.csv", tmp_path / "s.csv")
         assert u.n_days == 5
         assert u.n_stocks == 2
         assert u.tickers == ("AAA", "BBB")
@@ -62,13 +65,13 @@ class TestLoadOhlcv:
         write_ohlcv(tmp_path / "p.csv", simple_rows("AAA", d5) + gappy)
         write_sectors(tmp_path / "s.csv", [("AAA", "Energy"), ("BBB", "Energy")])
         with pytest.raises(DataError, match=r"BBB.*2020-01-03"):
-            load_ohlcv(tmp_path / "p.csv", tmp_path / "s.csv")
+            load_files(tmp_path / "p.csv", tmp_path / "s.csv")
 
     def test_unknown_sector_maps_to_reserved_id(self, tmp_path):
         d5 = days(5)
         write_ohlcv(tmp_path / "p.csv", simple_rows("XYZ", d5) + simple_rows("AAA", d5))
         write_sectors(tmp_path / "s.csv", [("AAA", "Energy")])  # XYZ absent
-        u = load_ohlcv(tmp_path / "p.csv", tmp_path / "s.csv")
+        u = load_files(tmp_path / "p.csv", tmp_path / "s.csv")
         sector_of = dict(zip(u.tickers, u.sector_ids.tolist()))
         assert sector_of["XYZ"] == NO_SECTOR_ID
         assert sector_of["AAA"] == 0
@@ -78,13 +81,13 @@ class TestLoadOhlcv:
         write_sectors(tmp_path / "s.csv", [("AAA", "Energy"), ("BBB", "Energy"),
                                            ("AAA", "Utilities")])
         with pytest.raises(DataError, match=re.escape(f"{tmp_path / 's.csv'}:4: repeated ticker")):
-            load_ohlcv(tmp_path / "p.csv", tmp_path / "s.csv")
+            load_files(tmp_path / "p.csv", tmp_path / "s.csv")
 
     def test_unrecognized_sector_name_maps_to_reserved_id(self, tmp_path):
         d5 = days(5)
         write_ohlcv(tmp_path / "p.csv", simple_rows("AAA", d5))
         write_sectors(tmp_path / "s.csv", [("AAA", "Cryptozoology")])
-        u = load_ohlcv(tmp_path / "p.csv", tmp_path / "s.csv")
+        u = load_files(tmp_path / "p.csv", tmp_path / "s.csv")
         assert u.sector_ids.tolist() == [NO_SECTOR_ID]
 
     def test_duplicate_ticker_date(self, tmp_path):
@@ -93,7 +96,7 @@ class TestLoadOhlcv:
         write_ohlcv(tmp_path / "p.csv", rows)
         write_sectors(tmp_path / "s.csv", [("AAA", "Energy")])
         with pytest.raises(DataError, match="duplicate"):
-            load_ohlcv(tmp_path / "p.csv", tmp_path / "s.csv")
+            load_files(tmp_path / "p.csv", tmp_path / "s.csv")
 
     def test_malformed_row_reports_file_and_line(self, tmp_path):
         d2 = days(2)
@@ -102,14 +105,14 @@ class TestLoadOhlcv:
         write_ohlcv(tmp_path / "p.csv", rows)
         write_sectors(tmp_path / "s.csv", [("AAA", "Energy")])
         with pytest.raises(DataError, match=r"p\.csv:3"):
-            load_ohlcv(tmp_path / "p.csv", tmp_path / "s.csv")
+            load_files(tmp_path / "p.csv", tmp_path / "s.csv")
 
     def test_high_low_must_bracket(self, tmp_path):
         d1 = days(1)
         write_ohlcv(tmp_path / "p.csv", [("AAA", d1[0], 10, 9.5, 9.0, 10, 100)])
         write_sectors(tmp_path / "s.csv", [("AAA", "Energy")])
         with pytest.raises(DataError, match="bracket"):
-            load_ohlcv(tmp_path / "p.csv", tmp_path / "s.csv")
+            load_files(tmp_path / "p.csv", tmp_path / "s.csv")
 
     def test_non_positive_price_pre_death(self, tmp_path):
         d3 = days(3)
@@ -121,14 +124,14 @@ class TestLoadOhlcv:
         write_ohlcv(tmp_path / "p.csv", rows)
         write_sectors(tmp_path / "s.csv", [("AAA", "Energy")])
         with pytest.raises(DataError, match="non-positive"):
-            load_ohlcv(tmp_path / "p.csv", tmp_path / "s.csv")
+            load_files(tmp_path / "p.csv", tmp_path / "s.csv")
 
     def test_non_spanning_ticker_dropped_with_range(self, tmp_path):
         d5 = days(5)
         rows = simple_rows("AAA", d5) + simple_rows("BBB", d5[2:])
         write_ohlcv(tmp_path / "p.csv", rows)
         write_sectors(tmp_path / "s.csv", [("AAA", "Energy"), ("BBB", "Energy")])
-        u = load_ohlcv(tmp_path / "p.csv", tmp_path / "s.csv",
+        u = load_files(tmp_path / "p.csv", tmp_path / "s.csv",
                        start=dt.date.fromisoformat(d5[0]), end=dt.date.fromisoformat(d5[4]))
         assert u.tickers == ("AAA",)
         assert "BBB" not in u.tickers
@@ -139,7 +142,7 @@ class TestLoadOhlcv:
         write_ohlcv(tmp_path / "p.csv", simple_rows("AAA", d2[:1]))
         write_sectors(tmp_path / "s.csv", [("AAA", "Energy")])
         with pytest.raises(DataError, match="no stocks span the requested date range"):
-            load_ohlcv(tmp_path / "p.csv", tmp_path / "s.csv",
+            load_files(tmp_path / "p.csv", tmp_path / "s.csv",
                        start=dt.date.fromisoformat(d2[1]))
 
 
@@ -193,7 +196,7 @@ class TestIngestEdgeCases:
         lines = [f"AAA,{d[0]},10.0,10.1,9.9,10.0,100", bad, f"AAA,{d[2]},10.0,10.1,9.9,10.0,100"]
         path = self._write(tmp_path, lines)
         with pytest.raises(DataError, match=re.escape(f"{path}:3: {message}")):
-            load_ohlcv(path, tmp_path / "s.csv")
+            load_files(path, tmp_path / "s.csv")
 
     def test_field_longer_than_the_csv_limit_is_read(self, tmp_path):
         # 200,000 characters is beyond the csv module's default field limit
@@ -201,14 +204,14 @@ class TestIngestEdgeCases:
         path = self._write(tmp_path, ["A" * 200_000 + f",{d[0]},10.0,10.1,9.9,10.0,100",
                                       f"AAA,{d[1]},oops,10.1,9.9,10.0,100"])
         with pytest.raises(DataError, match=re.escape(f"{path}:3: bad open value 'oops'")):
-            load_ohlcv(path, tmp_path / "s.csv")
+            load_files(path, tmp_path / "s.csv")
         assert csv.field_size_limit() == 131072  # lifted only while reading
 
     def test_sector_file_field_longer_than_the_csv_limit_is_read(self, tmp_path):
         d = days(2)
         write_ohlcv(tmp_path / "p.csv", simple_rows("AAA", d))
         write_sectors(tmp_path / "s.csv", [("B" * 200_000, "Energy"), ("AAA", "Utilities")])
-        u = load_ohlcv(tmp_path / "p.csv", tmp_path / "s.csv")
+        u = load_files(tmp_path / "p.csv", tmp_path / "s.csv")
         assert u.sector_ids.tolist() == [SECTOR_NAMES.index("Utilities")]
 
     def test_csv_error_is_data_error_naming_the_line(self):
@@ -225,7 +228,7 @@ class TestIngestEdgeCases:
         d = days(2)
         path = self._write(tmp_path, [f"AAA,{d[0]},10.0,10.1,9.9,10.0,100", blank,
                                       f"AAA,{d[1]},10.0,10.1,9.9,10.0,100"])
-        u = load_ohlcv(path, tmp_path / "s.csv")
+        u = load_files(path, tmp_path / "s.csv")
         assert u.calendar == tuple(dt.date.fromisoformat(x) for x in d)
 
     @pytest.mark.parametrize("tail", ['"100\n', '"100\n\n  \n'])
@@ -237,7 +240,7 @@ class TestIngestEdgeCases:
         write_sectors(tmp_path / "s.csv", [("AAA", "Energy")])
         with pytest.raises(DataError,
                            match=re.escape(f"{path}:3: a quoted field holds a line break")):
-            load_ohlcv(path, tmp_path / "s.csv")
+            load_files(path, tmp_path / "s.csv")
 
     @pytest.mark.parametrize("blank", ["   ", ",,", '"', ' ,"  '])
     def test_blank_last_line_without_a_line_break_is_skipped(self, tmp_path, blank):
@@ -246,7 +249,7 @@ class TestIngestEdgeCases:
         path = tmp_path / "p.csv"
         path.write_text(f"ticker,date,open,high,low,close,volume\nAAA,{d[0]},1,1,1,1,1\n{blank}")
         write_sectors(tmp_path / "s.csv", [("AAA", "Energy")])
-        assert load_ohlcv(path, tmp_path / "s.csv").n_days == 1
+        assert load_files(path, tmp_path / "s.csv").n_days == 1
 
     def test_first_fault_in_file_order_wins(self, tmp_path):
         d = days(4)
@@ -257,7 +260,7 @@ class TestIngestEdgeCases:
                  f"AAA,{d[3]},10.0,10.1,9.9,10.0,100"]
         path = self._write(tmp_path, lines)
         with pytest.raises(DataError, match=re.escape(f"{path}:3: non-finite close")):
-            load_ohlcv(path, tmp_path / "s.csv")
+            load_files(path, tmp_path / "s.csv")
 
 
 class TestDollarVolumeFilter:
@@ -273,11 +276,6 @@ class TestDollarVolumeFilter:
         )
         out = filter_by_dollar_volume(u, 1e7)
         assert out.tickers == ("AAA",)
-
-    def test_zero_threshold_rejected(self):
-        u = make_universe({"AAA": [10.0] * 5})
-        with pytest.raises(DataError):
-            filter_by_dollar_volume(u, 0.0)
 
     def test_empty_result_is_an_error(self):
         u = make_universe({"AAA": [10.0] * 5}, volumes={"AAA": [10] * 5})
@@ -433,13 +431,13 @@ def _load_both(path, sectors, start, end):
     results = []
     for load in (load_ohlcv, reference.load_ohlcv_rows):
         try:
-            got = load(path, sectors, start=start, end=end)
+            got = load(path, sectors, start, end, FLOOR)
         except DataError as exc:
             results.append(str(exc))
             continue
         if load is load_ohlcv:
             got = (got.tickers, got.calendar, got.bars, got.sector_ids,
-                   apply_dead_stock_rule(got).death_day)
+                   apply_dead_stock_rule(got, FLOOR).death_day)
         results.append(got)
     return results
 
@@ -511,11 +509,11 @@ class TestBulkParse:
         d = days(2)
         write_sectors(tmp_path / "s.csv", [("AAA", "Energy")])
         write_ohlcv(tmp_path / "p.csv", simple_rows("AAA", d))
-        load_ohlcv(tmp_path / "p.csv", tmp_path / "s.csv")
+        load_files(tmp_path / "p.csv", tmp_path / "s.csv")
         assert calls == []
         write_ohlcv(tmp_path / "p.csv", simple_rows("AAA", d) + [("AAA", d[1], 1, 1, 1, 1, 1)])
         with pytest.raises(DataError, match=re.escape(f"{tmp_path / 'p.csv'}:4: duplicate")):
-            load_ohlcv(tmp_path / "p.csv", tmp_path / "s.csv")
+            load_files(tmp_path / "p.csv", tmp_path / "s.csv")
         assert calls == [tmp_path / "p.csv"]
 
 

@@ -13,9 +13,7 @@ from stockrank.config import RunConfig
 from stockrank.dataset import (
     SampleSet,
     assign_label,
-    build_split_plans,
     cap_return,
-    make_samples,
     return_matrix,
     standardize,
 )
@@ -41,7 +39,14 @@ from stockrank.models import (
 from stockrank.nn.autograd import Tensor, embedding_add
 from stockrank.nn.optim import EARLY_STOP_PATIENCE, PLATEAU_FACTOR, PLATEAU_PATIENCE
 
-from conftest import as_windows, minor_faults, random_walk_universe, traced_peak
+from conftest import (
+    as_windows,
+    config_plans,
+    config_samples,
+    minor_faults,
+    random_walk_universe,
+    traced_peak,
+)
 from reference import (
     chunk_infer_outputs,
     chunk_mean_loss,
@@ -51,7 +56,8 @@ from reference import (
     unfolded_sector_conv,
 )
 
-DEFAULT_ARCH = RunConfig().arch()
+CFG = RunConfig()
+DEFAULT_ARCH = CFG.arch()
 
 
 def arch_with(**changes):
@@ -62,6 +68,11 @@ def arch_with(**changes):
 SMALL_ARCH = arch_with(m=10, n=6, conv=((3, 8), (3, 8)), dense=(8,))
 
 
+def ensemble_of(members, mode=CFG.combine_mode):
+    """An EnsembleState with the config's MoE window."""
+    return EnsembleState(members=members, combine_mode=mode, window=CFG.moe_window)
+
+
 def toy_samples(rng, n, arch, signal=True):
     """Windows whose last-row mean predicts a +5% or 0% return."""
     windows = rng.normal(0, 1, size=(n, arch.m, arch.n))
@@ -69,8 +80,8 @@ def toy_samples(rng, n, arch, signal=True):
     returns = np.where(hot, 0.05, 0.0) + rng.normal(0, 0.002, size=n)
     if signal:
         windows[hot, -1, :] += 3.0
-    labels = np.stack([assign_label(r) for r in returns])
-    weights = np.array([cap_return(r) for r in returns])
+    labels = np.stack([assign_label(r, CFG.label_thresholds) for r in returns])
+    weights = np.array([cap_return(r, CFG.return_cap) for r in returns])
     return SampleSet(np.arange(n), np.arange(n), as_windows(windows), labels, returns, weights,
                      rng.integers(0, 12, size=n))
 
@@ -514,16 +525,10 @@ class TestMoeWeights:
         assert (w >= 0).all()
         assert abs(w.sum() - 1.0) < 1e-12
 
-    def test_window_limits_history(self):
-        # only the trailing 6 periods matter
-        long_hist = [[0.9] * 10 + [0.0] * 6, [0.0] * 16, [0.0] * 16]
-        np.testing.assert_allclose(moe_weights(long_hist, window=6), 1 / 3, rtol=1e-12)
-
 
 class TestEnsemble:
-    def _ensemble(self, seeds=(1, 2, 3), mode="moe"):
-        members = [build_model(SMALL_ARCH, seed=s) for s in seeds]
-        return EnsembleState(members=members, combine_mode=mode)
+    def _ensemble(self, seeds=(1, 2, 3), mode=CFG.combine_mode):
+        return ensemble_of([build_model(SMALL_ARCH, seed=s) for s in seeds], mode)
 
     def test_identical_members_idempotent(self, rng):
         ens = self._ensemble(seeds=(7, 7, 7))
@@ -556,7 +561,14 @@ class TestEnsemble:
         ens = self._ensemble()
         for i in range(9):
             ens.record_period_returns([0.01 * i, 0.0, 0.0])
-        assert all(len(h) == 6 for h in ens.trailing_returns)
+        assert all(len(h) == CFG.moe_window for h in ens.trailing_returns)
+
+    def test_window_limits_history(self):
+        # only the trailing window of periods is kept, so only it weighs
+        ens = self._ensemble()
+        for r in [0.9] * 10 + [0.0] * CFG.moe_window:
+            ens.record_period_returns([r, 0.0, 0.0])
+        np.testing.assert_allclose(ensemble_weights(ens), 1 / 3, rtol=1e-12)
 
     def test_member_count_mismatch(self):
         ens = self._ensemble()
@@ -822,9 +834,9 @@ class TestFloat32Model:
         # the same parameters, Adam moments and outputs bit for bit
         u = random_walk_universe(np.random.default_rng(12), 5, 300)
         panel = assemble_panel(u, BASIC_FEATURE_NAMES)
-        plan = build_split_plans(u.n_days, m=10, std_days=60, trainval_days=80, test_days=20,
-                                 offset=panel.first_all_valid_day)[0]
-        samples = make_samples(panel, u, plan, return_matrix(u), m=10)
+        plan = config_plans(u.n_days, m=10, std_days=60, trainval_days=80, test_days=20,
+                            offset=panel.first_all_valid_day)[0]
+        samples = config_samples(panel, u, plan, return_matrix(u), m=10)
         scaled = standardize(panel, plan)
 
         def float64_gather(ss):
@@ -960,7 +972,7 @@ class TestCheckpoints:
 
     def test_ensemble_round_trip(self, tmp_path):
         members = [build_model(SMALL_ARCH, seed=s) for s in (1, 2, 3)]
-        ens = EnsembleState(members=members)
+        ens = ensemble_of(members)
         ens.record_period_returns([0.05, -0.01, 0.02])
         p1 = tmp_path / "e1.ens"
         p2 = tmp_path / "e2.ens"
@@ -1002,8 +1014,7 @@ class TestCheckpoints:
             "garbled_header", "missing_member"])
     def test_damaged_ensemble_file_is_numeric_error(self, tmp_path, damage):
         path = tmp_path / "e.ens"
-        save_ensemble(EnsembleState(members=[build_model(SMALL_ARCH, seed=s) for s in (1, 2, 3)]),
-                      path)
+        save_ensemble(ensemble_of([build_model(SMALL_ARCH, seed=s) for s in (1, 2, 3)]), path)
         path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(NumericError) as error:
             load_ensemble(path)

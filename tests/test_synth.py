@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from stockrank.config import RunConfig
 from stockrank.dataset import assign_label
 from stockrank.errors import ConfigError
-from stockrank.market_data import load_ohlcv
 from stockrank.synth import (
     PlantedEvent,
     SignalSpec,
@@ -14,7 +14,7 @@ from stockrank.synth import (
     write_sector_csv,
 )
 
-from conftest import assert_on_calendar
+from conftest import assert_on_calendar, load_files
 
 
 def opens_by_ticker(rows):
@@ -55,7 +55,7 @@ class TestGenerate:
         write_ohlcv_cssv = tmp_path / "ohlcv.csv"
         write_ohlcv_csv(rows, write_ohlcv_cssv)
         write_sector_csv([r["ticker"] for r in rows], tmp_path / "sectors.csv")
-        u = load_ohlcv(write_ohlcv_cssv, tmp_path / "sectors.csv")
+        u = load_files(write_ohlcv_cssv, tmp_path / "sectors.csv")
         assert u.n_stocks == 4
         assert u.n_days == 50
         assert_on_calendar(u)
@@ -65,10 +65,11 @@ class TestGenerate:
         assert events == []
         opens = opens_by_ticker(rows)
         counts = np.zeros(5)
+        thresholds = RunConfig().label_thresholds
         for series in opens.values():
             r = (series[2:] - series[1:-1]) / series[1:-1]
             for x in r:
-                counts += assign_label(float(x))
+                counts += assign_label(float(x), thresholds)
         buys, sells = counts[3], counts[1]
         strong_b, strong_s = counts[4], counts[0]
         assert abs(buys - sells) < 4 * np.sqrt(buys + sells)
