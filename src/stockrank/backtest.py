@@ -34,6 +34,7 @@ columns of ledgers/<name>.csv, from which the report is rebuilt.
 
 from __future__ import annotations
 
+import datetime as dt
 import math
 from dataclasses import dataclass, field
 
@@ -110,6 +111,8 @@ class BacktestLedger:
                     continue
                 try:
                     date, _value, ret, packed = line.split(",", 3)
+                    if dt.date.fromisoformat(date).isoformat() != date:
+                        raise ValueError(f"date {date!r} is not YYYY-MM-DD")
                     day_return = float(ret)
                     holdings = {}
                     if packed:

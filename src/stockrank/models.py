@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import COMBINE_MODES, ArchConfig
 from .errors import ConfigError, NumericError
-from .losses import LOSSES, LossKind, batch_loss
+from .losses import LossKind, batch_loss
 from .market_data import N_SECTORS
 from .nn.autograd import (
     BLOCK_ELEMS,
@@ -54,22 +54,6 @@ def ranking_scores(outputs: np.ndarray, classification: bool) -> np.ndarray:
     if classification:
         return outputs @ SCORE_VECTOR
     return outputs[:, 0]
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """One period's training schedule: the loss's learning rates
-    (``losses.LOSSES``) and the run's batch size and epoch cap."""
-
-    initial_lr: float
-    min_lr: float
-    batch_size: int
-    max_epochs: int
-
-    @staticmethod
-    def for_loss(kind: str, batch_size: int, max_epochs: int) -> "TrainConfig":
-        row = LOSSES[kind]
-        return TrainConfig(row.initial_lr, row.min_lr, batch_size, max_epochs)
 
 
 class ModelState:
@@ -286,31 +270,32 @@ def _evaluate(state: ModelState, kind: LossKind, sample_set) -> float:
     return total / n
 
 
-def train_period(state: ModelState, train_set, val_set, hp: TrainConfig) -> dict:
+def train_period(state: ModelState, train_set, val_set, batch_size: int,
+                 max_epochs: int) -> dict:
     """Fit one walk-forward period, warm-starting from the current weights.
 
-    The learning rate is reset to its initial value at the start (the
-    retraining rule). One tracker follows the validation loss: the best
-    loss so far, the epochs since it and a snapshot of the model taken at
-    it. Every ``PLATEAU_PATIENCE``-th epoch without improvement halves the
-    rate (never below min_lr); the ``EARLY_STOP_PATIENCE``-th stops
-    training. A NaN loss never improves. The best epoch's snapshot is
-    restored at the end, and ``history["best_epoch"]`` names it.
+    The learning rate is reset to the loss's initial rate (``losses.LOSSES``)
+    at the start (the retraining rule). One tracker follows the validation
+    loss: the best loss so far, the epochs since it and a snapshot of the
+    model taken at it. Every ``PLATEAU_PATIENCE``-th epoch without
+    improvement halves the rate (never below the loss's min_lr); the
+    ``EARLY_STOP_PATIENCE``-th stops training. A NaN loss never improves.
+    The best epoch's snapshot is restored, and ``history["best_epoch"]`` names it.
     """
     if len(train_set) == 0 or len(val_set) == 0:
         raise NumericError("train_period needs non-empty train and validation sets")
     kind = state.arch.loss_kind
     opt = state.optimizer
-    opt.lr = hp.initial_lr
+    opt.lr = kind.initial_lr
     best, wait, best_snapshot = np.inf, 0, None
 
     history = {"train_loss": [], "val_loss": [], "lr": []}
     n = len(train_set)
-    for epoch in range(hp.max_epochs):
+    for epoch in range(max_epochs):
         order = state.rng.permutation(n)
         epoch_loss = 0.0
-        for lo in range(0, n, hp.batch_size):
-            idx = order[lo : lo + hp.batch_size]
+        for lo in range(0, n, batch_size):
+            idx = order[lo : lo + batch_size]
             out = forward(state, train_set.windows[idx], train_set.sector_ids[idx],
                           train=True)
             loss = batch_loss(kind, out, train_set.labels[idx], train_set.returns[idx],
@@ -333,7 +318,7 @@ def train_period(state: ModelState, train_set, val_set, hp: TrainConfig) -> dict
             if wait == EARLY_STOP_PATIENCE:
                 break
             if wait % PLATEAU_PATIENCE == 0:
-                opt.lr = max(opt.lr * PLATEAU_FACTOR, hp.min_lr)
+                opt.lr = max(opt.lr * PLATEAU_FACTOR, kind.min_lr)
 
     if best_snapshot is not None:
         state.restore(best_snapshot)

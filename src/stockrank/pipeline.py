@@ -18,6 +18,9 @@ in a directory of its own. Under the run lock, and before it writes, each
 stage removes the directories it owns and every one downstream of them
 (``clear_outputs``), so a reused run directory holds one run's files.
 
+The train stage's unit of work is one walk-forward period: ``run_period``
+returns its ``PeriodRecord``, and ``training_run`` writes from the records.
+
 Training, about all of a research run's time, uses every usable CPU:
 each period's (ensemble, member) pairs train on ``training_processes``
 processes, this one and forked children, with BLAS capped at one thread
@@ -38,8 +41,9 @@ import shutil
 import sys
 import traceback
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager, nullcontext, suppress
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -47,13 +51,13 @@ from . import __version__, blas, malloc
 from .analytics import build_metric_grid, build_report, grid_to_csv, load_risk_free
 from .backtest import BacktestLedger, combine_strategies, rank_for_day, simulate
 from .config import RunConfig
-from .dataset import build_split_plans, make_samples, return_matrix
+from .dataset import SplitPlan, build_split_plans, make_samples, return_matrix
 from .errors import ConfigError, DataError, csv_rows, failing_module
 from .indicators import assemble_panel
+from .losses import LOSSES
 from .market_data import Universe, apply_dead_stock_rule, filter_by_dollar_volume, load_ohlcv
 from .models import (
     EnsembleState,
-    TrainConfig,
     _decode_model,
     _encode_model,
     build_model,
@@ -153,11 +157,6 @@ def plan_periods(cfg: RunConfig, panel) -> list:
     return plans
 
 
-def _member_seeds(cfg: RunConfig) -> np.ndarray:
-    ss = np.random.SeedSequence(cfg.seed)
-    return ss.generate_state(cfg.n_ensembles * cfg.n_members, dtype=np.uint64)
-
-
 def _day_arrays(universe: Universe, returns: np.ndarray, days: np.ndarray) -> tuple:
     """simulate's returns, alive mask, dates and tickers for the given
     anchor days; returns is return_matrix(universe). A stock is alive on
@@ -194,22 +193,22 @@ def training_processes(n_jobs: int) -> int:
     return w
 
 
-def _train_in_turn(members, train_set, val_set, hp) -> tuple[list, Exception | None]:
-    """Train members in order and stop at the first error; return the
-    (member, history) pairs done before it, and the error or None."""
+def _train_in_turn(members, train_args) -> tuple[list, Exception | None]:
+    """Train members in order with train_period(member, *train_args), stopping at
+    the first error; return the (member, history) pairs done before it, and the error or None."""
     done = []
     for member in members:
         try:
-            done.append((member, train_period(member, train_set, val_set, hp)))
+            done.append((member, train_period(member, *train_args)))
         except Exception as exc:  # raised later, in member order
             return done, exc
     return done, None
 
 
-def _child_trains(send, members, train_set, val_set, hp) -> None:
+def _child_trains(send, members, train_args) -> None:
     """Body of a training child: train its members, then send back each one
     encoded with its history, and the error that stopped it, if any."""
-    done, error = _train_in_turn(members, train_set, val_set, hp)
+    done, error = _train_in_turn(members, train_args)
     trace = None
     if error is not None:
         error.stockrank_module = failing_module(error)  # the traceback does not cross
@@ -246,10 +245,9 @@ def _training_section(processes: int):
             malloc.trim()
 
 
-def _train_members(members: list, train_set, val_set, hp: TrainConfig,
-                   processes: int) -> list[tuple]:
-    """Train one period's members; return (trained member, history) pairs
-    in member order.
+def _train_members(members: list, train_args: tuple, processes: int) -> list[tuple]:
+    """Train one period's members, each with train_period(member,
+    *train_args); return (trained member, history) pairs in member order.
 
     Member i is trained by process i % processes (``training_processes``
     picks the count). Process 0 is this one: it trains its members in
@@ -288,11 +286,11 @@ def _train_members(members: list, train_set, val_set, hp: TrainConfig,
                 ctx = multiprocessing.get_context("fork")
                 recv, send = ctx.Pipe(duplex=False)
                 child = ctx.Process(target=_child_trains, daemon=True,
-                                    args=(send, members[c::processes], train_set, val_set, hp))
+                                    args=(send, members[c::processes], train_args))
                 child.start()  # leaves through os._exit: no finally of the caller runs twice
                 send.close()
                 children.append((child, recv))
-            shares = {0: _train_in_turn(members[::processes], train_set, val_set, hp)}
+            shares = {0: _train_in_turn(members[::processes], train_args)}
             for i in range(len(members)):
                 c, k = i % processes, i // processes
                 if c not in shares:  # read only once every earlier member trained
@@ -309,89 +307,82 @@ def _train_members(members: list, train_set, val_set, hp: TrainConfig,
     return trained
 
 
+@dataclass(frozen=True)
+class PeriodRecord:
+    """One walk-forward period's split plan; scores[e], ensemble e's (test days, stocks)
+    float64 ranking scores; and histories[e][i], the train_period history of its member i."""
+
+    plan: SplitPlan
+    scores: np.ndarray
+    histories: list[list[dict]]
+
+
+def run_period(cfg: RunConfig, universe: Universe, panel, plan: SplitPlan,
+               returns: np.ndarray, ensembles: list[EnsembleState],
+               processes: int) -> PeriodRecord:
+    """One walk-forward period, a run's unit of work: build its samples once
+    (one float32 standardized span; returns is return_matrix(universe)),
+    train every (ensemble, member) pair in that order with ``_train_members``
+    on ``processes`` processes, score the test days and return the
+    PeriodRecord. The ensembles are updated in place: they hold the trained
+    members and each member's top-k return, which weights it next period."""
+    samples = make_samples(panel, universe, plan, returns, m=cfg.m,
+                           thresholds=cfg.label_thresholds, cap=cfg.return_cap,
+                           val_days=cfg.val_days)
+    test = samples["test"]
+    test_days = np.arange(*plan.test_range)
+    market = _day_arrays(universe, returns, test_days)
+    stock_major = (universe.n_stocks, len(test_days))  # the test samples' order
+    classification = LOSSES[cfg.loss].classification
+    trained = _train_members([m for ens in ensembles for m in ens.members],
+                             (samples["train"], samples["val"], cfg.batch_size, cfg.max_epochs),
+                             processes)
+    scores, histories = [], []
+    for e, ens in enumerate(ensembles):
+        pairs = trained[e * cfg.n_members : (e + 1) * cfg.n_members]
+        ens.members = [member for member, _hist in pairs]
+        histories.append([hist for _member, hist in pairs])
+        member_outputs = [predict_batch(m, test.windows, test.sector_ids) for m in ens.members]
+        scores.append(ranking_scores(combine_members(ens, member_outputs),
+                                     classification).reshape(stock_major).T)
+        member_period_returns = []
+        for outputs in member_outputs:
+            m_scores = ranking_scores(outputs, classification).reshape(stock_major).T
+            led = simulate("topk", m_scores, *market, k=cfg.k,
+                           rebalance_mode=cfg.rebalance_mode)
+            member_period_returns.append(led.final_value - 1.0)
+        ens.record_period_returns(member_period_returns)
+    return PeriodRecord(plan, np.stack(scores), histories)
+
+
 def train_walk_forward(cfg: RunConfig, universe: Universe, panel, plans,
-                       log=lambda msg: None) -> dict:
-    """Train all ensembles across the walk-forward periods.
+                       log=lambda msg: None) -> tuple[list[EnsembleState], list[PeriodRecord]]:
+    """Train all ensembles across the walk-forward periods, one run_period
+    per plan, and log each member's line from its period's record.
 
-    Each period builds its samples once (make_samples: one float32
-    standardized span, from which every mini-batch gathers its windows)
-    and trains every (ensemble, member) pair, in that order, with
-    ``_train_members`` on w = ``training_processes`` processes.
-
-    Returns {"ensembles": [EnsembleState...], "scores": (ensembles, days,
-    stocks) float64 array, "days": calendar day index of each score row,
-    "score_rows": scores.csv rows, "histories": [...], "training_processes": w}.
-    The score rows are the same scores as (ensemble, period, date, ticker,
-    score) tuples, each day's in rank order.
+    Returns (ensembles, records): the EnsembleStates after the last period
+    and the PeriodRecord of each plan, in plan order.
     """
     arch = cfg.arch()
-    hp = TrainConfig.for_loss(cfg.loss, cfg.batch_size, cfg.max_epochs)
-    seeds = _member_seeds(cfg)
-    ensembles = []
-    for e in range(cfg.n_ensembles):
-        members = [
-            build_model(arch, int(seeds[e * cfg.n_members + i]))
-            for i in range(cfg.n_members)
-        ]
-        ensembles.append(EnsembleState(members=members, combine_mode=cfg.combine_mode,
-                                       window=cfg.moe_window))
+    seeds = np.random.SeedSequence(cfg.seed).generate_state(cfg.n_ensembles * cfg.n_members,
+                                                             dtype=np.uint64)
+    ensembles = [EnsembleState(members=[build_model(arch, int(seed)) for seed in ens_seeds],
+                               combine_mode=cfg.combine_mode, window=cfg.moe_window)
+                 for ens_seeds in seeds.reshape(cfg.n_ensembles, cfg.n_members)]
     log(f"model parameter count: {ensembles[0].members[0].param_count}")
-
-    score_rows: list[tuple] = []
-    period_scores: list[np.ndarray] = []
-    histories: list[dict] = []
-    classification = arch.loss_kind.classification
     returns = return_matrix(universe)
     processes = training_processes(cfg.n_ensembles * cfg.n_members)
-
+    records = []
     for plan in plans:
-        samples = make_samples(panel, universe, plan, returns, m=cfg.m,
-                               thresholds=cfg.label_thresholds, cap=cfg.return_cap,
-                               val_days=cfg.val_days)
-        test = samples["test"]
-        test_days = np.arange(*plan.test_range)
-        market = _day_arrays(universe, returns, test_days)
-        stock_major = (universe.n_stocks, len(test_days))  # the test samples' order
-        trained = _train_members([m for ens in ensembles for m in ens.members],
-                                 samples["train"], samples["val"], hp, processes)
-        ensemble_scores = []
-        for e, ens in enumerate(ensembles):
-            pairs = trained[e * cfg.n_members : (e + 1) * cfg.n_members]
-            ens.members = [member for member, _hist in pairs]
-            period_histories = [hist for _member, hist in pairs]
+        record = run_period(cfg, universe, panel, plan, returns, ensembles, processes)
+        for e, period_histories in enumerate(record.histories):
             for mi, hist in enumerate(period_histories):
                 # the kept epoch's loss; the last epoch's when none was kept
                 val_loss = hist["val_loss"][hist.get("best_epoch", -1)]
                 log(f"period {plan.period_index} ensemble {e} member {mi}: "
                     f"{hist['epochs']} epochs, val loss {val_loss:.6g}")
-            histories.append({"period": plan.period_index, "ensemble": e,
-                              "members": period_histories})
-
-            member_outputs = [
-                predict_batch(m, test.windows, test.sector_ids) for m in ens.members
-            ]
-            ens_scores = ranking_scores(combine_members(ens, member_outputs),
-                                        classification).reshape(stock_major).T
-            ensemble_scores.append(ens_scores)
-            for d, day_scores in zip(test_days.tolist(), ens_scores.tolist()):
-                ranking = rank_for_day(universe.calendar[d].isoformat(),
-                                       dict(zip(universe.tickers, day_scores)))
-                score_rows.extend((e, plan.period_index, ranking.date, ticker, sc)
-                                  for ticker, sc in ranking.entries)
-
-            # each member's own top-k return this period drives next period's weights
-            member_period_returns = []
-            for outputs in member_outputs:
-                m_scores = ranking_scores(outputs, classification).reshape(stock_major).T
-                led = simulate("topk", m_scores, *market, k=cfg.k,
-                               rebalance_mode=cfg.rebalance_mode)
-                member_period_returns.append(led.final_value - 1.0)
-            ens.record_period_returns(member_period_returns)
-        period_scores.append(np.stack(ensemble_scores))
-    return {"ensembles": ensembles, "scores": np.concatenate(period_scores, axis=1),
-            "days": np.concatenate([np.arange(*plan.test_range) for plan in plans]),
-            "score_rows": score_rows, "histories": histories,
-            "training_processes": processes}
+        records.append(record)
+    return ensembles, records
 
 
 def run_strategies(cfg: RunConfig, universe: Universe, scores: np.ndarray,
@@ -401,27 +392,41 @@ def run_strategies(cfg: RunConfig, universe: Universe, scores: np.ndarray,
     scores is the (ensembles, days, stocks) score array and days the
     calendar day index of each of its rows. With several ensembles, each
     strategy is simulated per ensemble and the ledgers are integrated with
-    equal weights.
+    equal weights. The market, which reads no scores, is simulated once:
+    an average of equal ledgers can differ from each in the last bit.
     """
     market = _day_arrays(universe, return_matrix(universe), days)
     ledgers: dict[str, BacktestLedger] = {}
     for strategy in cfg.strategies:
+        if strategy == "market_equal_weight":
+            continue
         per_ensemble = [simulate(strategy, ens_scores, *market, k=cfg.k,
                                  rebalance_mode=cfg.rebalance_mode) for ens_scores in scores]
         ledgers[strategy] = (per_ensemble[0] if len(per_ensemble) == 1
                              else combine_strategies(per_ensemble))
-    if "market_equal_weight" not in ledgers:
-        ledgers["market_equal_weight"] = simulate("market_equal_weight", scores[0], *market,
-                                                  k=cfg.k, rebalance_mode=cfg.rebalance_mode)
+    ledgers["market_equal_weight"] = simulate("market_equal_weight", scores[0], *market,
+                                              k=cfg.k, rebalance_mode=cfg.rebalance_mode)
     return ledgers
 
 
-def write_scores_csv(scores_rows: list[tuple], path: str) -> None:
+def write_scores_csv(scores_rows: Iterable[tuple], path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SCORES_HEADER)
         for row in scores_rows:
             writer.writerow([row[0], row[1], row[2], row[3], repr(row[4])])
+
+
+def _score_rows(universe: Universe, records: list[PeriodRecord]) -> Iterator[tuple]:
+    """The scores.csv rows of the records, made one day at a time:
+    (ensemble, period, date, ticker, score), each day's in rank order."""
+    for record in records:
+        for e, ens_scores in enumerate(record.scores):
+            for d, day_scores in zip(range(*record.plan.test_range), ens_scores.tolist()):
+                ranking = rank_for_day(universe.calendar[d].isoformat(),
+                                       dict(zip(universe.tickers, day_scores)))
+                for ticker, score in ranking.entries:
+                    yield e, record.plan.period_index, ranking.date, ticker, score
 
 
 def read_scores_csv(path: str, universe: Universe) -> tuple[np.ndarray, np.ndarray]:
@@ -539,26 +544,12 @@ def write_report(cfg: RunConfig, ledgers: dict[str, BacktestLedger], out_dir: st
     return payload
 
 
-def _environment(processes: int | None) -> dict:
-    """What the numbers of a run depend on besides its config and data.
-
-    processes is the training process count w of train_walk_forward, None
-    when the process writing the manifest trained nothing (backtest,
-    report). The glibc malloc thresholds that training ran under follow from
-    it: None where nothing trained, or where the libc is not glibc.
-    """
-    return {
-        "python": sys.version.split()[0],
-        "numpy": np.__version__,
-        "blas": blas.config(),
-        "blas_threads": blas.threads(),
-        "usable_cpus": usable_cpus(),
-        "training_processes": processes,
-        "malloc_thresholds": None if processes is None else malloc.thresholds(),
-    }
-
-
-def write_manifest(cfg: RunConfig, out_dir: str, processes: int | None = None) -> None:
+def write_manifest(cfg: RunConfig, out_dir: str, trained: bool = False) -> None:
+    """Write manifest.json: the config hash, every other file's checksum, and
+    what a run's numbers depend on besides its config and data. Where this
+    process did not train (backtest, report), the training process count and
+    the glibc malloc thresholds are None; the thresholds also without glibc."""
+    processes = training_processes(cfg.n_ensembles * cfg.n_members) if trained else None
     entries = {}
     for root, _dirs, files in os.walk(out_dir):
         for name in sorted(files):
@@ -572,7 +563,15 @@ def write_manifest(cfg: RunConfig, out_dir: str, processes: int | None = None) -
         "config_sha256": cfg.sha256(),
         "package_version": __version__,
         "artifacts": entries,
-        "environment": _environment(processes),
+        "environment": {
+            "python": sys.version.split()[0],
+            "numpy": np.__version__,
+            "blas": blas.config(),
+            "blas_threads": blas.threads(),
+            "usable_cpus": usable_cpus(),
+            "training_processes": processes,
+            "malloc_thresholds": None if processes is None else malloc.thresholds(),
+        },
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
@@ -584,9 +583,10 @@ def training_run(cfg: RunConfig, out_dir: str, log=lambda msg: None):
     """The train stage: load, plan and train, then write config.resolved.json,
     the checkpoints and scores.csv under the run lock.
 
-    The caller's block runs under the same lock with (universe, scores,
-    days), the score array and its calendar days that run_strategies
-    takes; the manifest is written after it.
+    The checkpoints are made from the ensembles, scores.csv and the score
+    array from the period records. The caller's block runs under the same
+    lock with (universe, scores, days), the score array and its calendar
+    days that run_strategies takes; the manifest is written after it.
     """
     universe = load_universe(cfg)
     log(f"universe: {universe.n_stocks} stocks x {universe.n_days} days")
@@ -602,19 +602,20 @@ def training_run(cfg: RunConfig, out_dir: str, log=lambda msg: None):
         with open(os.path.join(out_dir, "config.resolved.json"), "w") as fh:
             fh.write(cfg.to_json())
             fh.write("\n")
-        result = train_walk_forward(cfg, universe, panel, plans, log=log)
+        ensembles, records = train_walk_forward(cfg, universe, panel, plans, log=log)
 
         ckpt_dir = os.path.join(out_dir, "checkpoints")
         os.makedirs(ckpt_dir, exist_ok=True)
-        for e, ens in enumerate(result["ensembles"]):
+        for e, ens in enumerate(ensembles):
             save_ensemble(ens, os.path.join(ckpt_dir, f"ensemble_{e}.ens"))
 
         scores_dir = os.path.join(out_dir, "scores")
         os.makedirs(scores_dir, exist_ok=True)
-        write_scores_csv(result["score_rows"], os.path.join(scores_dir, "scores.csv"))
+        write_scores_csv(_score_rows(universe, records), os.path.join(scores_dir, "scores.csv"))
 
-        yield universe, result["scores"], result["days"]
-        write_manifest(cfg, out_dir, result["training_processes"])
+        yield (universe, np.concatenate([r.scores for r in records], axis=1),
+               np.concatenate([np.arange(*r.plan.test_range) for r in records]))
+        write_manifest(cfg, out_dir, trained=True)
 
 
 def run_pipeline(cfg: RunConfig, out_dir: str, log=lambda msg: None) -> dict:

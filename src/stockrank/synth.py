@@ -16,8 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError, csv_rows
 from .market_data import SECTOR_NAMES
+
+EVENTS_HEADER = ["ticker", "anchor_day", "date", "realized"]
 
 
 @dataclass(frozen=True)
@@ -150,20 +152,25 @@ def write_sector_csv(tickers: list[str], path: str) -> None:
 
 def write_events_csv(events: list[PlantedEvent], path: str) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write("ticker,anchor_day,date,realized\n")
+        fh.write(",".join(EVENTS_HEADER) + "\n")
         for e in events:
             fh.write(f"{e.ticker},{e.anchor_day},{e.date.isoformat()},{int(e.realized)}\n")
 
 
 def read_events_csv(path: str) -> list[PlantedEvent]:
+    """The events of an events.csv as write_events_csv writes it; blank
+    rows are skipped, and any other fault is a DataError naming path:line."""
     events = []
-    with open(path, newline="") as fh:
-        header = fh.readline().strip()
-        if header != "ticker,anchor_day,date,realized":
-            raise ConfigError(f"{path}: not an events file")
-        for line in fh:
-            ticker, day, date, realized = line.strip().split(",")
-            events.append(
-                PlantedEvent(ticker, int(day), dt.date.fromisoformat(date), realized == "1")
-            )
+    with open(path, newline="") as fh, csv_rows(fh, path) as rows:
+        if next(rows, (1, None))[1] != EVENTS_HEADER:
+            raise DataError(f"{path}:1: expected header {','.join(EVENTS_HEADER)}")
+        for lineno, row in rows:
+            if not any(c.strip() for c in row):
+                continue
+            try:
+                ticker, day, date, realized = (c.strip() for c in row)
+                events.append(PlantedEvent(ticker, int(day), dt.date.fromisoformat(date),
+                                           {"0": False, "1": True}[realized]))
+            except (ValueError, KeyError) as exc:
+                raise DataError(f"{path}:{lineno}: bad events row {row}") from exc
     return events

@@ -653,7 +653,8 @@ def run_strategies(strategies, universe, scores: np.ndarray, days, k: int,
                    rebalance_mode: str) -> dict[str, BacktestLedger]:
     """pipeline.run_strategies on one dict per day: rankings per ensemble
     from (ensembles, days, stocks) scores, returns and alive names per
-    anchor day, the ledgers of several ensembles combined."""
+    anchor day, the ledgers of several ensembles combined; the market
+    benchmark, which reads no rankings, simulated once."""
     tickers = universe.tickers
     dates = [universe.calendar[d] for d in days]
     returns_by_day, alive_by_day = [], []
@@ -665,14 +666,15 @@ def run_strategies(strategies, universe, scores: np.ndarray, days, k: int,
                  zip(dates, ens.tolist())] for ens in scores]
     ledgers = {}
     for strategy in strategies:
+        if strategy == "market_equal_weight":
+            continue
         per_ensemble = [simulate(strategy, ranks, returns_by_day, k, rebalance_mode,
                                  alive_by_day=alive_by_day) for ranks in rankings]
         ledgers[strategy] = (per_ensemble[0] if len(per_ensemble) == 1
                              else combine_strategies(per_ensemble))
-    if "market_equal_weight" not in ledgers:
-        ledgers["market_equal_weight"] = simulate("market_equal_weight", rankings[0],
-                                                  returns_by_day, k, rebalance_mode,
-                                                  alive_by_day=alive_by_day)
+    ledgers["market_equal_weight"] = simulate("market_equal_weight", rankings[0],
+                                              returns_by_day, k, rebalance_mode,
+                                              alive_by_day=alive_by_day)
     return ledgers
 
 

@@ -28,12 +28,12 @@ CFG = RunConfig()
 def run(strategy, score_rows, returns, k=CFG.k, rebalance_mode=CFG.rebalance_mode, alive=None):
     """simulate over days given as {ticker: score} and {ticker: return}
     dicts, with the config's k and rebalance mode unless given; columns are
-    the sorted tickers of the first day, rows are dated 0, 1, ..."""
+    the sorted tickers of the first day, rows are dated by make_calendar."""
     tickers = sorted(score_rows[0])
     scores = np.array([[day[t] for t in tickers] for day in score_rows])
     rets = np.array([[day[t] for t in tickers] for day in returns])
     alive = np.ones(scores.shape, dtype=bool) if alive is None else np.asarray(alive)
-    return simulate(strategy, scores, rets, alive, list(range(len(score_rows))), tickers,
+    return simulate(strategy, scores, rets, alive, make_calendar(len(score_rows)), tickers,
                     k=k, rebalance_mode=rebalance_mode)
 
 
@@ -336,6 +336,11 @@ class TestLedgerCsv:
         "2020-01-03,1.0,not-a-number,A:0.5;B:0.5",
         "2020-01-03,1.0,0.01,A:0.5;B",
         "2020-01-03,1.0,nan,A:1.0",
+        "20x5-13-01,1.0,0.01,A:1.0",
+        "2020-02-30,1.0,0.01,A:1.0",
+        "2020-1-03,1.0,0.01,A:1.0",
+        "20200103,1.0,0.01,A:1.0",
+        "2020-W01-5,1.0,0.01,A:1.0",
     ])
     def test_malformed_line_names_path_and_line(self, tmp_path, bad):
         led = BacktestLedger()

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 
@@ -534,6 +535,36 @@ class TestStageSeparation:
             assert r.exit_code == 0, r.output
         assert json.loads((out / "report" / "metrics.json").read_text())["periods"] == 1
 
+    def test_training_run_yields_the_scores_its_scores_csv_reads_back(self, tmp_path, runner):
+        # the score array is made from the period records, and scores.csv
+        # from the same records through rank_for_day: both must agree bit for bit
+        data = synth_dataset(runner, tmp_path / "d")
+        cfg = load_config(write_config(tmp_path, small_config(
+            data, conv=[[3, 4]], dense=[4], n_members=1, max_epochs=1, n_ensembles=2,
+            max_periods=2)))
+        out = tmp_path / "o"
+        with pipeline.training_run(cfg, str(out)) as (universe, scores, days):
+            read_scores, read_days = pipeline.read_scores_csv(
+                str(out / "scores" / "scores.csv"), universe)
+        assert scores.shape == (2, 2 * cfg.test_days, universe.n_stocks)
+        assert scores.dtype == read_scores.dtype == np.float64
+        assert scores.tobytes() == read_scores.tobytes()
+        assert days.tolist() == read_days.tolist()
+
+    def test_market_ledger_does_not_depend_on_the_ensemble_count(self, tmp_path, runner):
+        # the market reads no scores; an average of three equal ledgers
+        # differs from each in the last bit on about one day in seven
+        data = synth_dataset(runner, tmp_path / "d")
+        market = {}
+        for n in (1, 3):
+            cfg = load_config(write_config(tmp_path, small_config(
+                data, conv=[[3, 4]], dense=[4], n_members=1, max_epochs=1, n_ensembles=n,
+                max_periods=2), name=f"ensembles{n}.json"))
+            pipeline.run_pipeline(cfg, str(tmp_path / f"ensembles{n}"))
+            market[n] = (tmp_path / f"ensembles{n}" / "ledgers" /
+                         "market_equal_weight.csv").read_bytes()
+        assert market[3] == market[1]
+
     def test_backtest_builds_no_panel(self, tmp_path, runner, monkeypatch):
         data = synth_dataset(runner, tmp_path / "d")
         cfg_path = write_config(tmp_path, small_config(data))
@@ -694,6 +725,25 @@ class TestStageSeparation:
         assert err["error"] == "DataError"
         assert f"{ledger}:{n_lines + 1}:" in err["message"]
 
+    def test_ledger_date_that_is_not_iso_is_data_error(self, tmp_path, runner):
+        # with a risk-free file the report parses the market ledger's dates
+        data = synth_dataset(runner, tmp_path / "d")
+        rf = tmp_path / "rf.csv"
+        rf.write_text("date,annual_rate\n2015-01-01,0.02\n")
+        cfg_path = write_config(tmp_path, small_config(data, rf_path=str(rf)))
+        out = tmp_path / "o"
+        r = runner.invoke(main, ["run", "--config", str(cfg_path), "--out", str(out)])
+        assert r.exit_code == 0, r.output
+        for ledger in (out / "ledgers").iterdir():
+            lines = ledger.read_text().splitlines()
+            lines[1] = "20x5-13-01" + lines[1][lines[1].index(","):]
+            ledger.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["report", "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        err = json.loads(result.output.strip().splitlines()[-1])
+        assert err["error"] == "DataError"
+        assert re.match(f"{re.escape(str(out / 'ledgers'))}/\\w+\\.csv:2: ", err["message"])
+
     def test_backtest_without_scores_fails_cleanly(self, tmp_path, runner):
         data = synth_dataset(runner, tmp_path / "d", n_days=30)
         cfg_path = write_config(tmp_path, small_config(data))
@@ -796,10 +846,10 @@ def _run_files(out):
 _train_period = pipeline.train_period
 
 
-def _empty_val(member, train_set, val_set, hp):
+def _empty_val(member, train_set, val_set, batch_size, max_epochs):
     val_set = copy.copy(val_set)
     val_set.stock = val_set.stock[:0]  # train_period raises NumericError on an empty split
-    return _train_period(member, train_set, val_set, hp)
+    return _train_period(member, train_set, val_set, batch_size, max_epochs)
 
 
 class TestParallelTraining:
@@ -838,9 +888,9 @@ class TestParallelTraining:
         # parallel: only the members trained outside this process fail, or all
         parent = os.getpid()
 
-        def fails_in_child(member, train_set, val_set, hp):
+        def fails_in_child(member, *train_args):
             train = _empty_val if os.getpid() != parent else _train_period
-            return train(member, train_set, val_set, hp)
+            return train(member, *train_args)
 
         monkeypatch.setattr(pipeline, "usable_cpus", lambda: 3)
         for name, train in (("child", fails_in_child), ("every", _empty_val)):
@@ -861,10 +911,10 @@ class TestParallelTraining:
         cfg_path = self._config(tmp_path, runner)
         parent = os.getpid()
 
-        def dies_in_child(member, train_set, val_set, hp):
+        def dies_in_child(member, *train_args):
             if os.getpid() != parent:
                 os._exit(3)
-            return _train_period(member, train_set, val_set, hp)
+            return _train_period(member, *train_args)
 
         monkeypatch.setattr(pipeline, "usable_cpus", lambda: 3)
         monkeypatch.setattr(pipeline, "train_period", dies_in_child)

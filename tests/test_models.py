@@ -22,7 +22,6 @@ from stockrank.indicators import BASIC_FEATURE_NAMES, assemble_panel
 from stockrank.losses import LOSSES, batch_loss
 from stockrank.models import (
     EnsembleState,
-    TrainConfig,
     _decode_model,
     _encode_model,
     build_model,
@@ -581,8 +580,7 @@ class TestTrainPeriod:
         state = build_model(SMALL_ARCH, seed=11)
         train = toy_samples(rng, 256, SMALL_ARCH)
         val = toy_samples(rng, 64, SMALL_ARCH)
-        hp = TrainConfig.for_loss("return_weighted_ce", batch_size=64, max_epochs=6)
-        hist = train_period(state, train, val, hp)
+        hist = train_period(state, train, val, batch_size=64, max_epochs=6)
         assert hist["epochs"] == 6
         assert hist["train_loss"][-1] < hist["train_loss"][0]
         first3 = hist["train_loss"][:3]
@@ -592,19 +590,17 @@ class TestTrainPeriod:
         state = build_model(SMALL_ARCH, seed=11)
         train = toy_samples(rng, 128, SMALL_ARCH)
         val = toy_samples(rng, 64, SMALL_ARCH)
-        hp = TrainConfig.for_loss("return_weighted_ce", batch_size=64, max_epochs=2)
-        train_period(state, train, val, hp)
+        train_period(state, train, val, batch_size=64, max_epochs=2)
         state.optimizer.lr = 0.001  # pretend plateau halvings happened
-        hist = train_period(state, train, val, hp)
-        assert hist["lr"][0] == hp.initial_lr == 0.01
+        hist = train_period(state, train, val, batch_size=64, max_epochs=2)
+        assert hist["lr"][0] == LOSSES["return_weighted_ce"].initial_lr == 0.01
 
     def test_zero_epoch_retrain_is_bit_identical(self, rng):
         state = build_model(SMALL_ARCH, seed=11)
         train = toy_samples(rng, 128, SMALL_ARCH)
         val = toy_samples(rng, 64, SMALL_ARCH)
         before = {k: p.data.copy() for k, p in state.params.items()}
-        hp = TrainConfig.for_loss("return_weighted_ce", batch_size=64, max_epochs=0)
-        hist = train_period(state, train, val, hp)
+        hist = train_period(state, train, val, batch_size=64, max_epochs=0)
         assert hist["epochs"] == 0
         for k, p in state.params.items():
             np.testing.assert_array_equal(p.data, before[k])
@@ -612,11 +608,10 @@ class TestTrainPeriod:
     def test_two_seeds_different_parameters(self, rng):
         train = toy_samples(rng, 128, SMALL_ARCH)
         val = toy_samples(rng, 64, SMALL_ARCH)
-        hp = TrainConfig.for_loss("return_weighted_ce", batch_size=64, max_epochs=2)
         a = build_model(SMALL_ARCH, seed=1)
         b = build_model(SMALL_ARCH, seed=2)
-        train_period(a, train, val, hp)
-        train_period(b, train, val, hp)
+        train_period(a, train, val, batch_size=64, max_epochs=2)
+        train_period(b, train, val, batch_size=64, max_epochs=2)
         assert any(not np.array_equal(a.params[k].data, b.params[k].data) for k in a.params)
 
     def test_determinism_across_runs(self, rng):
@@ -625,8 +620,7 @@ class TestTrainPeriod:
             state = build_model(SMALL_ARCH, seed=9)
             train = toy_samples(r, 128, SMALL_ARCH)
             val = toy_samples(r, 64, SMALL_ARCH)
-            hp = TrainConfig.for_loss("return_weighted_ce", batch_size=64, max_epochs=3)
-            train_period(state, train, val, hp)
+            train_period(state, train, val, batch_size=64, max_epochs=3)
             return state
 
         a, b = run(), run()
@@ -639,24 +633,29 @@ class TestTrainPeriod:
         with pytest.raises(NumericError):
             train_period(state, train, SampleSet([], [], as_windows(np.zeros((0, 10, 6))),
                                                  np.zeros((0, 5)), [], [], []),
-                         TrainConfig.for_loss("ce", batch_size=16, max_epochs=1))
+                         batch_size=16, max_epochs=1)
 
     @pytest.mark.parametrize("loss", LOSSES)
-    def test_schedule_reads_the_loss_table(self, loss):
-        hp = TrainConfig.for_loss(loss, batch_size=32, max_epochs=7)
+    def test_schedule_reads_the_loss_table(self, loss, monkeypatch, rng):
+        # rates of no loss: each read of a rate goes to the model's row
         row = LOSSES[loss]
-        assert hp == TrainConfig(row.initial_lr, row.min_lr, 32, 7)
-        state = build_model(arch_with(loss=loss), seed=0)
-        assert state.optimizer.lr == row.initial_lr
+        monkeypatch.setitem(LOSSES, loss, replace(row, initial_lr=0.003, min_lr=0.002))
+        arch = arch_with(loss=loss, m=10, n=6, conv=((3, 8),), dense=(8,))
+        state = build_model(arch, seed=0)
+        assert state.optimizer.lr == 0.003
+        monkeypatch.setattr(models, "_evaluate", lambda state, kind, sample_set: 1.0)
+        hist = train_period(state, toy_samples(rng, 8, arch), toy_samples(rng, 8, arch),
+                            batch_size=8, max_epochs=7)
+        assert hist["lr"] == [0.003] * 6 + [0.002]
 
 
 class TestImprovementTracker:
     """train_period's plateau halving and early stopping, on val losses
     scripted through a patched ``models._evaluate``."""
 
-    HP = TrainConfig.for_loss("return_weighted_ce", batch_size=8, max_epochs=100)
+    LR = LOSSES["return_weighted_ce"].initial_lr
 
-    def _train(self, monkeypatch, rng, losses, hp=HP, seen=None):
+    def _train(self, monkeypatch, rng, losses, max_epochs=100, seen=None):
         """train_period on 8 toy samples, epoch e's val loss ``losses[e]``;
         ``seen`` collects each epoch's snapshot as it is evaluated."""
         script = iter(losses)
@@ -669,20 +668,21 @@ class TestImprovementTracker:
         monkeypatch.setattr(models, "_evaluate", scripted)
         state = build_model(SMALL_ARCH, seed=5)
         hist = train_period(state, toy_samples(rng, 8, SMALL_ARCH),
-                            toy_samples(rng, 8, SMALL_ARCH), hp)
+                            toy_samples(rng, 8, SMALL_ARCH), batch_size=8,
+                            max_epochs=max_epochs)
         return state, hist
 
     def test_improving_losses_keep_the_rate(self, monkeypatch, rng):
         state, hist = self._train(monkeypatch, rng, [1.0 / (e + 1) for e in range(30)],
-                                  replace(self.HP, max_epochs=30))
+                                  max_epochs=30)
         assert hist["epochs"] == 30
-        assert hist["lr"] == [self.HP.initial_lr] * 30
-        assert state.optimizer.lr == self.HP.initial_lr
+        assert hist["lr"] == [self.LR] * 30
+        assert state.optimizer.lr == self.LR
         assert hist["best_epoch"] == 29
 
     def test_flat_losses_halve_three_times_then_stop(self, monkeypatch, rng):
         state, hist = self._train(monkeypatch, rng, [1.0] * 100)
-        lr = self.HP.initial_lr
+        lr = self.LR
         # epoch 0 sets the best; the 5th, 10th and 15th epochs after it halve
         # the rate for the next epoch, and the 20th stops training
         expected = [lr] * 6 + [lr * PLATEAU_FACTOR] * 5 + [lr * PLATEAU_FACTOR**2] * 5 \
@@ -696,15 +696,16 @@ class TestImprovementTracker:
         # the improvement comes one epoch before the first cut
         losses = [1.0] * PLATEAU_PATIENCE + [0.5] * 100
         _state, hist = self._train(monkeypatch, rng, losses)
-        lr = self.HP.initial_lr
+        lr = self.LR
         assert hist["best_epoch"] == PLATEAU_PATIENCE
         assert hist["epochs"] == PLATEAU_PATIENCE + EARLY_STOP_PATIENCE + 1
         assert hist["lr"][: 2 * PLATEAU_PATIENCE + 1] == [lr] * (2 * PLATEAU_PATIENCE + 1)
         assert hist["lr"][2 * PLATEAU_PATIENCE + 1] == lr * PLATEAU_FACTOR
 
     def test_the_rate_stops_at_min_lr(self, monkeypatch, rng):
-        hp = replace(self.HP, initial_lr=0.003, min_lr=0.001)
-        state, hist = self._train(monkeypatch, rng, [1.0] * 100, hp)
+        row = LOSSES["return_weighted_ce"]
+        monkeypatch.setitem(LOSSES, row.kind, replace(row, initial_lr=0.003, min_lr=0.001))
+        state, hist = self._train(monkeypatch, rng, [1.0] * 100)
         assert hist["lr"] == [0.003] * 6 + [0.0015] * 5 + [0.001] * 10
         assert state.optimizer.lr == 0.001
 
@@ -846,11 +847,10 @@ class TestFloat32Model:
                              ss.weights, ss.sector_ids)
 
         arch = arch_with(m=10, n=panel.n_features, conv=((3, 8),), dense=(8,))
-        hp = TrainConfig.for_loss(arch.loss, batch_size=64, max_epochs=1)
 
         def run(train, val, test):
             state = build_model(arch, seed=4)
-            train_period(state, train, val, hp)
+            train_period(state, train, val, batch_size=64, max_epochs=1)
             return state, predict_batch(state, test.windows, test.sector_ids)
 
         a, out_a = run(samples["train"], samples["val"], samples["test"])
@@ -933,7 +933,7 @@ class TestCheckpoints:
         train = toy_samples(rng, 64, SMALL_ARCH)
         val = toy_samples(rng, 32, SMALL_ARCH)
         train_period(state, train, val,
-                     TrainConfig.for_loss("return_weighted_ce", batch_size=32, max_epochs=2))
+                     batch_size=32, max_epochs=2)
         blob = _encode_model(state)
         assert _encode_model(_decode_model(blob)) == blob
 
@@ -946,23 +946,21 @@ class TestCheckpoints:
     def test_loaded_model_resumes_training_identically(self, rng):
         train = toy_samples(rng, 64, SMALL_ARCH)
         val = toy_samples(rng, 32, SMALL_ARCH)
-        hp = TrainConfig.for_loss("return_weighted_ce", batch_size=32, max_epochs=2)
         a = build_model(SMALL_ARCH, seed=3)
-        train_period(a, train, val, hp)
+        train_period(a, train, val, batch_size=32, max_epochs=2)
         b = _decode_model(_encode_model(a))
-        train_period(a, train, val, hp)
-        train_period(b, train, val, hp)
+        train_period(a, train, val, batch_size=32, max_epochs=2)
+        train_period(b, train, val, batch_size=32, max_epochs=2)
         for k in a.params:
             np.testing.assert_array_equal(a.params[k].data, b.params[k].data)
 
     def test_resumed_float32_model_stays_float32(self, rng):
         train = toy_samples(rng, 64, SMALL_ARCH)
         val = toy_samples(rng, 32, SMALL_ARCH)
-        hp = TrainConfig.for_loss("return_weighted_ce", batch_size=32, max_epochs=1)
         state = build_model(SMALL_ARCH, seed=3)
-        train_period(state, train, val, hp)
+        train_period(state, train, val, batch_size=32, max_epochs=1)
         loaded = _decode_model(_encode_model(state))
-        train_period(loaded, train, val, hp)
+        train_period(loaded, train, val, batch_size=32, max_epochs=1)
         opt = loaded.optimizer
         params = loaded.params.values()
         for a in [p.data for p in params] + [p.grad for p in params] + opt.m + opt.v:
@@ -1065,8 +1063,7 @@ class TestTracedNames:
         monkeypatch.setattr(AdamOptimizer, "step", counting("step", AdamOptimizer.step))
 
         state = build_model(SMALL_ARCH, seed=1)
-        hp = TrainConfig.for_loss("return_weighted_ce", batch_size=16, max_epochs=1)
         train_period(state, toy_samples(rng, 16, SMALL_ARCH), toy_samples(rng, 8, SMALL_ARCH),
-                     hp)
+                     batch_size=16, max_epochs=1)
         assert all(calls.values()), calls
         assert all(made.values()), made

@@ -44,10 +44,11 @@ def armed_percentile(data_dir, events):
     cfg.validate()
     universe = load_universe(cfg)
     panel = build_panel(cfg, universe)
-    result = train_walk_forward(cfg, universe, panel, plan_periods(cfg, panel))
-    scores = result["scores"][0]  # (days, stocks)
+    _ensembles, records = train_walk_forward(cfg, universe, panel, plan_periods(cfg, panel))
+    scores = np.concatenate([r.scores[0] for r in records])  # (days, stocks)
     percentile = scores.argsort(axis=1).argsort(axis=1) / (universe.n_stocks - 1)
-    row = {d: i for i, d in enumerate(result["days"].tolist())}
+    days = np.concatenate([np.arange(*r.plan.test_range) for r in records])
+    row = {d: i for i, d in enumerate(days.tolist())}
     column = {t: j for j, t in enumerate(universe.tickers)}
     cells = [percentile[row[e.anchor_day], column[e.ticker]]
              for e in events if e.anchor_day in row]

@@ -1,9 +1,12 @@
+import datetime as dt
+import re
+
 import numpy as np
 import pytest
 
 from stockrank.config import RunConfig
 from stockrank.dataset import assign_label
-from stockrank.errors import ConfigError
+from stockrank.errors import ConfigError, DataError
 from stockrank.synth import (
     PlantedEvent,
     SignalSpec,
@@ -120,3 +123,32 @@ class TestGenerate:
         loaded = read_events_csv(path)
         assert loaded == events
         assert all(isinstance(e, PlantedEvent) for e in loaded)
+
+    def test_events_csv_skips_blank_lines(self, tmp_path):
+        _, events, _ = generate(13, 5, 80, SignalSpec(event_rate=0.2))
+        path = tmp_path / "events.csv"
+        write_events_csv(events, path)
+        with open(path, "a") as fh:
+            fh.write("\n \n")
+        assert read_events_csv(path) == events
+
+    @pytest.mark.parametrize("line,lineno", [
+        ("ticker,day,date,realized", 1),  # a header that is not the events header
+        ("S000,5,2015-01-08", 3),
+        ("S000,5,2015-01-08,1,extra", 3),
+        ("S000,five,2015-01-08,1", 3),
+        ("S000,5,2015-13-08,1", 3),
+        ("S000,5,2015-01-08,yes", 3),
+        ('S000,5,"2015-01-08', 3),  # a quote left open to the end of the file
+    ])
+    def test_bad_events_line_is_data_error_naming_path_and_line(self, tmp_path, line, lineno):
+        path = tmp_path / "events.csv"
+        write_events_csv([PlantedEvent("S000", 4, dt.date(2015, 1, 7), True)], path)
+        lines = path.read_text().splitlines()
+        if lineno == 1:
+            lines[0] = line
+        else:
+            lines.append(line)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:{lineno}: "):
+            read_events_csv(path)
