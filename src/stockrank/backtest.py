@@ -100,6 +100,9 @@ class BacktestLedger:
 
     @staticmethod
     def from_csv(path: str) -> "BacktestLedger":
+        """The ledger to_csv wrote to path. Each line's value must be, bit for
+        bit, the value its returns compound to so far, as to_csv writes it;
+        any other is a DataError naming the path and line."""
         ledger = BacktestLedger()
         with open(path, newline="") as fh:
             header = fh.readline().strip()
@@ -110,10 +113,10 @@ class BacktestLedger:
                 if not line:
                     continue
                 try:
-                    date, _value, ret, packed = line.split(",", 3)
+                    date, value, ret, packed = line.split(",", 3)
                     if dt.date.fromisoformat(date).isoformat() != date:
                         raise ValueError(f"date {date!r} is not YYYY-MM-DD")
-                    day_return = float(ret)
+                    recorded, day_return = float(value), float(ret)
                     holdings = {}
                     if packed:
                         for piece in packed.split(";"):
@@ -124,6 +127,9 @@ class BacktestLedger:
                 if not all(map(math.isfinite, (day_return, *holdings.values()))):
                     raise DataError(f"{path}:{lineno}: non-finite return or weight")
                 ledger.append(date, holdings, day_return)
+                if recorded.hex() != ledger.values[-1].hex():
+                    raise DataError(f"{path}:{lineno}: value {value} is not the "
+                                    f"{ledger.values[-1]!r} its returns compound to")
         return ledger
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-from contextlib import contextmanager
 
 import numpy  # noqa: F401  (loads the OpenBLAS this module looks for)
 
@@ -60,21 +59,9 @@ def can_limit() -> bool:
     return _openblas() is not None
 
 
-@contextmanager
-def limit_threads(n: int):
-    """Run the block with n BLAS threads, then restore the previous count.
-
-    The count is process state, so processes forked inside the block start
-    with n threads too. Without a loaded OpenBLAS the block runs unchanged.
-    """
+def set_threads(n: int) -> None:
+    """Use n BLAS threads from now on, here and in processes forked after.
+    Without a loaded OpenBLAS this does nothing."""
     fns = _openblas()
-    if fns is None:
-        yield
-        return
-    get, set_, _config = fns
-    previous = int(get())
-    set_(n)
-    try:
-        yield
-    finally:
-        set_(previous)
+    if fns is not None:
+        fns[1](n)

@@ -19,6 +19,7 @@ import click
 
 from .backtest import BacktestLedger, STRATEGIES
 from .config import RunConfig, load_config
+from .dataset import return_matrix
 from .errors import ConfigError, DataError, NumericError, StockrankError, failing_module
 from .losses import LOSSES
 from .pipeline import (
@@ -151,7 +152,7 @@ def backtest(config_path, out, strategy):
     with run_lock(out):
         universe = load_universe(cfg)
         scores, days = read_scores_csv(scores_path, universe)
-        ledgers = run_strategies(cfg, universe, scores, days)
+        ledgers = run_strategies(cfg, universe, return_matrix(universe), scores, days)
         clear_outputs(out, "ledgers")
         ledger_dir = write_ledgers(ledgers, out)
         write_manifest(cfg, out)

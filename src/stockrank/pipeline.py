@@ -24,9 +24,8 @@ returns its ``PeriodRecord``, and ``training_run`` writes from the records.
 Training, about all of a research run's time, uses every usable CPU:
 each period's (ensemble, member) pairs train on ``training_processes``
 processes, this one and forked children, with BLAS capped at one thread
-when there are several and glibc's malloc thresholds held fixed.
-``_train_members`` tells how, and why the outputs are byte-identical for
-any process count.
+and glibc's malloc thresholds held fixed. ``_train_members`` tells how,
+and why the outputs are byte-identical for any process or core count.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import sys
 import traceback
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from contextlib import contextmanager, nullcontext, suppress
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -232,19 +231,6 @@ def _receive_share(child, recv) -> tuple[list, Exception | None]:
     return [(_decode_model(blob), hist) for blob, hist in blobs], error
 
 
-@contextmanager
-def _training_section(processes: int):
-    """The setting of one period's training on ``processes`` processes, as
-    ``_train_members`` describes it. Each part is a no-op where the
-    platform lacks it."""
-    with blas.limit_threads(1) if processes > 1 else nullcontext():
-        malloc.hold_pages()
-        try:
-            yield
-        finally:
-            malloc.trim()
-
-
 def _train_members(members: list, train_args: tuple, processes: int) -> list[tuple]:
     """Train one period's members, each with train_period(member,
     *train_args); return (trained member, history) pairs in member order.
@@ -260,50 +246,54 @@ def _train_members(members: list, train_args: tuple, processes: int) -> list[tup
     each carries its own seed and RNG. The first error in member order is
     raised, as a serial loop would raise it, and no child outlives the
     call. With one process, as on one usable CPU (``taskset -c 0``), no
-    child is started: every member trains in place, in order, with the
-    default BLAS threads and without importing multiprocessing. That is
-    the form to profile, as spans recorded in a child are lost with it.
+    child is started: every member trains in place, in order, without
+    importing multiprocessing. That is the form to profile, as spans
+    recorded in a child are lost with it.
 
-    Training runs in ``_training_section``. While children run, BLAS is
-    capped at one thread in every process, since a BLAS pool in each of
-    them would share the same cores. glibc's malloc thresholds are held
-    fixed (the malloc module: 32 MiB for mmap, 64 MiB for trim), and
-    children inherit them through fork: under glibc's dynamic trim
-    threshold (about 2.8 MB here) every default-architecture step handed
-    its ~9 MB of freed temporaries back to the OS and the next step faulted
-    in fresh zeroed pages, about 2,400 faults a step. The heap is trimmed
-    once the members are trained, before the caller predicts. mallopt ends
-    the dynamic threshold for the rest of the process, so the stages after
-    training run under the fixed thresholds too.
+    Every training process runs under one compute policy, which
+    train_walk_forward sets once and which holds for the rest of the
+    process: children inherit it through fork, and this process validates
+    and scores under it too. Each part is a no-op where the platform lacks
+    it. BLAS is capped at one thread. A threaded OpenBLAS call may round
+    differently from a one-thread call, so under the machine's default
+    thread count the bits of a run would depend on its cores; and a BLAS
+    pool in each of several processes would share the same cores. The
+    cost is the 3-8% a second BLAS thread bought a one-process run of the
+    default architecture. glibc's malloc thresholds are held fixed (the
+    malloc module: 32 MiB for mmap, 64 MiB for trim): under glibc's dynamic
+    trim threshold (about 2.8 MB here) every default-architecture step
+    handed its ~9 MB of freed temporaries back to the OS and the next step
+    faulted in fresh zeroed pages, about 2,400 faults a step. The heap is
+    trimmed once the members are trained, before the caller predicts.
     """
-    with _training_section(processes):
-        children = []
-        trained = []
-        try:
-            for c in range(1, processes):
-                import multiprocessing  # only a parallel section pays for this import
+    children = []
+    trained = []
+    try:
+        for c in range(1, processes):
+            import multiprocessing  # only a parallel section pays for this import
 
-                ctx = multiprocessing.get_context("fork")
-                recv, send = ctx.Pipe(duplex=False)
-                child = ctx.Process(target=_child_trains, daemon=True,
-                                    args=(send, members[c::processes], train_args))
-                child.start()  # leaves through os._exit: no finally of the caller runs twice
-                send.close()
-                children.append((child, recv))
-            shares = {0: _train_in_turn(members[::processes], train_args)}
-            for i in range(len(members)):
-                c, k = i % processes, i // processes
-                if c not in shares:  # read only once every earlier member trained
-                    shares[c] = _receive_share(*children[c - 1])
-                done, error = shares[c]
-                if k == len(done):
-                    raise error
-                trained.append(done[k])
-        finally:
-            for child, recv in children:
-                child.terminate()  # before close: a child mid-send would report a broken pipe
-                child.join()
-                recv.close()
+            ctx = multiprocessing.get_context("fork")
+            recv, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_child_trains, daemon=True,
+                                args=(send, members[c::processes], train_args))
+            child.start()  # leaves through os._exit: no finally of the caller runs twice
+            send.close()
+            children.append((child, recv))
+        shares = {0: _train_in_turn(members[::processes], train_args)}
+        for i in range(len(members)):
+            c, k = i % processes, i // processes
+            if c not in shares:  # read only once every earlier member trained
+                shares[c] = _receive_share(*children[c - 1])
+            done, error = shares[c]
+            if k == len(done):
+                raise error
+            trained.append(done[k])
+    finally:
+        for child, recv in children:
+            child.terminate()  # before close: a child mid-send would report a broken pipe
+            child.join()
+            recv.close()
+        malloc.trim()
     return trained
 
 
@@ -355,14 +345,17 @@ def run_period(cfg: RunConfig, universe: Universe, panel, plan: SplitPlan,
     return PeriodRecord(plan, np.stack(scores), histories)
 
 
-def train_walk_forward(cfg: RunConfig, universe: Universe, panel, plans,
+def train_walk_forward(cfg: RunConfig, universe: Universe, panel, plans, returns: np.ndarray,
                        log=lambda msg: None) -> tuple[list[EnsembleState], list[PeriodRecord]]:
     """Train all ensembles across the walk-forward periods, one run_period
-    per plan, and log each member's line from its period's record.
+    per plan, and log each member's line from its period's record; returns
+    is return_matrix(universe).
 
     Returns (ensembles, records): the EnsembleStates after the last period
     and the PeriodRecord of each plan, in plan order.
     """
+    blas.set_threads(1)  # the compute policy _train_members tells of
+    malloc.hold_pages()
     arch = cfg.arch()
     seeds = np.random.SeedSequence(cfg.seed).generate_state(cfg.n_ensembles * cfg.n_members,
                                                              dtype=np.uint64)
@@ -370,7 +363,6 @@ def train_walk_forward(cfg: RunConfig, universe: Universe, panel, plans,
                                combine_mode=cfg.combine_mode, window=cfg.moe_window)
                  for ens_seeds in seeds.reshape(cfg.n_ensembles, cfg.n_members)]
     log(f"model parameter count: {ensembles[0].members[0].param_count}")
-    returns = return_matrix(universe)
     processes = training_processes(cfg.n_ensembles * cfg.n_members)
     records = []
     for plan in plans:
@@ -385,17 +377,18 @@ def train_walk_forward(cfg: RunConfig, universe: Universe, panel, plans,
     return ensembles, records
 
 
-def run_strategies(cfg: RunConfig, universe: Universe, scores: np.ndarray,
-                   days: np.ndarray) -> dict[str, BacktestLedger]:
+def run_strategies(cfg: RunConfig, universe: Universe, returns: np.ndarray,
+                   scores: np.ndarray, days: np.ndarray) -> dict[str, BacktestLedger]:
     """Simulate the configured strategies over all collected test days.
 
-    scores is the (ensembles, days, stocks) score array and days the
-    calendar day index of each of its rows. With several ensembles, each
-    strategy is simulated per ensemble and the ledgers are integrated with
-    equal weights. The market, which reads no scores, is simulated once:
-    an average of equal ledgers can differ from each in the last bit.
+    returns is return_matrix(universe), built once per command; scores is
+    the (ensembles, days, stocks) score array and days the calendar day
+    index of each of its rows. With several ensembles, each strategy is
+    simulated per ensemble and the ledgers are integrated with equal
+    weights. The market, which reads no scores, is simulated once: an
+    average of equal ledgers can differ from each in the last bit.
     """
-    market = _day_arrays(universe, return_matrix(universe), days)
+    market = _day_arrays(universe, returns, days)
     ledgers: dict[str, BacktestLedger] = {}
     for strategy in cfg.strategies:
         if strategy == "market_equal_weight":
@@ -546,9 +539,12 @@ def write_report(cfg: RunConfig, ledgers: dict[str, BacktestLedger], out_dir: st
 
 def write_manifest(cfg: RunConfig, out_dir: str, trained: bool = False) -> None:
     """Write manifest.json: the config hash, every other file's checksum, and
-    what a run's numbers depend on besides its config and data. Where this
-    process did not train (backtest, report), the training process count and
-    the glibc malloc thresholds are None; the thresholds also without glibc."""
+    the environment the files were written in. Of that environment, the
+    package versions and the BLAS build can change a run's numbers; the
+    thread and process counts do not. A process that trained records the 1
+    BLAS thread it trained with; where this process did not train
+    (backtest, report), the training process count and the glibc malloc
+    thresholds are None, and the thresholds are None also without glibc."""
     processes = training_processes(cfg.n_ensembles * cfg.n_members) if trained else None
     entries = {}
     for root, _dirs, files in os.walk(out_dir):
@@ -585,8 +581,8 @@ def training_run(cfg: RunConfig, out_dir: str, log=lambda msg: None):
 
     The checkpoints are made from the ensembles, scores.csv and the score
     array from the period records. The caller's block runs under the same
-    lock with (universe, scores, days), the score array and its calendar
-    days that run_strategies takes; the manifest is written after it.
+    lock with (universe, returns, scores, days), what run_strategies takes
+    after its config; the manifest is written after it.
     """
     universe = load_universe(cfg)
     log(f"universe: {universe.n_stocks} stocks x {universe.n_days} days")
@@ -602,7 +598,8 @@ def training_run(cfg: RunConfig, out_dir: str, log=lambda msg: None):
         with open(os.path.join(out_dir, "config.resolved.json"), "w") as fh:
             fh.write(cfg.to_json())
             fh.write("\n")
-        ensembles, records = train_walk_forward(cfg, universe, panel, plans, log=log)
+        returns = return_matrix(universe)
+        ensembles, records = train_walk_forward(cfg, universe, panel, plans, returns, log=log)
 
         ckpt_dir = os.path.join(out_dir, "checkpoints")
         os.makedirs(ckpt_dir, exist_ok=True)
@@ -613,15 +610,15 @@ def training_run(cfg: RunConfig, out_dir: str, log=lambda msg: None):
         os.makedirs(scores_dir, exist_ok=True)
         write_scores_csv(_score_rows(universe, records), os.path.join(scores_dir, "scores.csv"))
 
-        yield (universe, np.concatenate([r.scores for r in records], axis=1),
+        yield (universe, returns, np.concatenate([r.scores for r in records], axis=1),
                np.concatenate([np.arange(*r.plan.test_range) for r in records]))
         write_manifest(cfg, out_dir, trained=True)
 
 
 def run_pipeline(cfg: RunConfig, out_dir: str, log=lambda msg: None) -> dict:
     """The full walk-forward loop, producing every artifact."""
-    with training_run(cfg, out_dir, log) as (universe, scores, days):
-        ledgers = run_strategies(cfg, universe, scores, days)
+    with training_run(cfg, out_dir, log) as (universe, returns, scores, days):
+        ledgers = run_strategies(cfg, universe, returns, scores, days)
         write_ledgers(ledgers, out_dir)
         payload = write_report(cfg, ledgers, out_dir)
     return payload

@@ -1,3 +1,4 @@
+import math
 import tempfile
 
 import numpy as np
@@ -15,6 +16,7 @@ from stockrank.backtest import (
     simulate,
 )
 from stockrank.config import RunConfig
+from stockrank.dataset import return_matrix
 from stockrank.errors import DataError
 from stockrank.market_data import Universe
 from stockrank.pipeline import run_strategies
@@ -352,6 +354,24 @@ class TestLedgerCsv:
         with pytest.raises(DataError, match=f"{path}:3"):
             BacktestLedger.from_csv(path)
 
+    @pytest.mark.parametrize("bad_value", [
+        lambda value: "abc",
+        lambda value: repr(math.nextafter(float(value), math.inf)),  # one ulp off
+    ], ids=["unparsable", "one_ulp_off"])
+    def test_value_that_is_not_the_compounded_returns_names_path_and_line(self, tmp_path,
+                                                                          bad_value):
+        led = BacktestLedger()
+        led.append("2020-01-02", {"A": 1.0}, 0.01)
+        led.append("2020-01-03", {"A": 1.0}, 0.02)
+        path = tmp_path / "ledger.csv"
+        led.to_csv(path)
+        lines = path.read_text().splitlines()
+        date, value, rest = lines[2].split(",", 2)
+        lines[2] = f"{date},{bad_value(value)},{rest}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"{path}:3"):
+            BacktestLedger.from_csv(path)
+
 
 def _ledger_bytes(ledgers: dict[str, BacktestLedger]) -> dict[str, bytes]:
     with tempfile.TemporaryDirectory() as tmp:
@@ -397,5 +417,6 @@ def test_arrays_write_the_ledgers_of_the_dict_oracle(seed, n_stocks, n_test, n_e
         except DataError as exc:
             return str(exc)
 
-    assert outcome(lambda: run_strategies(cfg, universe, scores, days)) == outcome(
+    returns = return_matrix(universe)
+    assert outcome(lambda: run_strategies(cfg, universe, returns, scores, days)) == outcome(
         lambda: reference.run_strategies(strategies, universe, scores, days.tolist(), k, mode))

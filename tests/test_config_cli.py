@@ -543,7 +543,7 @@ class TestStageSeparation:
             data, conv=[[3, 4]], dense=[4], n_members=1, max_epochs=1, n_ensembles=2,
             max_periods=2)))
         out = tmp_path / "o"
-        with pipeline.training_run(cfg, str(out)) as (universe, scores, days):
+        with pipeline.training_run(cfg, str(out)) as (universe, _returns, scores, days):
             read_scores, read_days = pipeline.read_scores_csv(
                 str(out / "scores" / "scores.csv"), universe)
         assert scores.shape == (2, 2 * cfg.test_days, universe.n_stocks)
@@ -853,8 +853,8 @@ def _empty_val(member, train_set, val_set, batch_size, max_epochs):
 
 
 class TestParallelTraining:
-    def _config(self, tmp_path, runner, **overrides):
-        data = synth_dataset(runner, tmp_path / "d")
+    def _config(self, tmp_path, runner, n_stocks=8, **overrides):
+        data = synth_dataset(runner, tmp_path / "d", n_stocks=n_stocks)
         cfg = small_config(data, **{"conv": [[3, 4]], "dense": [4], "n_members": 3,
                                     "max_epochs": 1, "max_periods": 2, **overrides})
         return write_config(tmp_path, cfg)
@@ -925,15 +925,28 @@ class TestParallelTraining:
         assert not (out / ".lock").exists()
         assert multiprocessing.active_children() == []
 
-    def test_malloc_policy_leaves_every_file_byte_for_byte(self, tmp_path, runner):
-        # each side runs in a fresh interpreter: mallopt cannot be undone, so
-        # this process may already train under the policy
-        cfg_path = self._config(tmp_path, runner)
+    @pytest.mark.parametrize("policy", ["malloc", "blas_threads"])
+    def test_policy_leaves_every_file_byte_for_byte(self, tmp_path, runner, policy):
+        # each side runs in a fresh interpreter: neither mallopt nor the BLAS
+        # cap is undone, so this process may already train under the policy.
+        # malloc: glibc's held thresholds, or none, while 3 members train in
+        # 3 processes. blas_threads: the thread count the run starts with,
+        # while one member trains in this process at batch 1024 on 30
+        # stocks, where a 2-thread OpenBLAS rounds differently from 1 thread
+        if policy == "malloc":
+            cfg_path = self._config(tmp_path, runner)
+            sides = {"on": ("", {}), "off": ("malloc._glibc = lambda: None\n", {})}
+        elif blas.can_limit():
+            cfg_path = self._config(tmp_path, runner, n_stocks=30, n_members=1,
+                                    batch_size=1024)
+            sides = {n: ("", {"OPENBLAS_NUM_THREADS": n}) for n in ("1", "2")}
+        else:
+            pytest.skip("no OpenBLAS whose thread count can be set")
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
         runs = {}
-        for policy, patch in (("on", ""), ("off", "malloc._glibc = lambda: None\n")):
-            out = tmp_path / policy
+        for side, (patch, env_vars) in sides.items():
+            env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), **env_vars)
+            out = tmp_path / side
             code = ("import stockrank.cli\n"
                     "from stockrank import malloc, pipeline\n"
                     "pipeline.usable_cpus = lambda: 2\n"  # 3 members: 3 processes
@@ -942,14 +955,18 @@ class TestParallelTraining:
             result = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
                                     capture_output=True, text=True, timeout=300)
             assert result.returncode == 0, result.stderr
-            runs[policy] = _run_files(out)
+            runs[side] = _run_files(out)
             manifest_env = json.loads((out / "manifest.json").read_text())["environment"]
-            assert manifest_env["training_processes"] == (3 if blas.can_limit() else 1)
-            assert manifest_env["malloc_thresholds"] == (
-                malloc.thresholds() if policy == "on" else None)
+            if policy == "malloc":
+                assert manifest_env["training_processes"] == (3 if blas.can_limit() else 1)
+                assert manifest_env["malloc_thresholds"] == (
+                    malloc.thresholds() if side == "on" else None)
+            else:
+                assert manifest_env["blas_threads"] == 1  # the count it trained with
+        first, second = runs.values()
         assert {row.split(",")[1] for row in
-                runs["on"]["scores/scores.csv"].decode().splitlines()[1:]} == {"0", "1"}
-        assert runs["on"] == runs["off"]
+                first["scores/scores.csv"].decode().splitlines()[1:]} == {"0", "1"}
+        assert first == second
 
     def test_run_without_openblas_or_glibc_writes_the_same_bytes(self, tmp_path, runner,
                                                                 monkeypatch):
@@ -957,8 +974,8 @@ class TestParallelTraining:
         pipeline.run_pipeline(cfg, str(tmp_path / "native"))
         monkeypatch.setattr(blas, "_openblas", lambda: None)
         monkeypatch.setattr(malloc, "_glibc", lambda: None)
-        with blas.limit_threads(1):  # the block runs unchanged
-            assert blas.threads() is None
+        blas.set_threads(1)  # does nothing
+        assert blas.threads() is None
         pipeline.run_pipeline(cfg, str(tmp_path / "bare"))
         env = json.loads((tmp_path / "bare" / "manifest.json").read_text())["environment"]
         assert (env["blas"], env["blas_threads"], env["malloc_thresholds"]) == (None, None, None)

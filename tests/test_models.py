@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stockrank import malloc, models, pipeline
+from stockrank import malloc, models
 from stockrank.config import RunConfig
 from stockrank.dataset import (
     SampleSet,
@@ -317,10 +317,11 @@ class TestTrainStepMemory:
         assert mem.held <= 0.3 * mb, mem.held / mb
 
     @pytest.mark.skipif(malloc.thresholds() is None, reason="the libc is not glibc")
-    def test_steps_in_the_training_section_fault_in_no_fresh_pages(self):
+    def test_steps_under_held_thresholds_fault_in_no_fresh_pages(self):
         # under glibc's dynamic trim threshold each step handed its ~9 MB of
         # freed temporaries back to the OS and faulted them in again: 2,463
-        # minor faults a step, measured; the section's thresholds keep them
+        # minor faults a step, measured; the thresholds a training run holds
+        # keep them
         arch, windows, ids, labels, returns, weights = default_step_inputs(self.BATCH)
         state = build_model(arch, seed=3)
 
@@ -331,13 +332,13 @@ class TestTrainStepMemory:
             loss.backward()
             state.optimizer.step()
 
-        with pipeline._training_section(1):
-            for _ in range(2):
-                step()
-            before = minor_faults()
-            for _ in range(5):
-                step()
-            per_step = (minor_faults() - before) / 5
+        malloc.hold_pages()
+        for _ in range(2):
+            step()
+        before = minor_faults()
+        for _ in range(5):
+            step()
+        per_step = (minor_faults() - before) / 5
         assert per_step <= 50, per_step
 
     def test_backward_frees_op_gradients_and_leaves_match_a_walk_that_keeps_them(self):

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from stockrank.config import RunConfig
+from stockrank.dataset import return_matrix
 from stockrank.pipeline import build_panel, load_universe, plan_periods, train_walk_forward
 from stockrank.synth import SignalSpec, generate, write_ohlcv_csv, write_sector_csv
 
@@ -44,7 +45,8 @@ def armed_percentile(data_dir, events):
     cfg.validate()
     universe = load_universe(cfg)
     panel = build_panel(cfg, universe)
-    _ensembles, records = train_walk_forward(cfg, universe, panel, plan_periods(cfg, panel))
+    _ensembles, records = train_walk_forward(cfg, universe, panel, plan_periods(cfg, panel),
+                                             return_matrix(universe))
     scores = np.concatenate([r.scores[0] for r in records])  # (days, stocks)
     percentile = scores.argsort(axis=1).argsort(axis=1) / (universe.n_stocks - 1)
     days = np.concatenate([np.arange(*r.plan.test_range) for r in records])
