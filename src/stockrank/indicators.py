@@ -247,12 +247,22 @@ def _adx(o, h, lo, window):
 
 
 def _aroon(x: np.ndarray, window: int, take_max: bool) -> np.ndarray:
+    """100 * (window - since) / window, where ``since`` counts the days back
+    to the extreme of the day and the ``window`` days before it, the most
+    recent one on a tie. One pass over the lags, each replacing the extreme
+    so far where it lies strictly beyond it, so no window view is copied."""
     out = np.full_like(x, np.nan)
-    span = window + 1  # current day plus the lookback window
-    if x.shape[1] >= span:
-        flipped = sliding_window_view(x, span, axis=1)[..., ::-1]
-        since = np.argmax(flipped, axis=-1) if take_max else np.argmin(flipped, axis=-1)
-        out[:, span - 1 :] = 100.0 * (window - since) / window
+    n = x.shape[1] - window  # days with a full lookback
+    if n > 0:
+        beyond = np.greater if take_max else np.less
+        extreme = x[:, window:].copy()
+        since = np.zeros(extreme.shape, dtype=np.intp)
+        for lag in range(1, window + 1):
+            past = x[:, window - lag : window - lag + n]
+            hit = beyond(past, extreme)
+            np.copyto(extreme, past, where=hit)
+            since[hit] = lag
+        out[:, window:] = 100.0 * (window - since) / window
     return out
 
 

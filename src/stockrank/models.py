@@ -35,9 +35,7 @@ from .nn.autograd import (
     dropout,
     embedding_add,
     global_avg_pool,
-    kernel_sum,
     leaky_relu,
-    matmul,
     softmax,
 )
 from .nn.optim import EARLY_STOP_PATIENCE, PLATEAU_FACTOR, PLATEAU_PATIENCE, AdamOptimizer
@@ -141,10 +139,11 @@ def _sector_conv(windows: np.ndarray, embedding: Tensor, sector_ids: np.ndarray,
     The row e is constant in time and the conv is linear, so
     conv(x + e) = conv(x) + e @ sum_tau w[tau]: the conv runs on the raw
     windows, a grad-free leaf, so its backward builds no input gradient,
-    and the sector rows are added to its (batch, t_out, ch_out) output.
+    and ``embedding_add``, one node, adds the sector rows passed through
+    the kernel's tap sum to its (batch, t_out, ch_out) output; its backward
+    gives the embedding's gradient and the kernel's second term.
     """
-    h = conv1d_valid(Tensor(windows), w)
-    return embedding_add(h, matmul(embedding, kernel_sum(w)), sector_ids)
+    return embedding_add(conv1d_valid(Tensor(windows), w), embedding, w, sector_ids)
 
 
 def _infer_block(arch: ArchConfig) -> int:
@@ -176,7 +175,7 @@ def _head(state: ModelState, p: dict[str, Tensor], h: Tensor, train: bool) -> Te
     """The dense blocks and the output head on pooled (batch, c) features."""
     arch = state.arch
     for i in range(len(arch.dense)):
-        h = matmul(h, p[f"dense{i}_w"])
+        h = dense(h, p[f"dense{i}_w"])
         h = batch_norm(h, p[f"dense{i}_bn_gamma"], p[f"dense{i}_bn_beta"],
                        state.bn_states[f"dense{i}_bn"], train)
         h = leaky_relu(h, arch.leaky_slope)
@@ -206,12 +205,12 @@ def forward(state: ModelState, windows, sector_ids: np.ndarray, train: bool) -> 
     also a SampleSet's Windows view.
 
     Stack: sector embedding add, then conv blocks (conv, batch norm, leaky
-    ReLU, dropout), global average pooling over time, dense blocks (matmul
-    and the same trimmings), and a final dense head with a bias (softmax for
-    classification kinds). The embedding add and the first conv run as
-    ``_sector_conv``, which adds each sector row after the conv, passed
-    through its kernel: the same function up to float rounding, with a
-    cheaper backward. The windows are cast to the parameters' dtype, which
+    ReLU, dropout), global average pooling over time, dense blocks (a
+    bias-free ``dense`` and the same trimmings), and a final ``dense`` head
+    with a bias (softmax for classification kinds), each layer one autograd
+    node. The embedding add and the first conv run as ``_sector_conv``,
+    which adds each sector row after the conv, passed through its kernel:
+    the same function up to float rounding, with a cheaper backward. The windows are cast to the parameters' dtype, which
     every op keeps; a batch gathered from a SampleSet's float32 span is
     already in it.
 

@@ -1,13 +1,13 @@
 """Minimal deterministic tensor + reverse-mode differentiation core.
 
-Only the layers, objectives and optimizer the ranking model needs: valid
-1D convolution over time with no bias (a batch norm follows every conv),
-the sum of a conv kernel over its taps, matmul, batch normalization,
-leaky ReLU, dropout, global average pooling, the dense output head
-(matmul plus a broadcast add), softmax, a sector-embedding add, the mean
-weighted cross-entropy and the mean squared error (one node each), and
-Adam with the constants of plateau LR halving and early stopping, which
-``models.train_period`` runs.
+Only the layers, objectives and optimizer the ranking model needs, one
+autograd node per layer: valid 1D convolution over time with no bias (a
+batch norm follows every conv), the sector-embedding add folded through
+the first conv's kernel, batch normalization, leaky ReLU, dropout, global
+average pooling, the dense layer (bias-free for a hidden block, with a
+bias for the output head), softmax, the mean weighted cross-entropy and
+the mean squared error, and Adam with the constants of plateau LR halving
+and early stopping, which ``models.train_period`` runs.
 
 Import from the submodules: the Tensor and its ops from ``nn.autograd``,
 Adam and the schedule constants from ``nn.optim``. This package re-exports

@@ -7,25 +7,27 @@ nodes in reverse topological order. Gradients are exact analytic
 derivatives (verified against central finite differences in the test
 suite).
 
-The ops are the ones training differentiates: ``add`` and ``matmul``
-(which make ``dense``), ``conv1d_valid``, ``kernel_sum``,
-``embedding_add``, ``batch_norm``, ``leaky_relu``, ``dropout``,
-``global_avg_pool``, ``softmax``, and the two objectives
-``weighted_cross_entropy`` and ``mean_squared_error``, each one node with
-a closed-form backward. Infer mode builds no backward: ``batch_norm``
-returns a leaf and ``dropout`` returns its input.
+The ops are the network's layers, one node each with a closed-form
+backward: ``conv1d_valid``, ``embedding_add`` (the sector rows folded
+through the first conv's kernel), ``batch_norm``, ``leaky_relu``,
+``dropout``, ``global_avg_pool``, ``dense`` (a hidden dense block or the
+output head), ``softmax``, and the two objectives
+``weighted_cross_entropy`` and ``mean_squared_error``. Infer mode builds
+no backward: ``batch_norm`` returns a leaf and ``dropout`` returns its
+input.
 
-Every conv and every hidden matmul of the model feeds a batch norm, whose
-batch mean would cancel a bias in front of it, so ``conv1d_valid`` takes
-none; only ``dense``, the output head, adds one.
+Every conv and every hidden dense block of the model feeds a batch norm,
+whose batch mean would cancel a bias in front of it, so ``conv1d_valid``
+takes none and ``dense`` takes one only for the output head.
 
 Memory rule (the define-by-run rule of Paszke et al., 2019, "PyTorch: An
 Imperative Style, High-Performance Deep Learning Library"): the graph holds
 only what a backward reads. A backward closure holds its parents' nodes,
 never a Tensor, plus the smallest arrays its formula reads: conv its input
-and kernel, matmul both operands, batch norm ``xhat`` and gamma, leaky ReLU
-the mask ``x >= 0`` and dropout its keep mask, each packed to one bit per
-element (``np.packbits``, after Jain et al., 2018, "Gist: Efficient Data
+and kernel, the sector fold the table and the kernel's tap sum, dense
+both operands, batch norm ``xhat`` and gamma, leaky ReLU the mask
+``x >= 0`` and dropout its keep mask, each packed to one bit per element
+(``np.packbits``, after Jain et al., 2018, "Gist: Efficient Data
 Encoding for Deep Neural Network Training"), softmax its output ``y``,
 cross-entropy its probabilities, MSE ``diff``; the other ops keep shapes
 only. So an op output that no backward reads (a conv's, a batch norm's, a
@@ -46,8 +48,8 @@ builds its input gradient in row blocks, one GEMM per tap written or
 added in place.
 
 Dtype rule: a Tensor keeps float32 data as float32 and stores anything
-else as float64. Every op returns its input's dtype, a plain array or
-scalar operand takes the dtype of the Tensor it meets, and each gradient
+else as float64. Every op returns its input's dtype, an objective casts
+its constant arrays (labels, weights, targets) to it, and each gradient
 is stored in its tensor's dtype, so a float32 graph never upcasts.
 
 Channel rule: activations are (batch, c) or (batch, time, c) with the
@@ -190,15 +192,6 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _operands(a, b) -> tuple[Tensor, Tensor]:
-    """Both operands as Tensors; a plain array takes the other Tensor's dtype."""
-    if isinstance(a, Tensor) and not isinstance(b, Tensor):
-        return a, Tensor(np.asarray(b, dtype=a.data.dtype))
-    if isinstance(b, Tensor) and not isinstance(a, Tensor):
-        return Tensor(np.asarray(a, dtype=b.data.dtype)), b
-    return _as_tensor(a), _as_tensor(b)
-
-
 def _accum(node: Node, g: np.ndarray) -> None:
     if node.requires_grad:
         g = np.asarray(g, dtype=node.dtype)
@@ -252,19 +245,6 @@ def _time_sum(a: np.ndarray) -> np.ndarray:
     return np.ones(a.shape[1], dtype=a.dtype) @ a
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient back down to the shape it was broadcast from."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        lead = math.prod(g.shape[:extra])
-        rest = g.shape[extra:]
-        g = (np.ones(lead, dtype=g.dtype) @ g.reshape(lead, math.prod(rest))).reshape(rest)
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
 def _blocks(n: int) -> list[tuple[int, int]]:
     """The [a, b) ranges that cover range(n) in steps of ``BLOCK_ELEMS``."""
     return [(a, min(a + BLOCK_ELEMS, n)) for a in range(0, n, BLOCK_ELEMS)]
@@ -277,40 +257,31 @@ def _unpack(bits: np.ndarray, a: int, b: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# arithmetic
-# ---------------------------------------------------------------------------
-
-
-def add(a, b) -> Tensor:
-    a, b = _operands(a, b)
-    na, nb, a_shape, b_shape = a.node, b.node, a.data.shape, b.data.shape
-
-    def backward(g):
-        _accum(na, _unbroadcast(g, a_shape))
-        _accum(nb, _unbroadcast(g, b_shape))
-
-    return _make(a.data + b.data, (a, b), backward)
-
-
-def matmul(a, b) -> Tensor:
-    a, b = _operands(a, b)
-    na, nb, a_data, b_data = a.node, b.node, a.data, b.data
-
-    def backward(g):
-        _accum(na, g @ b_data.T)
-        _accum(nb, a_data.T @ g)
-
-    return _make(a.data @ b.data, (a, b), backward)
-
-
-# ---------------------------------------------------------------------------
 # layers
 # ---------------------------------------------------------------------------
 
 
-def dense(x, w, b) -> Tensor:
-    """Affine map: x @ w + b for x of shape (batch, d_in)."""
-    return add(matmul(x, w), b)
+def dense(x, w, b=None) -> Tensor:
+    """x @ w for x of shape (batch, d_in), plus the bias b when given: a
+    hidden dense block (no bias, as a batch norm follows it) or the output
+    head. The bias gradient is the batch sum ``ones(batch) @ g``."""
+    x, w = _as_tensor(x), _as_tensor(w)
+    nx, nw, x_data, w_data = x.node, w.node, x.data, w.data  # both operands
+    out = x_data @ w_data
+    parents = (x, w)
+    nb = None
+    if b is not None:
+        b = _as_tensor(b)
+        out += b.data
+        parents, nb = (x, w, b), b.node
+
+    def backward(g):
+        _accum(nx, g @ w_data.T)
+        _accum(nw, x_data.T @ g)
+        if nb is not None:
+            _accum(nb, np.ones(g.shape[0], dtype=g.dtype) @ g)
+
+    return _make(out, parents, backward)
 
 
 def conv1d_valid(x, w) -> Tensor:
@@ -370,46 +341,41 @@ def conv1d_valid(x, w) -> Tensor:
     return _make(out, (x, w), backward)
 
 
-def kernel_sum(w) -> Tensor:
-    """Sum of a (k, ch_in, ch_out) conv kernel over its k taps.
+def embedding_add(x, table, w, ids: np.ndarray) -> Tensor:
+    """Add one embedding row per sample across every time step of a conv
+    output, passed through the conv's kernel: the sector fold.
 
-    It maps a time-constant input row through a convolution: for a row e
-    added at every time step, conv(x + e) = conv(x) + e @ kernel_sum(w).
+    x: (batch, time, ch_out), the output of a conv with kernel w:
+    (k, ch_in, ch_out); table: (rows, ch_in); ids: (batch,) ints. A row e
+    added at every time step of the conv's input is constant in time, and
+    the conv is linear, so conv(x + e) = conv(x) + e @ ksum, with ksum the
+    sum of w over its k taps: this op adds ``(table @ ksum)[ids]`` at every
+    step. The gradient of those rows is one GEMM of the time-summed g
+    against the one-hot of ids, ``g_rows``; the table's is
+    ``g_rows @ ksum.T``, and ``table.T @ g_rows`` is added to each of w's
+    taps, a second term of the kernel's gradient beside the conv's.
     """
-    w = _as_tensor(w)
-    nw, w_shape = w.node, w.data.shape
-
-    def backward(g):
-        _accum(nw, np.broadcast_to(g, w_shape))
-
-    return _make(w.data.sum(axis=0), (w,), backward)
-
-
-def embedding_add(x, table, ids: np.ndarray) -> Tensor:
-    """Add one embedding row per sample across every time step.
-
-    x: (batch, time, n), table: (rows, n), ids: (batch,) ints. The same row
-    is added at all time steps, so the categorical signal is constant in
-    time.
-    """
-    x, table = _as_tensor(x), _as_tensor(table)
+    x, table, w = _as_tensor(x), _as_tensor(table), _as_tensor(w)
     ids = np.asarray(ids, dtype=int)
-    if ids.min(initial=0) < 0 or ids.max(initial=0) >= table.data.shape[0]:
-        raise NumericError(
-            f"embedding ids out of range [0, {table.data.shape[0]}): {ids.min()}..{ids.max()}"
-        )
-    out = (_rows(x.data) + _tile(table.data[ids], x.data)).reshape(x.data.shape)
-    nx, nt, n_rows = x.node, table.node, table.data.shape[0]
+    n_rows = table.data.shape[0]
+    if ids.min(initial=0) < 0 or ids.max(initial=0) >= n_rows:
+        raise NumericError(f"embedding ids out of range [0, {n_rows}): {ids.min()}..{ids.max()}")
+    ksum = w.data.sum(axis=0)
+    rows = table.data @ ksum
+    out = (_rows(x.data) + _tile(rows[ids], x.data)).reshape(x.data.shape)
+    nx, nt, nw, table_data, w_shape = x.node, table.node, w.node, table.data, w.data.shape
 
     def backward(g):
         _accum(nx, g)
-        if nt.requires_grad:
-            # each table row's gradient is the time-summed gradient of its
-            # samples: one GEMM against the (rows, batch) one-hot of ids
+        if nt.requires_grad or nw.requires_grad:
             onehot = np.equal.outer(np.arange(n_rows), ids).astype(g.dtype)
-            _accum(nt, onehot @ _time_sum(g))
+            g_rows = onehot @ _time_sum(g)
+            if nt.requires_grad:
+                _accum(nt, g_rows @ ksum.T)
+            if nw.requires_grad:
+                _accum(nw, np.broadcast_to(table_data.T @ g_rows, w_shape))
 
-    return _make(out, (x, table), backward)
+    return _make(out, (x, table, w), backward)
 
 
 BN_MOMENTUM = 0.99  # weight of the old running statistic in each update

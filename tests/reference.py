@@ -10,7 +10,11 @@ are the bit-exact oracle of the loss nodes: each objective built as a chain
 of one op per step, the way ``losses.batch_loss`` built it before the
 closed-form nodes. The gradient tests also compose their probes from them.
 They keep the program's memory rule: a backward closure holds its inputs'
-nodes and only the arrays its formula reads.
+nodes and only the arrays its formula reads. ``_operands`` and
+``_unbroadcast`` are their broadcasting helpers: a plain array operand
+takes the Tensor's dtype, and a gradient is summed back to the shape its
+operand was broadcast from. The program's ops, one per network layer, need
+neither.
 
 ``leaky_slope`` and ``dropout_scale`` are the float multipliers the two
 mask ops saved before they kept a mask: the forward is ``x * m`` and the
@@ -18,7 +22,7 @@ backward ``g * m``, bit for bit.
 
 ``unfolded_sector_conv`` is the numeric oracle of the model's first layer:
 the sector embedding added to the windows before the conv, which the model
-computes with the add moved after it.
+computes with the add folded through the conv's kernel (``embedding_add``).
 
 ``chunk_infer_outputs`` and ``chunk_mean_loss`` are the bit-exact oracle of
 the streamed infer mode: every op over each whole ``INFER_CHUNK`` chunk of
@@ -39,6 +43,8 @@ tap, against which the one-GEMM-per-tap backward is checked.
 ``stacked_panel`` is the bit-exact oracle of ``indicators.assemble_panel``:
 the same kernels, with the feature stacks, the concatenation and the
 ``np.where`` warmup scrub that the one-buffer panel replaced.
+``window_aroon`` is the Aroon kernel as an argmax over a reversed window
+view, which the one pass over the lags replaced, bit for bit.
 
 ``scan_max_drawdown`` and ``scan_mdd_duration`` are the day-by-day peak
 scans that ``analytics.max_drawdown`` and ``analytics.mdd_duration``
@@ -51,6 +57,7 @@ import math
 import re
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from stockrank.backtest import REBALANCE_MODES, STRATEGIES, BacktestLedger, combine_strategies
 from stockrank.dataset import LOOKAHEAD
@@ -70,16 +77,12 @@ from stockrank.nn.autograd import (
     _accum,
     _as_tensor,
     _make,
-    _operands,
-    _unbroadcast,
     batch_norm,
     conv1d_valid,
     dense,
     embedding_add,
     global_avg_pool,
-    kernel_sum,
     leaky_relu,
-    matmul,
     softmax,
 )
 
@@ -113,6 +116,28 @@ def mse(y: float, y_hat: float) -> float:
 # ---------------------------------------------------------------------------
 # generic autograd ops and the loss chain built from them
 # ---------------------------------------------------------------------------
+
+
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands as Tensors; a plain array takes the other Tensor's dtype."""
+    if isinstance(a, Tensor) and not isinstance(b, Tensor):
+        return a, Tensor(np.asarray(b, dtype=a.data.dtype))
+    if isinstance(b, Tensor) and not isinstance(a, Tensor):
+        return Tensor(np.asarray(a, dtype=b.data.dtype)), b
+    return _as_tensor(a), _as_tensor(b)
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum a gradient back down to the shape it was broadcast from."""
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        lead = math.prod(g.shape[:extra])
+        rest = g.shape[extra:]
+        g = (np.ones(lead, dtype=g.dtype) @ g.reshape(lead, math.prod(rest))).reshape(rest)
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g
 
 
 def sub(a, b) -> Tensor:
@@ -228,8 +253,17 @@ def dropout_scale(keep: np.ndarray, rate: float, dtype) -> np.ndarray:
 
 def unfolded_sector_conv(windows, embedding, sector_ids, w) -> Tensor:
     """``models._sector_conv`` as the paper states it: the sector row added
-    to every time step of the window, then the first conv."""
-    return conv1d_valid(embedding_add(Tensor(windows), embedding, sector_ids), w)
+    to every time step of the window, one node whose embedding gradient is
+    scattered with ``np.add.at`` from ``g.sum(axis=1)``, then the first conv."""
+    n_emb, e_shape = embedding.node, embedding.data.shape
+
+    def backward(g):
+        g_emb = np.zeros(e_shape, dtype=g.dtype)
+        np.add.at(g_emb, sector_ids, g.sum(axis=1))
+        _accum(n_emb, g_emb)
+
+    x = _make(windows + embedding.data[sector_ids][:, None, :], (embedding,), backward)
+    return conv1d_valid(x, w)
 
 
 def chunk_infer_outputs(state, windows, sector_ids) -> np.ndarray:
@@ -241,8 +275,7 @@ def chunk_infer_outputs(state, windows, sector_ids) -> np.ndarray:
     outs = [np.empty((0, arch.loss_kind.output_arity), dtype=dtype)]
     for lo in range(0, len(windows), INFER_CHUNK):
         x = np.asarray(windows[lo : lo + INFER_CHUNK], dtype=dtype)
-        h = conv1d_valid(Tensor(x), p["conv0_w"])
-        h = embedding_add(h, matmul(p["embedding"], kernel_sum(p["conv0_w"])),
+        h = embedding_add(conv1d_valid(Tensor(x), p["conv0_w"]), p["embedding"], p["conv0_w"],
                           sector_ids[lo : lo + INFER_CHUNK])
         for i in range(len(arch.conv)):
             if i:
@@ -252,7 +285,7 @@ def chunk_infer_outputs(state, windows, sector_ids) -> np.ndarray:
             h = leaky_relu(h, arch.leaky_slope)
         h = global_avg_pool(h)
         for i in range(len(arch.dense)):
-            h = matmul(h, p[f"dense{i}_w"])
+            h = dense(h, p[f"dense{i}_w"])
             h = batch_norm(h, p[f"dense{i}_bn_gamma"], p[f"dense{i}_bn_beta"],
                            state.bn_states[f"dense{i}_bn"], False)
             h = leaky_relu(h, arch.leaky_slope)
@@ -348,13 +381,17 @@ def time_mean_pool(x, g):
     return x.mean(axis=1), np.broadcast_to(g[:, None, :], x.shape) / x.shape[1]
 
 
-def sector_rows_add(x, table, ids, g):
-    """The table row of each sample added at every time step, and the table
-    gradient scattered with ``np.add.at`` from ``g.sum(axis=1)``."""
-    x, table, g = _f64(x, table, g)
-    gt = np.zeros_like(table)
-    np.add.at(gt, ids, g.sum(axis=1))
-    return x + table[ids][:, None, :], gt
+def sector_rows_add(x, table, w, ids, g):
+    """The sector fold: the table rows passed through the tap sum of the
+    kernel w, each sample's added at every time step; the rows' gradient
+    scattered with ``np.add.at`` from ``g.sum(axis=1)``, then the table's
+    and the kernel's gradients from it. Returns (out, dtable, dw)."""
+    x, table, w, g = _f64(x, table, w, g)
+    ksum = w.sum(axis=0)
+    g_rows = np.zeros((table.shape[0], w.shape[2]))
+    np.add.at(g_rows, ids, g.sum(axis=1))
+    return (x + (table @ ksum)[ids][:, None, :], g_rows @ ksum.T,
+            np.broadcast_to(table.T @ g_rows, w.shape))
 
 
 def dense_bias_grad(g):
@@ -421,6 +458,18 @@ def stacked_panel(u, basic, names):
     valid_start = np.array(valids, dtype=int)
     day_idx = np.arange(u.n_days)[None, :, None]
     return np.where(day_idx >= valid_start[None, None, :], values, np.nan), valid_start
+
+
+def window_aroon(x, window, take_max):
+    """Aroon by ``argmax`` (``argmin``) over each day's reversed window of
+    the day and the ``window`` days before it, a (stocks, days - window,
+    window + 1) view that numpy copies when it reverses it."""
+    out = np.full_like(x, np.nan)
+    if x.shape[1] > window:
+        flipped = sliding_window_view(x, window + 1, axis=1)[..., ::-1]
+        since = np.argmax(flipped, axis=-1) if take_max else np.argmin(flipped, axis=-1)
+        out[:, window:] = 100.0 * (window - since) / window
+    return out
 
 
 def daily_return(u, si: int, T: int) -> float:

@@ -12,16 +12,13 @@ from stockrank.nn.autograd import (
     BN_MOMENTUM,
     BatchNormState,
     Tensor,
-    add,
     batch_norm,
     conv1d_valid,
     dense,
     dropout,
     embedding_add,
     global_avg_pool,
-    kernel_sum,
     leaky_relu,
-    matmul,
     mean_squared_error,
     softmax,
     weighted_cross_entropy,
@@ -116,25 +113,6 @@ class TestConv1d:
         g = rng.normal(size=out.shape).astype(dtype)
         out.node._backward(g)
         assert_same_bits(x.grad, reference.conv_input_grad(w.data, g, t_in))
-
-
-class TestKernelSum:
-    def test_sums_the_taps(self, rng):
-        w = rng.normal(size=(3, 2, 4))
-        np.testing.assert_array_equal(kernel_sum(Tensor(w)).data, w[0] + w[1] + w[2])
-
-    def test_maps_a_time_constant_row_through_the_conv(self, rng):
-        x, e = rng.normal(size=(2, 7, 3)), rng.normal(size=3)
-        w = Tensor(rng.normal(size=(3, 3, 4)))
-        added = conv1d_valid(Tensor(x + e), w).data
-        folded = conv1d_valid(Tensor(x), w).data + e @ kernel_sum(w).data
-        np.testing.assert_allclose(added, folded, rtol=1e-12, atol=1e-12)
-
-    def test_gradients(self, rng):
-        w = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
-        e = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
-        finite_diff_check(lambda: tsum(mul(matmul(e, kernel_sum(w)), matmul(e, kernel_sum(w)))),
-                          [w, e])
 
 
 class TestBatchNorm:
@@ -427,6 +405,26 @@ class TestDense:
         b = Tensor(rng.normal(size=2), requires_grad=True)
         finite_diff_check(lambda: tsum(mul(dense(x, w, b), dense(x, w, b))), [x, w, b])
 
+    def test_gradients_without_bias(self, rng):
+        x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        finite_diff_check(lambda: tsum(mul(dense(x, w), dense(x, w))), [x, w])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_is_the_matmul_and_batch_sum(self, dtype, bias, rng):
+        # the operand GEMMs, and the bias gradient as a GEMV against ones,
+        # bit for bit
+        x, w, b, g = (rng.normal(size=shape).astype(dtype)
+                      for shape in ((6, 4), (4, 3), (3,), (6, 3)))
+        tensors = [Tensor(a, requires_grad=True) for a in (x, w, b)[: 2 + bias]]
+        out = dense(*tensors)
+        assert_same_bits(out.data, x @ w + b if bias else x @ w)
+        out.node._backward(g)
+        wants = (g @ w.T, x.T @ g, np.ones(6, dtype=dtype) @ g)
+        for t, want in zip(tensors, wants):
+            assert_same_bits(t.grad, want)
+
 
 class TestSoftmax:
     def test_uniform_on_equal_logits(self):
@@ -456,19 +454,35 @@ class TestSoftmax:
 
 
 class TestEmbeddingAdd:
+    """The sector fold: table rows passed through a conv kernel's tap sum,
+    added at every time step of the conv's output."""
+
     def test_gradients(self, rng):
+        # x and w are independent leaves here, so w's gradient is the fold's
+        # term alone; TestFullModelGradients checks it beside the conv's
         x = Tensor(rng.normal(size=(4, 6, 3)), requires_grad=True)
-        table = Tensor(rng.normal(size=(12, 3)), requires_grad=True)
+        table = Tensor(rng.normal(size=(12, 2)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 2, 3)), requires_grad=True)
         ids = np.array([0, 3, 3, 11])
-        finite_diff_check(
-            lambda: tsum(mul(embedding_add(x, table, ids), embedding_add(x, table, ids))),
-            [x, table],
-        )
+
+        def loss():
+            y = embedding_add(x, table, w, ids)
+            return tsum(mul(y, y))
+
+        finite_diff_check(loss, [x, table, w])
+
+    def test_maps_a_time_constant_row_through_the_conv(self, rng):
+        x, table = rng.normal(size=(2, 7, 3)), rng.normal(size=(12, 3))
+        ids = np.array([4, 9])
+        w = Tensor(rng.normal(size=(3, 3, 4)))
+        added = conv1d_valid(Tensor(x + table[ids][:, None, :]), w).data
+        folded = embedding_add(conv1d_valid(Tensor(x), w), Tensor(table), w, ids).data
+        np.testing.assert_allclose(added, folded, rtol=1e-12, atol=1e-12)
 
     def test_out_of_range(self):
         with pytest.raises(NumericError):
             embedding_add(Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((12, 3))),
-                          np.array([12]))
+                          Tensor(np.zeros((1, 3, 3))), np.array([12]))
 
 
 def assert_within_eps(got, want, magnitude, n_eps, dtype):
@@ -597,13 +611,16 @@ class TestChannelRule:
 
     def check_embedding_add(self, rng, x, g, dtype):
         ids = rng.integers(0, 11, size=x.shape[0])
+        k, c_in = int(rng.integers(1, 4)), int(rng.integers(1, 6))
         xt = Tensor(x, requires_grad=True)
-        table = Tensor(rng.normal(size=(11, x.shape[2])).astype(dtype), requires_grad=True)
-        y = embedding_add(xt, table, ids)
+        table, w = (Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+                    for shape in ((11, c_in), (k, c_in, x.shape[2])))
+        y = embedding_add(xt, table, w, ids)
         self.backward(y, g)
-        want = reference.sector_rows_add(x, table.data, ids, g)
-        magnitude = reference.sector_rows_add(np.abs(x), np.abs(table.data), ids, np.abs(g))
-        for got, a, mag in zip((y.data, table.grad), want, magnitude):
+        want = reference.sector_rows_add(x, table.data, w.data, ids, g)
+        magnitude = reference.sector_rows_add(*map(np.abs, (x, table.data, w.data)), ids,
+                                              np.abs(g))
+        for got, a, mag in zip((y.data, table.grad, w.grad), want, magnitude):
             self.check(got, a, mag, dtype)
         np.testing.assert_array_equal(xt.grad, g)
 
@@ -623,7 +640,7 @@ class TestBackward:
     def test_zero_input_gives_zero_weight_gradient(self):
         x = Tensor(np.zeros((2, 3)))
         w = Tensor(np.ones((3, 1)), requires_grad=True)
-        out = matmul(x, w)
+        out = dense(x, w)
         loss = tsum(mul(out, out))
         loss.backward()
         np.testing.assert_array_equal(w.grad, np.zeros((3, 1)))
@@ -660,14 +677,12 @@ def float32_cases(rng) -> dict:
     def f32(*shape):
         return Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
 
-    a, row, w, b = f32(3, 4), f32(4), f32(4, 2), f32(2)
-    seq, kernel, table = f32(2, 7, 3), f32(3, 3, 4), f32(12, 3)
+    a, w, b = f32(3, 4), f32(4, 2), f32(2)
+    seq, kernel, table, fold = f32(2, 7, 3), f32(3, 3, 4), f32(12, 3), f32(2, 3, 3)
     gamma, beta, column = f32(3), f32(3), f32(3, 1)
     positive = Tensor(rng.uniform(0.1, 1.0, size=(3, 4)).astype(np.float32),
                       requires_grad=True)
     return {
-        "add": (add(a, row), [a, row]),
-        "add_const": (add(a, np.ones(4)), [a]),
         "sub_const": (sub(np.ones((3, 4)), a), [a]),
         "mul_one_hot": (mul(np.eye(4)[:3], a), [a]),
         "neg": (neg(a), [a]),
@@ -675,11 +690,10 @@ def float32_cases(rng) -> dict:
         "log_clip": (log_clip(positive), [positive]),
         "tsum": (tsum(a, axis=1), [a]),
         "mean": (mean(a), [a]),
-        "matmul": (matmul(a, w), [a, w]),
+        "dense_hidden": (dense(a, w), [a, w]),
         "dense": (dense(a, w, b), [a, w, b]),
         "conv1d_valid": (conv1d_valid(seq, kernel), [seq, kernel]),
-        "kernel_sum": (kernel_sum(kernel), [kernel]),
-        "embedding_add": (embedding_add(seq, table, np.array([0, 5])), [seq, table]),
+        "embedding_add": (embedding_add(seq, table, fold, np.array([0, 5])), [seq, table, fold]),
         "batch_norm_train": (batch_norm(seq, gamma, beta, BatchNormState(3), train=True),
                              [seq, gamma, beta]),
         "batch_norm_infer": (batch_norm(seq, gamma, beta, BatchNormState(3), train=False),
@@ -698,8 +712,8 @@ def float32_cases(rng) -> dict:
     }
 
 
-FLOAT32_OPS = ("add", "add_const", "sub_const", "mul_one_hot", "neg", "pow_const", "log_clip",
-               "tsum", "mean", "matmul", "dense", "conv1d_valid", "kernel_sum", "embedding_add",
+FLOAT32_OPS = ("sub_const", "mul_one_hot", "neg", "pow_const", "log_clip", "tsum", "mean",
+               "dense_hidden", "dense", "conv1d_valid", "embedding_add",
                "batch_norm_train", "leaky_relu", "dropout_train", "global_avg_pool",
                "softmax", "weighted_cross_entropy", "mean_squared_error")
 INFER_OPS = ("batch_norm_infer", "dropout_infer")
@@ -755,11 +769,11 @@ def memory_rule_cases(rng) -> dict:
     seq = (4, 7, 3)
     positive = Tensor(rng.uniform(0.1, 1.0, size=(4, 5)).astype(np.float32), requires_grad=True)
     return {
-        "add": case(add, [leaf(4, 3), leaf(3)]),
-        "matmul": case(matmul, [leaf(4, 3), leaf(3, 2)], reads=(0, 1)),
+        # both operands' arrays are read; the bias's is not
+        "dense": case(dense, [leaf(4, 3), leaf(3, 2), leaf(2)], reads=(0, 1)),
         "conv1d_valid": case(conv1d_valid, [leaf(*seq), leaf(3, 3, 2)], reads=(0, 1)),
-        "kernel_sum": case(kernel_sum, [leaf(3, 3, 2)]),
-        "embedding_add": case(embedding_add, [leaf(*seq), leaf(12, 3)],
+        # the table's array is read; the kernel only through its tap sum
+        "embedding_add": case(embedding_add, [leaf(*seq), leaf(12, 2), leaf(3, 2, 3)], reads=(1,),
                               args=(np.array([0, 5, 5, 11]),)),
         # gamma's array (a parameter's) is read; the input, its output and beta are not
         "batch_norm": case(batch_norm, [leaf(*seq), leaf(3), leaf(3)], reads=(1,),
@@ -776,7 +790,7 @@ def memory_rule_cases(rng) -> dict:
     }
 
 
-MEMORY_RULE_OPS = ("add", "matmul", "conv1d_valid", "kernel_sum", "embedding_add", "batch_norm",
+MEMORY_RULE_OPS = ("dense", "conv1d_valid", "embedding_add", "batch_norm",
                    "leaky_relu", "dropout", "global_avg_pool", "softmax",
                    "weighted_cross_entropy", "mean_squared_error")
 
@@ -820,5 +834,5 @@ class TestMemoryRule:
     def test_gradient_takes_the_dtype_its_data_has_at_backward(self, rng):
         w = Tensor(rng.normal(size=(3, 2)).astype(np.float32), requires_grad=True)
         w.data = w.data.astype(np.float64)
-        tsum(matmul(rng.normal(size=(4, 3)), w)).backward()
+        tsum(dense(Tensor(rng.normal(size=(4, 3))), w)).backward()
         assert w.grad.dtype == np.float64

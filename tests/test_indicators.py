@@ -113,6 +113,18 @@ class TestTechnicalFeatures:
         values, _, valid = one_stock_panel(s, ["aroon_down"])
         assert np.all(values[valid[0] :, 0] == 100.0)
 
+    @pytest.mark.parametrize("take_max", [True, False])
+    @pytest.mark.parametrize("n_days", [0, 1, 25, 26, 27, 300])
+    def test_aroon_matches_the_window_argmax(self, take_max, n_days):
+        # prices in cents, then in whole dollars for many ties: the most
+        # recent extreme wins a tie, as the first argmax of the reversed
+        # window has it
+        rng = np.random.default_rng(7)
+        prices = 50.0 * np.exp(np.cumsum(rng.normal(0, 0.02, size=(20, n_days)), axis=1))
+        for x in (np.round(prices, 2), np.round(prices)):
+            got = indicators._aroon(x, 25, take_max)
+            assert got.tobytes() == reference.window_aroon(x, 25, take_max).tobytes()
+
     def test_donchian_constant_prices(self):
         s = make_stock([10.0] * 40, highs=[10.0] * 40, lows=[10.0] * 40)
         values, _, valid = one_stock_panel(s, ["donchian_width"])

@@ -1,5 +1,6 @@
 import json
 import struct
+import sys
 from dataclasses import replace
 from unittest import mock
 
@@ -136,27 +137,32 @@ class TestArchConfig:
 
 
 class TestEmbeddingAdd:
+    """The sector rows, passed through the first conv's kernel (w, of taps
+    (3, 6, 4) here), added at every step of its (batch, time, 4) output."""
+
     def test_zero_embedding_is_identity(self, rng):
         x = rng.normal(size=(2, 5, 4))
-        out = embedding_add(Tensor(x), Tensor(np.zeros((12, 4))), np.array([3, 7]))
+        out = embedding_add(Tensor(x), Tensor(np.zeros((12, 6))),
+                            Tensor(rng.normal(size=(3, 6, 4))), np.array([3, 7]))
         np.testing.assert_array_equal(out.data, x)
 
-    def test_zero_window_broadcasts_row(self, rng):
-        table = rng.normal(size=(12, 4))
-        out = embedding_add(Tensor(np.zeros((1, 5, 4))), Tensor(table), np.array([9]))
+    def test_zero_output_broadcasts_the_mapped_row(self, rng):
+        table, w = rng.normal(size=(12, 6)), rng.normal(size=(3, 6, 4))
+        out = embedding_add(Tensor(np.zeros((1, 5, 4))), Tensor(table), Tensor(w), np.array([9]))
         for t in range(5):
-            np.testing.assert_array_equal(out.data[0, t], table[9])
+            np.testing.assert_array_equal(out.data[0, t], (table @ w.sum(axis=0))[9])
 
     def test_sector_difference_oracle(self, rng):
         # same window, different sectors: outputs differ row-wise by the
-        # difference of the two embedding rows
+        # difference of the two embedding rows, through the kernel's tap sum
         x = rng.normal(size=(5, 4))
-        table = rng.normal(size=(12, 4))
-        both = embedding_add(Tensor(np.stack([x, x])), Tensor(table), np.array([2, 8]))
+        table, w = rng.normal(size=(12, 6)), rng.normal(size=(3, 6, 4))
+        both = embedding_add(Tensor(np.stack([x, x])), Tensor(table), Tensor(w),
+                             np.array([2, 8]))
         delta = both.data[0] - both.data[1]
-        expected = table[2] - table[8]
+        expected = (table[2] - table[8]) @ w.sum(axis=0)
         for t in range(5):
-            np.testing.assert_allclose(delta[t], expected, rtol=1e-15)
+            np.testing.assert_allclose(delta[t], expected, rtol=1e-12, atol=1e-12)
 
 
 class TestBuildModel:
@@ -867,8 +873,9 @@ class TestFloat32Model:
 
 class TestSectorFold:
     """``forward`` adds the sector rows after the first conv, passed through
-    its kernel; the paper adds them to the windows before it. In exact
-    arithmetic the two are one function, so they may differ by rounding only.
+    its kernel (``embedding_add``); the paper adds them to the windows
+    before it (``reference.unfolded_sector_conv``). In exact arithmetic the
+    two are one function, so they may differ by rounding only.
     """
 
     @staticmethod
@@ -1018,6 +1025,40 @@ class TestCheckpoints:
         with pytest.raises(NumericError) as error:
             load_ensemble(path)
         assert str(error.value).startswith(f"{path}: ")
+
+
+class TestOneNodePerLayer:
+    """A training step builds its graph from the network's layer ops alone:
+    each node of one train-mode forward, loss and backward is made by a
+    conv, the sector fold, a batch norm, the masked multiply of leaky ReLU
+    and dropout, the time pooling, a dense block or the head, the softmax,
+    or the loss node."""
+
+    LAYERS = {"conv1d_valid", "embedding_add", "batch_norm", "_masked_multiply",
+              "global_avg_pool", "dense"}
+
+    @pytest.mark.parametrize("arch", [DEFAULT_ARCH, INFER_ARCHS["thin"],
+                                      replace(INFER_ARCHS["thin"], loss="mse")],
+                             ids=["default", "thin", "thin_mse"])
+    def test_only_layer_ops_make_nodes(self, arch, rng, monkeypatch):
+        from stockrank.nn import autograd
+
+        makers = set()
+        make = autograd._make
+
+        def recording_make(data, parents, backward):
+            makers.add(sys._getframe(1).f_code.co_name)
+            return make(data, parents, backward)
+
+        monkeypatch.setattr(autograd, "_make", recording_make)
+        state = build_model(arch, seed=0)
+        samples = toy_samples(rng, 32, arch)
+        out = forward(state, samples.windows[np.arange(32)], samples.sector_ids, train=True)
+        batch_loss(arch.loss_kind, out, samples.labels, samples.returns,
+                   samples.weights).backward()
+        expected = self.LAYERS | ({"softmax", "weighted_cross_entropy"}
+                                  if arch.loss_kind.classification else {"mean_squared_error"})
+        assert makers == expected, sorted(makers ^ expected)
 
 
 class TestTracedNames:
