@@ -121,13 +121,16 @@ class RunConfig:
     max_periods: int | None = None
 
     def validate(self) -> None:
-        for label, path in (("ohlcv_path", self.ohlcv_path), ("sector_path", self.sector_path)):
+        for label, path in (("ohlcv_path", self.ohlcv_path), ("sector_path", self.sector_path),
+                            ("rf_path", self.rf_path)):
+            if path is None:  # only rf_path is optional
+                continue
             if not path:
                 raise ConfigError(f"{label} is required")
             if not os.path.exists(path):
                 raise ConfigError(f"{label} does not exist: {path}")
-        if self.rf_path is not None and not os.path.exists(self.rf_path):
-            raise ConfigError(f"rf_path does not exist: {self.rf_path}")
+            if not os.path.isfile(path):  # a directory would fail on open, mid-run
+                raise ConfigError(f"{label} is not a regular file: {path}")
         for key, value in asdict(self).items():
             if any(isinstance(v, float) and not math.isfinite(v)
                    for v in (value if isinstance(value, (list, tuple)) else [value])):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .indicators import FeaturePanel
+from .indicators import FeaturePanel, stock_blocks
 from .market_data import OPEN, Universe
 
 LOOKAHEAD = 2  # opens at T+1 and T+2 label anchor day T
@@ -170,9 +170,13 @@ def standardize(panel: FeaturePanel, plan: SplitPlan, dtype=np.float64) -> np.nd
     [std_start, test_end), scaled per (stock, feature) by the mean and
     population standard deviation over the std range; sigma below
     SIGMA_EPS is clamped so constant features map to large finite values
-    instead of crashing. The quotient is computed in float64 and written
-    straight into an array of ``dtype``, so a float32 span costs no float64
-    quotient beside it and has the bits of the float64 quotient cast down.
+    instead of crashing. The span is written block of stocks by block
+    (``indicators.stock_blocks``): each block's statistics and its float64
+    quotient are computed and written straight into the array of ``dtype``,
+    so besides that array only one block's float64 temporaries exist, and a
+    float32 span has the bits of the float64 quotient cast down. Every
+    stock's arithmetic is the same in any block, so the result is bit for
+    bit that of the whole span at once.
     """
     s0, s1 = plan.std_range
     if int(panel.valid_start.max()) > s0:
@@ -180,12 +184,15 @@ def standardize(panel: FeaturePanel, plan: SplitPlan, dtype=np.float64) -> np.nd
             f"std range starts at day {s0} but some features are valid only "
             f"from day {int(panel.valid_start.max())}"
         )
-    base = panel.values[:, s0:s1, :]
-    mean = base.mean(axis=1)
-    std = base.std(axis=1)
-    z = panel.values[:, s0 : plan.test_range[1], :] - mean[:, None, :]
-    out = np.empty(z.shape, dtype=dtype)
-    return np.divide(z, np.maximum(std, SIGMA_EPS)[:, None, :], out=out, casting="same_kind")
+    span = panel.values[:, s0 : plan.test_range[1], :]
+    out = np.empty(span.shape, dtype=dtype)
+    for rows in stock_blocks(len(span), span[0].size):
+        base = panel.values[rows, s0:s1, :]
+        mean, std = base.mean(axis=1), base.std(axis=1)
+        # the block's deviations from the mean live only for this call
+        np.divide(span[rows] - mean[:, None, :], np.maximum(std, SIGMA_EPS)[:, None, :],
+                  out=out[rows], casting="same_kind")
+    return out
 
 
 def return_matrix(u: Universe) -> np.ndarray:

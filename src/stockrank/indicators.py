@@ -67,6 +67,20 @@ class FeaturePanel:
 # rolling primitives (axis 1 = time; all causal)
 # ---------------------------------------------------------------------------
 
+#: Elements per block of stocks in the blocked data stages (rolling std
+#: here, standardization in ``dataset``): 2 MiB of float64, about three
+#: (stocks, days) columns at 150 stocks x 560 days and under half of one
+#: at 500 x 1,200.
+BLOCK_ELEMS = 2**18
+
+
+def stock_blocks(n_stocks: int, per_stock: int) -> list[slice]:
+    """Slices of consecutive stocks that cover range(n_stocks), each of at
+    most ``BLOCK_ELEMS`` elements at per_stock elements a stock (and at
+    least one stock)."""
+    step = max(1, BLOCK_ELEMS // per_stock)
+    return [slice(a, a + step) for a in range(0, n_stocks, step)]
+
 
 def _roll_apply(x: np.ndarray, window: int, fn) -> np.ndarray:
     """Apply fn over trailing windows; positions before window-1 are NaN."""
@@ -93,7 +107,17 @@ def _roll_sum(x, window):
 
 
 def _roll_std(x, window, ddof):
-    return _roll_apply(x, window, lambda w: w.std(axis=-1, ddof=ddof))
+    """Trailing-window standard deviation, over blocks of stocks: ``std``
+    of a window view makes a deviations array of the view's size, so each
+    block's is at most ``BLOCK_ELEMS`` elements, not (stocks, days, window).
+    Each window's reduction is the same, so the result is bit for bit the
+    whole view's."""
+    out = np.full_like(x, np.nan)
+    if x.shape[1] >= window:
+        view = sliding_window_view(x, window, axis=1)
+        for rows in stock_blocks(x.shape[0], view.shape[1] * window):
+            out[rows, window - 1 :] = view[rows].std(axis=-1, ddof=ddof)
+    return out
 
 
 def _ema(x: np.ndarray, span: int) -> np.ndarray:
@@ -235,14 +259,20 @@ def _ulcer(o, window):
 
 
 def _adx(o, h, lo, window):
+    # each intermediate is dropped once consumed, so no more than a few
+    # (stocks, days) columns are alive at once
     up = np.diff(h, axis=1)
     down = -np.diff(lo, axis=1)
     plus_dm = np.where((up > down) & (up > 0), up, 0.0)
     minus_dm = np.where((down > up) & (down > 0), down, 0.0)
+    del up, down
     atr = _wilder_rma(_true_range(o, h, lo), window)
     plus_di = _safe_div(100.0 * _wilder_rma(plus_dm, window), atr, 0.0)
+    del plus_dm
     minus_di = _safe_div(100.0 * _wilder_rma(minus_dm, window), atr, 0.0)
+    del minus_dm, atr
     dx = _safe_div(100.0 * np.abs(plus_di - minus_di), plus_di + minus_di, 0.0)
+    del plus_di, minus_di
     return _shifted(_wilder_rma(dx, window, start=window - 1))
 
 

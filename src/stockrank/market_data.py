@@ -132,33 +132,46 @@ _BLANK_ROW_START = re.compile(r'\n[\s,"]')
 def _parse_rows(path: str) -> np.ndarray:
     """The data rows of an OHLCV file, blank rows left out, in one pass of
     numpy's C reader. A bad header is a DataError; any row the reader
-    rejects raises its ValueError."""
+    rejects raises its ValueError.
+
+    The file is held once. Its text, read with universal newlines, is
+    checked: the header, blank rows, and the last row that is not blank
+    for an open quote. Then only the UTF-8 bytes of that text are kept, and
+    the C reader reads them from the line break after the header, so no
+    slice or tail of the whole file is ever copied.
+    """
     try:
         with open(path) as fh:  # universal newlines: \r\n and \r end a row, as in csv
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: {exc}") from exc
-    header_line = text.partition("\n")[0]
-    with csv_rows([header_line], path) as rows:
+    header_end = text.find("\n")  # each data row follows a line break
+    if header_end < 0:
+        header_end = len(text)
+    with csv_rows([text[:header_end]], path) as rows:
         header = next(rows, (1, []))[1]
     if [h.strip() for h in header] != _OHLCV_HEADER:
         raise DataError(f"{path}: expected header {','.join(_OHLCV_HEADER)}")
-    body = text[len(header_line):]  # each row follows a line break
-    if _BLANK_ROW_START.search(body):
-        body = _BLANK_ROWS.sub("", body)
-    n_rows = body.count("\n") - body.endswith("\n")
-    if n_rows == 0:
-        raise DataError(f"{path}: no data rows")
-    # one UTF-8 byte per ASCII character; a StringIO would hold four
-    rows = np.loadtxt(io.BytesIO(body.encode()), dtype=_ROW, delimiter=",", comments=None,
-                      quotechar='"', ndmin=1, encoding="utf-8")
     # A quote the last row opens and never closes holds every line break
     # after it without merging two rows, so the row count cannot show it:
     # csv reads from the last line that is not blank to the end.
     end = len(text)
     while end and (text[end - 1].isspace() or text[end - 1] in ',"'):
         end -= 1
-    with csv_rows(io.StringIO(text[text.rfind("\n", 0, end) + 1:]), path) as last:
+    last_rows = text[text.rfind("\n", 0, end) + 1:]
+    if _BLANK_ROW_START.search(text, header_end):
+        text = _BLANK_ROWS.sub("", text)  # no match starts before header_end
+    n_rows = text.count("\n") - text.endswith("\n")
+    if n_rows == 0:
+        raise DataError(f"{path}: no data rows")
+    # one UTF-8 byte per ASCII character; a StringIO would hold four
+    data = text.encode()
+    del text
+    body = io.BytesIO(data)  # shares the bytes of data
+    body.seek(data.find(b"\n"))  # the header's line break: no UTF-8 sequence holds one
+    rows = np.loadtxt(body, dtype=_ROW, delimiter=",", comments=None,
+                      quotechar='"', ndmin=1, encoding="utf-8")
+    with csv_rows(io.StringIO(last_rows), path) as last:
         open_quote = any("\n" in field for field in next(last)[1])
     if len(rows) != n_rows or open_quote:
         raise ValueError("a quoted field holds a line break")
@@ -180,9 +193,15 @@ def _read_block(path: str) -> tuple[list[str], list[dt.date], np.ndarray, np.nda
     """Parse and check every row, and scatter the rows into a block over the
     file's tickers and dates. Returns (tickers, dates, present, block):
     present[s, d] says whether the file has a bar for (s, d) and block[s, d]
-    is that bar. A row that fails a check raises ValueError."""
+    is that bar. A row that fails a check raises ValueError.
+
+    Each ticker returned is a fresh string, not one the C reader parsed
+    (``str.strip`` returns the very string when there is nothing to strip):
+    one kept parsed string would keep its allocator arena, and with it the
+    memory of the parsed strings around it, mapped after the load.
+    """
     rows = _parse_rows(path)
-    tickers, stock = _index(rows["ticker"], str.strip)
+    tickers, stock = _index(rows["ticker"], lambda text: text.strip().encode().decode())
     if not tickers[0]:
         raise ValueError("empty ticker")
     if any(";" in t for t in tickers):

@@ -45,6 +45,9 @@ the same kernels, with the feature stacks, the concatenation and the
 ``np.where`` warmup scrub that the one-buffer panel replaced.
 ``window_aroon`` is the Aroon kernel as an argmax over a reversed window
 view, which the one pass over the lags replaced, bit for bit.
+``whole_roll_std`` and ``whole_standardize`` are rolling std and
+standardization over every stock at once, which the blocks of stocks
+(``indicators.stock_blocks``) replaced, bit for bit.
 
 ``scan_max_drawdown`` and ``scan_mdd_duration`` are the day-by-day peak
 scans that ``analytics.max_drawdown`` and ``analytics.mdd_duration``
@@ -60,7 +63,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from stockrank.backtest import REBALANCE_MODES, STRATEGIES, BacktestLedger, combine_strategies
-from stockrank.dataset import LOOKAHEAD
+from stockrank.dataset import LOOKAHEAD, SIGMA_EPS
 from stockrank.errors import DataError, NumericError
 from stockrank.losses import LOG_CLIP, batch_loss
 from stockrank.indicators import (
@@ -470,6 +473,27 @@ def window_aroon(x, window, take_max):
         since = np.argmax(flipped, axis=-1) if take_max else np.argmin(flipped, axis=-1)
         out[:, window:] = 100.0 * (window - since) / window
     return out
+
+
+def whole_roll_std(x, window, ddof):
+    """Trailing-window std as ``std`` over the whole (stocks, days, window)
+    view at once, which the blocks of stocks replaced."""
+    out = np.full_like(x, np.nan)
+    if x.shape[1] >= window:
+        out[:, window - 1:] = sliding_window_view(x, window, axis=1).std(axis=-1, ddof=ddof)
+    return out
+
+
+def whole_standardize(panel, plan, dtype=np.float64):
+    """The plan's span standardized with one float64 quotient of the whole
+    span, which the blocks of stocks replaced."""
+    s0, s1 = plan.std_range
+    base = panel.values[:, s0:s1, :]
+    mean = base.mean(axis=1)
+    std = base.std(axis=1)
+    z = panel.values[:, s0:plan.test_range[1], :] - mean[:, None, :]
+    out = np.empty(z.shape, dtype=dtype)
+    return np.divide(z, np.maximum(std, SIGMA_EPS)[:, None, :], out=out, casting="same_kind")
 
 
 def daily_return(u, si: int, T: int) -> float:

@@ -275,6 +275,25 @@ class TestRunConfig:
         assert err == {"error": "ConfigError", "module": "config", "message": message}
         assert loads == [] and not out.exists()
 
+    @pytest.mark.parametrize("key", ["ohlcv_path", "sector_path", "rf_path"])
+    def test_directory_as_data_path_fails_before_any_file_is_written(
+            self, tmp_path, runner, key, monkeypatch):
+        # open() on a directory raises IsADirectoryError, which no stage
+        # maps to a typed error: validate requires a regular file
+        data = synth_dataset(runner, tmp_path / "d", n_days=30)
+        folder = tmp_path / "folder.csv"
+        folder.mkdir()
+        cfg_path = write_config(tmp_path, small_config(data, **{key: str(folder)}))
+        loads = []
+        monkeypatch.setattr(pipeline, "load_ohlcv", lambda *a, **k: loads.append(a))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["run", "--config", str(cfg_path), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        err = json.loads(result.output.strip().splitlines()[-1])
+        assert err == {"error": "ConfigError", "module": "config",
+                       "message": f"{key} is not a regular file: {folder}"}
+        assert loads == [] and not out.exists()
+
     def test_window_longer_than_the_std_range_fails_before_the_run_directory(
             self, tmp_path, runner):
         # m - 1 <= std_days: the first train anchor's window starts inside

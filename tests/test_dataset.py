@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stockrank import indicators
 from stockrank.dataset import (
     SplitPlan,
     Windows,
@@ -15,7 +16,7 @@ from stockrank.dataset import (
 )
 from stockrank.config import RunConfig
 from stockrank.errors import DataError
-from stockrank.indicators import BASIC_FEATURE_NAMES, assemble_panel
+from stockrank.indicators import BASIC_FEATURE_NAMES, FeaturePanel, assemble_panel
 from stockrank.market_data import OPEN, apply_dead_stock_rule
 
 from conftest import (
@@ -26,7 +27,7 @@ from conftest import (
     random_walk_universe,
     traced_peak,
 )
-from reference import daily_return, gather_windows, window_gather
+from reference import daily_return, gather_windows, whole_standardize, window_gather
 
 CFG = RunConfig()
 THRESHOLDS, CAP = CFG.label_thresholds, CFG.return_cap
@@ -157,6 +158,43 @@ class TestStandardize:
             assert span.tobytes() == float64.astype(np.float32).tobytes()
         assert span.dtype == np.float32 and float64.dtype == np.float64
         assert np.isnan(span).any() and np.isinf(span).any()
+
+    @pytest.mark.parametrize("budget", [1, 2 * 420 * 12 + 5, indicators.BLOCK_ELEMS])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_blocked_span_is_the_whole_span_bit_for_bit(self, rng, monkeypatch, budget, dtype):
+        # 5 stocks, a span of 420 days of 12 features: each stock alone,
+        # blocks of 2 stocks ending mid-universe with a short last block,
+        # and the whole universe in one block; NaN, inf and a constant
+        # feature included
+        monkeypatch.setattr(indicators, "BLOCK_ELEMS", budget)
+        u, panel, plan = self._panel_and_plan(rng, n_stocks=5)
+        values = panel.values.copy()
+        cells = rng.integers(0, values.size, size=40)
+        values.flat[cells] = rng.choice(np.array([np.nan, np.inf, -np.inf, 0.0, -0.0]), size=40)
+        values[2, :, 4] = 3.0
+        panel = dataclasses.replace(panel, values=values)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = standardize(panel, plan, dtype)
+            whole = whole_standardize(panel, plan, dtype)
+        assert got.dtype == whole.dtype and got.shape == whole.shape == (5, 420, 12)
+        assert got.tobytes() == whole.tobytes()
+
+    def test_peak_is_the_span_and_one_block(self, rng):
+        # 120 stocks, a float32 span of 420 days of 12 features (2.4 MB),
+        # in blocks of 52 stocks: beside the span, one block's float64
+        # deviations from the mean, 1.05 blocks in all. With the whole
+        # span's float64 deviations and quotient, 2.4 blocks
+        n_stocks, n_days, n_features = 120, 700, 12
+        panel = FeaturePanel(tuple(f"T{i}" for i in range(n_stocks)), tuple(range(n_days)),
+                             tuple(f"f{j}" for j in range(n_features)),
+                             rng.normal(size=(n_stocks, n_days, n_features)),
+                             np.zeros(n_features, dtype=int))
+        plan = config_plans(n_days)[0]
+        with traced_peak() as mem:
+            span = standardize(panel, plan, np.float32)
+        block = indicators.BLOCK_ELEMS * 8
+        assert span.shape == (n_stocks, 420, n_features)
+        assert mem.peak <= span.nbytes + 1.1 * block, (mem.peak - span.nbytes) / block
 
     def test_same_stats_for_train_and_test(self, rng):
         u, panel, plan = self._panel_and_plan(rng)

@@ -264,6 +264,41 @@ class TestOneBufferPanel:
         assert mem.peak <= 2.5 * panel.values.nbytes, mem.peak / panel.values.nbytes
 
 
+class TestBlockedKernels:
+    """Rolling std runs over blocks of stocks, and every kernel's
+    temporaries stay a few (stocks, days) columns."""
+
+    @pytest.mark.parametrize("budget", [1, 1000, 5000, indicators.BLOCK_ELEMS])
+    @pytest.mark.parametrize("window,ddof", [(5, 1), (20, 1), (20, 0)])
+    def test_blocked_roll_std_is_the_whole_view_std_bit_for_bit(
+            self, rng, monkeypatch, budget, window, ddof):
+        # 10 stocks of 100 days, 480 or 1,620 window elements a stock:
+        # each stock alone, blocks of 2 or 3 stocks that end mid-universe
+        # with a short last block, and the whole universe in one block
+        monkeypatch.setattr(indicators, "BLOCK_ELEMS", budget)
+        x = rng.normal(size=(10, 100)) * np.exp(rng.normal(size=(10, 1)))
+        x[3, 40] = np.nan
+        got = indicators._roll_std(x, window, ddof)
+        assert got.tobytes() == reference.whole_roll_std(x, window, ddof).tobytes()
+
+    def test_stock_blocks_cover_the_stocks_in_order(self, monkeypatch):
+        monkeypatch.setattr(indicators, "BLOCK_ELEMS", 100)
+        assert indicators.stock_blocks(7, 30) == [slice(0, 3), slice(3, 6), slice(6, 9)]
+        assert indicators.stock_blocks(2, 500) == [slice(0, 1), slice(1, 2)]  # one stock at least
+        assert indicators.stock_blocks(0, 30) == []
+
+    @pytest.mark.parametrize("name", list(FEATURES))
+    def test_kernel_peak_is_a_few_columns(self, name):
+        # 60 stocks of 1,500 days: a column is 720 kB, about a third of a
+        # 2 MiB block. stoch_rsi holds the most, 6.3 columns; before the
+        # blocks, ret_std_20 and bollinger_hband held 23.7 and adx 10.1
+        u = random_walk_universe(np.random.default_rng(7), 60, 1500)
+        columns = [u.matrix(c) for c in (OPEN, HIGH, LOW, VOLUME)]
+        with traced_peak() as mem:
+            FEATURES[name][1](*columns)
+        assert mem.peak <= 7 * columns[0].nbytes, mem.peak / columns[0].nbytes
+
+
 class TestShiftEquivariance:
     """Appending one day never changes previously computed values."""
 

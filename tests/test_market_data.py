@@ -1,5 +1,6 @@
 import csv
 import datetime as dt
+import os
 import re
 
 import numpy as np
@@ -18,8 +19,9 @@ from stockrank.market_data import (
     filter_by_dollar_volume,
     load_ohlcv,
 )
+from stockrank.synth import SignalSpec, generate, write_ohlcv_csv, write_sector_csv
 
-from conftest import assert_on_calendar, load_files, make_calendar, make_universe
+from conftest import assert_on_calendar, load_files, make_calendar, make_universe, traced_peak
 
 FLOOR = RunConfig().price_floor
 
@@ -261,6 +263,58 @@ class TestIngestEdgeCases:
         path = self._write(tmp_path, lines)
         with pytest.raises(DataError, match=re.escape(f"{path}:3: non-finite close")):
             load_files(path, tmp_path / "s.csv")
+
+    def test_bytes_that_are_not_utf8_are_a_data_error_naming_the_file(self, tmp_path):
+        d = days(2)
+        path = tmp_path / "p.csv"
+        path.write_bytes(b"ticker,date,open,high,low,close,volume\n"
+                         + f"AAA,{d[0]},1,1,1,1,1\n".encode() + b"\xff\xfe,x\n")
+        write_sectors(tmp_path / "s.csv", [("AAA", "Energy")])
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: .*can't decode"):
+            load_files(path, tmp_path / "s.csv")
+
+
+@pytest.fixture(scope="module")
+def synth_files(tmp_path_factory):
+    """(ohlcv path, sector path) of a 40-stock, 500-day synth dataset."""
+    path = tmp_path_factory.mktemp("synth")
+    rows, _events, _calendar = generate(4, 40, 500, SignalSpec(event_rate=0.02))
+    write_ohlcv_csv(rows, str(path / "ohlcv.csv"))
+    write_sector_csv([r["ticker"] for r in rows], str(path / "sectors.csv"))
+    return path / "ohlcv.csv", path / "sectors.csv"
+
+
+class TestIngestMemory:
+    """The ingest holds one copy of the file at a time, and nothing of the
+    parse outlives the load but the bars and the names and dates kept."""
+
+    def test_peak_is_a_small_multiple_of_the_file(self, synth_files):
+        with traced_peak() as mem:
+            load_files(*synth_files)
+        # the file's bytes, the parsed rows and their ticker and date
+        # strings: 3.8 times the file; with the text, its body slice and
+        # the header's partition tail beside the bytes, 5.8
+        size = os.path.getsize(synth_files[0])
+        assert mem.peak <= 4.5 * size, mem.peak / size
+
+    def test_only_the_bars_are_held_after_the_load(self, synth_files):
+        with traced_peak() as mem:
+            u = load_files(*synth_files)
+        # besides the bars: 40 tickers, the 500-day calendar and the
+        # per-stock arrays, about 25 kB
+        assert mem.held <= u.bars.nbytes + 64 * 1024, mem.held - u.bars.nbytes
+
+    def test_no_parsed_ticker_string_is_kept(self, synth_files, monkeypatch):
+        # a kept parsed string would keep its allocator arena mapped, and
+        # with it the memory of the parsed strings around it
+        parsed = []
+        real = market_data._parse_rows
+        monkeypatch.setattr(market_data, "_parse_rows",
+                            lambda path: parsed.append(real(path)) or parsed[-1])
+        u = load_files(*synth_files)
+        parsed_ids = {id(text) for text in parsed[0]["ticker"].tolist()}
+        assert u.n_stocks == 40 and all(len(t) > 1 for t in u.tickers)
+        assert not parsed_ids & {id(t) for t in u.tickers}
 
 
 class TestDollarVolumeFilter:
