@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backtest import BacktestLedger
-from .errors import DataError, NumericError, csv_rows
+from .errors import DataError, NumericError, csv_table
 
 TRADING_DAYS_PER_YEAR = 252
 
@@ -226,18 +226,6 @@ def build_report(ledger: BacktestLedger, market_ledger: BacktestLedger | None, r
     )
 
 
-#: Row labels of the strategy metric grid, in output order.
-GRID_ROWS = (
-    "Final Value",
-    "Annual Return",
-    "Top 10 SR",
-    "Bottom 10 SR",
-    "Long-Short 10 SR",
-    "Top Decile SR",
-    "Bottom Decile SR",
-    "Long-Short Decile SR",
-)
-
 _GRID_SOURCES = {
     "Top 10 SR": "topk",
     "Bottom 10 SR": "bottomk",
@@ -246,6 +234,9 @@ _GRID_SOURCES = {
     "Bottom Decile SR": "bottom_decile",
     "Long-Short Decile SR": "long_short_decile",
 }
+
+#: Row labels of the strategy metric grid, in output order.
+GRID_ROWS = ("Final Value", "Annual Return", *_GRID_SOURCES)
 
 
 def build_metric_grid(reports: dict[str, dict]) -> dict[str, float | None]:
@@ -287,24 +278,16 @@ def load_risk_free(path: str | None, calendar: list[dt.date]) -> np.ndarray:
     if path is None:
         return np.zeros(len(calendar))
     known: dict[dt.date, float] = {}
-    with open(path, newline="") as fh, csv_rows(fh, path) as rows:
-        header = next(rows, (1, None))[1]
-        if header is None or [h.strip() for h in header] != ["date", "annual_rate"]:
-            raise DataError(f"{path}: expected header date,annual_rate")
-        for lineno, row in rows:
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 2:
-                raise DataError(f"{path}:{lineno}: expected 2 columns")
-            try:
-                day, rate = dt.date.fromisoformat(row[0].strip()), float(row[1])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            if not math.isfinite(rate):
-                raise DataError(f"{path}:{lineno}: non-finite rate {row[1].strip()!r}")
-            if day in known:
-                raise DataError(f"{path}:{lineno}: repeated date {day}")
-            known[day] = rate
+    for lineno, row in csv_table(path, ["date", "annual_rate"]):
+        try:
+            day, rate = dt.date.fromisoformat(row[0].strip()), float(row[1])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        if not math.isfinite(rate):
+            raise DataError(f"{path}:{lineno}: non-finite rate {row[1].strip()!r}")
+        if day in known:
+            raise DataError(f"{path}:{lineno}: repeated date {day}")
+        known[day] = rate
     if not known:
         return np.zeros(len(calendar))
     days = sorted(known)

@@ -2,15 +2,21 @@
 
 All strategies trade at the open with perfect fills and no costs, stay
 fully invested, and accrue each day's open-to-open return on the weights
-held after that day's rebalance. Long-short variants earn the arithmetic
-difference of their two legs' daily returns on unit capital.
+held after that day's rebalance.
 
-simulate reads three aligned (days, stocks) arrays: the ranking scores,
-the return each stock earns from that day's buy open (the anchor day's
-column of dataset.return_matrix) and whether it is alive at the buy open.
-Column j is the stock ``tickers[j]``; a Universe sorts its tickers, so
-column order is ticker order. Each day ranks by descending score with a
-stable sort, so tied scores rank in ticker order.
+simulate runs one long-only book: topk, bottomk, the two deciles, or the
+equal-weight market, which holds each day's alive names. It reads three
+aligned (days, stocks) arrays: the ranking scores, the return each stock
+earns from that day's buy open (the anchor day's column of
+dataset.return_matrix) and whether it is alive at the buy open. Column j
+is the stock ``tickers[j]``; a Universe sorts its tickers, so column order
+is ticker order. Each day ranks by descending score with a stable sort, so
+tied scores rank in ticker order. Every book's ledger comes from one loop,
+``_run``.
+
+long_short composes a long-short strategy from the ledgers of its two legs
+(LONG_SHORT): it earns the arithmetic difference of their daily returns on
+unit capital, and its holdings column lists only the long leg's names.
 
 Summation order is part of the output: every sum below is Python's
 ``sum`` over floats, in a fixed order, and reordering one changes the
@@ -19,13 +25,13 @@ last bits of a ledger.
 - A drift rebalance sums the kept weights (the weight not freed) and
   then all the weights (to rescale them) in the order the names entered
   the portfolio; names that enter on the same day enter in ticker order.
-- A day's return sums weight x return over the held names in ticker order.
-- The market portfolio's return sums over its alive names in ticker order.
+- A day's return sums weight x return over the held names in ticker
+  order, for every book, the market included.
 
-Only the market portfolio skips names that are dead at the buy open.
-topk, bottomk and the deciles rank every stock, so they may hold a name
-that is already dead at the buy open; that name earns 0, because
-return_matrix zeroes a stock's returns once it is dead.
+Only the market skips names that are dead at the buy open. topk, bottomk
+and the deciles rank every stock, so they may hold a name that is already
+dead at the buy open; that name earns 0, because return_matrix zeroes a
+stock's returns once it is dead.
 
 A strategy's BacktestLedger holds, per day, the date, the weights held
 after the rebalance, the day's return and the compounded value: the
@@ -51,6 +57,12 @@ STRATEGIES = (
     "long_short_decile",
     "market_equal_weight",
 )
+
+# The legs, long then short, of each long-short strategy; simulate runs the
+# other strategies, the long-only BOOKS.
+LONG_SHORT = {"long_short_k": ("topk", "bottomk"),
+              "long_short_decile": ("top_decile", "bottom_decile")}
+BOOKS = tuple(s for s in STRATEGIES if s not in LONG_SHORT)
 
 REBALANCE_MODES = ("drift", "equal")
 
@@ -162,12 +174,12 @@ def _rebalance(held: list[int], weights: list[float], target: list[int],
     return [s for s, _ in kept] + buys, [w / total for w in new]
 
 
-def _run(picks: np.ndarray, returns: np.ndarray, dates, tickers, mode: str) -> BacktestLedger:
-    """A long-only ledger that rebalances onto the stocks picks[d] on day d
-    and earns returns[d] until the next day's rebalance."""
+def _run(picks: list, returns: np.ndarray, dates, tickers, mode: str) -> BacktestLedger:
+    """A long-only ledger that rebalances onto the columns listed in picks[d]
+    on day d and earns returns[d] until the next day's rebalance."""
     ledger = BacktestLedger()
     held, weights = [], []
-    for date, target, rets in zip(dates, picks.tolist(), returns.tolist()):
+    for date, target, rets in zip(dates, picks, returns.tolist()):
         held, weights = _rebalance(held, weights, target, mode)
         day_return = sum(w * rets[s] for s, w in sorted(zip(held, weights)))
         ledger.append(date, {tickers[s]: w for s, w in zip(held, weights)}, day_return)
@@ -176,15 +188,15 @@ def _run(picks: np.ndarray, returns: np.ndarray, dates, tickers, mode: str) -> B
     return ledger
 
 
-def simulate(strategy: str, scores: np.ndarray, returns: np.ndarray, alive: np.ndarray,
+def simulate(book: str, scores: np.ndarray, returns: np.ndarray, alive: np.ndarray,
              dates, tickers, k: int, rebalance_mode: str) -> BacktestLedger:
-    """Run one strategy over (days, stocks) scores, returns and alive mask,
-    whose rows are the days ``dates`` and whose columns are the stocks
+    """Run one of the BOOKS over (days, stocks) scores, returns and alive
+    mask, whose rows are the days ``dates`` and whose columns are the stocks
     ``tickers`` (see the module docstring). ``k`` and ``rebalance_mode`` are
-    the run config's; strategies that do not use them ignore them.
+    the run config's; books that do not use them ignore them.
     """
-    if strategy not in STRATEGIES:
-        raise DataError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    if book not in BOOKS:
+        raise DataError(f"unknown book {book!r}; expected one of {BOOKS}")
     if rebalance_mode not in REBALANCE_MODES:
         raise DataError(f"unknown rebalance mode {rebalance_mode!r}")
     shape = (len(dates), len(tickers))
@@ -192,36 +204,33 @@ def simulate(strategy: str, scores: np.ndarray, returns: np.ndarray, alive: np.n
         raise DataError(f"scores {scores.shape}, returns {returns.shape} and alive "
                         f"{alive.shape} do not all cover {shape[0]} days x {shape[1]} stocks")
     n_stocks = shape[1]
-    if strategy in ("topk", "bottomk", "long_short_k") and k > n_stocks:
+    if book in ("topk", "bottomk") and k > n_stocks:
         raise DataError(f"k={k} exceeds universe size {n_stocks}")
 
-    if strategy in ("long_short_k", "long_short_decile"):
-        legs = ("topk", "bottomk") if strategy.endswith("k") else ("top_decile", "bottom_decile")
-        long_leg, short_leg = (simulate(leg, scores, returns, alive, dates, tickers, k,
-                                        rebalance_mode) for leg in legs)
-        ledger = BacktestLedger()
-        for date, holdings, long_ret, short_ret in zip(
-                dates, long_leg.holdings, long_leg.daily_returns, short_leg.daily_returns):
-            ledger.append(date, holdings, long_ret - short_ret)
-        return ledger
-    if strategy == "market_equal_weight":
-        ledger = BacktestLedger()
-        for date, rets, live in zip(dates, returns.tolist(), alive):
-            names = np.flatnonzero(live).tolist()
-            if not names:
-                raise DataError(f"{date}: no alive stocks for the market portfolio")
-            w = 1.0 / len(names)
-            ledger.append(date, {tickers[s]: w for s in names},
-                          sum(w * rets[s] for s in names))
-        return ledger
-
-    if strategy in ("topk", "bottomk"):
+    if book == "market_equal_weight":
+        empty = np.flatnonzero(~alive.any(axis=1))
+        if empty.size:
+            raise DataError(f"{dates[empty[0]]}: no alive stocks for the market portfolio")
+        return _run([np.flatnonzero(live).tolist() for live in alive], returns, dates,
+                    tickers, "equal")
+    if book in ("topk", "bottomk"):
         size, mode = k, rebalance_mode
     else:
         size, mode = max(1, n_stocks // 10), "equal"
     ranked = np.argsort(-scores, axis=1, kind="stable")
-    picks = ranked[:, :size] if strategy.startswith("top") else ranked[:, n_stocks - size:]
-    return _run(picks, returns, dates, tickers, mode)
+    picks = ranked[:, :size] if book.startswith("top") else ranked[:, n_stocks - size:]
+    return _run(picks.tolist(), returns, dates, tickers, mode)
+
+
+def long_short(long_leg: BacktestLedger, short_leg: BacktestLedger) -> BacktestLedger:
+    """The long-short ledger of two long-only legs over the same days: each
+    day earns the long leg's return minus the short leg's and lists the
+    long leg's holdings."""
+    ledger = BacktestLedger()
+    days = zip(long_leg.dates, long_leg.holdings, long_leg.daily_returns, short_leg.daily_returns)
+    for date, holdings, long_ret, short_ret in days:
+        ledger.append(date, holdings, long_ret - short_ret)
+    return ledger
 
 
 def combine_strategies(ledgers: list[BacktestLedger]) -> BacktestLedger:

@@ -135,13 +135,16 @@ class RunConfig:
             if any(isinstance(v, float) and not math.isfinite(v)
                    for v in (value if isinstance(value, (list, tuple)) else [value])):
                 raise ConfigError(f"{key} must be finite, got {value!r}")
+        dates = {}
         for label in ("start", "end"):
             value = getattr(self, label)
             if value is not None:
                 try:
-                    dt.date.fromisoformat(value)
+                    dates[label] = dt.date.fromisoformat(value)
                 except ValueError:
                     raise ConfigError(f"{label} is not an ISO date: {value!r}")
+        if len(dates) == 2 and dates["end"] < dates["start"]:
+            raise ConfigError(f"end {self.end} is before start {self.start}")
         if self.dollar_volume_floor <= 0:
             raise ConfigError("dollar_volume_floor must be > 0")
         if self.price_floor <= 0:

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the pipeline, and the csv row reader
-every CSV loader shares.
+"""Exception hierarchy shared across the pipeline, and the csv readers the
+CSV loaders share: csv_rows, and csv_table for the small tables.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
 NumericError -> 4, and names the module each error came from.
@@ -34,7 +34,7 @@ def failing_module(exc: BaseException) -> str:
     """The stockrank module an error was raised in.
 
     That is the innermost stockrank frame of its traceback outside this
-    module, whose csv_rows raises on its caller's behalf, unless the
+    module, whose csv readers raise on their caller's behalf, unless the
     error carries ``stockrank_module``: an error that crossed from a
     training child into the parent records there the module named by the
     child's own traceback, which did not cross.
@@ -64,3 +64,21 @@ def csv_rows(lines, path: str, start: int = 1):
         raise DataError(f"{path}:{start - 1 + reader.line_num}: {exc}") from exc
     finally:
         csv.field_size_limit(limit)
+
+
+def csv_table(path: str, header: list[str]):
+    """Iterate (line number, row) over the rows of the CSV file at path
+    whose line 1 holds the given header, names stripped. Rows whose every
+    field is empty or whitespace are skipped; every other row must have one
+    field per header name. A fault is a DataError naming path:line."""
+    with open(path, newline="") as fh, csv_rows(fh, path) as rows:
+        names = next(rows, (1, None))[1]
+        if names is None or [name.strip() for name in names] != header:
+            raise DataError(f"{path}:1: expected header {','.join(header)}")
+        for lineno, row in rows:
+            if not "".join(row).strip():  # every field empty or whitespace
+                continue
+            if len(row) != len(header):
+                raise DataError(f"{path}:{lineno}: expected {len(header)} columns, "
+                                f"got {len(row)}")
+            yield lineno, row

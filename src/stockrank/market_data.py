@@ -19,7 +19,7 @@ from itertools import compress
 
 import numpy as np
 
-from .errors import DataError, csv_rows
+from .errors import DataError, csv_rows, csv_table
 
 #: Canonical sector names mapped to ids 0..10; anything else gets NO_SECTOR_ID.
 SECTOR_NAMES = (
@@ -99,19 +99,11 @@ def load_sector_map(sector_path: str) -> dict[str, int]:
     ticker may appear once."""
     name_to_id = {name.lower(): i for i, name in enumerate(SECTOR_NAMES)}
     out: dict[str, int] = {}
-    with open(sector_path, newline="") as fh, csv_rows(fh, sector_path) as rows:
-        header = next(rows, (1, None))[1]
-        if header is None or [h.strip() for h in header] != _SECTOR_HEADER:
-            raise DataError(f"{sector_path}: expected header {','.join(_SECTOR_HEADER)}")
-        for lineno, row in rows:
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 2:
-                raise DataError(f"{sector_path}:{lineno}: expected 2 columns, got {len(row)}")
-            ticker, sector = row[0].strip(), row[1].strip()
-            if ticker in out:
-                raise DataError(f"{sector_path}:{lineno}: repeated ticker {ticker!r}")
-            out[ticker] = name_to_id.get(sector.lower(), NO_SECTOR_ID)
+    for lineno, row in csv_table(sector_path, _SECTOR_HEADER):
+        ticker, sector = row[0].strip(), row[1].strip()
+        if ticker in out:
+            raise DataError(f"{sector_path}:{lineno}: repeated ticker {ticker!r}")
+        out[ticker] = name_to_id.get(sector.lower(), NO_SECTOR_ID)
     return out
 
 

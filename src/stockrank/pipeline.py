@@ -48,10 +48,11 @@ import numpy as np
 
 from . import __version__, blas, malloc
 from .analytics import build_metric_grid, build_report, grid_to_csv, load_risk_free
-from .backtest import BacktestLedger, combine_strategies, rank_for_day, simulate
+from .backtest import (LONG_SHORT, BacktestLedger, combine_strategies, long_short, rank_for_day,
+                       simulate)
 from .config import RunConfig
 from .dataset import SplitPlan, build_split_plans, make_samples, return_matrix
-from .errors import ConfigError, DataError, csv_rows, failing_module
+from .errors import ConfigError, DataError, csv_table, failing_module
 from .indicators import assemble_panel
 from .losses import LOSSES
 from .market_data import Universe, apply_dead_stock_rule, filter_by_dollar_volume, load_ohlcv
@@ -383,20 +384,25 @@ def run_strategies(cfg: RunConfig, universe: Universe, returns: np.ndarray,
 
     returns is return_matrix(universe), built once per command; scores is
     the (ensembles, days, stocks) score array and days the calendar day
-    index of each of its rows. With several ensembles, each strategy is
-    simulated per ensemble and the ledgers are integrated with equal
-    weights. The market, which reads no scores, is simulated once: an
-    average of equal ledgers can differ from each in the last bit.
+    index of each of its rows. Each ensemble simulates once every book the
+    strategies need, long-short legs included, and composes its long-short
+    ledgers from them; each strategy's ledgers are then integrated across
+    the ensembles with equal weights. The market, which reads no scores, is
+    simulated once: an average of equal ledgers can differ from each in the
+    last bit.
     """
     market = _day_arrays(universe, returns, days)
-    ledgers: dict[str, BacktestLedger] = {}
-    for strategy in cfg.strategies:
-        if strategy == "market_equal_weight":
-            continue
-        per_ensemble = [simulate(strategy, ens_scores, *market, k=cfg.k,
-                                 rebalance_mode=cfg.rebalance_mode) for ens_scores in scores]
-        ledgers[strategy] = (per_ensemble[0] if len(per_ensemble) == 1
-                             else combine_strategies(per_ensemble))
+    strategies = [s for s in cfg.strategies if s != "market_equal_weight"]
+    books = dict.fromkeys(leg for s in strategies for leg in LONG_SHORT.get(s, (s,)))
+    per_ensemble = []
+    for ens_scores in scores:
+        ledgers = {book: simulate(book, ens_scores, *market, k=cfg.k,
+                                  rebalance_mode=cfg.rebalance_mode) for book in books}
+        for s in strategies:
+            if s in LONG_SHORT:
+                ledgers[s] = long_short(*(ledgers[leg] for leg in LONG_SHORT[s]))
+        per_ensemble.append(ledgers)
+    ledgers = {s: combine_strategies([ens[s] for ens in per_ensemble]) for s in strategies}
     ledgers["market_equal_weight"] = simulate("market_equal_weight", scores[0], *market,
                                               k=cfg.k, rebalance_mode=cfg.rebalance_mode)
     return ledgers
@@ -435,30 +441,23 @@ def read_scores_csv(path: str, universe: Universe) -> tuple[np.ndarray, np.ndarr
     column = {t: j for j, t in enumerate(universe.tickers)}
     day_index = {d.isoformat(): i for i, d in enumerate(calendar)}
     cells: dict[tuple[int, int, int], float] = {}  # (ensemble, day, column) -> score
-    with open(path, newline="") as fh, csv_rows(fh, path) as rows:
-        if next(rows, (1, None))[1] != SCORES_HEADER:
-            raise DataError(f"{path}: not a scores file")
-        for lineno, row in rows:
-            if not row:
-                continue
-            where = f"{path}:{lineno}"
-            if len(row) != len(SCORES_HEADER):
-                raise DataError(f"{where}: expected {len(SCORES_HEADER)} columns, got {len(row)}")
-            try:
-                e, _period, score = int(row[0]), int(row[1]), float(row[4])
-            except ValueError as exc:
-                raise DataError(f"{where}: bad ensemble, period or score in {row}") from exc
-            if not math.isfinite(score):
-                raise DataError(f"{where}: non-finite score {row[4]!r}")
-            if row[2] not in day_index:
-                raise DataError(f"{where}: scores date {row[2]} not on the universe calendar")
-            if row[3] not in column:
-                raise DataError(f"{where}: ticker {row[3]!r} is not in the universe")
-            key = (e, day_index[row[2]], column[row[3]])
-            if key in cells:
-                raise DataError(f"{where}: duplicate (ensemble, date, ticker) row "
-                                f"({e}, {row[2]}, {row[3]})")
-            cells[key] = score
+    for lineno, row in csv_table(path, SCORES_HEADER):
+        where = f"{path}:{lineno}"
+        try:
+            e, _period, score = int(row[0]), int(row[1]), float(row[4])
+        except ValueError as exc:
+            raise DataError(f"{where}: bad ensemble, period or score in {row}") from exc
+        if not math.isfinite(score):
+            raise DataError(f"{where}: non-finite score {row[4]!r}")
+        if row[2] not in day_index:
+            raise DataError(f"{where}: scores date {row[2]} not on the universe calendar")
+        if row[3] not in column:
+            raise DataError(f"{where}: ticker {row[3]!r} is not in the universe")
+        key = (e, day_index[row[2]], column[row[3]])
+        if key in cells:
+            raise DataError(f"{where}: duplicate (ensemble, date, ticker) row "
+                            f"({e}, {row[2]}, {row[3]})")
+        cells[key] = score
     if not cells:
         raise DataError(f"{path}: no score rows")
     ranked = Counter((e, d) for e, d, _ in cells)  # (ensemble, day) -> tickers ranked

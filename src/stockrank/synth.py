@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, csv_rows
+from .errors import ConfigError, DataError, csv_table
 from .market_data import SECTOR_NAMES
 
 EVENTS_HEADER = ["ticker", "anchor_day", "date", "realized"]
@@ -161,16 +161,11 @@ def read_events_csv(path: str) -> list[PlantedEvent]:
     """The events of an events.csv as write_events_csv writes it; blank
     rows are skipped, and any other fault is a DataError naming path:line."""
     events = []
-    with open(path, newline="") as fh, csv_rows(fh, path) as rows:
-        if next(rows, (1, None))[1] != EVENTS_HEADER:
-            raise DataError(f"{path}:1: expected header {','.join(EVENTS_HEADER)}")
-        for lineno, row in rows:
-            if not any(c.strip() for c in row):
-                continue
-            try:
-                ticker, day, date, realized = (c.strip() for c in row)
-                events.append(PlantedEvent(ticker, int(day), dt.date.fromisoformat(date),
-                                           {"0": False, "1": True}[realized]))
-            except (ValueError, KeyError) as exc:
-                raise DataError(f"{path}:{lineno}: bad events row {row}") from exc
+    for lineno, row in csv_table(path, EVENTS_HEADER):
+        try:
+            ticker, day, date, realized = (c.strip() for c in row)
+            events.append(PlantedEvent(ticker, int(day), dt.date.fromisoformat(date),
+                                       {"0": False, "1": True}[realized]))
+        except (ValueError, KeyError) as exc:
+            raise DataError(f"{path}:{lineno}: bad events row {row}") from exc
     return events

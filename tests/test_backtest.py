@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
+from stockrank import pipeline
 from stockrank.backtest import (
     STRATEGIES,
     BacktestLedger,
     _rebalance,
     combine_strategies,
+    long_short,
     rank_for_day,
     simulate,
 )
@@ -189,14 +191,13 @@ class TestSimulate:
 
     def test_long_short_is_arithmetic_difference(self, rng):
         scores, returns = random_days(rng, 12, 10)
-        ls = run("long_short_k", scores, returns, k=3)
         long_leg = run("topk", scores, returns, k=3)
         short_leg = run("bottomk", scores, returns, k=3)
-        np.testing.assert_allclose(
-            ls.daily_returns,
-            np.array(long_leg.daily_returns) - np.array(short_leg.daily_returns),
-            atol=1e-15,
-        )
+        ls = long_short(long_leg, short_leg)
+        assert ls.dates == long_leg.dates
+        assert ls.holdings == long_leg.holdings  # the long leg's names only
+        np.testing.assert_array_equal(
+            ls.daily_returns, np.array(long_leg.daily_returns) - np.array(short_leg.daily_returns))
 
     def test_dead_stock_zero_returns_flow_through(self):
         scores = [{"A": 1.0, "B": 0.0}] * 3
@@ -231,6 +232,8 @@ class TestSimulate:
     def test_unknown_strategy(self):
         with pytest.raises(DataError):
             run("momentum", [{"A": 1.0}], [{"A": 0.0}])
+        with pytest.raises(DataError, match="unknown book"):  # long_short composes these
+            run("long_short_k", [{"A": 1.0}], [{"A": 0.0}], k=1)
 
     def test_deterministic_and_leaves_inputs_alone(self, rng):
         scores, returns, alive = rng.normal(size=(5, 6)), rng.normal(0, 0.02, (5, 6)), \
@@ -420,3 +423,30 @@ def test_arrays_write_the_ledgers_of_the_dict_oracle(seed, n_stocks, n_test, n_e
     returns = return_matrix(universe)
     assert outcome(lambda: run_strategies(cfg, universe, returns, scores, days)) == outcome(
         lambda: reference.run_strategies(strategies, universe, scores, days.tolist(), k, mode))
+
+
+def test_each_book_is_simulated_once_per_ensemble(monkeypatch):
+    """The default strategies over 2 ensembles simulate the 4 long-only
+    books once per ensemble, long-short legs included, and the market once."""
+    n_stocks, n_days = 12, 30
+    rng = np.random.default_rng(3)
+    opens = 50.0 * np.exp(np.cumsum(rng.normal(0, 0.03, (n_stocks, n_days)), axis=1))
+    universe = Universe(calendar=make_calendar(n_days),
+                        tickers=tuple(f"S{i:02d}" for i in range(n_stocks)),
+                        sector_ids=np.zeros(n_stocks, dtype=int),
+                        bars=np.repeat(opens[:, :, None], 5, axis=2),
+                        death_day=np.full(n_stocks, n_days))
+    days = np.arange(1, n_days - 2)
+    calls = []
+
+    def counted(book, *args, **kwargs):
+        calls.append(book)
+        return simulate(book, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "simulate", counted)
+    cfg = RunConfig(ohlcv_path="x", sector_path="y", k=3)
+    ledgers = run_strategies(cfg, universe, return_matrix(universe),
+                             rng.normal(size=(2, len(days), n_stocks)), days)
+    assert sorted(ledgers) == sorted(STRATEGIES)
+    assert sorted(calls) == sorted(["topk", "bottomk", "top_decile", "bottom_decile"] * 2
+                                   + ["market_equal_weight"])

@@ -294,6 +294,22 @@ class TestRunConfig:
                        "message": f"{key} is not a regular file: {folder}"}
         assert loads == [] and not out.exists()
 
+    def test_end_before_start_fails_before_any_file_is_written(self, tmp_path, runner,
+                                                               monkeypatch):
+        # an empty date range is a config fault, not a data fault: no stock spans it
+        data = synth_dataset(runner, tmp_path / "d", n_days=30)
+        cfg_path = write_config(tmp_path, small_config(data, start="2016-06-01",
+                                                       end="2016-01-01"))
+        loads = []
+        monkeypatch.setattr(pipeline, "load_ohlcv", lambda *a, **k: loads.append(a))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["run", "--config", str(cfg_path), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        err = json.loads(result.output.strip().splitlines()[-1])
+        assert err == {"error": "ConfigError", "module": "config",
+                       "message": "end 2016-01-01 is before start 2016-06-01"}
+        assert loads == [] and not out.exists()
+
     def test_window_longer_than_the_std_range_fails_before_the_run_directory(
             self, tmp_path, runner):
         # m - 1 <= std_days: the first train anchor's window starts inside
@@ -548,7 +564,7 @@ class TestStageSeparation:
         r = runner.invoke(main, ["train", "--config", str(cfg_path), "--out", str(out)])
         assert r.exit_code == 0, r.output
         with open(out / "scores" / "scores.csv", "a") as fh:
-            fh.write("\n")
+            fh.write("\n \t\n,,, ,\n")  # empty, whitespace-only and empty-field rows
         for args in (["backtest", "--config", str(cfg_path)], ["report"]):
             r = runner.invoke(main, args + ["--out", str(out)])
             assert r.exit_code == 0, r.output
