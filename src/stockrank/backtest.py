@@ -183,8 +183,9 @@ def _run(picks: list, returns: np.ndarray, dates, tickers, mode: str) -> Backtes
         held, weights = _rebalance(held, weights, target, mode)
         day_return = sum(w * rets[s] for s, w in sorted(zip(held, weights)))
         ledger.append(date, {tickers[s]: w for s, w in zip(held, weights)}, day_return)
-        growth = 1.0 + day_return
-        weights = [w * (1.0 + rets[s]) / growth for s, w in zip(held, weights)]
+        if mode == "drift":  # equal mode's next rebalance discards the drifted weights
+            growth = 1.0 + day_return
+            weights = [w * (1.0 + rets[s]) / growth for s, w in zip(held, weights)]
     return ledger
 
 

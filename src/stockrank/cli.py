@@ -3,19 +3,18 @@
 Subcommands: synth, features, train, backtest, report, run. `run` is the
 whole walk-forward pipeline; `train`, `backtest` and `report` are its
 stages, call the same pipeline functions, and together write the same
-scores, ledgers and report as `run`. Exit codes: 0 success, 2 config
-error, 3 data error, 4 numeric failure. Errors are printed to stderr as
-one JSON object naming the failing module.
+scores, ledgers and report as `run`. Exit codes: 0 success, 2 usage or
+config error, 3 data error, 4 numeric failure. Errors past usage are
+printed to stderr as one JSON object naming the failing module.
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
+import dataclasses
 import json
 import os
 import sys
-
-import click
 
 from .backtest import BacktestLedger, STRATEGIES
 from .config import RunConfig, load_config
@@ -41,49 +40,12 @@ _EXIT_CODES = {ConfigError: 2, DataError: 3, NumericError: 4}
 _LOSS_OF_ALIAS = {row.alias: kind for kind, row in LOSSES.items()}
 
 
-def _guarded(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except StockrankError as exc:
-            code = next(
-                (c for klass, c in _EXIT_CODES.items() if isinstance(exc, klass)), 4
-            )
-            report = {
-                "error": type(exc).__name__,
-                "module": failing_module(exc),
-                "message": str(exc),
-            }
-            click.echo(json.dumps(report, sort_keys=True), err=True)
-            sys.exit(code)
-
-    return wrapper
-
-
 def _echo(msg: str) -> None:
-    click.echo(msg)
+    print(msg, flush=True)
 
 
-@click.group()
-def main():
-    """Daily stock-ranking pipeline."""
-
-
-@main.command()
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--n-stocks", type=int, default=30, show_default=True)
-@click.option("--n-days", type=int, default=900, show_default=True)
-@click.option("--out", type=click.Path(), required=True, help="output directory")
-@click.option("--event-rate", type=float, default=SignalSpec.event_rate, show_default=True,
-              help="per (stock, day) probability of planting a motif")
-@click.option("--jump-prob", type=float, default=SignalSpec.jump_prob, show_default=True)
-@click.option("--jump-size", type=float, default=SignalSpec.jump_size, show_default=True)
-@click.option("--volume-factor", type=float, default=SignalSpec.volume_factor, show_default=True)
-@click.option("--daily-vol", type=float, default=SignalSpec.daily_vol, show_default=True)
-@_guarded
 def synth(seed, n_stocks, n_days, out, **spec):
-    """Generate a seeded synthetic OHLCV + sector dataset."""
+    """Generate a seeded synthetic OHLCV + sector dataset (signal options: synth.SignalSpec)."""
     rows, events, _cal = generate(seed, n_stocks, n_days, SignalSpec(**spec))
     os.makedirs(out, exist_ok=True)
     write_ohlcv_csv(rows, os.path.join(out, "ohlcv.csv"))
@@ -93,10 +55,6 @@ def synth(seed, n_stocks, n_days, out, **spec):
           f"({len(events)} planted events)")
 
 
-@main.command()
-@click.option("--config", "config_path", type=click.Path(exists=True), required=True)
-@click.option("--out", type=click.Path(), required=True)
-@_guarded
 def features(config_path, out):
     """Compute the feature panel and export it as CSV."""
     cfg = load_config(config_path)
@@ -117,13 +75,6 @@ def _load_config_with_overrides(config_path, seed=None, loss=None, strategy=()) 
     return load_config(config_path, {k: v for k, v in overrides.items() if v is not None})
 
 
-@main.command()
-@click.option("--config", "config_path", type=click.Path(exists=True), required=True)
-@click.option("--seed", type=int, default=None, help="override config seed")
-@click.option("--out", type=click.Path(), required=True)
-@click.option("--loss", type=click.Choice(list(_LOSS_OF_ALIAS)), default=None,
-              help="override config loss")
-@_guarded
 def train(config_path, seed, out, loss):
     """Walk-forward training only: checkpoints and ranking scores."""
     cfg = _load_config_with_overrides(config_path, seed, loss)
@@ -132,13 +83,6 @@ def train(config_path, seed, out, loss):
     _echo(f"scores in {os.path.join(out, 'scores')}")
 
 
-@main.command()
-@click.option("--config", "config_path", type=click.Path(exists=True), required=True)
-@click.option("--out", type=click.Path(exists=True), required=True,
-              help="run directory holding scores/scores.csv")
-@click.option("--strategy", type=click.Choice(STRATEGIES), multiple=True,
-              help="restrict to these strategies")
-@_guarded
 def backtest(config_path, out, strategy):
     """Simulate strategies from previously written ranking scores.
 
@@ -159,10 +103,6 @@ def backtest(config_path, out, strategy):
     _echo(f"wrote {len(ledgers)} ledgers to {ledger_dir}")
 
 
-@main.command()
-@click.option("--out", type=click.Path(exists=True), required=True,
-              help="run directory holding ledgers/")
-@_guarded
 def report(out):
     """Aggregate ledgers into the metric grid and per-strategy reports."""
     resolved = os.path.join(out, "config.resolved.json")
@@ -186,19 +126,73 @@ def report(out):
     _echo(f"report written to {os.path.join(out, 'report')}")
 
 
-@main.command()
-@click.option("--config", "config_path", type=click.Path(exists=True), required=True)
-@click.option("--seed", type=int, default=None, help="override config seed")
-@click.option("--out", type=click.Path(), required=True)
-@click.option("--loss", type=click.Choice(list(_LOSS_OF_ALIAS)), default=None)
-@click.option("--strategy", type=click.Choice(STRATEGIES), multiple=True)
-@_guarded
 def run(config_path, seed, out, loss, strategy):
     """Full pipeline: ingest, features, walk-forward train, backtest, report."""
     cfg = _load_config_with_overrides(config_path, seed, loss, strategy)
     payload = run_pipeline(cfg, out, log=_echo)
     _echo(f"final top-k value: {payload['strategies']['topk']['final_value']:.4f}"
           if "topk" in payload["strategies"] else "run complete")
+
+
+def _existing(path: str) -> str:
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"path {path!r} does not exist")
+    return path
+
+
+def _parser(prog: str) -> argparse.ArgumentParser:
+    """The parser of every command: each sets ``command`` to its function."""
+
+    def new(make, *args, **kwargs):  # --help but no -h, and no option prefixes
+        parser = make(*args, allow_abbrev=False, add_help=False, **kwargs)
+        parser.add_argument("--help", action="help", help="show this message and exit")
+        return parser
+
+    parser = new(argparse.ArgumentParser, prog=prog, description="Daily stock-ranking pipeline.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(fn, *options):
+        sub = new(commands.add_parser, fn.__name__, help=fn.__doc__.splitlines()[0],
+                  description=fn.__doc__)
+        for flag, kwargs in options:
+            sub.add_argument(flag, **kwargs)
+        sub.set_defaults(command=fn)
+
+    def shown(name, default):  # an option whose help shows its default
+        return (f"--{name.replace('_', '-')}",
+                dict(type=type(default), default=default, help="(default: %(default)s)"))
+
+    config = ("--config", dict(dest="config_path", type=_existing, required=True, metavar="PATH"))
+    out = ("--out", dict(required=True, help="output directory"))
+    run_dir = ("--out", dict(type=_existing, required=True, help="run directory"))
+    seed = ("--seed", dict(type=int, help="override config seed"))
+    loss = ("--loss", dict(choices=list(_LOSS_OF_ALIAS), help="override config loss"))
+    strategy = ("--strategy", dict(choices=STRATEGIES, action="append", default=[],
+                                   help="restrict to these strategies (repeatable)"))
+    command(synth, shown("seed", 0), shown("n_stocks", 30), shown("n_days", 900), out,
+            *[shown(f.name, f.default) for f in dataclasses.fields(SignalSpec)])
+    command(features, config, out)
+    command(train, config, seed, out, loss)
+    command(backtest, config, run_dir, strategy)
+    command(report, run_dir)
+    command(run, config, seed, out, loss, strategy)
+    return parser
+
+
+def main(args: list[str] | None = None, prog_name: str = "stockrank") -> None:
+    """Run the command that ``args`` (by default the process's arguments)
+    names. A StockrankError is printed to stderr as one JSON line and exits
+    with its code; any other exception propagates (exit 1)."""
+    options = vars(_parser(prog_name).parse_args(args))
+    command = options.pop("command")
+    try:
+        command(**options)
+    except StockrankError as exc:
+        code = next((c for klass, c in _EXIT_CODES.items() if isinstance(exc, klass)), 4)
+        error = {"error": type(exc).__name__, "module": failing_module(exc),
+                 "message": str(exc)}
+        print(json.dumps(error, sort_keys=True), file=sys.stderr, flush=True)
+        sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -360,7 +360,8 @@ def load_ohlcv(path: str, sector_path: str, start: dt.date | None, end: dt.date 
         raise DataError("no stocks span the requested date range")
     calendar = tuple(compress(dates[lo:hi], on_calendar.tolist()))
     held = held[:, on_calendar]
-    bars = block[keep, lo:hi][:, on_calendar]
+    bars = block if held.shape == present.shape else block[  # one gather, or none
+        np.ix_(np.flatnonzero(keep), lo + np.flatnonzero(on_calendar))]
     kept = list(compress(tickers, keep.tolist()))
 
     # A non-positive price is tolerated only after a prior day's open fell
@@ -392,6 +393,8 @@ def filter_by_dollar_volume(u: Universe, threshold: float) -> Universe:
     kept = np.mean(u.matrix(OPEN) * u.matrix(VOLUME), axis=1) >= threshold
     if not kept.any():
         raise DataError("dollar-volume filter removed every stock")
+    if kept.all():
+        return u
     return replace(u, tickers=tuple(compress(u.tickers, kept.tolist())),
                    sector_ids=u.sector_ids[kept], bars=u.bars[kept], death_day=u.death_day[kept])
 

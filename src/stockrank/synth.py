@@ -24,9 +24,9 @@ EVENTS_HEADER = ["ticker", "anchor_day", "date", "realized"]
 
 @dataclass(frozen=True)
 class SignalSpec:
-    """The walk's daily volatility and the planted-motif parameters;
-    event_rate 0 disables the signal. These are the ``synth`` command's
-    defaults."""
+    """The walk's daily volatility and the planted-motif parameters; event_rate
+    is the per (stock, day) probability of planting a motif, 0 for no signal.
+    The fields are the ``synth`` command's signal options and defaults."""
 
     event_rate: float = 0.0
     jump_prob: float = 0.8

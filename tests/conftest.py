@@ -14,8 +14,10 @@ The option is applied after this module loads, so it replaces ``tier1``.
 """
 
 import contextlib
+import dataclasses
 import datetime as dt
 import gc
+import io
 import resource
 import tracemalloc
 
@@ -161,3 +163,54 @@ def minor_faults() -> int:
 @pytest.fixture
 def rng():
     return np.random.default_rng(2024)
+
+
+@dataclasses.dataclass
+class CliResult:
+    """What a shell sees of one command: its exit code, its stdout and
+    stderr apart and interleaved (``output``), and the exception that ended
+    it (a SystemExit with a nonzero code, or any other), or None."""
+
+    exit_code: int
+    output: str
+    stdout: str
+    stderr: str
+    exception: BaseException | None
+
+
+class _Tee(io.StringIO):
+    """A stream that also writes everything to ``both``."""
+
+    def __init__(self, both: io.StringIO):
+        super().__init__()
+        self.both = both
+
+    def write(self, text: str) -> int:
+        self.both.write(text)
+        return super().write(text)
+
+
+class CliRunner:
+    """Runs a CLI entry point in this process with its streams captured; an
+    exception other than SystemExit is caught and exits 1, as the
+    interpreter would."""
+
+    @staticmethod
+    def invoke(main, args: list[str]) -> CliResult:
+        both = io.StringIO()
+        out, err = _Tee(both), _Tee(both)
+        exit_code, exception = 0, None
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                main(args)
+            except SystemExit as exc:
+                exit_code = exc.code or 0
+                exception = exc if exit_code else None
+            except Exception as exc:
+                exit_code, exception = 1, exc
+        return CliResult(exit_code, both.getvalue(), out.getvalue(), err.getvalue(), exception)
+
+
+@pytest.fixture
+def runner():
+    return CliRunner()

@@ -9,7 +9,6 @@ import sys
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import stockrank.cli
 from stockrank import blas, malloc, models, pipeline
@@ -18,11 +17,6 @@ from stockrank.config import RunConfig, load_config
 from stockrank.errors import ConfigError
 from stockrank.losses import LOSSES
 from stockrank.synth import SignalSpec
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 def synth_dataset(runner, path, n_stocks=8, n_days=260, seed=5, event_rate=0.1):
@@ -117,13 +111,24 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("command", ["train", "run"])
     def test_loss_choices_are_the_table_aliases(self, runner, command):
-        (option,) = [p for p in main.commands[command].params if p.name == "loss"]
-        assert list(option.type.choices) == [row.alias for row in LOSSES.values()]
         assert stockrank.cli._LOSS_OF_ALIAS == {"new": "return_weighted_ce", "ce": "ce",
                                                 "mse": "mse"}
         result = runner.invoke(main, [command, "--config", __file__, "--out", "x",
                                       "--loss", "huber"])
-        assert result.exit_code == 2 and "'huber' is not one of" in result.output
+        assert result.exit_code == 2, result.output
+        error = result.stderr.splitlines()[-1]
+        assert "'huber'" in error
+        choices = re.findall(r"\w+", error.split("choose from", 1)[1])
+        assert choices == [row.alias for row in LOSSES.values()] == ["new", "ce", "mse"]
+
+    @pytest.mark.parametrize("command", ["features", "train", "backtest", "run"])
+    def test_option_prefix_is_a_usage_error(self, tmp_path, runner, monkeypatch, command):
+        # argparse would read --conf as --config unless abbreviations are off
+        seen = []
+        monkeypatch.setattr(stockrank.cli, "load_config", lambda *args: seen.append(args))
+        result = runner.invoke(main, [command, "--conf", __file__, "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "usage:" in result.stderr and seen == []
 
     def test_sha256_stable(self):
         a = RunConfig(ohlcv_path="x", sector_path="y")
@@ -376,10 +381,11 @@ class TestSynthCommand:
             (tmp_path / "b" / "ohlcv.csv").read_bytes()
 
     def test_signal_options_are_the_spec_fields_and_defaults(self):
-        defaults = {p.name: p.default for p in main.commands["synth"].params}
+        parsed = vars(stockrank.cli._parser("stockrank").parse_args(["synth", "--out", "x"]))
         spec = dataclasses.asdict(SignalSpec())
-        assert {name: defaults[name] for name in spec} == spec
-        assert set(defaults) - set(spec) == {"seed", "n_stocks", "n_days", "out"}
+        assert {name: parsed[name] for name in spec} == spec
+        assert set(parsed) - set(spec) == {"seed", "n_stocks", "n_days", "out", "command"}
+        assert parsed["command"] is stockrank.cli.synth
 
 
 class TestFeaturesCommand:
@@ -1080,9 +1086,10 @@ class TestStartup:
     def test_cli_import_and_help_load_no_scipy(self):
         # multiprocessing serves only a parallel training section; every
         # command pays for what `import stockrank.cli` loads, so neither it
-        # nor scipy is on that path
-        modules, stdout = self._modules_after([["--help"]], ("scipy", "multiprocessing"))
-        assert "Usage:" in stdout
+        # nor scipy is on that path, nor click: the parser is argparse
+        modules, stdout = self._modules_after([["--help"]],
+                                              ("scipy", "multiprocessing", "click"))
+        assert "usage:" in stdout
         assert modules == []
 
     def test_run_and_report_load_no_scipy(self, tmp_path, runner):
@@ -1095,7 +1102,7 @@ class TestStartup:
         out = str(tmp_path / "o")
         modules, _ = self._modules_after(
             [["run", "--config", str(cfg_path), "--out", out], ["report", "--out", out]],
-            ("scipy", "multiprocessing"))
+            ("scipy", "multiprocessing", "click"))
         assert modules == []
         metrics = json.loads((tmp_path / "o" / "report" / "metrics.json").read_text())
         assert metrics["strategies"]["topk"]["p_value"] is not None

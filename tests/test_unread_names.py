@@ -3,9 +3,7 @@
 A function, class or constant that only tests read is code that no command
 runs: delete it, or give it a reader. A name counts as read when a statement
 other than its own definition, in any module under src/stockrank, names it
-(as a bare name or as an attribute). Dunder names are exempt, and so are
-click commands, which their group reads through the decorator that
-registers them.
+(as a bare name or as an attribute). Dunder names are exempt.
 """
 
 import ast
@@ -30,13 +28,6 @@ def _defined(stmt) -> list[str]:
     return []
 
 
-def _is_command(stmt) -> bool:
-    return isinstance(stmt, ast.FunctionDef) and any(
-        isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute) and d.func.attr == "command"
-        for d in stmt.decorator_list
-    )
-
-
 def _read_names(stmt) -> set[str]:
     names = set()
     for node in ast.walk(stmt):
@@ -56,8 +47,6 @@ def unread_names() -> dict[str, str]:
     reads = [_read_names(stmt) for _, stmt in stmts]
     unread = {}
     for i, (path, stmt) in enumerate(stmts):
-        if _is_command(stmt):
-            continue
         for name in _defined(stmt):
             if name.startswith("__") and name.endswith("__"):
                 continue
